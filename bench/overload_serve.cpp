@@ -1,5 +1,5 @@
 // Overload-control policy sweep (docs/serving.md "Overload control"):
-// offered load x dispatch/shedding/hedging policy -> SLO attainment, shed
+// offered load x dispatch/shedding policy -> SLO attainment, shed
 // and late counts, tail latency — on a 4-chip fleet replaying seeded
 // bursty traces with heterogeneous deadlines and a low/normal/high
 // priority mix. The interesting structure: below saturation every policy
@@ -59,13 +59,11 @@ static int bench_body() {
     const char* name;
     serve::DispatchOrder dispatch;
     bool shed;
-    bool hedge;
   };
   const std::vector<Policy> policies = {
-      {"fifo", serve::DispatchOrder::kFifo, false, false},
-      {"edf", serve::DispatchOrder::kEdf, false, false},
-      {"edf+shed", serve::DispatchOrder::kEdf, true, false},
-      {"edf+shed+hedge", serve::DispatchOrder::kEdf, true, true},
+      {"fifo", serve::DispatchOrder::kFifo, false},
+      {"edf", serve::DispatchOrder::kEdf, false},
+      {"edf+shed", serve::DispatchOrder::kEdf, true},
   };
   const std::vector<double> loads = {0.8, 1.4, 2.0};
 
@@ -92,7 +90,6 @@ static int bench_body() {
     cfg.chaos.seed = kSeed;
     cfg.policy.dispatch = pol.dispatch;
     cfg.policy.shed.enabled = pol.shed;
-    cfg.policy.hedge.enabled = pol.hedge;
     cfg.host_jobs = 1; // outer sweep owns the parallelism
     return serve::Fleet(cfg).run(serve::make_trace(tp));
   });
@@ -100,12 +97,10 @@ static int bench_body() {
 
   Table t("Overload-control policy sweep (" + std::to_string(kChips) +
           " chips, seed " + std::to_string(kSeed) + ")");
-  t.header({"Load", "Policy", "SLO", "Met", "Late", "Shed", "p99 (us)",
-            "Hedges", "Wins"});
+  t.header({"Load", "Policy", "SLO", "Met", "Late", "Shed", "p99 (us)"});
   CsvWriter csv(bench::out_dir() / "overload_serve.csv",
                 {"load", "policy", "slo_attainment", "jobs_met", "jobs_late",
-                 "jobs_shed", "latency_p99_s", "hedges_launched",
-                 "hedge_wins", "hedge_wasted"});
+                 "jobs_shed", "latency_p99_s"});
 
   telemetry::RunManifest man("overload_serve");
   bool accounted = true;
@@ -123,18 +118,13 @@ static int bench_body() {
            Table::num(static_cast<double>(c.jobs_met), 0),
            Table::num(static_cast<double>(c.jobs_late), 0),
            Table::num(static_cast<double>(c.jobs_shed), 0),
-           Table::num(rep.latency_p99_s * 1e6, 1),
-           Table::num(static_cast<double>(c.hedges_launched), 0),
-           Table::num(static_cast<double>(c.hedge_wins), 0)});
+           Table::num(rep.latency_p99_s * 1e6, 1)});
     csv.row({Table::num(points[i].load, 2), pol.name,
              Table::num(rep.slo_attainment, 6),
              Table::num(static_cast<double>(c.jobs_met), 0),
              Table::num(static_cast<double>(c.jobs_late), 0),
              Table::num(static_cast<double>(c.jobs_shed), 0),
-             Table::num(rep.latency_p99_s, 9),
-             Table::num(static_cast<double>(c.hedges_launched), 0),
-             Table::num(static_cast<double>(c.hedge_wins), 0),
-             Table::num(static_cast<double>(c.hedge_wasted), 0)});
+             Table::num(rep.latency_p99_s, 9)});
     const std::string p =
         "l" + Table::num(points[i].load, 1) + "." + pol.name + ".";
     man.add_result(p + "slo_attainment", rep.slo_attainment);
@@ -142,10 +132,6 @@ static int bench_body() {
     man.add_result(p + "jobs_late", static_cast<double>(c.jobs_late));
     man.add_result(p + "jobs_shed", static_cast<double>(c.jobs_shed));
     man.add_result(p + "latency_p99_s", rep.latency_p99_s);
-    man.add_result(p + "hedges_launched",
-                   static_cast<double>(c.hedges_launched));
-    man.add_result(p + "hedge_wins", static_cast<double>(c.hedge_wins));
-    man.add_result(p + "hedge_wasted", static_cast<double>(c.hedge_wasted));
     man.add_result(p + "schedule_hash_hi",
                    static_cast<double>(rep.schedule_hash >> 32));
     man.add_result(p + "schedule_hash_lo",

@@ -69,12 +69,12 @@ enum class AttemptStatus : std::uint8_t {
   kUnrecovered, ///< on-chip recovery exhausted (fault::FaultUnrecovered)
 };
 
-/// Schedule-hash status codes for events with no AttemptStatus of their
-/// own. Distinct from every AttemptStatus value; both only ever mix into
-/// the hash when hedging / shedding is enabled, so campaigns with the
-/// overload policies off reproduce PR 8 hashes bit for bit.
-constexpr std::uint64_t kHashCancelled = 5; ///< attempt cut short by a winner
-constexpr std::uint64_t kHashShed = 6;      ///< job retired by admission control
+/// Schedule-hash status code for a shed job, which has no AttemptStatus
+/// of its own. Distinct from every AttemptStatus value; it only mixes into
+/// the hash when shedding is enabled, so a campaign with shedding off
+/// hashes exactly its attempts and terminal records. The value is pinned
+/// by the schedule hashes in the committed serve baselines.
+constexpr std::uint64_t kHashShed = 6;
 
 /// One resolved dispatch: everything exec_attempt needs, with the scene
 /// data and fault-free reference memoized on the scheduler thread so the
@@ -83,7 +83,6 @@ struct Attempt {
   int job_id = 0;
   int attempt = 0; ///< 0-based attempt index across degrade levels
   int chip = 0;
-  bool is_hedge = false; ///< duplicate attempt launched near the deadline
   double est_service_s = 0.0; ///< memoized clean makespan (wait estimator)
   const Array2D<cf32>* data = nullptr;
   sar::RadarParams params;
@@ -181,8 +180,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
   ESARP_EXPECTS(cfg_.policy.backoff_base_s >= 0.0);
   ESARP_EXPECTS(cfg_.policy.timeout_factor >= 0.0);
   ESARP_EXPECTS(cfg_.policy.shed.deadline_factor > 0.0);
-  ESARP_EXPECTS(cfg_.policy.hedge.margin_factor > 0.0);
-  ESARP_EXPECTS(cfg_.policy.probation_clean_limit >= 0);
   ESARP_EXPECTS(cfg_.initial_health.empty() ||
                 cfg_.initial_health.size() ==
                     static_cast<std::size_t>(cfg_.n_chips));
@@ -293,19 +290,13 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     int attempts_total = 0;
     int degrade = 0;
     int migrations = 0;
-    int hedges = 0;      ///< hedge attempts launched for this job
-    int inflight = 0;    ///< attempts currently running (<= 2 with hedging)
-    bool hedged = false; ///< a hedge was launched (at most one per job)
     int last_chip = -1;
-    int active_chip = -1; ///< chip of the primary running attempt
     double first_dispatch_s = -1.0;
   };
+  /// A job's one running attempt; `job` is its state as of the launch.
   struct Inflight {
-    int job_id = 0;
-    int attempts_snapshot = 0; ///< job's attempts_total just after launch
+    Pending job;
     int chip = 0;
-    bool is_hedge = false;
-    bool cancelled = false; ///< a sibling attempt already delivered
     double start_s = 0.0;
     double finish_s = 0.0;
     double est_service_s = 0.0; ///< clean makespan (queue-wait estimator)
@@ -324,7 +315,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
   std::vector<bool> finished(trace.jobs.size(), false);
   std::vector<bool> chip_busy(static_cast<std::size_t>(cfg_.n_chips), false);
   std::vector<Pending> waiting;
-  std::map<int, Pending> live; ///< jobs with at least one running attempt
   std::vector<Inflight> running;
   host::SweepRunner pool(cfg_.host_jobs);
 
@@ -350,8 +340,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
 
   const auto requeue = [&](Pending j, int from_chip, double finish_s) {
     j.last_chip = from_chip;
-    j.active_chip = -1;
-    j.inflight = 0;
     ctr.retries++;
     if (j.attempts_level >= pol.max_attempts) {
       // Retry budget for this quality level is spent: escalate to a
@@ -373,74 +361,32 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     waiting.push_back(j);
   };
 
-  const auto retire = [&](Inflight& inf) {
-    const auto id = static_cast<std::size_t>(inf.job_id);
+  const auto retire = [&](const Inflight& inf) {
+    const Pending& j = inf.job;
+    const auto id = static_cast<std::size_t>(j.spec.id);
     chip_busy[static_cast<std::size_t>(inf.chip)] = false;
     ChipStatus& cs = rep.chips[static_cast<std::size_t>(inf.chip)];
     cs.busy_s += inf.finish_s - inf.start_s;
-    Pending& j = live.at(inf.job_id);
-    const auto drop_inflight = [&] {
-      if (--j.inflight == 0) live.erase(inf.job_id);
-    };
-
-    if (inf.cancelled) {
-      // A sibling attempt already delivered this job: the chip is simply
-      // released at the win instant. No fault or health bookkeeping — the
-      // attempt's simulated outcome never materialized.
-      fnv_mix(hash, static_cast<std::uint64_t>(inf.job_id));
-      fnv_mix(hash, static_cast<std::uint64_t>(inf.attempts_snapshot));
-      fnv_mix(hash, static_cast<std::uint64_t>(inf.chip));
-      fnv_mix(hash, kHashCancelled);
-      fnv_mix(hash, inf.out.cycles);
-      ctr.hedge_cancelled++;
-      if (inf.is_hedge) ctr.hedge_wasted++;
-      drop_inflight();
-      return;
-    }
-
     cs.faults_detected += inf.out.faults.detected;
-    cs.fault_window += inf.out.faults.detected;
     ctr.faults_injected += inf.out.faults.injected;
     ctr.faults_detected += inf.out.faults.detected;
     ctr.faults_recovered += inf.out.faults.recovered;
     if (cs.health == ChipHealth::kHealthy &&
-        cs.fault_window > pol.health_fault_limit) {
+        cs.faults_detected > pol.health_fault_limit) {
       cs.health = ChipHealth::kDegraded;
-      cs.consecutive_clean = 0;
       cs.probations++;
       ctr.chip_probations++;
     }
-    fnv_mix(hash, static_cast<std::uint64_t>(inf.job_id));
-    fnv_mix(hash, static_cast<std::uint64_t>(inf.attempts_snapshot));
+    fnv_mix(hash, static_cast<std::uint64_t>(j.spec.id));
+    fnv_mix(hash, static_cast<std::uint64_t>(j.attempts_total));
     fnv_mix(hash, static_cast<std::uint64_t>(inf.chip));
     fnv_mix(hash, static_cast<std::uint64_t>(inf.out.status));
     fnv_mix(hash, inf.out.cycles);
-
-    // Probation: a degraded chip earns back kHealthy after
-    // probation_clean_limit consecutive clean attempts; any failure or
-    // detected fault resets the streak.
-    if (pol.probation_clean_limit > 0 && cs.health == ChipHealth::kDegraded) {
-      if (inf.out.status == AttemptStatus::kOk &&
-          inf.out.faults.detected == 0) {
-        if (++cs.consecutive_clean >= pol.probation_clean_limit) {
-          cs.health = ChipHealth::kHealthy;
-          cs.fault_window = 0;
-          cs.consecutive_clean = 0;
-          cs.recoveries++;
-          ctr.chip_recoveries++;
-        }
-      } else {
-        cs.consecutive_clean = 0;
-      }
-    }
 
     switch (inf.out.status) {
       case AttemptStatus::kOk: {
         cs.jobs_completed++;
         cs.energy_j += inf.out.energy_j;
-        ESARP_REQUIRE(!finished[id],
-                      "serve: duplicate delivery for one job (siblings "
-                      "must be cancelled at the win instant)");
         JobRecord& rec = rep.jobs[id];
         rec.spec = j.spec;
         rec.start_s = j.first_dispatch_s;
@@ -449,7 +395,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         rec.attempts = j.attempts_total;
         rec.migrations = j.migrations;
         rec.degrade_level = j.degrade;
-        rec.hedges = j.hedges;
         rec.chip = inf.chip;
         rec.sim_cycles = inf.out.cycles;
         rec.energy_j = inf.out.energy_j;
@@ -467,18 +412,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         finished[id] = true;
         remaining--;
         makespan = std::max(makespan, inf.finish_s);
-        if (inf.is_hedge) ctr.hedge_wins++;
-        // First success wins: every sibling attempt is cut short at this
-        // instant (the retire sweep restarts, so they release their chips
-        // within the same instant). Launch order breaks exact ties —
-        // running[] preserves it, and the original launches first.
-        for (Inflight& r : running) {
-          if (r.job_id == inf.job_id) {
-            r.cancelled = true;
-            r.finish_s = inf.finish_s;
-          }
-        }
-        drop_inflight();
         return;
       }
       case AttemptStatus::kChipKilled:
@@ -490,16 +423,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
       case AttemptStatus::kCorrupt: ctr.checksum_failures++; break;
       case AttemptStatus::kUnrecovered: break;
     }
-    if (inf.is_hedge) ctr.hedge_wasted++;
-    if (j.inflight > 1) {
-      // A sibling attempt is still running and now carries the job alone;
-      // this failure only costs the counters above.
-      drop_inflight();
-      return;
-    }
-    const Pending copy = j;
-    drop_inflight();
-    requeue(copy, inf.chip, inf.finish_s);
+    requeue(j, inf.chip, inf.finish_s);
   };
 
   // Prefer a different chip than the failed attempt's (migration), then a
@@ -524,16 +448,13 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     return best;
   };
 
-  /// Build one dispatch-ready Attempt for job `j` on `chip` (shared by
-  /// the queue dispatch and the hedge launch paths). Increments the job's
-  /// attempt counter; attempts_level is the caller's call — hedges don't
-  /// burn retry budget.
-  const auto make_attempt = [&](Pending& j, int chip, bool is_hedge) {
+  /// Build one dispatch-ready Attempt for job `j` on `chip`, marking the
+  /// chip busy and counting the attempt against the job.
+  const auto make_attempt = [&](Pending& j, int chip) {
     Attempt a;
     a.job_id = j.spec.id;
     a.attempt = j.attempts_total;
     a.chip = chip;
-    a.is_hedge = is_hedge;
     a.algo = j.spec.algo;
     a.cores = j.spec.n_cores;
     const std::size_t pulses =
@@ -575,23 +496,18 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     rep.chips[static_cast<std::size_t>(chip)].attempts++;
     ctr.attempts++;
     j.attempts_total++;
+    j.attempts_level++;
     return a;
   };
 
   while (remaining > 0) {
-    // 1. Retire every attempt finishing at or before the fleet clock.
-    //    Event times are assigned, never accumulated, so the comparison
-    //    is exact. A delivery cancels its sibling attempts *at this
-    //    instant*, which can make an already-scanned entry due — restart
-    //    the sweep after each retirement so cancellations drain within
-    //    the same instant (relative order is preserved, so ties still
-    //    resolve by launch order).
+    // 1. Retire every attempt finishing at or before the fleet clock, in
+    //    launch order. Event times are assigned, never accumulated, so the
+    //    comparison is exact.
     for (std::size_t i = 0; i < running.size();) {
       if (running[i].finish_s <= now) {
-        Inflight inf = running[i];
+        retire(running[i]);
         running.erase(running.begin() + static_cast<std::ptrdiff_t>(i));
-        retire(inf);
-        i = 0;
       } else {
         ++i;
       }
@@ -665,7 +581,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
           rec.attempts = j.attempts_total;
           rec.migrations = j.migrations;
           rec.degrade_level = j.degrade;
-          rec.hedges = j.hedges;
           rec.chip = -1;
           fnv_mix(hash, static_cast<std::uint64_t>(j.spec.id));
           fnv_mix(hash, static_cast<std::uint64_t>(j.attempts_total));
@@ -685,6 +600,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     //    the instant's batch on the worker pool in index order
     //    (deterministic regardless of host_jobs).
     std::vector<Attempt> batch;
+    std::vector<Inflight> launched;
     for (std::size_t i = 0; i < waiting.size();) {
       if (waiting[i].release_s > now) {
         ++i;
@@ -700,35 +616,13 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         j.migrations++;
         ctr.migrations++;
       }
-      batch.push_back(make_attempt(j, chip, false));
-      j.attempts_level++;
-      j.inflight = 1;
-      j.active_chip = chip;
-      live.emplace(j.spec.id, j);
-    }
-
-    // 6. Hedge: for each singly-running, not-yet-hedged job of sufficient
-    //    priority whose deadline slack has dropped below margin_factor x
-    //    its clean service time, launch a duplicate attempt on a free
-    //    chip. Iteration over `live` is in job-id order — deterministic.
-    //    A job already past its deadline is not hedged (a duplicate can
-    //    no longer save the SLO).
-    if (pol.hedge.enabled) {
-      for (auto& [jid, j] : live) {
-        if (j.hedged || j.inflight != 1) continue;
-        if (j.spec.priority < pol.hedge.min_priority) continue;
-        const double abs_deadline = j.spec.arrival_s + j.spec.deadline_s;
-        if (now >= abs_deadline) continue;
-        const double svc = clean_service_s(j.spec, j.degrade);
-        if (abs_deadline - now >= pol.hedge.margin_factor * svc) continue;
-        const int chip = pick_chip(j.active_chip);
-        if (chip < 0) continue;
-        j.hedged = true;
-        j.hedges++;
-        j.inflight++;
-        ctr.hedges_launched++;
-        batch.push_back(make_attempt(j, chip, true));
-      }
+      batch.push_back(make_attempt(j, chip));
+      Inflight inf;
+      inf.job = j;
+      inf.chip = chip;
+      inf.start_s = now;
+      inf.est_service_s = batch.back().est_service_s;
+      launched.push_back(inf);
     }
 
     if (!batch.empty()) {
@@ -736,22 +630,15 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         return exec_attempt(batch[i], cfg_.chip);
       });
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        Inflight inf;
-        inf.job_id = batch[i].job_id;
-        inf.attempts_snapshot = batch[i].attempt + 1;
-        inf.chip = batch[i].chip;
-        inf.is_hedge = batch[i].is_hedge;
-        inf.start_s = now;
-        inf.finish_s = now + cfg_.chip.seconds(outs[i].cycles);
-        inf.est_service_s = batch[i].est_service_s;
-        inf.out = outs[i];
-        running.push_back(inf);
+        launched[i].finish_s = now + cfg_.chip.seconds(outs[i].cycles);
+        launched[i].out = outs[i];
+        running.push_back(launched[i]);
       }
     }
 
     if (remaining == 0) break;
 
-    // 4. Advance the fleet clock to the next event strictly after `now`.
+    // 6. Advance the fleet clock to the next event strictly after `now`.
     double next = std::numeric_limits<double>::infinity();
     if (next_arrival < trace.jobs.size()) {
       next = std::min(next, trace.jobs[next_arrival].arrival_s);
@@ -772,9 +659,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     now = std::max(next, now);
   }
 
-  // Drain bookkeeping for attempts that were still in flight when the
-  // last job completed (their chips stay busy past the makespan, but
-  // every *job* already has a terminal record, so nothing to retire).
   for (std::size_t id = 0; id < finished.size(); ++id) {
     ESARP_REQUIRE(finished[id], "serve: job without terminal state");
   }
@@ -821,7 +705,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
 
 void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
                          const ArrivalTrace& trace, const ServeReport& rep) {
-  m.set_schema("esarp-serve-manifest/2");
+  m.set_schema("esarp-serve-manifest/3");
   m.add_chip("rows", cfg.chip.rows);
   m.add_chip("cols", cfg.chip.cols);
   m.add_chip("clock_hz", cfg.chip.clock_hz);
@@ -845,12 +729,6 @@ void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
   m.add_workload("shed_deadline_factor", cfg.policy.shed.deadline_factor);
   m.add_workload("shed_max_priority",
                  static_cast<int>(cfg.policy.shed.max_shed_priority));
-  m.add_workload("hedge_enabled", cfg.policy.hedge.enabled ? 1.0 : 0.0);
-  m.add_workload("hedge_margin_factor", cfg.policy.hedge.margin_factor);
-  m.add_workload("hedge_min_priority",
-                 static_cast<int>(cfg.policy.hedge.min_priority));
-  m.add_workload("probation_clean_limit",
-                 cfg.policy.probation_clean_limit);
   std::uint64_t n_low = 0;
   std::uint64_t n_normal = 0;
   std::uint64_t n_high = 0;
@@ -882,12 +760,7 @@ void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
   m.add_result("faults_recovered",
                static_cast<double>(c.faults_recovered));
   m.add_result("jobs_shed", static_cast<double>(c.jobs_shed));
-  m.add_result("hedges_launched", static_cast<double>(c.hedges_launched));
-  m.add_result("hedge_wins", static_cast<double>(c.hedge_wins));
-  m.add_result("hedge_wasted", static_cast<double>(c.hedge_wasted));
-  m.add_result("hedge_cancelled", static_cast<double>(c.hedge_cancelled));
   m.add_result("chip_probations", static_cast<double>(c.chip_probations));
-  m.add_result("chip_recoveries", static_cast<double>(c.chip_recoveries));
   m.add_result("shed_model_max_rel_err", rep.shed_model_max_rel_err);
   m.add_result("latency_p50_s", rep.latency_p50_s);
   m.add_result("latency_p95_s", rep.latency_p95_s);
@@ -923,11 +796,7 @@ void fill_serve_metrics(telemetry::MetricsRegistry& reg,
   reg.counter("serve.jobs_late").add(c.jobs_late);
   reg.counter("serve.jobs_degraded").add(c.jobs_degraded);
   reg.counter("serve.jobs_shed").add(c.jobs_shed);
-  reg.counter("serve.hedges_launched").add(c.hedges_launched);
-  reg.counter("serve.hedge_wins").add(c.hedge_wins);
-  reg.counter("serve.hedge_wasted").add(c.hedge_wasted);
   reg.counter("serve.chip_probations").add(c.chip_probations);
-  reg.counter("serve.chip_recoveries").add(c.chip_recoveries);
   reg.counter("serve.attempts").add(c.attempts);
   reg.counter("serve.retries").add(c.retries);
   reg.counter("serve.migrations").add(c.migrations);
@@ -946,7 +815,6 @@ void fill_serve_metrics(telemetry::MetricsRegistry& reg,
     reg.counter(lbl("serve.chip.attempts")).add(cs.attempts);
     reg.counter(lbl("serve.chip.jobs_completed")).add(cs.jobs_completed);
     reg.counter(lbl("serve.chip.probations")).add(cs.probations);
-    reg.counter(lbl("serve.chip.recoveries")).add(cs.recoveries);
     reg.gauge(lbl("serve.chip.busy_s")).set(cs.busy_s);
     reg.gauge(lbl("serve.chip.health"))
         .set(static_cast<double>(static_cast<int>(cs.health)));

@@ -18,14 +18,11 @@
 // degrades (aperture halved -> one fewer FFBP merge level) instead of
 // being dropped. Overload control layers on top: ShedPolicy estimates
 // each queued job's wait from the memoized clean makespans and retires
-// already-doomed sheddable jobs with an explicit JobState::kShed record;
-// HedgePolicy duplicates a running attempt onto a free chip when the
-// job's deadline is near (first success wins, the loser is cancelled and
-// accounted); probation lets a kDegraded chip earn back kHealthy after N
-// consecutive clean attempts. A job is lost only by aborting the entire
-// campaign with fault::FaultUnrecovered (exit code 5) — zero-lost-jobs
-// is an invariant, not a metric, and a shed is an explicit terminal
-// record, never a silent drop.
+// already-doomed sheddable jobs with an explicit JobState::kShed record.
+// A job has at most one attempt in flight at a time. A job is lost only
+// by aborting the entire campaign with fault::FaultUnrecovered (exit
+// code 5) — zero-lost-jobs is an invariant, not a metric, and a shed is
+// an explicit terminal record, never a silent drop.
 //
 // Determinism contract: every scheduling decision, fault roll and
 // simulated outcome is a pure function of (trace, FleetConfig). Attempts
@@ -109,40 +106,21 @@ struct ShedPolicy {
   Priority max_shed_priority = Priority::kLow; ///< classes <= this shed
 };
 
-/// Hedged attempts: when a running job's remaining deadline budget drops
-/// below margin_factor x its clean service time and a chip is free, a
-/// duplicate attempt launches there (once per job lifetime). The first
-/// successful attempt wins — ties resolve by launch order, original
-/// first — and every sibling attempt is cancelled at the win instant and
-/// counted (hedge_wasted); a hedge that delivers counts hedge_wins.
-struct HedgePolicy {
-  bool enabled = false;
-  double margin_factor = 2.0; ///< hedge when deadline slack < factor x
-                              ///< clean service time
-  Priority min_priority = Priority::kNormal; ///< classes >= this hedge
-};
-
 /// Robustness policy: retry budget, backoff shape, degradation ladder,
-/// plus the overload-control layer (dispatch order, shedding, hedging,
-/// chip probation).
+/// chip-health circuit breaker, plus the overload-control layer
+/// (dispatch order, shedding).
 struct ServePolicy {
   int max_attempts = 3;     ///< dispatches per quality level before degrading
   int max_degrade = 2;      ///< aperture halvings before the campaign aborts
   double backoff_base_s = 100e-6; ///< retry n is released base * 2^n after
                                   ///< the failed attempt finishes
   double timeout_factor = 8.0;    ///< per-attempt watchdog, x clean makespan
-  /// Detected faults on one chip (since its last recovery) before its
-  /// health drops to kDegraded (it then only takes jobs when no healthy
-  /// chip is free).
+  /// Detected faults on one chip before its health drops to kDegraded
+  /// for the rest of the campaign (it then only takes jobs when no
+  /// healthy chip is free).
   std::uint64_t health_fault_limit = 64;
   DispatchOrder dispatch = DispatchOrder::kEdf;
   ShedPolicy shed;
-  HedgePolicy hedge;
-  /// Chip probation: a kDegraded chip earns back kHealthy after this many
-  /// consecutive clean attempts (successful, zero detected faults); any
-  /// failed attempt or detected fault resets the streak. 0 disables
-  /// recovery (PR 8 behavior: degraded is forever).
-  int probation_clean_limit = 0;
 };
 
 struct FleetConfig {
@@ -162,21 +140,15 @@ struct FleetConfig {
 };
 
 /// Per-chip health and utilization, fed by per-attempt FaultSummary and
-/// watchdog outcomes, plus the probation circuit-breaker counters.
+/// watchdog outcomes.
 struct ChipStatus {
   ChipHealth health = ChipHealth::kHealthy;
   std::uint64_t attempts = 0;       ///< dispatches onto this chip
   std::uint64_t jobs_completed = 0; ///< successful attempts
-  std::uint64_t faults_detected = 0; ///< cumulative over the campaign
-  /// Detected faults since the last recovery — this window (not the
-  /// cumulative count) trips the health_fault_limit circuit breaker.
-  /// Identical to faults_detected while probation is disabled.
-  std::uint64_t fault_window = 0;
-  /// Consecutive clean attempts while on probation (kDegraded); reaching
-  /// probation_clean_limit restores kHealthy.
-  int consecutive_clean = 0;
+  /// Cumulative over the campaign; trips the health_fault_limit circuit
+  /// breaker.
+  std::uint64_t faults_detected = 0;
   std::uint64_t probations = 0; ///< health drops kHealthy -> kDegraded
-  std::uint64_t recoveries = 0; ///< probations served: kDegraded -> kHealthy
   double busy_s = 0.0;    ///< simulated seconds spent executing attempts
   double energy_j = 0.0;  ///< simulated energy of completed attempts
   double failed_at_s = -1.0; ///< fleet time of the fail-stop (-1 = alive)
@@ -200,12 +172,7 @@ struct ServeCounters {
   std::uint64_t faults_detected = 0;
   std::uint64_t faults_recovered = 0;
   std::uint64_t jobs_shed = 0;        ///< admission-control terminations
-  std::uint64_t hedges_launched = 0;  ///< duplicate attempts started
-  std::uint64_t hedge_wins = 0;       ///< hedge attempt delivered the job
-  std::uint64_t hedge_wasted = 0;     ///< hedge cancelled or beaten
-  std::uint64_t hedge_cancelled = 0;  ///< attempts cut short by a winner
   std::uint64_t chip_probations = 0;  ///< kHealthy -> kDegraded transitions
-  std::uint64_t chip_recoveries = 0;  ///< kDegraded -> kHealthy transitions
 };
 
 struct ServeReport {
@@ -283,7 +250,7 @@ private:
 };
 
 /// Fill `m` with the campaign's chip/workload/results sections and tag it
-/// "esarp-serve-manifest/2" (full key list in docs/serving.md). Adds no
+/// "esarp-serve-manifest/3" (full key list in docs/serving.md). Adds no
 /// wall-clock values: same-seed manifests are byte-identical.
 void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
                          const ArrivalTrace& trace, const ServeReport& rep);

@@ -34,9 +34,9 @@ enum class Algo : std::uint8_t {
 }
 
 /// Per-job priority class. Ordered: a higher class is dispatched first
-/// under EDF, is hedged first, and is shed last (ShedPolicy sheds classes
-/// at or below its max_shed_priority). Carried in "esarp-arrival-trace/2";
-/// v1 traces default every job to kNormal.
+/// under EDF and is shed last (ShedPolicy sheds classes at or below its
+/// max_shed_priority). Carried in "esarp-arrival-trace/2"; v1 traces
+/// default every job to kNormal.
 enum class Priority : std::uint8_t {
   kLow = 0,
   kNormal = 1,
@@ -104,7 +104,6 @@ struct JobRecord {
   int attempts = 1;        ///< dispatches, including the successful one
   int migrations = 0;      ///< dispatches onto a different chip than before
   int degrade_level = 0;   ///< aperture halvings applied (0 = full quality)
-  int hedges = 0;          ///< duplicate attempts launched near the deadline
   int chip = -1;           ///< chip that delivered the image
   std::uint64_t sim_cycles = 0; ///< chip cycles of the winning attempt
   double energy_j = 0.0;        ///< chip energy of the winning attempt

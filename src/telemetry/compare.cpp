@@ -11,27 +11,16 @@
 
 namespace esarp::telemetry {
 
-Direction metric_direction(const std::string& key) {
-  // Neutral tallies: no direction is "better", so no builtin check. Only
-  // hedge_wins today — a win means a duplicate attempt beat a straggling
-  // or killed original, which says where the chaos landed, not whether
-  // the run got better or worse.
-  static const char* kNeutral[] = {"hedge_wins"};
-  for (const char* s : kNeutral)
-    if (key.find(s) != std::string::npos) return Direction::kNeutral;
+bool higher_is_better(const std::string& key) {
   static const char* kGoodUp[] = {"utilization", "flops",   "throughput",
                                   "hit_rate",    "px_per_s", "speedup",
                                   "pixels_per_s", "events_per_second",
                                   "slo_attainment", "jobs_per_s"};
   for (const char* s : kGoodUp)
-    if (key.find(s) != std::string::npos) return Direction::kHigherBetter;
+    if (key.find(s) != std::string::npos) return true;
   // Everything else regresses upward: times, cycles, energy, stalls,
-  // bytes — and the overload counters jobs_late, jobs_shed, hedge_wasted.
-  return Direction::kLowerBetter;
-}
-
-bool higher_is_better(const std::string& key) {
-  return metric_direction(key) == Direction::kHigherBetter;
+  // bytes — and the overload counters jobs_late and jobs_shed.
+  return false;
 }
 
 bool glob_match(const std::string& pattern, const std::string& text) {
@@ -207,10 +196,7 @@ CompareReport compare_manifests(const JsonValue& base,
 
     // Threshold resolution: explicit per-key override wins, then the first
     // matching noisy glob pattern, then the built-in latency/slo band;
-    // otherwise the default threshold applies to "results" entries only —
-    // and only to directional keys (neutral tallies like hedge_wins stay
-    // informational unless an override or pattern claims them explicitly).
-    const Direction dir = metric_direction(key);
+    // otherwise the default threshold applies to "results" entries only.
     const auto ov = opt.per_key.find(key);
     std::optional<double> threshold;
     if (ov != opt.per_key.end()) {
@@ -219,8 +205,7 @@ CompareReport compare_manifests(const JsonValue& base,
       threshold = *noisy;
     } else if (const auto band = latency_slo_threshold(opt, key)) {
       threshold = *band;
-    } else if (key.rfind("results.", 0) == 0 &&
-               dir != Direction::kNeutral) {
+    } else if (key.rfind("results.", 0) == 0) {
       threshold = opt.default_threshold;
     }
 
@@ -230,11 +215,8 @@ CompareReport compare_manifests(const JsonValue& base,
       const bool both_tiny = std::abs(bval) <= opt.abs_floor &&
                              std::abs(cval) <= opt.abs_floor;
       if (!both_tiny) {
-        // Neutral keys, once opted in, regress on movement either way.
         const double signed_delta =
-            dir == Direction::kHigherBetter ? -line.rel_delta
-            : dir == Direction::kNeutral    ? std::abs(line.rel_delta)
-                                            : line.rel_delta;
+            higher_is_better(key) ? -line.rel_delta : line.rel_delta;
         if (signed_delta > *threshold) {
           line.regressed = true;
           ++rep.regressions;

@@ -55,26 +55,12 @@ struct CompareOptions {
 [[nodiscard]] bool glob_match(const std::string& pattern,
                               const std::string& text);
 
-/// Which way a metric regresses. The builtin table (metric_direction):
-///  - higher-is-better: throughput-like keys (utilization, flops,
-///    throughput, hit_rate, px_per_s / pixels_per_s, speedup,
-///    events_per_second, jobs_per_s) and slo_attainment;
-///  - neutral: outcome tallies with no regression direction — hedge_wins
-///    depends on where the chaos landed, so a delta is information, not a
-///    verdict. Neutral keys are never threshold-checked by default; an
-///    explicit per-key opt-in (--metric) still checks them, flagging a
-///    move beyond the threshold in *either* direction;
-///  - lower-is-better: everything else — times, cycles, energy, stalls,
-///    bytes, and the overload counters jobs_late / jobs_shed /
-///    hedge_wasted (wasted duplicates are pure overhead).
-enum class Direction { kHigherBetter, kLowerBetter, kNeutral };
-
-/// Builtin regression direction for a manifest key (substring match on
-/// the flattened key, e.g. "results.jobs_shed").
-[[nodiscard]] Direction metric_direction(const std::string& key);
-
-/// True when a larger value of `key` is an improvement (throughput-like).
-/// Equivalent to metric_direction(key) == Direction::kHigherBetter.
+/// True when a larger value of `key` is an improvement (substring match on
+/// the flattened key): throughput-like keys (utilization, flops,
+/// throughput, hit_rate, px_per_s / pixels_per_s, speedup,
+/// events_per_second, jobs_per_s) and slo_attainment. Everything else —
+/// times, cycles, energy, stalls, bytes, and the overload counters
+/// jobs_late / jobs_shed — regresses upward.
 [[nodiscard]] bool higher_is_better(const std::string& key);
 
 struct CompareLine {

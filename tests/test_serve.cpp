@@ -507,61 +507,6 @@ TEST(FleetServe, ShedRespectsThePriorityFence) {
   EXPECT_EQ(Fleet(cfg).run(t).counters.jobs_shed, 4u);
 }
 
-TEST(FleetServe, HedgesAreAccountedAndDeterministic) {
-  // A huge margin factor hedges every job that finds a second chip free.
-  // On a clean fleet the original always delivers first (launch order
-  // breaks the same-instant tie), so every hedge is cancelled and counted
-  // wasted — and the whole campaign stays bit-reproducible.
-  TraceParams p = small_trace_params();
-  const ArrivalTrace trace = serve::make_trace(p);
-  FleetConfig cfg = small_fleet(2);
-  cfg.policy.hedge.enabled = true;
-  cfg.policy.hedge.margin_factor = 1e6;
-  const ServeReport a = Fleet(cfg).run(trace);
-  const ServeReport b = Fleet(cfg).run(trace);
-  EXPECT_EQ(a.schedule_hash, b.schedule_hash);
-  EXPECT_GE(a.counters.hedges_launched, 1u);
-  EXPECT_EQ(a.counters.hedge_wins, 0u);
-  EXPECT_EQ(a.counters.hedge_wins + a.counters.hedge_wasted,
-            a.counters.hedges_launched);
-  EXPECT_EQ(a.counters.hedge_cancelled, a.counters.hedge_wasted);
-  EXPECT_EQ(a.counters.jobs_lost, 0u);
-  std::uint64_t per_job_hedges = 0;
-  for (const auto& rec : a.jobs) {
-    EXPECT_LE(rec.hedges, 1); // once per job lifetime
-    per_job_hedges += static_cast<std::uint64_t>(rec.hedges);
-  }
-  EXPECT_EQ(per_job_hedges, a.counters.hedges_launched);
-}
-
-TEST(FleetServe, HedgeWinsWhenTheOriginalChipDies) {
-  // Under chip-kill chaos a hedge can outlive its original: scan seeds
-  // (deterministically) for a campaign where that happens and check the
-  // win is accounted and the job still delivered exactly once.
-  TraceParams p = small_trace_params();
-  p.n_jobs = 8;
-  const ArrivalTrace trace = serve::make_trace(p);
-  bool found = false;
-  for (std::uint64_t seed = 1; seed <= 20 && !found; ++seed) {
-    FleetConfig cfg = small_fleet(3);
-    cfg.chaos.seed = seed;
-    cfg.chaos.chip_kill_rate = 0.4;
-    cfg.policy.hedge.enabled = true;
-    cfg.policy.hedge.margin_factor = 1e6;
-    try {
-      const ServeReport rep = Fleet(cfg).run(trace);
-      EXPECT_EQ(rep.counters.hedge_wins + rep.counters.hedge_wasted,
-                rep.counters.hedges_launched);
-      EXPECT_EQ(rep.counters.jobs_lost, 0u);
-      if (rep.counters.hedge_wins == 0) continue;
-      found = true;
-    } catch (const fault::FaultUnrecovered&) {
-      // This seed killed the whole fleet — legal, keep scanning.
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(FleetServe, DegradedChipsOnlyTakeOverflow) {
   // Sequential load: every attempt lands on the healthy chip and the
   // pre-degraded one stays idle. Burst load: the degraded chip is still
@@ -586,32 +531,38 @@ TEST(FleetServe, DegradedChipsOnlyTakeOverflow) {
   EXPECT_GE(par.chips[1].attempts, 1u);
 }
 
-TEST(FleetServe, ProbationRestoresDegradedChips) {
-  // A pre-degraded chip earns back kHealthy after probation_clean_limit
-  // consecutive clean attempts; with probation disabled (the PR 8
-  // default) degraded is forever.
-  FleetConfig cfg = small_fleet(1);
-  cfg.initial_health = {ChipHealth::kDegraded};
-  ArrivalTrace t;
-  t.seed = 1;
-  for (int i = 0; i < 5; ++i)
-    t.jobs.push_back(job_at(i, i * 0.001, 0.01));
+TEST(FleetServe, DetectedFaultsTripTheHealthCircuitBreaker) {
+  // Recovered DMA corruption leaves every image verified, but each chip's
+  // detected faults accumulate; past health_fault_limit the chip drops to
+  // kDegraded and stays there to the end of the campaign, however many
+  // clean attempts it serves afterwards.
+  TraceParams p = small_trace_params();
+  p.n_jobs = 12;
+  const ArrivalTrace trace = serve::make_trace(p);
+  FleetConfig cfg = small_fleet(2);
+  cfg.chaos.seed = 5;
+  cfg.chaos.dma_corrupt_rate = 3e-3;
+  const ServeReport lenient = Fleet(cfg).run(trace);
+  EXPECT_EQ(lenient.counters.chip_probations, 0u);
 
-  const ServeReport frozen = Fleet(cfg).run(t);
-  EXPECT_EQ(frozen.chips[0].health, ChipHealth::kDegraded);
-  EXPECT_EQ(frozen.counters.chip_recoveries, 0u);
-
-  cfg.policy.probation_clean_limit = 3;
-  const ServeReport rep = Fleet(cfg).run(t);
-  EXPECT_EQ(rep.chips[0].health, ChipHealth::kHealthy);
-  EXPECT_EQ(rep.chips[0].recoveries, 1u);
-  EXPECT_EQ(rep.counters.chip_recoveries, 1u);
-  EXPECT_EQ(rep.counters.jobs_met, 5u);
+  cfg.policy.health_fault_limit = 2;
+  const ServeReport rep = Fleet(cfg).run(trace);
+  EXPECT_EQ(rep.counters.jobs_met, rep.counters.jobs_total);
+  EXPECT_GE(rep.counters.chip_probations, 1u);
+  std::uint64_t probations = 0;
+  for (const auto& chip : rep.chips) {
+    probations += chip.probations;
+    const bool tripped = chip.faults_detected > cfg.policy.health_fault_limit;
+    EXPECT_EQ(chip.probations, tripped ? 1u : 0u);
+    EXPECT_EQ(chip.health,
+              tripped ? ChipHealth::kDegraded : ChipHealth::kHealthy);
+  }
+  EXPECT_EQ(rep.counters.chip_probations, probations);
 }
 
 TEST(FleetServe, OverloadPoliciesKeepHostThreadInvariance) {
-  // Everything on at once — EDF, shedding, hedging, probation, chaos —
-  // and the schedule hash still must not depend on host parallelism.
+  // Everything on at once — EDF, shedding, chaos — and the schedule hash
+  // still must not depend on host parallelism.
   TraceParams p = small_trace_params();
   p.n_jobs = 16;
   p.bursty = true;
@@ -626,8 +577,6 @@ TEST(FleetServe, OverloadPoliciesKeepHostThreadInvariance) {
   cfg.chaos.seed = 7;
   cfg.chaos.chip_kill_rate = 0.1;
   cfg.policy.shed.enabled = true;
-  cfg.policy.hedge.enabled = true;
-  cfg.policy.probation_clean_limit = 2;
   const ServeReport seq = Fleet(cfg).run(trace);
   cfg.host_jobs = 4;
   const ServeReport par = Fleet(cfg).run(trace);
@@ -650,16 +599,14 @@ TEST(ServeManifest, CarriesTheServeSchemaAndComparesClean) {
   m.write(os);
   const JsonValue doc = parse_json(os.str());
   ASSERT_NE(doc.find("schema"), nullptr);
-  EXPECT_EQ(doc.find("schema")->as_string(), "esarp-serve-manifest/2");
+  EXPECT_EQ(doc.find("schema")->as_string(), "esarp-serve-manifest/3");
   const JsonValue* results = doc.find("results");
   ASSERT_NE(results, nullptr);
   for (const char* key :
        {"jobs_total", "jobs_lost", "latency_p99_s", "slo_attainment",
         "throughput_jobs_per_s", "energy_per_image_j", "retries",
         "migrations", "degradations", "chip_kills", "schedule_hash_lo",
-        "jobs_shed", "hedges_launched", "hedge_wins", "hedge_wasted",
-        "hedge_cancelled", "chip_probations", "chip_recoveries",
-        "shed_model_max_rel_err"}) {
+        "jobs_shed", "chip_probations", "shed_model_max_rel_err"}) {
     EXPECT_NE(results->find(key), nullptr) << key;
   }
   // compare_manifests accepts the serve schema and a self-compare is

@@ -602,26 +602,15 @@ TEST(Compare, MissingCheckedMetricIsANamedRegression) {
 }
 
 TEST(Compare, DirectionTableClassifiesOverloadCounters) {
-  // The overload counters are directional: shed / late / wasted hedges are
-  // overhead and regress upward; hedge wins are neutral bookkeeping.
-  using telemetry::Direction;
-  EXPECT_EQ(telemetry::metric_direction("results.jobs_shed"),
-            Direction::kLowerBetter);
-  EXPECT_EQ(telemetry::metric_direction("results.jobs_late"),
-            Direction::kLowerBetter);
-  EXPECT_EQ(telemetry::metric_direction("results.hedge_wasted"),
-            Direction::kLowerBetter);
-  EXPECT_EQ(telemetry::metric_direction("results.hedge_wins"),
-            Direction::kNeutral);
-  EXPECT_EQ(telemetry::metric_direction("results.slo_attainment"),
-            Direction::kHigherBetter);
-  // higher_is_better stays the back-compat view of the same table.
+  // The overload counters are directional: shed and late jobs are
+  // overhead and regress upward; SLO attainment regresses downward.
   EXPECT_FALSE(telemetry::higher_is_better("results.jobs_shed"));
-  EXPECT_FALSE(telemetry::higher_is_better("results.hedge_wins"));
+  EXPECT_FALSE(telemetry::higher_is_better("results.jobs_late"));
+  EXPECT_TRUE(telemetry::higher_is_better("results.slo_attainment"));
 
   const auto make = [](double shed) {
     telemetry::RunManifest m("cmp");
-    m.set_schema("esarp-serve-manifest/2");
+    m.set_schema("esarp-serve-manifest/3");
     m.add_result("jobs_shed", shed);
     std::ostringstream os;
     m.write(os);
@@ -630,39 +619,6 @@ TEST(Compare, DirectionTableClassifiesOverloadCounters) {
   const JsonValue base = make(10.0);
   EXPECT_FALSE(telemetry::compare_manifests(base, make(12.0)).ok());
   EXPECT_TRUE(telemetry::compare_manifests(base, make(8.0)).ok());
-}
-
-TEST(Compare, NeutralKeysAreInformationalUnlessOptedIn) {
-  // hedge_wins swings with where the chaos lands, so its default compare
-  // status is informational even under a zero default threshold. An
-  // explicit --metric opt-in still checks it — in both directions.
-  const auto make = [](double wins) {
-    telemetry::RunManifest m("cmp");
-    m.set_schema("esarp-serve-manifest/2");
-    m.add_result("hedge_wins", wins);
-    std::ostringstream os;
-    m.write(os);
-    return parse_json(os.str());
-  };
-  const JsonValue base = make(4.0);
-  telemetry::CompareOptions strict;
-  strict.default_threshold = 0.0;
-  EXPECT_TRUE(telemetry::compare_manifests(base, make(9.0), strict).ok());
-  EXPECT_TRUE(telemetry::compare_manifests(base, make(0.0), strict).ok());
-  const auto rep = telemetry::compare_manifests(base, make(9.0), strict);
-  bool seen = false;
-  for (const auto& l : rep.lines)
-    if (l.key == "results.hedge_wins") {
-      seen = true;
-      EXPECT_FALSE(l.checked);
-    }
-  EXPECT_TRUE(seen);
-
-  telemetry::CompareOptions opted;
-  opted.per_key["results.hedge_wins"] = 0.10;
-  EXPECT_FALSE(telemetry::compare_manifests(base, make(9.0), opted).ok());
-  EXPECT_FALSE(telemetry::compare_manifests(base, make(1.0), opted).ok());
-  EXPECT_TRUE(telemetry::compare_manifests(base, make(4.0), opted).ok());
 }
 
 TEST(Compare, MetricPresentOnOneSideOnlyIsUnusable) {

@@ -80,6 +80,24 @@ expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
   --probation -1
 
+# A flag serve does not read is a usage error naming the flag, never
+# silently ignored: removed policy knobs, a typo, and a generator flag
+# given with a replayed --trace.
+expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 --hedge
+expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
+  --probation 2
+expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
+  --chip-kil 0.2
+if ! "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
+  --chip-kil 0.2 2>&1 >/dev/null | grep -q -- "--chip-kil"; then
+  echo "FAIL: unknown serve flag not named in the error" >&2
+  fails=$((fails + 1))
+fi
+trace="$scratch/cli_exit_codes.trace.json"
+expect 0 "$esarp" serve --gen poisson --jobs-count 4 --chips 2 \
+  --pulses 32 --range 65 --rate 2000 --seed 5 --trace-out "$trace"
+expect 2 "$esarp" serve --trace "$trace" --chips 2 --rate 5
+
 # Every dispatch fail-stops its chip: the whole fleet dies with jobs
 # outstanding and the campaign aborts -> FaultUnrecovered.
 expect 5 "$esarp" serve --gen poisson --jobs-count 4 --chips 2 \

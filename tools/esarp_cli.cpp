@@ -24,11 +24,11 @@
 // `lint` statically analyzes the shipped mappings without running the
 // scheduler (docs/static-analysis.md). `serve` replays an arrival trace
 // through the multi-chip fleet runtime and writes an
-// esarp-serve-manifest/2 (docs/serving.md); overload control (EDF
-// dispatch, admission shedding, hedged attempts, chip probation) is
-// configured per campaign. A fleet that cannot finish every job (all
-// chips dead, or a job out of retries at max degradation) exits 5 like
-// any other unrecovered fault.
+// esarp-serve-manifest/3 (docs/serving.md); overload control (EDF
+// dispatch, admission shedding) is configured per campaign, and a flag
+// serve does not use is a usage error. A fleet that cannot finish every
+// job (all chips dead, or a job out of retries at max degradation) exits
+// 5 like any other unrecovered fault.
 //
 // Exit codes (stable, scripted against by CI):
 //   0  success
@@ -45,6 +45,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string>
@@ -114,24 +115,38 @@ public:
 
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] bool has(const std::string& k) const {
-    return kv_.count(k) > 0;
+    return find(k) != nullptr;
   }
   [[nodiscard]] std::string str(const std::string& k,
                                 const std::string& dflt = "") const {
-    auto it = kv_.find(k);
-    return it != kv_.end() ? it->second : dflt;
+    const std::string* v = find(k);
+    return v != nullptr ? *v : dflt;
   }
   [[nodiscard]] long num(const std::string& k, long dflt) const {
-    auto it = kv_.find(k);
-    return it != kv_.end() ? std::stol(it->second) : dflt;
+    const std::string* v = find(k);
+    return v != nullptr ? std::stol(*v) : dflt;
   }
   [[nodiscard]] double real(const std::string& k, double dflt) const {
-    auto it = kv_.find(k);
-    return it != kv_.end() ? std::stod(it->second) : dflt;
+    const std::string* v = find(k);
+    return v != nullptr ? std::stod(*v) : dflt;
+  }
+  /// First given key that no lookup above has asked for ("" if none): a
+  /// command that has read all its flags rejects the leftovers.
+  [[nodiscard]] std::string unused_key() const {
+    for (const auto& [k, v] : kv_)
+      if (looked_up_.count(k) == 0) return k;
+    return "";
   }
 
 private:
+  const std::string* find(const std::string& k) const {
+    looked_up_.insert(k);
+    auto it = kv_.find(k);
+    return it != kv_.end() ? &it->second : nullptr;
+  }
+
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> looked_up_;
   bool ok_ = true;
 };
 
@@ -172,10 +187,8 @@ int usage() {
       "                 [--membits R] [--retry-max N] [--degrade-max N]\n"
       "                 [--backoff S] [--timeout-factor F] [--jobs N]\n"
       "                 [--dispatch edf|fifo] [--shed] [--shed-factor F]\n"
-      "                 [--shed-priority low|normal|high] [--hedge]\n"
-      "                 [--hedge-margin F] [--hedge-priority low|normal|"
-      "high]\n"
-      "                 [--probation N] [--metrics m.json]\n";
+      "                 [--shed-priority low|normal|high]"
+      " [--metrics m.json]\n";
   return kExitUsage;
 }
 
@@ -977,28 +990,23 @@ int cmd_serve(const Args& args) {
       fc.policy.shed.max_shed_priority =
           serve::priority_from_string(args.str("shed-priority"));
     }
-    fc.policy.hedge.enabled = args.has("hedge");
-    fc.policy.hedge.margin_factor = args.real("hedge-margin", 2.0);
-    if (fc.policy.hedge.margin_factor <= 0.0)
-      return serve_usage_error("--hedge-margin must be > 0");
-    if (args.has("hedge-priority")) {
-      fc.policy.hedge.min_priority =
-          serve::priority_from_string(args.str("hedge-priority"));
-    }
-    fc.policy.probation_clean_limit =
-        static_cast<int>(args.num("probation", 0));
-    if (fc.policy.probation_clean_limit < 0)
-      return serve_usage_error("--probation must be >= 0");
   } catch (const std::invalid_argument& e) {
     return serve_usage_error(std::string("bad flag value: ") + e.what());
   } catch (const std::out_of_range& e) {
     return serve_usage_error(std::string("flag value out of range: ") +
                              e.what());
   }
-  if (!trace_path.empty()) trace = serve::load_trace(trace_path);
-
   const std::string trace_out = args.str("trace-out");
   if (args.has("trace-out") && trace_out.empty()) return usage();
+  const std::string metrics_path = args.str("metrics");
+  if (args.has("metrics") && metrics_path.empty()) return usage();
+  // Every flag serve reads has been looked up by now. A leftover is a
+  // typo, a removed knob or a generator flag given with --trace; running
+  // without it would serve a different campaign than the one asked for.
+  if (const std::string k = args.unused_key(); !k.empty())
+    return serve_usage_error("unknown or unused flag --" + k);
+  if (!trace_path.empty()) trace = serve::load_trace(trace_path);
+
   if (!trace_out.empty()) {
     serve::save_trace(trace_out, trace);
     std::cout << "arrival trace written to " << trace_out << " ("
@@ -1048,17 +1056,6 @@ int cmd_serve(const Args& args) {
   t.row({"chip kills / timeouts / checksum fails",
          std::to_string(c.chip_kills) + " / " + std::to_string(c.timeouts) +
              " / " + std::to_string(c.checksum_failures)});
-  if (fc.policy.hedge.enabled) {
-    t.row({"hedges launched / wins / wasted",
-           std::to_string(c.hedges_launched) + " / " +
-               std::to_string(c.hedge_wins) + " / " +
-               std::to_string(c.hedge_wasted)});
-  }
-  if (fc.policy.probation_clean_limit > 0) {
-    t.row({"chip probations / recoveries",
-           std::to_string(c.chip_probations) + " / " +
-               std::to_string(c.chip_recoveries)});
-  }
   t.row({"fleet makespan", format_seconds(rep.makespan_s)});
   std::size_t alive = 0;
   for (const serve::ChipStatus& cs : rep.chips)
@@ -1074,8 +1071,6 @@ int cmd_serve(const Args& args) {
   }
   t.print(std::cout);
 
-  const std::string metrics_path = args.str("metrics");
-  if (args.has("metrics") && metrics_path.empty()) return usage();
   if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_serve");
     serve::fill_serve_manifest(man, fc, trace, rep);
