@@ -452,6 +452,16 @@ void fill_fault_summary(ep::Machine& m, AfSimResult& res) {
       .set(static_cast<double>(res.faults.schedule_hash & 0xffffffffULL));
 }
 
+/// SDRAM every autofocus runner allocates: the packed block pairs
+/// (pack_blocks), then one criterion value per pair and candidate shift.
+std::size_t af_ext_bytes(std::size_t n_pairs, const af::AfParams& p) {
+  using ep::ExternalMemory;
+  const std::size_t block_px = p.block_rows * p.block_cols;
+  const std::size_t criteria = n_pairs * p.shift_candidates.size();
+  return ExternalMemory::footprint<cf32>(2 * n_pairs * block_px) +
+         ExternalMemory::footprint<float>(criteria);
+}
+
 /// Pack all pairs into SDRAM; returns the span.
 std::span<cf32> pack_blocks(ep::Machine& m, std::span<const af::BlockPair> pairs,
                             const af::AfParams& p) {
@@ -474,7 +484,7 @@ AfSimResult run_autofocus_sequential_epiphany(
     ep::ChipConfig cfg, ep::Tracer* tracer) {
   p.validate();
   ESARP_EXPECTS(!pairs.empty());
-  ep::Machine m(cfg, 16u << 20, {}, tracer);
+  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p), {}, tracer);
   const std::span<cf32> blocks = pack_blocks(m, pairs, p);
   auto out = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
 
@@ -508,7 +518,7 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   ESARP_EXPECTS(p.windows == 3);                    // 13-core pipeline shape
   ESARP_EXPECTS(cfg.core_count() >= 14);
 
-  ep::Machine m(cfg, 16u << 20, {}, opt.tracer);
+  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p), {}, opt.tracer);
   AfShared st;
   st.blocks_ext = pack_blocks(m, pairs, p);
   st.out_ext = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
@@ -596,7 +606,7 @@ AfGraphResult run_autofocus_graph(std::span<const af::BlockPair> pairs,
                 "run_autofocus_graph does not support fault campaigns; use "
                 "run_autofocus_mpmd");
 
-  ep::Machine m(cfg, 16u << 20);
+  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p));
   ep::ProcessNetwork net(m);
 
   std::span<const cf32> blocks_ext = pack_blocks(m, pairs, p);

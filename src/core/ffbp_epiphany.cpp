@@ -55,6 +55,87 @@ sar::SubapertureImage load_subaperture(std::span<const cf32> src,
   return s;
 }
 
+/// Which child theta rows parent row `ti` needs: those of its mid-swath
+/// pixel, clamped to the child grid. The prefetchers stage these rows.
+std::pair<int, int> predict_rows(const sar::RadarParams& p,
+                                 const sar::MergeLevelGeom& geom,
+                                 std::size_t ti) {
+  const sar::ChildGrid& grid = geom.child;
+  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
+  const float r_mid = static_cast<float>(p.near_range_m) +
+                      static_cast<float>(p.n_range / 2) *
+                          static_cast<float>(p.range_bin_m);
+  const sar::MergeGeom mid =
+      sar::merge_geometry(r_mid, cr, geom.d2, geom.inv_2d);
+  const auto clamp_bin = [&](float th) {
+    const float f = (th - grid.theta_start) * grid.inv_dtheta;
+    int b = static_cast<int>(f);
+    if (b < 0) b = 0;
+    if (b >= grid.n_theta) b = grid.n_theta - 1;
+    return b;
+  };
+  return {clamp_bin(mid.theta1), clamp_bin(mid.theta2)};
+}
+
+/// A child theta row staged in local store: fetches from theta row `row`
+/// read `data`; any other row misses to the child's SDRAM image.
+struct StagedRow {
+  int row = -1;
+  const cf32* data = nullptr;
+};
+
+/// Merge parent row `ti` of subaperture `subap` into `out` (paper eqs.
+/// 1-5): the cosine-theorem geometry of every range bin, both children
+/// sampled through their staged rows, and the sum. Plain host code shared
+/// by both core programs, so the fetchers inline into sample_child; the
+/// caller charges the simulated work. Returns how many of the 2 * n_range
+/// fetches missed the staged rows.
+std::uint64_t merge_row(const sar::RadarParams& p,
+                        const sar::MergeLevelGeom& geom,
+                        const sar::FfbpOptions& algo,
+                        std::span<const cf32> src, const LevelLayout& lc,
+                        std::size_t subap, std::size_t ti, float af_shift,
+                        StagedRow staged1, StagedRow staged2,
+                        std::span<sar::MergeGeom> geom_row,
+                        std::span<cf32> out) {
+  const std::size_t child1 = 2 * subap;
+  const std::size_t child2 = 2 * subap + 1;
+  std::uint64_t misses = 0;
+  const auto fetch1 = [&](int it, int ir) -> cf32 {
+    if (it == staged1.row) return staged1.data[static_cast<std::size_t>(ir)];
+    ++misses;
+    return src[lc.offset(child1, static_cast<std::size_t>(it),
+                         static_cast<std::size_t>(ir))];
+  };
+  const auto fetch2 = [&](int it, int ir) -> cf32 {
+    if (it == staged2.row) return staged2.data[static_cast<std::size_t>(ir)];
+    ++misses;
+    return src[lc.offset(child2, static_cast<std::size_t>(it),
+                         static_cast<std::size_t>(ir))];
+  };
+
+  const float r0f = static_cast<float>(p.near_range_m);
+  const float drf = static_cast<float>(p.range_bin_m);
+  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
+  // Per-pair autofocus compensation (0 when disabled; adding the resulting
+  // -0.0f keeps the plain path bit-identical).
+  const float shift_a = -0.5f * af_shift * drf;
+  const float shift_b = 0.5f * af_shift * drf;
+  sar::kernels::merge_geometry_row(r0f, drf, 0, p.n_range, cr, geom.d2,
+                                   geom.inv_2d, geom_row.data());
+  for (std::size_t j = 0; j < p.n_range; ++j) {
+    const sar::MergeGeom& g = geom_row[j];
+    const cf32 v1 = sar::sample_child(geom.child, g.r1 + shift_a, g.theta1,
+                                      algo.interp, algo.phase_compensate,
+                                      fetch1);
+    const cf32 v2 = sar::sample_child(geom.child, g.r2 + shift_b, g.theta2,
+                                      algo.interp, algo.phase_compensate,
+                                      fetch2);
+    out[j] = v1 + v2; // paper eq. 5
+  }
+  return misses;
+}
+
 ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
                            const FfbpMapOptions& opt, SharedState& st,
                            int core_index) {
@@ -76,8 +157,6 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  const float r0f = static_cast<float>(p.near_range_m);
-  const float drf = static_cast<float>(p.range_bin_m);
   // Host-side scratch for the row's cosine-theorem geometry; the simulated
   // local-store budget is unaffected (the geometry never lived in a bank).
   std::vector<sar::MergeGeom> geom_row(n_range);
@@ -90,7 +169,6 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     const LevelLayout lc = LevelLayout::at(p, level - 1);
     const LevelLayout lp = LevelLayout::at(p, level);
     const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
-    const sar::ChildGrid& grid = geom.child;
 
     const std::size_t rows_total = lp.rows_total();
     const std::size_t n = static_cast<std::size_t>(opt.n_cores);
@@ -135,25 +213,6 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       co_await st.barrier->arrive_and_wait(ctx);
     }
 
-    // Row-prediction helper (shared by the single- and double-buffered
-    // paths): which child theta rows does parent row `ti` need?
-    const auto predict = [&](std::size_t ti) {
-      const float theta_row = geom.theta_of_row(p, ti);
-      const float cr_row = 2.0f * geom.d * fastmath::poly_cos(theta_row);
-      const float r_mid = r0f + static_cast<float>(n_range / 2) * drf;
-      const sar::MergeGeom mid =
-          sar::merge_geometry(r_mid, cr_row, geom.d2, geom.inv_2d);
-      const auto clamp_bin = [&](float th) {
-        const float f = (th - grid.theta_start) * grid.inv_dtheta;
-        int b = static_cast<int>(f);
-        if (b < 0) b = 0;
-        if (b >= grid.n_theta) b = grid.n_theta - 1;
-        return b;
-      };
-      return std::pair<int, int>{clamp_bin(mid.theta1),
-                                 clamp_bin(mid.theta2)};
-    };
-
     // Double-buffered pipeline state: the DMA for row `gr` was issued
     // while row `gr-1` computed.
     ep::DmaJob pending1{};
@@ -163,7 +222,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     const auto issue_prefetch = [&](std::size_t gr, int half) {
       const std::size_t subap = gr / lp.n_theta;
       const std::size_t ti = gr % lp.n_theta;
-      auto [a1, a2] = predict(ti);
+      auto [a1, a2] = predict_rows(p, geom, ti);
       pending_pre1 = a1;
       pending_pre2 = a2;
       cf32* dst1 = child_row1.data() + static_cast<std::size_t>(half) *
@@ -195,27 +254,19 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     for (std::size_t gr = begin; gr < end; ++gr) {
       const std::size_t subap = gr / lp.n_theta;
       const std::size_t ti = gr % lp.n_theta;
-      const float theta = geom.theta_of_row(p, ti);
-      const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
-
-      const std::size_t child1 = 2 * subap;
-      const std::size_t child2 = 2 * subap + 1;
 
       // Obtain the prefetched child rows for this row.
-      int pre1 = -1;
-      int pre2 = -1;
-      const cf32* buf1 = child_row1.data();
-      const cf32* buf2 = child_row2.data();
+      StagedRow staged1{-1, child_row1.data()};
+      StagedRow staged2{-1, child_row2.data()};
       if (opt.prefetch && opt.double_buffer) {
         // The DMA issued one row ago targets `pong`'s half.
         ctx.begin_span("dma-prefetch");
         co_await ctx.wait(pending1);
         co_await ctx.wait(pending2);
         ctx.end_span();
-        pre1 = pending_pre1;
-        pre2 = pending_pre2;
-        buf1 += static_cast<std::size_t>(pong) * n_range;
-        buf2 += static_cast<std::size_t>(pong) * n_range;
+        const std::size_t half = static_cast<std::size_t>(pong) * n_range;
+        staged1 = {pending_pre1, child_row1.data() + half};
+        staged2 = {pending_pre2, child_row2.data() + half};
         // Immediately issue the next row's prefetch into the other half;
         // it streams while this row computes.
         if (gr + 1 < end) {
@@ -230,45 +281,15 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         co_await ctx.wait(pending1);
         co_await ctx.wait(pending2);
         ctx.end_span();
-        pre1 = pending_pre1;
-        pre2 = pending_pre2;
+        staged1.row = pending_pre1;
+        staged2.row = pending_pre2;
       }
 
-      std::uint64_t misses = 0;
-      const auto fetch1 = [&](int it, int ir) -> cf32 {
-        if (it == pre1) return buf1[static_cast<std::size_t>(ir)];
-        ++misses;
-        return src[lc.offset(child1, static_cast<std::size_t>(it),
-                             static_cast<std::size_t>(ir))];
-      };
-      const auto fetch2 = [&](int it, int ir) -> cf32 {
-        if (it == pre2) return buf2[static_cast<std::size_t>(ir)];
-        ++misses;
-        return src[lc.offset(child2, static_cast<std::size_t>(it),
-                             static_cast<std::size_t>(ir))];
-      };
-
-      // Per-pair autofocus compensation (0 when disabled; adding the
-      // resulting -0.0f keeps the plain path bit-identical).
       const float af_shift =
           opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-      const float shift_a = -0.5f * af_shift * drf;
-      const float shift_b = 0.5f * af_shift * drf;
-
-      std::uint64_t fetches = 0;
-      sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
-                                       geom.inv_2d, geom_row.data());
-      for (std::size_t j = 0; j < n_range; ++j) {
-        const sar::MergeGeom& g = geom_row[j];
-        const cf32 v1 = sar::sample_child(grid, g.r1 + shift_a, g.theta1,
-                                          algo.interp,
-                                          algo.phase_compensate, fetch1);
-        const cf32 v2 = sar::sample_child(grid, g.r2 + shift_b, g.theta2,
-                                          algo.interp,
-                                          algo.phase_compensate, fetch2);
-        out_row[j] = v1 + v2; // paper eq. 5
-        fetches += 2;
-      }
+      const std::uint64_t misses =
+          merge_row(p, geom, algo, src, lc, subap, ti, af_shift, staged1,
+                    staged2, geom_row, out_row);
 
       co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                            sar::kMergeRowOps);
@@ -278,7 +299,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
                              out_row.data(), row_bytes);
 
       auto& ls = st.stats[level - 1];
-      ls.local_hits += fetches - misses;
+      ls.local_hits += 2 * n_range - misses;
       ls.ext_misses += misses;
     }
 
@@ -354,8 +375,6 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  const float r0f = static_cast<float>(p.near_range_m);
-  const float drf = static_cast<float>(p.range_bin_m);
   // Host-side geometry scratch, as in the plain program.
   std::vector<sar::MergeGeom> geom_row(n_range);
 
@@ -367,7 +386,6 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
     const LevelLayout lc = LevelLayout::at(p, level - 1);
     const LevelLayout lp = LevelLayout::at(p, level);
     const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
-    const sar::ChildGrid& grid = geom.child;
     const std::size_t rows_total = lp.rows_total();
 
     // --- Autofocus phase. Level entry is a uniform instant (launch or the
@@ -438,22 +456,6 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
       }
     }
 
-    const auto predict = [&](std::size_t ti) {
-      const float theta_row = geom.theta_of_row(p, ti);
-      const float cr_row = 2.0f * geom.d * fastmath::poly_cos(theta_row);
-      const float r_mid = r0f + static_cast<float>(n_range / 2) * drf;
-      const sar::MergeGeom mid =
-          sar::merge_geometry(r_mid, cr_row, geom.d2, geom.inv_2d);
-      const auto clamp_bin = [&](float th) {
-        const float f = (th - grid.theta_start) * grid.inv_dtheta;
-        int b = static_cast<int>(f);
-        if (b < 0) b = 0;
-        if (b >= grid.n_theta) b = grid.n_theta - 1;
-        return b;
-      };
-      return std::pair<int, int>{clamp_bin(mid.theta1), clamp_bin(mid.theta2)};
-    };
-
     std::span<std::uint32_t> row_done =
         resilient ? st.row_done[level - 1] : std::span<std::uint32_t>{};
     for (std::size_t pass = 0;; ++pass) {
@@ -500,19 +502,17 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         const std::size_t gr = gr32;
         const std::size_t subap = gr / lp.n_theta;
         const std::size_t ti = gr % lp.n_theta;
-        const float theta = geom.theta_of_row(p, ti);
-        const float cr = 2.0f * geom.d * fastmath::poly_cos(theta);
         const std::size_t child1 = 2 * subap;
         const std::size_t child2 = 2 * subap + 1;
 
-        int pre1 = -1;
-        int pre2 = -1;
+        StagedRow staged1{-1, child_row1.data()};
+        StagedRow staged2{-1, child_row2.data()};
         if (opt.prefetch) {
           ctx.begin_span("dma-prefetch");
           co_await ctx.compute(kPredictOps);
-          const auto [a1, a2] = predict(ti);
-          pre1 = a1;
-          pre2 = a2;
+          const auto [a1, a2] = predict_rows(p, geom, ti);
+          staged1.row = a1;
+          staged2.row = a2;
           const ep::DmaSeg segs[2] = {
               {child_row1.data(),
                src.data() + lc.offset(child1, static_cast<std::size_t>(a1)),
@@ -524,39 +524,11 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
           ctx.end_span();
         }
 
-        std::uint64_t misses = 0;
-        const auto fetch1 = [&](int it, int ir) -> cf32 {
-          if (it == pre1) return child_row1[static_cast<std::size_t>(ir)];
-          ++misses;
-          return src[lc.offset(child1, static_cast<std::size_t>(it),
-                               static_cast<std::size_t>(ir))];
-        };
-        const auto fetch2 = [&](int it, int ir) -> cf32 {
-          if (it == pre2) return child_row2[static_cast<std::size_t>(ir)];
-          ++misses;
-          return src[lc.offset(child2, static_cast<std::size_t>(it),
-                               static_cast<std::size_t>(ir))];
-        };
-
         const float af_shift =
             opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-        const float shift_a = -0.5f * af_shift * drf;
-        const float shift_b = 0.5f * af_shift * drf;
-
-        std::uint64_t fetches = 0;
-        sar::kernels::merge_geometry_row(r0f, drf, 0, n_range, cr, geom.d2,
-                                         geom.inv_2d, geom_row.data());
-        for (std::size_t j = 0; j < n_range; ++j) {
-          const sar::MergeGeom& g = geom_row[j];
-          const cf32 v1 =
-              sar::sample_child(grid, g.r1 + shift_a, g.theta1, algo.interp,
-                                algo.phase_compensate, fetch1);
-          const cf32 v2 =
-              sar::sample_child(grid, g.r2 + shift_b, g.theta2, algo.interp,
-                                algo.phase_compensate, fetch2);
-          out_row[j] = v1 + v2;
-          fetches += 2;
-        }
+        const std::uint64_t misses =
+            merge_row(p, geom, algo, src, lc, subap, ti, af_shift, staged1,
+                      staged2, geom_row, out_row);
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
@@ -574,7 +546,7 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         // Rows recomputed across passes double-count here; the prefetch
         // stats describe work performed, not distinct rows.
         auto& ls = st.stats[level - 1];
-        ls.local_hits += fetches - misses;
+        ls.local_hits += 2 * n_range - misses;
         ls.ext_misses += misses;
       }
 
@@ -601,21 +573,20 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
                 algo_check.interp == sar::Interp::kNearest);
   if (opt.autofocus != nullptr) opt.autofocus->criterion.validate();
 
+  using ep::ExternalMemory;
   const std::size_t total = p.n_pulses * p.n_range;
-  // Fault campaigns keep per-level checkpoint flags in SDRAM; budget them
-  // explicitly so large campaigns never eat the allocation slack.
-  std::size_t flag_bytes = 0;
+  // SDRAM holds exactly what is allocated below: the two level buffers and,
+  // in a fault campaign, each level's checkpoint flags.
+  std::size_t ext_bytes = 2 * ExternalMemory::footprint<cf32>(total);
   if (cfg.faults.enabled()) {
     for (std::size_t l = 1; l <= p.merge_levels(); ++l) {
       const LevelLayout lp = LevelLayout::at(p, l);
-      flag_bytes +=
-          (lp.rows_total() + lp.n_subaps) * sizeof(std::uint32_t) + 16;
+      ext_bytes += ExternalMemory::footprint<std::uint32_t>(lp.rows_total());
+      if (opt.autofocus != nullptr)
+        ext_bytes += ExternalMemory::footprint<std::uint32_t>(lp.n_subaps);
     }
   }
-  const std::size_t ext_bytes = 2 * total * sizeof(cf32) + flag_bytes +
-                                (1u << 20); // two level buffers + slack
-  ep::Machine m(cfg, std::max<std::size_t>(ext_bytes, 8u << 20), {},
-                opt.tracer);
+  ep::Machine m(cfg, ext_bytes, {}, opt.tracer);
 
   SharedState st;
   st.buf_a = m.ext().alloc<cf32>(total);

@@ -99,9 +99,8 @@ GbpSimResult run_gbp_epiphany(const Array2D<cf32>& data,
   ESARP_EXPECTS(data.rows() == p.n_pulses && data.cols() == p.n_range);
 
   const std::size_t total = p.n_pulses * p.n_range;
-  ep::Machine m(cfg, std::max<std::size_t>(2 * total * sizeof(cf32) +
-                                               (1u << 20),
-                                           8u << 20));
+  // SDRAM holds exactly the echo data and the image.
+  ep::Machine m(cfg, 2 * ep::ExternalMemory::footprint<cf32>(total));
   GbpShared st;
   auto data_ext = m.ext().alloc<cf32>(total);
   std::copy(data.flat().begin(), data.flat().end(), data_ext.begin());

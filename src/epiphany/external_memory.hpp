@@ -18,6 +18,13 @@ public:
   [[nodiscard]] std::size_t capacity() const { return store_.size(); }
   [[nodiscard]] std::size_t used() const { return cursor_; }
 
+  /// Bytes alloc<T>(n) takes from an 8-byte-aligned cursor, padding
+  /// included: a sum of these sizes a store that fits those allocations.
+  template <typename T>
+  [[nodiscard]] static constexpr std::size_t footprint(std::size_t n) {
+    return (n * sizeof(T) + 7) & ~std::size_t{7};
+  }
+
   /// Allocate n objects of T (8-byte aligned) in SDRAM.
   template <typename T>
   std::span<T> alloc(std::size_t n) {

@@ -2,9 +2,12 @@
 //
 // Each reliable_* coroutine performs one logical SDRAM transfer the way a
 // hardened Epiphany runtime would: issue, verify the delivered payload
-// against an FNV checksum of the source, and on a mismatch (corruption /
-// bit flip) or a modeled DMA watchdog expiry (drop) retry with exponential
-// backoff. Every retry attempt — backoff, re-issue, re-verify — runs inside
+// against its source, and on a mismatch (corruption / bit flip) or a
+// modeled DMA watchdog expiry (drop) retry with exponential backoff. The
+// simulated core is charged a checksum pass over the payload at 8 bytes per
+// cycle (verify_cycles); the host decides by exact byte comparison, which
+// rejects every payload the checksum would and costs one pass instead of
+// two. Every retry attempt — backoff, re-issue, re-verify — runs inside
 // a "fault/dma-retry" span: the span prefix is what tells the hazard
 // sanitizer that shadow-state oddities underneath are injected faults being
 // recovered, not kernel bugs. Retries exhausting RetryPolicy::max_attempts
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <span>
 #include <string>
 
@@ -36,10 +40,11 @@ namespace detail {
   return static_cast<Cycles>(bytes / 8 + 1);
 }
 
+/// Host-side verdict of that checksum pass: the delivered bytes equal the
+/// source.
 [[nodiscard]] inline bool payload_ok(const void* dst, const void* src,
                                      std::size_t bytes) {
-  return fault::FaultInjector::checksum(dst, bytes) ==
-         fault::FaultInjector::checksum(src, bytes);
+  return std::memcmp(dst, src, bytes) == 0;
 }
 
 [[nodiscard]] inline fault::Site site_of(fault::TransferFault tf) {

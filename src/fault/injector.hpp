@@ -111,8 +111,11 @@ public:
 
   [[nodiscard]] FaultSummary summary() const;
 
-  /// Checksum used by the resilience layer to verify delivered payloads
-  /// against their source (FNV-1a over bytes).
+  /// FNV-1a over bytes. The serve fleet hashes every delivered image with
+  /// it (JobRecord::image_checksum, the campaign schedule hash). The
+  /// resilience layer charges the chip for such a pass on each verified
+  /// transfer but decides on the host by exact comparison
+  /// (ep::detail::payload_ok).
   [[nodiscard]] static std::uint64_t checksum(const void* data,
                                               std::size_t bytes);
 

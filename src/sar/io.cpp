@@ -81,7 +81,9 @@ Dataset load_dataset(const std::filesystem::path& path) {
   ESARP_EXPECTS(h.magic == kMagic);
   ESARP_EXPECTS(h.version == kVersion);
   ESARP_EXPECTS(h.rows > 0 && h.cols > 0);
-  ESARP_EXPECTS(h.rows * h.cols < (std::uint64_t{1} << 32)); // sanity
+  // Sanity bound rows * cols < 2^32, by division: the product can wrap.
+  ESARP_EXPECTS(h.rows <= ((std::uint64_t{1} << 32) - 1) / h.cols);
+  ESARP_EXPECTS(h.rows == h.n_pulses && h.cols == h.n_range);
 
   Dataset ds;
   ds.params.center_freq_hz = h.center_freq_hz;

@@ -89,6 +89,48 @@ TEST(FaultInjector, DropScrubsEvenSingleWordPayloads) {
   EXPECT_NE(clean, FaultInjector::checksum(&flag, sizeof(flag)));
 }
 
+TEST(FaultInjector, EveryInjectedTransferFaultFailsVerification) {
+  // Each transfer site at rate 1, over payload sizes around the 4-byte
+  // flag and the 8-byte drop scrub, and one and two 101-pixel rows.
+  struct SiteCase {
+    const char* name;
+    double FaultPlan::*rate;
+    TransferFault kind;
+  };
+  const SiteCase sites[] = {
+      {"drop", &FaultPlan::dma_drop_rate, TransferFault::kDropped},
+      {"corrupt", &FaultPlan::dma_corrupt_rate, TransferFault::kCorrupt},
+      {"mem-bits", &FaultPlan::membits_rate, TransferFault::kCorrupt},
+  };
+  const std::size_t sizes[] = {1, 2, 3, 4, 7, 8, 9, 808, 1616};
+  for (const SiteCase& site : sites) {
+    FaultPlan plan;
+    plan.seed = 3;
+    plan.*site.rate = 1.0;
+    FaultInjector inj(plan, nullptr);
+    for (const std::size_t bytes : sizes) {
+      std::vector<unsigned char> src(bytes);
+      for (std::size_t i = 0; i < bytes; ++i)
+        src[i] = static_cast<unsigned char>(0x5c + 37 * i);
+      const std::vector<unsigned char> copy = src;
+      ASSERT_TRUE(ep::detail::payload_ok(copy.data(), src.data(), bytes));
+      // Several operations per size, so the faulted offsets vary.
+      for (std::uint64_t op = 0; op < 8; ++op) {
+        std::vector<unsigned char> dst = src;
+        ASSERT_EQ(static_cast<int>(inj.on_transfer(0, dst.data(), bytes, op)),
+                  static_cast<int>(site.kind))
+            << site.name << ", " << bytes << " bytes";
+        EXPECT_FALSE(ep::detail::payload_ok(dst.data(), src.data(), bytes))
+            << site.name << ", " << bytes << " bytes, op " << op;
+        // Fleet images are still told apart by the FNV checksum.
+        EXPECT_NE(FaultInjector::checksum(dst.data(), bytes),
+                  FaultInjector::checksum(src.data(), bytes))
+            << site.name << ", " << bytes << " bytes, op " << op;
+      }
+    }
+  }
+}
+
 TEST(FaultInjector, FailStopOracleIsAThresholdInTime) {
   FaultPlan plan;
   plan.fail_stops = {{2, 1000}};

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -155,6 +157,51 @@ TEST(DatasetIo, RejectsBadMagic) {
     f.write(junk, sizeof(junk));
   }
   EXPECT_THROW((void)sar::load_dataset(path), ContractViolation);
+  std::filesystem::remove(path);
+}
+
+TEST(DatasetIo, RejectsShapeWhoseProductWraps) {
+  // rows = cols = 2^32 (n_pulses and n_range agreeing), no payload, CRC 0:
+  // rows * cols wraps to 0 in 64 bits, which used to pass the size bound
+  // and load an empty array claiming 2^32 rows.
+  const auto path =
+      std::filesystem::temp_directory_path() / "esarp_ds_wrap.esrp";
+  {
+    unsigned char h[96] = {};
+    const std::uint32_t magic_version[2] = {0x45535250u, 1u};
+    const std::uint64_t k = std::uint64_t{1} << 32;
+    std::memcpy(h, magic_version, sizeof(magic_version));
+    std::memcpy(h + 8, &k, 8);  // rows
+    std::memcpy(h + 16, &k, 8); // cols
+    std::memcpy(h + 40, &k, 8); // n_pulses
+    std::memcpy(h + 48, &k, 8); // n_range
+    std::ofstream f(path, std::ios::binary);
+    f.write(reinterpret_cast<const char*>(h), sizeof(h));
+  }
+  EXPECT_THROW((void)sar::load_dataset(path), ContractViolation);
+  std::filesystem::remove(path);
+}
+
+TEST(DatasetIo, RejectsShapeDisagreeingWithParams) {
+  // A valid 8x17 file whose n_pulses (offset 40) or n_range (offset 48)
+  // no longer matches the stored rows x cols.
+  const auto p = sar::test_params(8, 17);
+  sar::Dataset ds;
+  ds.params = p;
+  ds.data = Array2D<cf32>(8, 17, cf32{1.0f, 2.0f});
+  const auto path =
+      std::filesystem::temp_directory_path() / "esarp_ds_shape.esrp";
+  for (const std::streamoff field : {40, 48}) {
+    sar::save_dataset(path, ds);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(field);
+      const std::uint64_t wrong = 9;
+      f.write(reinterpret_cast<const char*>(&wrong), sizeof(wrong));
+    }
+    EXPECT_THROW((void)sar::load_dataset(path), ContractViolation)
+        << "header field at offset " << field;
+  }
   std::filesystem::remove(path);
 }
 
