@@ -9,6 +9,7 @@
 // Each aperture size is an independent (GBP, FFBP) simulation pair, fanned
 // out across host threads via host::SweepRunner (ESARP_JOBS); results are
 // gathered by sweep index and are byte-identical for any thread count.
+#include <cstdint>
 #include <iostream>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "core/ffbp_epiphany.hpp"
 #include "core/gbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
+#include "fault/injector.hpp"
 #include "sar/scene.hpp"
 
 static int bench_body() {
@@ -87,6 +89,15 @@ static int bench_body() {
   man.add_result("gbp_energy_j", head.g.energy.total_j());
   man.add_result("energy_advantage",
                  head.g.energy.total_j() / head.f.energy.total_j());
+  // FNV-1a of the headline GBP image, split into two exactly
+  // representable doubles like fault_sweep's schedule_hash_hi/lo: pins
+  // every byte GBP produces, carrier phase included.
+  const std::uint64_t gbp_hash = fault::FaultInjector::checksum(
+      head.g.image.data(), head.g.image.size() * sizeof(cf32));
+  man.add_result("gbp_image_checksum_hi",
+                 static_cast<double>(gbp_hash >> 32));
+  man.add_result("gbp_image_checksum_lo",
+                 static_cast<double>(gbp_hash & 0xffffffffULL));
   man.add_workload("n_pulses", static_cast<double>(sizes.back()));
   man.add_workload("n_range", 161.0);
   man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);

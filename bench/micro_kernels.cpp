@@ -28,6 +28,7 @@
 #include "common/fastmath.hpp"
 #include "common/rng.hpp"
 #include "fft/fft.hpp"
+#include "sar/carrier.hpp"
 #include "sar/ffbp.hpp"
 #include "sar/interp.hpp"
 #include "sar/kernels.hpp"
@@ -285,23 +286,33 @@ ByteView run_gbp_contrib_row(const KernelInputs& in, KernelScratch& s) {
 
 struct KernelCase {
   const char* name;
-  /// False when the output routes through libm doubles (cos/sin of the
-  /// carrier phase): bit-identical within one machine — so the SIMD match
-  /// verdict is still a gated result — but the checksum may legitimately
-  /// differ between libm builds, so it is recorded as a gauge instead.
-  bool portable_checksum;
   ByteView (*run)(const KernelInputs&, KernelScratch&);
 };
 
 const std::array<KernelCase, 5>& kernel_cases() {
   static const std::array<KernelCase, 5> cases = {{
-      {"merge_geometry_row", true, run_merge_geometry_row},
-      {"neville4_many", true, run_neville4_many},
-      {"neville4_rows", true, run_neville4_rows},
-      {"criterion_terms", true, run_criterion_terms},
-      {"gbp_contrib_row", false, run_gbp_contrib_row},
+      {"merge_geometry_row", run_merge_geometry_row},
+      {"neville4_many", run_neville4_many},
+      {"neville4_rows", run_neville4_rows},
+      {"criterion_terms", run_criterion_terms},
+      {"gbp_contrib_row", run_gbp_contrib_row},
   }};
   return cases;
+}
+
+/// Input lanes of gbp_contrib_row whose carrier phase would take libm
+/// rather than carrier_rot's certified path (sar/carrier.hpp). Zero here
+/// makes the gbp_contrib_row checksum independent of the libm build.
+std::size_t gbp_carrier_fallbacks(const KernelInputs& in) {
+  std::size_t fallbacks = 0;
+  for (std::size_t i = 0; i < kKernelSamples; ++i) {
+    const float dx = in.px[i] - in.pulse_x;
+    const float range = std::sqrt(dx * dx + in.py[i] * in.py[i]);
+    const double phase = in.grid.k_phase * static_cast<double>(range);
+    cf32 rot;
+    if (!sar::carrier_rot_certified(phase, rot)) ++fallbacks;
+  }
+  return fallbacks;
 }
 
 /// FNV-1a over the raw output bytes, folded to 32 bits so the value is
@@ -366,8 +377,10 @@ void register_kernel_rows() {
 /// Bit-exactness cross-check plus manifest: scalar is the reference; every
 /// available SIMD backend must reproduce it byte-for-byte (the same
 /// contract tests/test_kernels.cpp enforces, re-checked here on the bench
-/// inputs and turned into gated manifest results). Returns nonzero — and
-/// therefore fails the bench and CI — on any mismatch.
+/// inputs and turned into gated manifest results). Every checksum is a
+/// gated result: gbp_contrib_row's too, since none of its inputs takes
+/// the libm carrier fallback. Returns nonzero — and therefore fails the
+/// bench and CI — on any mismatch or fallback lane.
 int kernels_manifest_body() {
   const KernelInputs& in = kernel_inputs();
   const std::array<KernelCase, 5>& cases = kernel_cases();
@@ -391,12 +404,8 @@ int kernels_manifest_body() {
     const std::vector<std::uint8_t> ref(rv.data, rv.data + rv.size);
     const double scalar_ns = kernel_ns_per_sample(kc, in, s);
     const std::string base = std::string("kernel.") + kc.name;
-    if (kc.portable_checksum)
-      man.add_result(std::string("checksum.") + kc.name,
-                     output_checksum({ref.data(), ref.size()}));
-    else
-      reg.gauge(base + ".checksum")
-          .set(output_checksum({ref.data(), ref.size()}));
+    man.add_result(std::string("checksum.") + kc.name,
+                   output_checksum({ref.data(), ref.size()}));
     reg.gauge(base + ".scalar.ns_per_sample").set(scalar_ns);
     t.row({kc.name, "scalar", Table::num(scalar_ns, 2), "1.00",
            "reference"});
@@ -437,6 +446,12 @@ int kernels_manifest_body() {
   if (all_match != 1.0) {
     std::cerr << "micro_kernels: SIMD backend diverged from the scalar "
                  "reference\n";
+    return 1;
+  }
+  if (gbp_carrier_fallbacks(in) != 0) {
+    std::cerr << "micro_kernels: a gbp_contrib_row input lane takes the "
+                 "libm carrier fallback; its pinned checksum would depend "
+                 "on the libm build\n";
     return 1;
   }
   return 0;

@@ -7,6 +7,7 @@
 #include "common/assert.hpp"
 #include "autofocus/criterion.hpp"
 #include "autofocus/workload.hpp"
+#include "sar/carrier.hpp"
 #include "sar/kernels.hpp"
 
 namespace esarp::af {
@@ -87,7 +88,7 @@ BlockPair project_contribution_blocks(const sar::SubapertureImage& a,
       const double r = p.near_range_m +
                        static_cast<double>(parent_range_bin + j) *
                            p.range_bin_m;
-      const double ph = -std::fmod(k_phase * r, 2.0 * kPi);
+      const double ph = -sar::reduce_2pi(k_phase * r);
       t[j] = {static_cast<float>(std::cos(ph)),
               static_cast<float>(std::sin(ph))};
     }

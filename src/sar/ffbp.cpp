@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.hpp"
+#include "sar/carrier.hpp"
 #include "sar/kernels.hpp"
 
 namespace esarp::sar {
@@ -11,14 +12,10 @@ namespace esarp::sar {
 std::vector<cf32> range_phase_table(const RadarParams& p) {
   std::vector<cf32> table(p.n_range);
   const double k = 4.0 * kPi / p.wavelength_m();
-  for (std::size_t j = 0; j < p.n_range; ++j) {
-    // Computed in double precision: k*r is ~1e4 radians at VHF ranges.
-    const double phase =
-        std::fmod(k * (p.near_range_m + static_cast<double>(j) * p.range_bin_m),
-                  2.0 * kPi);
-    table[j] = {static_cast<float>(std::cos(phase)),
-                static_cast<float>(std::sin(phase))};
-  }
+  // Computed in double precision: k*r is ~1e4 radians at VHF ranges.
+  for (std::size_t j = 0; j < p.n_range; ++j)
+    table[j] = carrier_rot(
+        k * (p.near_range_m + static_cast<double>(j) * p.range_bin_m));
   return table;
 }
 

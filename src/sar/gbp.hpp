@@ -12,6 +12,7 @@
 #include "common/opcounts.hpp"
 #include "common/types.hpp"
 #include "hostmodel/host_model.hpp"
+#include "sar/carrier.hpp"
 #include "sar/params.hpp"
 #include "sar/polar.hpp"
 
@@ -34,20 +35,20 @@ struct GbpGrid {
 };
 
 /// One pulse's contribution to the pixel at slant-plane position (px, py):
-/// exact range, nearest-bin sample, exact carrier-phase compensation.
-/// Returns zero when the range falls outside the swath.
+/// exact range, nearest-bin sample, exact carrier-phase compensation
+/// (carrier_rot: libm's cos/sin of the 2pi-reduced phase, bit for bit).
+/// Returns zero when the range falls outside the swath, or is NaN or too
+/// far out to convert: validity is decided in float, before the bin
+/// conversion could overflow.
 inline cf32 gbp_contribution(float px, float py, float pulse_x,
                              const cf32* pulse_row, const GbpGrid& g) {
   const float dx = px - pulse_x;
   const float range = std::sqrt(dx * dx + py * py);
   const float bf = (range - g.r0) * g.inv_dr;
+  if (!(bf >= -0.5f && bf + 0.5f < static_cast<float>(g.n_range))) return {};
   const int bin = static_cast<int>(bf + 0.5f);
-  if (bf < -0.5f || bin >= g.n_range) return {};
-  const double phase =
-      std::fmod(g.k_phase * static_cast<double>(range), 2.0 * kPi);
-  const cf32 rot{static_cast<float>(std::cos(phase)),
-                 static_cast<float>(std::sin(phase))};
-  return pulse_row[bin] * rot;
+  return pulse_row[bin] *
+         carrier_rot(g.k_phase * static_cast<double>(range));
 }
 
 struct GbpResult {

@@ -7,9 +7,11 @@
 // used to inline directly. The SIMD backends replicate every operation
 // lane-by-lane — same operation order and association, ternaries as
 // blends, the fastmath bit tricks on integer lanes, `sqrtps` for the
-// IEEE-exact std::sqrt — and all kernel translation units are compiled
-// with -ffp-contract=off, so every backend produces bit-identical results
-// (enforced by tests/test_kernels.cpp and the micro_kernels bench rows).
+// IEEE-exact std::sqrt, and GBP's double-precision carrier phase as
+// sar/carrier.hpp's one lane algorithm in double vectors — and all kernel
+// translation units are compiled with -ffp-contract=off, so every backend
+// produces bit-identical results (enforced by tests/test_kernels.cpp,
+// tests/test_carrier.cpp and the micro_kernels bench rows).
 // Simulated-cycle costs are analytic (OpCounts), so backend choice affects
 // host wall-clock only: images, cycles, energy and manifests are unchanged.
 //
@@ -69,9 +71,12 @@ void criterion_terms(const cf32* minus, const cf32* plus, float* out,
 
 /// One pulse's GBP contributions to a row of pixels:
 /// acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g).
-/// The range/bin geometry is vectorized; the double-precision carrier
-/// phase (fmod/cos/sin) stays in scalar libm per valid lane, keeping the
-/// result bit-identical to the scalar reference.
+/// The range/bin geometry runs in float lanes and the carrier phase
+/// (sar::carrier_rot) in double lanes; a lane calls libm only when its
+/// rotation fails carrier_rot's rounding certificate (rare: see
+/// sar/carrier.hpp).
+/// Lanes whose range is NaN or off the swath, however far, contribute
+/// nothing.
 void gbp_contrib_row(const float* px, const float* py, float pulse_x,
                      const cf32* pulse_row, const GbpGrid& g, cf32* acc,
                      std::size_t n);

@@ -18,10 +18,45 @@ namespace esarp::sar::kernels::detail {
 
 namespace {
 
+/// Four double lanes for the carrier phase (CarrierLanes).
+struct DAvx2 {
+  using T = __m256d;
+  using M = __m256d;
+
+  static T set1(double x) { return _mm256_set1_pd(x); }
+  static T add(T a, T b) { return _mm256_add_pd(a, b); }
+  static T sub(T a, T b) { return _mm256_sub_pd(a, b); }
+  static T mul(T a, T b) { return _mm256_mul_pd(a, b); }
+  static T abs(T a) { return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a); }
+  static T neg(T a) { return _mm256_xor_pd(a, _mm256_set1_pd(-0.0)); }
+  static T trunc(T a) {
+    return _mm256_round_pd(a, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+  }
+  static M cmp_lt(T a, T b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+  static M cmp_gt(T a, T b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+  static M cmp_eq(T a, T b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static M and_(M a, M b) { return _mm256_and_pd(a, b); }
+  static M or_(M a, M b) { return _mm256_or_pd(a, b); }
+  static T blend(M m, T a, T b) { return _mm256_blendv_pd(b, a, m); }
+  /// Float bit equality, sign-extended from 32-bit to 64-bit lane masks.
+  static M same_float(T a, T b) {
+    const __m128i fa = _mm_castps_si128(_mm256_cvtpd_ps(a));
+    const __m128i fb = _mm_castps_si128(_mm256_cvtpd_ps(b));
+    const __m128i eq = _mm_cmpeq_epi32(fa, fb);
+    return _mm256_castsi256_pd(_mm256_cvtepi32_epi64(eq));
+  }
+  static unsigned movemask(M m) {
+    return static_cast<unsigned>(_mm256_movemask_pd(m));
+  }
+  /// Round the four lanes to float and store them to p[0..3].
+  static void store_f(float* p, T a) { _mm_storeu_ps(p, _mm256_cvtpd_ps(a)); }
+};
+
 struct VAvx2 {
   static constexpr std::size_t kLanes = 8;
   using F = __m256;
   using I = __m256i;
+  using D = DAvx2;
 
   static F load(const float* p) { return _mm256_loadu_ps(p); }
   static void store(float* p, F v) { _mm256_storeu_ps(p, v); }
@@ -34,6 +69,11 @@ struct VAvx2 {
   static F cmp_lt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
   static F cmp_le(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_LE_OQ); }
   static F cmp_gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+  static F cmp_ge(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+  static F and_(F a, F b) { return _mm256_and_ps(a, b); }
+  static unsigned movemask(F m) {
+    return static_cast<unsigned>(_mm256_movemask_ps(m));
+  }
   static F blend(F m, F a, F b) { return _mm256_blendv_ps(b, a, m); }
   static F xor_(F a, F b) { return _mm256_xor_ps(a, b); }
   static I to_i(F a) { return _mm256_castps_si256(a); }
@@ -44,12 +84,17 @@ struct VAvx2 {
   static I set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
   static F cvt_f(I a) { return _mm256_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm256_cvttps_epi32(a); }
-  static I cmp_lt_i(I a, I b) { return _mm256_cmpgt_epi32(b, a); }
-  static I andnot_i(I a, I b) { return _mm256_andnot_si256(a, b); }
   static void store_i(std::int32_t* p, I v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
   }
   static I iota() { return _mm256_set_epi32(7, 6, 5, 4, 3, 2, 1, 0); }
+  /// Float lanes 0-3 / 4-7 widened to double (exact).
+  static D::T to_d_lo(F a) {
+    return _mm256_cvtps_pd(_mm256_castps256_ps128(a));
+  }
+  static D::T to_d_hi(F a) {
+    return _mm256_cvtps_pd(_mm256_extractf128_ps(a, 1));
+  }
 
   static void load_cf(const cf32* p, F& re, F& im) {
     const float* f = reinterpret_cast<const float*>(p);

@@ -14,14 +14,19 @@
 // kernel TUs build with -ffp-contract=off, and the AVX2 TU deliberately
 // enables -mavx2 WITHOUT -mfma). IEEE sqrtps matches std::sqrt(float)
 // exactly, so the GBP range vectorizes; the double-precision carrier
-// phase does not, and stays scalar per valid lane. Changing any
-// expression here requires re-running the cross-backend tests in
-// tests/test_kernels.cpp.
+// phase runs sar/carrier.hpp's CarrierLanes template on the trait's
+// double lanes (V::D, two vectors per float vector), the same template
+// the scalar reference instantiates on plain doubles, and only lanes that
+// fail its rounding certificate call libm. Changing any expression here
+// requires re-running the cross-backend tests in tests/test_kernels.cpp
+// and tests/test_carrier.cpp.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 
+#include "sar/carrier.hpp"
 #include "sar/kernels_impl.hpp"
 
 // The scalar kernels handle the non-multiple-of-width tails.
@@ -238,37 +243,48 @@ struct SimdKernels {
   static void gbp_contrib_row(const float* px, const float* py,
                               float pulse_x, const cf32* pulse_row,
                               const GbpGrid& g, cf32* acc, std::size_t n) {
+    using D = typename V::D;
+    using Carrier = CarrierLanes<D>;
+    constexpr std::size_t kHalf = kLanes / 2;
     const F vpx = V::set1(pulse_x);
     const F vr0 = V::set1(g.r0);
     const F vinv = V::set1(g.inv_dr);
     const F vhalf = V::set1(0.5f);
     const F vminus_half = V::set1(-0.5f);
-    const I vnr = V::set1_i(g.n_range);
+    const F vnr = V::set1(static_cast<float>(g.n_range));
+    const auto vk = D::set1(g.k_phase);
     std::size_t i = 0;
     float rng[kLanes];
+    float cre[kLanes];
+    float sim[kLanes];
     std::int32_t bin[kLanes];
-    std::int32_t ok[kLanes];
     for (; i + kLanes <= n; i += kLanes) {
       const F dx = V::sub(V::load(px + i), vpx);
       const F pyv = V::load(py + i);
       const F range = V::sqrt(V::add(V::mul(dx, dx), V::mul(pyv, pyv)));
       const F bf = V::mul(V::sub(range, vr0), vinv);
-      const I b = V::cvt_i(V::add(bf, vhalf));
-      // valid = !(bf < -0.5f) && (bin < n_range), exactly the scalar
-      // early-out `if (bf < -0.5f || bin >= g.n_range) return {}`.
-      const I valid = V::andnot_i(V::to_i(V::cmp_lt(bf, vminus_half)),
-                                  V::cmp_lt_i(b, vnr));
-      V::store(rng, range);
-      V::store_i(bin, b);
-      V::store_i(ok, valid);
-      for (std::size_t l = 0; l < kLanes; ++l) {
-        if (ok[l] == 0) continue;
-        // Double-precision carrier phase: scalar libm, like the reference.
-        const double phase = std::fmod(
-            g.k_phase * static_cast<double>(rng[l]), 2.0 * kPi);
-        const cf32 rot{static_cast<float>(std::cos(phase)),
-                       static_cast<float>(std::sin(phase))};
-        acc[i + l] += pulse_row[bin[l]] * rot;
+      const F u = V::add(bf, vhalf);
+      // valid = bf >= -0.5f && bf + 0.5f < float(n_range), decided in
+      // float before the conversion, exactly like gbp_contribution.
+      const unsigned valid = V::movemask(
+          V::and_(V::cmp_ge(bf, vminus_half), V::cmp_lt(u, vnr)));
+      if (valid == 0) continue;
+      V::store_i(bin, V::cvt_i(u));
+      // Carrier phase k*range in two double vectors of kHalf lanes each.
+      const auto lo = Carrier::rotate_phase(D::mul(vk, V::to_d_lo(range)));
+      const auto hi = Carrier::rotate_phase(D::mul(vk, V::to_d_hi(range)));
+      const unsigned ok = D::movemask(lo.ok) | (D::movemask(hi.ok) << kHalf);
+      D::store_f(cre, lo.c);
+      D::store_f(cre + kHalf, hi.c);
+      D::store_f(sim, lo.s);
+      D::store_f(sim + kHalf, hi.s);
+      if ((valid & ~ok) != 0) V::store(rng, range);
+      for (unsigned m = valid; m != 0; m &= m - 1) {
+        const int l = std::countr_zero(m);
+        cf32 rot{cre[l], sim[l]};
+        if ((ok >> l & 1u) == 0)
+          rot = carrier_rot_libm(g.k_phase * static_cast<double>(rng[l]));
+        acc[i + static_cast<std::size_t>(l)] += pulse_row[bin[l]] * rot;
       }
     }
     for (; i < n; ++i)

@@ -15,10 +15,49 @@ namespace esarp::sar::kernels::detail {
 
 namespace {
 
+/// Two double lanes for the carrier phase (CarrierLanes). SSE2 has no
+/// blendv and no round-to-integer, so blends are and/andnot/or and trunc
+/// goes through cvttpd_epi32 (exact for the |x| < 2^27 it is used on).
+struct DSse2 {
+  using T = __m128d;
+  using M = __m128d;
+
+  static T set1(double x) { return _mm_set1_pd(x); }
+  static T add(T a, T b) { return _mm_add_pd(a, b); }
+  static T sub(T a, T b) { return _mm_sub_pd(a, b); }
+  static T mul(T a, T b) { return _mm_mul_pd(a, b); }
+  static T abs(T a) { return _mm_andnot_pd(_mm_set1_pd(-0.0), a); }
+  static T neg(T a) { return _mm_xor_pd(a, _mm_set1_pd(-0.0)); }
+  static T trunc(T a) { return _mm_cvtepi32_pd(_mm_cvttpd_epi32(a)); }
+  static M cmp_lt(T a, T b) { return _mm_cmplt_pd(a, b); }
+  static M cmp_gt(T a, T b) { return _mm_cmpgt_pd(a, b); }
+  static M cmp_eq(T a, T b) { return _mm_cmpeq_pd(a, b); }
+  static M and_(M a, M b) { return _mm_and_pd(a, b); }
+  static M or_(M a, M b) { return _mm_or_pd(a, b); }
+  static T blend(M m, T a, T b) {
+    return _mm_or_pd(_mm_and_pd(m, a), _mm_andnot_pd(m, b));
+  }
+  /// Float bit equality, widened from 32-bit to 64-bit lane masks.
+  static M same_float(T a, T b) {
+    const __m128i fa = _mm_castps_si128(_mm_cvtpd_ps(a));
+    const __m128i fb = _mm_castps_si128(_mm_cvtpd_ps(b));
+    const __m128i eq = _mm_cmpeq_epi32(fa, fb);
+    return _mm_castsi128_pd(_mm_unpacklo_epi32(eq, eq));
+  }
+  static unsigned movemask(M m) {
+    return static_cast<unsigned>(_mm_movemask_pd(m));
+  }
+  /// Round both lanes to float and store them to p[0..1].
+  static void store_f(float* p, T a) {
+    _mm_storel_pi(reinterpret_cast<__m64*>(p), _mm_cvtpd_ps(a));
+  }
+};
+
 struct VSse2 {
   static constexpr std::size_t kLanes = 4;
   using F = __m128;
   using I = __m128i;
+  using D = DSse2;
 
   static F load(const float* p) { return _mm_loadu_ps(p); }
   static void store(float* p, F v) { _mm_storeu_ps(p, v); }
@@ -31,6 +70,11 @@ struct VSse2 {
   static F cmp_lt(F a, F b) { return _mm_cmplt_ps(a, b); }
   static F cmp_le(F a, F b) { return _mm_cmple_ps(a, b); }
   static F cmp_gt(F a, F b) { return _mm_cmpgt_ps(a, b); }
+  static F cmp_ge(F a, F b) { return _mm_cmpge_ps(a, b); }
+  static F and_(F a, F b) { return _mm_and_ps(a, b); }
+  static unsigned movemask(F m) {
+    return static_cast<unsigned>(_mm_movemask_ps(m));
+  }
   static F blend(F m, F a, F b) {
     return _mm_or_ps(_mm_and_ps(m, a), _mm_andnot_ps(m, b));
   }
@@ -43,12 +87,13 @@ struct VSse2 {
   static I set1_i(std::int32_t x) { return _mm_set1_epi32(x); }
   static F cvt_f(I a) { return _mm_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm_cvttps_epi32(a); }
-  static I cmp_lt_i(I a, I b) { return _mm_cmplt_epi32(a, b); }
-  static I andnot_i(I a, I b) { return _mm_andnot_si128(a, b); }
   static void store_i(std::int32_t* p, I v) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
   }
   static I iota() { return _mm_set_epi32(3, 2, 1, 0); }
+  /// Float lanes 0-1 / 2-3 widened to double (exact).
+  static D::T to_d_lo(F a) { return _mm_cvtps_pd(a); }
+  static D::T to_d_hi(F a) { return _mm_cvtps_pd(_mm_movehl_ps(a, a)); }
 
   static void load_cf(const cf32* p, F& re, F& im) {
     const float* f = reinterpret_cast<const float*>(p);

@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "fft/fft.hpp"
+#include "sar/carrier.hpp"
 
 namespace esarp::sar {
 
@@ -102,8 +103,7 @@ RdaResult range_doppler(const Array2D<cf32>& data, const RadarParams& p,
           continue;
         }
         const double dr = std::sqrt(r0 * r0 + x * x) - r0;
-        const double phase =
-            -std::fmod(4.0 * kPi / lambda * dr, 2.0 * kPi);
+        const double phase = -reduce_2pi(4.0 * kPi / lambda * dr);
         ref[pu] = {static_cast<float>(std::cos(phase)),
                    static_cast<float>(std::sin(phase))};
       }

@@ -6,17 +6,23 @@
 // change nothing.
 #include <bit>
 #include <cstdint>
+#include <iterator>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/types.hpp"
+#include "kernel_test_inputs.hpp"
 #include "sar/kernels.hpp"
 
 namespace esarp::sar {
 namespace {
 
 namespace k = kernels;
+using test_inputs::kSizes;
+using test_inputs::Rng;
 
 std::uint32_t bits(float x) { return std::bit_cast<std::uint32_t>(x); }
 
@@ -29,27 +35,6 @@ void expect_bits_eq(cf32 a, cf32 b, const char* what, std::size_t i) {
   expect_bits_eq(a.real(), b.real(), what, i);
   expect_bits_eq(a.imag(), b.imag(), what, i);
 }
-
-/// Deterministic xorshift float in [lo, hi) — no libc rand, identical
-/// sequences on every platform.
-struct Rng {
-  std::uint32_t s = 0x9e3779b9u;
-  std::uint32_t next_u32() {
-    s ^= s << 13;
-    s ^= s >> 17;
-    s ^= s << 5;
-    return s;
-  }
-  float uniform(float lo, float hi) {
-    const float u =
-        static_cast<float>(next_u32() >> 8) * (1.0f / 16777216.0f);
-    return lo + (hi - lo) * u;
-  }
-  cf32 complex(float lo, float hi) {
-    const float re = uniform(lo, hi);
-    return {re, uniform(lo, hi)};
-  }
-};
 
 std::vector<k::Backend> simd_backends() {
   std::vector<k::Backend> b;
@@ -69,9 +54,6 @@ void for_each_simd_backend(Fn&& fn) {
   }
   k::force_backend(before);
 }
-
-// Odd sizes exercise the scalar tails after the full vector quanta.
-constexpr std::size_t kSizes[] = {1, 3, 4, 7, 8, 15, 16, 101};
 
 TEST(Kernels, ScalarBackendAlwaysAvailable) {
   EXPECT_TRUE(k::backend_available(k::Backend::kScalar));
@@ -191,32 +173,56 @@ TEST(Kernels, GbpContribRowMatchesScalarBitForBit) {
   for_each_simd_backend([&](k::Backend b) {
     Rng rng;
     for (const std::size_t n : kSizes) {
-      GbpGrid g{};
-      g.r0 = 1000.0f;
-      g.inv_dr = 1.0f;
-      g.n_range = static_cast<int>(n);
-      g.k_phase = 25.0;
-      std::vector<cf32> pulse(n);
-      for (cf32& v : pulse) v = rng.complex(-1.0f, 1.0f);
-      std::vector<float> px(n), py(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Mix in-swath pixels with out-of-swath ones (validity mask).
-        const float r = rng.uniform(990.0f, 1010.0f + 2.0f * float(n));
-        px[i] = r * 0.6f;
-        py[i] = r * 0.8f;
-      }
+      const test_inputs::GbpRow row = test_inputs::gbp_row(rng, n);
       std::vector<cf32> ref(n, cf32{0.5f, -0.25f});
       std::vector<cf32> simd = ref; // same nonzero accumulator start
       k::force_backend(k::Backend::kScalar);
-      k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
-                         ref.data(), n);
+      k::gbp_contrib_row(row.px.data(), row.py.data(), row.pulse_x,
+                         row.pulse.data(), row.g, ref.data(), n);
       k::force_backend(b);
-      k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
-                         simd.data(), n);
+      k::gbp_contrib_row(row.px.data(), row.py.data(), row.pulse_x,
+                         row.pulse.data(), row.g, simd.data(), n);
       for (std::size_t i = 0; i < n; ++i)
         expect_bits_eq(ref[i], simd[i], "gbp_contrib_row", i);
     }
   });
+}
+
+TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
+  // A NaN position, or a range more than 2^31 bins out, converts to bin
+  // INT_MIN, which an integer bound test lets through to
+  // pulse_row[INT_MIN]. Such lanes must contribute nothing on every
+  // backend, in the vector quanta and in the tails.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float bad[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
+                       1e30f, -1e30f, 3e9f};
+  GbpGrid g{};
+  g.r0 = 1000.0f;
+  g.inv_dr = 1.0f;
+  g.n_range = 4;
+  g.k_phase = 25.0;
+  const std::vector<cf32> pulse(4, cf32{1.0f, 1.0f});
+  const k::Backend before = k::active();
+  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kSse2,
+                             k::Backend::kAvx2}) {
+    if (!k::backend_available(b)) continue;
+    SCOPED_TRACE(k::backend_name(b));
+    k::force_backend(b);
+    for (const std::size_t n : kSizes) {
+      for (std::size_t v = 0; v < std::size(bad); ++v) {
+        std::vector<float> px(n), py(n, 1000.0f);
+        for (std::size_t i = 0; i < n; ++i) px[i] = bad[(i + v) % 6];
+        if (v % 2 == 1) std::swap(px, py); // the bad value in py instead
+        const std::vector<cf32> start(n, cf32{0.5f, -0.25f});
+        std::vector<cf32> acc = start;
+        k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
+                           acc.data(), n);
+        for (std::size_t i = 0; i < n; ++i)
+          expect_bits_eq(start[i], acc[i], "non-finite pixel", i);
+      }
+    }
+  }
+  k::force_backend(before);
 }
 
 TEST(Kernels, ForceBackendRoundTrip) {
