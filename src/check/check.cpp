@@ -250,7 +250,7 @@ void CheckContext::on_dma_segment(int core, std::uint64_t job, const void* p,
 }
 
 void CheckContext::on_dma_wait(int core, std::uint64_t job) {
-  if (job == 0) return; // null job (e.g. the second half of a burst pair)
+  if (job == 0) return; // null job: never issued, or an unchecked run
   CoreShadow& cs = shadow(core);
   const auto it =
       std::find_if(cs.jobs.begin(), cs.jobs.end(),

@@ -24,130 +24,20 @@ struct AfShared {
   std::unique_ptr<ep::Channel<BeamPacket>> beam_to_corr[2][3];
 };
 
-template <typename OutChan>
-ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
-                       std::span<const cf32> blocks_ext, std::size_t n_pairs,
-                       int block, int window, OutChan& chan) {
-  const std::size_t block_px = p.block_rows * p.block_cols;
-  auto local_block = ctx.local().alloc_in_bank<cf32>(block_px, 2);
-  const OpCounts sample_ops = range_core_sample_ops(p);
-
-  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
-    ctx.begin_span("range-interp/" + std::to_string(pair));
-    // Fetch this pair's contributing block (the paper DMAs the area of
-    // interest into each interpolator's local memory).
-    const cf32* src =
-        blocks_ext.data() + (2 * pair + static_cast<std::size_t>(block)) *
-                                block_px;
-    ep::DmaJob job = ctx.dma_read_ext(
-        local_block.data(), src, block_px * sizeof(cf32));
-    co_await ctx.wait(job);
-    const View2D<const cf32> view(local_block.data(), p.block_rows,
-                                  p.block_cols);
-
-    for (std::size_t sh = 0; sh < p.shift_candidates.size(); ++sh) {
-      const float delta = p.shift_candidates[sh];
-      for (std::size_t s = 0; s < p.samples_per_row; ++s) {
-        const af::SampleGeom g = af::af_sample_geom(p, s, delta);
-        RangePacket pkt;
-        pkt.rows = static_cast<std::uint8_t>(p.block_rows);
-        pkt.valid = g.valid ? 1 : 0;
-        if (g.valid) {
-          const float t = block == 0 ? g.t_minus : g.t_plus;
-          af::range_interp_column(view, static_cast<std::size_t>(window), t,
-                                  pkt.col.data(), p.block_rows);
-        }
-        co_await ctx.compute(sample_ops);
-        co_await chan.send(ctx, pkt);
-      }
-    }
-    ctx.end_span();
-  }
-}
-
-template <typename InChan, typename OutChan>
-ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
-                      std::size_t n_pairs, int block, int window,
-                      InChan& in, OutChan& out) {
-  (void)block;
-  (void)window;
-  const OpCounts sample_ops = beam_core_sample_ops(p);
-
-  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
-    ctx.begin_span("beam-interp/" + std::to_string(pair));
-    for (std::size_t sh = 0; sh < p.shift_candidates.size(); ++sh) {
-      const float delta = p.shift_candidates[sh];
-      for (std::size_t s = 0; s < p.samples_per_row; ++s) {
-        RangePacket pkt = co_await in.recv(ctx);
-        const af::SampleGeom g = af::af_sample_geom(p, s, delta);
-        BeamPacket bp;
-        bp.count = static_cast<std::uint8_t>(p.beams);
-        bp.valid = pkt.valid;
-        if (pkt.valid) {
-          for (std::size_t b = 0; b < p.beams; ++b) {
-            const cf32 v = af::beam_interp(pkt.col.data(), b, g.u);
-            bp.mags[b] = fastmath::norm2(v.real(), v.imag());
-          }
-        }
-        co_await ctx.compute(sample_ops);
-        co_await out.send(ctx, bp);
-      }
-    }
-    ctx.end_span();
-  }
-}
-
-template <typename InChan>
-ep::Task corr_program(ep::CoreCtx& ctx, const af::AfParams& p,
-                      InChan* (&inputs)[2][3], std::span<float> out_ext,
-                      std::vector<std::vector<double>>& criteria,
-                      std::size_t n_pairs) {
-  const OpCounts sample_ops = corr_sample_ops(p);
-  const std::size_t n_shifts = p.shift_candidates.size();
-  std::vector<float> row(n_shifts);
-
-  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
-    ctx.begin_span("criterion-block/" + std::to_string(pair));
-    criteria[pair].assign(n_shifts, 0.0);
-    for (std::size_t sh = 0; sh < n_shifts; ++sh) {
-      // Accumulate in float, window-major then sample — the exact order of
-      // the sequential af::criterion_sweep, so results match bit-for-bit.
-      float criterion = 0.0f;
-      for (std::size_t w = 0; w < p.windows; ++w) {
-        for (std::size_t s = 0; s < p.samples_per_row; ++s) {
-          const BeamPacket bm = co_await inputs[0][w]->recv(ctx);
-          const BeamPacket bp = co_await inputs[1][w]->recv(ctx);
-          if (bm.valid && bp.valid) {
-            for (std::size_t b = 0; b < p.beams; ++b)
-              criterion += bm.mags[b] * bp.mags[b];
-          }
-          co_await ctx.compute(sample_ops);
-        }
-      }
-      criteria[pair][sh] = static_cast<double>(criterion);
-      row[sh] = criterion;
-    }
-    // Post the pair's criterion row to SDRAM (paper: the correlation core
-    // "provides the final ... result to be written to the off-chip SDRAM").
-    co_await ctx.write_ext(out_ext.data() + pair * n_shifts, row.data(),
-                           n_shifts * sizeof(float));
-    ctx.end_span();
-  }
-}
-
-// --- Fault-campaign variants of the MPMD pipeline programs ----------------
+// --- The MPMD pipeline programs ------------------------------------------
 //
-// Selected whenever the machine carries a FaultInjector
-// (docs/fault-injection.md). The pipeline has no spare cores, so it cannot
-// repartition like FFBP; instead it degrades: when any core of a window
-// pipeline (range -> beam -> corr input) fail-stops, the correlator drops
-// that window from the criterion on BOTH contributing blocks and rescores
-// by scaling the surviving windows up to the full window count. Producers
-// and consumers use the timed channel ops and give up only on the
+// On a fault campaign (a FaultInjector on the machine, with plan.resilient;
+// docs/fault-injection.md) the pipeline cannot repartition like FFBP — it
+// has no spare cores — so it degrades: when any core of a window pipeline
+// (range -> beam -> corr input) fail-stops, the correlator drops that
+// window from the criterion on BOTH contributing blocks and rescores by
+// scaling the surviving windows up to the full window count. Producers and
+// consumers use the timed channel ops and give up only on the
 // confirmed-failure oracle, so a slow chain is never dropped and an
-// abandoned chain can never livelock the run. With plan.resilient == false
-// the timed ops revert to the blocking ones while the fail-stop polls stay
-// on — the configuration that demonstrates the pre-recovery deadlock.
+// abandoned chain can never livelock the run. Outside a campaign every
+// fail-stop poll is false and the channel ops block; with plan.resilient
+// == false the fail-stop polls stay on over the blocking ops — the
+// configuration that demonstrates the pre-recovery deadlock.
 
 /// True once any member of window pipeline (f, w) — or the shared
 /// correlator — has a passed fail-stop trigger. The whole chain quits when
@@ -162,14 +52,20 @@ ep::Task corr_program(ep::CoreCtx& ctx, const af::AfParams& p,
          inj.fail_stop_due(pl.corr, cycle);
 }
 
+/// Record a window chain found dead: count the detection, flag the
+/// sanitizer that what follows is degraded recovery.
+void note_chain_dead(ep::CoreCtx& ctx, fault::FaultInjector& inj) {
+  inj.count_detected(fault::Site::kFailStop);
+  if (ctx.checker() != nullptr) ctx.checker()->set_fault_degraded();
+}
+
 template <typename OutChan>
-ep::Task range_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
-                                 std::span<const cf32> blocks_ext,
-                                 std::size_t n_pairs, int block, int window,
-                                 OutChan& chan, const Placement& pl) {
-  fault::FaultInjector& inj = *ctx.fault_injector();
-  const fault::RetryPolicy& pol = inj.plan().retry;
-  const bool resilient = inj.plan().resilient;
+ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
+                       std::span<const cf32> blocks_ext, std::size_t n_pairs,
+                       int block, int window, OutChan& chan,
+                       const Placement& pl) {
+  fault::FaultInjector* inj = ctx.fault_injector();
+  const bool resilient = inj != nullptr && inj->plan().resilient;
   const std::size_t block_px = p.block_rows * p.block_cols;
   auto local_block = ctx.local().alloc_in_bank<cf32>(block_px, 2);
   const OpCounts sample_ops = range_core_sample_ops(p);
@@ -179,6 +75,9 @@ ep::Task range_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
       ctx.mark_failed();
       co_return;
     }
+    ctx.begin_span("range-interp/" + std::to_string(pair));
+    // Fetch this pair's contributing block (the paper DMAs the area of
+    // interest into each interpolator's local memory).
     const cf32* src =
         blocks_ext.data() +
         (2 * pair + static_cast<std::size_t>(block)) * block_px;
@@ -208,6 +107,7 @@ ep::Task range_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
           co_await chan.send(ctx, pkt);
           continue;
         }
+        const fault::RetryPolicy& pol = inj->plan().retry;
         for (;;) {
           if (ctx.fail_stop_due()) {
             ctx.mark_failed();
@@ -216,29 +116,27 @@ ep::Task range_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
           if (co_await chan.send_for(ctx, pkt, pol.channel_timeout,
                                      pol.channel_poll))
             break;
-          if (chain_dead(inj, pl, block, window, ctx.now())) {
-            inj.count_detected(fault::Site::kFailStop);
-            if (ctx.checker() != nullptr)
-              ctx.checker()->set_fault_degraded();
+          if (chain_dead(*inj, pl, block, window, ctx.now())) {
+            note_chain_dead(ctx, *inj);
             co_return; // downstream confirmed dead: stop producing
           }
         }
       }
     }
+    ctx.end_span();
   }
 }
 
 template <typename InChan, typename OutChan>
-ep::Task beam_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
-                                std::size_t n_pairs, int block, int window,
-                                InChan& in, OutChan& out,
-                                const Placement& pl) {
-  fault::FaultInjector& inj = *ctx.fault_injector();
-  const fault::RetryPolicy& pol = inj.plan().retry;
-  const bool resilient = inj.plan().resilient;
+ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
+                      std::size_t n_pairs, int block, int window, InChan& in,
+                      OutChan& out, const Placement& pl) {
+  fault::FaultInjector* inj = ctx.fault_injector();
+  const bool resilient = inj != nullptr && inj->plan().resilient;
   const OpCounts sample_ops = beam_core_sample_ops(p);
 
   for (std::size_t pair = 0; pair < n_pairs; ++pair) {
+    ctx.begin_span("beam-interp/" + std::to_string(pair));
     for (std::size_t sh = 0; sh < p.shift_candidates.size(); ++sh) {
       const float delta = p.shift_candidates[sh];
       for (std::size_t s = 0; s < p.samples_per_row; ++s) {
@@ -250,6 +148,7 @@ ep::Task beam_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
         if (!resilient) {
           pkt = co_await in.recv(ctx);
         } else {
+          const fault::RetryPolicy& pol = inj->plan().retry;
           for (;;) {
             if (ctx.fail_stop_due()) {
               ctx.mark_failed();
@@ -261,10 +160,8 @@ ep::Task beam_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
               pkt = *got;
               break;
             }
-            if (chain_dead(inj, pl, block, window, ctx.now())) {
-              inj.count_detected(fault::Site::kFailStop);
-              if (ctx.checker() != nullptr)
-                ctx.checker()->set_fault_degraded();
+            if (chain_dead(*inj, pl, block, window, ctx.now())) {
+              note_chain_dead(ctx, *inj);
               co_return;
             }
           }
@@ -284,6 +181,7 @@ ep::Task beam_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
           co_await out.send(ctx, bp);
           continue;
         }
+        const fault::RetryPolicy& pol = inj->plan().retry;
         for (;;) {
           if (ctx.fail_stop_due()) {
             ctx.mark_failed();
@@ -292,27 +190,24 @@ ep::Task beam_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
           if (co_await out.send_for(ctx, bp, pol.channel_timeout,
                                     pol.channel_poll))
             break;
-          if (chain_dead(inj, pl, block, window, ctx.now())) {
-            inj.count_detected(fault::Site::kFailStop);
-            if (ctx.checker() != nullptr)
-              ctx.checker()->set_fault_degraded();
+          if (chain_dead(*inj, pl, block, window, ctx.now())) {
+            note_chain_dead(ctx, *inj);
             co_return;
           }
         }
       }
     }
+    ctx.end_span();
   }
 }
 
 template <typename InChan>
-ep::Task corr_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
-                                InChan* (&inputs)[2][3],
-                                std::span<float> out_ext,
-                                std::vector<std::vector<double>>& criteria,
-                                std::size_t n_pairs, const Placement& pl) {
-  fault::FaultInjector& inj = *ctx.fault_injector();
-  const fault::RetryPolicy& pol = inj.plan().retry;
-  const bool resilient = inj.plan().resilient;
+ep::Task corr_program(ep::CoreCtx& ctx, const af::AfParams& p,
+                      InChan* (&inputs)[2][3], std::span<float> out_ext,
+                      std::vector<std::vector<double>>& criteria,
+                      std::size_t n_pairs, const Placement& pl) {
+  fault::FaultInjector* inj = ctx.fault_injector();
+  const bool resilient = inj != nullptr && inj->plan().resilient;
   const OpCounts sample_ops = corr_sample_ops(p);
   const std::size_t n_shifts = p.shift_candidates.size();
   std::vector<float> row(n_shifts);
@@ -323,13 +218,18 @@ ep::Task corr_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
   // contributes to the criterion — it needs BOTH sides.
   bool side_alive[2][3] = {{true, true, true}, {true, true, true}};
   bool win_alive[3] = {true, true, true};
+  std::size_t live = p.windows;
 
   for (std::size_t pair = 0; pair < n_pairs; ++pair) {
     ctx.begin_span("criterion-block/" + std::to_string(pair));
     criteria[pair].assign(n_shifts, 0.0);
     for (std::size_t sh = 0; sh < n_shifts; ++sh) {
-      // Per-window partial sums: a window dropped mid-shift is excluded
-      // whole, not with a half-accumulated contribution.
+      // Accumulate in float, window-major then sample — the exact order of
+      // the sequential af::criterion_sweep, so results match bit-for-bit.
+      // A campaign also keeps per-window partial sums: a window dropped
+      // mid-shift is then excluded whole, not with a half-accumulated
+      // contribution.
+      float criterion = 0.0f;
       float wsum[3] = {0.0f, 0.0f, 0.0f};
       for (std::size_t w = 0; w < p.windows; ++w) {
         for (std::size_t s = 0; s < p.samples_per_row; ++s) {
@@ -342,6 +242,7 @@ ep::Task corr_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
               pk[f] = co_await inputs[f][w]->recv(ctx);
               continue;
             }
+            const fault::RetryPolicy& pol = inj->plan().retry;
             for (;;) {
               if (ctx.fail_stop_due()) {
                 ctx.mark_failed();
@@ -353,44 +254,45 @@ ep::Task corr_program_resilient(ep::CoreCtx& ctx, const af::AfParams& p,
                 pk[f] = *got;
                 break;
               }
-              if (inj.fail_stop_due(pl.range[f][w],
-                                    static_cast<std::uint64_t>(ctx.now())) ||
-                  inj.fail_stop_due(pl.beam[f][w],
-                                    static_cast<std::uint64_t>(ctx.now()))) {
+              const auto now = static_cast<std::uint64_t>(ctx.now());
+              if (inj->fail_stop_due(pl.range[f][w], now) ||
+                  inj->fail_stop_due(pl.beam[f][w], now)) {
                 side_alive[f][w] = false;
-                inj.count_detected(fault::Site::kFailStop);
                 if (win_alive[w]) {
                   win_alive[w] = false;
-                  inj.count_af_window_dropped();
+                  --live;
+                  inj->count_af_window_dropped();
                 }
-                if (ctx.checker() != nullptr)
-                  ctx.checker()->set_fault_degraded();
+                note_chain_dead(ctx, *inj);
                 break;
               }
             }
           }
           if (win_alive[w] && pk[0].valid && pk[1].valid) {
             for (std::size_t b = 0; b < p.beams; ++b)
-              wsum[w] += pk[0].mags[b] * pk[1].mags[b];
+              criterion += pk[0].mags[b] * pk[1].mags[b];
+            if (resilient)
+              for (std::size_t b = 0; b < p.beams; ++b)
+                wsum[w] += pk[0].mags[b] * pk[1].mags[b];
           }
           co_await ctx.compute(sample_ops);
         }
       }
-      float criterion = 0.0f;
-      std::size_t live = 0;
-      for (std::size_t w = 0; w < p.windows; ++w) {
-        if (!win_alive[w]) continue;
-        criterion += wsum[w];
-        ++live;
+      if (live < p.windows) {
+        // Rescoring: the surviving windows stand in for the dropped ones so
+        // the criterion keeps the magnitude the shift search expects.
+        criterion = 0.0f;
+        for (std::size_t w = 0; w < p.windows; ++w)
+          if (win_alive[w]) criterion += wsum[w];
+        if (live > 0)
+          criterion *= static_cast<float>(p.windows) /
+                       static_cast<float>(live);
       }
-      // Rescoring: the surviving windows stand in for the dropped ones so
-      // the criterion keeps the magnitude the shift search expects.
-      if (live > 0 && live < p.windows)
-        criterion *= static_cast<float>(p.windows) /
-                     static_cast<float>(live);
       criteria[pair][sh] = static_cast<double>(criterion);
       row[sh] = criterion;
     }
+    // Post the pair's criterion row to SDRAM (paper: the correlation core
+    // "provides the final ... result to be written to the off-chip SDRAM").
     co_await ep::reliable_write_ext(ctx, out_ext.data() + pair * n_shifts,
                                     row.data(), n_shifts * sizeof(float));
     ctx.end_span();
@@ -539,41 +441,22 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   for (int f = 0; f < 2; ++f)
     for (int w = 0; w < 3; ++w)
       corr_inputs[f][w] = st.beam_to_corr[f][w].get();
-  const bool fault_mode = m.fault_injector() != nullptr;
   for (int f = 0; f < 2; ++f) {
     for (int w = 0; w < 3; ++w) {
-      m.launch(pl.range[f][w],
-               [&p, &st, &pl, n_pairs, f, w, fault_mode](ep::CoreCtx& ctx) {
-                 return fault_mode
-                            ? range_program_resilient(
-                                  ctx, p, st.blocks_ext, n_pairs, f, w,
-                                  *st.range_to_beam[f][w], pl)
-                            : range_program(ctx, p, st.blocks_ext, n_pairs,
-                                            f, w, *st.range_to_beam[f][w]);
-               });
-      m.launch(pl.beam[f][w],
-               [&p, &st, &pl, n_pairs, f, w, fault_mode](ep::CoreCtx& ctx) {
-                 return fault_mode
-                            ? beam_program_resilient(
-                                  ctx, p, n_pairs, f, w,
-                                  *st.range_to_beam[f][w],
-                                  *st.beam_to_corr[f][w], pl)
-                            : beam_program(ctx, p, n_pairs, f, w,
-                                           *st.range_to_beam[f][w],
-                                           *st.beam_to_corr[f][w]);
-               });
+      m.launch(pl.range[f][w], [&p, &st, &pl, n_pairs, f, w](ep::CoreCtx& ctx) {
+        return range_program(ctx, p, st.blocks_ext, n_pairs, f, w,
+                             *st.range_to_beam[f][w], pl);
+      });
+      m.launch(pl.beam[f][w], [&p, &st, &pl, n_pairs, f, w](ep::CoreCtx& ctx) {
+        return beam_program(ctx, p, n_pairs, f, w, *st.range_to_beam[f][w],
+                            *st.beam_to_corr[f][w], pl);
+      });
     }
   }
-  m.launch(pl.corr,
-           [&p, &st, &pl, &corr_inputs, n_pairs, fault_mode](
-               ep::CoreCtx& ctx) {
-             return fault_mode
-                        ? corr_program_resilient(ctx, p, corr_inputs,
-                                                 st.out_ext, st.criteria,
-                                                 n_pairs, pl)
-                        : corr_program(ctx, p, corr_inputs, st.out_ext,
-                                       st.criteria, n_pairs);
-           });
+  m.launch(pl.corr, [&p, &st, &pl, &corr_inputs, n_pairs](ep::CoreCtx& ctx) {
+    return corr_program(ctx, p, corr_inputs, st.out_ext, st.criteria, n_pairs,
+                        pl);
+  });
 
   AfSimResult res;
   res.cores_used = 13;
@@ -600,11 +483,15 @@ AfGraphResult run_autofocus_graph(std::span<const af::BlockPair> pairs,
   ESARP_EXPECTS(p.block_rows <= 8 && p.beams <= 4);
   ESARP_EXPECTS(p.windows == 3);
   ESARP_EXPECTS(cfg.core_count() >= 14);
-  // The declarative network has no fault-hardened programs; refuse a
-  // campaign rather than let injected corruption pass silently.
+  // The programs' chain-death check names cores by id, and the network
+  // assigns ids only when it places the nodes; refuse a campaign rather
+  // than run its recovery against ids that do not exist yet.
   ESARP_REQUIRE(!cfg.faults.enabled(),
-                "run_autofocus_graph does not support fault campaigns; use "
-                "run_autofocus_mpmd");
+                "run_autofocus_graph does not support fault campaigns: the "
+                "chain-death check needs core ids that exist only after "
+                "placement; use run_autofocus_mpmd");
+  // Never read: a run without a campaign never checks a chain for death.
+  const Placement unplaced{};
 
   ep::Machine m(cfg, af_ext_bytes(pairs.size(), p));
   ep::ProcessNetwork net(m);
@@ -638,22 +525,23 @@ AfGraphResult run_autofocus_graph(std::span<const af::BlockPair> pairs,
     for (int w = 0; w < 3; ++w) {
       range_id[f][w] = net.node(
           "range[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          [&p, blocks_ext, n_pairs, f, w, &r2b](ep::CoreCtx& ctx) {
+          [&p, blocks_ext, n_pairs, f, w, &r2b, &unplaced](ep::CoreCtx& ctx) {
             return range_program(ctx, p, blocks_ext, n_pairs, f, w,
-                                 *r2b[f][w]);
+                                 *r2b[f][w], unplaced);
           });
       beam_id[f][w] = net.node(
           "beam[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          [&p, n_pairs, f, w, &r2b, &b2c](ep::CoreCtx& ctx) {
+          [&p, n_pairs, f, w, &r2b, &b2c, &unplaced](ep::CoreCtx& ctx) {
             return beam_program(ctx, p, n_pairs, f, w, *r2b[f][w],
-                                *b2c[f][w]);
+                                *b2c[f][w], unplaced);
           });
     }
   }
   const int corr_id = net.node(
-      "corr", [&p, &corr_inputs, out_ext, &criteria, n_pairs](
+      "corr", [&p, &corr_inputs, out_ext, &criteria, n_pairs, &unplaced](
                   ep::CoreCtx& ctx) {
-        return corr_program(ctx, p, corr_inputs, out_ext, criteria, n_pairs);
+        return corr_program(ctx, p, corr_inputs, out_ext, criteria, n_pairs,
+                            unplaced);
       });
 
   for (int f = 0; f < 2; ++f) {

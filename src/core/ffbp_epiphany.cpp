@@ -1,6 +1,7 @@
 #include "core/ffbp_epiphany.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/assert.hpp"
 #include "common/fastmath.hpp"
@@ -86,9 +87,9 @@ struct StagedRow {
 
 /// Merge parent row `ti` of subaperture `subap` into `out` (paper eqs.
 /// 1-5): the cosine-theorem geometry of every range bin, both children
-/// sampled through their staged rows, and the sum. Plain host code shared
-/// by both core programs, so the fetchers inline into sample_child; the
-/// caller charges the simulated work. Returns how many of the 2 * n_range
+/// sampled through their staged rows, and the sum. Plain host code outside
+/// the coroutine, so the fetchers inline into sample_child; the caller
+/// charges the simulated work. Returns how many of the 2 * n_range
 /// fetches missed the staged rows.
 std::uint64_t merge_row(const sar::RadarParams& p,
                         const sar::MergeLevelGeom& geom,
@@ -118,7 +119,7 @@ std::uint64_t merge_row(const sar::RadarParams& p,
   const float drf = static_cast<float>(p.range_bin_m);
   const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
   // Per-pair autofocus compensation (0 when disabled; adding the resulting
-  // -0.0f keeps the plain path bit-identical).
+  // -0.0f keeps the image without autofocus bit-identical).
   const float shift_a = -0.5f * af_shift * drf;
   const float shift_b = 0.5f * af_shift * drf;
   sar::kernels::merge_geometry_row(r0f, drf, 0, p.n_range, cr, geom.d2,
@@ -134,179 +135,6 @@ std::uint64_t merge_row(const sar::RadarParams& p,
     out[j] = v1 + v2; // paper eq. 5
   }
   return misses;
-}
-
-ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
-                           const FfbpMapOptions& opt, SharedState& st,
-                           int core_index) {
-  const std::size_t n_levels = p.merge_levels();
-  const std::size_t n_range = p.n_range;
-  const std::size_t row_bytes = n_range * sizeof(cf32);
-
-  // Local-store layout (paper Section V-B): bank 1 stages the output row;
-  // banks 2 and 3 — "the two upper data banks" — hold one row of each
-  // contributing child subaperture (16,016 bytes at paper size). With
-  // double buffering each data bank holds two rows (ping/pong).
-  auto out_row = ctx.local().alloc_in_bank<cf32>(n_range, 1);
-  auto child_row1 = ctx.local().alloc_in_bank<cf32>(
-      opt.double_buffer ? 2 * n_range : n_range, 2);
-  auto child_row2 = ctx.local().alloc_in_bank<cf32>(
-      opt.double_buffer ? 2 * n_range : n_range, 3);
-  int pong = 0; // active half of the double buffers
-
-  const sar::FfbpOptions algo =
-      opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
-  const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  // Host-side scratch for the row's cosine-theorem geometry; the simulated
-  // local-store budget is unaffected (the geometry never lived in a bank).
-  std::vector<sar::MergeGeom> geom_row(n_range);
-
-  std::span<cf32> src = st.buf_a;
-  std::span<cf32> dst = st.buf_b;
-
-  for (std::size_t level = 1; level <= n_levels; ++level) {
-    ctx.begin_span("merge-iter/" + std::to_string(level));
-    const LevelLayout lc = LevelLayout::at(p, level - 1);
-    const LevelLayout lp = LevelLayout::at(p, level);
-    const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
-
-    const std::size_t rows_total = lp.rows_total();
-    const std::size_t n = static_cast<std::size_t>(opt.n_cores);
-    const std::size_t begin =
-        static_cast<std::size_t>(core_index) * rows_total / n;
-    const std::size_t end =
-        (static_cast<std::size_t>(core_index) + 1) * rows_total / n;
-
-    // --- Autofocus phase (paper Fig. 4): before this level's merges, the
-    // cores divide the subaperture pairs among themselves, stream both
-    // children from SDRAM, and run the criterion estimator. A barrier
-    // publishes the shifts before any merge starts.
-    const bool af_level =
-        opt.autofocus != nullptr && level >= opt.autofocus->first_level;
-    if (opt.autofocus != nullptr) {
-      ctx.begin_span("af-estimate/" + std::to_string(level));
-      for (std::size_t pair = static_cast<std::size_t>(core_index);
-           pair < lp.n_subaps; pair += n) {
-        if (!af_level) {
-          st.shifts[pair] = 0.0f;
-          continue;
-        }
-        ctx.begin_span("criterion-block/" + std::to_string(pair));
-        const auto a =
-            load_subaperture(src, lc, p, level - 1, 2 * pair);
-        const auto b =
-            load_subaperture(src, lc, p, level - 1, 2 * pair + 1);
-        // Streaming both children through the core: two bulk SDRAM reads.
-        const std::size_t child_bytes =
-            lc.n_theta * lc.n_range * sizeof(cf32);
-        co_await ctx.read_ext_gather(2, child_bytes);
-        OpCounts est_ops;
-        const af::PairEstimate est = af::estimate_pair_shift(
-            a, b, p, *opt.autofocus, &est_ops, nullptr);
-        co_await ctx.compute(est_ops);
-        st.shifts[pair] = est.applied(opt.autofocus->min_gain);
-        st.corrections.push_back(
-            {level, pair, st.shifts[pair], est.gain});
-        ctx.end_span();
-      }
-      ctx.end_span();
-      co_await st.barrier->arrive_and_wait(ctx);
-    }
-
-    // Double-buffered pipeline state: the DMA for row `gr` was issued
-    // while row `gr-1` computed.
-    ep::DmaJob pending1{};
-    ep::DmaJob pending2{};
-    int pending_pre1 = -1;
-    int pending_pre2 = -1;
-    const auto issue_prefetch = [&](std::size_t gr, int half) {
-      const std::size_t subap = gr / lp.n_theta;
-      const std::size_t ti = gr % lp.n_theta;
-      auto [a1, a2] = predict_rows(p, geom, ti);
-      pending_pre1 = a1;
-      pending_pre2 = a2;
-      cf32* dst1 = child_row1.data() + static_cast<std::size_t>(half) *
-                                           (opt.double_buffer ? n_range : 0);
-      cf32* dst2 = child_row2.data() + static_cast<std::size_t>(half) *
-                                           (opt.double_buffer ? n_range : 0);
-      const cf32* src1 =
-          src.data() + lc.offset(2 * subap, static_cast<std::size_t>(a1));
-      const cf32* src2 =
-          src.data() + lc.offset(2 * subap + 1, static_cast<std::size_t>(a2));
-      if (ctx.config().burst_transfers) {
-        // Both child rows as one burst job: one wait event per prefetch
-        // instead of two, identical cycle accounting (see DmaSeg docs).
-        const ep::DmaSeg segs[2] = {{dst1, src1, row_bytes},
-                                    {dst2, src2, row_bytes}};
-        pending1 = ctx.dma_read_ext_burst(segs);
-        pending2 = ep::DmaJob{}; // completes at 0: wait() is a no-op
-      } else {
-        pending1 = ctx.dma_read_ext(dst1, src1, row_bytes);
-        pending2 = ctx.dma_read_ext(dst2, src2, row_bytes);
-      }
-    };
-
-    if (opt.prefetch && opt.double_buffer && begin < end) {
-      co_await ctx.compute(kPredictOps);
-      issue_prefetch(begin, pong);
-    }
-
-    for (std::size_t gr = begin; gr < end; ++gr) {
-      const std::size_t subap = gr / lp.n_theta;
-      const std::size_t ti = gr % lp.n_theta;
-
-      // Obtain the prefetched child rows for this row.
-      StagedRow staged1{-1, child_row1.data()};
-      StagedRow staged2{-1, child_row2.data()};
-      if (opt.prefetch && opt.double_buffer) {
-        // The DMA issued one row ago targets `pong`'s half.
-        ctx.begin_span("dma-prefetch");
-        co_await ctx.wait(pending1);
-        co_await ctx.wait(pending2);
-        ctx.end_span();
-        const std::size_t half = static_cast<std::size_t>(pong) * n_range;
-        staged1 = {pending_pre1, child_row1.data() + half};
-        staged2 = {pending_pre2, child_row2.data() + half};
-        // Immediately issue the next row's prefetch into the other half;
-        // it streams while this row computes.
-        if (gr + 1 < end) {
-          co_await ctx.compute(kPredictOps);
-          issue_prefetch(gr + 1, 1 - pong);
-        }
-        pong = 1 - pong;
-      } else if (opt.prefetch) {
-        ctx.begin_span("dma-prefetch");
-        co_await ctx.compute(kPredictOps);
-        issue_prefetch(gr, 0);
-        co_await ctx.wait(pending1);
-        co_await ctx.wait(pending2);
-        ctx.end_span();
-        staged1.row = pending_pre1;
-        staged2.row = pending_pre2;
-      }
-
-      const float af_shift =
-          opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-      const std::uint64_t misses =
-          merge_row(p, geom, algo, src, lc, subap, ti, af_shift, staged1,
-                    staged2, geom_row, out_row);
-
-      co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
-                           sar::kMergeRowOps);
-      if (misses > 0)
-        co_await ctx.read_ext_gather(misses, sizeof(cf32));
-      co_await ctx.write_ext(dst.data() + lp.offset(subap, ti),
-                             out_row.data(), row_bytes);
-
-      auto& ls = st.stats[level - 1];
-      ls.local_hits += 2 * n_range - misses;
-      ls.ext_misses += misses;
-    }
-
-    co_await st.barrier->arrive_and_wait(ctx);
-    ctx.end_span(); // merge-iter
-    std::swap(src, dst);
-  }
 }
 
 /// Live launch-set cores at `now` under the campaign's fail-stop schedule.
@@ -332,9 +160,14 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
   return 0;
 }
 
-/// Fault-campaign variant of ffbp_core_program, selected whenever the
-/// machine carries a FaultInjector (docs/fault-injection.md). Same inner
-/// arithmetic, hardened control flow:
+/// The FFBP core program (paper Section V-B). Each merge level's output
+/// rows are split into contiguous slices, one per core; a core stages the
+/// two predicted child rows of each output row in its data banks by DMA,
+/// merges the row, posts it to SDRAM, and a barrier closes the level.
+///
+/// On a fault campaign (a FaultInjector on the machine, with
+/// plan.resilient; docs/fault-injection.md) the same arithmetic runs under
+/// hardened control flow:
 ///
 ///  - ctx.fail_stop_due() is polled at every work-item boundary (row, af
 ///    pair, pass); a due core records its failure and stops without
@@ -352,30 +185,39 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
 ///    never finished fall back to a zero shift (uncompensated merge) and
 ///    are counted as fault.af_pairs_dropped.
 ///
-/// The prefetch pipeline is single-buffered here — verification serializes
-/// each transfer anyway — and with plan.resilient == false the wrappers and
-/// the barrier degenerate to the plain protocol while the fail-stop polls
-/// stay on: that configuration demonstrates the pre-recovery behaviour,
-/// where one fail-stopped core deadlocks the whole chip (SimDeadlock).
-ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
-                                     const sar::RadarParams& p,
-                                     const FfbpMapOptions& opt,
-                                     SharedState& st, int core_index) {
-  fault::FaultInjector& inj = *ctx.fault_injector();
-  const bool resilient = inj.plan().resilient;
+/// Outside a campaign every fail-stop poll is false and every wrapper is
+/// the plain operation. With plan.resilient == false the wrappers and the
+/// barrier stay plain while the fail-stop polls stay on: that configuration
+/// demonstrates the pre-recovery behaviour, where one fail-stopped core
+/// deadlocks the whole chip (SimDeadlock). Only fault-free runs double-buffer
+/// the prefetch; a campaign's verification serializes each transfer anyway.
+ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
+                           const FfbpMapOptions& opt, SharedState& st,
+                           int core_index) {
+  fault::FaultInjector* inj = ctx.fault_injector();
+  const bool resilient = inj != nullptr && inj->plan().resilient;
+  const bool double_buffer = opt.double_buffer && inj == nullptr;
   const std::size_t n_levels = p.merge_levels();
   const std::size_t n_range = p.n_range;
   const std::size_t row_bytes = n_range * sizeof(cf32);
   const std::size_t n = static_cast<std::size_t>(opt.n_cores);
 
+  // Local-store layout (paper Section V-B): bank 1 stages the output row;
+  // banks 2 and 3 — "the two upper data banks" — hold one row of each
+  // contributing child subaperture (16,016 bytes at paper size). With
+  // double buffering each data bank holds two rows (ping/pong).
   auto out_row = ctx.local().alloc_in_bank<cf32>(n_range, 1);
-  auto child_row1 = ctx.local().alloc_in_bank<cf32>(n_range, 2);
-  auto child_row2 = ctx.local().alloc_in_bank<cf32>(n_range, 3);
+  auto child_row1 = ctx.local().alloc_in_bank<cf32>(
+      double_buffer ? 2 * n_range : n_range, 2);
+  auto child_row2 = ctx.local().alloc_in_bank<cf32>(
+      double_buffer ? 2 * n_range : n_range, 3);
+  std::size_t pong = 0; // active half of the double buffers
 
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  // Host-side geometry scratch, as in the plain program.
+  // Host-side scratch for the row's cosine-theorem geometry; the simulated
+  // local-store budget is unaffected (the geometry never lived in a bank).
   std::vector<sar::MergeGeom> geom_row(n_range);
 
   std::span<cf32> src = st.buf_a;
@@ -388,9 +230,12 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
     const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
     const std::size_t rows_total = lp.rows_total();
 
-    // --- Autofocus phase. Level entry is a uniform instant (launch or the
-    // aligned barrier release), so every survivor strides over the same
-    // live set.
+    // --- Autofocus phase (paper Fig. 4): before this level's merges, the
+    // cores divide the subaperture pairs among themselves, stream both
+    // children from SDRAM, and run the criterion estimator. A barrier
+    // publishes the shifts before any merge starts. Level entry is a
+    // uniform instant (launch or the aligned barrier release), so every
+    // survivor of a campaign strides over the same live set.
     const bool af_level =
         opt.autofocus != nullptr && level >= opt.autofocus->first_level;
     if (opt.autofocus != nullptr) {
@@ -398,13 +243,16 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         ctx.mark_failed();
         co_return;
       }
-      const std::vector<int> alive = alive_cores(inj, opt.n_cores, ctx.now());
-      const std::size_t stride = resilient ? alive.size() : n;
-      const std::size_t first = resilient
-                                    ? rank_of(alive, core_index)
-                                    : static_cast<std::size_t>(core_index);
-      std::span<std::uint32_t> af_done =
-          resilient ? st.af_done[level - 1] : std::span<std::uint32_t>{};
+      std::size_t stride = n;
+      std::size_t first = static_cast<std::size_t>(core_index);
+      std::span<std::uint32_t> af_done;
+      if (resilient) {
+        const std::vector<int> alive =
+            alive_cores(*inj, opt.n_cores, ctx.now());
+        stride = alive.size();
+        first = rank_of(alive, core_index);
+        af_done = st.af_done[level - 1];
+      }
       ctx.begin_span("af-estimate/" + std::to_string(level));
       for (std::size_t pair = first; pair < lp.n_subaps; pair += stride) {
         if (ctx.fail_stop_due()) {
@@ -418,6 +266,7 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         ctx.begin_span("criterion-block/" + std::to_string(pair));
         const auto a = load_subaperture(src, lc, p, level - 1, 2 * pair);
         const auto b = load_subaperture(src, lc, p, level - 1, 2 * pair + 1);
+        // Streaming both children through the core: two bulk SDRAM reads.
         const std::size_t child_bytes = lc.n_theta * lc.n_range * sizeof(cf32);
         co_await ctx.read_ext_gather(2, child_bytes);
         OpCounts est_ops;
@@ -441,20 +290,37 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
         // unfinished. Those merge uncompensated (shift 0); the
         // lowest-ranked survivor accounts for the drops once.
         const std::vector<int> after =
-            alive_cores(inj, opt.n_cores, ctx.now());
+            alive_cores(*inj, opt.n_cores, ctx.now());
         const bool accountant = after.front() == core_index;
         std::size_t dropped = 0;
         for (std::size_t pair = 0; pair < lp.n_subaps; ++pair) {
           if (af_done[pair] != 0) continue;
           st.shifts[pair] = 0.0f;
           ++dropped;
-          if (accountant) inj.count_af_pair_dropped();
+          if (accountant) inj->count_af_pair_dropped();
         }
         if (dropped > 0 && ctx.checker() != nullptr)
           ctx.checker()->set_fault_degraded();
         co_await ctx.read_ext_gather(lp.n_subaps, sizeof(std::uint32_t));
       }
     }
+
+    // Predict output row `gr`'s two child rows and describe their DMA into
+    // half `half` of the data banks; `s1`/`s2` name the rows staged there.
+    const auto stage = [&](std::size_t gr, std::size_t half, StagedRow& s1,
+                           StagedRow& s2) {
+      const std::size_t subap = gr / lp.n_theta;
+      const auto [a1, a2] = predict_rows(p, geom, gr % lp.n_theta);
+      cf32* const dst1 = child_row1.data() + half * n_range;
+      cf32* const dst2 = child_row2.data() + half * n_range;
+      s1 = {a1, dst1};
+      s2 = {a2, dst2};
+      const auto row1 = static_cast<std::size_t>(a1);
+      const auto row2 = static_cast<std::size_t>(a2);
+      return std::array<ep::DmaSeg, 2>{
+          {{dst1, src.data() + lc.offset(2 * subap, row1), row_bytes},
+           {dst2, src.data() + lc.offset(2 * subap + 1, row2), row_bytes}}};
+    };
 
     std::span<std::uint32_t> row_done =
         resilient ? st.row_done[level - 1] : std::span<std::uint32_t>{};
@@ -474,10 +340,10 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
           if (row_done[r] == 0) undone.push_back(static_cast<std::uint32_t>(r));
         if (undone.empty()) break; // level complete on every survivor
         const std::vector<int> alive =
-            alive_cores(inj, opt.n_cores, ctx.now());
+            alive_cores(*inj, opt.n_cores, ctx.now());
         const std::size_t rank = rank_of(alive, core_index);
         if (pass > 0 || alive.size() < n) {
-          if (rank == 0) inj.count_repartition(alive.size());
+          if (rank == 0) inj->count_repartition(alive.size());
         }
         for (std::size_t k = rank; k < undone.size(); k += alive.size())
           mine.push_back(undone[k]);
@@ -494,33 +360,47 @@ ep::Task ffbp_core_program_resilient(ep::CoreCtx& ctx,
           mine.push_back(static_cast<std::uint32_t>(r));
       }
 
-      for (const std::uint32_t gr32 : mine) {
+      // Double-buffered pipeline: the DMA for row mine[k] was issued while
+      // row mine[k-1] computed.
+      ep::DmaJob pending{};
+      StagedRow next1;
+      StagedRow next2;
+      if (double_buffer && !mine.empty()) {
+        co_await ctx.compute(kPredictOps);
+        pending = ctx.dma_read_ext_burst(stage(mine[0], pong, next1, next2));
+      }
+
+      for (std::size_t k = 0; k < mine.size(); ++k) {
         if (ctx.fail_stop_due()) {
           ctx.mark_failed();
           co_return;
         }
-        const std::size_t gr = gr32;
+        const std::size_t gr = mine[k];
         const std::size_t subap = gr / lp.n_theta;
         const std::size_t ti = gr % lp.n_theta;
-        const std::size_t child1 = 2 * subap;
-        const std::size_t child2 = 2 * subap + 1;
 
+        // Obtain the prefetched child rows for this row.
         StagedRow staged1{-1, child_row1.data()};
         StagedRow staged2{-1, child_row2.data()};
-        if (opt.prefetch) {
+        if (double_buffer) { // implies opt.prefetch
+          ctx.begin_span("dma-prefetch");
+          co_await ctx.wait(pending);
+          ctx.end_span();
+          staged1 = next1;
+          staged2 = next2;
+          // Immediately issue the next row's prefetch into the other half;
+          // it streams while this row computes.
+          if (k + 1 < mine.size()) {
+            co_await ctx.compute(kPredictOps);
+            pending = ctx.dma_read_ext_burst(
+                stage(mine[k + 1], 1 - pong, next1, next2));
+          }
+          pong = 1 - pong;
+        } else if (opt.prefetch) {
           ctx.begin_span("dma-prefetch");
           co_await ctx.compute(kPredictOps);
-          const auto [a1, a2] = predict_rows(p, geom, ti);
-          staged1.row = a1;
-          staged2.row = a2;
-          const ep::DmaSeg segs[2] = {
-              {child_row1.data(),
-               src.data() + lc.offset(child1, static_cast<std::size_t>(a1)),
-               row_bytes},
-              {child_row2.data(),
-               src.data() + lc.offset(child2, static_cast<std::size_t>(a2)),
-               row_bytes}};
-          co_await ep::reliable_dma_read_burst(ctx, segs);
+          co_await ep::reliable_dma_read_burst(
+              ctx, stage(gr, 0, staged1, staged2));
           ctx.end_span();
         }
 
@@ -596,8 +476,7 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     st.stats[l].level = l + 1;
   st.barrier = m.make_barrier(opt.n_cores);
   st.shifts.assign(p.n_pulses / 2, 0.0f);
-  const bool fault_mode = m.fault_injector() != nullptr;
-  if (fault_mode) {
+  if (m.fault_injector() != nullptr) {
     st.row_done.resize(p.merge_levels());
     if (opt.autofocus != nullptr) st.af_done.resize(p.merge_levels());
     for (std::size_t l = 1; l <= p.merge_levels(); ++l) {
@@ -618,9 +497,8 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
               st.buf_a.begin() + static_cast<std::ptrdiff_t>(pu * p.n_range));
 
   for (int c = 0; c < opt.n_cores; ++c) {
-    m.launch(c, [&p, &opt, &st, c, fault_mode](ep::CoreCtx& ctx) {
-      return fault_mode ? ffbp_core_program_resilient(ctx, p, opt, st, c)
-                        : ffbp_core_program(ctx, p, opt, st, c);
+    m.launch(c, [&p, &opt, &st, c](ep::CoreCtx& ctx) {
+      return ffbp_core_program(ctx, p, opt, st, c);
     });
   }
 

@@ -57,22 +57,12 @@ ep::Task gbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     std::fill(acc.begin(), acc.end(), cf32{});
 
     for (std::size_t pu = 0; pu < p.n_pulses; pu += 2) {
-      // Stream the next two pulses through the data banks.
-      if (ctx.config().burst_transfers) {
-        const ep::DmaSeg segs[2] = {
-            {pulse_a.data(), st.data_ext.data() + pu * n_range, row_bytes},
-            {pulse_b.data(), st.data_ext.data() + (pu + 1) * n_range,
-             row_bytes}};
-        co_await ctx.wait(ctx.dma_read_ext_burst(segs));
-      } else {
-        ep::DmaJob j1 = ctx.dma_read_ext(
-            pulse_a.data(), st.data_ext.data() + pu * n_range, row_bytes);
-        ep::DmaJob j2 = ctx.dma_read_ext(
-            pulse_b.data(), st.data_ext.data() + (pu + 1) * n_range,
-            row_bytes);
-        co_await ctx.wait(j1);
-        co_await ctx.wait(j2);
-      }
+      // Stream the next two pulses through the data banks as one burst.
+      const ep::DmaSeg segs[2] = {
+          {pulse_a.data(), st.data_ext.data() + pu * n_range, row_bytes},
+          {pulse_b.data(), st.data_ext.data() + (pu + 1) * n_range,
+           row_bytes}};
+      co_await ctx.wait(ctx.dma_read_ext_burst(segs));
 
       // Two row-kernel calls keep the per-pixel accumulation order (pulse
       // pu, then pu + 1) of the original scalar loop — bit-identical image.

@@ -102,10 +102,6 @@ struct ChipConfig {
   Cycles dma_setup_cycles = 20;  ///< DMA descriptor programming overhead
 
   // Simulation engine (host-side) knobs — no effect on simulated cycles.
-  bool burst_transfers = true; ///< issue multi-segment DMA prefetches as one
-                               ///< analytically-costed burst job (identical
-                               ///< Cycles totals, fewer scheduler events);
-                               ///< false = legacy per-chunk jobs + waits
   bool batch_quanta = true;    ///< batched-quantum fast path: pure delays
                                ///< advance the clock inline when no other
                                ///< event can run first (bit-identical, see

@@ -206,8 +206,7 @@ public:
   /// Cycle-for-cycle equivalent to one dma_read_ext per segment followed by
   /// a wait on each (same per-segment setup, channel queueing and stat
   /// accounting; the returned job completes with the last segment), but the
-  /// whole burst costs a single scheduler event to await — the engine's
-  /// burst-level transfer modeling (ChipConfig::burst_transfers).
+  /// whole burst costs a single scheduler event to await.
   [[nodiscard]] DmaJob dma_read_ext_burst(std::span<const DmaSeg> segs) {
     ESARP_EXPECTS(!segs.empty());
     burst_sizes_.clear();

@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,14 @@ public:
   TaskT<T> recv(CoreCtx& to) {
     ESARP_EXPECTS(chan_ != nullptr);
     return chan_->recv(to);
+  }
+  TaskT<bool> send_for(CoreCtx& from, T value, Cycles timeout, Cycles poll) {
+    ESARP_EXPECTS(chan_ != nullptr);
+    return chan_->send_for(from, std::move(value), timeout, poll);
+  }
+  TaskT<std::optional<T>> recv_for(CoreCtx& to, Cycles timeout, Cycles poll) {
+    ESARP_EXPECTS(chan_ != nullptr);
+    return chan_->recv_for(to, timeout, poll);
   }
 
   [[nodiscard]] const std::string& name() const override { return name_; }

@@ -14,11 +14,9 @@
 // throw fault::FaultUnrecovered.
 //
 // Outside a fault campaign (no injector, or plan.resilient == false) every
-// wrapper degenerates to the plain single-attempt operation, so kernels
-// can call these unconditionally without changing fault-free behaviour...
-// though the shipped kernels keep their plain paths for bit-identical
-// baseline manifests and only route through here when an injector is
-// attached.
+// wrapper is the plain single-attempt operation, cycle for cycle and event
+// for event, so the core programs call these unconditionally: one program
+// per mapping role serves clean runs and campaigns alike.
 #pragma once
 
 #include <cstddef>

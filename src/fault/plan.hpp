@@ -121,9 +121,10 @@ struct FaultPlan {
   std::uint64_t chip_fail_cycle = 0;
 
   /// true: workloads use the recovery runtime (retry/timeout/repartition).
-  /// false: faults are injected but the plain kernels run — the
-  /// pre-resilience behaviour (fail-stops deadlock, corruption lands in
-  /// the image). Used by tests and the chaos CLI to demonstrate the delta.
+  /// false: faults are injected but the programs run without the recovery
+  /// protocol — the pre-resilience behaviour (fail-stops deadlock,
+  /// corruption lands in the image). Used by tests and the chaos CLI to
+  /// demonstrate the delta.
   bool resilient = true;
 
   RetryPolicy retry;

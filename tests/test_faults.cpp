@@ -5,7 +5,6 @@
 // protocol exists to avoid.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -341,6 +340,28 @@ TEST(FfbpFaults, DisabledPlanKeepsTheBaselinePathBitIdentical) {
   EXPECT_EQ(b.faults.schedule_hash, 0u);
 }
 
+TEST(FfbpFaults, CampaignThatInjectsNothingReproducesTheCleanRun) {
+  // A fail-stop armed past the makespan installs the injector but never
+  // fires. Without resilience the campaign must then be the clean run
+  // exactly; with it, only the verification cost may differ.
+  const auto p = ffbp_params();
+  const auto data = ffbp_data(p);
+  const core::FfbpMapOptions opt;
+  const auto clean = core::run_ffbp_epiphany(data, p, opt);
+  for (const bool resilient : {false, true}) {
+    ep::ChipConfig cfg;
+    cfg.faults.fail_stops = {{3, 1'000'000'000'000ULL}};
+    cfg.faults.resilient = resilient;
+    const auto armed = core::run_ffbp_epiphany(data, p, opt, cfg);
+    EXPECT_EQ(armed.faults.injected, 0u);
+    EXPECT_EQ(armed.image, clean.image) << "resilient " << resilient;
+    if (!resilient) {
+      EXPECT_EQ(armed.cycles, clean.cycles);
+      EXPECT_EQ(armed.perf.engine_events, clean.perf.engine_events);
+    }
+  }
+}
+
 // --- Autofocus MPMD campaigns ---------------------------------------------
 
 std::vector<af::BlockPair> make_pairs(const af::AfParams& p, std::size_t n,
@@ -379,6 +400,28 @@ TEST(AfFaults, DeadRangeCoreDropsItsWindowAndRescores) {
         EXPECT_GT(f, 0.1 * c) << "pair " << i << " shift " << s;
         EXPECT_LT(f, 10.0 * c) << "pair " << i << " shift " << s;
       }
+    }
+  }
+}
+
+TEST(AfFaults, CampaignThatInjectsNothingReproducesTheCleanRun) {
+  // As for FFBP: the correlator accumulates in the clean order under a
+  // campaign too, so the criteria match bit for bit either way; without
+  // resilience the timing matches as well.
+  af::AfParams p;
+  const auto pairs = make_pairs(p, 4);
+  const auto clean = core::run_autofocus_mpmd(pairs, p);
+  for (const bool resilient : {false, true}) {
+    ep::ChipConfig cfg;
+    cfg.faults.fail_stops = {{4, 1'000'000'000'000ULL}};
+    cfg.faults.resilient = resilient;
+    const auto armed = core::run_autofocus_mpmd(pairs, p, {}, cfg);
+    EXPECT_EQ(armed.faults.injected, 0u);
+    EXPECT_FALSE(armed.degraded);
+    EXPECT_EQ(armed.criteria, clean.criteria) << "resilient " << resilient;
+    if (!resilient) {
+      EXPECT_EQ(armed.cycles, clean.cycles);
+      EXPECT_EQ(armed.perf.engine_events, clean.perf.engine_events);
     }
   }
 }
@@ -509,12 +552,12 @@ TEST(AfFaults, TransferCampaignRecoversCriteriaWithinTolerance) {
   EXPECT_GT(faulted.faults.injected, 0u);
   EXPECT_EQ(faulted.faults.recovered, faulted.faults.detected);
   EXPECT_FALSE(faulted.degraded);
-  // DMA payloads are repaired exactly; only packet-level float summation
-  // order differs from the plain pipeline, so compare within float noise.
+  // DMA payloads are repaired exactly and the correlator accumulates in
+  // the clean order, so the recovered criteria are the clean ones.
   for (std::size_t i = 0; i < pairs.size(); ++i)
     for (std::size_t s = 0; s < clean.criteria[i].size(); ++s)
-      EXPECT_NEAR(faulted.criteria[i][s], clean.criteria[i][s],
-                  1e-3 * (1.0 + std::abs(clean.criteria[i][s])));
+      EXPECT_EQ(faulted.criteria[i][s], clean.criteria[i][s])
+          << "pair " << i << " shift " << s;
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 // SweepRunner determinism contract (docs/performance.md): fanning
 // independent Machine runs across host threads must produce byte-identical
-// results for ANY thread count, and the burst transfer model must produce
-// exactly the same simulated cycle counts as the per-chunk model it
+// results for ANY thread count. Also the burst transfer model: one burst
+// DMA costs exactly the simulated cycles of the per-segment transfers it
 // replaces.
 #include <gtest/gtest.h>
 
@@ -13,13 +13,10 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.hpp"
-#include "core/autofocus_epiphany.hpp"
 #include "core/ffbp_epiphany.hpp"
-#include "core/gbp_epiphany.hpp"
+#include "epiphany/machine.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "host/sweep_runner.hpp"
-#include "autofocus/workload.hpp"
 #include "sar/scene.hpp"
 #include "telemetry/manifest.hpp"
 
@@ -130,62 +127,69 @@ TEST(SweepRunner, ManifestsAreThreadCountInvariant) {
 }
 
 // ---------------------------------------------------------------------
-// Burst transfer model: ChipConfig::burst_transfers collapses per-chunk
-// DMA/ext-port loops into single analytically-costed events. The ISSUE
-// contract is exact equivalence of the simulated timing.
+// Burst transfer model: one CoreCtx::dma_read_ext_burst over k segments is
+// cycle-for-cycle the k dma_read_ext calls it replaces, each followed by
+// its wait. Only the engine's work differs: the burst suspends once where
+// the per-segment path suspends k times. Each path runs on a fresh machine
+// with per-event stepping, so every suspension is one engine event.
 
-TEST(BurstTransfers, FfbpCyclesAndImageMatchPerChunk) {
-  const auto p = sar::test_params(32, 101);
-  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
-  core::FfbpMapOptions opt;
-  opt.n_cores = 16;
+TEST(BurstTransfers, OneBurstCostsWhatPerSegmentReadsCost) {
+  constexpr std::size_t kSegs = 3;
+  constexpr std::size_t kElems = 200;
+  constexpr std::size_t kSegBytes = kElems * sizeof(cf32);
+  struct Run {
+    ep::Cycles done = 0;
+    ep::PerfReport rep;
+    std::vector<cf32> local;
+  };
+  const auto run = [&](bool burst) {
+    ep::ChipConfig cfg;
+    cfg.batch_quanta = false;
+    ep::Machine m(cfg, 1u << 20);
+    auto src = m.ext().alloc<cf32>(kSegs * kElems);
+    for (std::size_t i = 0; i < src.size(); ++i)
+      src[i] = cf32(static_cast<float>(i), -static_cast<float>(i));
+    Run r;
+    m.launch(0, [&](ep::CoreCtx& ctx) -> ep::Task {
+      auto dst = ctx.local().alloc<cf32>(kSegs * kElems);
+      if (burst) {
+        std::vector<ep::DmaSeg> segs;
+        for (std::size_t k = 0; k < kSegs; ++k)
+          segs.push_back({dst.data() + k * kElems, src.data() + k * kElems,
+                          kSegBytes});
+        co_await ctx.wait(ctx.dma_read_ext_burst(segs));
+      } else {
+        std::vector<ep::DmaJob> jobs;
+        for (std::size_t k = 0; k < kSegs; ++k)
+          jobs.push_back(ctx.dma_read_ext(dst.data() + k * kElems,
+                                          src.data() + k * kElems, kSegBytes));
+        for (const ep::DmaJob& job : jobs) co_await ctx.wait(job);
+      }
+      r.done = ctx.now();
+      r.local.assign(dst.begin(), dst.end());
+    });
+    m.run();
+    r.rep = m.report();
+    return r;
+  };
 
-  ep::ChipConfig burst;
-  burst.burst_transfers = true;
-  ep::ChipConfig chunked;
-  chunked.burst_transfers = false;
-
-  const auto a = core::run_ffbp_epiphany(data, p, opt, burst);
-  const auto b = core::run_ffbp_epiphany(data, p, opt, chunked);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.image, b.image);
-  EXPECT_EQ(a.perf.ext.read_bytes, b.perf.ext.read_bytes);
-  // Burst mode fuses the two per-level prefetch DMAs into one wait, so it
-  // must process strictly fewer engine events for the same timing.
-  EXPECT_LT(a.perf.engine_events, b.perf.engine_events);
-}
-
-TEST(BurstTransfers, GbpCyclesMatchPerChunk) {
-  const auto p = sar::test_params(32, 101);
-  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
-
-  ep::ChipConfig burst;
-  burst.burst_transfers = true;
-  ep::ChipConfig chunked;
-  chunked.burst_transfers = false;
-
-  const auto a = core::run_gbp_epiphany(data, p, 16, burst);
-  const auto b = core::run_gbp_epiphany(data, p, 16, chunked);
-  EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_EQ(a.image, b.image);
-}
-
-TEST(BurstTransfers, AutofocusCyclesMatchPerChunk) {
-  af::AfParams p;
-  Rng rng(123);
-  std::vector<af::BlockPair> pairs;
-  for (int i = 0; i < 4; ++i)
-    pairs.push_back(
-        af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
-
-  ep::ChipConfig burst;
-  burst.burst_transfers = true;
-  ep::ChipConfig chunked;
-  chunked.burst_transfers = false;
-
-  const auto a = core::run_autofocus_mpmd(pairs, p, {}, burst);
-  const auto b = core::run_autofocus_mpmd(pairs, p, {}, chunked);
-  EXPECT_EQ(a.cycles, b.cycles);
+  const Run burst = run(true);
+  const Run chunked = run(false);
+  EXPECT_GT(burst.done, 0u);
+  EXPECT_EQ(burst.done, chunked.done);
+  EXPECT_EQ(burst.local, chunked.local);
+  const ep::CoreCounters& b = burst.rep.per_core[0];
+  const ep::CoreCounters& c = chunked.rep.per_core[0];
+  EXPECT_GT(b.dma_wait, 0u);
+  EXPECT_EQ(b.dma_wait, c.dma_wait);
+  EXPECT_EQ(b.dma_transfers, kSegs);
+  EXPECT_EQ(b.dma_transfers, c.dma_transfers);
+  EXPECT_EQ(b.dma_bytes, c.dma_bytes);
+  EXPECT_EQ(burst.rep.ext.read_bytes, kSegs * kSegBytes);
+  EXPECT_EQ(burst.rep.ext.read_bytes, chunked.rep.ext.read_bytes);
+  EXPECT_EQ(burst.rep.ext.read_transactions,
+            chunked.rep.ext.read_transactions);
+  EXPECT_EQ(chunked.rep.engine_events, burst.rep.engine_events + kSegs - 1);
 }
 
 } // namespace

@@ -35,6 +35,20 @@ expect 0 "$esarp" chaos --in "$ds" --cores 4 --seed 7 --dma-corrupt 1e-3
 # No faults requested -> usage error.
 expect 2 "$esarp" chaos --in "$ds" --cores 4
 
+# Flag values the runners would reject are usage errors (exit 2), checked
+# in the command: never a contract abort (4) or a parse error (1).
+expect 2 "$esarp" simulate --out "$scratch/cli_exit_codes.bad.esrp" \
+  --pulses 0
+expect 2 "$esarp" image --in "$ds" --out "$scratch/cli_exit_codes.pgm" \
+  --interp bogus
+expect 2 "$esarp" chip --in "$ds" --cores 0
+expect 2 "$esarp" chip --in "$ds" --cores 99
+expect 2 "$esarp" chip --in "$ds" --cores abc
+expect 2 "$esarp" power --in "$ds" --cores 0
+expect 2 "$esarp" power --in "$ds" --cores 99
+expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
+expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
+
 # Early fail-stop with resilience off: survivors wait forever at the next
 # barrier and the engine quiesces -> SimDeadlock.
 expect 3 "$esarp" chaos --in "$ds" --cores 4 --fail 3@1000 --no-resilience
@@ -107,6 +121,15 @@ expect 5 "$esarp" serve --gen poisson --jobs-count 4 --chips 2 \
 expect 0 "$esarp" lint --mapping all
 # ...an unknown mapping name is a usage error...
 expect 2 "$esarp" lint --mapping no-such-mapping
+# ...and so is a shape no mapping can have: a 0-core FFBP (never "clean,
+# predicted 0 cycles"), a 1-bin range, no block pairs (never invented
+# deadlock findings), or a pulse count FFBP cannot halve down to one...
+expect 2 "$esarp" lint --cores 0
+expect 2 "$esarp" lint --range 1
+expect 2 "$esarp" lint --pairs 0
+expect 2 "$esarp" lint --mapping ffbp --pulses 48
+# ...while more cores than the chip has is a finding, not a usage error.
+expect 6 "$esarp" lint --cores 32
 # ...and a mapping that provably cannot fit (double-buffered prefetch at
 # the paper's 1001-bin rows overflows the four-bank local store) exits
 # with the distinct findings code.

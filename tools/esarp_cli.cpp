@@ -39,6 +39,7 @@
 //   5  fault campaign exhausted its recovery budget (FaultUnrecovered)
 //   6  `esarp lint` found mapping violations
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -192,13 +193,39 @@ int usage() {
   return kExitUsage;
 }
 
-sar::FfbpOptions interp_options(const Args& args) {
+/// Usage error naming the command and the bad flag. Every command checks
+/// the flag values its runner would reject here, with exit 2: a bad value
+/// must never reach an ESARP_EXPECTS contract abort (exit 4), a std::sto*
+/// parse error (exit 1), or a lint verdict about a mapping that cannot
+/// exist.
+int usage_error(const std::string& cmd, const std::string& msg) {
+  std::cerr << cmd << ": " << msg << "\n";
+  return usage();
+}
+
+/// The whole of `s` as a decimal integer; nullopt for anything else.
+std::optional<long> parse_long(const std::string& s) {
+  long v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// Cores of the default chip: every --cores value lies in [1, chip_cores()].
+[[nodiscard]] int chip_cores() { return ep::ChipConfig{}.core_count(); }
+
+[[nodiscard]] bool valid_core_count(long n) {
+  return n >= 1 && n <= chip_cores();
+}
+
+/// `--interp nn|linear|cubic`; nullopt for any other value.
+std::optional<sar::FfbpOptions> interp_options(const Args& args) {
   sar::FfbpOptions opt;
   const std::string interp = args.str("interp", "nn");
   if (interp == "linear") opt.interp = sar::Interp::kLinear;
   else if (interp == "cubic") opt.interp = sar::Interp::kCubic;
-  else if (interp != "nn")
-    throw ContractViolation("unknown --interp: " + interp);
+  else if (interp != "nn") return std::nullopt;
   return opt;
 }
 
@@ -207,9 +234,12 @@ int cmd_simulate(const Args& args) {
   if (args.has("paper")) {
     ds.params = sar::paper_params();
   } else {
-    ds.params = sar::test_params(
-        static_cast<std::size_t>(args.num("pulses", 256)),
-        static_cast<std::size_t>(args.num("range", 251)));
+    const long pulses = args.num("pulses", 256);
+    const long range = args.num("range", 251);
+    if (pulses < 2 || range < 2)
+      return usage_error("simulate", "--pulses/--range must be >= 2");
+    ds.params = sar::test_params(static_cast<std::size_t>(pulses),
+                                 static_cast<std::size_t>(range));
   }
   Rng rng(static_cast<std::uint64_t>(args.num("seed", 1)));
 
@@ -246,6 +276,10 @@ int cmd_image(const Args& args) {
   const std::string in = args.str("in");
   const std::string out = args.str("out");
   if (in.empty() || out.empty()) return usage();
+  const std::optional<sar::FfbpOptions> interp = interp_options(args);
+  if (!interp)
+    return usage_error("image", "unknown --interp: " + args.str("interp") +
+                                    " (want nn|linear|cubic)");
   const sar::Dataset ds = sar::load_dataset(in);
   const std::string algo = args.str("algo", "ffbp");
   WallTimer timer;
@@ -259,8 +293,7 @@ int cmd_image(const Args& args) {
     const long looks = args.num("looks", 1);
     if (looks > 1) {
       const auto ml = sar::multilook_ffbp(
-          ds.data, ds.params, static_cast<std::size_t>(looks),
-          interp_options(args));
+          ds.data, ds.params, static_cast<std::size_t>(looks), *interp);
       write_pgm(out, ml.intensity);
       std::cout << "multilook(" << looks << ") image written to " << out
                 << " in " << format_seconds(timer.elapsed_s())
@@ -271,7 +304,7 @@ int cmd_image(const Args& args) {
     }
     if (args.has("autofocus")) {
       af::IntegratedOptions aopt;
-      aopt.ffbp = interp_options(args);
+      aopt.ffbp = *interp;
       const auto res = af::ffbp_with_autofocus(ds.data, ds.params, aopt);
       image = res.image.data;
       std::size_t applied = 0;
@@ -280,7 +313,7 @@ int cmd_image(const Args& args) {
       std::cerr << "autofocus: " << applied << "/"
                 << res.corrections.size() << " corrections applied\n";
     } else {
-      image = sar::ffbp(ds.data, ds.params, interp_options(args)).image.data;
+      image = sar::ffbp(ds.data, ds.params, *interp).image.data;
     }
   } else {
     std::cerr << "unknown --algo: " << algo << "\n";
@@ -295,32 +328,36 @@ int cmd_image(const Args& args) {
 }
 
 /// Parse a `--cores` value: either one count ("16") or a comma-separated
-/// sweep ("4,8,16").
-std::vector<int> parse_cores(const std::string& spec) {
+/// sweep ("4,8,16"), each a core count the chip has; nullopt otherwise.
+std::optional<std::vector<int>> parse_cores(const std::string& spec) {
   std::vector<int> cores;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string tok =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!tok.empty()) cores.push_back(std::stoi(tok));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+  std::istringstream ss(spec);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (tok.empty()) continue;
+    const std::optional<long> n = parse_long(tok);
+    if (!n || !valid_core_count(*n)) return std::nullopt;
+    cores.push_back(static_cast<int>(*n));
   }
-  if (cores.empty()) throw ContractViolation("empty --cores list");
+  if (cores.empty()) return std::nullopt;
   return cores;
 }
 
 int cmd_chip(const Args& args) {
   const std::string in = args.str("in");
   if (in.empty()) return usage();
-  const sar::Dataset ds = sar::load_dataset(in);
-
   // --cores may name a sweep; --jobs N fans the independent simulations
   // over N host threads (default 1). Results are deterministic and
   // identical for any --jobs value (docs/performance.md).
-  const std::vector<int> core_counts = parse_cores(args.str("cores", "16"));
+  const std::optional<std::vector<int>> cores =
+      parse_cores(args.str("cores", "16"));
+  if (!cores)
+    return usage_error("chip", "--cores wants counts in [1, " +
+                                   std::to_string(chip_cores()) +
+                                   "], comma-separated");
+  const std::vector<int>& core_counts = *cores;
   const int jobs = static_cast<int>(args.num("jobs", 1));
+  const sar::Dataset ds = sar::load_dataset(in);
 
   core::FfbpMapOptions opt;
   opt.n_cores = core_counts.back();
@@ -416,10 +453,13 @@ int cmd_chip(const Args& args) {
 int cmd_power(const Args& args) {
   const std::string in = args.str("in");
   if (in.empty()) return usage();
-  const sar::Dataset ds = sar::load_dataset(in);
-
   core::FfbpMapOptions opt;
-  opt.n_cores = static_cast<int>(args.num("cores", 16));
+  const long n_cores = args.num("cores", 16);
+  if (!valid_core_count(n_cores))
+    return usage_error("power", "--cores must be in [1, " +
+                                    std::to_string(chip_cores()) + "]");
+  opt.n_cores = static_cast<int>(n_cores);
+  const sar::Dataset ds = sar::load_dataset(in);
   opt.prefetch = !args.has("no-prefetch");
   af::IntegratedOptions aopt;
   if (args.has("autofocus")) opt.autofocus = &aopt;
@@ -546,23 +586,21 @@ int cmd_report(const Args& args) {
   return 0;
 }
 
-/// Parse `--fail core@cycle[,core@cycle...]` into fail-stop triggers.
-std::vector<fault::FailStop> parse_fail_stops(const std::string& spec) {
+/// Parse `--fail core@cycle[,core@cycle...]` into fail-stop triggers;
+/// nullopt on an entry that is not two non-negative integers.
+std::optional<std::vector<fault::FailStop>>
+parse_fail_stops(const std::string& spec) {
   std::vector<fault::FailStop> stops;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    const std::size_t comma = spec.find(',', pos);
-    const std::string tok = spec.substr(
-        pos, comma == std::string::npos ? comma : comma - pos);
+  std::istringstream ss(spec);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
     const std::size_t at = tok.find('@');
-    if (at == std::string::npos || at == 0 || at + 1 >= tok.size())
-      throw ContractViolation("bad --fail entry '" + tok +
-                              "' (want core@cycle)");
-    stops.push_back({std::stoi(tok.substr(0, at)),
-                     static_cast<std::uint64_t>(
-                         std::stoull(tok.substr(at + 1)))});
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
+    if (at == std::string::npos) return std::nullopt;
+    const std::optional<long> core = parse_long(tok.substr(0, at));
+    const std::optional<long> cycle = parse_long(tok.substr(at + 1));
+    if (!core || !cycle || *core < 0 || *cycle < 0) return std::nullopt;
+    stops.push_back(
+        {static_cast<int>(*core), static_cast<std::uint64_t>(*cycle)});
   }
   return stops;
 }
@@ -587,8 +625,6 @@ double image_rmse(const Array2D<cf32>& a, const Array2D<cf32>& b) {
 int cmd_chaos(const Args& args) {
   const std::string in = args.str("in");
   if (in.empty()) return usage();
-  const sar::Dataset ds = sar::load_dataset(in);
-
   ep::ChipConfig cfg;
   cfg.check.enabled = args.has("check");
   fault::FaultPlan& plan = cfg.faults;
@@ -598,13 +634,26 @@ int cmd_chaos(const Args& args) {
   plan.noc_stall_rate = args.real("noc-stall", 0.0);
   plan.membits_rate = args.real("membits", 0.0);
   plan.resilient = !args.has("no-resilience");
-  plan.fail_stops = parse_fail_stops(args.str("fail"));
-  if (!plan.enabled()) {
-    std::cerr << "chaos: no faults requested (set --dma-corrupt, "
-                 "--dma-drop, --noc-stall, --membits, or --fail)\n";
-    return usage();
-  }
+  const std::optional<std::vector<fault::FailStop>> fail_stops =
+      parse_fail_stops(args.str("fail"));
+  if (!fail_stops)
+    return usage_error("chaos", "bad --fail '" + args.str("fail") +
+                                    "' (want core@cycle[,core@cycle...])");
+  plan.fail_stops = *fail_stops;
+  if (!plan.enabled())
+    return usage_error("chaos", "no faults requested (set --dma-corrupt, "
+                                "--dma-drop, --noc-stall, --membits, or "
+                                "--fail)");
   const auto max_cycles = static_cast<ep::Cycles>(args.num("max-cycles", 0));
+  const bool autofocus = args.has("autofocus");
+  const long n_pairs = args.num("pairs", 8);
+  const long n_cores = args.num("cores", 16);
+  if (autofocus && n_pairs < 1)
+    return usage_error("chaos", "--pairs must be >= 1");
+  if (!autofocus && !valid_core_count(n_cores))
+    return usage_error("chaos", "--cores must be in [1, " +
+                                    std::to_string(chip_cores()) + "]");
+  const sar::Dataset ds = sar::load_dataset(in);
 
   fault::FaultSummary sum;
   bool degraded = false;
@@ -616,14 +665,13 @@ int cmd_chaos(const Args& args) {
   std::optional<core::FfbpSimResult> ffbp_faulted;
   std::optional<core::AfSimResult> af_faulted;
 
-  if (args.has("autofocus")) {
+  if (autofocus) {
     // Autofocus chaos: the 13-core MPMD pipeline over synthetic block
     // pairs (the dataset seeds the pair generator so campaigns are tied
     // to an input artifact like every other mode).
     af::AfParams p;
     Rng rng(plan.seed ^ ds.params.n_pulses);
     std::vector<af::BlockPair> pairs;
-    const long n_pairs = args.num("pairs", 8);
     for (long i = 0; i < n_pairs; ++i)
       pairs.push_back(
           af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
@@ -650,7 +698,7 @@ int cmd_chaos(const Args& args) {
     damage_label = "criterion RMSE vs clean";
   } else {
     core::FfbpMapOptions opt;
-    opt.n_cores = static_cast<int>(args.num("cores", 16));
+    opt.n_cores = static_cast<int>(n_cores);
     opt.max_cycles = max_cycles;
     std::cerr << "chaos: clean FFBP reference run...\n";
     const auto clean = core::run_ffbp_epiphany(ds.data, ds.params, opt);
@@ -743,10 +791,23 @@ int cmd_analyze(const Args& args) {
 /// and records the prediction error in the manifest.
 int cmd_lint(const Args& args) {
   const std::string which = args.str("mapping", "all");
-  const auto pulses = static_cast<std::size_t>(args.num("pulses", 32));
-  const auto range = static_cast<std::size_t>(args.num("range", 101));
-  const int cores = static_cast<int>(args.num("cores", 16));
-  const auto n_pairs = static_cast<std::size_t>(args.num("pairs", 4));
+  const long pulses_flag = args.num("pulses", 32);
+  const long range_flag = args.num("range", 101);
+  const long cores_flag = args.num("cores", 16);
+  const long pairs_flag = args.num("pairs", 4);
+  // A core count past the chip stays legal here: the core-id checker
+  // reports the cores that do not exist.
+  const bool ffbp = which == "all" || which.rfind("ffbp", 0) == 0;
+  if (pulses_flag < 2 || (ffbp && (pulses_flag & (pulses_flag - 1)) != 0))
+    return usage_error("lint", ffbp ? "--pulses must be a power of two >= 2"
+                                    : "--pulses must be >= 2");
+  if (range_flag < 2) return usage_error("lint", "--range must be >= 2");
+  if (cores_flag < 1) return usage_error("lint", "--cores must be >= 1");
+  if (pairs_flag < 1) return usage_error("lint", "--pairs must be >= 1");
+  const auto pulses = static_cast<std::size_t>(pulses_flag);
+  const auto range = static_cast<std::size_t>(range_flag);
+  const int cores = static_cast<int>(cores_flag);
+  const auto n_pairs = static_cast<std::size_t>(pairs_flag);
   const bool validate = args.has("validate");
 
   const sar::RadarParams p = sar::test_params(pulses, range);
@@ -889,21 +950,13 @@ int cmd_lint(const Args& args) {
 /// a fleet chaos campaign, and report latency percentiles / SLO
 /// attainment / energy-per-image. Deterministic: same trace + seed =>
 /// byte-identical --metrics manifest.
-/// Usage error with a serve-specific message: all generator and policy
-/// knobs are validated here with exit 2 — a bad flag value must never
-/// reach an ESARP_EXPECTS contract abort (exit 4) or std::stod (exit 1).
-int serve_usage_error(const std::string& msg) {
-  std::cerr << "serve: " << msg << "\n";
-  return usage();
-}
-
 int cmd_serve(const Args& args) {
   const std::string trace_path = args.str("trace");
   const std::string gen = args.str("gen");
   if (args.has("trace") && trace_path.empty()) return usage();
   if (trace_path.empty() && gen.empty()) {
-    return serve_usage_error("need an input trace (--trace f.json) or a "
-                             "generator (--gen poisson|bursty)");
+    return usage_error("serve", "need an input trace (--trace f.json) or a "
+                                "generator (--gen poisson|bursty)");
   }
 
   serve::ArrivalTrace trace;
@@ -914,23 +967,23 @@ int cmd_serve(const Args& args) {
       if (gen == "bursty") {
         tp.bursty = true;
       } else if (gen != "poisson") {
-        return serve_usage_error("unknown --gen: " + gen +
-                                 " (want poisson|bursty)");
+        return usage_error("serve", "unknown --gen: " + gen +
+                                    " (want poisson|bursty)");
       }
       const long n_jobs = args.num("jobs-count", 16);
       if (n_jobs < 1)
-        return serve_usage_error("--jobs-count must be >= 1");
+        return usage_error("serve", "--jobs-count must be >= 1");
       tp.rate_hz = args.real("rate", 400.0);
       if (tp.rate_hz <= 0.0)
-        return serve_usage_error("--rate must be > 0");
+        return usage_error("serve", "--rate must be > 0");
       tp.burst_mean = args.real("burst-mean", 4.0);
       if (tp.bursty && tp.burst_mean < 1.0)
-        return serve_usage_error("--burst-mean must be >= 1");
+        return usage_error("serve", "--burst-mean must be >= 1");
       const long pulses = args.num("pulses", 64);
       const long range = args.num("range", 101);
       const long cores = args.num("cores", 16);
       if (pulses < 1 || range < 1 || cores < 1)
-        return serve_usage_error("--pulses/--range/--cores must be >= 1");
+        return usage_error("serve", "--pulses/--range/--cores must be >= 1");
       tp.n_jobs = static_cast<std::size_t>(n_jobs);
       tp.seed = static_cast<std::uint64_t>(args.num("seed", 1));
       tp.n_pulses = static_cast<std::size_t>(pulses);
@@ -939,7 +992,7 @@ int cmd_serve(const Args& args) {
       tp.algo = serve::algo_from_string(args.str("algo", "ffbp"));
       tp.deadline_s = args.real("deadline", 0.01);
       if (tp.deadline_s <= 0.0)
-        return serve_usage_error("--deadline must be > 0");
+        return usage_error("serve", "--deadline must be > 0");
       if (args.has("priority-mix")) {
         // "L,N,H" weights (normalized); e.g. --priority-mix 0.3,0.5,0.2
         const std::string mix = args.str("priority-mix");
@@ -950,7 +1003,8 @@ int cmd_serve(const Args& args) {
         while (std::getline(ss, part, ',') && n < 3) w[n++] = std::stod(part);
         const double total = w[0] + w[1] + w[2];
         if (n != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 || total <= 0.0)
-          return serve_usage_error(
+          return usage_error(
+              "serve",
               "--priority-mix wants three non-negative comma-separated "
               "weights low,normal,high (e.g. 0.3,0.5,0.2)");
         tp.frac_low = w[0] / total;
@@ -958,7 +1012,7 @@ int cmd_serve(const Args& args) {
       }
       tp.deadline_jitter = args.real("deadline-jitter", 0.0);
       if (tp.deadline_jitter < 0.0 || tp.deadline_jitter >= 1.0)
-        return serve_usage_error("--deadline-jitter must be in [0, 1)");
+        return usage_error("serve", "--deadline-jitter must be in [0, 1)");
       trace = serve::make_trace(tp);
     }
 
@@ -979,22 +1033,22 @@ int cmd_serve(const Args& args) {
     if (dispatch == "fifo") {
       fc.policy.dispatch = serve::DispatchOrder::kFifo;
     } else if (dispatch != "edf") {
-      return serve_usage_error("unknown --dispatch: " + dispatch +
-                               " (want edf|fifo)");
+      return usage_error("serve", "unknown --dispatch: " + dispatch +
+                                  " (want edf|fifo)");
     }
     fc.policy.shed.enabled = args.has("shed");
     fc.policy.shed.deadline_factor = args.real("shed-factor", 1.0);
     if (fc.policy.shed.deadline_factor <= 0.0)
-      return serve_usage_error("--shed-factor must be > 0");
+      return usage_error("serve", "--shed-factor must be > 0");
     if (args.has("shed-priority")) {
       fc.policy.shed.max_shed_priority =
           serve::priority_from_string(args.str("shed-priority"));
     }
   } catch (const std::invalid_argument& e) {
-    return serve_usage_error(std::string("bad flag value: ") + e.what());
+    return usage_error("serve", std::string("bad flag value: ") + e.what());
   } catch (const std::out_of_range& e) {
-    return serve_usage_error(std::string("flag value out of range: ") +
-                             e.what());
+    return usage_error("serve", std::string("flag value out of range: ") +
+                                e.what());
   }
   const std::string trace_out = args.str("trace-out");
   if (args.has("trace-out") && trace_out.empty()) return usage();
@@ -1004,7 +1058,7 @@ int cmd_serve(const Args& args) {
   // typo, a removed knob or a generator flag given with --trace; running
   // without it would serve a different campaign than the one asked for.
   if (const std::string k = args.unused_key(); !k.empty())
-    return serve_usage_error("unknown or unused flag --" + k);
+    return usage_error("serve", "unknown or unused flag --" + k);
   if (!trace_path.empty()) trace = serve::load_trace(trace_path);
 
   if (!trace_out.empty()) {
@@ -1014,15 +1068,15 @@ int cmd_serve(const Args& args) {
   }
 
   if (fc.n_chips < 1)
-    return serve_usage_error("--chips must be >= 1");
+    return usage_error("serve", "--chips must be >= 1");
   if (fc.policy.max_attempts < 1)
-    return serve_usage_error("--retry-max must be >= 1");
+    return usage_error("serve", "--retry-max must be >= 1");
   if (fc.policy.max_degrade < 0)
-    return serve_usage_error("--degrade-max must be >= 0");
+    return usage_error("serve", "--degrade-max must be >= 0");
   if (fc.policy.backoff_base_s < 0.0)
-    return serve_usage_error("--backoff must be >= 0");
+    return usage_error("serve", "--backoff must be >= 0");
   if (fc.policy.timeout_factor < 0.0)
-    return serve_usage_error("--timeout-factor must be >= 0");
+    return usage_error("serve", "--timeout-factor must be >= 0");
 
   std::cerr << "serving " << trace.jobs.size() << " job(s) on "
             << fc.n_chips << " chip(s)"
