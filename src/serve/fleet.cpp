@@ -21,6 +21,11 @@ namespace esarp::serve {
 
 namespace {
 
+/// Retry n is released kBackoffBaseS * 2^n after the failed attempt.
+constexpr double kBackoffBaseS = 100e-6;
+/// Per-attempt watchdog, in multiples of the job's clean makespan.
+constexpr std::uint64_t kTimeoutFactor = 8;
+
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -52,7 +57,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 /// Aperture actually formed at `degrade` halvings. The floor keeps the
 /// factorization meaningful for the job's core count (at least two pulses
 /// per core, never below 16): degrading past the floor re-rolls the
-/// attempt seed but not the image size.
+/// attempt seed but not the image size, so such a job is not kDegraded.
 [[nodiscard]] std::size_t degraded_pulses(std::size_t pulses, int degrade,
                                           int cores) {
   const std::size_t floor_p =
@@ -64,7 +69,7 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 enum class AttemptStatus : std::uint8_t {
   kOk,          ///< image delivered and checksum-verified
   kChipKilled,  ///< whole-chip fail-stop fired mid-job
-  kTimedOut,    ///< watchdog expired (timeout_factor x clean makespan)
+  kTimedOut,    ///< watchdog expired (kTimeoutFactor x clean makespan)
   kCorrupt,     ///< image delivered but failed verification
   kUnrecovered, ///< on-chip recovery exhausted (fault::FaultUnrecovered)
 };
@@ -177,15 +182,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)) {
   ESARP_EXPECTS(cfg_.n_chips >= 1);
   ESARP_EXPECTS(cfg_.policy.max_attempts >= 1);
   ESARP_EXPECTS(cfg_.policy.max_degrade >= 0);
-  ESARP_EXPECTS(cfg_.policy.backoff_base_s >= 0.0);
-  ESARP_EXPECTS(cfg_.policy.timeout_factor >= 0.0);
-  ESARP_EXPECTS(cfg_.policy.shed.deadline_factor > 0.0);
-  ESARP_EXPECTS(cfg_.initial_health.empty() ||
-                cfg_.initial_health.size() ==
-                    static_cast<std::size_t>(cfg_.n_chips));
-  for (const ChipHealth h : cfg_.initial_health) {
-    ESARP_EXPECTS(h != ChipHealth::kFailed);
-  }
 }
 
 const Array2D<cf32>& Fleet::scene_data(std::size_t pulses,
@@ -306,9 +302,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
   ServeReport rep;
   rep.jobs.resize(trace.jobs.size());
   rep.chips.assign(static_cast<std::size_t>(cfg_.n_chips), ChipStatus{});
-  for (std::size_t c = 0; c < cfg_.initial_health.size(); ++c) {
-    rep.chips[c].health = cfg_.initial_health[c];
-  }
   ServeCounters& ctr = rep.counters;
   ctr.jobs_total = trace.jobs.size();
 
@@ -357,7 +350,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
       }
     }
     j.release_s =
-        finish_s + backoff_delay_s(pol.backoff_base_s, j.attempts_total);
+        finish_s + backoff_delay_s(kBackoffBaseS, j.attempts_total);
     waiting.push_back(j);
   };
 
@@ -367,16 +360,9 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     chip_busy[static_cast<std::size_t>(inf.chip)] = false;
     ChipStatus& cs = rep.chips[static_cast<std::size_t>(inf.chip)];
     cs.busy_s += inf.finish_s - inf.start_s;
-    cs.faults_detected += inf.out.faults.detected;
     ctr.faults_injected += inf.out.faults.injected;
     ctr.faults_detected += inf.out.faults.detected;
     ctr.faults_recovered += inf.out.faults.recovered;
-    if (cs.health == ChipHealth::kHealthy &&
-        cs.faults_detected > pol.health_fault_limit) {
-      cs.health = ChipHealth::kDegraded;
-      cs.probations++;
-      ctr.chip_probations++;
-    }
     fnv_mix(hash, static_cast<std::uint64_t>(j.spec.id));
     fnv_mix(hash, static_cast<std::uint64_t>(j.attempts_total));
     fnv_mix(hash, static_cast<std::uint64_t>(inf.chip));
@@ -399,7 +385,8 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         rec.sim_cycles = inf.out.cycles;
         rec.energy_j = inf.out.energy_j;
         rec.image_checksum = inf.out.checksum;
-        if (rec.degrade_level > 0) {
+        if (degraded_pulses(j.spec.n_pulses, j.degrade, j.spec.n_cores) <
+            j.spec.n_pulses) {
           rec.state = JobState::kDegraded;
           ctr.jobs_degraded++;
         } else if (rec.latency_s <= j.spec.deadline_s) {
@@ -415,7 +402,6 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         return;
       }
       case AttemptStatus::kChipKilled:
-        cs.health = ChipHealth::kFailed;
         cs.failed_at_s = inf.finish_s;
         ctr.chip_kills++;
         break;
@@ -426,26 +412,17 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     requeue(j, inf.chip, inf.finish_s);
   };
 
-  // Prefer a different chip than the failed attempt's (migration), then a
-  // healthy chip over a degraded one, then the lowest id — all free chips
-  // considered, failed chips never.
+  // The lowest free live chip other than the one that last failed the job
+  // (migration); that chip only when no other is free. Failed chips never.
   const auto pick_chip = [&](int last_chip) {
-    int best = -1;
-    int best_score = std::numeric_limits<int>::max();
+    int fallback = -1;
     for (int c = 0; c < cfg_.n_chips; ++c) {
-      const ChipStatus& cs = rep.chips[static_cast<std::size_t>(c)];
-      if (chip_busy[static_cast<std::size_t>(c)] ||
-          cs.health == ChipHealth::kFailed) {
-        continue;
-      }
-      const int score = (cs.health == ChipHealth::kDegraded ? 4 : 0) +
-                        (c == last_chip ? 2 : 0);
-      if (score < best_score) {
-        best_score = score;
-        best = c;
-      }
+      const auto i = static_cast<std::size_t>(c);
+      if (chip_busy[i] || rep.chips[i].failed_at_s >= 0.0) continue;
+      if (c != last_chip) return c;
+      fallback = c;
     }
-    return best;
+    return fallback;
   };
 
   /// Build one dispatch-ready Attempt for job `j` on `chip`, marking the
@@ -468,10 +445,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     a.clean_energy_j = ref.energy_j;
     a.clean_checksum = ref.checksum;
     a.est_service_s = ref.seconds;
-    if (pol.timeout_factor > 0.0) {
-      a.timeout_cycles = static_cast<std::uint64_t>(
-          pol.timeout_factor * static_cast<double>(ref.cycles));
-    }
+    a.timeout_cycles = kTimeoutFactor * ref.cycles;
     if (cfg_.chaos.enabled()) {
       a.plan.seed = attempt_seed(cfg_.chaos.seed, a.job_id, a.attempt,
                                  a.chip);
@@ -543,15 +517,14 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
 
     // 4. Admission control: virtually pack the released queue (in
     //    dispatch order) onto the chips' estimated free times using the
-    //    memoized clean makespans, and shed the jobs that are already
-    //    doomed — estimated finish past arrival + deadline_factor x
-    //    deadline — when their priority class is sheddable. Non-sheddable
-    //    doomed jobs still reserve their slot (they will run).
+    //    memoized clean makespans, and shed the low-priority jobs that are
+    //    already doomed — estimated finish past arrival + deadline. Doomed
+    //    jobs of a higher class still reserve their slot (they will run).
     if (pol.shed.enabled) {
       std::vector<double> free_at;
       for (int c = 0; c < cfg_.n_chips; ++c) {
-        const ChipStatus& cs = rep.chips[static_cast<std::size_t>(c)];
-        if (cs.health == ChipHealth::kFailed) continue;
+        if (rep.chips[static_cast<std::size_t>(c)].failed_at_s >= 0.0)
+          continue;
         double t = now;
         for (const Inflight& r : running) {
           if (r.chip == c) t = std::max(t, r.start_s + r.est_service_s);
@@ -567,10 +540,8 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         const double svc = clean_service_s(j.spec, j.degrade);
         auto slot = std::min_element(free_at.begin(), free_at.end());
         const double est_finish = std::max(*slot, now) + svc;
-        const double doom_line =
-            j.spec.arrival_s + pol.shed.deadline_factor * j.spec.deadline_s;
-        if (est_finish > doom_line &&
-            j.spec.priority <= pol.shed.max_shed_priority) {
+        if (est_finish > j.spec.arrival_s + j.spec.deadline_s &&
+            j.spec.priority == Priority::kLow) {
           const auto id = static_cast<std::size_t>(j.spec.id);
           JobRecord& rec = rep.jobs[id];
           rec.spec = j.spec;
@@ -705,7 +676,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
 
 void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
                          const ArrivalTrace& trace, const ServeReport& rep) {
-  m.set_schema("esarp-serve-manifest/3");
+  m.set_schema("esarp-serve-manifest/4");
   m.add_chip("rows", cfg.chip.rows);
   m.add_chip("cols", cfg.chip.cols);
   m.add_chip("clock_hz", cfg.chip.clock_hz);
@@ -721,14 +692,9 @@ void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
   m.add_workload("noc_stall_rate", cfg.chaos.noc_stall_rate);
   m.add_workload("max_attempts", cfg.policy.max_attempts);
   m.add_workload("max_degrade", cfg.policy.max_degrade);
-  m.add_workload("backoff_base_s", cfg.policy.backoff_base_s);
-  m.add_workload("timeout_factor", cfg.policy.timeout_factor);
   m.add_workload("dispatch_edf",
                  cfg.policy.dispatch == DispatchOrder::kEdf ? 1.0 : 0.0);
   m.add_workload("shed_enabled", cfg.policy.shed.enabled ? 1.0 : 0.0);
-  m.add_workload("shed_deadline_factor", cfg.policy.shed.deadline_factor);
-  m.add_workload("shed_max_priority",
-                 static_cast<int>(cfg.policy.shed.max_shed_priority));
   std::uint64_t n_low = 0;
   std::uint64_t n_normal = 0;
   std::uint64_t n_high = 0;
@@ -760,7 +726,6 @@ void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
   m.add_result("faults_recovered",
                static_cast<double>(c.faults_recovered));
   m.add_result("jobs_shed", static_cast<double>(c.jobs_shed));
-  m.add_result("chip_probations", static_cast<double>(c.chip_probations));
   m.add_result("shed_model_max_rel_err", rep.shed_model_max_rel_err);
   m.add_result("latency_p50_s", rep.latency_p50_s);
   m.add_result("latency_p95_s", rep.latency_p95_s);
@@ -779,13 +744,10 @@ void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
   m.add_result("schedule_hash_lo",
                static_cast<double>(rep.schedule_hash & 0xffffffffULL));
   std::uint64_t chips_failed = 0;
-  std::uint64_t chips_degraded = 0;
   for (const ChipStatus& cs : rep.chips) {
-    if (cs.health == ChipHealth::kFailed) chips_failed++;
-    if (cs.health == ChipHealth::kDegraded) chips_degraded++;
+    if (cs.failed_at_s >= 0.0) chips_failed++;
   }
   m.add_result("chips_failed", static_cast<double>(chips_failed));
-  m.add_result("chips_degraded", static_cast<double>(chips_degraded));
 }
 
 void fill_serve_metrics(telemetry::MetricsRegistry& reg,
@@ -796,7 +758,6 @@ void fill_serve_metrics(telemetry::MetricsRegistry& reg,
   reg.counter("serve.jobs_late").add(c.jobs_late);
   reg.counter("serve.jobs_degraded").add(c.jobs_degraded);
   reg.counter("serve.jobs_shed").add(c.jobs_shed);
-  reg.counter("serve.chip_probations").add(c.chip_probations);
   reg.counter("serve.attempts").add(c.attempts);
   reg.counter("serve.retries").add(c.retries);
   reg.counter("serve.migrations").add(c.migrations);
@@ -814,10 +775,8 @@ void fill_serve_metrics(telemetry::MetricsRegistry& reg,
     };
     reg.counter(lbl("serve.chip.attempts")).add(cs.attempts);
     reg.counter(lbl("serve.chip.jobs_completed")).add(cs.jobs_completed);
-    reg.counter(lbl("serve.chip.probations")).add(cs.probations);
     reg.gauge(lbl("serve.chip.busy_s")).set(cs.busy_s);
-    reg.gauge(lbl("serve.chip.health"))
-        .set(static_cast<double>(static_cast<int>(cs.health)));
+    reg.gauge(lbl("serve.chip.failed_at_s")).set(cs.failed_at_s);
   }
 }
 

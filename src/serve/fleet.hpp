@@ -9,17 +9,20 @@
 // kFifo restores release-order) — each dispatch runs one whole job on one
 // simulated chip under a per-attempt fault plan derived deterministically
 // from (campaign seed, job id, attempt, chip), and each attempt is
-// bounded by a watchdog (timeout_factor x the memoized fault-free
-// makespan) and verified by an FNV checksum against the fault-free image
-// — the whole-job generalization of the per-transfer retry/verify loop in
+// bounded by a watchdog (8x the memoized fault-free makespan) and
+// verified by an FNV checksum against the fault-free image — the
+// whole-job generalization of the per-transfer retry/verify loop in
 // src/epiphany/resilient.hpp. Failed attempts (chip fail-stop, timeout,
 // checksum mismatch, unrecovered faults) re-enter the queue with
-// exponential backoff; after max_attempts at one quality level the job
+// exponential backoff and migrate off the chip that failed them when
+// another is free; after max_attempts at one quality level the job
 // degrades (aperture halved -> one fewer FFBP merge level) instead of
-// being dropped. Overload control layers on top: ShedPolicy estimates
-// each queued job's wait from the memoized clean makespans and retires
-// already-doomed sheddable jobs with an explicit JobState::kShed record.
-// A job has at most one attempt in flight at a time. A job is lost only
+// being dropped. Chips are identical and every fault is rolled per
+// attempt, so the router keeps no per-chip health beyond fail-stop.
+// Overload control layers on top: ShedPolicy estimates each queued job's
+// wait from the memoized clean makespans and retires already-doomed
+// low-priority jobs with an explicit JobState::kShed record. A job has
+// at most one attempt in flight at a time. A job is lost only
 // by aborting the entire campaign with fault::FaultUnrecovered (exit
 // code 5) — zero-lost-jobs is an invariant, not a metric, and a shed is
 // an explicit terminal record, never a silent drop.
@@ -53,7 +56,7 @@ struct ChaosPlan {
   std::uint64_t seed = 1;
   /// Probability that a given dispatch's chip fail-stops mid-job (the
   /// kill cycle lands uniformly in 10..90% of the job's fault-free
-  /// makespan). The chip is then kFailed for the rest of the campaign.
+  /// makespan). The chip is then failed for the rest of the campaign.
   double chip_kill_rate = 0.0;
   double dma_corrupt_rate = 0.0;
   double dma_drop_rate = 0.0;
@@ -65,17 +68,6 @@ struct ChaosPlan {
            dma_drop_rate > 0.0 || membits_rate > 0.0 || noc_stall_rate > 0.0;
   }
 };
-
-enum class ChipHealth : std::uint8_t { kHealthy, kDegraded, kFailed };
-
-[[nodiscard]] constexpr const char* to_string(ChipHealth h) {
-  switch (h) {
-    case ChipHealth::kHealthy: return "healthy";
-    case ChipHealth::kDegraded: return "degraded";
-    case ChipHealth::kFailed: return "failed";
-  }
-  return "?";
-}
 
 /// Queue discipline for released jobs competing for free chips.
 enum class DispatchOrder : std::uint8_t {
@@ -95,30 +87,19 @@ enum class DispatchOrder : std::uint8_t {
 /// Admission control: at every scheduling instant the fleet estimates
 /// each queued job's finish time from the memoized clean makespans
 /// (virtually packing the queue onto the chips' estimated free times, in
-/// dispatch order) and sheds jobs that are already doomed — estimated
-/// finish past deadline_factor x the absolute deadline — if their
-/// priority class is at or below max_shed_priority. Every shed is an
-/// explicit JobState::kShed terminal record and a jobs_shed count.
+/// dispatch order) and sheds low-priority jobs that are already doomed —
+/// estimated finish past the absolute deadline. Every shed is an explicit
+/// JobState::kShed terminal record and a jobs_shed count.
 struct ShedPolicy {
   bool enabled = false;
-  double deadline_factor = 1.0; ///< doomed when est_finish > factor x abs
-                                ///< deadline; > 1 sheds later, < 1 earlier
-  Priority max_shed_priority = Priority::kLow; ///< classes <= this shed
 };
 
-/// Robustness policy: retry budget, backoff shape, degradation ladder,
-/// chip-health circuit breaker, plus the overload-control layer
-/// (dispatch order, shedding).
+/// Robustness policy: retry budget and degradation ladder, plus the
+/// overload-control layer (dispatch order, shedding). A retry is released
+/// 100 us x 2^n after the failed attempt finishes (backoff_delay_s).
 struct ServePolicy {
   int max_attempts = 3;     ///< dispatches per quality level before degrading
   int max_degrade = 2;      ///< aperture halvings before the campaign aborts
-  double backoff_base_s = 100e-6; ///< retry n is released base * 2^n after
-                                  ///< the failed attempt finishes
-  double timeout_factor = 8.0;    ///< per-attempt watchdog, x clean makespan
-  /// Detected faults on one chip before its health drops to kDegraded
-  /// for the rest of the campaign (it then only takes jobs when no
-  /// healthy chip is free).
-  std::uint64_t health_fault_limit = 64;
   DispatchOrder dispatch = DispatchOrder::kEdf;
   ShedPolicy shed;
 };
@@ -133,22 +114,12 @@ struct FleetConfig {
   /// instant (host::SweepRunner; <= 0 picks hardware_concurrency). Has no
   /// effect on results — only on host wall time.
   int host_jobs = 1;
-  /// Starting health per chip (tests use this to pin degraded-chip
-  /// routing). Empty = all healthy; entries must be kHealthy or
-  /// kDegraded, and the size must equal n_chips when non-empty.
-  std::vector<ChipHealth> initial_health;
 };
 
-/// Per-chip health and utilization, fed by per-attempt FaultSummary and
-/// watchdog outcomes.
+/// Per-chip utilization and fail-stop state.
 struct ChipStatus {
-  ChipHealth health = ChipHealth::kHealthy;
   std::uint64_t attempts = 0;       ///< dispatches onto this chip
   std::uint64_t jobs_completed = 0; ///< successful attempts
-  /// Cumulative over the campaign; trips the health_fault_limit circuit
-  /// breaker.
-  std::uint64_t faults_detected = 0;
-  std::uint64_t probations = 0; ///< health drops kHealthy -> kDegraded
   double busy_s = 0.0;    ///< simulated seconds spent executing attempts
   double energy_j = 0.0;  ///< simulated energy of completed attempts
   double failed_at_s = -1.0; ///< fleet time of the fail-stop (-1 = alive)
@@ -171,8 +142,7 @@ struct ServeCounters {
   std::uint64_t faults_injected = 0;
   std::uint64_t faults_detected = 0;
   std::uint64_t faults_recovered = 0;
-  std::uint64_t jobs_shed = 0;        ///< admission-control terminations
-  std::uint64_t chip_probations = 0;  ///< kHealthy -> kDegraded transitions
+  std::uint64_t jobs_shed = 0; ///< admission-control terminations
 };
 
 struct ServeReport {
@@ -250,7 +220,7 @@ private:
 };
 
 /// Fill `m` with the campaign's chip/workload/results sections and tag it
-/// "esarp-serve-manifest/3" (full key list in docs/serving.md). Adds no
+/// "esarp-serve-manifest/4" (full key list in docs/serving.md). Adds no
 /// wall-clock values: same-seed manifests are byte-identical.
 void fill_serve_manifest(telemetry::RunManifest& m, const FleetConfig& cfg,
                          const ArrivalTrace& trace, const ServeReport& rep);

@@ -34,9 +34,8 @@ enum class Algo : std::uint8_t {
 }
 
 /// Per-job priority class. Ordered: a higher class is dispatched first
-/// under EDF and is shed last (ShedPolicy sheds classes at or below its
-/// max_shed_priority). Carried in "esarp-arrival-trace/2"; v1 traces
-/// default every job to kNormal.
+/// under EDF; ShedPolicy sheds only kLow jobs. Carried in
+/// "esarp-arrival-trace/2"; v1 traces default every job to kNormal.
 enum class Priority : std::uint8_t {
   kLow = 0,
   kNormal = 1,
@@ -76,7 +75,7 @@ struct JobSpec {
 enum class JobState : std::uint8_t {
   kMet,      ///< full-quality image delivered within the deadline
   kLate,     ///< full-quality image, past the deadline (queueing/retries)
-  kDegraded, ///< reduced-quality image (aperture halved per degrade level)
+  kDegraded, ///< reduced-quality image: fewer pulses than requested
   kShed,     ///< admission control retired the job before completion: the
              ///< wait estimate proved it already doomed and its priority
              ///< class was sheddable. Explicitly counted — never silent.
@@ -103,7 +102,8 @@ struct JobRecord {
   double latency_s = 0.0;  ///< finish_s - spec.arrival_s
   int attempts = 1;        ///< dispatches, including the successful one
   int migrations = 0;      ///< dispatches onto a different chip than before
-  int degrade_level = 0;   ///< aperture halvings applied (0 = full quality)
+  int degrade_level = 0;   ///< ladder levels descended (0 = none); a level
+                           ///< past the aperture floor keeps every pulse
   int chip = -1;           ///< chip that delivered the image
   std::uint64_t sim_cycles = 0; ///< chip cycles of the winning attempt
   double energy_j = 0.0;        ///< chip energy of the winning attempt

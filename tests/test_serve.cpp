@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +27,6 @@ namespace {
 
 using serve::Algo;
 using serve::ArrivalTrace;
-using serve::ChipHealth;
 using serve::Fleet;
 using serve::FleetConfig;
 using serve::JobState;
@@ -246,8 +246,7 @@ TEST(FleetServe, CleanCampaignMeetsEveryDeadline) {
     EXPECT_LE(job.latency_s, 0.01);
     EXPECT_EQ(job.attempts, 1);
   }
-  for (const auto& chip : rep.chips)
-    EXPECT_EQ(chip.health, ChipHealth::kHealthy);
+  for (const auto& chip : rep.chips) EXPECT_LT(chip.failed_at_s, 0.0);
 }
 
 TEST(FleetServe, SameSeedCampaignsAreBitIdentical) {
@@ -303,42 +302,62 @@ TEST(FleetServe, ChaosCampaignLosesNoJobs) {
             rep.counters.jobs_total);
   std::size_t failed = 0;
   for (const auto& chip : rep.chips)
-    if (chip.health == ChipHealth::kFailed) {
-      ++failed;
-      EXPECT_GE(chip.failed_at_s, 0.0);
-    }
+    if (chip.failed_at_s >= 0.0) ++failed;
   EXPECT_EQ(failed, rep.counters.chip_kills);
 }
 
-TEST(FleetServe, KilledAttemptsEventuallyDegrade) {
-  // With a one-attempt retry budget, a single fail-stop pushes the job
-  // down the degradation ladder instead of burning more full-quality
-  // retries. Scan a few chaos seeds for a campaign that both degrades and
-  // completes — the scan itself is deterministic.
-  const ArrivalTrace trace = serve::make_trace(small_trace_params());
-  bool found = false;
-  for (std::uint64_t seed = 1; seed <= 10 && !found; ++seed) {
+/// The first campaign over chaos seeds 1..10 (4 chips, one attempt per
+/// quality level, chip kill 0.45) that pushes a job down the degradation
+/// ladder and still completes; nullopt if none does. The scan itself is
+/// deterministic.
+std::optional<ServeReport> degrading_campaign(const ArrivalTrace& trace) {
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     FleetConfig cfg = small_fleet(4);
     cfg.policy.max_attempts = 1;
     cfg.chaos.seed = seed;
     cfg.chaos.chip_kill_rate = 0.45;
     try {
-      const ServeReport rep = Fleet(cfg).run(trace);
-      if (rep.counters.degradations == 0) continue;
-      found = true;
-      EXPECT_GE(rep.counters.jobs_degraded, 1u);
-      EXPECT_EQ(rep.counters.jobs_lost, 0u);
-      EXPECT_LT(rep.slo_attainment, 1.0);
-      for (const auto& job : rep.jobs) {
-        if (job.state == JobState::kDegraded) {
-          EXPECT_GE(job.degrade_level, 1);
-        }
-      }
+      ServeReport rep = Fleet(cfg).run(trace);
+      if (rep.counters.degradations > 0) return rep;
     } catch (const fault::FaultUnrecovered&) {
       // This seed killed the whole fleet — a legal outcome, keep scanning.
     }
   }
-  EXPECT_TRUE(found);
+  return std::nullopt;
+}
+
+TEST(FleetServe, KilledAttemptsEventuallyDegrade) {
+  // With a one-attempt retry budget, a single fail-stop pushes the job
+  // down the degradation ladder instead of burning more full-quality
+  // retries. 64 pulses on 16 cores is the smallest job whose first
+  // halving shrinks the aperture (32 pulses is the core floor).
+  TraceParams p = small_trace_params();
+  p.n_pulses = 64;
+  const std::optional<ServeReport> rep =
+      degrading_campaign(serve::make_trace(p));
+  ASSERT_TRUE(rep.has_value());
+  EXPECT_GE(rep->counters.jobs_degraded, 1u);
+  EXPECT_EQ(rep->counters.jobs_lost, 0u);
+  EXPECT_LT(rep->slo_attainment, 1.0);
+  for (const auto& job : rep->jobs)
+    EXPECT_EQ(job.state == JobState::kDegraded, job.degrade_level >= 1);
+}
+
+TEST(FleetServe, HalvingAtTheApertureFloorDeliversTheFullImage) {
+  // 32 pulses on 16 cores sits at the aperture floor (two pulses per
+  // core), so a degrade level only re-rolls the attempt seed: the job
+  // still delivers the full, verified image and is judged on its deadline
+  // like any other, never marked degraded.
+  const ArrivalTrace trace = serve::make_trace(small_trace_params());
+  const std::optional<ServeReport> rep = degrading_campaign(trace);
+  ASSERT_TRUE(rep.has_value());
+  const ServeReport clean = Fleet(small_fleet(4)).run(trace);
+  EXPECT_EQ(rep->counters.jobs_degraded, 0u);
+  for (const auto& job : rep->jobs) {
+    const auto id = static_cast<std::size_t>(job.spec.id);
+    EXPECT_NE(job.state, JobState::kDegraded) << id;
+    EXPECT_EQ(job.image_checksum, clean.jobs[id].image_checksum) << id;
+  }
 }
 
 TEST(FleetServe, ExhaustedFleetAbortsLoudly) {
@@ -490,74 +509,31 @@ TEST(FleetServe, ShedRetiresDoomedJobsExplicitly) {
 }
 
 TEST(FleetServe, ShedRespectsThePriorityFence) {
-  // Normal-priority jobs sit above max_shed_priority = kLow, so the same
-  // doomed queue runs to completion (late) instead of shedding.
+  // Only low-priority jobs shed, so the same doomed queue of normal jobs
+  // runs to completion (late) instead of shedding.
   ArrivalTrace t;
   t.seed = 1;
   for (int i = 0; i < 6; ++i)
     t.jobs.push_back(job_at(i, 0.0, 0.00025, Priority::kNormal));
   FleetConfig cfg = small_fleet(1);
   cfg.policy.shed.enabled = true;
-  ASSERT_EQ(cfg.policy.shed.max_shed_priority, Priority::kLow);
   const ServeReport rep = Fleet(cfg).run(t);
   EXPECT_EQ(rep.counters.jobs_shed, 0u);
   EXPECT_EQ(rep.counters.jobs_late, 4u);
-  // Raising the fence to normal sheds them.
-  cfg.policy.shed.max_shed_priority = Priority::kNormal;
-  EXPECT_EQ(Fleet(cfg).run(t).counters.jobs_shed, 4u);
 }
 
-TEST(FleetServe, DegradedChipsOnlyTakeOverflow) {
-  // Sequential load: every attempt lands on the healthy chip and the
-  // pre-degraded one stays idle. Burst load: the degraded chip is still
-  // better than queueing, so it takes the overflow.
-  FleetConfig cfg = small_fleet(2);
-  cfg.initial_health = {ChipHealth::kHealthy, ChipHealth::kDegraded};
-
-  ArrivalTrace spread;
-  spread.seed = 1;
-  for (int i = 0; i < 4; ++i)
-    spread.jobs.push_back(job_at(i, i * 0.001, 0.01));
-  const ServeReport seq = Fleet(cfg).run(spread);
-  EXPECT_EQ(seq.chips[0].attempts, 4u);
-  EXPECT_EQ(seq.chips[1].attempts, 0u);
-  EXPECT_EQ(seq.chips[1].health, ChipHealth::kDegraded);
-
-  ArrivalTrace burst;
-  burst.seed = 1;
-  for (int i = 0; i < 4; ++i)
-    burst.jobs.push_back(job_at(i, 0.0, 0.01));
-  const ServeReport par = Fleet(cfg).run(burst);
-  EXPECT_GE(par.chips[1].attempts, 1u);
-}
-
-TEST(FleetServe, DetectedFaultsTripTheHealthCircuitBreaker) {
-  // Recovered DMA corruption leaves every image verified, but each chip's
-  // detected faults accumulate; past health_fault_limit the chip drops to
-  // kDegraded and stays there to the end of the campaign, however many
-  // clean attempts it serves afterwards.
+TEST(FleetServe, RecoveredTransferFaultsLeaveEveryImageVerified) {
+  // DMA corruption is detected and retried on chip, so every attempt
+  // still delivers the verified image and every job meets its deadline.
   TraceParams p = small_trace_params();
   p.n_jobs = 12;
   const ArrivalTrace trace = serve::make_trace(p);
   FleetConfig cfg = small_fleet(2);
   cfg.chaos.seed = 5;
   cfg.chaos.dma_corrupt_rate = 3e-3;
-  const ServeReport lenient = Fleet(cfg).run(trace);
-  EXPECT_EQ(lenient.counters.chip_probations, 0u);
-
-  cfg.policy.health_fault_limit = 2;
   const ServeReport rep = Fleet(cfg).run(trace);
+  EXPECT_GE(rep.counters.faults_detected, 1u);
   EXPECT_EQ(rep.counters.jobs_met, rep.counters.jobs_total);
-  EXPECT_GE(rep.counters.chip_probations, 1u);
-  std::uint64_t probations = 0;
-  for (const auto& chip : rep.chips) {
-    probations += chip.probations;
-    const bool tripped = chip.faults_detected > cfg.policy.health_fault_limit;
-    EXPECT_EQ(chip.probations, tripped ? 1u : 0u);
-    EXPECT_EQ(chip.health,
-              tripped ? ChipHealth::kDegraded : ChipHealth::kHealthy);
-  }
-  EXPECT_EQ(rep.counters.chip_probations, probations);
 }
 
 TEST(FleetServe, OverloadPoliciesKeepHostThreadInvariance) {
@@ -599,14 +575,14 @@ TEST(ServeManifest, CarriesTheServeSchemaAndComparesClean) {
   m.write(os);
   const JsonValue doc = parse_json(os.str());
   ASSERT_NE(doc.find("schema"), nullptr);
-  EXPECT_EQ(doc.find("schema")->as_string(), "esarp-serve-manifest/3");
+  EXPECT_EQ(doc.find("schema")->as_string(), "esarp-serve-manifest/4");
   const JsonValue* results = doc.find("results");
   ASSERT_NE(results, nullptr);
   for (const char* key :
        {"jobs_total", "jobs_lost", "latency_p99_s", "slo_attainment",
         "throughput_jobs_per_s", "energy_per_image_j", "retries",
         "migrations", "degradations", "chip_kills", "schedule_hash_lo",
-        "jobs_shed", "chip_probations", "shed_model_max_rel_err"}) {
+        "jobs_shed", "shed_model_max_rel_err", "chips_failed"}) {
     EXPECT_NE(results->find(key), nullptr) << key;
   }
   // compare_manifests accepts the serve schema and a self-compare is

@@ -610,7 +610,7 @@ TEST(Compare, DirectionTableClassifiesOverloadCounters) {
 
   const auto make = [](double shed) {
     telemetry::RunManifest m("cmp");
-    m.set_schema("esarp-serve-manifest/3");
+    m.set_schema("esarp-serve-manifest/4");
     m.add_result("jobs_shed", shed);
     std::ostringstream os;
     m.write(os);

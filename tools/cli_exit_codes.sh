@@ -27,6 +27,21 @@ expect() {
   fi
 }
 
+# expect_named FLAG CMD...: a usage error (exit 2) whose message names FLAG.
+expect_named() {
+  local flag="$1"
+  shift
+  local err
+  err=$("$@" 2>&1 >/dev/null)
+  local got=$?
+  if [ "$got" -ne 2 ] || ! printf '%s\n' "$err" | grep -q -- "$flag"; then
+    echo "FAIL: expected exit 2 naming $flag, got $got: $*" >&2
+    fails=$((fails + 1))
+  else
+    echo "ok (exit 2, names $flag): $*"
+  fi
+}
+
 expect 0 "$esarp" simulate --out "$ds" --pulses 32 --range 65
 
 # Recovered campaign: transfer faults retried back to the exact image.
@@ -48,6 +63,14 @@ expect 2 "$esarp" power --in "$ds" --cores 0
 expect 2 "$esarp" power --in "$ds" --cores 99
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
+
+# A fault rate is a probability: outside [0, 1] it is a usage error naming
+# the flag, never a fault site silently switched off (a negative rate) or
+# a campaign run at an impossible rate. 1.0 stays legal (the exit-5 pins
+# below use it).
+expect_named --dma-corrupt "$esarp" chaos --in "$ds" --cores 4 \
+  --dma-corrupt -0.5 --dma-drop 1e-3
+expect_named --noc-stall "$esarp" chaos --in "$ds" --cores 4 --noc-stall 3
 
 # Early fail-stop with resilience off: survivors wait forever at the next
 # barrier and the engine quiesces -> SimDeadlock.
@@ -100,11 +123,38 @@ expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 --hedge
 expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
   --probation 2
-expect 2 "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
-  --chip-kil 0.2
-if ! "$esarp" serve --gen poisson --jobs-count 4 --rate 2000 \
-  --chip-kil 0.2 2>&1 >/dev/null | grep -q -- "--chip-kil"; then
-  echo "FAIL: unknown serve flag not named in the error" >&2
+expect_named --chip-kil "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --chip-kil 0.2
+# The retry backoff, watchdog factor and shedding fence are constants; their
+# old flags name themselves like any other unknown flag.
+expect_named --backoff "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --backoff 1e-4
+expect_named --timeout-factor "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --timeout-factor 4
+expect_named --shed-factor "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --shed --shed-factor 1.5
+expect_named --shed-priority "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --shed --shed-priority normal
+
+# Serve fault rates outside [0, 1] are usage errors naming the flag, as in
+# chaos: never an aborted campaign (exit 5) or a disabled fault site.
+small_serve=(serve --gen poisson --jobs-count 4 --chips 2 --pulses 32
+  --range 65 --rate 2000 --seed 5)
+expect_named --dma-corrupt "$esarp" "${small_serve[@]}" --dma-corrupt 2
+expect_named --chip-kill "$esarp" "${small_serve[@]}" --chip-kill 1.5
+expect_named --chip-kill "$esarp" "${small_serve[@]}" --chip-kill -1
+expect_named --dma-drop "$esarp" "${small_serve[@]}" --dma-drop 1.5
+expect_named --membits "$esarp" "${small_serve[@]}" --membits 1.5
+expect_named --noc-stall "$esarp" "${small_serve[@]}" --noc-stall -0.5
+
+# Every serve value is checked before anything is written: a rejected
+# campaign leaves no --trace-out file behind.
+rejected="$scratch/cli_exit_codes.rejected.trace.json"
+rm -f "$rejected"
+expect_named --chips "$esarp" serve --gen poisson --jobs-count 4 \
+  --rate 2000 --chips 0 --trace-out "$rejected"
+if [ -e "$rejected" ]; then
+  echo "FAIL: a rejected serve campaign wrote $rejected" >&2
   fails=$((fails + 1))
 fi
 trace="$scratch/cli_exit_codes.trace.json"

@@ -24,11 +24,12 @@
 // `lint` statically analyzes the shipped mappings without running the
 // scheduler (docs/static-analysis.md). `serve` replays an arrival trace
 // through the multi-chip fleet runtime and writes an
-// esarp-serve-manifest/3 (docs/serving.md); overload control (EDF
-// dispatch, admission shedding) is configured per campaign, and a flag
-// serve does not use is a usage error. A fleet that cannot finish every
-// job (all chips dead, or a job out of retries at max degradation) exits
-// 5 like any other unrecovered fault.
+// esarp-serve-manifest/4 (docs/serving.md); the retry budget, degradation
+// ladder, dispatch order and shedding are configured per campaign, and a
+// flag serve does not use is a usage error. A fault rate given to chaos
+// or serve is a probability: outside [0, 1] it is a usage error. A fleet
+// that cannot finish every job (all chips dead, or a job out of retries
+// at max degradation) exits 5 like any other unrecovered fault.
 //
 // Exit codes (stable, scripted against by CI):
 //   0  success
@@ -43,6 +44,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -186,10 +188,8 @@ int usage() {
       "                 [--chips N] [--seed S] [--chip-kill R]\n"
       "                 [--dma-corrupt R] [--dma-drop R] [--noc-stall R]\n"
       "                 [--membits R] [--retry-max N] [--degrade-max N]\n"
-      "                 [--backoff S] [--timeout-factor F] [--jobs N]\n"
-      "                 [--dispatch edf|fifo] [--shed] [--shed-factor F]\n"
-      "                 [--shed-priority low|normal|high]"
-      " [--metrics m.json]\n";
+      "                 [--jobs N] [--dispatch edf|fifo] [--shed]\n"
+      "                 [--metrics m.json]\n";
   return kExitUsage;
 }
 
@@ -201,6 +201,19 @@ int usage() {
 int usage_error(const std::string& cmd, const std::string& msg) {
   std::cerr << cmd << ": " << msg << "\n";
   return usage();
+}
+
+/// Reads each fault-rate flag into its target (default 0). A rate is a
+/// probability, so the first flag whose value lies outside [0, 1] (NaN
+/// included) is returned for the caller's usage error; "" when all fit.
+std::string read_rates(
+    const Args& args,
+    std::initializer_list<std::pair<const char*, double*>> rates) {
+  for (const auto& [flag, rate] : rates) {
+    *rate = args.real(flag, 0.0);
+    if (!(*rate >= 0.0 && *rate <= 1.0)) return flag;
+  }
+  return "";
 }
 
 /// The whole of `s` as a decimal integer; nullopt for anything else.
@@ -629,10 +642,13 @@ int cmd_chaos(const Args& args) {
   cfg.check.enabled = args.has("check");
   fault::FaultPlan& plan = cfg.faults;
   plan.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  plan.dma_corrupt_rate = args.real("dma-corrupt", 0.0);
-  plan.dma_drop_rate = args.real("dma-drop", 0.0);
-  plan.noc_stall_rate = args.real("noc-stall", 0.0);
-  plan.membits_rate = args.real("membits", 0.0);
+  if (const std::string bad =
+          read_rates(args, {{"dma-corrupt", &plan.dma_corrupt_rate},
+                            {"dma-drop", &plan.dma_drop_rate},
+                            {"noc-stall", &plan.noc_stall_rate},
+                            {"membits", &plan.membits_rate}});
+      !bad.empty())
+    return usage_error("chaos", "--" + bad + " must be in [0, 1]");
   plan.resilient = !args.has("no-resilience");
   const std::optional<std::vector<fault::FailStop>> fail_stops =
       parse_fail_stops(args.str("fail"));
@@ -1017,17 +1033,24 @@ int cmd_serve(const Args& args) {
     }
 
     fc.n_chips = static_cast<int>(args.num("chips", 4));
+    if (fc.n_chips < 1)
+      return usage_error("serve", "--chips must be >= 1");
     fc.host_jobs = static_cast<int>(args.num("jobs", 1));
     fc.chaos.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-    fc.chaos.chip_kill_rate = args.real("chip-kill", 0.0);
-    fc.chaos.dma_corrupt_rate = args.real("dma-corrupt", 0.0);
-    fc.chaos.dma_drop_rate = args.real("dma-drop", 0.0);
-    fc.chaos.membits_rate = args.real("membits", 0.0);
-    fc.chaos.noc_stall_rate = args.real("noc-stall", 0.0);
+    if (const std::string bad =
+            read_rates(args, {{"chip-kill", &fc.chaos.chip_kill_rate},
+                              {"dma-corrupt", &fc.chaos.dma_corrupt_rate},
+                              {"dma-drop", &fc.chaos.dma_drop_rate},
+                              {"membits", &fc.chaos.membits_rate},
+                              {"noc-stall", &fc.chaos.noc_stall_rate}});
+        !bad.empty())
+      return usage_error("serve", "--" + bad + " must be in [0, 1]");
     fc.policy.max_attempts = static_cast<int>(args.num("retry-max", 3));
+    if (fc.policy.max_attempts < 1)
+      return usage_error("serve", "--retry-max must be >= 1");
     fc.policy.max_degrade = static_cast<int>(args.num("degrade-max", 2));
-    fc.policy.backoff_base_s = args.real("backoff", 100e-6);
-    fc.policy.timeout_factor = args.real("timeout-factor", 8.0);
+    if (fc.policy.max_degrade < 0)
+      return usage_error("serve", "--degrade-max must be >= 0");
 
     const std::string dispatch = args.str("dispatch", "edf");
     if (dispatch == "fifo") {
@@ -1037,13 +1060,6 @@ int cmd_serve(const Args& args) {
                                   " (want edf|fifo)");
     }
     fc.policy.shed.enabled = args.has("shed");
-    fc.policy.shed.deadline_factor = args.real("shed-factor", 1.0);
-    if (fc.policy.shed.deadline_factor <= 0.0)
-      return usage_error("serve", "--shed-factor must be > 0");
-    if (args.has("shed-priority")) {
-      fc.policy.shed.max_shed_priority =
-          serve::priority_from_string(args.str("shed-priority"));
-    }
   } catch (const std::invalid_argument& e) {
     return usage_error("serve", std::string("bad flag value: ") + e.what());
   } catch (const std::out_of_range& e) {
@@ -1066,17 +1082,6 @@ int cmd_serve(const Args& args) {
     std::cout << "arrival trace written to " << trace_out << " ("
               << trace.jobs.size() << " jobs)\n";
   }
-
-  if (fc.n_chips < 1)
-    return usage_error("serve", "--chips must be >= 1");
-  if (fc.policy.max_attempts < 1)
-    return usage_error("serve", "--retry-max must be >= 1");
-  if (fc.policy.max_degrade < 0)
-    return usage_error("serve", "--degrade-max must be >= 0");
-  if (fc.policy.backoff_base_s < 0.0)
-    return usage_error("serve", "--backoff must be >= 0");
-  if (fc.policy.timeout_factor < 0.0)
-    return usage_error("serve", "--timeout-factor must be >= 0");
 
   std::cerr << "serving " << trace.jobs.size() << " job(s) on "
             << fc.n_chips << " chip(s)"
@@ -1113,7 +1118,7 @@ int cmd_serve(const Args& args) {
   t.row({"fleet makespan", format_seconds(rep.makespan_s)});
   std::size_t alive = 0;
   for (const serve::ChipStatus& cs : rep.chips)
-    if (cs.health != serve::ChipHealth::kFailed) ++alive;
+    if (cs.failed_at_s < 0.0) ++alive;
   t.row({"chips alive", std::to_string(alive) + " / " +
                             std::to_string(rep.chips.size())});
   {
