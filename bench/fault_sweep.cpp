@@ -18,6 +18,7 @@
 #include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
+#include "fault/injector.hpp"
 
 namespace {
 
@@ -92,14 +93,16 @@ static int bench_body() {
     const double slowdown =
         static_cast<double>(res.cycles) / static_cast<double>(clean.cycles);
     const double rmse = image_rmse(res.image, clean.image);
-    // Exact recovery == bit-identical image. Transfer faults must also
-    // balance detected/recovered; a fail-stop "recovers" by repartition
-    // (its detection has no retry-style recovered counterpart).
+    // Exact recovery == bit-identical image. Every faulted transfer must
+    // also end in one recovery, with every faulty attempt retried (a
+    // retry that faults again is a second detection, not a second
+    // recovery); a fail-stop "recovers" by repartition (its detection has
+    // no retry-style recovered counterpart).
     all_recovered =
         all_recovered && rmse == 0.0 &&
         (points[i].fail_stop
              ? f.repartitions > 0 && f.failed_cores == 1
-             : f.recovered == f.detected && f.failed_cores == 0);
+             : fault::transfers_recovered(f) && f.failed_cores == 0);
     t.row({points[i].label, bench::ms(res.seconds), Table::num(slowdown, 3),
            Table::num(static_cast<double>(f.injected), 0),
            Table::num(static_cast<double>(f.retries), 0),
@@ -118,6 +121,8 @@ static int bench_body() {
     man.add_result(p + "cycles", static_cast<double>(res.cycles));
     man.add_result(p + "injected", static_cast<double>(f.injected));
     man.add_result(p + "recovered", static_cast<double>(f.recovered));
+    man.add_result(p + "faulted_transfers",
+                   static_cast<double>(f.faulted_transfers));
     man.add_result(p + "retries", static_cast<double>(f.retries));
     man.add_result(p + "repartitions", static_cast<double>(f.repartitions));
     man.add_result(p + "failed_cores", static_cast<double>(f.failed_cores));

@@ -200,6 +200,17 @@ struct KernelInputs {
   std::vector<cf32> pulse_row;
   float pulse_x = 3.0f;
   sar::GbpGrid grid{4000.0f, 2.0f, 256, 4.0 * kPi / 0.03};
+  // merge_sample_row: a 16-row child grid, two child images plus a staged
+  // row for each whose values differ from the image row it stands for, so
+  // a wrong hit/miss decision changes the output. The geometry mixes
+  // staged-row hits, misses, out-of-sector and out-of-swath lanes.
+  sar::ChildGrid child = sar::make_child_grid(sar::test_params(64, 256), 16);
+  std::vector<sar::MergeGeom> merge_geom;
+  std::vector<cf32> image1, image2, staged1, staged2;
+  int staged_row1 = 7;
+  int staged_row2 = 8;
+  float shift1 = -0.15f;
+  float shift2 = 0.15f;
 };
 
 const KernelInputs& kernel_inputs() {
@@ -224,6 +235,43 @@ const KernelInputs& kernel_inputs() {
     for (std::size_t i = 0; i < kKernelSamples; ++i) {
       in.px[i] = in.pulse_x + rng.uniform_f(-40.0f, 40.0f);
       in.py[i] = 3999.0f + rng.uniform_f(0.0f, 131.0f);
+    }
+    const sar::ChildGrid& g = in.child;
+    const auto child_pixels = static_cast<std::size_t>(g.n_theta) *
+                              static_cast<std::size_t>(g.n_range);
+    for (auto* img : {&in.image1, &in.image2}) {
+      img->resize(child_pixels);
+      for (auto& v : *img) v = cpx();
+    }
+    for (auto* row : {&in.staged1, &in.staged2}) {
+      row->resize(static_cast<std::size_t>(g.n_range));
+      for (auto& v : *row) v = cpx();
+    }
+    // Angles: 70% inside the staged rows' bins, the rest anywhere from
+    // 2 bins before the sector to 2 bins past it. Ranges: 4 bins past
+    // either swath edge.
+    const float dtheta = 1.0f / g.inv_dtheta;
+    const auto theta_near = [&](int row) {
+      return g.theta_start +
+             (static_cast<float>(row) + rng.uniform_f(0.05f, 0.95f)) * dtheta;
+    };
+    const auto theta_any = [&] {
+      return g.theta_start +
+             rng.uniform_f(-2.0f, static_cast<float>(g.n_theta) + 2.0f) *
+                 dtheta;
+    };
+    const auto range_any = [&] {
+      return g.r0 +
+             rng.uniform_f(-4.0f, static_cast<float>(g.n_range) + 4.0f) * g.dr;
+    };
+    in.merge_geom.resize(kKernelSamples);
+    for (auto& m : in.merge_geom) {
+      m.r1 = range_any();
+      m.theta1 = rng.uniform_f(0.0f, 1.0f) < 0.7f ? theta_near(in.staged_row1)
+                                                  : theta_any();
+      m.r2 = range_any();
+      m.theta2 = rng.uniform_f(0.0f, 1.0f) < 0.7f ? theta_near(in.staged_row2)
+                                                  : theta_any();
     }
     return in;
   }();
@@ -284,18 +332,34 @@ ByteView run_gbp_contrib_row(const KernelInputs& in, KernelScratch& s) {
   return as_bytes(s.c);
 }
 
+/// The output row plus one trailing element holding the miss count, so
+/// the checksum and the bit-match verdict cover both.
+ByteView run_merge_sample_row(const KernelInputs& in, KernelScratch& s) {
+  s.c.resize(kKernelSamples + 1);
+  const sar::ChildSource c1{in.staged_row1, in.staged1.data(),
+                            in.image1.data()};
+  const sar::ChildSource c2{in.staged_row2, in.staged2.data(),
+                            in.image2.data()};
+  const std::uint64_t misses = kn::merge_sample_row(
+      in.child, sar::Interp::kNearest, false, in.merge_geom.data(),
+      in.shift1, in.shift2, c1, c2, s.c.data(), kKernelSamples);
+  s.c[kKernelSamples] = {static_cast<float>(misses), 0.0f};
+  return as_bytes(s.c);
+}
+
 struct KernelCase {
   const char* name;
   ByteView (*run)(const KernelInputs&, KernelScratch&);
 };
 
-const std::array<KernelCase, 5>& kernel_cases() {
-  static const std::array<KernelCase, 5> cases = {{
+const std::array<KernelCase, 6>& kernel_cases() {
+  static const std::array<KernelCase, 6> cases = {{
       {"merge_geometry_row", run_merge_geometry_row},
       {"neville4_many", run_neville4_many},
       {"neville4_rows", run_neville4_rows},
       {"criterion_terms", run_criterion_terms},
       {"gbp_contrib_row", run_gbp_contrib_row},
+      {"merge_sample_row", run_merge_sample_row},
   }};
   return cases;
 }
@@ -383,7 +447,7 @@ void register_kernel_rows() {
 /// bench and CI — on any mismatch or fallback lane.
 int kernels_manifest_body() {
   const KernelInputs& in = kernel_inputs();
-  const std::array<KernelCase, 5>& cases = kernel_cases();
+  const std::array<KernelCase, 6>& cases = kernel_cases();
   const kn::Backend session = kn::active();
 
   telemetry::MetricsRegistry reg;

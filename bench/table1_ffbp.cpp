@@ -6,6 +6,7 @@
 // counted work of the reference implementation; the Epiphany times come
 // from the discrete-event chip simulation. The native wall-clock time of
 // the reference run on this machine is shown for context only.
+#include <cstdint>
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -13,6 +14,7 @@
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine_metrics.hpp"
+#include "fault/injector.hpp"
 #include "hostmodel/host_model.hpp"
 #include "sar/ffbp.hpp"
 
@@ -82,6 +84,15 @@ static int bench_body() {
   man.add_result("intel_seconds", intel_s);
   man.add_result("seq_epiphany_seconds", seq.seconds);
   man.add_result("speedup_vs_intel", intel_s / par.seconds);
+  // FNV-1a of the 16-core image, split into two exactly representable
+  // doubles like crossover_gbp_ffbp's gbp_image_checksum_hi/lo: pins every
+  // byte the merge kernels produce at this size, on every kernel backend.
+  const std::uint64_t image_hash = fault::FaultInjector::checksum(
+      par.image.data(), par.image.size() * sizeof(cf32));
+  man.add_result("ffbp_image_checksum_hi",
+                 static_cast<double>(image_hash >> 32));
+  man.add_result("ffbp_image_checksum_lo",
+                 static_cast<double>(image_hash & 0xffffffffULL));
   bench::add_power_results(
       man, par.power,
       static_cast<double>(w.params.n_pulses * w.params.n_range));

@@ -6,8 +6,9 @@
 //
 // The shipped mappings (FFBP SPMD, GBP SPMD, the 13-core autofocus MPMD
 // pipeline, the sequential baselines) export themselves as MappingSpecs
-// via src/core/mapping_desc.hpp; the mapping-search work (ROADMAP item 2)
-// generates candidate specs directly and loops the analyzer over them.
+// via src/core/mapping_desc.hpp, which `esarp lint` analyzes and
+// cross-validates against full simulation. A spec can equally be built by
+// hand for a mapping that does not exist yet, and analyzed the same way.
 //
 // Everything here is plain data on purpose: a spec is cheap to build, cheap
 // to copy, and carries no reference to Machine, Scheduler or host state.

@@ -16,6 +16,10 @@ namespace esarp::core {
 
 namespace {
 
+/// Levels with at least this many subapertures share their geometry rows,
+/// so each shared row is reused at least this many times.
+constexpr std::size_t kShareGeomSubaps = 8;
+
 struct SharedState {
   std::span<cf32> buf_a;
   std::span<cf32> buf_b;
@@ -32,6 +36,13 @@ struct SharedState {
   // to repartition the unfinished work (docs/fault-injection.md).
   std::vector<std::span<std::uint32_t>> row_done;
   std::vector<std::span<std::uint32_t>> af_done;
+  // Host scratch for the cosine-theorem geometry (eqs. 1-4), which
+  // depends on the level and the parent theta row but not on the
+  // subaperture pair: row ti of a sharing level (row_geometry), and the
+  // level it currently holds in geom_level[ti] (0: none). n_pulses /
+  // kShareGeomSubaps rows cover every sharing level.
+  std::vector<sar::MergeGeom> geom_table;
+  std::vector<std::size_t> geom_level;
 };
 
 /// Rebuild a child subaperture (level `lvl`, index `subap`) from its SDRAM
@@ -78,63 +89,28 @@ std::pair<int, int> predict_rows(const sar::RadarParams& p,
   return {clamp_bin(mid.theta1), clamp_bin(mid.theta2)};
 }
 
-/// A child theta row staged in local store: fetches from theta row `row`
-/// read `data`; any other row misses to the child's SDRAM image.
-struct StagedRow {
-  int row = -1;
-  const cf32* data = nullptr;
-};
-
-/// Merge parent row `ti` of subaperture `subap` into `out` (paper eqs.
-/// 1-5): the cosine-theorem geometry of every range bin, both children
-/// sampled through their staged rows, and the sum. Plain host code outside
-/// the coroutine, so the fetchers inline into sample_child; the caller
-/// charges the simulated work. Returns how many of the 2 * n_range
-/// fetches missed the staged rows.
-std::uint64_t merge_row(const sar::RadarParams& p,
-                        const sar::MergeLevelGeom& geom,
-                        const sar::FfbpOptions& algo,
-                        std::span<const cf32> src, const LevelLayout& lc,
-                        std::size_t subap, std::size_t ti, float af_shift,
-                        StagedRow staged1, StagedRow staged2,
-                        std::span<sar::MergeGeom> geom_row,
-                        std::span<cf32> out) {
-  const std::size_t child1 = 2 * subap;
-  const std::size_t child2 = 2 * subap + 1;
-  std::uint64_t misses = 0;
-  const auto fetch1 = [&](int it, int ir) -> cf32 {
-    if (it == staged1.row) return staged1.data[static_cast<std::size_t>(ir)];
-    ++misses;
-    return src[lc.offset(child1, static_cast<std::size_t>(it),
-                         static_cast<std::size_t>(ir))];
-  };
-  const auto fetch2 = [&](int it, int ir) -> cf32 {
-    if (it == staged2.row) return staged2.data[static_cast<std::size_t>(ir)];
-    ++misses;
-    return src[lc.offset(child2, static_cast<std::size_t>(it),
-                         static_cast<std::size_t>(ir))];
-  };
-
-  const float r0f = static_cast<float>(p.near_range_m);
-  const float drf = static_cast<float>(p.range_bin_m);
-  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
-  // Per-pair autofocus compensation (0 when disabled; adding the resulting
-  // -0.0f keeps the image without autofocus bit-identical).
-  const float shift_a = -0.5f * af_shift * drf;
-  const float shift_b = 0.5f * af_shift * drf;
-  sar::kernels::merge_geometry_row(r0f, drf, 0, p.n_range, cr, geom.d2,
-                                   geom.inv_2d, geom_row.data());
-  for (std::size_t j = 0; j < p.n_range; ++j) {
-    const sar::MergeGeom& g = geom_row[j];
-    const cf32 v1 = sar::sample_child(geom.child, g.r1 + shift_a, g.theta1,
-                                      algo.interp, algo.phase_compensate,
-                                      fetch1);
-    const cf32 v2 = sar::sample_child(geom.child, g.r2 + shift_b, g.theta2,
-                                      algo.interp, algo.phase_compensate,
-                                      fetch2);
-    out[j] = v1 + v2; // paper eq. 5
+/// The cosine-theorem geometry (eqs. 1-4) of parent row `ti` at `level`.
+/// A level with at least kShareGeomSubaps subapertures keeps it in the
+/// shared table, computed the first time any core merges that row and
+/// reused by every other core and pair; one machine runs on one host
+/// thread, so the fill needs no lock. Other levels compute it into
+/// `scratch`.
+const sar::MergeGeom* row_geometry(SharedState& st, const sar::RadarParams& p,
+                                   std::size_t level,
+                                   const sar::MergeLevelGeom& geom,
+                                   std::size_t ti,
+                                   std::span<sar::MergeGeom> scratch) {
+  sar::MergeGeom* out = scratch.data();
+  if ((p.n_pulses >> level) >= kShareGeomSubaps) {
+    out = st.geom_table.data() + ti * p.n_range;
+    if (st.geom_level[ti] == level) return out;
+    st.geom_level[ti] = level;
   }
-  return misses;
+  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
+  sar::kernels::merge_geometry_row(static_cast<float>(p.near_range_m),
+                                   static_cast<float>(p.range_bin_m), 0,
+                                   p.n_range, cr, geom.d2, geom.inv_2d, out);
+  return out;
 }
 
 /// Live launch-set cores at `now` under the campaign's fail-stop schedule.
@@ -200,6 +176,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const std::size_t n_levels = p.merge_levels();
   const std::size_t n_range = p.n_range;
   const std::size_t row_bytes = n_range * sizeof(cf32);
+  const float drf = static_cast<float>(p.range_bin_m);
   const std::size_t n = static_cast<std::size_t>(opt.n_cores);
 
   // Local-store layout (paper Section V-B): bank 1 stages the output row;
@@ -216,8 +193,9 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  // Host-side scratch for the row's cosine-theorem geometry; the simulated
-  // local-store budget is unaffected (the geometry never lived in a bank).
+  // Host-side scratch for the geometry of a level that does not share it;
+  // the simulated local-store budget is unaffected (the geometry never
+  // lived in a bank).
   std::vector<sar::MergeGeom> geom_row(n_range);
 
   std::span<cf32> src = st.buf_a;
@@ -307,14 +285,16 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
 
     // Predict output row `gr`'s two child rows and describe their DMA into
     // half `half` of the data banks; `s1`/`s2` name the rows staged there.
-    const auto stage = [&](std::size_t gr, std::size_t half, StagedRow& s1,
-                           StagedRow& s2) {
+    const auto stage = [&](std::size_t gr, std::size_t half,
+                           sar::ChildSource& s1, sar::ChildSource& s2) {
       const std::size_t subap = gr / lp.n_theta;
       const auto [a1, a2] = predict_rows(p, geom, gr % lp.n_theta);
       cf32* const dst1 = child_row1.data() + half * n_range;
       cf32* const dst2 = child_row2.data() + half * n_range;
-      s1 = {a1, dst1};
-      s2 = {a2, dst2};
+      s1.staged_row = a1;
+      s1.staged = dst1;
+      s2.staged_row = a2;
+      s2.staged = dst2;
       const auto row1 = static_cast<std::size_t>(a1);
       const auto row2 = static_cast<std::size_t>(a2);
       return std::array<ep::DmaSeg, 2>{
@@ -363,8 +343,8 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       // Double-buffered pipeline: the DMA for row mine[k] was issued while
       // row mine[k-1] computed.
       ep::DmaJob pending{};
-      StagedRow next1;
-      StagedRow next2;
+      sar::ChildSource next1;
+      sar::ChildSource next2;
       if (double_buffer && !mine.empty()) {
         co_await ctx.compute(kPredictOps);
         pending = ctx.dma_read_ext_burst(stage(mine[0], pong, next1, next2));
@@ -380,8 +360,8 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         const std::size_t ti = gr % lp.n_theta;
 
         // Obtain the prefetched child rows for this row.
-        StagedRow staged1{-1, child_row1.data()};
-        StagedRow staged2{-1, child_row2.data()};
+        sar::ChildSource staged1{-1, child_row1.data(), nullptr};
+        sar::ChildSource staged2{-1, child_row2.data(), nullptr};
         if (double_buffer) { // implies opt.prefetch
           ctx.begin_span("dma-prefetch");
           co_await ctx.wait(pending);
@@ -404,11 +384,19 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
           ctx.end_span();
         }
 
+        // Merge the row (paper eqs. 1-5) on the host; the work is charged
+        // below. Misses read the children's SDRAM images. The per-pair
+        // autofocus shift is 0 when disabled; adding the resulting -0.0f
+        // keeps the image without autofocus bit-identical.
+        staged1.image = src.data() + lc.offset(2 * subap, 0);
+        staged2.image = src.data() + lc.offset(2 * subap + 1, 0);
         const float af_shift =
             opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-        const std::uint64_t misses =
-            merge_row(p, geom, algo, src, lc, subap, ti, af_shift, staged1,
-                      staged2, geom_row, out_row);
+        const std::uint64_t misses = sar::kernels::merge_sample_row(
+            geom.child, algo.interp, algo.phase_compensate,
+            row_geometry(st, p, level, geom, ti, geom_row),
+            -0.5f * af_shift * drf, 0.5f * af_shift * drf, staged1, staged2,
+            out_row.data(), n_range);
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
@@ -476,6 +464,8 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     st.stats[l].level = l + 1;
   st.barrier = m.make_barrier(opt.n_cores);
   st.shifts.assign(p.n_pulses / 2, 0.0f);
+  st.geom_table.resize(p.n_pulses / kShareGeomSubaps * p.n_range);
+  st.geom_level.assign(p.n_pulses / kShareGeomSubaps, 0);
   if (m.fault_injector() != nullptr) {
     st.row_done.resize(p.merge_levels());
     if (opt.autofocus != nullptr) st.af_done.resize(p.merge_levels());

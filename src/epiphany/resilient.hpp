@@ -91,6 +91,7 @@ inline TaskT<void> reliable_read_ext(CoreCtx& ctx, void* dst, const void* src,
     }
     last_site = detail::site_of(tf);
     inj->count_detected(last_site);
+    if (attempt == 0) inj->count_faulted_transfer();
     if (attempt + 1 >= pol.max_attempts)
       throw fault::FaultUnrecovered("read_ext still failing after " +
                                     std::to_string(attempt + 1) +
@@ -131,6 +132,7 @@ inline TaskT<void> reliable_write_ext(CoreCtx& ctx, void* dst, const void* src,
     }
     last_site = detail::site_of(tf);
     inj->count_detected(last_site);
+    if (attempt == 0) inj->count_faulted_transfer();
     if (attempt + 1 >= pol.max_attempts)
       throw fault::FaultUnrecovered("write_ext still failing after " +
                                     std::to_string(attempt + 1) +
@@ -179,6 +181,7 @@ inline TaskT<void> reliable_dma_read_burst(CoreCtx& ctx,
     }
     last_site = detail::site_of(job.fault);
     inj->count_detected(last_site);
+    if (attempt == 0) inj->count_faulted_transfer();
     if (attempt + 1 >= pol.max_attempts)
       throw fault::FaultUnrecovered("dma burst still failing after " +
                                     std::to_string(attempt + 1) +
@@ -226,6 +229,7 @@ inline TaskT<void> reliable_dma_write(CoreCtx& ctx, void* dst, const void* src,
     }
     last_site = detail::site_of(job.fault);
     inj->count_detected(last_site);
+    if (attempt == 0) inj->count_faulted_transfer();
     if (attempt + 1 >= pol.max_attempts)
       throw fault::FaultUnrecovered("dma write still failing after " +
                                     std::to_string(attempt + 1) +

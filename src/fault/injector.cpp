@@ -164,6 +164,8 @@ void FaultInjector::count_detected(Site site) {
   }
 }
 
+void FaultInjector::count_faulted_transfer() { totals_.faulted_transfers++; }
+
 void FaultInjector::count_recovered(Site site, std::uint64_t recovery_cycles) {
   totals_.recovered++;
   totals_.recovery_cycles += recovery_cycles;

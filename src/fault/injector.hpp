@@ -36,10 +36,14 @@ struct FaultRecord {
 };
 
 /// Campaign totals for run manifests (all simulated-time quantities).
+/// `detected` counts faulty attempts, so a transfer whose retry faults
+/// again counts twice there but once in `faulted_transfers`, and its one
+/// recovery episode once in `recovered`.
 struct FaultSummary {
   std::uint64_t injected = 0;
   std::uint64_t detected = 0;
   std::uint64_t recovered = 0;
+  std::uint64_t faulted_transfers = 0; ///< transfers that faulted >= once
   std::uint64_t retries = 0;
   std::uint64_t repartitions = 0;
   std::uint64_t recovery_cycles = 0;
@@ -49,6 +53,14 @@ struct FaultSummary {
   std::uint64_t failed_chips = 0; ///< 0 or 1: whole-chip fail-stop fired
   std::uint64_t schedule_hash = 0;
 };
+
+/// True when every faulted transfer recovered exactly: each one ended in
+/// a single recovery episode, and every faulty attempt was retried. Holds
+/// however often a retry faults again. Only transfer faults count: a
+/// fail-stop is detected (barrier, autofocus pipeline) but never retried.
+[[nodiscard]] inline bool transfers_recovered(const FaultSummary& s) {
+  return s.recovered == s.faulted_transfers && s.retries == s.detected;
+}
 
 class FaultInjector {
 public:
@@ -94,6 +106,8 @@ public:
   // -- Recovery accounting (called from the resilience layer) -------------
 
   void count_detected(Site site);
+  /// A transfer's first faulty attempt (its later ones only count_detected).
+  void count_faulted_transfer();
   void count_recovered(Site site, std::uint64_t recovery_cycles);
   void count_retry();
   void count_repartition(std::uint64_t surviving_cores);

@@ -132,15 +132,8 @@ SubapertureImage merge_pair_compensated(const SubapertureImage& a,
   const float inv_2d = 1.0f / (2.0f * d);
 
   const ChildGrid grid = make_child_grid(p, cg.n_theta);
-
-  const auto va = a.data.view();
-  const auto vb = b.data.view();
-  const auto fetch_a = [&](int it, int ir) -> cf32 {
-    return va(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
-  };
-  const auto fetch_b = [&](int it, int ir) -> cf32 {
-    return vb(static_cast<std::size_t>(it), static_cast<std::size_t>(ir));
-  };
+  const ChildSource src_a{-1, nullptr, a.data.data()};
+  const ChildSource src_b{-1, nullptr, b.data.data()};
 
   const float r0f = static_cast<float>(p.near_range_m);
   const float drf = static_cast<float>(p.range_bin_m);
@@ -149,26 +142,19 @@ SubapertureImage merge_pair_compensated(const SubapertureImage& a,
   // the arithmetic bit-identical to the uncompensated path).
   const float shift_a = -0.5f * shift_bins * drf;
   const float shift_b = 0.5f * shift_bins * drf;
-  // The cosine-theorem geometry of a whole row goes through the kernel
-  // backend (vectorized when available, bit-identical either way); the
-  // data-dependent child sampling stays scalar.
+  // Each row is two kernel calls, vectorized when available and
+  // bit-identical either way: the cosine-theorem geometry, then both
+  // children sampled and summed.
   std::vector<MergeGeom> geom_row(p.n_range);
   for (std::size_t i = 0; i < n_theta_p; ++i) {
     const float theta = static_cast<float>(pg.theta_of(i));
     const float cr = 2.0f * d * fastmath::poly_cos(theta);
-    auto out = parent.data.row(i);
     kernels::merge_geometry_row(r0f, drf, 0, p.n_range, cr, d2, inv_2d,
                                 geom_row.data());
-    for (std::size_t j = 0; j < p.n_range; ++j) {
-      const MergeGeom& g = geom_row[j];
-      const cf32 v1 = sample_child(grid, g.r1 + shift_a, g.theta1,
-                                   opt.interp, opt.phase_compensate,
-                                   fetch_a);
-      const cf32 v2 = sample_child(grid, g.r2 + shift_b, g.theta2,
-                                   opt.interp, opt.phase_compensate,
-                                   fetch_b);
-      out[j] = v1 + v2; // paper eq. 5
-    }
+    (void)kernels::merge_sample_row(grid, opt.interp, opt.phase_compensate,
+                                    geom_row.data(), shift_a, shift_b, src_a,
+                                    src_b, parent.data.row(i).data(),
+                                    p.n_range);
   }
 
   if (tally) {

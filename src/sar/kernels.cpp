@@ -102,6 +102,14 @@ void merge_geometry_row(float r0, float dr, std::size_t j0, std::size_t n,
   dispatch().table->merge_geometry_row(r0, dr, j0, n, cr, d2, inv_2d, out);
 }
 
+std::uint64_t merge_sample_row(const ChildGrid& g, Interp interp,
+                               bool phase_compensate, const MergeGeom* geom,
+                               float shift1, float shift2, ChildSource c1,
+                               ChildSource c2, cf32* out, std::size_t n) {
+  return dispatch().table->merge_sample_row(g, interp, phase_compensate, geom,
+                                            shift1, shift2, c1, c2, out, n);
+}
+
 void neville4_many(const cf32 y[4], const float* t, cf32* out,
                    std::size_t n) {
   dispatch().table->neville4_many(y, t, out, n);

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/types.hpp"
 #include "sar/gbp.hpp"
@@ -52,6 +53,19 @@ void force_backend(Backend b);
 /// out[i] = merge_geometry(r0 + float(j0 + i) * dr, cr, d2, inv_2d).
 void merge_geometry_row(float r0, float dr, std::size_t j0, std::size_t n,
                         float cr, float d2, float inv_2d, MergeGeom* out);
+
+/// Paper eq. 5 over one parent row from that row's precomputed geometry:
+/// out[i] = merge_sample(g, interp, phase_compensate, geom[i], shift1,
+/// shift2, c1, c2). Returns how many child fetches missed the staged rows
+/// (the blocking SDRAM reads the simulated core is charged for).
+/// Nearest neighbour without phase compensation runs in lanes: bin
+/// indices and bounds, the staged-row hit test, the gather of both
+/// children and the sum. The other modes call sample_child per pixel.
+/// A miss outside the child image (a NaN angle) throws ContractViolation.
+[[nodiscard]] std::uint64_t
+merge_sample_row(const ChildGrid& g, Interp interp, bool phase_compensate,
+                 const MergeGeom* geom, float shift1, float shift2,
+                 ChildSource c1, ChildSource c2, cf32* out, std::size_t n);
 
 /// Neville cubic at many positions over one fixed 4-node window:
 /// out[i] = neville4(y, t[i]).

@@ -71,6 +71,10 @@ struct VAvx2 {
   static F cmp_gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
   static F cmp_ge(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
   static F and_(F a, F b) { return _mm256_and_ps(a, b); }
+  static F or_(F a, F b) { return _mm256_or_ps(a, b); }
+  /// ~a & b.
+  static F andnot(F a, F b) { return _mm256_andnot_ps(a, b); }
+  static F all_ones() { return to_f(_mm256_set1_epi32(-1)); }
   static unsigned movemask(F m) {
     return static_cast<unsigned>(_mm256_movemask_ps(m));
   }
@@ -82,6 +86,10 @@ struct VAvx2 {
   static I add_i(I a, I b) { return _mm256_add_epi32(a, b); }
   static I sub_i(I a, I b) { return _mm256_sub_epi32(a, b); }
   static I set1_i(std::int32_t x) { return _mm256_set1_epi32(x); }
+  static I mul_i(I a, I b) { return _mm256_mullo_epi32(a, b); }
+  /// Signed 32-bit compares, as float-typed lane masks.
+  static F cmp_gt_i(I a, I b) { return to_f(_mm256_cmpgt_epi32(a, b)); }
+  static F cmp_eq_i(I a, I b) { return to_f(_mm256_cmpeq_epi32(a, b)); }
   static F cvt_f(I a) { return _mm256_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm256_cvttps_epi32(a); }
   static void store_i(std::int32_t* p, I v) {
@@ -114,6 +122,55 @@ struct VAvx2 {
     const F hi = _mm256_unpackhi_ps(re, im); // c2 c3 | c6 c7
     _mm256_storeu_ps(f, _mm256_permute2f128_ps(lo, hi, 0x20));
     _mm256_storeu_ps(f + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
+
+  /// Eight MergeGeoms split into their four fields (an 8x4 transpose).
+  static void load_geom(const MergeGeom* g, F& r1, F& th1, F& r2, F& th2) {
+    const float* f = reinterpret_cast<const float*>(g);
+    const F a = _mm256_loadu_ps(f);      // g0 | g1
+    const F b = _mm256_loadu_ps(f + 8);  // g2 | g3
+    const F c = _mm256_loadu_ps(f + 16); // g4 | g5
+    const F d = _mm256_loadu_ps(f + 24); // g6 | g7
+    const F p0 = _mm256_permute2f128_ps(a, c, 0x20); // g0 | g4
+    const F p1 = _mm256_permute2f128_ps(a, c, 0x31); // g1 | g5
+    const F p2 = _mm256_permute2f128_ps(b, d, 0x20); // g2 | g6
+    const F p3 = _mm256_permute2f128_ps(b, d, 0x31); // g3 | g7
+    const F t0 = _mm256_unpacklo_ps(p0, p1); // r1 r1 t1 t1 (g0 g1 | g4 g5)
+    const F t1 = _mm256_unpacklo_ps(p2, p3); // (g2 g3 | g6 g7)
+    const F t2 = _mm256_unpackhi_ps(p0, p1); // r2 r2 t2 t2 (g0 g1 | g4 g5)
+    const F t3 = _mm256_unpackhi_ps(p2, p3);
+    r1 = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(1, 0, 1, 0));
+    th1 = _mm256_shuffle_ps(t0, t1, _MM_SHUFFLE(3, 2, 3, 2));
+    r2 = _mm256_shuffle_ps(t2, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    th2 = _mm256_shuffle_ps(t2, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  }
+
+  /// Complex lanes in mask `ma` take a[ia], lanes in `mb` take b[ib] (bit
+  /// copies; the masks are disjoint), and the other lanes are zero and
+  /// read nothing. lo holds lanes 0-3 as interleaved (re, im) pairs, hi
+  /// lanes 4-7.
+  static void gather2_cf(const cf32* a, I ia, F ma, const cf32* b, I ib,
+                         F mb, F& lo, F& hi) {
+    const I z = _mm256_setzero_si256();
+    I vlo = z;
+    I vhi = z;
+    gather_into(vlo, vhi, a, ia, ma);
+    gather_into(vlo, vhi, b, ib, mb);
+    lo = to_f(vlo);
+    hi = to_f(vhi);
+  }
+  /// The masked 64-bit gathers behind gather2_cf; an empty mask skips
+  /// them.
+  static void gather_into(I& lo, I& hi, const cf32* base, I idx, F mask) {
+    if (movemask(mask) == 0) return;
+    const auto* p = reinterpret_cast<const long long*>(base);
+    const I m = to_i(mask);
+    const I m_lo = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(m));
+    const I m_hi = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(m, 1));
+    lo = _mm256_mask_i32gather_epi64(lo, p, _mm256_castsi256_si128(idx),
+                                     m_lo, 8);
+    hi = _mm256_mask_i32gather_epi64(hi, p, _mm256_extracti128_si256(idx, 1),
+                                     m_hi, 8);
   }
 };
 

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "common/types.hpp"
 #include "sar/gbp.hpp"
@@ -15,6 +16,11 @@ struct KernelTable {
   void (*merge_geometry_row)(float r0, float dr, std::size_t j0,
                              std::size_t n, float cr, float d2, float inv_2d,
                              MergeGeom* out);
+  std::uint64_t (*merge_sample_row)(const ChildGrid& g, Interp interp,
+                                    bool phase_compensate,
+                                    const MergeGeom* geom, float shift1,
+                                    float shift2, ChildSource c1,
+                                    ChildSource c2, cf32* out, std::size_t n);
   void (*neville4_many)(const cf32* y, const float* t, cf32* out,
                         std::size_t n);
   void (*neville4_rows)(const cf32* row0, const cf32* row1, const cf32* row2,

@@ -21,6 +21,19 @@ void merge_geometry_row_scalar(float r0, float dr, std::size_t j0,
   }
 }
 
+std::uint64_t merge_sample_row_scalar(const ChildGrid& g, Interp interp,
+                                      bool phase_compensate,
+                                      const MergeGeom* geom, float shift1,
+                                      float shift2, ChildSource c1,
+                                      ChildSource c2, cf32* out,
+                                      std::size_t n) {
+  std::uint64_t misses = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = merge_sample(g, interp, phase_compensate, geom[i], shift1,
+                          shift2, c1, c2, misses);
+  return misses;
+}
+
 void neville4_many_scalar(const cf32* y, const float* t, cf32* out,
                           std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) out[i] = neville4(y, t[i]);
@@ -52,8 +65,8 @@ void gbp_contrib_row_scalar(const float* px, const float* py, float pulse_x,
 
 const KernelTable* scalar_table() {
   static const KernelTable table{
-      merge_geometry_row_scalar, neville4_many_scalar, neville4_rows_scalar,
-      criterion_terms_scalar, gbp_contrib_row_scalar};
+      merge_geometry_row_scalar, merge_sample_row_scalar, neville4_many_scalar,
+      neville4_rows_scalar, criterion_terms_scalar, gbp_contrib_row_scalar};
   return &table;
 }
 

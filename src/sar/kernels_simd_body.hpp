@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/assert.hpp"
 #include "sar/carrier.hpp"
 #include "sar/kernels_impl.hpp"
 
@@ -155,6 +156,75 @@ struct SimdKernels {
       const float r = r0 + static_cast<float>(j0 + i) * dr;
       out[i] = merge_geometry(r, cr, d2, inv_2d);
     }
+  }
+
+  /// sample_child's kNearest arm without phase compensation, for one
+  /// child over a lane group, with fetch_child's staged-row hit test: the
+  /// containing angular bin and the nearest range bin, their bounds, and
+  /// the gather from the staged row or the child image. lo/hi receive the
+  /// samples as interleaved complex pairs (lanes [0, kLanes/2) and the
+  /// rest), zero where the lane is out of range; the lane misses are
+  /// added to `misses`.
+  static void nearest_child(const ChildGrid& g, F rc, F thc,
+                            const ChildSource& s, F& lo, F& hi,
+                            std::uint64_t& misses) {
+    const F tf =
+        V::mul(V::sub(thc, V::set1(g.theta_start)), V::set1(g.inv_dtheta));
+    const I it = V::cvt_i(tf);
+    const F rf = V::mul(V::sub(rc, V::set1(g.r0)), V::set1(g.inv_dr));
+    const I ir = V::cvt_i(V::add(rf, V::set1(0.5f)));
+    const I zero_i = V::set1_i(0);
+    const I last_t = V::set1_i(g.n_theta - 1);
+    const I last_r = V::set1_i(g.n_range - 1);
+    // tf < 0 || it >= n_theta || rf < -0.5 || ir < 0 || ir >= n_range,
+    // with each integer >= written as > (bound - 1).
+    const F off = V::or_(
+        V::or_(V::cmp_lt(tf, V::zero()), V::cmp_gt_i(it, last_t)),
+        V::or_(V::or_(V::cmp_lt(rf, V::set1(-0.5f)), V::cmp_gt_i(zero_i, ir)),
+               V::cmp_gt_i(ir, last_r)));
+    const F valid = V::andnot(off, V::all_ones());
+    const F staged = V::cmp_eq_i(it, V::set1_i(s.staged_row));
+    const F hit = V::and_(valid, staged);
+    const F miss = V::andnot(staged, valid);
+    // fetch_child's bounds check on every miss lane: a NaN angle passes
+    // the sector test with bin INT_MIN and must not reach the gather.
+    const F outside =
+        V::or_(V::or_(V::cmp_gt_i(zero_i, it), V::cmp_gt_i(it, last_t)),
+               V::or_(V::cmp_gt_i(zero_i, ir), V::cmp_gt_i(ir, last_r)));
+    ESARP_EXPECTS(V::movemask(V::and_(miss, outside)) == 0);
+    const I at = V::add_i(V::mul_i(it, V::set1_i(g.n_range)), ir);
+    V::gather2_cf(s.staged, ir, hit, s.image, at, miss, lo, hi);
+    misses += static_cast<std::uint64_t>(std::popcount(V::movemask(miss)));
+  }
+
+  static std::uint64_t merge_sample_row(const ChildGrid& g, Interp interp,
+                                        bool phase_compensate,
+                                        const MergeGeom* geom, float shift1,
+                                        float shift2, ChildSource c1,
+                                        ChildSource c2, cf32* out,
+                                        std::size_t n) {
+    std::uint64_t misses = 0;
+    std::size_t i = 0;
+    if (interp == Interp::kNearest && !phase_compensate) {
+      const F vshift1 = V::set1(shift1);
+      const F vshift2 = V::set1(shift2);
+      for (; i + kLanes <= n; i += kLanes) {
+        F r1, th1, r2, th2;
+        V::load_geom(geom + i, r1, th1, r2, th2);
+        F lo1, hi1, lo2, hi2;
+        nearest_child(g, V::add(r1, vshift1), th1, c1, lo1, hi1, misses);
+        nearest_child(g, V::add(r2, vshift2), th2, c2, lo2, hi2, misses);
+        // Eq. 5 on interleaved (re, im) pairs: componentwise, like the
+        // complex sum.
+        float* o = reinterpret_cast<float*>(out + i);
+        V::store(o, V::add(lo1, lo2));
+        V::store(o + kLanes, V::add(hi1, hi2));
+      }
+    }
+    for (; i < n; ++i)
+      out[i] = merge_sample(g, interp, phase_compensate, geom[i], shift1,
+                            shift2, c1, c2, misses);
+    return misses;
   }
 
   /// One component pair of a Neville recurrence step:
@@ -292,8 +362,8 @@ struct SimdKernels {
   }
 
   static const KernelTable* table() {
-    static const KernelTable t{merge_geometry_row, neville4_many,
-                               neville4_rows, criterion_terms,
+    static const KernelTable t{merge_geometry_row, merge_sample_row,
+                               neville4_many, neville4_rows, criterion_terms,
                                gbp_contrib_row};
     return &t;
   }

@@ -72,6 +72,10 @@ struct VSse2 {
   static F cmp_gt(F a, F b) { return _mm_cmpgt_ps(a, b); }
   static F cmp_ge(F a, F b) { return _mm_cmpge_ps(a, b); }
   static F and_(F a, F b) { return _mm_and_ps(a, b); }
+  static F or_(F a, F b) { return _mm_or_ps(a, b); }
+  /// ~a & b.
+  static F andnot(F a, F b) { return _mm_andnot_ps(a, b); }
+  static F all_ones() { return to_f(_mm_set1_epi32(-1)); }
   static unsigned movemask(F m) {
     return static_cast<unsigned>(_mm_movemask_ps(m));
   }
@@ -85,6 +89,18 @@ struct VSse2 {
   static I add_i(I a, I b) { return _mm_add_epi32(a, b); }
   static I sub_i(I a, I b) { return _mm_sub_epi32(a, b); }
   static I set1_i(std::int32_t x) { return _mm_set1_epi32(x); }
+  /// Low 32 bits of the lane products (SSE2 has no pmulld: multiply the
+  /// even and odd lanes as 64-bit products and interleave their low
+  /// halves).
+  static I mul_i(I a, I b) {
+    const I even = _mm_mul_epu32(a, b);
+    const I odd = _mm_mul_epu32(_mm_srli_epi64(a, 32), _mm_srli_epi64(b, 32));
+    return _mm_unpacklo_epi32(_mm_shuffle_epi32(even, _MM_SHUFFLE(0, 0, 2, 0)),
+                              _mm_shuffle_epi32(odd, _MM_SHUFFLE(0, 0, 2, 0)));
+  }
+  /// Signed 32-bit compares, as float-typed lane masks.
+  static F cmp_gt_i(I a, I b) { return to_f(_mm_cmpgt_epi32(a, b)); }
+  static F cmp_eq_i(I a, I b) { return to_f(_mm_cmpeq_epi32(a, b)); }
   static F cvt_f(I a) { return _mm_cvtepi32_ps(a); }
   static I cvt_i(F a) { return _mm_cvttps_epi32(a); }
   static void store_i(std::int32_t* p, I v) {
@@ -106,6 +122,39 @@ struct VSse2 {
     float* f = reinterpret_cast<float*>(p);
     _mm_storeu_ps(f, _mm_unpacklo_ps(re, im));
     _mm_storeu_ps(f + 4, _mm_unpackhi_ps(re, im));
+  }
+
+  /// Four MergeGeoms split into their four fields (a 4x4 transpose).
+  static void load_geom(const MergeGeom* g, F& r1, F& th1, F& r2, F& th2) {
+    const float* f = reinterpret_cast<const float*>(g);
+    r1 = _mm_loadu_ps(f);
+    th1 = _mm_loadu_ps(f + 4);
+    r2 = _mm_loadu_ps(f + 8);
+    th2 = _mm_loadu_ps(f + 12);
+    _MM_TRANSPOSE4_PS(r1, th1, r2, th2);
+  }
+
+  /// Complex lanes in mask `ma` take a[ia], lanes in `mb` take b[ib] (bit
+  /// copies; the masks are disjoint), and the other lanes are zero and
+  /// read nothing. lo holds lanes 0-1 as interleaved (re, im) pairs, hi
+  /// lanes 2-3. SSE2 has no gather: each lane picks its address without
+  /// a branch and loads its 64 bits.
+  static void gather2_cf(const cf32* a, I ia, F ma, const cf32* b, I ib,
+                         F mb, F& lo, F& hi) {
+    static const cf32 kZero{};
+    std::int32_t ja[kLanes];
+    std::int32_t jb[kLanes];
+    store_i(ja, ia);
+    store_i(jb, ib);
+    const unsigned sa = movemask(ma);
+    const unsigned sb = movemask(mb);
+    const auto lane = [&](unsigned l) {
+      const cf32* p = (sb >> l & 1u) != 0 ? b + jb[l] : &kZero;
+      return reinterpret_cast<const __m64*>((sa >> l & 1u) != 0 ? a + ja[l]
+                                                                : p);
+    };
+    lo = _mm_loadh_pi(_mm_loadl_pi(zero(), lane(0)), lane(1));
+    hi = _mm_loadh_pi(_mm_loadl_pi(zero(), lane(2)), lane(3));
   }
 };
 

@@ -18,6 +18,10 @@
 // implementation of the square root", applied on both architectures).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+
+#include "common/assert.hpp"
 #include "common/fastmath.hpp"
 #include "common/opcounts.hpp"
 #include "common/types.hpp"
@@ -180,6 +184,49 @@ inline cf32 sample_child(const ChildGrid& g, float rc, float thc,
     }
   }
   return v;
+}
+
+/// Where one child's samples come from during a merge row. A fetch from
+/// theta row `staged_row` reads the local-store copy `staged` (n_range
+/// pixels); any other row reads the row-major child image `image`
+/// (n_theta x n_range) and counts as a miss. The host reference stages
+/// nothing (staged_row = -1).
+struct ChildSource {
+  int staged_row = -1;
+  const cf32* staged = nullptr;
+  const cf32* image = nullptr;
+};
+
+/// sample_child's fetcher for a ChildSource. A miss is bounds-checked
+/// before it reads the image: a NaN angle truncates to a bin that passes
+/// the sector test, and must raise ContractViolation, not read out of
+/// bounds.
+inline cf32 fetch_child(const ChildGrid& g, const ChildSource& s, int it,
+                        int ir, std::uint64_t& misses) {
+  if (it == s.staged_row) return s.staged[static_cast<std::size_t>(ir)];
+  ++misses;
+  ESARP_EXPECTS(it >= 0 && it < g.n_theta && ir >= 0 && ir < g.n_range);
+  return s.image[static_cast<std::size_t>(it) *
+                     static_cast<std::size_t>(g.n_range) +
+                 static_cast<std::size_t>(ir)];
+}
+
+/// One parent pixel from its precomputed geometry (paper eq. 5): child 1
+/// sampled at range r1 + shift1, child 2 at r2 + shift2, and the sum.
+/// The shifts carry the autofocus compensation (0 without autofocus;
+/// adding -0.0f leaves every range bit-identical). `misses` counts the
+/// fetches that missed the staged rows.
+inline cf32 merge_sample(const ChildGrid& g, Interp interp,
+                         bool phase_compensate, const MergeGeom& geom,
+                         float shift1, float shift2, const ChildSource& c1,
+                         const ChildSource& c2, std::uint64_t& misses) {
+  const cf32 v1 = sample_child(
+      g, geom.r1 + shift1, geom.theta1, interp, phase_compensate,
+      [&](int it, int ir) { return fetch_child(g, c1, it, ir, misses); });
+  const cf32 v2 = sample_child(
+      g, geom.r2 + shift2, geom.theta2, interp, phase_compensate,
+      [&](int it, int ir) { return fetch_child(g, c2, it, ir, misses); });
+  return v1 + v2;
 }
 
 /// One complex multiply expressed as mul/fma pairs.

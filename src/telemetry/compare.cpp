@@ -23,6 +23,11 @@ bool higher_is_better(const std::string& key) {
   return false;
 }
 
+bool two_sided(const std::string& key) {
+  return key.find("checksum") != std::string::npos ||
+         key.find("hash") != std::string::npos;
+}
+
 bool glob_match(const std::string& pattern, const std::string& text) {
   // Classic two-pointer wildcard match: on mismatch, retry from the last
   // '*' with one more character absorbed.
@@ -215,8 +220,11 @@ CompareReport compare_manifests(const JsonValue& base,
       const bool both_tiny = std::abs(bval) <= opt.abs_floor &&
                              std::abs(cval) <= opt.abs_floor;
       if (!both_tiny) {
-        const double signed_delta =
-            higher_is_better(key) ? -line.rel_delta : line.rel_delta;
+        double signed_delta = line.rel_delta;
+        if (two_sided(key))
+          signed_delta = std::abs(line.rel_delta);
+        else if (higher_is_better(key))
+          signed_delta = -line.rel_delta;
         if (signed_delta > *threshold) {
           line.regressed = true;
           ++rep.regressions;

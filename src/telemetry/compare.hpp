@@ -63,6 +63,11 @@ struct CompareOptions {
 /// jobs_late / jobs_shed — regresses upward.
 [[nodiscard]] bool higher_is_better(const std::string& key);
 
+/// True for identity witnesses, which have no better direction: keys
+/// naming a checksum or a hash (image checksums, schedule hashes). A
+/// change either way past the threshold is a regression.
+[[nodiscard]] bool two_sided(const std::string& key);
+
 struct CompareLine {
   std::string key;
   double base = 0.0;

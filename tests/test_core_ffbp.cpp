@@ -10,6 +10,7 @@
 #include "core/ffbp_epiphany.hpp"
 #include "core/ffbp_layout.hpp"
 #include "sar/ffbp.hpp"
+#include "sar/kernels.hpp"
 #include "sar/scene.hpp"
 
 namespace esarp::core {
@@ -45,14 +46,37 @@ TEST(FfbpEpiphany, SequentialImageMatchesHostReferenceExactly) {
   EXPECT_EQ(sim.image, host.image.data);
 }
 
+/// Run `fn` once per available kernel backend (scalar first), restoring
+/// the backend that was active before.
+template <typename Fn>
+void for_each_backend(Fn&& fn) {
+  namespace k = sar::kernels;
+  const k::Backend before = k::active();
+  for (const k::Backend b :
+       {k::Backend::kScalar, k::Backend::kSse2, k::Backend::kAvx2}) {
+    if (!k::backend_available(b)) continue;
+    SCOPED_TRACE(k::backend_name(b));
+    k::force_backend(b);
+    fn();
+  }
+  k::force_backend(before);
+}
+
+// 64 pulses: levels 1-3 have at least 8 subapertures, so the chip shares
+// their merge geometry across subapertures, while levels 4-6 compute it
+// per row. The host reference always computes it per pair.
 TEST(FfbpEpiphany, SpmdImageMatchesHostReferenceExactly) {
-  const auto p = small_params();
+  const auto p = sar::test_params(64, 101);
   const auto data = small_data(p);
-  const auto host = sar::ffbp(data, p);
-  FfbpMapOptions opt;
-  opt.n_cores = 16;
-  const auto sim = run_ffbp_epiphany(data, p, opt);
-  EXPECT_EQ(sim.image, host.image.data);
+  const auto reference = sar::ffbp(data, p);
+  for_each_backend([&] {
+    const auto host = sar::ffbp(data, p);
+    FfbpMapOptions opt;
+    opt.n_cores = 16;
+    const auto sim = run_ffbp_epiphany(data, p, opt);
+    EXPECT_EQ(sim.image, host.image.data);
+    EXPECT_EQ(sim.image, reference.image.data);
+  });
 }
 
 TEST(FfbpEpiphany, SpmdMatchesForOtherCoreCounts) {
@@ -68,15 +92,19 @@ TEST(FfbpEpiphany, SpmdMatchesForOtherCoreCounts) {
 }
 
 TEST(FfbpEpiphany, CubicVariantAlsoMatchesHost) {
-  const auto p = sar::test_params(16, 51);
+  const auto p = sar::test_params(64, 51);
   const auto data = small_data(p);
   sar::FfbpOptions algo;
   algo.interp = sar::Interp::kCubic;
-  const auto host = sar::ffbp(data, p, algo);
-  FfbpMapOptions opt;
-  opt.algo = algo;
-  const auto sim = run_ffbp_epiphany(data, p, opt);
-  EXPECT_EQ(sim.image, host.image.data);
+  const auto reference = sar::ffbp(data, p, algo);
+  for_each_backend([&] {
+    const auto host = sar::ffbp(data, p, algo);
+    FfbpMapOptions opt;
+    opt.algo = algo;
+    const auto sim = run_ffbp_epiphany(data, p, opt);
+    EXPECT_EQ(sim.image, host.image.data);
+    EXPECT_EQ(sim.image, reference.image.data);
+  });
 }
 
 TEST(FfbpEpiphany, ParallelIsMuchFasterThanSequential) {
@@ -204,27 +232,31 @@ TEST(FfbpEpiphany, OnChipAutofocusMatchesHostIntegratedLoop) {
   const auto data = sar::simulate_compressed(p, s, err);
 
   const af::IntegratedOptions aopt;
-  const auto host = af::ffbp_with_autofocus(data, p, aopt);
+  const auto reference = af::ffbp_with_autofocus(data, p, aopt);
 
-  FfbpMapOptions opt;
-  opt.n_cores = 16;
-  opt.autofocus = &aopt;
-  const auto sim = run_ffbp_epiphany(data, p, opt);
+  for_each_backend([&] {
+    const auto host = af::ffbp_with_autofocus(data, p, aopt);
+    FfbpMapOptions opt;
+    opt.n_cores = 16;
+    opt.autofocus = &aopt;
+    const auto sim = run_ffbp_epiphany(data, p, opt);
 
-  EXPECT_EQ(sim.image, host.image.data); // bit-identical
+    EXPECT_EQ(sim.image, host.image.data); // bit-identical
+    EXPECT_EQ(sim.image, reference.image.data);
 
-  // Same corrections, pair by pair (orders differ between the host's
-  // sequential sweep and the cores' round-robin).
-  std::map<std::pair<std::size_t, std::size_t>, float> host_shift;
-  for (const auto& c : host.corrections)
-    host_shift[{c.level, c.pair_index}] = c.shift_bins;
-  ASSERT_EQ(sim.corrections.size(), host.corrections.size());
-  for (const auto& c : sim.corrections) {
-    auto it = host_shift.find({c.level, c.pair_index});
-    ASSERT_NE(it, host_shift.end())
-        << "level " << c.level << " pair " << c.pair_index;
-    EXPECT_EQ(c.shift_bins, it->second);
-  }
+    // Same corrections, pair by pair (orders differ between the host's
+    // sequential sweep and the cores' round-robin).
+    std::map<std::pair<std::size_t, std::size_t>, float> host_shift;
+    for (const auto& c : host.corrections)
+      host_shift[{c.level, c.pair_index}] = c.shift_bins;
+    ASSERT_EQ(sim.corrections.size(), host.corrections.size());
+    for (const auto& c : sim.corrections) {
+      auto it = host_shift.find({c.level, c.pair_index});
+      ASSERT_NE(it, host_shift.end())
+          << "level " << c.level << " pair " << c.pair_index;
+      EXPECT_EQ(c.shift_bins, it->second);
+    }
+  });
 }
 
 TEST(FfbpEpiphany, OnChipAutofocusCostsTime) {

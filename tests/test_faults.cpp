@@ -172,6 +172,7 @@ TEST(Resilience, ReliableReadRetriesUntilThePayloadVerifies) {
   // as another detection — so at a 50% rate detected >= recovered > 0.
   EXPECT_GT(s.recovered, 0u);
   EXPECT_GE(s.detected, s.recovered);
+  EXPECT_TRUE(fault::transfers_recovered(s));
   EXPECT_GT(s.recovery_cycles, 0u);
 }
 
@@ -268,8 +269,35 @@ TEST(FfbpFaults, TransferFaultCampaignRecoversToTheExactImage) {
   EXPECT_GT(faulted.faults.detected, 0u);
   EXPECT_GT(faulted.faults.retries, 0u);
   EXPECT_EQ(faulted.faults.recovered, faulted.faults.detected);
+  EXPECT_TRUE(fault::transfers_recovered(faulted.faults));
   EXPECT_FALSE(faulted.degraded);
   EXPECT_EQ(faulted.faults.failed_cores, 0u);
+}
+
+TEST(FfbpFaults, RetryThatFaultsAgainStillRecoversExactly) {
+  // At this seed and rate one transfer faults on its first retry too: two
+  // detections, one recovery episode. Counting what recovery means —
+  // one recovery per faulted transfer, one retry per faulty attempt —
+  // accepts it; equating recovered with detected would call this exact
+  // recovery a failure.
+  const auto p = ffbp_params();
+  const auto data = ffbp_data(p);
+  core::FfbpMapOptions opt;
+  opt.n_cores = 8;
+  const auto clean = core::run_ffbp_epiphany(data, p, opt);
+
+  ep::ChipConfig cfg;
+  cfg.faults.seed = 1;
+  cfg.faults.dma_corrupt_rate = 2e-2;
+  const auto faulted = core::run_ffbp_epiphany(data, p, opt, cfg);
+  const fault::FaultSummary& f = faulted.faults;
+
+  EXPECT_EQ(faulted.image, clean.image);
+  EXPECT_EQ(f.detected, f.faulted_transfers + 1); // one transfer, twice
+  EXPECT_NE(f.recovered, f.detected);
+  EXPECT_EQ(f.recovered, f.faulted_transfers);
+  EXPECT_EQ(f.retries, f.detected);
+  EXPECT_TRUE(fault::transfers_recovered(f));
 }
 
 TEST(FfbpFaults, SameSeedGivesBitIdenticalCampaigns) {
@@ -551,6 +579,7 @@ TEST(AfFaults, TransferCampaignRecoversCriteriaWithinTolerance) {
   const auto faulted = core::run_autofocus_mpmd(pairs, p, {}, cfg);
   EXPECT_GT(faulted.faults.injected, 0u);
   EXPECT_EQ(faulted.faults.recovered, faulted.faults.detected);
+  EXPECT_TRUE(fault::transfers_recovered(faulted.faults));
   EXPECT_FALSE(faulted.degraded);
   // DMA payloads are repaired exactly and the correlator accumulates in
   // the clean order, so the recovered criteria are the clean ones.

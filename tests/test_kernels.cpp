@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "kernel_test_inputs.hpp"
 #include "sar/kernels.hpp"
@@ -219,6 +220,163 @@ TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
                            acc.data(), n);
         for (std::size_t i = 0; i < n; ++i)
           expect_bits_eq(start[i], acc[i], "non-finite pixel", i);
+      }
+    }
+  }
+  k::force_backend(before);
+}
+
+/// One merge_sample_row call: an 8 x 24 child grid, both child images,
+/// a staged row for each whose values differ from the image row it
+/// stands for (so a wrong hit/miss decision shows), and geometry that
+/// mixes staged hits, misses, out-of-sector and out-of-swath lanes.
+struct MergeRow {
+  ChildGrid g{};
+  std::vector<MergeGeom> geom;
+  std::vector<cf32> image1, image2, staged1, staged2;
+};
+
+MergeRow make_merge_row(Rng& rng, std::size_t n, int staged_row1,
+                   int staged_row2) {
+  MergeRow row;
+  ChildGrid& g = row.g;
+  g.theta_start = 1.47f;
+  g.inv_dtheta = 40.0f; // 8 bins over 0.2 rad
+  g.n_theta = 8;
+  g.r0 = 1000.0f;
+  g.dr = 0.5f;
+  g.inv_dr = 2.0f;
+  g.n_range = 24;
+  g.k_phase = 41.9f;
+  g.carrier_rad = g.k_phase * g.dr;
+  g.rot_m1 = {0.6f, -0.8f};
+  g.rot_p1 = std::conj(g.rot_m1);
+  g.rot_m2 = g.rot_m1 * g.rot_m1;
+  for (auto* img : {&row.image1, &row.image2}) {
+    img->resize(8 * 24);
+    for (cf32& v : *img) v = rng.complex(-1.0f, 1.0f);
+  }
+  for (auto* st : {&row.staged1, &row.staged2}) {
+    st->resize(24);
+    for (cf32& v : *st) v = rng.complex(-1.0f, 1.0f);
+  }
+  // Half the angles inside the staged bin (when there is one), the rest
+  // from 1.5 bins before the sector to 1.5 bins past it; ranges from 3
+  // bins before the swath to 3 bins past it.
+  const auto theta = [&](int staged) {
+    const float bin = staged >= 0 && rng.uniform(0.0f, 1.0f) < 0.5f
+                          ? static_cast<float>(staged) +
+                                rng.uniform(0.05f, 0.95f)
+                          : rng.uniform(-1.5f, 9.5f);
+    return g.theta_start + bin / g.inv_dtheta;
+  };
+  const auto range = [&] { return g.r0 + rng.uniform(-3.0f, 27.0f) * g.dr; };
+  row.geom.resize(n);
+  for (MergeGeom& m : row.geom) {
+    m.r1 = range();
+    m.theta1 = theta(staged_row1);
+    m.r2 = range();
+    m.theta2 = theta(staged_row2);
+  }
+  return row;
+}
+
+TEST(Kernels, MergeSampleRowMatchesScalarBitForBit) {
+  struct Mode {
+    Interp interp;
+    bool phase_compensate;
+  };
+  const Mode modes[] = {{Interp::kNearest, false},
+                        {Interp::kNearest, true},
+                        {Interp::kLinear, false},
+                        {Interp::kCubic, false}};
+  const std::pair<float, float> shifts[] = {
+      {-0.0f, 0.0f}, {0.37f, -0.37f}, {-1.25f, 1.25f}};
+  const std::pair<int, int> staged_rows[] = {{-1, -1}, {3, 4}, {0, 7}};
+  // Lane classes seen across the whole sweep, to show the inputs cover
+  // every branch of the nearest-neighbour lanes.
+  std::size_t off_sector = 0, off_swath = 0, hits = 0, misses = 0;
+  for_each_simd_backend([&](k::Backend b) {
+    Rng rng;
+    for (const std::size_t n : {1, 3, 4, 7, 8, 15, 16, 33, 101}) {
+      for (const auto& [s1, s2] : staged_rows) {
+        const MergeRow row = make_merge_row(rng, n, s1, s2);
+        const ChildSource c1{s1, row.staged1.data(), row.image1.data()};
+        const ChildSource c2{s2, row.staged2.data(), row.image2.data()};
+        for (const MergeGeom& m : row.geom) {
+          const float tf = (m.theta1 - row.g.theta_start) * row.g.inv_dtheta;
+          const float rf = (m.r1 - row.g.r0) * row.g.inv_dr;
+          const bool in_sector = tf >= 0.0f && tf < 8.0f;
+          const bool in_swath = rf >= -0.5f && rf + 0.5f < 24.0f;
+          off_sector += in_sector ? 0 : 1;
+          off_swath += in_swath ? 0 : 1;
+          if (in_sector && in_swath)
+            ++(static_cast<int>(tf) == s1 ? hits : misses);
+        }
+        for (const Mode& mode : modes) {
+          for (const auto& [sh1, sh2] : shifts) {
+            std::vector<cf32> ref(n), simd(n);
+            k::force_backend(k::Backend::kScalar);
+            const std::uint64_t ref_misses = k::merge_sample_row(
+                row.g, mode.interp, mode.phase_compensate, row.geom.data(),
+                sh1, sh2, c1, c2, ref.data(), n);
+            k::force_backend(b);
+            const std::uint64_t simd_misses = k::merge_sample_row(
+                row.g, mode.interp, mode.phase_compensate, row.geom.data(),
+                sh1, sh2, c1, c2, simd.data(), n);
+            EXPECT_EQ(ref_misses, simd_misses) << "n " << n;
+            for (std::size_t i = 0; i < n; ++i)
+              expect_bits_eq(ref[i], simd[i], "merge_sample_row", i);
+          }
+        }
+      }
+    }
+  });
+  if (!simd_backends().empty()) {
+    EXPECT_GT(off_sector, 0u);
+    EXPECT_GT(off_swath, 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+  }
+}
+
+TEST(Kernels, MergeSampleRowNanAngleMissThrowsOnEveryBackend) {
+  // A NaN angle truncates to bin INT_MIN, which passes the sector test;
+  // the miss it makes must hit the bounds check, never the image. A NaN
+  // range is merely out of swath and contributes nothing.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const k::Backend before = k::active();
+  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kSse2,
+                             k::Backend::kAvx2}) {
+    if (!k::backend_available(b)) continue;
+    SCOPED_TRACE(k::backend_name(b));
+    k::force_backend(b);
+    Rng rng;
+    for (const std::size_t n : kSizes) {
+      MergeRow row = make_merge_row(rng, n, 2, 5);
+      for (MergeGeom& m : row.geom) { // every lane a staged hit
+        m.r1 = m.r2 = row.g.r0 + 10.0f * row.g.dr;
+        m.theta1 = row.g.theta_start + 2.5f / row.g.inv_dtheta;
+        m.theta2 = row.g.theta_start + 5.5f / row.g.inv_dtheta;
+      }
+      const ChildSource c1{2, row.staged1.data(), row.image1.data()};
+      const ChildSource c2{5, row.staged2.data(), row.image2.data()};
+      std::vector<cf32> out(n);
+      for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+        MergeRow bad = row;
+        bad.geom[at].theta2 = nan;
+        EXPECT_THROW((void)k::merge_sample_row(
+                         bad.g, Interp::kNearest, false, bad.geom.data(),
+                         0.0f, 0.0f, c1, c2, out.data(), n),
+                     ContractViolation)
+            << "n " << n << " lane " << at;
+        bad = row;
+        bad.geom[at].r1 = nan;
+        EXPECT_EQ(k::merge_sample_row(bad.g, Interp::kNearest, false,
+                                      bad.geom.data(), 0.0f, 0.0f, c1, c2,
+                                      out.data(), n),
+                  0u);
+        expect_bits_eq(out[at], row.staged2[10], "NaN range", at);
       }
     }
   }

@@ -381,6 +381,27 @@ TEST(Compare, MakespanGrowthPastThresholdRegresses) {
   EXPECT_TRUE(telemetry::compare_manifests(base, close).ok());
 }
 
+TEST(Compare, ChecksumAndHashKeysRegressInBothDirections) {
+  EXPECT_TRUE(telemetry::two_sided("results.ffbp_image_checksum_lo"));
+  EXPECT_TRUE(telemetry::two_sided("results.p3.schedule_hash_hi"));
+  EXPECT_FALSE(telemetry::two_sided("results.makespan_cycles"));
+  const auto checksum_manifest = [](double v) {
+    std::ostringstream os;
+    telemetry::RunManifest man("cmp");
+    man.add_result("image_checksum_lo", v);
+    man.write(os);
+    return parse_json(os.str());
+  };
+  const JsonValue base = checksum_manifest(216340134.0);
+  telemetry::CompareOptions opt;
+  opt.default_threshold = 0.0;
+  for (const double v : {216340133.0, 216340135.0})
+    EXPECT_FALSE(
+        telemetry::compare_manifests(base, checksum_manifest(v), opt).ok())
+        << v;
+  EXPECT_TRUE(telemetry::compare_manifests(base, base, opt).ok());
+}
+
 TEST(Compare, DirectionInferredFromKeyName) {
   EXPECT_TRUE(telemetry::higher_is_better("results.utilization"));
   EXPECT_TRUE(telemetry::higher_is_better("results.flops_per_second"));

@@ -64,6 +64,16 @@ expect 2 "$esarp" power --in "$ds" --cores 99
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
 
+# A numeric flag value is parsed whole: a malformed value, trailing
+# characters or a value out of the type's range is a usage error naming
+# the flag, never a parse exception (exit 1) or a silently shortened value.
+expect_named --pulses "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses abc
+expect_named --pulses "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 99999999999999999999
+expect_named --pulses "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 64x
+
 # A fault rate is a probability: outside [0, 1] it is a usage error naming
 # the flag, never a fault site silently switched off (a negative rate) or
 # a campaign run at an impossible rate. 1.0 stays legal (the exit-5 pins

@@ -34,7 +34,8 @@
 // Exit codes (stable, scripted against by CI):
 //   0  success
 //   1  generic error (I/O, bad dataset, ...)
-//   2  usage error
+//   2  usage error, including a numeric flag value that is malformed,
+//      has trailing characters or is out of range
 //   3  simulation deadlock (ep::SimDeadlock)
 //   4  contract violation, including the max_cycles watchdog
 //   5  fault campaign exhausted its recovery budget (FaultUnrecovered)
@@ -96,6 +97,24 @@ constexpr int kExitContract = 4;
 constexpr int kExitFaultUnrecovered = 5;
 constexpr int kExitLintFindings = 6;
 
+/// The whole of `s` as a T (long or double); nullopt for anything else,
+/// trailing characters and values out of T's range included.
+template <typename T>
+std::optional<T> parse_whole(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// A numeric flag whose value parse_whole rejects. main() turns it into a
+/// usage error (exit 2) naming the flag.
+class FlagError : public std::invalid_argument {
+public:
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Minimal --key value / --flag argument map.
 class Args {
 public:
@@ -126,12 +145,10 @@ public:
     return v != nullptr ? *v : dflt;
   }
   [[nodiscard]] long num(const std::string& k, long dflt) const {
-    const std::string* v = find(k);
-    return v != nullptr ? std::stol(*v) : dflt;
+    return number(k, dflt);
   }
   [[nodiscard]] double real(const std::string& k, double dflt) const {
-    const std::string* v = find(k);
-    return v != nullptr ? std::stod(*v) : dflt;
+    return number(k, dflt);
   }
   /// First given key that no lookup above has asked for ("" if none): a
   /// command that has read all its flags rejects the leftovers.
@@ -142,6 +159,16 @@ public:
   }
 
 private:
+  template <typename T>
+  T number(const std::string& k, T dflt) const {
+    const std::string* v = find(k);
+    if (v == nullptr) return dflt;
+    const std::optional<T> x = parse_whole<T>(*v);
+    if (!x)
+      throw FlagError("--" + k + " wants a number in range, got '" + *v + "'");
+    return *x;
+  }
+
   const std::string* find(const std::string& k) const {
     looked_up_.insert(k);
     auto it = kv_.find(k);
@@ -216,15 +243,6 @@ std::string read_rates(
   return "";
 }
 
-/// The whole of `s` as a decimal integer; nullopt for anything else.
-std::optional<long> parse_long(const std::string& s) {
-  long v = 0;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
-
 /// Cores of the default chip: every --cores value lies in [1, chip_cores()].
 [[nodiscard]] int chip_cores() { return ep::ChipConfig{}.core_count(); }
 
@@ -255,6 +273,9 @@ int cmd_simulate(const Args& args) {
                                  static_cast<std::size_t>(range));
   }
   Rng rng(static_cast<std::uint64_t>(args.num("seed", 1)));
+  const double noise = args.real("noise", 0.0);
+  const std::string out = args.str("out");
+  if (out.empty()) return usage();
 
   sar::Scene scene;
   const long n_targets = args.num("targets", 6);
@@ -275,11 +296,8 @@ int cmd_simulate(const Args& args) {
   std::cerr << "simulating " << ds.params.n_pulses << "x" << ds.params.n_range
             << " raw data, " << scene.targets.size() << " targets...\n";
   ds.data = sar::simulate_compressed(ds.params, scene);
-  const double noise = args.real("noise", 0.0);
   if (noise > 0.0) sar::add_noise(ds.data, rng, static_cast<float>(noise));
 
-  const std::string out = args.str("out");
-  if (out.empty()) return usage();
   sar::save_dataset(out, ds);
   std::cout << "wrote " << out << "\n";
   return 0;
@@ -348,7 +366,7 @@ std::optional<std::vector<int>> parse_cores(const std::string& spec) {
   std::string tok;
   while (std::getline(ss, tok, ',')) {
     if (tok.empty()) continue;
-    const std::optional<long> n = parse_long(tok);
+    const std::optional<long> n = parse_whole<long>(tok);
     if (!n || !valid_core_count(*n)) return std::nullopt;
     cores.push_back(static_cast<int>(*n));
   }
@@ -609,8 +627,8 @@ parse_fail_stops(const std::string& spec) {
   while (std::getline(ss, tok, ',')) {
     const std::size_t at = tok.find('@');
     if (at == std::string::npos) return std::nullopt;
-    const std::optional<long> core = parse_long(tok.substr(0, at));
-    const std::optional<long> cycle = parse_long(tok.substr(at + 1));
+    const std::optional<long> core = parse_whole<long>(tok.substr(0, at));
+    const std::optional<long> cycle = parse_whole<long>(tok.substr(at + 1));
     if (!core || !cycle || *core < 0 || *cycle < 0) return std::nullopt;
     stops.push_back(
         {static_cast<int>(*core), static_cast<std::uint64_t>(*cycle)});
@@ -1016,7 +1034,9 @@ int cmd_serve(const Args& args) {
         std::istringstream ss(mix);
         std::string part;
         int n = 0;
-        while (std::getline(ss, part, ',') && n < 3) w[n++] = std::stod(part);
+        // A malformed weight reads as -1 and fails the check below.
+        while (std::getline(ss, part, ',') && n < 3)
+          w[n++] = parse_whole<double>(part).value_or(-1.0);
         const double total = w[0] + w[1] + w[2];
         if (n != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 || total <= 0.0)
           return usage_error(
@@ -1162,6 +1182,8 @@ int main(int argc, char** argv) {
     if (cmd == "report") return cmd_report(args);
     if (cmd == "lint") return cmd_lint(args);
     if (cmd == "serve") return cmd_serve(args);
+  } catch (const FlagError& e) {
+    return usage_error(cmd, e.what());
   } catch (const fault::FaultUnrecovered& e) {
     std::cerr << "fault unrecovered: " << e.what() << "\n";
     return kExitFaultUnrecovered;

@@ -6,8 +6,9 @@
 //
 // Diffs the "results" sections with a relative threshold (regression
 // direction inferred from the key name: throughput-like keys regress
-// downward, time/energy/stall-like keys upward). Metrics entries are
-// informational unless opted in with --metric, e.g.
+// downward, time/energy/stall-like keys upward, checksum and hash keys
+// both ways). Metrics entries are informational unless opted in with
+// --metric, e.g.
 //
 //   esarp_compare a.json b.json --metric results.makespan_cycles=0.01
 //       --metric "metrics.counters.ext.read.bytes=0.0"
