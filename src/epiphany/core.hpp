@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,36 @@
 #include "epiphany/local_memory.hpp"
 
 namespace esarp::ep {
+
+/// Dense id of a span name interned in a Machine's SpanNames.
+using SpanId = std::uint32_t;
+
+/// The span names one Machine has seen, each interned once when a core
+/// first opens it (CoreCtx::begin_span). Live span stacks hold ids, so the
+/// power sampler charges activity by indexing a vector; names are read
+/// only when a report or a diagnostic prints them.
+class SpanNames {
+public:
+  /// The id of `name`, assigned on its first use.
+  SpanId intern(const std::string& name) {
+    const auto [it, added] =
+        ids_.try_emplace(name, static_cast<SpanId>(names_.size()));
+    if (added) names_.push_back(&it->first);
+    return it->second;
+  }
+  /// The name interned as `id`.
+  [[nodiscard]] const std::string& name(SpanId id) const {
+    return *names_[id];
+  }
+  /// Every interned name with its id, in name order.
+  [[nodiscard]] const std::map<std::string, SpanId>& by_name() const {
+    return ids_;
+  }
+
+private:
+  std::map<std::string, SpanId> ids_;
+  std::vector<const std::string*> names_; ///< keys of ids_, by SpanId
+};
 
 enum class CoreState : std::uint8_t {
   kIdle,        ///< launched but not yet started
@@ -70,10 +101,11 @@ public:
   CoreCounters counters;
   CoreState state = CoreState::kIdle;
 
-  /// Live span nesting (pushed/popped by CoreCtx::begin_span/end_span,
-  /// independent of tracing or checking) so deadlock and watchdog
-  /// diagnostics can say which phase each blocked core was in.
-  std::vector<std::string> spans;
+  /// Live span nesting as interned ids (pushed/popped by
+  /// CoreCtx::begin_span/end_span, independent of tracing or checking).
+  /// The power sampler charges activity to the innermost id, and deadlock
+  /// and watchdog diagnostics name the phase each blocked core was in.
+  std::vector<SpanId> spans;
 
 private:
   int id_;

@@ -66,13 +66,14 @@ public:
   CoreCtx(Core& core, Scheduler& sched, Noc& noc, ExtPort& ext_port,
           ExternalMemory& ext_mem, const CostModel& cost,
           const ChipConfig& cfg, Tracer& tracer,
-          telemetry::MetricsRegistry& metrics,
+          telemetry::MetricsRegistry& metrics, SpanNames& span_names,
           check::CheckContext* checker = nullptr,
           fault::FaultInjector* fault = nullptr,
           PowerSampler* power = nullptr)
       : core_(core), sched_(sched), noc_(noc), ext_port_(ext_port),
         ext_mem_(ext_mem), cost_(cost), cfg_(cfg), tracer_(tracer),
-        metrics_(metrics), check_(checker), fault_(fault), power_(power) {}
+        metrics_(metrics), span_names_(span_names), check_(checker),
+        fault_(fault), power_(power) {}
 
   CoreCtx(const CoreCtx&) = delete;
   CoreCtx& operator=(const CoreCtx&) = delete;
@@ -108,12 +109,14 @@ public:
   }
 
   /// Open a named, nestable trace span on this core. The core's live span
-  /// stack always tracks these (for deadlock/watchdog diagnostics); the
-  /// tracer additionally records them when tracing is enabled. Pair with
-  /// end_span(); see Tracer::push_span.
+  /// stack always tracks these by interned id (for the power sampler and
+  /// deadlock/watchdog diagnostics); the tracer additionally records them
+  /// when tracing is enabled. Pair with end_span(); see Tracer::push_span.
   void begin_span(std::string name) {
     if (check_ != nullptr) check_->on_span_push(id(), name);
-    core_.spans.push_back(name);
+    const SpanId span = span_names_.intern(name);
+    core_.spans.push_back(span);
+    if (power_ != nullptr) power_->reserve_span(span);
     tracer_.push_span(id(), std::move(name), now());
   }
   /// Close this core's innermost open trace span.
@@ -344,6 +347,7 @@ private:
   const ChipConfig& cfg_;
   Tracer& tracer_;
   telemetry::MetricsRegistry& metrics_;
+  SpanNames& span_names_; ///< the Machine's interned span names
   check::CheckContext* check_; ///< hazard sanitizer hooks, or nullptr
   fault::FaultInjector* fault_ = nullptr; ///< fault campaign, or nullptr
   PowerSampler* power_ = nullptr; ///< power-telemetry sampler, or nullptr

@@ -46,7 +46,7 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
   // to an uninstrumented one (docs/observability.md).
   const PowerOptions power_opt = power_options_with_env(cfg_.power);
   if (power_opt.enabled) {
-    power_ = std::make_unique<PowerSampler>(cfg_, power_opt);
+    power_ = std::make_unique<PowerSampler>(cfg_, power_opt, span_names_);
     noc_.set_power_sampler(power_.get());
     ext_port_.set_power_sampler(power_.get());
   }
@@ -54,7 +54,8 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
     cores_.push_back(std::make_unique<Core>(id, coord_of(id), cfg));
     ctxs_.push_back(std::make_unique<CoreCtx>(
         *cores_.back(), sched_, noc_, ext_port_, ext_mem_, cost_, cfg_,
-        *tracer_, metrics_, checker_.get(), injector_.get(), power_.get()));
+        *tracer_, metrics_, span_names_, checker_.get(), injector_.get(),
+        power_.get()));
     if (checker_ != nullptr)
       checker_->register_core(id, coord_of(id), &cores_.back()->mem());
     if (power_ != nullptr)
@@ -158,7 +159,8 @@ std::string Machine::blocked_cores_brief() const {
     any = true;
     const Core& c = *cores_[static_cast<std::size_t>(p.core_id)];
     out << " core " << p.core_id << " (" << to_string(c.state);
-    if (!c.spans.empty()) out << ", span " << c.spans.back();
+    if (!c.spans.empty())
+      out << ", span " << span_names_.name(c.spans.back());
     out << ")";
   }
   if (!any) out << " (none)";

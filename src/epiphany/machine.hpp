@@ -171,6 +171,8 @@ private:
   ExtPort ext_port_;
   ExternalMemory ext_mem_;
   AddressMap amap_;
+  /// Every span name a core opened, interned once; Core::spans holds ids.
+  SpanNames span_names_;
   /// Null unless cfg_.faults.enabled(). Created before the contexts so
   /// each CoreCtx (and the NoC) carries the hook pointer.
   std::unique_ptr<fault::FaultInjector> injector_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <sstream>
 
 #include "common/array2d.hpp"
@@ -38,15 +39,20 @@ PowerOptions power_options_with_env(PowerOptions opt) {
   return opt;
 }
 
-PowerSampler::PowerSampler(const ChipConfig& cfg, const PowerOptions& opt)
+PowerSampler::PowerSampler(const ChipConfig& cfg, const PowerOptions& opt,
+                           const SpanNames& names)
     : epoch_cycles_(opt.epoch_cycles > 0 ? opt.epoch_cycles : 1),
       max_epochs_(opt.max_epochs > 1 ? opt.max_epochs : 2),
-      cores_(static_cast<std::size_t>(cfg.core_count())) {}
+      cores_(static_cast<std::size_t>(cfg.core_count())), names_(names) {}
 
-void PowerSampler::register_core(int id,
-                                 const std::vector<std::string>* spans) {
+void PowerSampler::register_core(int id, const std::vector<SpanId>* spans) {
   ESARP_EXPECTS(id >= 0 && id < n_cores());
   cores_[static_cast<std::size_t>(id)].spans = spans;
+}
+
+const PowerSampler::Activity* PowerSampler::span_activity(SpanId id) const {
+  return id < span_.size() && span_[id].charged ? &span_[id].activity
+                                                : nullptr;
 }
 
 std::size_t PowerSampler::n_epochs() const {
@@ -101,10 +107,13 @@ void PowerSampler::charge(int core, Cycles start, Cycles end,
     bin.elink_bytes += amount.elink_bytes * frac;
   }
 
-  if (pc.spans != nullptr && !pc.spans->empty())
-    span_[pc.spans->back()] += amount;
-  else
+  if (pc.spans != nullptr && !pc.spans->empty()) {
+    SpanTotal& span = span_[pc.spans->back()];
+    span.activity += amount;
+    span.charged = true;
+  } else {
     spanless_ += amount;
+  }
 }
 
 void PowerSampler::record_compute(int core, Cycles start, Cycles end,
@@ -235,9 +244,14 @@ SpanEnergyProfile build_span_profile(const PowerSampler& sampler,
   SpanEnergyProfile prof;
 
   // Group "merge-iter/3" with "merge-iter/4": per-iteration numbering is
-  // workload detail; the profile reports per-phase totals.
+  // workload detail; the profile reports per-phase totals. Spans are
+  // visited in name order, so each group sums its spans in the same order
+  // whichever order the run opened them in.
   std::map<std::string, SpanEnergyProfile::Entry> groups;
-  for (const auto& [name, act] : sampler.span_activity()) {
+  for (const auto& [name, id] : sampler.span_names().by_name()) {
+    const PowerSampler::Activity* charged = sampler.span_activity(id);
+    if (charged == nullptr) continue;
+    const PowerSampler::Activity& act = *charged;
     const std::size_t slash = name.rfind('/');
     const std::string group =
         slash == std::string::npos ? name : name.substr(0, slash);

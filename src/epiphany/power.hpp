@@ -21,6 +21,9 @@
 // innermost live span ("merge-iter/3", "dma-prefetch", ...), yielding a
 // span-level energy profile: joules per phase, plus an "unattributed"
 // bucket for span-less activity, clock-gated idle and static leakage.
+// Spans are charged by interned id (SpanNames, core.hpp), so charging a
+// span compares, hashes and allocates nothing; names are attached, in
+// name order, only when the profile is built.
 //
 // Sampling is zero-perturbation by construction: the sampler holds no
 // scheduler state and is only ever *called from* the simulation, so an
@@ -30,12 +33,12 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/opcounts.hpp"
 #include "epiphany/config.hpp"
+#include "epiphany/core.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/perf.hpp"
 #include "epiphany/trace.hpp"
@@ -74,12 +77,20 @@ public:
     }
   };
 
-  PowerSampler(const ChipConfig& cfg, const PowerOptions& opt);
+  /// `names` is the Machine's span-name table, which names the per-id
+  /// totals in reports.
+  PowerSampler(const ChipConfig& cfg, const PowerOptions& opt,
+               const SpanNames& names);
 
   /// Attach core `id`'s live span stack (Core::spans) so activity can be
   /// charged to the innermost open span at record time. Called by the
   /// Machine for every core at construction.
-  void register_core(int id, const std::vector<std::string>* spans);
+  void register_core(int id, const std::vector<SpanId>* spans);
+  /// Make room for span `id`'s totals. CoreCtx::begin_span calls this when
+  /// it pushes `id`, so charging a span never allocates.
+  void reserve_span(SpanId id) {
+    if (id >= span_.size()) span_.resize(static_cast<std::size_t>(id) + 1);
+  }
 
   /// A compute block of `ops` on `core` over [start, end).
   void record_compute(int core, Cycles start, Cycles end, const OpCounts& ops);
@@ -97,17 +108,24 @@ public:
   /// Number of epochs with recorded activity (max over cores).
   [[nodiscard]] std::size_t n_epochs() const;
   [[nodiscard]] const std::vector<Activity>& core_bins(int core) const;
-  /// Per-span activity totals, keyed by full span name ("merge-iter/3").
-  [[nodiscard]] const std::map<std::string, Activity>& span_activity() const {
-    return span_;
-  }
+  /// Activity charged to span `id` while it was a core's innermost span,
+  /// or nullptr if none ever was.
+  [[nodiscard]] const Activity* span_activity(SpanId id) const;
+  /// The names of the span ids ("merge-iter/3").
+  [[nodiscard]] const SpanNames& span_names() const { return names_; }
   /// Activity recorded while no span was open on the initiating core.
   [[nodiscard]] const Activity& spanless() const { return spanless_; }
 
 private:
   struct PerCore {
-    const std::vector<std::string>* spans = nullptr;
+    const std::vector<SpanId>* spans = nullptr;
     std::vector<Activity> bins;
+  };
+  /// One span's run total; `charged` tells a span charged only zero
+  /// activity apart from one never charged (which gets no profile entry).
+  struct SpanTotal {
+    Activity activity;
+    bool charged = false;
   };
 
   /// Spread `amount` over the epochs overlapped by [start, end) pro-rata,
@@ -120,7 +138,8 @@ private:
   Cycles epoch_cycles_;
   std::size_t max_epochs_;
   std::vector<PerCore> cores_;
-  std::map<std::string, Activity> span_;
+  const SpanNames& names_;
+  std::vector<SpanTotal> span_; ///< indexed by SpanId
   Activity spanless_;
 };
 

@@ -18,7 +18,10 @@
 // Lookup is find-or-create; references returned by the registry stay valid
 // for the registry's lifetime (node-based map storage). Instrumented
 // components cache these references, so the per-event cost is an add or a
-// short binary search — negligible next to a discrete-event step.
+// short binary search. That is not free: in a benchmark autofocus_mpmd
+// call (13 cores, 208,689 engine events) Histogram::observe takes about
+// 5 % of the host time, and all registry updates together 5-6 %
+// (SIGPROF samples, docs/performance.md "Power sampler span attribution").
 #pragma once
 
 #include <cstdint>

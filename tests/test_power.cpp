@@ -2,8 +2,10 @@
 // between the epoch trace / span profile and the aggregate energy model,
 // zero-perturbation of the sampler (bit-identical runs with sampling on,
 // off, at any epoch size, under the hazard checker and under fault
-// injection), clock-gating monotonicity of the energy model, and the
-// non-finite guards on manifests and the comparator.
+// injection), exact span attribution (innermost span, name-ordered
+// grouping, independent of epoch binning), clock-gating monotonicity of
+// the energy model, and the non-finite guards on manifests and the
+// comparator.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -17,6 +19,7 @@
 #include "core/autofocus_epiphany.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/energy.hpp"
+#include "epiphany/machine.hpp"
 #include "epiphany/power.hpp"
 #include "autofocus/workload.hpp"
 #include "sar/scene.hpp"
@@ -210,6 +213,196 @@ TEST(SpanAttribution, PipelinePhasesAreAttributed) {
   EXPECT_TRUE(range && beam && corr);
   // The pipeline's compute phases dominate: most joules are attributed.
   EXPECT_GT(prof.attributed_j, prof.unattributed_j);
+}
+
+using Activity = ep::PowerSampler::Activity;
+
+Activity compute_activity(const ep::CostModel& cost, const OpCounts& ops) {
+  Activity a;
+  a.busy = static_cast<double>(cost.cycles(ops));
+  a.fp = static_cast<double>(ops.fp_issues());
+  a.ialu = static_cast<double>(ops.ialu);
+  a.ldst = static_cast<double>(ops.load + ops.store);
+  return a;
+}
+
+void expect_same_activity(const Activity& a, const Activity& b,
+                          const std::string& what) {
+  EXPECT_EQ(a.busy, b.busy) << what;
+  EXPECT_EQ(a.fp, b.fp) << what;
+  EXPECT_EQ(a.ialu, b.ialu) << what;
+  EXPECT_EQ(a.ldst, b.ldst) << what;
+  EXPECT_EQ(a.byte_hops, b.byte_hops) << what;
+  EXPECT_EQ(a.elink_bytes, b.elink_bytes) << what;
+}
+
+// The activity-proportional joules of one span, in build_span_profile's
+// order of operations.
+double span_joules(const Activity& a, const ep::EnergyParams& p) {
+  return (a.busy * p.core_active_pj_per_cycle + a.fp * p.flop_pj +
+          a.ialu * p.ialu_pj + a.ldst * p.ldst_local_pj +
+          a.byte_hops * p.noc_pj_per_byte_hop +
+          a.elink_bytes * p.elink_pj_per_byte) *
+         1e-12;
+}
+
+TEST(SpanAttribution, ChargesTheInnermostSpanExactly) {
+  // Nested spans, one name open on two cores at once, activity with no
+  // span open, a name reopened after it closed, and an 8-cycle epoch
+  // capped at 4 bins, so the sampler folds many times mid-run. Each
+  // name's totals must be exactly what was charged while it was innermost.
+  ep::ChipConfig cfg;
+  cfg.power.enabled = true;
+  cfg.power.epoch_cycles = 8;
+  cfg.power.max_epochs = 4;
+  ep::Machine m(cfg, 1 << 16);
+  const ep::CostModel& cost = m.cost_model();
+  auto ext = m.ext().alloc<std::uint8_t>(256);
+  auto mailbox = m.core(0).mem().alloc<std::uint8_t>(64);
+
+  OpCounts a, b, c, d, e, f, g, h, k;
+  a.fadd = 40;
+  b.fma = 301;
+  b.load = 7;
+  c.fmul = 123;
+  c.ialu = 45;
+  d.ialu = 17;
+  d.store = 3;
+  e.fadd = 900; // core 5 opens "phase/2" before core 0 opens "phase/1"
+  f.load = 33;
+  g.fma = 517;
+  g.store = 11;
+  h.fcmp = 13;
+  h.ialu = 6;
+  k.fma = 100'007; // dwarfs its group's other spans
+  k.ialu = 1'234;
+
+  m.launch(0, [&](ep::CoreCtx& ctx) -> ep::Task {
+    auto local = ctx.local().alloc<std::uint8_t>(256);
+    co_await ctx.compute(a); // no span open
+    ctx.begin_span("phase/10");
+    co_await ctx.compute(b);
+    ctx.begin_span("inner");
+    co_await ctx.compute(c);
+    co_await ctx.write_ext(ext.data(), local.data(), 256);
+    ctx.end_span();
+    co_await ctx.compute(d); // the outer span again
+    ctx.end_span();
+    ctx.begin_span("phase/10"); // reopened
+    co_await ctx.compute(e);
+    ctx.end_span();
+    ctx.begin_span("phase/1");
+    co_await ctx.compute(k);
+    ctx.end_span();
+    co_await ctx.compute(f); // no span open
+  });
+  m.launch(5, [&](ep::CoreCtx& ctx) -> ep::Task {
+    auto local = ctx.local().alloc<std::uint8_t>(64);
+    ctx.begin_span("phase/10"); // open on core 0 at the same time
+    co_await ctx.compute(g);
+    ctx.end_span();
+    ctx.begin_span("phase/2");
+    co_await ctx.compute(h);
+    co_await ctx.write_remote(m.coord_of(0), mailbox.data(), local.data(),
+                              64);
+    ctx.end_span();
+  });
+  m.run();
+  const ep::PerfReport rep = m.report();
+  const ep::PowerSampler& s = *m.power_sampler();
+  ASSERT_GT(s.epoch_cycles(), Cycles{8}) << "the run should have folded";
+
+  // Expected totals, summed in the order the run charged them.
+  Activity inner = compute_activity(cost, c);
+  inner.byte_hops += static_cast<double>(rep.noc_write_offchip.byte_hops);
+  inner.elink_bytes += 256.0;
+  Activity phase10 = compute_activity(cost, g); // core 5, at cycle 0
+  phase10 += compute_activity(cost, b);
+  phase10 += compute_activity(cost, d);
+  phase10 += compute_activity(cost, e);
+  const Activity phase1 = compute_activity(cost, k);
+  Activity phase2 = compute_activity(cost, h);
+  phase2.byte_hops += static_cast<double>(rep.noc_write_onchip.byte_hops);
+  Activity spanless = compute_activity(cost, a);
+  spanless += compute_activity(cost, f);
+
+  ASSERT_EQ(s.span_names().by_name().size(), 4u);
+  const auto charged = [&](const char* name) {
+    const Activity* act = s.span_activity(s.span_names().by_name().at(name));
+    EXPECT_NE(act, nullptr) << name;
+    return act != nullptr ? *act : Activity{};
+  };
+  expect_same_activity(charged("inner"), inner, "inner");
+  expect_same_activity(charged("phase/1"), phase1, "phase/1");
+  expect_same_activity(charged("phase/10"), phase10, "phase/10");
+  expect_same_activity(charged("phase/2"), phase2, "phase/2");
+  expect_same_activity(s.spanless(), spanless, "spanless");
+
+  // Groups sum their spans in name order ("phase/1" < "phase/10" <
+  // "phase/2"), not in the order the run opened them (10, 2, 1). The op
+  // counts make the two orders round differently.
+  const ep::EnergyParams p;
+  const auto prof = ep::build_span_profile(s, rep, p);
+  double phase_j = 0.0;
+  phase_j += span_joules(phase1, p);
+  phase_j += span_joules(phase10, p);
+  phase_j += span_joules(phase2, p);
+  double inner_j = 0.0;
+  inner_j += span_joules(inner, p);
+  ASSERT_EQ(prof.entries.size(), 2u);
+  EXPECT_EQ(prof.entries[0].name, "phase");
+  EXPECT_EQ(prof.entries[0].spans, 3);
+  EXPECT_EQ(prof.entries[0].joules, phase_j);
+  EXPECT_EQ(prof.entries[1].name, "inner");
+  EXPECT_EQ(prof.entries[1].spans, 1);
+  EXPECT_EQ(prof.entries[1].joules, inner_j);
+  double attributed = 0.0;
+  attributed += inner_j;
+  attributed += phase_j;
+  EXPECT_EQ(prof.attributed_j, attributed);
+}
+
+void expect_same_profile(const ep::SpanEnergyProfile& a,
+                         const ep::SpanEnergyProfile& b,
+                         const std::string& what) {
+  ASSERT_EQ(a.entries.size(), b.entries.size()) << what;
+  for (std::size_t i = 0; i < a.entries.size(); ++i) {
+    const auto& x = a.entries[i];
+    const auto& y = b.entries[i];
+    EXPECT_EQ(x.name, y.name) << what;
+    EXPECT_EQ(x.joules, y.joules) << what << " " << x.name;
+    EXPECT_EQ(x.busy_cycles, y.busy_cycles) << what << " " << x.name;
+    EXPECT_EQ(x.active_j, y.active_j) << what << " " << x.name;
+    EXPECT_EQ(x.alu_j, y.alu_j) << what << " " << x.name;
+    EXPECT_EQ(x.noc_j, y.noc_j) << what << " " << x.name;
+    EXPECT_EQ(x.elink_j, y.elink_j) << what << " " << x.name;
+    EXPECT_EQ(x.spans, y.spans) << what << " " << x.name;
+  }
+  EXPECT_EQ(a.attributed_j, b.attributed_j) << what;
+}
+
+TEST(SpanAttribution, ProfileIsIndependentOfBinning) {
+  // Spans are charged whole, never split by epoch, so no epoch size or cap
+  // may move a bit of the profile. Seeded draws of both.
+  ep::ChipConfig base;
+  base.power.enabled = true;
+  const auto ffbp = run_small_ffbp(base).power.profile;
+  const auto mpmd = run_small_mpmd(base).power.profile;
+  ASSERT_FALSE(ffbp.entries.empty());
+  ASSERT_FALSE(mpmd.entries.empty());
+  Rng rng(20260);
+  for (int draw = 0; draw < 8; ++draw) {
+    ep::ChipConfig cfg = base;
+    cfg.power.epoch_cycles = 1 + rng.below(Cycles{1} << 20);
+    cfg.power.max_epochs = 2 + rng.below(4095);
+    const std::string what =
+        "epoch_cycles=" + std::to_string(cfg.power.epoch_cycles) +
+        " max_epochs=" + std::to_string(cfg.power.max_epochs);
+    expect_same_profile(ffbp, run_small_ffbp(cfg).power.profile,
+                        "ffbp " + what);
+    expect_same_profile(mpmd, run_small_mpmd(cfg).power.profile,
+                        "mpmd " + what);
+  }
 }
 
 // ------------------------------------------------------------- artefacts

@@ -28,13 +28,16 @@ expect() {
 }
 
 # expect_named FLAG CMD...: a usage error (exit 2) whose message names FLAG.
+# Only the first line of standard error counts: the usage block that
+# follows it lists every flag.
 expect_named() {
   local flag="$1"
   shift
   local err
   err=$("$@" 2>&1 >/dev/null)
   local got=$?
-  if [ "$got" -ne 2 ] || ! printf '%s\n' "$err" | grep -q -- "$flag"; then
+  if [ "$got" -ne 2 ] ||
+    ! printf '%s\n' "$err" | head -n 1 | grep -q -- "$flag"; then
     echo "FAIL: expected exit 2 naming $flag, got $got: $*" >&2
     fails=$((fails + 1))
   else
@@ -61,6 +64,11 @@ expect 2 "$esarp" chip --in "$ds" --cores 99
 expect 2 "$esarp" chip --in "$ds" --cores abc
 expect 2 "$esarp" power --in "$ds" --cores 0
 expect 2 "$esarp" power --in "$ds" --cores 99
+expect_named --epoch "$esarp" power --in "$ds" --epoch 0
+expect_named --epoch "$esarp" power --in "$ds" --epoch -5
+# An epoch longer than any run is one bin, not an overflow: the sampler
+# never multiplies the epoch by its bin cap (2^62 * 4096 wraps).
+expect 0 "$esarp" power --in "$ds" --epoch 4611686018427387904
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
 

@@ -499,7 +499,8 @@ int cmd_power(const Args& args) {
   chip_cfg.power.enabled = true;
   if (args.has("epoch")) {
     const long epoch = args.num("epoch", 0);
-    if (epoch <= 0) return usage();
+    if (epoch <= 0)
+      return usage_error("power", "--epoch must be a positive cycle count");
     chip_cfg.power.epoch_cycles = static_cast<ep::Cycles>(epoch);
   }
 
