@@ -2,15 +2,18 @@
 # Asserts the esarp CLI's documented exit-code contract (tools/esarp_cli.cpp
 # header): 0 ok, 2 usage error, 3 simulated-chip deadlock, 4 contract
 # violation (including the max_cycles watchdog), 5 unrecovered fault,
-# 6 static-analysis (esarp lint) findings.
-# ctest only distinguishes zero from nonzero, so scripted checks are the
-# one place the *specific* codes scripts and CI key off are pinned down.
+# 6 static-analysis (esarp lint) findings; and esarp_compare's threshold
+# rule (exit 2).
+# ctest only distinguishes zero from nonzero, so scripted checks pin down
+# the *specific* codes scripts and CI key off.
 #
-# Usage: cli_exit_codes.sh <path-to-esarp> <scratch-dir>
+# Usage: cli_exit_codes.sh <path-to-esarp> <path-to-esarp_compare>
+#                          <scratch-dir>
 set -u
 
 esarp="$1"
-scratch="${2:-.}"
+compare="$2"
+scratch="${3:-.}"
 ds="$scratch/cli_exit_codes.esrp"
 fails=0
 
@@ -202,6 +205,67 @@ expect 6 "$esarp" lint --cores 32
 # the paper's 1001-bin rows overflows the four-bank local store) exits
 # with the distinct findings code.
 expect 6 "$esarp" lint --mapping ffbp-db --pulses 32 --range 1001
+
+# Every command checks each given flag against the flags it declares before
+# it does any work: an undeclared flag (a typo, or lint's removed
+# --double-buffer, which --mapping ffbp-db replaces) is a usage error naming
+# the flag, never a run with the intended setting silently left at its
+# default.
+manifest="$scratch/cli_exit_codes.manifest.json"
+expect 0 "$esarp" chip --in "$ds" --cores 4 --metrics "$manifest"
+expect_named --no-prefech "$esarp" chip --in "$ds" --cores 4 --no-prefech
+expect_named --csvv "$esarp" power --in "$ds" --cores 4 \
+  --csvv "$scratch/cli_exit_codes.csv"
+expect_named --dma-corupt "$esarp" chaos --in "$ds" --cores 4 \
+  --dma-corupt 1e-3 --dma-drop 1e-3
+expect_named --validat "$esarp" lint --validat
+expect_named --nosie "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 32 --range 65 --nosie 0.1
+expect_named --interpp "$esarp" image --in "$ds" \
+  --out "$scratch/cli_exit_codes.pgm" --interpp cubic
+expect_named --bogus "$esarp" analyze --in "$ds" --bogus 1
+expect_named --bogus "$esarp" report --in "$manifest" --bogus 1
+expect_named --double-buffer "$esarp" lint --double-buffer
+
+# A value outside its flag's declared range, which also keeps it inside the
+# type the command reads it as, is a usage error naming the flag: never
+# narrowed to another value (4294967297 chips to 1) or read as "off".
+expect_named --chips "$esarp" "${small_serve[@]}" --chips 4294967297
+expect_named --cores "$esarp" lint --cores 4294967312
+expect_named --max-cycles "$esarp" chaos --in "$ds" --cores 4 \
+  --dma-corrupt 1e-3 --max-cycles -5
+expect_named --noise "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 32 --range 65 --noise -1
+expect_named --targets "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 32 --range 65 --targets -3
+expect_named --looks "$esarp" image --in "$ds" \
+  --out "$scratch/cli_exit_codes.pgm" --looks 0
+
+# Serve's generator holds each job to the shape its runners accept, so a bad
+# shape is a usage error before the fleet starts, never a contract abort at
+# dispatch (exit 4). Lint shares the pulse rule: a power of two for FFBP, an
+# even count for GBP.
+gen_serve=(serve --gen poisson --jobs-count 4 --rate 2000 --pulses 32
+  --range 65)
+expect_named --cores "$esarp" "${gen_serve[@]}" --cores 99
+expect_named --pulses "$esarp" "${gen_serve[@]}" --pulses 1
+expect_named --range "$esarp" "${gen_serve[@]}" --range 1
+expect_named --pulses "$esarp" "${gen_serve[@]}" --pulses 48
+expect_named --pulses "$esarp" "${gen_serve[@]}" --algo gbp --pulses 33
+expect_named --pulses "$esarp" lint --mapping gbp --pulses 33 --range 65 \
+  --validate
+# So is a NaN or infinite --priority-mix weight, never a contract abort.
+expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix nan,1,1
+expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix inf,1,1
+
+# esarp_compare parses each threshold whole and wants it >= 0: NaN would
+# pass any regression, and a malformed value must not abort (exit 134).
+expect_named --threshold "$compare" "$manifest" "$manifest" --threshold nan
+expect_named --threshold "$compare" "$manifest" "$manifest" --threshold abc
+expect_named --metric "$compare" "$manifest" "$manifest" \
+  --metric results.x=abc
+expect_named --threshold "$compare" "$manifest" "$manifest" \
+  --threshold 0.05x
 
 if [ "$fails" -gt 0 ]; then
   echo "cli_exit_codes: $fails check(s) failed" >&2

@@ -1,20 +1,10 @@
 // esarp — command-line driver for the SAR processing library.
 //
-//   esarp simulate --pulses 256 --range 251 --out raw.esrp [--noise 0.05]
-//   esarp image    --in raw.esrp --algo ffbp|gbp|rda --out img.pgm
-//                  [--interp nn|linear|cubic] [--autofocus] [--looks k]
-//   esarp chip     --in raw.esrp --cores 16 [--jobs N] [--no-prefetch]
-//                  [--autofocus] [--trace t.json] [--metrics m.json]
-//   esarp chaos    --in raw.esrp --dma-corrupt 1e-3 [--seed S] [...]
-//   esarp power    --in raw.esrp [--cores N] [--epoch C] [--csv p.csv]
-//                  [--heatmap p.pgm] [--trace t.json] [--metrics m.json]
-//   esarp analyze  --in raw.esrp
-//   esarp report   --in m.manifest.json
-//   esarp lint     [--mapping all|ffbp|...] [--pulses N] [--range M]
-//                  [--cores N] [--pairs N] [--json m.json] [--validate]
-//   esarp serve    --trace t.json | --gen poisson|bursty [--chips N]
-//                  [--chip-kill R] [--dma-corrupt R] [--seed S]
-//                  [--metrics m.json] [...]
+// Run `esarp` without arguments for each command's flags. Each command
+// declares its flags once, in a table below that both prints the usage and
+// checks a command line before the command does any work: an undeclared
+// flag, a missing or malformed value, or a value outside its declared
+// range or choices is a usage error (exit 2) naming the flag.
 //
 // Datasets are the library's .esrp container (see sar/io.hpp), so the
 // expensive products can be generated once and reused. --trace writes a
@@ -25,37 +15,37 @@
 // scheduler (docs/static-analysis.md). `serve` replays an arrival trace
 // through the multi-chip fleet runtime and writes an
 // esarp-serve-manifest/4 (docs/serving.md); the retry budget, degradation
-// ladder, dispatch order and shedding are configured per campaign, and a
-// flag serve does not use is a usage error. A fault rate given to chaos
-// or serve is a probability: outside [0, 1] it is a usage error. A fleet
+// ladder, dispatch order and shedding are configured per campaign. A fleet
 // that cannot finish every job (all chips dead, or a job out of retries
 // at max degradation) exits 5 like any other unrecovered fault.
 //
 // Exit codes (stable, scripted against by CI):
 //   0  success
 //   1  generic error (I/O, bad dataset, ...)
-//   2  usage error, including a numeric flag value that is malformed,
-//      has trailing characters or is out of range
+//   2  usage error, including a flag value that is malformed, has
+//      trailing characters or is out of its declared range
 //   3  simulation deadlock (ep::SimDeadlock)
 //   4  contract violation, including the max_cycles watchdog
 //   5  fault campaign exhausted its recovery budget (FaultUnrecovered)
 //   6  `esarp lint` found mapping violations
 #include <algorithm>
-#include <charconv>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
+#include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
-#include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "parse_whole.hpp"
 #include "common/format.hpp"
 #include "common/json.hpp"
 #include "common/pgm.hpp"
@@ -97,194 +87,201 @@ constexpr int kExitContract = 4;
 constexpr int kExitFaultUnrecovered = 5;
 constexpr int kExitLintFindings = 6;
 
-/// The whole of `s` as a T (long or double); nullopt for anything else,
-/// trailing characters and values out of T's range included.
-template <typename T>
-std::optional<T> parse_whole(const std::string& s) {
-  T v{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
-}
-
-/// A numeric flag whose value parse_whole rejects. main() turns it into a
-/// usage error (exit 2) naming the flag.
+/// A command line the flag tables or a command's cross-flag rules reject.
+/// main() turns it into a usage error (exit 2); the message names the flag.
 class FlagError : public std::invalid_argument {
 public:
   using std::invalid_argument::invalid_argument;
 };
 
-/// Minimal --key value / --flag argument map.
+/// What a flag's value must be: a switch takes none; every other kind takes
+/// one, the integer list a comma-separated one (`--cores 2,4`).
+enum Kind : std::uint8_t { kSwitch, kText, kInt, kReal, kChoice, kIntList };
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Inclusive bounds that stand for the open bounds "> 0" and "< 1": the
+/// least positive double and the greatest one below 1.
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+constexpr double kBelowOne = 0x1.fffffffffffffp-1;
+constexpr double kIntMax = std::numeric_limits<int>::max();
+/// Cores of the default chip, the upper bound of a runner's --cores.
+const double kChipCores = ep::ChipConfig{}.core_count();
+
+/// One declared flag. A number, and each entry of an integer list, lies in
+/// the inclusive range [lo, hi], which also keeps it inside the type the
+/// command reads it as. `meta` is the value's usage placeholder; for a
+/// choice it lists the accepted values, separated by '|'.
+struct Flag {
+  std::string_view name;
+  Kind kind = kSwitch;
+  std::string_view meta = {};
+  double lo = -kInf;
+  double hi = kInf;
+  bool required = false;
+};
+
+constexpr Flag required(Flag f) {
+  f.required = true;
+  return f;
+}
+
+/// Whether `x` was parsed and lies in f's range (NaN never does).
+template <typename T>
+bool within(const Flag& f, std::optional<T> x) {
+  return x && static_cast<double>(*x) >= f.lo &&
+         static_cast<double>(*x) <= f.hi;
+}
+
+/// The entries of an integer list, each in f's range; empty for an empty
+/// list or a bad entry.
+std::vector<int> parse_list(const Flag& f, const std::string& s) {
+  std::vector<int> xs;
+  std::istringstream ss(s);
+  for (std::string tok; std::getline(ss, tok, ',');) {
+    const std::optional<int> x = parse_whole<int>(tok);
+    if (!within(f, x)) return {};
+    xs.push_back(*x);
+  }
+  return xs;
+}
+
+/// What f's value must be, for its usage error.
+std::string wants(const Flag& f) {
+  if (f.kind == kText) return "a value";
+  if (f.kind == kChoice) return std::string("one of ").append(f.meta);
+  std::ostringstream s;
+  s << std::setprecision(17)
+    << (f.kind == kReal  ? "a number in "
+        : f.kind == kInt ? "an integer in "
+                         : "comma-separated integers in ");
+  if (f.lo == kAboveZero) s << "(0";
+  else s << '[' << f.lo;
+  if (f.hi == kBelowOne) s << ", 1)";
+  else s << ", " << f.hi << ']';
+  return s.str();
+}
+
+/// One command's flags, each checked against the command's declarations
+/// when the command line is read, so the command only ever sees values its
+/// table accepts. Lookups name declared flags only.
 class Args {
 public:
-  Args(int argc, char** argv) {
+  Args(std::span<const Flag> decl, int argc, char** argv) : decl_(decl) {
     for (int i = 2; i < argc; ++i) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << key << "\n";
-        ok_ = false;
-        return;
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0)
+        throw FlagError("unexpected argument " + arg);
+      const Flag* f = declared(arg.substr(2));
+      if (f == nullptr) throw FlagError("unknown flag " + arg);
+      std::string value;
+      if (f->kind != kSwitch) {
+        // A value never starts with "--": that is the next flag.
+        if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+          value = argv[++i];
+        if (!accepts(*f, value))
+          throw FlagError(arg + " wants " + wants(*f) + ", got '" + value +
+                          "'");
       }
-      key = key.substr(2);
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        kv_[key] = argv[++i];
-      } else {
-        kv_[key] = "";
-      }
+      kv_[std::string(f->name)] = value;
     }
+    for (const Flag& f : decl_)
+      if (f.required && !has(f.name))
+        throw FlagError(std::string("--").append(f.name) + " is required");
   }
 
-  [[nodiscard]] bool ok() const { return ok_; }
-  [[nodiscard]] bool has(const std::string& k) const {
+  [[nodiscard]] bool has(std::string_view k) const {
     return find(k) != nullptr;
   }
-  [[nodiscard]] std::string str(const std::string& k,
+  [[nodiscard]] std::string str(std::string_view k,
                                 const std::string& dflt = "") const {
     const std::string* v = find(k);
     return v != nullptr ? *v : dflt;
   }
-  [[nodiscard]] long num(const std::string& k, long dflt) const {
-    return number(k, dflt);
+  /// An integer flag as T, or `dflt` when it is not given.
+  template <typename T>
+  [[nodiscard]] T num(std::string_view k, T dflt) const {
+    const std::string* v = find(k);
+    if (v == nullptr) return dflt;
+    // The declared range keeps the value inside T; a range wider than T is
+    // a bug in the table, not in the command line.
+    const long x = *parse_whole<long>(*v);
+    ESARP_EXPECTS(std::in_range<T>(x));
+    return static_cast<T>(x);
   }
-  [[nodiscard]] double real(const std::string& k, double dflt) const {
-    return number(k, dflt);
+  [[nodiscard]] double real(std::string_view k, double dflt) const {
+    const std::string* v = find(k);
+    return v != nullptr ? *parse_whole<double>(*v) : dflt;
   }
-  /// First given key that no lookup above has asked for ("" if none): a
-  /// command that has read all its flags rejects the leftovers.
-  [[nodiscard]] std::string unused_key() const {
-    for (const auto& [k, v] : kv_)
-      if (looked_up_.count(k) == 0) return k;
-    return "";
+  /// An integer list flag's entries, or {dflt} when it is not given.
+  [[nodiscard]] std::vector<int> ints(std::string_view k, int dflt) const {
+    const std::string* v = find(k);
+    return v != nullptr ? parse_list(*declared(k), *v) : std::vector{dflt};
   }
 
 private:
-  template <typename T>
-  T number(const std::string& k, T dflt) const {
-    const std::string* v = find(k);
-    if (v == nullptr) return dflt;
-    const std::optional<T> x = parse_whole<T>(*v);
-    if (!x)
-      throw FlagError("--" + k + " wants a number in range, got '" + *v + "'");
-    return *x;
+  static bool accepts(const Flag& f, const std::string& v) {
+    switch (f.kind) {
+    case kInt: return within(f, parse_whole<long>(v));
+    case kReal: return within(f, parse_whole<double>(v));
+    case kIntList: return !parse_list(f, v).empty();
+    case kChoice: {
+      const std::string values = std::string("|").append(f.meta) + '|';
+      return v.find('|') == std::string::npos &&
+             values.find('|' + v + '|') != std::string::npos;
+    }
+    default: return !v.empty();
+    }
   }
 
-  const std::string* find(const std::string& k) const {
-    looked_up_.insert(k);
-    auto it = kv_.find(k);
+  const Flag* declared(std::string_view name) const {
+    for (const Flag& f : decl_)
+      if (f.name == name) return &f;
+    return nullptr;
+  }
+
+  const std::string* find(std::string_view k) const {
+    ESARP_EXPECTS(declared(k) != nullptr);
+    const auto it = kv_.find(k);
     return it != kv_.end() ? &it->second : nullptr;
   }
 
-  std::map<std::string, std::string> kv_;
-  mutable std::set<std::string> looked_up_;
-  bool ok_ = true;
+  std::span<const Flag> decl_;
+  std::map<std::string, std::string, std::less<>> kv_;
 };
 
-int usage() {
-  std::cerr <<
-      "usage:\n"
-      "  esarp simulate --out f.esrp [--pulses N] [--range M] [--paper]\n"
-      "                 [--targets k] [--noise sigma] [--seed s]\n"
-      "  esarp image    --in f.esrp --out img.pgm [--algo ffbp|gbp|rda]\n"
-      "                 [--interp nn|linear|cubic] [--autofocus]"
-      " [--looks k]\n"
-      "  esarp chip     --in f.esrp [--cores N[,N...]] [--jobs N]\n"
-      "                 [--no-prefetch] [--autofocus] [--out img.pgm]\n"
-      "                 [--trace t.json] [--metrics m.json] [--check]\n"
-      "  esarp chaos    --in f.esrp [--cores N] [--seed S]\n"
-      "                 [--dma-corrupt R] [--dma-drop R] [--noc-stall R]\n"
-      "                 [--membits R] [--fail core@cycle[,core@cycle...]]\n"
-      "                 [--no-resilience] [--autofocus] [--pairs N]\n"
-      "                 [--metrics m.json] [--max-cycles N] [--check]\n"
-      "  esarp power    --in f.esrp [--cores N] [--epoch CYCLES]\n"
-      "                 [--no-prefetch] [--autofocus] [--csv p.csv]\n"
-      "                 [--heatmap p.pgm] [--trace t.json]"
-      " [--metrics m.json]\n"
-      "  esarp analyze  --in f.esrp\n"
-      "  esarp report   --in m.manifest.json\n"
-      "  esarp lint     [--mapping all|ffbp|ffbp-db|ffbp-seq|ffbp-af|gbp|\n"
-      "                            af-mpmd|af-mpmd-scattered|af-seq]\n"
-      "                 [--pulses N] [--range M] [--cores N] [--pairs N]\n"
-      "                 [--no-prefetch] [--json m.json] [--validate]\n"
-      "  esarp serve    --trace t.json | --gen poisson|bursty\n"
-      "                 [--jobs-count N] [--rate HZ] [--burst-mean K]\n"
-      "                 [--pulses N] [--range M] [--cores N]\n"
-      "                 [--algo ffbp|gbp] [--deadline S]\n"
-      "                 [--priority-mix L,N,H] [--deadline-jitter J]\n"
-      "                 [--trace-out f]\n"
-      "                 [--chips N] [--seed S] [--chip-kill R]\n"
-      "                 [--dma-corrupt R] [--dma-drop R] [--noc-stall R]\n"
-      "                 [--membits R] [--retry-max N] [--degrade-max N]\n"
-      "                 [--jobs N] [--dispatch edf|fifo] [--shed]\n"
-      "                 [--metrics m.json]\n";
-  return kExitUsage;
+/// Throws FlagError unless the FFBP and GBP runners accept `pulses`: FFBP
+/// merges pairs of subapertures down to one, so it needs a power of two;
+/// GBP streams pulses two at a time, so it needs an even count.
+void check_pulse_shape(bool ffbp, bool gbp, std::size_t pulses) {
+  if (ffbp && !std::has_single_bit(pulses))
+    throw FlagError("--pulses must be a power of two for FFBP");
+  if (gbp && pulses % 2 != 0) throw FlagError("--pulses must be even for GBP");
 }
 
-/// Usage error naming the command and the bad flag. Every command checks
-/// the flag values its runner would reject here, with exit 2: a bad value
-/// must never reach an ESARP_EXPECTS contract abort (exit 4), a std::sto*
-/// parse error (exit 1), or a lint verdict about a mapping that cannot
-/// exist.
-int usage_error(const std::string& cmd, const std::string& msg) {
-  std::cerr << cmd << ": " << msg << "\n";
-  return usage();
-}
-
-/// Reads each fault-rate flag into its target (default 0). A rate is a
-/// probability, so the first flag whose value lies outside [0, 1] (NaN
-/// included) is returned for the caller's usage error; "" when all fit.
-std::string read_rates(
-    const Args& args,
-    std::initializer_list<std::pair<const char*, double*>> rates) {
-  for (const auto& [flag, rate] : rates) {
-    *rate = args.real(flag, 0.0);
-    if (!(*rate >= 0.0 && *rate <= 1.0)) return flag;
-  }
-  return "";
-}
-
-/// Cores of the default chip: every --cores value lies in [1, chip_cores()].
-[[nodiscard]] int chip_cores() { return ep::ChipConfig{}.core_count(); }
-
-[[nodiscard]] bool valid_core_count(long n) {
-  return n >= 1 && n <= chip_cores();
-}
-
-/// `--interp nn|linear|cubic`; nullopt for any other value.
-std::optional<sar::FfbpOptions> interp_options(const Args& args) {
-  sar::FfbpOptions opt;
-  const std::string interp = args.str("interp", "nn");
-  if (interp == "linear") opt.interp = sar::Interp::kLinear;
-  else if (interp == "cubic") opt.interp = sar::Interp::kCubic;
-  else if (interp != "nn") return std::nullopt;
-  return opt;
-}
+const Flag kSimulateFlags[] = {
+    required({"out", kText, "f.esrp"}), {"pulses", kInt, "N", 2},
+    {"range", kInt, "M", 2}, {"paper"}, {"targets", kInt, "K", 0},
+    {"noise", kReal, "SIGMA", 0, std::numeric_limits<float>::max()},
+    {"seed", kInt, "S", 0}};
 
 int cmd_simulate(const Args& args) {
   sar::Dataset ds;
-  if (args.has("paper")) {
-    ds.params = sar::paper_params();
-  } else {
-    const long pulses = args.num("pulses", 256);
-    const long range = args.num("range", 251);
-    if (pulses < 2 || range < 2)
-      return usage_error("simulate", "--pulses/--range must be >= 2");
-    ds.params = sar::test_params(static_cast<std::size_t>(pulses),
-                                 static_cast<std::size_t>(range));
-  }
-  Rng rng(static_cast<std::uint64_t>(args.num("seed", 1)));
+  ds.params = args.has("paper")
+                  ? sar::paper_params()
+                  : sar::test_params(args.num<std::size_t>("pulses", 256),
+                                     args.num<std::size_t>("range", 251));
+  Rng rng(args.num<std::uint64_t>("seed", 1));
   const double noise = args.real("noise", 0.0);
   const std::string out = args.str("out");
-  if (out.empty()) return usage();
 
   sar::Scene scene;
-  const long n_targets = args.num("targets", 6);
+  const auto n_targets = args.num<std::size_t>("targets", 6);
   if (n_targets == 6) {
     scene = sar::six_target_scene(ds.params);
   } else {
     const double x_span = static_cast<double>(ds.params.n_pulses - 1) *
                           ds.params.pulse_spacing_m;
-    for (long i = 0; i < n_targets; ++i)
+    for (std::size_t i = 0; i < n_targets; ++i)
       scene.targets.push_back(
           {rng.uniform(-0.35 * x_span, 0.35 * x_span),
            rng.uniform(ds.params.near_range_m + 10.0 * ds.params.range_bin_m,
@@ -303,15 +300,17 @@ int cmd_simulate(const Args& args) {
   return 0;
 }
 
+const Flag kImageFlags[] = {
+    required({"in", kText, "f.esrp"}), required({"out", kText, "img.pgm"}),
+    {"algo", kChoice, "ffbp|gbp|rda"}, {"interp", kChoice, "nn|linear|cubic"},
+    {"autofocus"}, {"looks", kInt, "K", 1}};
+
 int cmd_image(const Args& args) {
-  const std::string in = args.str("in");
   const std::string out = args.str("out");
-  if (in.empty() || out.empty()) return usage();
-  const std::optional<sar::FfbpOptions> interp = interp_options(args);
-  if (!interp)
-    return usage_error("image", "unknown --interp: " + args.str("interp") +
-                                    " (want nn|linear|cubic)");
-  const sar::Dataset ds = sar::load_dataset(in);
+  sar::FfbpOptions interp;
+  if (args.str("interp") == "linear") interp.interp = sar::Interp::kLinear;
+  if (args.str("interp") == "cubic") interp.interp = sar::Interp::kCubic;
+  const sar::Dataset ds = sar::load_dataset(args.str("in"));
   const std::string algo = args.str("algo", "ffbp");
   WallTimer timer;
 
@@ -320,11 +319,10 @@ int cmd_image(const Args& args) {
     image = sar::gbp(ds.data, ds.params).image.data;
   } else if (algo == "rda") {
     image = sar::range_doppler(ds.data, ds.params).image;
-  } else if (algo == "ffbp") {
-    const long looks = args.num("looks", 1);
+  } else {
+    const auto looks = args.num<std::size_t>("looks", 1);
     if (looks > 1) {
-      const auto ml = sar::multilook_ffbp(
-          ds.data, ds.params, static_cast<std::size_t>(looks), *interp);
+      const auto ml = sar::multilook_ffbp(ds.data, ds.params, looks, interp);
       write_pgm(out, ml.intensity);
       std::cout << "multilook(" << looks << ") image written to " << out
                 << " in " << format_seconds(timer.elapsed_s())
@@ -335,7 +333,7 @@ int cmd_image(const Args& args) {
     }
     if (args.has("autofocus")) {
       af::IntegratedOptions aopt;
-      aopt.ffbp = *interp;
+      aopt.ffbp = interp;
       const auto res = af::ffbp_with_autofocus(ds.data, ds.params, aopt);
       image = res.image.data;
       std::size_t applied = 0;
@@ -344,11 +342,8 @@ int cmd_image(const Args& args) {
       std::cerr << "autofocus: " << applied << "/"
                 << res.corrections.size() << " corrections applied\n";
     } else {
-      image = sar::ffbp(ds.data, ds.params, *interp).image.data;
+      image = sar::ffbp(ds.data, ds.params, interp).image.data;
     }
-  } else {
-    std::cerr << "unknown --algo: " << algo << "\n";
-    return 2;
   }
 
   write_pgm(out, image, {.dynamic_range_db = 45.0});
@@ -358,37 +353,19 @@ int cmd_image(const Args& args) {
   return 0;
 }
 
-/// Parse a `--cores` value: either one count ("16") or a comma-separated
-/// sweep ("4,8,16"), each a core count the chip has; nullopt otherwise.
-std::optional<std::vector<int>> parse_cores(const std::string& spec) {
-  std::vector<int> cores;
-  std::istringstream ss(spec);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (tok.empty()) continue;
-    const std::optional<long> n = parse_whole<long>(tok);
-    if (!n || !valid_core_count(*n)) return std::nullopt;
-    cores.push_back(static_cast<int>(*n));
-  }
-  if (cores.empty()) return std::nullopt;
-  return cores;
-}
+const Flag kChipFlags[] = {
+    required({"in", kText, "f.esrp"}),
+    {"cores", kIntList, "N[,N...]", 1, kChipCores},
+    {"jobs", kInt, "N", 0, kIntMax}, {"no-prefetch"}, {"autofocus"},
+    {"out", kText, "img.pgm"}, {"trace", kText, "t.json"},
+    {"metrics", kText, "m.json"}, {"check"}};
 
 int cmd_chip(const Args& args) {
-  const std::string in = args.str("in");
-  if (in.empty()) return usage();
   // --cores may name a sweep; --jobs N fans the independent simulations
   // over N host threads (default 1). Results are deterministic and
   // identical for any --jobs value (docs/performance.md).
-  const std::optional<std::vector<int>> cores =
-      parse_cores(args.str("cores", "16"));
-  if (!cores)
-    return usage_error("chip", "--cores wants counts in [1, " +
-                                   std::to_string(chip_cores()) +
-                                   "], comma-separated");
-  const std::vector<int>& core_counts = *cores;
-  const int jobs = static_cast<int>(args.num("jobs", 1));
-  const sar::Dataset ds = sar::load_dataset(in);
+  const std::vector<int> core_counts = args.ints("cores", 16);
+  const sar::Dataset ds = sar::load_dataset(args.str("in"));
 
   core::FfbpMapOptions opt;
   opt.n_cores = core_counts.back();
@@ -402,14 +379,13 @@ int cmd_chip(const Args& args) {
   chip_cfg.check.enabled = args.has("check");
 
   const std::string trace_path = args.str("trace");
-  if (args.has("trace") && trace_path.empty()) return usage();
   ep::Tracer tracer;
   if (!trace_path.empty()) {
     tracer.enable();
     opt.tracer = &tracer;
   }
 
-  host::SweepRunner pool(jobs);
+  host::SweepRunner pool(args.num("jobs", 1));
   std::cerr << "simulating " << core_counts.size()
             << " Epiphany FFBP configuration(s) (" << pool.jobs()
             << " host thread(s))...\n";
@@ -455,7 +431,6 @@ int cmd_chip(const Args& args) {
   }
 
   const std::string metrics_path = args.str("metrics");
-  if (args.has("metrics") && metrics_path.empty()) return usage();
   if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_chip");
     ep::fill_manifest(man, sim.perf, sim.energy);
@@ -476,36 +451,30 @@ int cmd_chip(const Args& args) {
   return 0;
 }
 
+const Flag kPowerFlags[] = {
+    required({"in", kText, "f.esrp"}), {"cores", kInt, "N", 1, kChipCores},
+    {"epoch", kInt, "CYCLES", 1}, {"no-prefetch"}, {"autofocus"},
+    {"csv", kText, "p.csv"}, {"heatmap", kText, "p.pgm"},
+    {"trace", kText, "t.json"}, {"metrics", kText, "m.json"}};
+
 /// Power observability report (docs/observability.md): runs the FFBP
 /// mapping with the power sampler attached and prints the aggregate energy
 /// breakdown, the span-attribution profile and the per-epoch peak power.
 /// Energy conservation (trace and attribution vs the aggregate model, 1e-9
 /// relative) is asserted inside collect_power — a violation exits 4.
 int cmd_power(const Args& args) {
-  const std::string in = args.str("in");
-  if (in.empty()) return usage();
   core::FfbpMapOptions opt;
-  const long n_cores = args.num("cores", 16);
-  if (!valid_core_count(n_cores))
-    return usage_error("power", "--cores must be in [1, " +
-                                    std::to_string(chip_cores()) + "]");
-  opt.n_cores = static_cast<int>(n_cores);
-  const sar::Dataset ds = sar::load_dataset(in);
+  opt.n_cores = args.num("cores", 16);
+  const sar::Dataset ds = sar::load_dataset(args.str("in"));
   opt.prefetch = !args.has("no-prefetch");
   af::IntegratedOptions aopt;
   if (args.has("autofocus")) opt.autofocus = &aopt;
 
   ep::ChipConfig chip_cfg;
   chip_cfg.power.enabled = true;
-  if (args.has("epoch")) {
-    const long epoch = args.num("epoch", 0);
-    if (epoch <= 0)
-      return usage_error("power", "--epoch must be a positive cycle count");
-    chip_cfg.power.epoch_cycles = static_cast<ep::Cycles>(epoch);
-  }
+  chip_cfg.power.epoch_cycles = args.num("epoch", chip_cfg.power.epoch_cycles);
 
   const std::string trace_path = args.str("trace");
-  if (args.has("trace") && trace_path.empty()) return usage();
   ep::Tracer tracer;
   if (!trace_path.empty()) {
     tracer.enable();
@@ -530,14 +499,12 @@ int cmd_power(const Args& args) {
             << sim.power.profile.table();
 
   const std::string csv_path = args.str("csv");
-  if (args.has("csv") && csv_path.empty()) return usage();
   if (!csv_path.empty()) {
     ep::write_power_csv(csv_path, trace);
     std::cout << "power trace CSV written to " << csv_path << "\n";
   }
 
   const std::string heatmap_path = args.str("heatmap");
-  if (args.has("heatmap") && heatmap_path.empty()) return usage();
   if (!heatmap_path.empty()) {
     ep::write_power_heatmap(heatmap_path, trace);
     std::cout << "core x epoch power heatmap written to " << heatmap_path
@@ -555,7 +522,6 @@ int cmd_power(const Args& args) {
   }
 
   const std::string metrics_path = args.str("metrics");
-  if (args.has("metrics") && metrics_path.empty()) return usage();
   if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_power");
     ep::fill_manifest(man, sim.perf, sim.energy);
@@ -575,10 +541,11 @@ int cmd_power(const Args& args) {
   return 0;
 }
 
+const Flag kReportFlags[] = {required({"in", kText, "m.manifest.json"})};
+
 /// Human-readable view of a run manifest written by --metrics or a bench.
 int cmd_report(const Args& args) {
   const std::string in = args.str("in");
-  if (in.empty()) return usage();
   const JsonValue doc = load_json_file(in);
   const JsonValue* schema = doc.find("schema");
   // Run and serve manifests share the chip/workload/results layout, so
@@ -628,11 +595,11 @@ parse_fail_stops(const std::string& spec) {
   while (std::getline(ss, tok, ',')) {
     const std::size_t at = tok.find('@');
     if (at == std::string::npos) return std::nullopt;
-    const std::optional<long> core = parse_whole<long>(tok.substr(0, at));
-    const std::optional<long> cycle = parse_whole<long>(tok.substr(at + 1));
-    if (!core || !cycle || *core < 0 || *cycle < 0) return std::nullopt;
-    stops.push_back(
-        {static_cast<int>(*core), static_cast<std::uint64_t>(*cycle)});
+    const std::optional<int> core = parse_whole<int>(tok.substr(0, at));
+    const std::optional<std::uint64_t> cycle =
+        parse_whole<std::uint64_t>(tok.substr(at + 1));
+    if (!core || !cycle || *core < 0) return std::nullopt;
+    stops.push_back({*core, *cycle});
   }
   return stops;
 }
@@ -649,46 +616,42 @@ double image_rmse(const Array2D<cf32>& a, const Array2D<cf32>& b) {
                              a.size(), 1)));
 }
 
+const Flag kChaosFlags[] = {
+    required({"in", kText, "f.esrp"}), {"cores", kInt, "N", 1, kChipCores},
+    {"seed", kInt, "S", 0}, {"dma-corrupt", kReal, "R", 0, 1},
+    {"dma-drop", kReal, "R", 0, 1}, {"noc-stall", kReal, "R", 0, 1},
+    {"membits", kReal, "R", 0, 1},
+    {"fail", kText, "CORE@CYCLE[,CORE@CYCLE...]"}, {"no-resilience"},
+    {"autofocus"}, {"pairs", kInt, "N", 1}, {"metrics", kText, "m.json"},
+    {"max-cycles", kInt, "N", 0}, {"check"}};
+
 /// Seeded fault-injection campaign (docs/fault-injection.md): run the
 /// workload clean, run it again under the fault plan, and report the
 /// recovery counters plus the numeric damage. Identical seeds produce
 /// bit-identical fault schedules, so a chaos invocation is a reproducible
 /// artifact — `fault.schedule_hash` in the metrics manifest witnesses it.
 int cmd_chaos(const Args& args) {
-  const std::string in = args.str("in");
-  if (in.empty()) return usage();
   ep::ChipConfig cfg;
   cfg.check.enabled = args.has("check");
   fault::FaultPlan& plan = cfg.faults;
-  plan.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-  if (const std::string bad =
-          read_rates(args, {{"dma-corrupt", &plan.dma_corrupt_rate},
-                            {"dma-drop", &plan.dma_drop_rate},
-                            {"noc-stall", &plan.noc_stall_rate},
-                            {"membits", &plan.membits_rate}});
-      !bad.empty())
-    return usage_error("chaos", "--" + bad + " must be in [0, 1]");
+  plan.seed = args.num<std::uint64_t>("seed", 1);
+  plan.dma_corrupt_rate = args.real("dma-corrupt", 0.0);
+  plan.dma_drop_rate = args.real("dma-drop", 0.0);
+  plan.noc_stall_rate = args.real("noc-stall", 0.0);
+  plan.membits_rate = args.real("membits", 0.0);
   plan.resilient = !args.has("no-resilience");
   const std::optional<std::vector<fault::FailStop>> fail_stops =
       parse_fail_stops(args.str("fail"));
   if (!fail_stops)
-    return usage_error("chaos", "bad --fail '" + args.str("fail") +
-                                    "' (want core@cycle[,core@cycle...])");
+    throw FlagError("bad --fail '" + args.str("fail") +
+                    "' (want core@cycle[,core@cycle...])");
   plan.fail_stops = *fail_stops;
   if (!plan.enabled())
-    return usage_error("chaos", "no faults requested (set --dma-corrupt, "
-                                "--dma-drop, --noc-stall, --membits, or "
-                                "--fail)");
-  const auto max_cycles = static_cast<ep::Cycles>(args.num("max-cycles", 0));
+    throw FlagError("no faults requested (set --dma-corrupt, --dma-drop, "
+                    "--noc-stall, --membits, or --fail)");
+  const auto max_cycles = args.num<ep::Cycles>("max-cycles", 0);
   const bool autofocus = args.has("autofocus");
-  const long n_pairs = args.num("pairs", 8);
-  const long n_cores = args.num("cores", 16);
-  if (autofocus && n_pairs < 1)
-    return usage_error("chaos", "--pairs must be >= 1");
-  if (!autofocus && !valid_core_count(n_cores))
-    return usage_error("chaos", "--cores must be in [1, " +
-                                    std::to_string(chip_cores()) + "]");
-  const sar::Dataset ds = sar::load_dataset(in);
+  const sar::Dataset ds = sar::load_dataset(args.str("in"));
 
   fault::FaultSummary sum;
   bool degraded = false;
@@ -707,7 +670,8 @@ int cmd_chaos(const Args& args) {
     af::AfParams p;
     Rng rng(plan.seed ^ ds.params.n_pulses);
     std::vector<af::BlockPair> pairs;
-    for (long i = 0; i < n_pairs; ++i)
+    const auto n_pairs = args.num<std::size_t>("pairs", 8);
+    for (std::size_t i = 0; i < n_pairs; ++i)
       pairs.push_back(
           af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
     core::AfMapOptions opt;
@@ -733,7 +697,7 @@ int cmd_chaos(const Args& args) {
     damage_label = "criterion RMSE vs clean";
   } else {
     core::FfbpMapOptions opt;
-    opt.n_cores = static_cast<int>(n_cores);
+    opt.n_cores = args.num("cores", 16);
     opt.max_cycles = max_cycles;
     std::cerr << "chaos: clean FFBP reference run...\n";
     const auto clean = core::run_ffbp_epiphany(ds.data, ds.params, opt);
@@ -773,7 +737,6 @@ int cmd_chaos(const Args& args) {
   t.print(std::cout);
 
   const std::string metrics_path = args.str("metrics");
-  if (args.has("metrics") && metrics_path.empty()) return usage();
   if (!metrics_path.empty() && metrics != nullptr) {
     telemetry::RunManifest man("esarp_chaos");
     if (ffbp_faulted)
@@ -796,9 +759,10 @@ int cmd_chaos(const Args& args) {
   return kExitOk;
 }
 
+const Flag kAnalyzeFlags[] = {required({"in", kText, "f.esrp"})};
+
 int cmd_analyze(const Args& args) {
   const std::string in = args.str("in");
-  if (in.empty()) return usage();
   const sar::Dataset ds = sar::load_dataset(in);
   const auto img = sar::ffbp(ds.data, ds.params);
   const auto rep = sar::analyze_point_target(img.image.data);
@@ -819,6 +783,15 @@ int cmd_analyze(const Args& args) {
   return 0;
 }
 
+const Flag kLintFlags[] = {
+    {"mapping", kChoice,
+     "all|ffbp|ffbp-db|ffbp-seq|ffbp-af|gbp|af-mpmd|af-mpmd-scattered|af-seq"},
+    {"pulses", kInt, "N", 2}, {"range", kInt, "M", 2},
+    // More cores than the chip has stays legal here: the core-id checker
+    // reports the cores that do not exist.
+    {"cores", kInt, "N", 1, kIntMax}, {"pairs", kInt, "N", 1},
+    {"no-prefetch"}, {"json", kText, "m.json"}, {"validate"}};
+
 /// Static mapping analysis (docs/static-analysis.md): build the declarative
 /// descriptor of each requested mapping, run the legality checkers and the
 /// analytic cost model, and report findings + predictions. No simulation
@@ -826,23 +799,12 @@ int cmd_analyze(const Args& args) {
 /// and records the prediction error in the manifest.
 int cmd_lint(const Args& args) {
   const std::string which = args.str("mapping", "all");
-  const long pulses_flag = args.num("pulses", 32);
-  const long range_flag = args.num("range", 101);
-  const long cores_flag = args.num("cores", 16);
-  const long pairs_flag = args.num("pairs", 4);
-  // A core count past the chip stays legal here: the core-id checker
-  // reports the cores that do not exist.
-  const bool ffbp = which == "all" || which.rfind("ffbp", 0) == 0;
-  if (pulses_flag < 2 || (ffbp && (pulses_flag & (pulses_flag - 1)) != 0))
-    return usage_error("lint", ffbp ? "--pulses must be a power of two >= 2"
-                                    : "--pulses must be >= 2");
-  if (range_flag < 2) return usage_error("lint", "--range must be >= 2");
-  if (cores_flag < 1) return usage_error("lint", "--cores must be >= 1");
-  if (pairs_flag < 1) return usage_error("lint", "--pairs must be >= 1");
-  const auto pulses = static_cast<std::size_t>(pulses_flag);
-  const auto range = static_cast<std::size_t>(range_flag);
-  const int cores = static_cast<int>(cores_flag);
-  const auto n_pairs = static_cast<std::size_t>(pairs_flag);
+  const auto pulses = args.num<std::size_t>("pulses", 32);
+  check_pulse_shape(which == "all" || which.starts_with("ffbp"),
+                    which == "all" || which == "gbp", pulses);
+  const auto range = args.num<std::size_t>("range", 101);
+  const int cores = args.num("cores", 16);
+  const auto n_pairs = args.num<std::size_t>("pairs", 4);
   const bool validate = args.has("validate");
 
   const sar::RadarParams p = sar::test_params(pulses, range);
@@ -881,7 +843,7 @@ int cmd_lint(const Args& args) {
     core::FfbpMapOptions opt;
     opt.n_cores = cores;
     opt.prefetch = !args.has("no-prefetch");
-    opt.double_buffer = which == "ffbp-db" || args.has("double-buffer");
+    opt.double_buffer = which == "ffbp-db";
     entries.push_back({opt.double_buffer ? "ffbp-db" : "ffbp",
                        core::describe_ffbp_mapping(p, opt), [&, opt] {
                          const auto sim =
@@ -941,11 +903,6 @@ int cmd_lint(const Args& args) {
                          return std::pair{sim.cycles, sim.energy.total_j()};
                        }});
   }
-  if (entries.empty()) {
-    std::cerr << "unknown --mapping: " << which << "\n";
-    return usage();
-  }
-
   std::vector<analysis::MappingReport> reports;
   for (auto& e : entries) {
     analysis::MappingReport rep;
@@ -971,13 +928,28 @@ int cmd_lint(const Args& args) {
 
   analysis::write_console_report(std::cout, reports);
   const std::string json_path = args.str("json");
-  if (args.has("json") && json_path.empty()) return usage();
   if (!json_path.empty()) {
     analysis::write_manifest(std::filesystem::path(json_path), reports);
     std::cout << "lint manifest written to " << json_path << "\n";
   }
   return analysis::total_findings(reports) == 0 ? kExitOk : kExitLintFindings;
 }
+
+const Flag kServeFlags[] = {
+    {"trace", kText, "t.json"}, {"gen", kChoice, "poisson|bursty"},
+    {"jobs-count", kInt, "N", 1, kIntMax}, {"rate", kReal, "HZ", kAboveZero},
+    {"burst-mean", kReal, "K"}, {"pulses", kInt, "N", 2},
+    {"range", kInt, "M", 2}, {"cores", kInt, "N", 1, kChipCores},
+    {"algo", kChoice, "ffbp|gbp"}, {"deadline", kReal, "S", kAboveZero},
+    {"priority-mix", kText, "L,N,H"},
+    {"deadline-jitter", kReal, "J", 0, kBelowOne},
+    {"trace-out", kText, "f.json"}, {"chips", kInt, "N", 1, kIntMax},
+    {"seed", kInt, "S", 0}, {"chip-kill", kReal, "R", 0, 1},
+    {"dma-corrupt", kReal, "R", 0, 1}, {"dma-drop", kReal, "R", 0, 1},
+    {"noc-stall", kReal, "R", 0, 1}, {"membits", kReal, "R", 0, 1},
+    {"retry-max", kInt, "N", 1, kIntMax},
+    {"degrade-max", kInt, "N", 0, kIntMax}, {"jobs", kInt, "N", 0, kIntMax},
+    {"dispatch", kChoice, "edf|fifo"}, {"shed"}, {"metrics", kText, "m.json"}};
 
 /// SAR-as-a-service fleet runtime (docs/serving.md): replay an arrival
 /// trace (pinned file or generated Poisson/bursty) through N simulated
@@ -987,116 +959,75 @@ int cmd_lint(const Args& args) {
 /// byte-identical --metrics manifest.
 int cmd_serve(const Args& args) {
   const std::string trace_path = args.str("trace");
-  const std::string gen = args.str("gen");
-  if (args.has("trace") && trace_path.empty()) return usage();
-  if (trace_path.empty() && gen.empty()) {
-    return usage_error("serve", "need an input trace (--trace f.json) or a "
-                                "generator (--gen poisson|bursty)");
-  }
+  if (trace_path.empty() && !args.has("gen"))
+    throw FlagError("need an input trace (--trace f.json) or a generator "
+                    "(--gen poisson|bursty)");
 
   serve::ArrivalTrace trace;
-  serve::FleetConfig fc;
-  try {
-    if (trace_path.empty()) {
-      serve::TraceParams tp;
-      if (gen == "bursty") {
-        tp.bursty = true;
-      } else if (gen != "poisson") {
-        return usage_error("serve", "unknown --gen: " + gen +
-                                    " (want poisson|bursty)");
-      }
-      const long n_jobs = args.num("jobs-count", 16);
-      if (n_jobs < 1)
-        return usage_error("serve", "--jobs-count must be >= 1");
-      tp.rate_hz = args.real("rate", 400.0);
-      if (tp.rate_hz <= 0.0)
-        return usage_error("serve", "--rate must be > 0");
-      tp.burst_mean = args.real("burst-mean", 4.0);
-      if (tp.bursty && tp.burst_mean < 1.0)
-        return usage_error("serve", "--burst-mean must be >= 1");
-      const long pulses = args.num("pulses", 64);
-      const long range = args.num("range", 101);
-      const long cores = args.num("cores", 16);
-      if (pulses < 1 || range < 1 || cores < 1)
-        return usage_error("serve", "--pulses/--range/--cores must be >= 1");
-      tp.n_jobs = static_cast<std::size_t>(n_jobs);
-      tp.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-      tp.n_pulses = static_cast<std::size_t>(pulses);
-      tp.n_range = static_cast<std::size_t>(range);
-      tp.n_cores = static_cast<int>(cores);
-      tp.algo = serve::algo_from_string(args.str("algo", "ffbp"));
-      tp.deadline_s = args.real("deadline", 0.01);
-      if (tp.deadline_s <= 0.0)
-        return usage_error("serve", "--deadline must be > 0");
-      if (args.has("priority-mix")) {
-        // "L,N,H" weights (normalized); e.g. --priority-mix 0.3,0.5,0.2
-        const std::string mix = args.str("priority-mix");
-        double w[3] = {0.0, 0.0, 0.0};
-        std::istringstream ss(mix);
-        std::string part;
-        int n = 0;
-        // A malformed weight reads as -1 and fails the check below.
-        while (std::getline(ss, part, ',') && n < 3)
-          w[n++] = parse_whole<double>(part).value_or(-1.0);
-        const double total = w[0] + w[1] + w[2];
-        if (n != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 || total <= 0.0)
-          return usage_error(
-              "serve",
-              "--priority-mix wants three non-negative comma-separated "
-              "weights low,normal,high (e.g. 0.3,0.5,0.2)");
-        tp.frac_low = w[0] / total;
-        tp.frac_high = w[2] / total;
-      }
-      tp.deadline_jitter = args.real("deadline-jitter", 0.0);
-      if (tp.deadline_jitter < 0.0 || tp.deadline_jitter >= 1.0)
-        return usage_error("serve", "--deadline-jitter must be in [0, 1)");
-      trace = serve::make_trace(tp);
+  if (!trace_path.empty()) {
+    // A generator flag given with a replayed trace would serve a different
+    // campaign than the one asked for.
+    for (const std::string k :
+         {"gen", "jobs-count", "rate", "burst-mean", "pulses", "range",
+          "cores", "algo", "deadline", "priority-mix", "deadline-jitter"})
+      if (args.has(k))
+        throw FlagError("--" + k + " is a generator flag: not with --trace");
+    trace = serve::load_trace(trace_path);
+  } else {
+    serve::TraceParams tp;
+    tp.bursty = args.str("gen") == "bursty";
+    tp.n_jobs = args.num<std::size_t>("jobs-count", 16);
+    tp.rate_hz = args.real("rate", 400.0);
+    tp.burst_mean = args.real("burst-mean", 4.0);
+    if (tp.bursty && tp.burst_mean < 1.0)
+      throw FlagError("--burst-mean must be >= 1 with --gen bursty");
+    tp.seed = args.num<std::uint64_t>("seed", 1);
+    tp.n_pulses = args.num<std::size_t>("pulses", 64);
+    tp.n_range = args.num<std::size_t>("range", 101);
+    tp.n_cores = args.num("cores", 16);
+    tp.algo = serve::algo_from_string(args.str("algo", "ffbp"));
+    check_pulse_shape(tp.algo == serve::Algo::kFfbp,
+                      tp.algo == serve::Algo::kGbp, tp.n_pulses);
+    tp.deadline_s = args.real("deadline", 0.01);
+    if (args.has("priority-mix")) {
+      // "L,N,H" weights (normalized); e.g. --priority-mix 0.3,0.5,0.2
+      double w[3] = {0.0, 0.0, 0.0};
+      std::istringstream ss(args.str("priority-mix"));
+      std::string part;
+      int n = 0;
+      // A malformed weight reads as -1 and fails the check below.
+      while (std::getline(ss, part, ',') && n < 3)
+        w[n++] = parse_whole<double>(part).value_or(-1.0);
+      // A NaN or infinite weight makes the total non-finite.
+      const double total = w[0] + w[1] + w[2];
+      if (n != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 ||
+          !(total > 0.0 && std::isfinite(total)))
+        throw FlagError("--priority-mix wants three non-negative "
+                        "comma-separated weights low,normal,high (e.g. "
+                        "0.3,0.5,0.2)");
+      tp.frac_low = w[0] / total;
+      tp.frac_high = w[2] / total;
     }
-
-    fc.n_chips = static_cast<int>(args.num("chips", 4));
-    if (fc.n_chips < 1)
-      return usage_error("serve", "--chips must be >= 1");
-    fc.host_jobs = static_cast<int>(args.num("jobs", 1));
-    fc.chaos.seed = static_cast<std::uint64_t>(args.num("seed", 1));
-    if (const std::string bad =
-            read_rates(args, {{"chip-kill", &fc.chaos.chip_kill_rate},
-                              {"dma-corrupt", &fc.chaos.dma_corrupt_rate},
-                              {"dma-drop", &fc.chaos.dma_drop_rate},
-                              {"membits", &fc.chaos.membits_rate},
-                              {"noc-stall", &fc.chaos.noc_stall_rate}});
-        !bad.empty())
-      return usage_error("serve", "--" + bad + " must be in [0, 1]");
-    fc.policy.max_attempts = static_cast<int>(args.num("retry-max", 3));
-    if (fc.policy.max_attempts < 1)
-      return usage_error("serve", "--retry-max must be >= 1");
-    fc.policy.max_degrade = static_cast<int>(args.num("degrade-max", 2));
-    if (fc.policy.max_degrade < 0)
-      return usage_error("serve", "--degrade-max must be >= 0");
-
-    const std::string dispatch = args.str("dispatch", "edf");
-    if (dispatch == "fifo") {
-      fc.policy.dispatch = serve::DispatchOrder::kFifo;
-    } else if (dispatch != "edf") {
-      return usage_error("serve", "unknown --dispatch: " + dispatch +
-                                  " (want edf|fifo)");
-    }
-    fc.policy.shed.enabled = args.has("shed");
-  } catch (const std::invalid_argument& e) {
-    return usage_error("serve", std::string("bad flag value: ") + e.what());
-  } catch (const std::out_of_range& e) {
-    return usage_error("serve", std::string("flag value out of range: ") +
-                                e.what());
+    tp.deadline_jitter = args.real("deadline-jitter", 0.0);
+    trace = serve::make_trace(tp);
   }
+
+  serve::FleetConfig fc;
+  fc.n_chips = args.num("chips", 4);
+  fc.host_jobs = args.num("jobs", 1);
+  fc.chaos.seed = args.num<std::uint64_t>("seed", 1);
+  fc.chaos.chip_kill_rate = args.real("chip-kill", 0.0);
+  fc.chaos.dma_corrupt_rate = args.real("dma-corrupt", 0.0);
+  fc.chaos.dma_drop_rate = args.real("dma-drop", 0.0);
+  fc.chaos.membits_rate = args.real("membits", 0.0);
+  fc.chaos.noc_stall_rate = args.real("noc-stall", 0.0);
+  fc.policy.max_attempts = args.num("retry-max", 3);
+  fc.policy.max_degrade = args.num("degrade-max", 2);
+  if (args.str("dispatch") == "fifo")
+    fc.policy.dispatch = serve::DispatchOrder::kFifo;
+  fc.policy.shed.enabled = args.has("shed");
   const std::string trace_out = args.str("trace-out");
-  if (args.has("trace-out") && trace_out.empty()) return usage();
   const std::string metrics_path = args.str("metrics");
-  if (args.has("metrics") && metrics_path.empty()) return usage();
-  // Every flag serve reads has been looked up by now. A leftover is a
-  // typo, a removed knob or a generator flag given with --trace; running
-  // without it would serve a different campaign than the one asked for.
-  if (const std::string k = args.unused_key(); !k.empty())
-    return usage_error("serve", "unknown or unused flag --" + k);
-  if (!trace_path.empty()) trace = serve::load_trace(trace_path);
 
   if (!trace_out.empty()) {
     serve::save_trace(trace_out, trace);
@@ -1163,28 +1094,65 @@ int cmd_serve(const Args& args) {
   return kExitOk;
 }
 
+/// A command and the flags it declares.
+struct Command {
+  std::string_view name;
+  int (*run)(const Args&);
+  std::span<const Flag> flags;
+};
+
+const Command kCommands[] = {
+    {"simulate", cmd_simulate, kSimulateFlags},
+    {"image", cmd_image, kImageFlags},
+    {"chip", cmd_chip, kChipFlags},
+    {"chaos", cmd_chaos, kChaosFlags},
+    {"power", cmd_power, kPowerFlags},
+    {"analyze", cmd_analyze, kAnalyzeFlags},
+    {"report", cmd_report, kReportFlags},
+    {"lint", cmd_lint, kLintFlags},
+    {"serve", cmd_serve, kServeFlags}};
+
+/// Prints every command's flags from their declarations.
+int usage() {
+  std::cerr << "usage:\n";
+  const std::size_t indent = 16;
+  for (const Command& c : kCommands) {
+    std::string line = "  esarp ";
+    line.append(c.name).resize(indent, ' ');
+    for (const Flag& f : c.flags) {
+      std::string tok = f.required ? " --" : " [--";
+      tok += f.name;
+      if (f.kind != kSwitch) tok.append(" ").append(f.meta);
+      if (!f.required) tok += ']';
+      if (line.size() > indent && line.size() + tok.size() > 78) {
+        std::cerr << line << "\n";
+        line.assign(indent, ' ');
+      }
+      line += tok;
+    }
+    std::cerr << line << "\n";
+  }
+  return kExitUsage;
+}
+
 } // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  const Args args(argc, argv);
-  if (!args.ok()) return usage();
+  const Command* c = std::ranges::find(kCommands, cmd, &Command::name);
+  if (c == std::end(kCommands)) {
+    std::cerr << "esarp: unknown command '" << cmd << "'\n";
+    return usage();
+  }
   // Catch order matters: the most specific (most actionable) types first.
   // FaultUnrecovered and SimDeadlock are runtime_errors; ContractViolation
   // (which WatchdogExpired derives from) is a logic_error.
   try {
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "image") return cmd_image(args);
-    if (cmd == "chip") return cmd_chip(args);
-    if (cmd == "power") return cmd_power(args);
-    if (cmd == "chaos") return cmd_chaos(args);
-    if (cmd == "analyze") return cmd_analyze(args);
-    if (cmd == "report") return cmd_report(args);
-    if (cmd == "lint") return cmd_lint(args);
-    if (cmd == "serve") return cmd_serve(args);
+    return c->run(Args(c->flags, argc, argv));
   } catch (const FlagError& e) {
-    return usage_error(cmd, e.what());
+    std::cerr << cmd << ": " << e.what() << "\n";
+    return usage();
   } catch (const fault::FaultUnrecovered& e) {
     std::cerr << "fault unrecovered: " << e.what() << "\n";
     return kExitFaultUnrecovered;
@@ -1198,5 +1166,4 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitError;
   }
-  return usage();
 }

@@ -28,16 +28,21 @@
 // pattern that matches nothing is fine; an exact --metric key missing from
 // either manifest is a named failure.
 //
+// Every threshold (--threshold, --latency-band and the value after '=' in
+// --metric and --noisy-metric) is a whole number >= 0: anything else, NaN
+// and trailing characters included, is a usage error naming the flag.
+//
 // Exit status: 0 = no regression, 1 = regression past threshold (which
 // includes a --metric key that is missing from either manifest or is not
 // numeric — reported as a named FAILED line, not a parse abort),
 // 2 = usage or unreadable/invalid manifest. CI runs a self-compare of the
 // fast-mode table1_ffbp manifest as a smoke check (.github/workflows).
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "parse_whole.hpp"
 #include "common/json.hpp"
 #include "telemetry/compare.hpp"
 
@@ -47,44 +52,47 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   telemetry::CompareOptions opt;
   bool verbose = false;
+  const auto usage = [](const std::string& msg) {
+    std::cerr << "esarp_compare: " << msg
+              << "\nusage: esarp_compare base.json current.json"
+                 " [--threshold X] [--latency-band X] [--metric key=thr ...]"
+                 " [--noisy-metric pattern=thr ...] [--verbose]\n";
+    return 2;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--verbose") {
       verbose = true;
-    } else if (arg == "--threshold") {
-      if (++i >= argc) { paths.clear(); break; }
-      opt.default_threshold = std::stod(argv[i]);
-    } else if (arg == "--latency-band") {
-      if (++i >= argc) { paths.clear(); break; }
-      opt.latency_slo_band = std::stod(argv[i]);
-    } else if (arg == "--metric") {
-      if (++i >= argc) { paths.clear(); break; }
-      const std::string spec = argv[i];
-      const std::size_t eq = spec.rfind('=');
-      if (eq == std::string::npos || eq == 0) { paths.clear(); break; }
-      opt.per_key[spec.substr(0, eq)] = std::stod(spec.substr(eq + 1));
-    } else if (arg == "--noisy-metric") {
-      if (++i >= argc) { paths.clear(); break; }
-      const std::string spec = argv[i];
-      const std::size_t eq = spec.rfind('=');
-      if (eq == std::string::npos || eq == 0) { paths.clear(); break; }
-      opt.noisy_patterns.emplace_back(spec.substr(0, eq),
-                                      std::stod(spec.substr(eq + 1)));
-    } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "unknown option: " << arg << "\n";
-      paths.clear();
-      break;
-    } else {
-      paths.push_back(arg);
+      continue;
     }
+    if (arg.rfind("--", 0) != 0) {
+      paths.push_back(arg);
+      continue;
+    }
+    const bool keyed = arg == "--metric" || arg == "--noisy-metric";
+    if (!keyed && arg != "--threshold" && arg != "--latency-band")
+      return usage("unknown option " + arg);
+    if (++i >= argc) return usage(arg + " wants a value");
+    std::string key;
+    std::string value = argv[i];
+    if (keyed) {
+      const std::size_t eq = value.rfind('=');
+      if (eq == std::string::npos || eq == 0)
+        return usage(arg + " wants key=threshold, got '" + value + "'");
+      key = value.substr(0, eq);
+      value = value.substr(eq + 1);
+    }
+    const std::optional<double> x = parse_whole<double>(value);
+    if (!x || !(*x >= 0.0))
+      return usage(arg + " wants a threshold >= 0, got '" + value + "'");
+    if (arg == "--threshold") opt.default_threshold = *x;
+    else if (arg == "--latency-band") opt.latency_slo_band = *x;
+    else if (arg == "--metric") opt.per_key[key] = *x;
+    else opt.noisy_patterns.emplace_back(key, *x);
   }
-  if (paths.size() != 2) {
-    std::cerr << "usage: esarp_compare base.json current.json"
-                 " [--threshold X] [--latency-band X] [--metric key=thr ...]"
-                 " [--noisy-metric pattern=thr ...] [--verbose]\n";
-    return 2;
-  }
+  if (paths.size() != 2)
+    return usage("want two manifests, got " + std::to_string(paths.size()));
 
   try {
     const JsonValue base = load_json_file(paths[0]);
