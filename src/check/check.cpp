@@ -207,7 +207,6 @@ void CheckContext::check_dma_overlap(int core, std::size_t offset,
   for (const DmaWindow& w : cs.windows) {
     if (w.job == exclude_job) continue;
     if (offset >= w.offset + w.bytes || w.offset >= offset + bytes) continue;
-    if (!is_write && !w.writes_local) continue; // read vs read is benign
     report(Hazard::kDmaRace, core,
            std::string(op) + (is_write ? " writes" : " reads") +
                " local bytes " + hex_range(offset, bytes) +
@@ -237,16 +236,15 @@ std::uint64_t CheckContext::open_dma_job(int core) {
 }
 
 void CheckContext::on_dma_segment(int core, std::uint64_t job, const void* p,
-                                  std::size_t bytes, bool writes_local,
-                                  ep::Cycles done_at, const char* op) {
+                                  std::size_t bytes, ep::Cycles done_at,
+                                  const char* op) {
   CoreShadow& cs = shadow(core);
   if (cs.mem == nullptr || !cs.mem->owns(p)) return; // host scratch memory
   const std::size_t offset = cs.mem->offset_of(p);
   check_local_span(core, offset, bytes, op);
-  check_dma_overlap(core, offset, bytes, writes_local, op, job);
+  check_dma_overlap(core, offset, bytes, /*is_write=*/true, op, job);
   if (done_at > now())
-    cs.windows.push_back(
-        DmaWindow{offset, bytes, writes_local, now(), done_at, job, op});
+    cs.windows.push_back(DmaWindow{offset, bytes, now(), done_at, job, op});
 }
 
 void CheckContext::on_dma_wait(int core, std::uint64_t job) {

@@ -131,13 +131,10 @@ public:
   /// Open a DMA job for `core`; segments are attached with on_dma_segment.
   /// Returns the job id carried by ep::DmaJob::check_id (never 0).
   [[nodiscard]] std::uint64_t open_dma_job(int core);
-  /// One local-store window of an in-flight DMA job. `writes_local` is true
-  /// for SDRAM->local reads (the DMA writes the window), false for
-  /// local->SDRAM writes (the DMA reads it). `done_at` is the job
-  /// completion cycle.
+  /// One local-store window of an in-flight DMA job: an SDRAM->local read,
+  /// so the DMA writes the window. `done_at` is the job completion cycle.
   void on_dma_segment(int core, std::uint64_t job, const void* p,
-                      std::size_t bytes, bool writes_local, ep::Cycles done_at,
-                      const char* op);
+                      std::size_t bytes, ep::Cycles done_at, const char* op);
   /// CoreCtx::wait(job) — detects the same job being completed twice.
   void on_dma_wait(int core, std::uint64_t job);
 
@@ -201,7 +198,6 @@ private:
   struct DmaWindow {
     std::size_t offset;
     std::size_t bytes;
-    bool writes_local;
     ep::Cycles issued;
     ep::Cycles done;
     std::uint64_t job;

@@ -31,33 +31,12 @@ struct AfShared {
 // has no spare cores — so it degrades: when any core of a window pipeline
 // (range -> beam -> corr input) fail-stops, the correlator drops that
 // window from the criterion on BOTH contributing blocks and rescores by
-// scaling the surviving windows up to the full window count. Producers and
-// consumers use the timed channel ops and give up only on the
-// confirmed-failure oracle, so a slow chain is never dropped and an
-// abandoned chain can never livelock the run. Outside a campaign every
-// fail-stop poll is false and the channel ops block; with plan.resilient
-// == false the fail-stop polls stay on over the blocking ops — the
-// configuration that demonstrates the pre-recovery deadlock.
-
-/// True once any member of window pipeline (f, w) — or the shared
-/// correlator — has a passed fail-stop trigger. The whole chain quits when
-/// any link is confirmed dead, which is what keeps the survivors free of
-/// blocked-forever channel ops.
-[[nodiscard]] bool chain_dead(const fault::FaultInjector& inj,
-                              const Placement& pl, int f, int w,
-                              ep::Cycles now) {
-  const auto cycle = static_cast<std::uint64_t>(now);
-  return inj.fail_stop_due(pl.range[f][w], cycle) ||
-         inj.fail_stop_due(pl.beam[f][w], cycle) ||
-         inj.fail_stop_due(pl.corr, cycle);
-}
-
-/// Record a window chain found dead: count the detection, flag the
-/// sanitizer that what follows is degraded recovery.
-void note_chain_dead(ep::CoreCtx& ctx, fault::FaultInjector& inj) {
-  inj.count_detected(fault::Site::kFailStop);
-  if (ctx.checker() != nullptr) ctx.checker()->set_fault_degraded();
-}
+// scaling the surviving windows up to the full window count. The channel
+// ops (ep::reliable_send / reliable_recv) give up only on the confirmed-
+// failure oracle, so a slow chain is never dropped; range and beam cores
+// watch their whole chain (themselves included) and quit once any link is
+// dead. With plan.resilient == false the fail-stop polls stay on over the
+// blocking ops — the configuration that shows the pre-recovery deadlock.
 
 template <typename OutChan>
 ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
@@ -66,6 +45,8 @@ ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
                        const Placement& pl) {
   fault::FaultInjector* inj = ctx.fault_injector();
   const bool resilient = inj != nullptr && inj->plan().resilient;
+  const int chain[] = {pl.range[block][window], pl.beam[block][window],
+                       pl.corr};
   const std::size_t block_px = p.block_rows * p.block_cols;
   auto local_block = ctx.local().alloc_in_bank<cf32>(block_px, 2);
   const OpCounts sample_ops = range_core_sample_ops(p);
@@ -107,20 +88,9 @@ ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
           co_await chan.send(ctx, pkt);
           continue;
         }
-        const fault::RetryPolicy& pol = inj->plan().retry;
-        for (;;) {
-          if (ctx.fail_stop_due()) {
-            ctx.mark_failed();
-            co_return;
-          }
-          if (co_await chan.send_for(ctx, pkt, pol.channel_timeout,
-                                     pol.channel_poll))
-            break;
-          if (chain_dead(*inj, pl, block, window, ctx.now())) {
-            note_chain_dead(ctx, *inj);
-            co_return; // downstream confirmed dead: stop producing
-          }
-        }
+        const ep::ChanOutcome sent =
+            co_await ep::reliable_send(ctx, chan, pkt, chain);
+        if (sent != ep::ChanOutcome::kDelivered) co_return;
       }
     }
     ctx.end_span();
@@ -133,6 +103,8 @@ ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
                       OutChan& out, const Placement& pl) {
   fault::FaultInjector* inj = ctx.fault_injector();
   const bool resilient = inj != nullptr && inj->plan().resilient;
+  const int chain[] = {pl.range[block][window], pl.beam[block][window],
+                       pl.corr};
   const OpCounts sample_ops = beam_core_sample_ops(p);
 
   for (std::size_t pair = 0; pair < n_pairs; ++pair) {
@@ -148,23 +120,9 @@ ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
         if (!resilient) {
           pkt = co_await in.recv(ctx);
         } else {
-          const fault::RetryPolicy& pol = inj->plan().retry;
-          for (;;) {
-            if (ctx.fail_stop_due()) {
-              ctx.mark_failed();
-              co_return;
-            }
-            auto got = co_await in.recv_for(ctx, pol.channel_timeout,
-                                            pol.channel_poll);
-            if (got.has_value()) {
-              pkt = *got;
-              break;
-            }
-            if (chain_dead(*inj, pl, block, window, ctx.now())) {
-              note_chain_dead(ctx, *inj);
-              co_return;
-            }
-          }
+          const ep::ChanOutcome got =
+              co_await ep::reliable_recv(ctx, in, pkt, chain);
+          if (got != ep::ChanOutcome::kDelivered) co_return;
         }
         const af::SampleGeom g = af::af_sample_geom(p, s, delta);
         BeamPacket bp;
@@ -181,20 +139,9 @@ ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
           co_await out.send(ctx, bp);
           continue;
         }
-        const fault::RetryPolicy& pol = inj->plan().retry;
-        for (;;) {
-          if (ctx.fail_stop_due()) {
-            ctx.mark_failed();
-            co_return;
-          }
-          if (co_await out.send_for(ctx, bp, pol.channel_timeout,
-                                    pol.channel_poll))
-            break;
-          if (chain_dead(*inj, pl, block, window, ctx.now())) {
-            note_chain_dead(ctx, *inj);
-            co_return;
-          }
-        }
+        const ep::ChanOutcome sent =
+            co_await ep::reliable_send(ctx, out, bp, chain);
+        if (sent != ep::ChanOutcome::kDelivered) co_return;
       }
     }
     ctx.end_span();
@@ -242,29 +189,17 @@ ep::Task corr_program(ep::CoreCtx& ctx, const af::AfParams& p,
               pk[f] = co_await inputs[f][w]->recv(ctx);
               continue;
             }
-            const fault::RetryPolicy& pol = inj->plan().retry;
-            for (;;) {
-              if (ctx.fail_stop_due()) {
-                ctx.mark_failed();
-                co_return;
-              }
-              auto got = co_await inputs[f][w]->recv_for(
-                  ctx, pol.channel_timeout, pol.channel_poll);
-              if (got.has_value()) {
-                pk[f] = *got;
-                break;
-              }
-              const auto now = static_cast<std::uint64_t>(ctx.now());
-              if (inj->fail_stop_due(pl.range[f][w], now) ||
-                  inj->fail_stop_due(pl.beam[f][w], now)) {
-                side_alive[f][w] = false;
-                if (win_alive[w]) {
-                  win_alive[w] = false;
-                  --live;
-                  inj->count_af_window_dropped();
-                }
-                note_chain_dead(ctx, *inj);
-                break;
+            const int producers[] = {pl.range[f][w], pl.beam[f][w]};
+            const ep::ChanOutcome got =
+                co_await ep::reliable_recv(ctx, *inputs[f][w], pk[f],
+                                           producers);
+            if (got == ep::ChanOutcome::kSelfFailed) co_return;
+            if (got == ep::ChanOutcome::kPeerDead) {
+              side_alive[f][w] = false;
+              if (win_alive[w]) {
+                win_alive[w] = false;
+                --live;
+                inj->count_af_window_dropped();
               }
             }
           }
@@ -337,21 +272,14 @@ ep::Task af_sequential_program(ep::CoreCtx& ctx, const af::AfParams& p,
   }
 }
 
-/// Publish the campaign totals into the result (and the schedule hash into
-/// the manifest-visible metrics, split in two because results are doubles).
-/// No-op outside a fault campaign. Call before snapshotting res.metrics.
-void fill_fault_summary(ep::Machine& m, AfSimResult& res) {
+/// Publish the campaign totals into the result. No-op outside a fault
+/// campaign.
+void fill_fault_summary(const ep::Machine& m, AfSimResult& res) {
   const fault::FaultInjector* fi = m.fault_injector();
   if (fi == nullptr) return;
   res.faults = fi->summary();
   res.degraded =
       res.faults.failed_cores > 0 || res.faults.af_windows_dropped > 0;
-  m.metrics()
-      .gauge("fault.schedule_hash_hi")
-      .set(static_cast<double>(res.faults.schedule_hash >> 32));
-  m.metrics()
-      .gauge("fault.schedule_hash_lo")
-      .set(static_cast<double>(res.faults.schedule_hash & 0xffffffffULL));
 }
 
 /// SDRAM every autofocus runner allocates: the packed block pairs
@@ -461,6 +389,11 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   AfSimResult res;
   res.cores_used = 13;
   res.cycles = m.run(opt.max_cycles);
+  // No core can take over the correlator: once it stops, the pairs it had
+  // not scored have no criterion.
+  if (const auto* fi = m.fault_injector(); fi && fi->marked_failed(pl.corr))
+    throw fault::FaultUnrecovered("autofocus correlator (core " +
+                                  std::to_string(pl.corr) + ") fail-stopped");
   res.seconds = m.seconds(res.cycles);
   res.perf = m.report();
   res.power = ep::collect_power(m, res.perf);

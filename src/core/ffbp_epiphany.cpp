@@ -519,14 +519,6 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     res.faults = fi->summary();
     res.degraded =
         res.faults.failed_cores > 0 || res.faults.af_pairs_dropped > 0;
-    // Manifest results carry doubles; split the 64-bit reproducibility
-    // witness in two so zero-tolerance diffs catch schedule drift exactly.
-    m.metrics()
-        .gauge("fault.schedule_hash_hi")
-        .set(static_cast<double>(res.faults.schedule_hash >> 32));
-    m.metrics()
-        .gauge("fault.schedule_hash_lo")
-        .set(static_cast<double>(res.faults.schedule_hash & 0xffffffffULL));
   }
   res.metrics = m.metrics();
 

@@ -7,7 +7,7 @@
 //
 // Fault campaigns (docs/fault-injection.md) switch waiters to a resilient
 // protocol: instead of sleeping on a wake list they poll the generation
-// flag, and when a crossing stalls past the configured timeout they probe
+// flag, and when a crossing stalls past fault::kRetry's timeout they probe
 // for fail-stopped members. A confirmed-failed member that has not arrived
 // is removed from the party permanently (the SAR kernels then repartition
 // its work), so the barrier completes with the survivors instead of
@@ -37,8 +37,8 @@ public:
       : sched_(sched), noc_(noc), cfg_(cfg), parties_(parties),
         initial_parties_(parties), master_(master) {
     ESARP_EXPECTS(parties > 0);
-    // Default membership: core ids 0..parties-1 (what both SAR mappings
-    // use). Failure probing needs the ids, not just the count.
+    // Membership: core ids 0..parties-1 (what both SAR mappings use).
+    // Failure probing needs the ids, not just the count.
     members_.resize(static_cast<std::size_t>(parties));
     std::iota(members_.begin(), members_.end(), 0);
     arrived_ids_.assign(members_.size(), false);
@@ -51,12 +51,6 @@ public:
 
   SimBarrier(const SimBarrier&) = delete;
   SimBarrier& operator=(const SimBarrier&) = delete;
-
-  /// Override the participating core ids (size must equal `parties`).
-  void set_members(std::vector<int> members) {
-    ESARP_EXPECTS(static_cast<int>(members.size()) == parties_);
-    members_ = std::move(members);
-  }
 
   TaskT<void> arrive_and_wait(CoreCtx& ctx) {
     // Report the construction-time arity: a fault campaign can legally
@@ -75,13 +69,6 @@ public:
     mark_arrived(ctx.id());
     fault::FaultInjector* inj = ctx.fault_injector();
     const bool resilient = inj != nullptr && inj->plan().resilient;
-    // Resilient waiters detect a completed crossing only at their next poll
-    // tick, up to barrier_poll cycles late and staggered per core. Recovery
-    // kernels need every survivor to resume at ONE cycle (their host-side
-    // snapshots of checkpoint flags / the live set must agree), so
-    // complete_crossing pushes the release out past the last possible
-    // detection tick; record the quantum it needs before completing.
-    if (resilient) poll_quantum_ = inj->plan().retry.barrier_poll;
     if (arrived_ >= parties_) {
       complete_crossing(entered);
     } else if (!resilient) {
@@ -91,18 +78,17 @@ public:
     } else {
       // Resilient waiter: poll the generation flag so a stalled crossing
       // can escalate to failure detection instead of sleeping forever.
-      const fault::RetryPolicy& pol = inj->plan().retry;
       ctx.core().state = CoreState::kWaitBarrier;
       while (generation_ == my_generation) {
-        co_await DelayFor{sched_, pol.barrier_poll};
+        co_await DelayFor{sched_, fault::kRetry.barrier_poll};
         if (generation_ != my_generation) break;
         const Cycles waited = sched_.now() - entered;
-        if (waited >= pol.barrier_abandon)
+        if (waited >= fault::kRetry.barrier_abandon)
           throw fault::FaultUnrecovered(
               "barrier crossing abandoned: core " + std::to_string(ctx.id()) +
               " waited " + std::to_string(waited) + " cycles at generation " +
               std::to_string(my_generation));
-        if (waited >= pol.barrier_timeout &&
+        if (waited >= fault::kRetry.barrier_timeout &&
             probe_failures(*inj, sched_.now())) {
           // Degradation begins: the live party shrank, so the checker's
           // shadow arity bookkeeping no longer applies.
@@ -170,11 +156,13 @@ private:
         static_cast<Cycles>((cfg_.rows - 1) + (cfg_.cols - 1)) *
         cfg_.hop_latency;
     release_time_ = latest_arrival_ + max_hops + 2 /*flag write*/;
-    // A resilient poller notices this crossing at most poll_quantum_ cycles
-    // from now; releasing past that bound puts every survivor — pollers and
-    // the completer alike — at the same resume cycle.
-    resilient_release_ =
-        std::max(release_time_, sched_.now() + poll_quantum_ + 1);
+    // Resilient waiters detect a completed crossing only at their next poll
+    // tick, up to barrier_poll cycles from now and staggered per core.
+    // Recovery kernels need every survivor to resume at ONE cycle (their
+    // host-side snapshots of checkpoint flags / the live set must agree),
+    // so the resilient release lies past the last possible detection tick.
+    resilient_release_ = std::max(
+        release_time_, sched_.now() + fault::kRetry.barrier_poll + 1);
     latest_arrival_ = 0;
     waiters_.wake_all(sched_);
   }
@@ -193,7 +181,6 @@ private:
   Cycles latest_arrival_ = 0;
   Cycles release_time_ = 0;
   Cycles resilient_release_ = 0; ///< aligned release for resilient pollers
-  Cycles poll_quantum_ = 0;      ///< RetryPolicy::barrier_poll of the waiters
   Cycles first_entered_ = 0;
   telemetry::Histogram* wait_hist_ = nullptr;
   telemetry::Histogram* imbalance_hist_ = nullptr;

@@ -63,29 +63,7 @@ public:
       co_await senders_.wait();
       from.core().state = CoreState::kRunning;
     }
-    stats_.send_block_cycles += sched_.now() - entered;
-    if (send_block_hist_ != nullptr)
-      send_block_hist_->observe(static_cast<double>(sched_.now() - entered));
-    from.tracer().add(from.id(), SegmentKind::kChanSend, entered,
-                      sched_.now());
-
-    const Cycles arrival = noc_.transfer(from.coord(), consumer_, sizeof(T),
-                                         sched_.now(), Mesh::kOnChipWrite);
-    if (from.checker() != nullptr)
-      from.checker()->on_chan_send(this, name_, from.id());
-    from.core().counters.msgs_sent += 1;
-    from.core().counters.msg_bytes_sent += sizeof(T);
-    q_.push_back(Slot{arrival, std::move(value)});
-    stats_.messages += 1;
-    stats_.bytes += sizeof(T);
-    if (messages_counter_ != nullptr) messages_counter_->add(1);
-    if (bytes_counter_ != nullptr) bytes_counter_->add(sizeof(T));
-    receivers_.wake_all(sched_);
-
-    // Producer pays only the injection cost (posted write semantics).
-    const Cycles inject =
-        from.config().cycles_for_bytes_on_link(sizeof(T));
-    co_await DelayFor{sched_, inject};
+    co_await DelayFor{sched_, commit_send(from, std::move(value), entered)};
   }
 
   /// Consumer side: blocks until a message has arrived.
@@ -94,21 +72,8 @@ public:
     const Cycles entered = sched_.now();
     for (;;) {
       if (!q_.empty()) {
-        if (q_.front().ready_at <= sched_.now()) {
-          T v = std::move(q_.front().value);
-          q_.pop_front();
-          if (to.checker() != nullptr)
-            to.checker()->on_chan_recv(this, name_, to.id());
-          senders_.wake_all(sched_);
-          stats_.recv_block_cycles += sched_.now() - entered;
-          if (recv_block_hist_ != nullptr)
-            recv_block_hist_->observe(
-                static_cast<double>(sched_.now() - entered));
-          to.core().counters.chan_wait += sched_.now() - entered;
-          to.tracer().add(to.id(), SegmentKind::kChanRecv, entered,
-                          sched_.now());
-          co_return v;
-        }
+        if (q_.front().ready_at <= sched_.now())
+          co_return commit_recv(to, entered);
         co_await DelayUntil{sched_, q_.front().ready_at};
       } else {
         to.core().state = CoreState::kWaitChannel;
@@ -129,21 +94,8 @@ public:
     ESARP_EXPECTS(poll > 0);
     const Cycles entered = sched_.now();
     for (;;) {
-      if (!q_.empty() && q_.front().ready_at <= sched_.now()) {
-        T v = std::move(q_.front().value);
-        q_.pop_front();
-        if (to.checker() != nullptr)
-          to.checker()->on_chan_recv(this, name_, to.id());
-        senders_.wake_all(sched_);
-        stats_.recv_block_cycles += sched_.now() - entered;
-        if (recv_block_hist_ != nullptr)
-          recv_block_hist_->observe(
-              static_cast<double>(sched_.now() - entered));
-        to.core().counters.chan_wait += sched_.now() - entered;
-        to.tracer().add(to.id(), SegmentKind::kChanRecv, entered,
-                        sched_.now());
-        co_return std::optional<T>{std::move(v)};
-      }
+      if (!q_.empty() && q_.front().ready_at <= sched_.now())
+        co_return std::optional<T>{commit_recv(to, entered)};
       if (sched_.now() - entered >= timeout) {
         to.core().counters.chan_wait += sched_.now() - entered;
         co_return std::nullopt;
@@ -175,6 +127,27 @@ public:
       co_await DelayFor{sched_, poll};
       from.core().state = CoreState::kRunning;
     }
+    co_await DelayFor{sched_, commit_send(from, std::move(value), entered)};
+    co_return true;
+  }
+
+  [[nodiscard]] const ChannelStats& stats() const { return stats_; }
+  [[nodiscard]] const std::string& name() const { return name_; }
+  [[nodiscard]] std::size_t pending() const { return q_.size(); }
+  [[nodiscard]] bool has_blocked_tasks() const {
+    return !senders_.empty() || !receivers_.empty();
+  }
+
+private:
+  struct Slot {
+    Cycles ready_at;
+    T value;
+  };
+
+  /// Enqueue a message the FIFO has room for, blocked since `entered`.
+  /// Returns the injection time the producer is busy for (posted write
+  /// semantics: it pays injection, not delivery).
+  Cycles commit_send(CoreCtx& from, T&& value, Cycles entered) {
     stats_.send_block_cycles += sched_.now() - entered;
     if (send_block_hist_ != nullptr)
       send_block_hist_->observe(static_cast<double>(sched_.now() - entered));
@@ -193,24 +166,24 @@ public:
     if (messages_counter_ != nullptr) messages_counter_->add(1);
     if (bytes_counter_ != nullptr) bytes_counter_->add(sizeof(T));
     receivers_.wake_all(sched_);
-
-    const Cycles inject = from.config().cycles_for_bytes_on_link(sizeof(T));
-    co_await DelayFor{sched_, inject};
-    co_return true;
+    return from.config().cycles_for_bytes_on_link(sizeof(T));
   }
 
-  [[nodiscard]] const ChannelStats& stats() const { return stats_; }
-  [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::size_t pending() const { return q_.size(); }
-  [[nodiscard]] bool has_blocked_tasks() const {
-    return !senders_.empty() || !receivers_.empty();
+  /// Dequeue the delivered head message for a receiver waiting since
+  /// `entered`.
+  T commit_recv(CoreCtx& to, Cycles entered) {
+    T v = std::move(q_.front().value);
+    q_.pop_front();
+    if (to.checker() != nullptr)
+      to.checker()->on_chan_recv(this, name_, to.id());
+    senders_.wake_all(sched_);
+    stats_.recv_block_cycles += sched_.now() - entered;
+    if (recv_block_hist_ != nullptr)
+      recv_block_hist_->observe(static_cast<double>(sched_.now() - entered));
+    to.core().counters.chan_wait += sched_.now() - entered;
+    to.tracer().add(to.id(), SegmentKind::kChanRecv, entered, sched_.now());
+    return v;
   }
-
-private:
-  struct Slot {
-    Cycles ready_at;
-    T value;
-  };
 
   Scheduler& sched_;
   Noc& noc_;

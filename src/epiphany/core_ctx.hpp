@@ -199,8 +199,8 @@ public:
       check_id = check_->open_dma_job(id());
       check_->on_ext_access(id(), src, bytes, /*is_read=*/true,
                             "dma_read_ext");
-      check_->on_dma_segment(id(), check_id, dst, bytes,
-                             /*writes_local=*/true, done, "dma_read_ext");
+      check_->on_dma_segment(id(), check_id, dst, bytes, done,
+                             "dma_read_ext");
     }
     return DmaJob{done, check_id, tf};
   }
@@ -233,32 +233,11 @@ public:
                               "dma_read_ext_burst");
         // Every segment window stays hazardous until the whole burst
         // completes — kernels must await the job, not individual segments.
-        check_->on_dma_segment(id(), check_id, s.dst, s.bytes,
-                               /*writes_local=*/true, done,
+        check_->on_dma_segment(id(), check_id, s.dst, s.bytes, done,
                                "dma_read_ext_burst");
       }
     }
     return DmaJob{done, check_id, worst};
-  }
-
-  /// Start a DMA write local store -> SDRAM. Returns immediately.
-  [[nodiscard]] DmaJob dma_write_ext(void* dst, const void* src,
-                                     std::size_t bytes) {
-    ESARP_EXPECTS(ext_mem_.owns(dst));
-    std::memcpy(dst, src, bytes);
-    const fault::TransferFault tf = roll_transfer(dst, bytes);
-    core_.counters.dma_transfers += 1;
-    core_.counters.dma_bytes += bytes;
-    const Cycles done = ext_port_.dma_write(coord(), bytes, now());
-    std::uint64_t check_id = 0;
-    if (check_ != nullptr) {
-      check_id = check_->open_dma_job(id());
-      check_->on_ext_access(id(), dst, bytes, /*is_read=*/false,
-                            "dma_write_ext");
-      check_->on_dma_segment(id(), check_id, src, bytes,
-                             /*writes_local=*/false, done, "dma_write_ext");
-    }
-    return DmaJob{done, check_id, tf};
   }
 
   /// Block until a DMA job completes.

@@ -105,21 +105,4 @@ Cycles ExtPort::posted_write(Coord core, std::size_t bytes, Cycles now) {
   return done;
 }
 
-Cycles ExtPort::dma_write(Coord core, std::size_t bytes, Cycles now) {
-  ESARP_EXPECTS(bytes > 0);
-  const Cycles ser = cfg_.cycles_for_bytes_on_elink(bytes);
-  const Cycles start =
-      write_chan_.acquire(now + cfg_.dma_setup_cycles, ser, bytes);
-  noc_.transfer(core, port_coord_, bytes, now, Mesh::kOffChipWrite);
-  stats_.write_transactions += 1;
-  stats_.write_bytes += bytes;
-  if (power_ != nullptr)
-    power_->record_elink(core_id(core), bytes, start, start + ser);
-  if (dma_queue_hist_ != nullptr)
-    dma_queue_hist_->observe(
-        static_cast<double>(start - (now + cfg_.dma_setup_cycles)));
-  sample_backlog(write_backlog_track_, write_chan_, now);
-  return start + ser;
-}
-
 } // namespace esarp::ep

@@ -78,9 +78,6 @@ public:
   /// when the port backlog exceeds the buffering allowance).
   Cycles posted_write(Coord core, std::size_t bytes, Cycles now);
 
-  /// Bulk DMA write; like dma_read but on the write path.
-  Cycles dma_write(Coord core, std::size_t bytes, Cycles now);
-
   /// Attach the power-telemetry sampler (nullptr = none; owned by the
   /// Machine). eLink bytes are charged to the initiating core over the
   /// SDRAM-channel occupancy window — pure host-side accounting.

@@ -88,6 +88,15 @@ void collect_machine_metrics(Machine& m) {
   reg.counter("ext.write.transactions").add(ext.write_transactions);
   reg.counter("ext.write.bytes").add(ext.write_bytes);
 
+  if (const fault::FaultInjector* fi = m.fault_injector()) {
+    // Metrics carry doubles; split the 64-bit reproducibility witness in
+    // two so zero-tolerance diffs catch schedule drift exactly.
+    const std::uint64_t hash = fi->schedule_hash();
+    reg.gauge("fault.schedule_hash_hi").set(static_cast<double>(hash >> 32));
+    reg.gauge("fault.schedule_hash_lo")
+        .set(static_cast<double>(hash & 0xffffffffULL));
+  }
+
   const Tracer& tr = m.tracer();
   if (tr.enabled()) {
     for (const SegmentKind kind :

@@ -24,7 +24,8 @@ namespace esarp::ep {
 
 /// Snapshot machine state into its metrics registry: per-link NoC traffic
 /// counters (`noc.link.bytes{dir=E,mesh=cmesh,node=1_2}` + busy cycles),
-/// per-mesh aggregates, ext-port totals, per-core counters and — when
+/// per-mesh aggregates, ext-port totals, per-core counters, on a fault
+/// campaign the schedule hash (`fault.schedule_hash_hi`/`_lo`) and — when
 /// tracing was on — per-kind traced-cycle totals.
 void collect_machine_metrics(Machine& m);
 

@@ -112,7 +112,7 @@ std::uint64_t FaultInjector::noc_stall(int core, std::uint64_t cycle) {
   const std::uint64_t n = noc_ops_[static_cast<std::size_t>(core)]++;
   if (roll(Site::kNocStall, core, n) < plan_.noc_stall_rate) {
     record(Site::kNocStall, core, n, cycle);
-    return plan_.noc_stall_cycles;
+    return kNocStallCycles;
   }
   return 0;
 }
@@ -157,6 +157,7 @@ void FaultInjector::mark_chip_failed(std::uint64_t cycle) {
 
 void FaultInjector::count_detected(Site site) {
   totals_.detected++;
+  if (site == Site::kFailStop) totals_.fail_stops_detected++;
   if (metrics_ != nullptr) {
     metrics_->counter(telemetry::labeled("fault.detected",
                                          {{"site", to_string(site)}}))

@@ -42,6 +42,8 @@ struct FaultRecord {
 struct FaultSummary {
   std::uint64_t injected = 0;
   std::uint64_t detected = 0;
+  std::uint64_t fail_stops_detected = 0; ///< the share of `detected` that
+                                         ///< found a fail-stopped core
   std::uint64_t recovered = 0;
   std::uint64_t faulted_transfers = 0; ///< transfers that faulted >= once
   std::uint64_t retries = 0;
@@ -59,7 +61,8 @@ struct FaultSummary {
 /// however often a retry faults again. Only transfer faults count: a
 /// fail-stop is detected (barrier, autofocus pipeline) but never retried.
 [[nodiscard]] inline bool transfers_recovered(const FaultSummary& s) {
-  return s.recovered == s.faulted_transfers && s.retries == s.detected;
+  return s.recovered == s.faulted_transfers &&
+         s.retries + s.fail_stops_detected == s.detected;
 }
 
 class FaultInjector {

@@ -25,7 +25,7 @@
 namespace esarp::fault {
 
 /// Thrown by the resilience layer when recovery is exhausted: a transfer
-/// still fails after RetryPolicy::max_attempts, or a barrier crossing
+/// still fails after kRetry.max_attempts, or a barrier crossing
 /// starves past the abandon horizon with no failure evidence. Mapped to
 /// its own process exit code by esarp_cli (distinct from SimDeadlock and
 /// ContractViolation) so scripts can tell "gave up recovering" apart from
@@ -83,20 +83,25 @@ struct FailStop {
   std::uint64_t cycle = 0;
 };
 
-/// Recovery-layer tuning (all values in simulated cycles unless noted).
+/// The recovery protocol's fixed timing (simulated cycles unless noted).
+/// kRetry below is its only instance: no campaign tunes recovery.
 struct RetryPolicy {
   int max_attempts = 5;        ///< transfer attempts before FaultUnrecovered
   std::uint64_t backoff_base = 64;     ///< retry n sleeps base << n cycles
   std::uint64_t drop_timeout = 1024;   ///< modeled watchdog for a lost DMA
-  std::uint64_t barrier_poll = 512;    ///< waiter poll quantum (fault mode)
+  std::uint64_t barrier_poll = 512;    ///< barrier waiter poll quantum
   std::uint64_t barrier_timeout = 1u << 16; ///< no-release window before the
                                             ///< waiter probes for failed cores
   std::uint64_t barrier_abandon = 1u << 26; ///< no-progress horizon before a
                                             ///< waiter throws FaultUnrecovered
-  std::uint64_t channel_timeout = 1u << 16; ///< recv/send wait before checking
-                                            ///< the peer for fail-stop
-  std::uint64_t channel_poll = 256;    ///< channel poll quantum (fault mode)
+  std::uint64_t channel_timeout = 1u << 16; ///< channel wait before checking
+                                            ///< the peers for fail-stop
+  std::uint64_t channel_poll = 256;    ///< channel poll quantum
 };
+inline constexpr RetryPolicy kRetry{};
+
+/// Extra delay of one injected NoC link stall, in cycles.
+inline constexpr std::uint64_t kNocStallCycles = 64;
 
 /// A seeded fault campaign. Rates are per-operation probabilities in
 /// [0, 1]: dma rates roll once per transfer (each burst segment rolls
@@ -108,7 +113,6 @@ struct FaultPlan {
   double dma_corrupt_rate = 0.0;
   double dma_drop_rate = 0.0;
   double noc_stall_rate = 0.0;
-  std::uint64_t noc_stall_cycles = 64; ///< extra delay per injected stall
   double membits_rate = 0.0;
 
   std::vector<FailStop> fail_stops;
@@ -126,8 +130,6 @@ struct FaultPlan {
   /// corruption lands in the image). Used by tests and the chaos CLI to
   /// demonstrate the delta.
   bool resilient = true;
-
-  RetryPolicy retry;
 
   /// True when any fault source is active; the Machine only builds an
   /// injector (and the kernels only take fault-aware paths) when set, so a

@@ -1,6 +1,7 @@
 #include "serve/fleet.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -58,12 +59,17 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
 /// factorization meaningful for the job's core count (at least two pulses
 /// per core, never below 16): degrading past the floor re-rolls the
 /// attempt seed but not the image size, so such a job is not kDegraded.
-[[nodiscard]] std::size_t degraded_pulses(std::size_t pulses, int degrade,
-                                          int cores) {
-  const std::size_t floor_p =
-      std::max<std::size_t>(16, 2 * static_cast<std::size_t>(cores));
-  std::size_t p = pulses >> static_cast<unsigned>(degrade);
-  return std::max(p, std::min(floor_p, pulses));
+/// Each algorithm keeps its pulse shape: FFBP's floor is a power of two,
+/// and a halved GBP aperture rounds down to an even count.
+[[nodiscard]] std::size_t degraded_pulses(const JobSpec& spec, int degrade) {
+  std::size_t floor_p =
+      std::max<std::size_t>(16, 2 * static_cast<std::size_t>(spec.n_cores));
+  std::size_t p = spec.n_pulses >> static_cast<unsigned>(degrade);
+  if (spec.algo == Algo::kFfbp)
+    floor_p = std::bit_ceil(floor_p);
+  else if (degrade > 0)
+    p &= ~std::size_t{1};
+  return std::max(p, std::min(floor_p, spec.n_pulses));
 }
 
 enum class AttemptStatus : std::uint8_t {
@@ -321,8 +327,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
   /// Memoized clean makespan of the job's shape at its degrade level —
   /// the service-time estimate the shed policy packs queues with.
   const auto clean_service_s = [&](const JobSpec& spec, int degrade) {
-    const std::size_t pulses =
-        degraded_pulses(spec.n_pulses, degrade, spec.n_cores);
+    const std::size_t pulses = degraded_pulses(spec, degrade);
     const SimKey key{pulses, spec.n_range, static_cast<int>(spec.algo),
                      spec.n_cores};
     if (pol.shed.enabled) {
@@ -385,8 +390,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         rec.sim_cycles = inf.out.cycles;
         rec.energy_j = inf.out.energy_j;
         rec.image_checksum = inf.out.checksum;
-        if (degraded_pulses(j.spec.n_pulses, j.degrade, j.spec.n_cores) <
-            j.spec.n_pulses) {
+        if (degraded_pulses(j.spec, j.degrade) < j.spec.n_pulses) {
           rec.state = JobState::kDegraded;
           ctr.jobs_degraded++;
         } else if (rec.latency_s <= j.spec.deadline_s) {
@@ -434,8 +438,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     a.chip = chip;
     a.algo = j.spec.algo;
     a.cores = j.spec.n_cores;
-    const std::size_t pulses =
-        degraded_pulses(j.spec.n_pulses, j.degrade, j.spec.n_cores);
+    const std::size_t pulses = degraded_pulses(j.spec, j.degrade);
     a.data = &scene_data(pulses, j.spec.n_range);
     a.params = sar::test_params(pulses, j.spec.n_range);
     const CleanRef& ref = clean_ref(SimKey{pulses, j.spec.n_range,

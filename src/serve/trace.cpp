@@ -86,9 +86,12 @@ ArrivalTrace make_trace(const TraceParams& p) {
     // job rate stays rate_hz; burst sizes are geometric with mean
     // burst_mean, and every job in a burst lands at the burst instant.
     now += exp_sample(rng, p.rate_hz / p.burst_mean);
+    // A burst never outgrows the jobs still to generate, so a mean whose
+    // continue probability rounds to 1 still ends.
+    const std::size_t left = p.n_jobs - t.jobs.size();
     std::size_t burst = 1;
-    while (rng.uniform() < 1.0 - 1.0 / p.burst_mean) ++burst;
-    for (std::size_t i = 0; i < burst && t.jobs.size() < p.n_jobs; ++i) {
+    while (burst < left && rng.uniform() < 1.0 - 1.0 / p.burst_mean) ++burst;
+    for (std::size_t i = 0; i < burst; ++i) {
       JobSpec j = proto;
       j.id = static_cast<int>(t.jobs.size());
       j.arrival_s = now;

@@ -180,7 +180,6 @@ TEST(Resilience, ExhaustedRetriesThrowFaultUnrecovered) {
   ep::ChipConfig cfg;
   cfg.faults.seed = 1;
   cfg.faults.dma_corrupt_rate = 1.0; // every attempt fails
-  cfg.faults.retry.max_attempts = 3;
   ep::Machine m(cfg);
   auto src = m.ext().alloc<float>(16);
   m.launch(0, [&](ep::CoreCtx& ctx) -> ep::Task {
@@ -432,6 +431,18 @@ TEST(AfFaults, DeadRangeCoreDropsItsWindowAndRescores) {
   }
 }
 
+TEST(AfFaults, DeadCorrelatorIsUnrecovered) {
+  // No core can take over the correlator (core 13 in the compact
+  // placement): the run gives up loudly instead of returning pairs with
+  // no criterion.
+  af::AfParams p;
+  const auto pairs = make_pairs(p, 4);
+  ep::ChipConfig cfg;
+  cfg.faults.fail_stops = {{13, 1'000}};
+  EXPECT_THROW((void)core::run_autofocus_mpmd(pairs, p, {}, cfg),
+               fault::FaultUnrecovered);
+}
+
 TEST(AfFaults, CampaignThatInjectsNothingReproducesTheCleanRun) {
   // As for FFBP: the correlator accumulates in the clean order under a
   // campaign too, so the criteria match bit for bit either way; without
@@ -546,16 +557,14 @@ TEST(ChipFailStop, GbpRunnerSurfacesFaultSummaryAndWatchdog) {
 // --- Retry-policy edges ---------------------------------------------------
 
 TEST(RetryPolicy, BackoffSequenceIsExponentialInTheRetryIndex) {
-  fault::RetryPolicy pol;
-  pol.backoff_base = 64;
   for (int retry = 0; retry < 8; ++retry)
-    EXPECT_EQ(ep::detail::backoff_for(pol, retry),
+    EXPECT_EQ(ep::detail::backoff_for(retry),
               static_cast<ep::Cycles>(64) << retry);
 }
 
 TEST(RetryPolicy, ExhaustedRetriesThrowFaultUnrecovered) {
   // Corrupting every transfer defeats verification on every one of the
-  // max_attempts retries: the resilient path must give up loudly instead
+  // kRetry.max_attempts attempts: the resilient path must give up loudly instead
   // of looping forever or returning a corrupt image.
   const auto p = ffbp_params();
   const auto data = ffbp_data(p);
@@ -564,7 +573,6 @@ TEST(RetryPolicy, ExhaustedRetriesThrowFaultUnrecovered) {
   ep::ChipConfig cfg;
   cfg.faults.seed = 3;
   cfg.faults.dma_corrupt_rate = 1.0;
-  cfg.faults.retry.max_attempts = 3;
   EXPECT_THROW((void)core::run_ffbp_epiphany(data, p, opt, cfg),
                fault::FaultUnrecovered);
 }

@@ -3,12 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numeric>
+#include <optional>
 #include <vector>
 
+#include "autofocus/workload.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/autofocus_epiphany.hpp"
+#include "core/ffbp_epiphany.hpp"
+#include "core/mapping_profiles.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
+#include "fault/injector.hpp"
 #include "sar/ffbp.hpp"
 #include "sar/merge_kernel.hpp"
 #include "sar/scene.hpp"
@@ -22,14 +30,26 @@ class ChannelFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ChannelFuzz, FifoOrderAndCompleteDeliveryUnderRandomTiming) {
   // One producer, one consumer, random capacity and random compute delays
-  // on both sides: every message arrives, in order, exactly once.
+  // on both sides. Each side moves each message with the blocking op or
+  // with the timed op (random timeout and poll quantum, retried until it
+  // goes through): every message arrives, in order, exactly once.
   Rng rng(GetParam());
   const std::size_t capacity = 1 + rng.below(6);
   const int n_messages = 20 + static_cast<int>(rng.below(60));
-  std::vector<std::uint64_t> producer_delays, consumer_delays;
+  struct Step {
+    std::uint64_t delay;
+    bool timed;
+    ep::Cycles timeout; // >= 1, so every timed attempt advances time
+    ep::Cycles poll;
+  };
+  const auto draw = [&rng] {
+    return Step{rng.below(200), rng.below(2) == 1, 1 + rng.below(300),
+                1 + rng.below(64)};
+  };
+  std::vector<Step> producer, consumer;
   for (int i = 0; i < n_messages; ++i) {
-    producer_delays.push_back(rng.below(200));
-    consumer_delays.push_back(rng.below(200));
+    producer.push_back(draw());
+    consumer.push_back(draw());
   }
 
   ep::Machine m;
@@ -38,19 +58,37 @@ TEST_P(ChannelFuzz, FifoOrderAndCompleteDeliveryUnderRandomTiming) {
 
   m.launch(0, [&](ep::CoreCtx& ctx) -> ep::Task {
     for (int i = 0; i < n_messages; ++i) {
-      if (producer_delays[i] > 0)
-        co_await ctx.compute({.ialu = producer_delays[i]});
-      co_await chan->send(ctx, i);
+      const Step& s = producer[i];
+      if (s.delay > 0) co_await ctx.compute({.ialu = s.delay});
+      if (!s.timed) {
+        co_await chan->send(ctx, i);
+        continue;
+      }
+      for (;;) {
+        const bool sent = co_await chan->send_for(ctx, i, s.timeout, s.poll);
+        if (sent) break;
+      }
     }
   });
   m.launch(5, [&](ep::CoreCtx& ctx) -> ep::Task {
     for (int i = 0; i < n_messages; ++i) {
-      received.push_back(co_await chan->recv(ctx));
-      if (consumer_delays[i] > 0)
-        co_await ctx.compute({.ialu = consumer_delays[i]});
+      const Step& s = consumer[i];
+      if (!s.timed) {
+        received.push_back(co_await chan->recv(ctx));
+      } else {
+        for (;;) {
+          const std::optional<int> got =
+              co_await chan->recv_for(ctx, s.timeout, s.poll);
+          if (!got.has_value()) continue;
+          received.push_back(*got);
+          break;
+        }
+      }
+      if (s.delay > 0) co_await ctx.compute({.ialu = s.delay});
     }
   });
-  m.run();
+  // A timed op that never gets through trips the watchdog, not a hang.
+  m.run(/*max_cycles=*/10'000'000);
 
   ASSERT_EQ(received.size(), static_cast<std::size_t>(n_messages));
   for (int i = 0; i < n_messages; ++i) EXPECT_EQ(received[i], i);
@@ -232,6 +270,90 @@ TEST(FfbpProperties, AzimuthMirrorSymmetry) {
   EXPECT_NEAR(static_cast<double>(r1 + r2),
               static_cast<double>(p.n_pulses - 1), 4.0);
 }
+
+// --------------------------------------------------------- fault campaigns
+//
+// Seeded campaigns through the shared recovery loops (ep::reliable_* in
+// epiphany/resilient.hpp): every transfer recovers exactly, a campaign that
+// is not degraded reproduces the clean output bit for bit, and a rerun
+// repeats the fault schedule. FFBP's repartition also finishes the exact
+// image after a fail-stop, so its image is checked on every campaign.
+
+/// Every transfer and NoC rate in [0, 2e-2), and in half the draws one
+/// fail-stop on a core from `victims` at a cycle inside the clean run.
+fault::FaultPlan draw_campaign(Rng& rng, const std::vector<int>& victims,
+                               ep::Cycles clean_cycles) {
+  fault::FaultPlan plan;
+  plan.seed = rng.next_u64();
+  plan.dma_corrupt_rate = rng.uniform(0.0, 2e-2);
+  plan.dma_drop_rate = rng.uniform(0.0, 2e-2);
+  plan.membits_rate = rng.uniform(0.0, 2e-2);
+  plan.noc_stall_rate = rng.uniform(0.0, 2e-2);
+  if (rng.below(2) == 1)
+    plan.fail_stops = {{victims[rng.below(victims.size())],
+                        rng.below(clean_cycles)}};
+  return plan;
+}
+
+class FfbpCampaignFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FfbpCampaignFuzz, RecoversExactlyAndRepeatsItsSchedule) {
+  Rng rng(GetParam());
+  const auto p = sar::test_params(32, 65);
+  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
+  core::FfbpMapOptions opt;
+  opt.n_cores = 4 + static_cast<int>(rng.below(13));
+  const auto clean = core::run_ffbp_epiphany(data, p, opt);
+  std::vector<int> cores(static_cast<std::size_t>(opt.n_cores));
+  std::iota(cores.begin(), cores.end(), 0);
+  ep::ChipConfig cfg;
+  cfg.faults = draw_campaign(rng, cores, clean.cycles);
+
+  const auto run = core::run_ffbp_epiphany(data, p, opt, cfg);
+  const auto rerun = core::run_ffbp_epiphany(data, p, opt, cfg);
+  EXPECT_GT(run.faults.injected, 0u);
+  EXPECT_TRUE(fault::transfers_recovered(run.faults));
+  EXPECT_EQ(std::memcmp(run.image.data(), clean.image.data(),
+                        clean.image.size() * sizeof(cf32)),
+            0);
+  EXPECT_EQ(run.faults.schedule_hash, rerun.faults.schedule_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FfbpCampaignFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
+class AfCampaignFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(AfCampaignFuzz, RecoversExactlyAndRepeatsItsSchedule) {
+  Rng rng(GetParam());
+  const af::AfParams p;
+  std::vector<af::BlockPair> pairs;
+  for (int i = 0; i < 4; ++i)
+    pairs.push_back(
+        af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
+  const auto clean = core::run_autofocus_mpmd(pairs, p);
+  // The pipeline degrades around a lost range or beam core; nothing can
+  // stand in for the correlator, so it is never a victim here.
+  const core::Placement pl = core::make_placement(/*compact=*/true);
+  std::vector<int> victims;
+  for (int f = 0; f < 2; ++f)
+    for (int w = 0; w < 3; ++w) {
+      victims.push_back(pl.range[f][w]);
+      victims.push_back(pl.beam[f][w]);
+    }
+  ep::ChipConfig cfg;
+  cfg.faults = draw_campaign(rng, victims, clean.cycles);
+
+  const auto run = core::run_autofocus_mpmd(pairs, p, {}, cfg);
+  const auto rerun = core::run_autofocus_mpmd(pairs, p, {}, cfg);
+  EXPECT_GT(run.faults.injected, 0u);
+  EXPECT_TRUE(fault::transfers_recovered(run.faults));
+  if (!run.degraded) EXPECT_EQ(run.criteria, clean.criteria);
+  EXPECT_EQ(run.faults.schedule_hash, rerun.faults.schedule_hash);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AfCampaignFuzz,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
 
 // ------------------------------------------------------------------ energy
 

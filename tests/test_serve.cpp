@@ -360,6 +360,33 @@ TEST(FleetServe, HalvingAtTheApertureFloorDeliversTheFullImage) {
   }
 }
 
+TEST(FleetServe, DegradedAperturesKeepEachAlgorithmsPulseShape) {
+  // A halved aperture stays one its runner accepts. On 12 cores the FFBP
+  // floor of two pulses per core (24) rounds up to a power of two (32),
+  // and GBP's 34 pulses halve to 16, not an odd 17. Both campaigns walk
+  // down the ladder, where a shape the runner rejects would abort them.
+  struct Case {
+    Algo algo;
+    std::size_t pulses;
+    int cores;
+    double dma_corrupt;
+  };
+  for (const Case c : {Case{Algo::kFfbp, 64, 12, 0.2},
+                       Case{Algo::kGbp, 34, 4, 0.003}}) {
+    TraceParams p = small_trace_params(/*seed=*/2);
+    p.n_jobs = 4;
+    p.algo = c.algo;
+    p.n_pulses = c.pulses;
+    p.n_cores = c.cores;
+    FleetConfig cfg = small_fleet(2);
+    cfg.chaos.seed = 2;
+    cfg.chaos.dma_corrupt_rate = c.dma_corrupt;
+    const ServeReport rep = Fleet(cfg).run(serve::make_trace(p));
+    EXPECT_GE(rep.counters.degradations, 1u) << serve::to_string(c.algo);
+    EXPECT_EQ(rep.counters.jobs_lost, 0u) << serve::to_string(c.algo);
+  }
+}
+
 TEST(FleetServe, ExhaustedFleetAbortsLoudly) {
   // Every dispatch kills its chip: after both chips die the fleet cannot
   // make progress and must abort with FaultUnrecovered (CLI exit 5), not

@@ -74,6 +74,9 @@ expect_named --epoch "$esarp" power --in "$ds" --epoch -5
 expect 0 "$esarp" power --in "$ds" --epoch 4611686018427387904
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
+# A fail-stop on a core that runs no program would inject nothing.
+expect_named --fail "$esarp" chaos --in "$ds" --cores 4 --fail 99@1000
+expect_named --fail "$esarp" chaos --in "$ds" --autofocus --fail 12@1000
 
 # A numeric flag value is parsed whole: a malformed value, trailing
 # characters or a value out of the type's range is a usage error naming
@@ -104,6 +107,9 @@ expect 4 "$esarp" chaos --in "$ds" --cores 4 --dma-corrupt 1e-3 \
 
 # Every transfer attempt corrupted -> retries exhaust -> FaultUnrecovered.
 expect 5 "$esarp" chaos --in "$ds" --cores 4 --dma-corrupt 1.0
+# Nothing can stand in for the autofocus correlator: its fail-stop leaves
+# pairs unscored -> FaultUnrecovered.
+expect 5 "$esarp" chaos --in "$ds" --autofocus --fail 13@1000
 
 # Serve fleet: a small clean campaign terminates every job.
 expect 0 "$esarp" serve --gen poisson --jobs-count 4 --chips 2 \
@@ -188,6 +194,22 @@ expect 2 "$esarp" serve --trace "$trace" --chips 2 --rate 5
 expect 5 "$esarp" serve --gen poisson --jobs-count 4 --chips 2 \
   --pulses 32 --range 65 --rate 2000 --seed 5 --chip-kill 1.0
 
+# The degradation ladder keeps each algorithm's pulse shape: a halved FFBP
+# job stays a power of two and a halved GBP job stays even, so a campaign
+# completes or gives up (exit 5), never aborts on the shape (exit 4).
+ladder=(serve --gen poisson --jobs-count 4 --rate 2000 --range 65 --chips 2)
+expect 0 "$esarp" "${ladder[@]}" --pulses 64 --cores 12 --algo ffbp \
+  --dma-corrupt 0.2 --seed 2
+expect 0 "$esarp" "${ladder[@]}" --pulses 34 --cores 4 --algo gbp \
+  --dma-corrupt 0.003 --seed 2
+expect 5 "$esarp" "${ladder[@]}" --pulses 34 --cores 4 --algo gbp \
+  --dma-corrupt 0.3 --seed 3
+
+# A burst mean whose continue probability rounds to 1 still ends: a burst
+# never outgrows the jobs left to generate.
+expect 0 timeout 20 "$esarp" serve --gen bursty --jobs-count 4 --rate 2000 \
+  --burst-mean 1e300 --pulses 32 --range 65 --cores 4
+
 # Static mapping analysis: the shipped mappings lint clean...
 expect 0 "$esarp" lint --mapping all
 # ...an unknown mapping name is a usage error...
@@ -240,6 +262,11 @@ expect_named --targets "$esarp" simulate \
   --out "$scratch/cli_exit_codes.bad.esrp" --pulses 32 --range 65 --targets -3
 expect_named --looks "$esarp" image --in "$ds" \
   --out "$scratch/cli_exit_codes.pgm" --looks 0
+# Looks must split the scene's 32 pulses evenly, at least 2 to a look.
+for looks in 3 32 64; do
+  expect_named --looks "$esarp" image --in "$ds" \
+    --out "$scratch/cli_exit_codes.pgm" --looks "$looks"
+done
 
 # Serve's generator holds each job to the shape its runners accept, so a bad
 # shape is a usage error before the fleet starts, never a contract abort at
@@ -257,6 +284,9 @@ expect_named --pulses "$esarp" lint --mapping gbp --pulses 33 --range 65 \
 # So is a NaN or infinite --priority-mix weight, never a contract abort.
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix nan,1,1
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix inf,1,1
+# ...or a fourth weight, never silently ignored.
+expect_named --priority-mix "$esarp" "${gen_serve[@]}" \
+  --priority-mix 0.3,0.5,0.2,0.9
 
 # esarp_compare parses each threshold whole and wants it >= 0: NaN would
 # pass any regression, and a malformed value must not abort (exit 134).

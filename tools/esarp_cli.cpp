@@ -58,6 +58,7 @@
 #include "core/ffbp_epiphany.hpp"
 #include "core/gbp_epiphany.hpp"
 #include "core/mapping_desc.hpp"
+#include "core/mapping_profiles.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "host/sweep_runner.hpp"
 #include "serve/fleet.hpp"
@@ -322,6 +323,11 @@ int cmd_image(const Args& args) {
   } else {
     const auto looks = args.num<std::size_t>("looks", 1);
     if (looks > 1) {
+      const std::size_t pulses = ds.params.n_pulses;
+      if (pulses % looks != 0 || pulses / looks < 2)
+        throw FlagError("--looks " + std::to_string(looks) +
+                        " must split the " + std::to_string(pulses) +
+                        " pulses into equal looks of at least 2 pulses");
       const auto ml = sar::multilook_ffbp(ds.data, ds.params, looks, interp);
       write_pgm(out, ml.intensity);
       std::cout << "multilook(" << looks << ") image written to " << out
@@ -604,6 +610,21 @@ parse_fail_stops(const std::string& spec) {
   return stops;
 }
 
+/// True when `core` runs a program in the chaos workload: one of FFBP's
+/// first `cores` cores, or one of the 13 cores of the autofocus pipeline's
+/// default placement.
+bool runs_program(int core, bool autofocus, int cores) {
+  if (!autofocus) return core < cores;
+  const core::Placement pl =
+      core::make_placement(core::AfMapOptions{}.placement ==
+                           core::AfPlacement::kCompact);
+  if (core == pl.corr) return true;
+  for (int f = 0; f < 2; ++f)
+    for (int w = 0; w < 3; ++w)
+      if (core == pl.range[f][w] || core == pl.beam[f][w]) return true;
+  return false;
+}
+
 /// Root-mean-square magnitude error between two equal-shape images.
 double image_rmse(const Array2D<cf32>& a, const Array2D<cf32>& b) {
   ESARP_EXPECTS(a.rows() == b.rows() && a.cols() == b.cols());
@@ -651,6 +672,14 @@ int cmd_chaos(const Args& args) {
                     "--noc-stall, --membits, or --fail)");
   const auto max_cycles = args.num<ep::Cycles>("max-cycles", 0);
   const bool autofocus = args.has("autofocus");
+  const int cores = args.num("cores", 16);
+  // A fail-stop on an idle core would inject nothing.
+  for (const fault::FailStop& fs : plan.fail_stops)
+    if (!runs_program(fs.core, autofocus, cores))
+      throw FlagError("--fail names core " + std::to_string(fs.core) +
+                      ", which runs no program in this " +
+                      (autofocus ? "autofocus pipeline"
+                                 : std::to_string(cores) + "-core FFBP run"));
   const sar::Dataset ds = sar::load_dataset(args.str("in"));
 
   fault::FaultSummary sum;
@@ -697,7 +726,7 @@ int cmd_chaos(const Args& args) {
     damage_label = "criterion RMSE vs clean";
   } else {
     core::FfbpMapOptions opt;
-    opt.n_cores = args.num("cores", 16);
+    opt.n_cores = cores;
     opt.max_cycles = max_cycles;
     std::cerr << "chaos: clean FFBP reference run...\n";
     const auto clean = core::run_ffbp_epiphany(ds.data, ds.params, opt);
@@ -991,16 +1020,15 @@ int cmd_serve(const Args& args) {
     tp.deadline_s = args.real("deadline", 0.01);
     if (args.has("priority-mix")) {
       // "L,N,H" weights (normalized); e.g. --priority-mix 0.3,0.5,0.2
-      double w[3] = {0.0, 0.0, 0.0};
+      std::vector<double> w;
       std::istringstream ss(args.str("priority-mix"));
       std::string part;
-      int n = 0;
       // A malformed weight reads as -1 and fails the check below.
-      while (std::getline(ss, part, ',') && n < 3)
-        w[n++] = parse_whole<double>(part).value_or(-1.0);
+      while (std::getline(ss, part, ','))
+        w.push_back(parse_whole<double>(part).value_or(-1.0));
       // A NaN or infinite weight makes the total non-finite.
-      const double total = w[0] + w[1] + w[2];
-      if (n != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 ||
+      const double total = w.size() == 3 ? w[0] + w[1] + w[2] : 0.0;
+      if (w.size() != 3 || w[0] < 0.0 || w[1] < 0.0 || w[2] < 0.0 ||
           !(total > 0.0 && std::isfinite(total)))
         throw FlagError("--priority-mix wants three non-negative "
                         "comma-separated weights low,normal,high (e.g. "
