@@ -2,15 +2,37 @@
 // placement of the 13-core autofocus pipeline "avoids transactions with
 // distant cores", and the 64x on-chip:off-chip bandwidth ratio absorbs the
 // 6-way fan-in at the correlation core. Compares the compact placement
-// against a deliberately scattered one.
+// against a deliberately scattered one and against the automatic placement
+// the paper names as future work.
+//
+// The bench exits 1 unless the claim keeps its shape: all three placements
+// give identical criteria, scattered costs at least 2.5x the compact
+// cMesh byte-hops, and the automatic placement costs strictly fewer than
+// compact.
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/autofocus_epiphany.hpp"
+#include "fault/injector.hpp"
 #include "autofocus/workload.hpp"
+
+namespace {
+
+/// FNV-1a over every criterion value, pair-major.
+std::uint64_t
+criteria_checksum(const std::vector<std::vector<double>>& criteria) {
+  std::vector<double> flat;
+  for (const auto& row : criteria)
+    flat.insert(flat.end(), row.begin(), row.end());
+  return esarp::fault::FaultInjector::checksum(flat.data(),
+                                               flat.size() * sizeof(double));
+}
+
+} // namespace
 
 static int bench_body() {
   using namespace esarp;
@@ -22,44 +44,51 @@ static int bench_body() {
     pairs.push_back(
         af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
 
+  struct Variant {
+    const char* key; ///< manifest key prefix
+    const char* csv; ///< CSV placement column
+    core::AfPlacement placement;
+  };
+  constexpr Variant kVariants[] = {
+      {"compact", "compact", core::AfPlacement::kCompact},
+      {"scattered", "scattered", core::AfPlacement::kScattered},
+      {"auto", "auto_graph", core::AfPlacement::kAuto},
+  };
+
   // The three placements are independent simulations: fan them out across
   // host threads (ESARP_JOBS); results are gathered by index and are
   // byte-identical for any thread count.
-  struct Variant {
-    core::AfSimResult mpmd;
-    core::AfGraphResult graph;
-  };
   host::SweepRunner pool(bench::sweep_jobs());
-  std::cerr << "simulating compact / scattered / auto-graph placements ("
+  std::cerr << "simulating compact / scattered / auto placements ("
             << pool.jobs() << " host thread(s))...\n";
-  auto variants = pool.run(3, [&](std::size_t i) {
-    Variant v;
-    if (i == 0) {
-      v.mpmd = core::run_autofocus_mpmd(pairs, p, core::AfMapOptions{});
-    } else if (i == 1) {
-      core::AfMapOptions scattered;
-      scattered.placement = core::AfPlacement::kScattered;
-      v.mpmd = core::run_autofocus_mpmd(pairs, p, scattered);
-    } else {
-      v.graph = core::run_autofocus_graph(pairs, p);
-    }
-    return v;
+  const auto runs = pool.run(3, [&](std::size_t i) {
+    core::AfMapOptions opt;
+    opt.placement = kVariants[i].placement;
+    return core::run_autofocus_mpmd(pairs, p, opt);
   });
-  const auto& a = variants[0].mpmd;
-  const auto& b = variants[1].mpmd;
-  const auto& g = variants[2].graph;
+  const auto& a = runs[0];
+  const auto& b = runs[1];
+  const auto& g = runs[2];
 
   const auto& an = a.perf.noc_write_onchip;
   const auto& bn = b.perf.noc_write_onchip;
-  const auto& gn = g.sim.perf.noc_write_onchip;
+  const auto& gn = g.perf.noc_write_onchip;
+
+  const bool same_criteria = b.criteria == a.criteria &&
+                             g.criteria == a.criteria;
+  const bool claim_holds =
+      same_criteria &&
+      static_cast<double>(bn.byte_hops) >=
+          2.5 * static_cast<double>(an.byte_hops) &&
+      gn.byte_hops < an.byte_hops;
 
   Table t("Autofocus pipeline placement (13 cores, 4x4 mesh)");
-  t.header({"Metric", "Compact (Fig. 9)", "Scattered", "Auto (graph)"});
+  t.header({"Metric", "Compact (Fig. 9)", "Scattered", "Auto"});
   t.row({"throughput (px/s)", format_rate(a.pixels_per_second, "px"),
          format_rate(b.pixels_per_second, "px"),
-         format_rate(g.sim.pixels_per_second, "px")});
+         format_rate(g.pixels_per_second, "px")});
   t.row({"makespan (cycles)", format_cycles(a.cycles), format_cycles(b.cycles),
-         format_cycles(g.sim.cycles)});
+         format_cycles(g.cycles)});
   t.row({"cMesh byte-hops", format_cycles(an.byte_hops),
          format_cycles(bn.byte_hops), format_cycles(gn.byte_hops)});
   t.row({"cMesh transfers", format_cycles(an.transfers),
@@ -67,31 +96,45 @@ static int bench_body() {
   t.row({"NoC energy (uJ)",
          Table::num(a.energy.noc_j * 1e6, 1),
          Table::num(b.energy.noc_j * 1e6, 1),
-         Table::num(g.sim.energy.noc_j * 1e6, 1)});
-  t.note("identical criterion results in all three placements; only time "
-         "and NoC work differ");
-  t.note("'Auto' is the declarative process-network (occam-pi-style) "
-         "version: nodes+channels declared, mesh placement computed "
-         "automatically — the paper's future-work direction");
+         Table::num(g.energy.noc_j * 1e6, 1)});
+  t.note(same_criteria ? "identical criterion results in all three "
+                         "placements; only time and NoC work differ"
+                       : "WARNING: the placements disagree on the criteria");
+  t.note("'Auto' places the pipeline graph on the mesh greedily, heaviest "
+         "channels shortest — the paper's future-work direction");
   t.note("the throughput penalty is small because on-chip bandwidth is "
          "64x the off-chip bandwidth (paper Section VI) — the cost shows "
          "up mainly as NoC energy and link occupancy");
+  if (!claim_holds)
+    t.note("WARNING: the mapping claim no longer holds (scattered >= 2.5x "
+           "compact byte-hops > auto)");
   t.print(std::cout);
 
   CsvWriter csv(bench::out_dir() / "ablation_mapping.csv",
                 {"placement", "px_per_s", "cycles", "byte_hops", "noc_uj"});
-  csv.row({"compact", Table::num(a.pixels_per_second, 1),
-           std::to_string(a.cycles), std::to_string(an.byte_hops),
-           Table::num(a.energy.noc_j * 1e6, 3)});
-  csv.row({"scattered", Table::num(b.pixels_per_second, 1),
-           std::to_string(b.cycles), std::to_string(bn.byte_hops),
-           Table::num(b.energy.noc_j * 1e6, 3)});
-  csv.row({"auto_graph", Table::num(g.sim.pixels_per_second, 1),
-           std::to_string(g.sim.cycles), std::to_string(gn.byte_hops),
-           Table::num(g.sim.energy.noc_j * 1e6, 3)});
-
-  std::cout << "\nautomatic placement:\n" << g.placement_description;
-  return 0;
+  telemetry::RunManifest man("ablation_mapping");
+  man.add_workload("n_pairs", static_cast<double>(n_pairs));
+  man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const core::AfSimResult& r = runs[i];
+    const std::uint64_t byte_hops = r.perf.noc_write_onchip.byte_hops;
+    csv.row({kVariants[i].csv, Table::num(r.pixels_per_second, 1),
+             std::to_string(r.cycles), std::to_string(byte_hops),
+             Table::num(r.energy.noc_j * 1e6, 3)});
+    const std::string key = kVariants[i].key;
+    man.add_result(key + ".px_per_s", r.pixels_per_second);
+    man.add_result(key + ".cycles", static_cast<double>(r.cycles));
+    man.add_result(key + ".byte_hops", static_cast<double>(byte_hops));
+    man.add_result(key + ".noc_uj", r.energy.noc_j * 1e6);
+    // Split like table1_ffbp's image checksum: two exact doubles.
+    const std::uint64_t hash = criteria_checksum(r.criteria);
+    man.add_result(key + ".criteria_checksum_hi",
+                   static_cast<double>(hash >> 32));
+    man.add_result(key + ".criteria_checksum_lo",
+                   static_cast<double>(hash & 0xffffffffULL));
+  }
+  bench::write_manifest(man);
+  return claim_holds ? 0 : 1;
 }
 
 int main() { return esarp::bench::guarded_main("ablation_mapping", bench_body); }

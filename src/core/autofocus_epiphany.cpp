@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "common/fastmath.hpp"
 #include "core/mapping_profiles.hpp"
-#include "epiphany/graph.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "epiphany/resilient.hpp"
 #include "autofocus/criterion.hpp"
@@ -38,10 +37,9 @@ struct AfShared {
 // dead. With plan.resilient == false the fail-stop polls stay on over the
 // blocking ops — the configuration that shows the pre-recovery deadlock.
 
-template <typename OutChan>
 ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
                        std::span<const cf32> blocks_ext, std::size_t n_pairs,
-                       int block, int window, OutChan& chan,
+                       int block, int window, ep::Channel<RangePacket>& chan,
                        const Placement& pl) {
   fault::FaultInjector* inj = ctx.fault_injector();
   const bool resilient = inj != nullptr && inj->plan().resilient;
@@ -97,10 +95,10 @@ ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
   }
 }
 
-template <typename InChan, typename OutChan>
 ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
-                      std::size_t n_pairs, int block, int window, InChan& in,
-                      OutChan& out, const Placement& pl) {
+                      std::size_t n_pairs, int block, int window,
+                      ep::Channel<RangePacket>& in,
+                      ep::Channel<BeamPacket>& out, const Placement& pl) {
   fault::FaultInjector* inj = ctx.fault_injector();
   const bool resilient = inj != nullptr && inj->plan().resilient;
   const int chain[] = {pl.range[block][window], pl.beam[block][window],
@@ -148,9 +146,10 @@ ep::Task beam_program(ep::CoreCtx& ctx, const af::AfParams& p,
   }
 }
 
-template <typename InChan>
 ep::Task corr_program(ep::CoreCtx& ctx, const af::AfParams& p,
-                      InChan* (&inputs)[2][3], std::span<float> out_ext,
+                      const std::unique_ptr<ep::Channel<BeamPacket>> (
+                          &inputs)[2][3],
+                      std::span<float> out_ext,
                       std::vector<std::vector<double>>& criteria,
                       std::size_t n_pairs, const Placement& pl) {
   fault::FaultInjector* inj = ctx.fault_injector();
@@ -354,7 +353,7 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   st.out_ext = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
   st.criteria.resize(pairs.size());
 
-  const Placement pl = make_placement(opt.placement == AfPlacement::kCompact);
+  const Placement pl = make_placement(opt.placement, cfg);
   for (int f = 0; f < 2; ++f) {
     for (int w = 0; w < 3; ++w) {
       st.range_to_beam[f][w] = m.make_channel<RangePacket>(
@@ -365,10 +364,6 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   }
 
   const std::size_t n_pairs = pairs.size();
-  ep::Channel<BeamPacket>* corr_inputs[2][3];
-  for (int f = 0; f < 2; ++f)
-    for (int w = 0; w < 3; ++w)
-      corr_inputs[f][w] = st.beam_to_corr[f][w].get();
   for (int f = 0; f < 2; ++f) {
     for (int w = 0; w < 3; ++w) {
       m.launch(pl.range[f][w], [&p, &st, &pl, n_pairs, f, w](ep::CoreCtx& ctx) {
@@ -381,9 +376,9 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
       });
     }
   }
-  m.launch(pl.corr, [&p, &st, &pl, &corr_inputs, n_pairs](ep::CoreCtx& ctx) {
-    return corr_program(ctx, p, corr_inputs, st.out_ext, st.criteria, n_pairs,
-                        pl);
+  m.launch(pl.corr, [&p, &st, &pl, n_pairs](ep::CoreCtx& ctx) {
+    return corr_program(ctx, p, st.beam_to_corr, st.out_ext, st.criteria,
+                        n_pairs, pl);
   });
 
   AfSimResult res;
@@ -404,102 +399,6 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   ep::collect_machine_metrics(m);
   fill_fault_summary(m, res);
   res.metrics = m.metrics();
-  return res;
-}
-
-AfGraphResult run_autofocus_graph(std::span<const af::BlockPair> pairs,
-                                  const af::AfParams& p,
-                                  std::size_t channel_capacity,
-                                  ep::ChipConfig cfg) {
-  p.validate();
-  ESARP_EXPECTS(!pairs.empty());
-  ESARP_EXPECTS(p.block_rows <= 8 && p.beams <= 4);
-  ESARP_EXPECTS(p.windows == 3);
-  ESARP_EXPECTS(cfg.core_count() >= 14);
-  // The programs' chain-death check names cores by id, and the network
-  // assigns ids only when it places the nodes; refuse a campaign rather
-  // than run its recovery against ids that do not exist yet.
-  ESARP_REQUIRE(!cfg.faults.enabled(),
-                "run_autofocus_graph does not support fault campaigns: the "
-                "chain-death check needs core ids that exist only after "
-                "placement; use run_autofocus_mpmd");
-  // Never read: a run without a campaign never checks a chain for death.
-  const Placement unplaced{};
-
-  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p));
-  ep::ProcessNetwork net(m);
-
-  std::span<const cf32> blocks_ext = pack_blocks(m, pairs, p);
-  auto out_ext = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
-  std::vector<std::vector<double>> criteria(pairs.size());
-  const std::size_t n_pairs = pairs.size();
-
-  // Declare the typed channels. Edge weights reflect relative traffic
-  // volume: range->beam packets are ~6x larger than beam->corr packets.
-  ep::GraphChannel<RangePacket>* r2b[2][3];
-  ep::GraphChannel<BeamPacket>* b2c[2][3];
-  ep::GraphChannel<BeamPacket>* corr_inputs[2][3];
-  for (int f = 0; f < 2; ++f) {
-    for (int w = 0; w < 3; ++w) {
-      r2b[f][w] = &net.channel<RangePacket>(
-          "range->beam[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          channel_capacity);
-      b2c[f][w] = &net.channel<BeamPacket>(
-          "beam->corr[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          channel_capacity);
-      corr_inputs[f][w] = b2c[f][w];
-    }
-  }
-
-  // Declare the nodes. No coordinates anywhere: the network places them.
-  int range_id[2][3];
-  int beam_id[2][3];
-  for (int f = 0; f < 2; ++f) {
-    for (int w = 0; w < 3; ++w) {
-      range_id[f][w] = net.node(
-          "range[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          [&p, blocks_ext, n_pairs, f, w, &r2b, &unplaced](ep::CoreCtx& ctx) {
-            return range_program(ctx, p, blocks_ext, n_pairs, f, w,
-                                 *r2b[f][w], unplaced);
-          });
-      beam_id[f][w] = net.node(
-          "beam[" + std::to_string(f) + "][" + std::to_string(w) + "]",
-          [&p, n_pairs, f, w, &r2b, &b2c, &unplaced](ep::CoreCtx& ctx) {
-            return beam_program(ctx, p, n_pairs, f, w, *r2b[f][w],
-                                *b2c[f][w], unplaced);
-          });
-    }
-  }
-  const int corr_id = net.node(
-      "corr", [&p, &corr_inputs, out_ext, &criteria, n_pairs, &unplaced](
-                  ep::CoreCtx& ctx) {
-        return corr_program(ctx, p, corr_inputs, out_ext, criteria, n_pairs,
-                            unplaced);
-      });
-
-  for (int f = 0; f < 2; ++f) {
-    for (int w = 0; w < 3; ++w) {
-      net.connect(range_id[f][w], beam_id[f][w], *r2b[f][w],
-                  /*weight=*/static_cast<double>(sizeof(RangePacket)));
-      net.connect(beam_id[f][w], corr_id, *b2c[f][w],
-                  /*weight=*/static_cast<double>(sizeof(BeamPacket)));
-    }
-  }
-
-  AfGraphResult res;
-  res.sim.cores_used = 13;
-  res.sim.cycles = net.run();
-  res.sim.seconds = m.seconds(res.sim.cycles);
-  res.sim.perf = m.report();
-  res.sim.power = ep::collect_power(m, res.sim.perf);
-  res.sim.energy = res.sim.power.energy;
-  res.sim.criteria = std::move(criteria);
-  res.sim.pixels_per_second =
-      static_cast<double>(pairs.size() * p.pixels()) / res.sim.seconds;
-  res.placement_description = net.describe();
-  res.weighted_hops = net.weighted_hops();
-  ep::collect_machine_metrics(m);
-  res.sim.metrics = m.metrics();
   return res;
 }
 

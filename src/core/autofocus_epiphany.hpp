@@ -16,15 +16,18 @@
 //   1 shared correlation/summation core producing the criterion (eq. 6)
 //     and posting the result to off-chip SDRAM.
 //
-// The mapping option selects the paper's compact neighbour placement or a
+// The mapping option selects the paper's compact neighbour placement, a
 // deliberately scattered placement (the ablation for the paper's claim
-// that the custom mapping "avoids transactions with distant cores").
+// that the custom mapping "avoids transactions with distant cores"), or an
+// automatic one computed from the pipeline's channel graph (the paper's
+// future-work direction; core/mapping_profiles.hpp).
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/mapping_profiles.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
 #include "autofocus/af_params.hpp"
@@ -33,11 +36,6 @@
 #include "telemetry/metrics.hpp"
 
 namespace esarp::core {
-
-enum class AfPlacement {
-  kCompact,   ///< paper Fig. 9: window pipelines on adjacent cores
-  kScattered, ///< worst-practice placement across the mesh (ablation)
-};
 
 struct AfMapOptions {
   AfPlacement placement = AfPlacement::kCompact;
@@ -88,21 +86,5 @@ run_autofocus_sequential_epiphany(std::span<const af::BlockPair> pairs,
 run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
                    const af::AfParams& p, const AfMapOptions& opt = {},
                    ep::ChipConfig cfg = {});
-
-/// The same 13-node pipeline expressed as a declarative ep::ProcessNetwork
-/// (the occam-pi-style model of the paper's future-work section): nodes
-/// and typed channels are declared, the network places them on the mesh
-/// automatically, and produces identical criterion values. `placement`
-/// in the result's perf data reflects the automatic assignment; the
-/// returned description string lists it.
-struct AfGraphResult {
-  AfSimResult sim;
-  std::string placement_description;
-  double weighted_hops = 0.0; ///< the placement objective achieved
-};
-[[nodiscard]] AfGraphResult
-run_autofocus_graph(std::span<const af::BlockPair> pairs,
-                    const af::AfParams& p, std::size_t channel_capacity = 8,
-                    ep::ChipConfig cfg = {});
 
 } // namespace esarp::core

@@ -194,15 +194,17 @@ analysis::MappingSpec describe_autofocus_mpmd(std::size_t n_pairs,
                                               const af::AfParams& p,
                                               const AfMapOptions& opt,
                                               ep::ChipConfig cfg) {
-  const Placement pl =
-      make_placement(opt.placement == AfPlacement::kCompact);
+  const Placement pl = make_placement(opt.placement, cfg);
   const std::size_t block_px = p.block_rows * p.block_cols;
   const std::size_t n_shifts = p.shift_candidates.size();
   const std::uint64_t msgs = n_pairs * n_shifts * p.samples_per_row;
 
   MappingSpec spec;
-  spec.name = opt.placement == AfPlacement::kCompact ? "af-mpmd-compact"
-                                                     : "af-mpmd-scattered";
+  switch (opt.placement) {
+  case AfPlacement::kCompact: spec.name = "af-mpmd-compact"; break;
+  case AfPlacement::kScattered: spec.name = "af-mpmd-scattered"; break;
+  case AfPlacement::kAuto: spec.name = "af-mpmd-auto"; break;
+  }
   spec.family = "mpmd";
   spec.cfg = cfg;
 

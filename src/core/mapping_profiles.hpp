@@ -11,9 +11,12 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "autofocus/criterion_kernel.hpp"
 #include "common/opcounts.hpp"
+#include "epiphany/config.hpp"
+#include "epiphany/graph.hpp"
 #include "sar/merge_kernel.hpp"
 
 namespace esarp::core {
@@ -39,18 +42,26 @@ struct BeamPacket {
   std::uint8_t valid = 0;
 };
 
-/// Core ids of the 13-core pipeline on the 4x4 mesh.
+/// Where the 13-core autofocus pipeline's programs run.
+enum class AfPlacement {
+  kCompact,   ///< paper Fig. 9: window pipelines on adjacent cores
+  kScattered, ///< worst-practice placement across the mesh (ablation)
+  kAuto,      ///< ep::place_graph on the pipeline's channel graph
+};
+
+/// Core ids of the 13-core pipeline.
 struct Placement {
   int range[2][3]; ///< [block][window]
   int beam[2][3];
   int corr;
 };
 
-/// `compact` selects the paper-style placement (each window pipeline on
-/// one mesh row, producers adjacent to consumers); otherwise every
-/// producer-consumer pair is several hops apart.
-inline Placement make_placement(bool compact) {
-  if (compact) {
+/// The core ids of `placement`. The compact and scattered tables are laid
+/// out for the 4x4 mesh; kAuto places the pipeline graph on `cfg`'s mesh.
+inline Placement make_placement(AfPlacement placement,
+                                const ep::ChipConfig& cfg = {}) {
+  switch (placement) {
+  case AfPlacement::kCompact:
     // Paper Fig. 9 style: each window pipeline occupies one mesh row;
     // range -> beam are horizontal neighbours, beams flank the columns
     // next to the correlator's column.
@@ -59,10 +70,41 @@ inline Placement make_placement(bool compact) {
     return Placement{{{0, 4, 8}, {3, 7, 11}},
                      {{1, 5, 9}, {2, 6, 10}},
                      13};
+  case AfPlacement::kScattered:
+    // Every producer-consumer pair is several hops apart.
+    return Placement{{{0, 1, 2}, {4, 8, 12}},
+                     {{15, 14, 13}, {3, 7, 11}},
+                     5};
+  case AfPlacement::kAuto:
+    break;
   }
-  return Placement{{{0, 1, 2}, {4, 8, 12}},
-                   {{15, 14, 13}, {3, 7, 11}},
-                   5};
+  // Node 2(3f+w) is range[f][w], node 2(3f+w)+1 is beam[f][w] and node 12
+  // the correlator; each channel weighs the bytes of its message.
+  constexpr int kCorrNode = 12;
+  std::vector<ep::GraphEdge> edges;
+  for (int f = 0; f < 2; ++f)
+    for (int w = 0; w < 3; ++w) {
+      const int range = 2 * (3 * f + w);
+      edges.push_back(
+          {range, range + 1, static_cast<double>(sizeof(RangePacket))});
+      edges.push_back(
+          {range + 1, kCorrNode, static_cast<double>(sizeof(BeamPacket))});
+    }
+  const std::vector<ep::Coord> at =
+      ep::place_graph(cfg.rows, cfg.cols, kCorrNode + 1, edges);
+  const auto id = [&](int node) {
+    const ep::Coord c = at[static_cast<std::size_t>(node)];
+    return c.row * cfg.cols + c.col;
+  };
+  Placement pl{};
+  for (int f = 0; f < 2; ++f)
+    for (int w = 0; w < 3; ++w) {
+      const int range = 2 * (3 * f + w);
+      pl.range[f][w] = id(range);
+      pl.beam[f][w] = id(range + 1);
+    }
+  pl.corr = id(kCorrNode);
+  return pl;
 }
 
 /// Per-sample work charged on a range core: the sample geometry plus one

@@ -2,69 +2,37 @@
 
 #include <algorithm>
 #include <limits>
-#include <sstream>
+
+#include "common/assert.hpp"
 
 namespace esarp::ep {
 
-int ProcessNetwork::node(std::string name,
-                         std::function<Task(CoreCtx&)> program) {
-  ESARP_EXPECTS(!placed_);
-  ESARP_EXPECTS(static_cast<int>(nodes_.size()) < machine_.core_count());
-  nodes_.push_back({std::move(name), std::move(program), false, {}});
-  return static_cast<int>(nodes_.size()) - 1;
-}
+std::vector<Coord> place_graph(int rows, int cols, int n_nodes,
+                               std::span<const GraphEdge> edges) {
+  ESARP_EXPECTS(n_nodes > 0 && n_nodes <= rows * cols);
+  const auto n = static_cast<std::size_t>(n_nodes);
+  for (const GraphEdge& e : edges) {
+    ESARP_EXPECTS(e.from >= 0 && e.from < n_nodes);
+    ESARP_EXPECTS(e.to >= 0 && e.to < n_nodes);
+    ESARP_EXPECTS(e.from != e.to);
+    ESARP_EXPECTS(e.weight > 0.0);
+  }
 
-void ProcessNetwork::connect(int from, int to, GraphChannelBase& ch,
-                             double weight) {
-  ESARP_EXPECTS(!placed_);
-  ESARP_EXPECTS(from >= 0 && from < static_cast<int>(nodes_.size()));
-  ESARP_EXPECTS(to >= 0 && to < static_cast<int>(nodes_.size()));
-  ESARP_EXPECTS(from != to);
-  ESARP_EXPECTS(weight > 0.0);
-  for (const auto& e : edges_) ESARP_EXPECTS(e.chan != &ch); // one use each
-  edges_.push_back({from, to, &ch, weight});
-}
-
-void ProcessNetwork::pin(int node_id, Coord coord) {
-  ESARP_EXPECTS(!placed_);
-  ESARP_EXPECTS(node_id >= 0 && node_id < static_cast<int>(nodes_.size()));
-  ESARP_EXPECTS(coord.row >= 0 && coord.row < machine_.config().rows);
-  ESARP_EXPECTS(coord.col >= 0 && coord.col < machine_.config().cols);
-  auto& n = nodes_[static_cast<std::size_t>(node_id)];
-  n.pinned = true;
-  n.pin_coord = coord;
-}
-
-const std::vector<Coord>& ProcessNetwork::place() {
-  if (placed_) return placement_;
-  ESARP_EXPECTS(!nodes_.empty());
-
-  const int rows = machine_.config().rows;
-  const int cols = machine_.config().cols;
   std::vector<bool> used(static_cast<std::size_t>(rows) * cols, false);
   auto used_at = [&](Coord c) -> std::vector<bool>::reference {
     return used[static_cast<std::size_t>(c.row) * cols + c.col];
   };
-  placement_.assign(nodes_.size(), Coord{-1, -1});
-
-  // Pinned nodes first.
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].pinned) continue;
-    ESARP_EXPECTS(!used_at(nodes_[i].pin_coord)); // two nodes on one core
-    placement_[i] = nodes_[i].pin_coord;
-    used_at(nodes_[i].pin_coord) = true;
-  }
+  std::vector<Coord> placement(n, Coord{-1, -1});
 
   // Total adjacency weight per node: heavy communicators are placed early
   // so their neighbourhoods are still free.
-  std::vector<double> degree(nodes_.size(), 0.0);
-  for (const auto& e : edges_) {
+  std::vector<double> degree(n, 0.0);
+  for (const GraphEdge& e : edges) {
     degree[static_cast<std::size_t>(e.from)] += e.weight;
     degree[static_cast<std::size_t>(e.to)] += e.weight;
   }
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    if (!nodes_[i].pinned) order.push_back(i);
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
                      return degree[a] > degree[b];
@@ -73,31 +41,30 @@ const std::vector<Coord>& ProcessNetwork::place() {
   auto cost_at = [&](std::size_t node, Coord c) {
     double cost = 0.0;
     bool any_neighbour = false;
-    for (const auto& e : edges_) {
+    for (const GraphEdge& e : edges) {
       const std::size_t other = e.from == static_cast<int>(node)
                                     ? static_cast<std::size_t>(e.to)
                                 : e.to == static_cast<int>(node)
                                     ? static_cast<std::size_t>(e.from)
                                     : node;
       if (other == node) continue;
-      if (placement_[other].row < 0) continue; // not placed yet
+      if (placement[other].row < 0) continue; // not placed yet
       any_neighbour = true;
-      cost += e.weight * hop_distance(c, placement_[other]);
+      cost += e.weight * hop_distance(c, placement[other]);
     }
     // Unconnected (or first) nodes gravitate to the mesh centre.
-    if (!any_neighbour)
-      cost = hop_distance(c, {rows / 2, cols / 2});
+    if (!any_neighbour) cost = hop_distance(c, {rows / 2, cols / 2});
     return cost;
   };
 
-  for (std::size_t node_idx : order) {
+  for (std::size_t node : order) {
     Coord best{-1, -1};
     double best_cost = std::numeric_limits<double>::max();
     for (int r = 0; r < rows; ++r) {
       for (int c = 0; c < cols; ++c) {
         const Coord cand{r, c};
         if (used_at(cand)) continue;
-        const double cost = cost_at(node_idx, cand);
+        const double cost = cost_at(node, cand);
         if (cost < best_cost) {
           best_cost = cost;
           best = cand;
@@ -105,50 +72,10 @@ const std::vector<Coord>& ProcessNetwork::place() {
       }
     }
     ESARP_ENSURES(best.row >= 0);
-    placement_[node_idx] = best;
+    placement[node] = best;
     used_at(best) = true;
   }
-
-  placed_ = true;
-  return placement_;
-}
-
-Cycles ProcessNetwork::run() {
-  ESARP_EXPECTS(!ran_);
-  place();
-  ran_ = true;
-
-  // Bind every connected channel to its consumer's placed coordinate.
-  for (const auto& e : edges_) {
-    ESARP_EXPECTS(!e.chan->bound()); // a channel has exactly one consumer
-    e.chan->bind(machine_.sched(), machine_.noc(),
-                 placement_[static_cast<std::size_t>(e.to)]);
-  }
-
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    machine_.launch(machine_.id_of(placement_[i]), nodes_[i].program);
-  }
-  return machine_.run();
-}
-
-double ProcessNetwork::weighted_hops() const {
-  ESARP_EXPECTS(placed_);
-  double total = 0.0;
-  for (const auto& e : edges_)
-    total += e.weight *
-             hop_distance(placement_[static_cast<std::size_t>(e.from)],
-                          placement_[static_cast<std::size_t>(e.to)]);
-  return total;
-}
-
-std::string ProcessNetwork::describe() const {
-  ESARP_EXPECTS(placed_);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < nodes_.size(); ++i)
-    os << nodes_[i].name << " @ (" << placement_[i].row << ','
-       << placement_[i].col << ")\n";
-  os << "weighted hop cost: " << weighted_hops() << '\n';
-  return os.str();
+  return placement;
 }
 
 } // namespace esarp::ep

@@ -33,6 +33,10 @@ using analysis::MappingSpec;
 constexpr double kCycleBand = 0.15;
 constexpr double kEnergyBand = 0.15;
 
+constexpr core::AfPlacement kAfPlacements[] = {core::AfPlacement::kCompact,
+                                               core::AfPlacement::kScattered,
+                                               core::AfPlacement::kAuto};
+
 std::size_t count_check(const std::vector<LintFinding>& fs,
                         const std::string& check) {
   std::size_t n = 0;
@@ -79,11 +83,11 @@ std::vector<MappingSpec> shipped_specs() {
                                               withaf));
   specs.push_back(core::describe_gbp_mapping(p, 16));
   const af::AfParams afp;
-  core::AfMapOptions compact;
-  specs.push_back(core::describe_autofocus_mpmd(4, afp, compact));
-  core::AfMapOptions scattered;
-  scattered.placement = core::AfPlacement::kScattered;
-  specs.push_back(core::describe_autofocus_mpmd(4, afp, scattered));
+  for (const core::AfPlacement placement : kAfPlacements) {
+    core::AfMapOptions opt;
+    opt.placement = placement;
+    specs.push_back(core::describe_autofocus_mpmd(4, afp, opt));
+  }
   specs.push_back(core::describe_autofocus_sequential(4, afp));
   return specs;
 }
@@ -340,14 +344,18 @@ TEST(CostModelValidation, AutofocusMpmdWithinBand) {
   for (int i = 0; i < 4; ++i)
     pairs.push_back(
         af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
-  core::AfMapOptions opt;
-  const auto pred = analysis::predict_cost(
-      core::describe_autofocus_mpmd(pairs.size(), p, opt));
-  const auto sim = core::run_autofocus_mpmd(pairs, p, opt);
-  EXPECT_LT(rel_error(static_cast<double>(pred.makespan),
-                      static_cast<double>(sim.cycles)),
-            kCycleBand)
-      << "predicted " << pred.makespan << " vs simulated " << sim.cycles;
+  for (const core::AfPlacement placement : kAfPlacements) {
+    core::AfMapOptions opt;
+    opt.placement = placement;
+    const auto pred = analysis::predict_cost(
+        core::describe_autofocus_mpmd(pairs.size(), p, opt));
+    const auto sim = core::run_autofocus_mpmd(pairs, p, opt);
+    EXPECT_LT(rel_error(static_cast<double>(pred.makespan),
+                        static_cast<double>(sim.cycles)),
+              kCycleBand)
+        << "placement " << static_cast<int>(placement) << ": predicted "
+        << pred.makespan << " vs simulated " << sim.cycles;
+  }
 }
 
 TEST(CostModelValidation, AutofocusSequentialIsNearExact) {

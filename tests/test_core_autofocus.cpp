@@ -149,18 +149,19 @@ TEST(AfEpiphany, RejectsUnsupportedShapes) {
 }
 
 TEST(AfEpiphany, GraphPipelineMatchesHostSweepExactly) {
-  // The declarative process-network version of the pipeline (automatic
-  // placement, no hand-written coordinates) computes identical criteria.
+  // The pipeline placed automatically from its channel graph (no
+  // hand-written coordinates) computes identical criteria.
   af::AfParams p;
   const auto pairs = make_pairs(p, 4, 21);
-  const auto res = run_autofocus_graph(pairs, p);
-  ASSERT_EQ(res.sim.criteria.size(), pairs.size());
+  AfMapOptions opt;
+  opt.placement = AfPlacement::kAuto;
+  const auto res = run_autofocus_mpmd(pairs, p, opt);
+  ASSERT_EQ(res.criteria.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     const auto host = af::criterion_sweep(pairs[i].minus, pairs[i].plus, p);
     for (std::size_t s = 0; s < host.criteria.size(); ++s)
-      EXPECT_EQ(res.sim.criteria[i][s], host.criteria[s]);
+      EXPECT_EQ(res.criteria[i][s], host.criteria[s]);
   }
-  EXPECT_FALSE(res.placement_description.empty());
 }
 
 TEST(AfEpiphany, GraphPlacementCompetitiveWithManualMapping) {
@@ -169,15 +170,31 @@ TEST(AfEpiphany, GraphPlacementCompetitiveWithManualMapping) {
   // compact one (NoC byte-hops are the comparable metric).
   af::AfParams p;
   const auto pairs = make_pairs(p, 4, 23);
-  const auto graph = run_autofocus_graph(pairs, p);
+  AfMapOptions automatic;
+  automatic.placement = AfPlacement::kAuto;
+  const auto placed = run_autofocus_mpmd(pairs, p, automatic);
   AfMapOptions scattered;
   scattered.placement = AfPlacement::kScattered;
   const auto worst = run_autofocus_mpmd(pairs, p, scattered);
   const auto compact = run_autofocus_mpmd(pairs, p);
-  EXPECT_LT(graph.sim.perf.noc_write_onchip.byte_hops,
+  EXPECT_LT(placed.perf.noc_write_onchip.byte_hops,
             worst.perf.noc_write_onchip.byte_hops);
-  EXPECT_LE(graph.sim.perf.noc_write_onchip.byte_hops,
+  EXPECT_LE(placed.perf.noc_write_onchip.byte_hops,
             2 * compact.perf.noc_write_onchip.byte_hops);
+}
+
+TEST(AfEpiphany, AutoPlacementOnTheE16Mesh) {
+  // The greedy placer's layout of the pipeline on the default 4x4 mesh:
+  // every range core next to its beam core, the correlator at (2,2).
+  const Placement pl = make_placement(AfPlacement::kAuto);
+  const int range[2][3] = {{7, 8, 15}, {13, 1, 4}};
+  const int beam[2][3] = {{6, 9, 11}, {14, 2, 5}};
+  for (int f = 0; f < 2; ++f)
+    for (int w = 0; w < 3; ++w) {
+      EXPECT_EQ(pl.range[f][w], range[f][w]) << f << ',' << w;
+      EXPECT_EQ(pl.beam[f][w], beam[f][w]) << f << ',' << w;
+    }
+  EXPECT_EQ(pl.corr, 10);
 }
 
 TEST(AfEpiphany, EnergyBelowChipPeak) {

@@ -116,8 +116,10 @@ TEST_F(AfPins, MpmdScattered) {
              {109855, 13008, 322845926929280226ULL});
 }
 
-TEST_F(AfPins, Graph) {
-  expect_pin("graph", core::run_autofocus_graph(pairs, p).sim,
+TEST_F(AfPins, MpmdAuto) {
+  core::AfMapOptions opt;
+  opt.placement = core::AfPlacement::kAuto;
+  expect_pin("mpmd auto", core::run_autofocus_mpmd(pairs, p, opt),
              {109838, 12947, 322845926929280226ULL});
 }
 

@@ -331,10 +331,13 @@ TEST_P(AfCampaignFuzz, RecoversExactlyAndRepeatsItsSchedule) {
   for (int i = 0; i < 4; ++i)
     pairs.push_back(
         af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
-  const auto clean = core::run_autofocus_mpmd(pairs, p);
+  // Seed mod 3 picks compact, scattered or automatic placement.
+  core::AfMapOptions opt;
+  opt.placement = static_cast<core::AfPlacement>(GetParam() % 3);
+  const auto clean = core::run_autofocus_mpmd(pairs, p, opt);
   // The pipeline degrades around a lost range or beam core; nothing can
   // stand in for the correlator, so it is never a victim here.
-  const core::Placement pl = core::make_placement(/*compact=*/true);
+  const core::Placement pl = core::make_placement(opt.placement);
   std::vector<int> victims;
   for (int f = 0; f < 2; ++f)
     for (int w = 0; w < 3; ++w) {
@@ -344,16 +347,18 @@ TEST_P(AfCampaignFuzz, RecoversExactlyAndRepeatsItsSchedule) {
   ep::ChipConfig cfg;
   cfg.faults = draw_campaign(rng, victims, clean.cycles);
 
-  const auto run = core::run_autofocus_mpmd(pairs, p, {}, cfg);
-  const auto rerun = core::run_autofocus_mpmd(pairs, p, {}, cfg);
+  const auto run = core::run_autofocus_mpmd(pairs, p, opt, cfg);
+  const auto rerun = core::run_autofocus_mpmd(pairs, p, opt, cfg);
   EXPECT_GT(run.faults.injected, 0u);
   EXPECT_TRUE(fault::transfers_recovered(run.faults));
-  if (!run.degraded) EXPECT_EQ(run.criteria, clean.criteria);
+  if (!run.degraded) {
+    EXPECT_EQ(run.criteria, clean.criteria);
+  }
   EXPECT_EQ(run.faults.schedule_hash, rerun.faults.schedule_hash);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AfCampaignFuzz,
-                         ::testing::Values(1, 2, 3, 4, 5, 6));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9));
 
 // ------------------------------------------------------------------ energy
 

@@ -616,8 +616,7 @@ parse_fail_stops(const std::string& spec) {
 bool runs_program(int core, bool autofocus, int cores) {
   if (!autofocus) return core < cores;
   const core::Placement pl =
-      core::make_placement(core::AfMapOptions{}.placement ==
-                           core::AfPlacement::kCompact);
+      core::make_placement(core::AfMapOptions{}.placement);
   if (core == pl.corr) return true;
   for (int f = 0; f < 2; ++f)
     for (int w = 0; w < 3; ++w)
