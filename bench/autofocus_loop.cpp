@@ -68,7 +68,9 @@ static int bench_body() {
            Table::num((pf - pd) / peak_clean * 100, 0) + " %pts",
            std::to_string(applied) + "/" +
                std::to_string(focused.corrections.size()),
-           "+" + Table::num(extra_flops / 1e6, 0) + " Mflop"});
+           std::string("+")
+               .append(Table::num(extra_flops / 1e6, 0))
+               .append(" Mflop")});
     csv.row_numeric({amp_bins, peak_clean, pd, pf,
                      static_cast<double>(focused.sweeps_run)});
 

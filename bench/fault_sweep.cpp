@@ -117,7 +117,8 @@ static int bench_body() {
                      static_cast<double>(f.repartitions), rmse});
     // Per-point results: every value deterministic, diffed by CI at zero
     // tolerance. Keys are prefixed by sweep index so the curve is ordered.
-    const std::string p = "p" + std::to_string(i) + ".";
+    const std::string p =
+        std::string("p").append(std::to_string(i)).append(".");
     man.add_result(p + "cycles", static_cast<double>(res.cycles));
     man.add_result(p + "injected", static_cast<double>(f.injected));
     man.add_result(p + "recovered", static_cast<double>(f.recovered));

@@ -111,7 +111,8 @@ static int bench_body() {
                      static_cast<double>(c.degradations),
                      static_cast<double>(c.chip_kills),
                      rep.energy_per_image_j});
-    const std::string p = "p" + std::to_string(i) + ".";
+    const std::string p =
+        std::string("p").append(std::to_string(i)).append(".");
     man.add_result(p + "latency_p99_s", rep.latency_p99_s);
     man.add_result(p + "slo_attainment", rep.slo_attainment);
     man.add_result(p + "energy_per_image_j", rep.energy_per_image_j);

@@ -5,11 +5,11 @@
 //
 // On top of the classic rows, every entry point of the unified kernel API
 // (sar/kernels.hpp) gets one benchmark row per available backend
-// (scalar / sse2 / avx2) so a kernel-level regression is attributable to
+// (scalar / avx2) so a kernel-level regression is attributable to
 // the exact kernel x backend pair that caused it. A run manifest
 // (micro_kernels.manifest.json) records the deterministic evidence as
 // results — scalar output checksums and the `simd_matches.*` /
-// `simd_bitexact` flags asserting every available SIMD backend is
+// `simd_bitexact` flags asserting the AVX2 backend, when available, is
 // bit-identical to the scalar reference — and the machine-varying timings
 // (`kernel.<k>.<backend>.ns_per_sample`, `.speedup`) as informational
 // metrics gauges, mirroring the engine.* convention (docs/performance.md).
@@ -407,7 +407,6 @@ double kernel_ns_per_sample(const KernelCase& kc, const KernelInputs& in,
 }
 
 constexpr kn::Backend kAllBackends[] = {kn::Backend::kScalar,
-                                        kn::Backend::kSse2,
                                         kn::Backend::kAvx2};
 
 /// One google-benchmark row per kernel x available backend, named
@@ -438,8 +437,8 @@ void register_kernel_rows() {
   }
 }
 
-/// Bit-exactness cross-check plus manifest: scalar is the reference; every
-/// available SIMD backend must reproduce it byte-for-byte (the same
+/// Bit-exactness cross-check plus manifest: scalar is the reference; the
+/// AVX2 backend, when available, must reproduce it byte-for-byte (the same
 /// contract tests/test_kernels.cpp enforces, re-checked here on the bench
 /// inputs and turned into gated manifest results). Every checksum is a
 /// gated result: gbp_contrib_row's too, since none of its inputs takes
@@ -475,25 +474,23 @@ int kernels_manifest_body() {
            "reference"});
 
     double kernel_match = 1.0;
-    for (kn::Backend b : {kn::Backend::kSse2, kn::Backend::kAvx2}) {
-      if (!kn::backend_available(b)) continue;
-      kn::force_backend(b);
+    if (kn::backend_available(kn::Backend::kAvx2)) {
+      kn::force_backend(kn::Backend::kAvx2);
       const ByteView bv = kc.run(in, s);
       const bool match = bv.size == ref.size() &&
                          std::memcmp(bv.data, ref.data(), ref.size()) == 0;
       if (!match) kernel_match = 0.0;
       const double ns = kernel_ns_per_sample(kc, in, s);
-      const std::string bb = base + "." + kn::backend_name(b);
+      const std::string bb = base + ".avx2";
       reg.gauge(bb + ".match").set(match ? 1.0 : 0.0);
       reg.gauge(bb + ".ns_per_sample").set(ns);
       reg.gauge(bb + ".speedup").set(ns > 0.0 ? scalar_ns / ns : 0.0);
-      t.row({kc.name, kn::backend_name(b), Table::num(ns, 2),
+      t.row({kc.name, "avx2", Table::num(ns, 2),
              Table::num(ns > 0.0 ? scalar_ns / ns : 0.0, 2),
              match ? "yes" : "NO"});
     }
-    // Aggregated over the backends available on this machine (vacuously
-    // 1 when none), so the key exists — and is 1.0 — in every baseline
-    // regardless of host CPU.
+    // Vacuously 1 when the machine has no AVX2, so the key exists — and
+    // is 1.0 — in every baseline regardless of host CPU.
     man.add_result(std::string("simd_matches.") + kc.name, kernel_match);
     if (kernel_match == 0.0) all_match = 0.0;
   }
@@ -504,7 +501,7 @@ int kernels_manifest_body() {
   man.set_metrics(&reg);
   bench::write_manifest(man);
   t.note("scalar is the bit-exact reference (tests/test_kernels.cpp); "
-         "ESARP_KERNELS=scalar|sse2|avx2|auto overrides the dispatch "
+         "ESARP_KERNELS=scalar|avx2|auto overrides the dispatch "
          "(docs/performance.md)");
   t.print(std::cout);
   if (all_match != 1.0) {

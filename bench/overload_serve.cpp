@@ -125,8 +125,11 @@ static int bench_body() {
              Table::num(static_cast<double>(c.jobs_late), 0),
              Table::num(static_cast<double>(c.jobs_shed), 0),
              Table::num(rep.latency_p99_s, 9)});
-    const std::string p =
-        "l" + Table::num(points[i].load, 1) + "." + pol.name + ".";
+    const std::string p = std::string("l")
+                              .append(Table::num(points[i].load, 1))
+                              .append(".")
+                              .append(pol.name)
+                              .append(".");
     man.add_result(p + "slo_attainment", rep.slo_attainment);
     man.add_result(p + "jobs_met", static_cast<double>(c.jobs_met));
     man.add_result(p + "jobs_late", static_cast<double>(c.jobs_late));

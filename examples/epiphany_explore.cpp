@@ -67,10 +67,7 @@ int main() {
             << " cores @ " << m.config().clock_hz / 1e9 << " GHz, "
             << format_bytes(m.config().local_mem_bytes)
             << " local store per core, eLink "
-            << m.config().elink_bytes_per_cycle << " B/cycle\n";
-  std::cout << "address map: core (0,0) aperture at 0x" << std::hex
-            << m.address_map().core_base({0, 0}) << ", SDRAM window at 0x"
-            << m.address_map().external_base() << std::dec << "\n\n";
+            << m.config().elink_bytes_per_cycle << " B/cycle\n\n";
 
   // Input data in SDRAM.
   auto input = m.ext().alloc<WorkItem>(kItems);

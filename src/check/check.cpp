@@ -48,8 +48,9 @@ ep::CheckOptions options_with_env(ep::CheckOptions base) {
 }
 
 CheckContext::CheckContext(const ep::ChipConfig& cfg,
-                           const ep::Scheduler& sched)
-    : opt_(options_with_env(cfg.check)), sched_(sched) {
+                           const ep::Scheduler& sched,
+                           const ep::SpanNames& names)
+    : opt_(options_with_env(cfg.check)), sched_(sched), names_(names) {
   cores_.resize(static_cast<std::size_t>(cfg.core_count()));
   if (!opt_.suppressions.empty())
     suppressions_ = load_suppressions(opt_.suppressions);
@@ -64,11 +65,13 @@ CheckContext::~CheckContext() {
 }
 
 void CheckContext::register_core(int id, ep::Coord coord,
-                                 ep::LocalMemory* mem) {
+                                 ep::LocalMemory* mem,
+                                 const std::vector<ep::SpanId>* spans) {
   ESARP_EXPECTS(id >= 0 && static_cast<std::size_t>(id) < cores_.size());
   CoreShadow& cs = cores_[static_cast<std::size_t>(id)];
   cs.coord = coord;
   cs.mem = mem;
+  cs.spans = spans;
   mem->attach_observer(this, id);
 }
 
@@ -93,9 +96,12 @@ void CheckContext::report_at(Hazard kind, int core, ep::Cycles cycle,
   d.kind = kind;
   d.core = core;
   d.cycle = cycle;
-  if (core >= 0 && static_cast<std::size_t>(core) < cores_.size() &&
-      !cores_[static_cast<std::size_t>(core)].spans.empty())
-    d.span = cores_[static_cast<std::size_t>(core)].spans.back();
+  if (core >= 0 && static_cast<std::size_t>(core) < cores_.size()) {
+    const std::vector<ep::SpanId>* spans =
+        cores_[static_cast<std::size_t>(core)].spans;
+    if (spans != nullptr && !spans->empty())
+      d.span = names_.name(spans->back());
+  }
   d.message = std::move(message);
   // Fault-campaign composition (docs/fault-injection.md): anything detected
   // while the offending core is inside a "fault/..." span is a consequence
@@ -127,17 +133,6 @@ std::size_t CheckContext::unsuppressed_count() const {
 bool CheckContext::has(Hazard kind) const {
   return std::any_of(diags_.begin(), diags_.end(),
                      [kind](const Diagnostic& d) { return d.kind == kind; });
-}
-
-// --- Spans ----------------------------------------------------------------
-
-void CheckContext::on_span_push(int core, const std::string& name) {
-  shadow(core).spans.push_back(name);
-}
-
-void CheckContext::on_span_pop(int core) {
-  CoreShadow& cs = shadow(core);
-  if (!cs.spans.empty()) cs.spans.pop_back();
 }
 
 // --- Local store shadow ---------------------------------------------------

@@ -24,7 +24,7 @@
 //   double-wait     the same DMA job completed (awaited) twice
 //
 // Every diagnostic carries the core id, the simulated cycle, and the
-// innermost open tracer span ("merge-iter/3") of the offending core. The
+// innermost open span ("merge-iter/3") of the offending core. The
 // checker adds no scheduler events and never advances time, so checked runs
 // are bit-identical to unchecked runs (cycles, images, manifests).
 //
@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "epiphany/config.hpp"
+#include "epiphany/core.hpp"
 #include "epiphany/local_memory.hpp"
 #include "epiphany/scheduler.hpp"
 
@@ -79,7 +80,7 @@ struct Diagnostic {
   Hazard kind = Hazard::kDmaRace;
   int core = -1;
   ep::Cycles cycle = 0;
-  std::string span;    ///< innermost open tracer span of `core` ("" = none)
+  std::string span;    ///< innermost open span of `core` ("" = none)
   std::string message; ///< human-readable description
   bool suppressed = false;
 
@@ -105,20 +106,22 @@ public:
 /// diagnostics.
 class CheckContext final : public ep::LocalMemoryObserver {
 public:
-  CheckContext(const ep::ChipConfig& cfg, const ep::Scheduler& sched);
+  /// `names` is the Machine's span-name table, which names the span ids
+  /// on the registered cores' stacks.
+  CheckContext(const ep::ChipConfig& cfg, const ep::Scheduler& sched,
+               const ep::SpanNames& names);
   ~CheckContext() override;
 
   CheckContext(const CheckContext&) = delete;
   CheckContext& operator=(const CheckContext&) = delete;
 
   // --- Wiring (called by Machine during construction) ---------------------
-  void register_core(int id, ep::Coord coord, ep::LocalMemory* mem);
+  /// `spans` is the core's live span stack (Core::spans), read for the
+  /// innermost span of each diagnostic; kept even when tracing is off, so
+  /// diagnostics always carry phase names.
+  void register_core(int id, ep::Coord coord, ep::LocalMemory* mem,
+                     const std::vector<ep::SpanId>* spans);
   void register_ext(const ep::ExternalMemory* ext) { ext_ = ext; }
-
-  // --- Span bookkeeping (mirrors the PR-1 tracer spans; works even when
-  // tracing is disabled, so diagnostics always carry phase names) ----------
-  void on_span_push(int core, const std::string& name);
-  void on_span_pop(int core);
 
   // --- CoreCtx hooks ------------------------------------------------------
   /// Direct (non-DMA) access to the issuing core's local store: the
@@ -213,7 +216,7 @@ private:
     std::vector<LiveSpan> live;
     std::vector<DmaWindow> windows;
     std::vector<DmaJobRec> jobs;
-    std::vector<std::string> spans;
+    const std::vector<ep::SpanId>* spans = nullptr;
   };
   struct RemoteWindow {
     int writer;
@@ -263,6 +266,7 @@ private:
 
   ep::CheckOptions opt_;
   const ep::Scheduler& sched_;
+  const ep::SpanNames& names_;
   const ep::ExternalMemory* ext_ = nullptr;
   std::vector<CoreShadow> cores_;
   std::vector<RemoteWindow> remote_windows_;

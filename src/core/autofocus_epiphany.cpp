@@ -310,10 +310,10 @@ std::span<cf32> pack_blocks(ep::Machine& m, std::span<const af::BlockPair> pairs
 
 AfSimResult run_autofocus_sequential_epiphany(
     std::span<const af::BlockPair> pairs, const af::AfParams& p,
-    ep::ChipConfig cfg, ep::Tracer* tracer) {
+    ep::ChipConfig cfg) {
   p.validate();
   ESARP_EXPECTS(!pairs.empty());
-  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p), {}, tracer);
+  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p));
   const std::span<cf32> blocks = pack_blocks(m, pairs, p);
   auto out = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
 
@@ -347,7 +347,7 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
   ESARP_EXPECTS(p.windows == 3);                    // 13-core pipeline shape
   ESARP_EXPECTS(cfg.core_count() >= 14);
 
-  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p), {}, opt.tracer);
+  ep::Machine m(cfg, af_ext_bytes(pairs.size(), p));
   AfShared st;
   st.blocks_ext = pack_blocks(m, pairs, p);
   st.out_ext = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());

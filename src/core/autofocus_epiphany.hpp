@@ -40,10 +40,6 @@ namespace esarp::core {
 struct AfMapOptions {
   AfPlacement placement = AfPlacement::kCompact;
   std::size_t channel_capacity = 8; ///< FIFO depth in messages
-  /// Externally owned tracer handed to the Machine (see Machine's
-  /// shared_tracer parameter); enable before the run for named
-  /// criterion-block spans. Must outlive the run.
-  ep::Tracer* tracer = nullptr;
   /// Nonzero arms the scheduler watchdog (ep::WatchdogExpired past this
   /// many simulated cycles), mirroring FfbpMapOptions::max_cycles.
   ep::Cycles max_cycles = 0;
@@ -73,13 +69,11 @@ struct AfSimResult {
   bool degraded = false;
 };
 
-/// Sequential (1-core) sweep over all block pairs. `tracer` (optional,
-/// externally owned) is handed to the Machine for named spans.
+/// Sequential (1-core) sweep over all block pairs.
 [[nodiscard]] AfSimResult
 run_autofocus_sequential_epiphany(std::span<const af::BlockPair> pairs,
                                   const af::AfParams& p,
-                                  ep::ChipConfig cfg = {},
-                                  ep::Tracer* tracer = nullptr);
+                                  ep::ChipConfig cfg = {});
 
 /// 13-core MPMD streaming pipeline over all block pairs.
 [[nodiscard]] AfSimResult

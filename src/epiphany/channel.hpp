@@ -134,9 +134,6 @@ public:
   [[nodiscard]] const ChannelStats& stats() const { return stats_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::size_t pending() const { return q_.size(); }
-  [[nodiscard]] bool has_blocked_tasks() const {
-    return !senders_.empty() || !receivers_.empty();
-  }
 
 private:
   struct Slot {
@@ -151,6 +148,7 @@ private:
     stats_.send_block_cycles += sched_.now() - entered;
     if (send_block_hist_ != nullptr)
       send_block_hist_->observe(static_cast<double>(sched_.now() - entered));
+    from.core().counters.chan_wait += sched_.now() - entered;
     from.tracer().add(from.id(), SegmentKind::kChanSend, entered,
                       sched_.now());
 

@@ -109,11 +109,11 @@ public:
   }
 
   /// Open a named, nestable trace span on this core. The core's live span
-  /// stack always tracks these by interned id (for the power sampler and
-  /// deadlock/watchdog diagnostics); the tracer additionally records them
-  /// when tracing is enabled. Pair with end_span(); see Tracer::push_span.
+  /// stack always tracks these by interned id (for the power sampler, the
+  /// hazard checker and deadlock/watchdog diagnostics); the tracer
+  /// additionally records them when tracing is enabled. Pair with
+  /// end_span(); see Tracer::push_span.
   void begin_span(std::string name) {
-    if (check_ != nullptr) check_->on_span_push(id(), name);
     const SpanId span = span_names_.intern(name);
     core_.spans.push_back(span);
     if (power_ != nullptr) power_->reserve_span(span);
@@ -121,7 +121,6 @@ public:
   }
   /// Close this core's innermost open trace span.
   void end_span() {
-    if (check_ != nullptr) check_->on_span_pop(id());
     if (!core_.spans.empty()) core_.spans.pop_back();
     tracer_.pop_span(id(), now());
   }

@@ -84,10 +84,6 @@ public:
   void set_power_sampler(PowerSampler* sampler) { power_ = sampler; }
 
   [[nodiscard]] const ExtPortStats& stats() const { return stats_; }
-  [[nodiscard]] const BusyResource& read_channel() const { return read_chan_; }
-  [[nodiscard]] const BusyResource& write_channel() const {
-    return write_chan_;
-  }
 
 private:
   /// Buffering (store buffers + mesh FIFOs) a posted write can hide behind

@@ -25,7 +25,7 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
     : cfg_(cfg), cost_(cost),
       tracer_(shared_tracer != nullptr ? shared_tracer : &owned_tracer_),
       noc_(cfg), ext_port_(cfg, noc_, tracer_, &metrics_),
-      ext_mem_(ext_bytes), amap_(cfg) {
+      ext_mem_(ext_bytes) {
   ESARP_EXPECTS(cfg.rows > 0 && cfg.cols > 0);
   sched_.set_batching(batch_quanta_with_env(cfg_.batch_quanta));
   cores_.reserve(static_cast<std::size_t>(cfg.core_count()));
@@ -33,7 +33,8 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
   // The sanitizer is created before the contexts so every CoreCtx can carry
   // the hook pointer; env vars (ESARP_CHECK etc.) can force it on/off.
   if (check::options_with_env(cfg_.check).enabled)
-    checker_ = std::make_unique<check::CheckContext>(cfg_, sched_);
+    checker_ =
+        std::make_unique<check::CheckContext>(cfg_, sched_, span_names_);
   // Likewise the fault campaign: one injector per machine, hooked into the
   // NoC and every context. Disabled plans build nothing, so the default
   // configuration simulates exactly as before.
@@ -57,7 +58,8 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
         *tracer_, metrics_, span_names_, checker_.get(), injector_.get(),
         power_.get()));
     if (checker_ != nullptr)
-      checker_->register_core(id, coord_of(id), &cores_.back()->mem());
+      checker_->register_core(id, coord_of(id), &cores_.back()->mem(),
+                              &cores_.back()->spans);
     if (power_ != nullptr)
       power_->register_core(id, &cores_.back()->spans);
   }

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "check/check.hpp"
-#include "epiphany/address_map.hpp"
 #include "epiphany/barrier.hpp"
 #include "epiphany/channel.hpp"
 #include "epiphany/config.hpp"
@@ -63,7 +62,6 @@ public:
   [[nodiscard]] ExtPort& ext_port() { return ext_port_; }
   [[nodiscard]] const ExtPort& ext_port() const { return ext_port_; }
   [[nodiscard]] Scheduler& sched() { return sched_; }
-  [[nodiscard]] const AddressMap& address_map() const { return amap_; }
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
 
   /// Turn on execution tracing (call before run()). Segments are recorded
@@ -170,7 +168,6 @@ private:
   Noc noc_;
   ExtPort ext_port_;
   ExternalMemory ext_mem_;
-  AddressMap amap_;
   /// Every span name a core opened, interned once; Core::spans holds ids.
   SpanNames span_names_;
   /// Null unless cfg_.faults.enabled(). Created before the contexts so

@@ -114,13 +114,6 @@ NocStats Noc::stats_total() const {
   return total;
 }
 
-std::uint64_t Noc::hottest_link_bytes(Mesh mesh) const {
-  const auto& links = links_[static_cast<int>(mesh)];
-  std::uint64_t hottest = 0;
-  for (const auto& l : links) hottest = std::max(hottest, l.total_bytes);
-  return hottest;
-}
-
 std::vector<Noc::LinkUsage> Noc::link_usage(Mesh mesh) const {
   static constexpr char kDir[4] = {'E', 'W', 'S', 'N'};
   const auto& links = links_[static_cast<int>(mesh)];

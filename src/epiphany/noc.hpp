@@ -90,9 +90,6 @@ public:
   [[nodiscard]] NocStats stats(Mesh mesh) const;
   [[nodiscard]] NocStats stats_total() const;
 
-  /// Bytes carried by the most heavily used link of `mesh` (congestion).
-  [[nodiscard]] std::uint64_t hottest_link_bytes(Mesh mesh) const;
-
   /// Per-link occupancy snapshot for congestion heatmaps: one entry per
   /// directed link that carried traffic on `mesh`.
   struct LinkUsage {

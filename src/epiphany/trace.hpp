@@ -129,9 +129,6 @@ public:
   [[nodiscard]] const std::vector<CounterSample>& counter_samples() const {
     return samples_;
   }
-  [[nodiscard]] const std::vector<std::string>& counter_tracks() const {
-    return track_names_;
-  }
   [[nodiscard]] std::size_t size() const { return segments_.size(); }
 
   /// Drop all recorded events and open-span stacks; keeps the enabled flag

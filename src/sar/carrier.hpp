@@ -12,7 +12,7 @@
 // random phases; 5e-5 on the lambda = 2 m test geometry, whose float
 // ranges often sit on multiples of lambda/8, phase pi/2), and its
 // algorithm is written once, as a template over a double-lane trait, so
-// the scalar reference and the SSE2/AVX2 kernels (kernels_simd_body.hpp)
+// the scalar reference and the AVX2 kernels (kernels_simd_body.hpp)
 // run the same operations in the same order:
 //
 // - reduce_2pi: exact 2*pi reduction. fmod's result x - n*2pi is always
@@ -91,8 +91,8 @@ inline constexpr double kCertAbs = 0x1p-70;
 /// lane type T, the mask type M, and set1/add/sub/mul/abs/neg, trunc (in
 /// reduce_2pi's domain only), cmp_lt/cmp_gt/cmp_eq, and_/or_, blend(m, a,
 /// b) = m ? a : b, and same_float(a, b) = float(a) and float(b) have equal
-/// bits. ScalarLane below is the one-lane trait; the SIMD kernel TUs
-/// define SSE2 and AVX2 ones.
+/// bits. ScalarLane below is the one-lane trait; the AVX2 kernel TU
+/// defines a four-lane one.
 template <class D>
 struct CarrierLanes {
   using T = typename D::T;

@@ -23,7 +23,6 @@ bool cpu_has(Backend b) {
 #if defined(__x86_64__) || defined(__i386__)
   switch (b) {
     case Backend::kScalar: return true;
-    case Backend::kSse2: return __builtin_cpu_supports("sse2") != 0;
     case Backend::kAvx2: return __builtin_cpu_supports("avx2") != 0;
   }
 #endif
@@ -33,31 +32,23 @@ bool cpu_has(Backend b) {
 const KernelTable* table_of(Backend b) {
   switch (b) {
     case Backend::kScalar: return detail::scalar_table();
-    case Backend::kSse2: return detail::sse2_table();
     case Backend::kAvx2: return detail::avx2_table();
   }
   return nullptr;
 }
 
 Backend best_available() {
-  if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kSse2)) return Backend::kSse2;
-  return Backend::kScalar;
+  return backend_available(Backend::kAvx2) ? Backend::kAvx2
+                                           : Backend::kScalar;
 }
 
-/// ESARP_KERNELS=scalar|sse2|avx2 pins a backend (ignored when the named
-/// backend is not available on this build/cpu); anything else — including
-/// the documented "auto" — picks the best available one.
+/// ESARP_KERNELS=scalar pins the scalar reference; anything else — "avx2",
+/// the documented "auto" or an unknown value — picks the best available
+/// backend, which is AVX2 whenever this build and cpu have it.
 Backend initial_backend() {
   const char* env = std::getenv("ESARP_KERNELS");
-  if (env != nullptr && *env != '\0') {
-    const std::string_view v(env);
-    if (v == "scalar") return Backend::kScalar;
-    if (v == "sse2" && backend_available(Backend::kSse2))
-      return Backend::kSse2;
-    if (v == "avx2" && backend_available(Backend::kAvx2))
-      return Backend::kAvx2;
-  }
+  if (env != nullptr && std::string_view(env) == "scalar")
+    return Backend::kScalar;
   return best_available();
 }
 
@@ -76,7 +67,6 @@ Dispatch& dispatch() {
 const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar: return "scalar";
-    case Backend::kSse2: return "sse2";
     case Backend::kAvx2: return "avx2";
   }
   return "?";

@@ -1,25 +1,25 @@
 // Unified kernel API: the interpolation / merge / criterion /
 // back-projection inner loops behind one runtime-dispatched interface with
-// scalar and SIMD (SSE2 / AVX2) backends.
+// two backends, the scalar reference and AVX2.
 //
 // The scalar backend is the reference: it calls the exact inline kernels
 // (sar/interp.hpp, sar/merge_kernel.hpp, sar/gbp.hpp) the adoption sites
-// used to inline directly. The SIMD backends replicate every operation
+// used to inline directly. The AVX2 backend replicates every operation
 // lane-by-lane — same operation order and association, ternaries as
 // blends, the fastmath bit tricks on integer lanes, `sqrtps` for the
 // IEEE-exact std::sqrt, and GBP's double-precision carrier phase as
 // sar/carrier.hpp's one lane algorithm in double vectors — and all kernel
-// translation units are compiled with -ffp-contract=off, so every backend
-// produces bit-identical results (enforced by tests/test_kernels.cpp,
+// translation units are compiled with -ffp-contract=off, so both backends
+// produce bit-identical results (enforced by tests/test_kernels.cpp,
 // tests/test_carrier.cpp and the micro_kernels bench rows).
 // Simulated-cycle costs are analytic (OpCounts), so backend choice affects
 // host wall-clock only: images, cycles, energy and manifests are unchanged.
 //
-// Backend selection: the best available backend is picked once at first
-// use (compile-time availability + runtime cpu detection); the
-// ESARP_KERNELS environment variable (scalar | sse2 | avx2 | auto)
-// overrides it, e.g. ESARP_KERNELS=scalar to rule the vector backends out
-// while debugging (docs/performance.md).
+// Backend selection: AVX2 when this is an x86-64 build and the CPU has it,
+// scalar otherwise, picked once at first use; the ESARP_KERNELS
+// environment variable (scalar | avx2 | auto) overrides it, e.g.
+// ESARP_KERNELS=scalar to rule the vector backend out while debugging
+// (docs/performance.md).
 #pragma once
 
 #include <cstddef>
@@ -31,9 +31,9 @@
 
 namespace esarp::sar::kernels {
 
-enum class Backend { kScalar, kSse2, kAvx2 };
+enum class Backend { kScalar, kAvx2 };
 
-/// Static name of a backend ("scalar", "sse2", "avx2").
+/// Static name of a backend ("scalar", "avx2").
 [[nodiscard]] const char* backend_name(Backend b);
 
 /// True when `b` is both compiled in and supported by this CPU.

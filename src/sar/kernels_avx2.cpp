@@ -2,10 +2,9 @@
 // only one compiled with -mavx2, and deliberately WITHOUT -mfma and with
 // -ffp-contract=off: fused multiply-adds would change rounding versus the
 // scalar reference, breaking the bit-exactness contract
-// (kernels_simd_body.hpp). When the build does not enable AVX2
-// (ESARP_ENABLE_SIMD=OFF or a non-x86 target) the table is null and the
-// dispatcher falls back to SSE2 or scalar; runtime cpu support is checked
-// separately in kernels.cpp.
+// (kernels_simd_body.hpp). On a non-x86-64 target the TU is built without
+// -mavx2, the table is null and the dispatcher falls back to scalar;
+// runtime cpu support is checked separately in kernels.cpp.
 #include "sar/kernels_impl.hpp"
 
 #if defined(__AVX2__)

@@ -36,10 +36,9 @@ struct KernelTable {
 /// The scalar reference table; never null.
 const KernelTable* scalar_table();
 
-/// SIMD tables; null when the translation unit was not compiled with the
-/// matching instruction set (non-x86 targets, or ESARP_ENABLE_SIMD=OFF for
-/// AVX2). Runtime cpu support is checked separately by the dispatcher.
-const KernelTable* sse2_table();
+/// The AVX2 table; null when the translation unit was not compiled with
+/// -mavx2 (non-x86-64 targets). Runtime cpu support is checked separately
+/// by the dispatcher.
 const KernelTable* avx2_table();
 
 } // namespace esarp::sar::kernels::detail

@@ -1,9 +1,9 @@
-// Width-generic SIMD implementation of the unified kernel API, shared by
-// the SSE2 (4-lane) and AVX2 (8-lane) backend translation units. Each TU
-// defines a vector-trait struct V with the intrinsics of its instruction
-// set and instantiates SimdKernels<V>; the traits live in anonymous
-// namespaces, so the instantiations are TU-local (no ODR interaction
-// between arch-specific object files).
+// Width-generic SIMD implementation of the unified kernel API, written
+// against a vector-trait struct V. The AVX2 backend translation unit
+// (kernels_avx2.cpp, 8 lanes) defines V with its intrinsics and
+// instantiates SimdKernels<V>; the trait lives in an anonymous namespace,
+// so the instantiation stays TU-local (no ODR interaction with the
+// object files built without -mavx2).
 //
 // BIT-EXACTNESS CONTRACT: every function here replicates its scalar
 // reference (sar/interp.hpp, sar/merge_kernel.hpp, common/fastmath.hpp,

@@ -133,6 +133,20 @@ void flatten_histograms(const JsonValue* obj, const std::string& prefix,
   }
 }
 
+/// Record `key` as a regression that could not be diffed, `problem` naming
+/// which side is broken and how.
+CompareLine& add_unusable(CompareReport& rep, const std::string& key,
+                          std::string problem) {
+  CompareLine line;
+  line.key = key;
+  line.unusable = true;
+  line.regressed = true;
+  line.problem = std::move(problem);
+  ++rep.regressions;
+  rep.lines.push_back(std::move(line));
+  return rep.lines.back();
+}
+
 std::vector<std::pair<std::string, double>>
 flatten_manifest(const JsonValue& m, std::vector<std::string>& bad) {
   std::vector<std::pair<std::string, double>> out;
@@ -165,15 +179,9 @@ CompareReport compare_manifests(const JsonValue& base,
   // regression" just because the broken key could not be diffed.
   const auto reject_non_finite = [&rep](const std::vector<std::string>& keys,
                                         const char* which) {
-    for (const std::string& key : keys) {
-      CompareLine line;
-      line.key = key;
-      line.unusable = true;
-      line.regressed = true;
-      line.problem = std::string("non-finite value in ") + which + " manifest";
-      ++rep.regressions;
-      rep.lines.push_back(std::move(line));
-    }
+    for (const std::string& key : keys)
+      add_unusable(rep, key,
+                   std::string("non-finite value in ") + which + " manifest");
   };
   reject_non_finite(bad_base, "base");
   reject_non_finite(bad_cur, "current");
@@ -181,7 +189,13 @@ CompareReport compare_manifests(const JsonValue& base,
   for (const auto& [key, bval] : b) {
     const auto it = cur_map.find(key);
     if (it == cur_map.end()) {
-      rep.notes.push_back("missing in current: " + key);
+      // Every results key is checked, so one that vanished is a named
+      // regression; an unchecked metric is only noted, and an opted-in one
+      // is named by the per_key pass below.
+      if (key.rfind("results.", 0) == 0 && opt.per_key.count(key) == 0)
+        add_unusable(rep, key, "missing in current manifest").checked = true;
+      else
+        rep.notes.push_back("missing in current: " + key);
       continue;
     }
     const double cval = it->second;
@@ -258,17 +272,12 @@ CompareReport compare_manifests(const JsonValue& base,
     const bool in_b = base_keys.count(key) != 0;
     const bool in_c = cur_keys.count(key) != 0;
     if (in_b && in_c) continue;
-    const std::string base_state = describe(base, key, in_b);
-    const std::string cur_state = describe(current, key, in_c);
-    CompareLine line;
-    line.key = key;
+    CompareLine& line =
+        add_unusable(rep, key,
+                     "base " + describe(base, key, in_b) + ", current " +
+                         describe(current, key, in_c));
     line.checked = true;
     line.threshold = thr;
-    line.unusable = true;
-    line.regressed = true;
-    line.problem = "base " + base_state + ", current " + cur_state;
-    ++rep.regressions;
-    rep.lines.push_back(std::move(line));
   }
 
   // Regressions first, then checked lines, then the informational rest.

@@ -1,9 +1,10 @@
 // Manifest regression checking: the logic behind tools/esarp_compare.
 //
 // Two run manifests (manifest.hpp) are diffed key by key. Every numeric
-// entry under "results" is threshold-checked; counters, gauges and
-// histogram summaries under "metrics" are reported informationally unless
-// an explicit per-metric threshold opts them into checking. The regression
+// entry under "results" is threshold-checked, and one the current manifest
+// lacks is a regression; counters, gauges and histogram summaries under
+// "metrics" are reported informationally unless an explicit per-metric
+// threshold opts them into checking. The regression
 // direction is inferred from the key name: throughput-like quantities
 // (utilization, flops, px_per_s, hit_rate) regress downward, everything
 // else — times, cycle counts, energy, stalls, bytes — regresses upward.
@@ -76,10 +77,11 @@ struct CompareLine {
   bool checked = false;   ///< thresholded (vs. informational)
   bool regressed = false;
   double threshold = 0.0; ///< the threshold applied when checked
-  /// An explicitly checked (--metric) key that could not be diffed: missing
-  /// from a manifest, or present but not numeric. Counted as a regression —
-  /// a silently vanished metric must fail CI, not pass it — with `problem`
-  /// naming which side is broken and how.
+  /// A key that could not be diffed: a non-finite value, a results key
+  /// missing from the current manifest, or an explicitly checked (--metric)
+  /// key missing from either manifest or present but not numeric. Counted
+  /// as a regression — a silently vanished metric must fail CI, not pass
+  /// it — with `problem` naming which side is broken and how.
   bool unusable = false;
   std::string problem;
 };

@@ -81,11 +81,6 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it != counters_.end() ? &it->second : nullptr;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it != gauges_.end() ? &it->second : nullptr;
-}
-
 const Histogram*
 MetricsRegistry::find_histogram(const std::string& name) const {
   const auto it = histograms_.find(name);

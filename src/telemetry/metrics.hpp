@@ -121,7 +121,6 @@ public:
 
   /// Lookup without creation; nullptr when absent.
   [[nodiscard]] const Counter* find_counter(const std::string& name) const;
-  [[nodiscard]] const Gauge* find_gauge(const std::string& name) const;
   [[nodiscard]] const Histogram* find_histogram(const std::string& name) const;
 
   /// Total number of distinct metric names across all kinds.

@@ -140,6 +140,25 @@ TEST(AfEpiphany, SmallChannelCapacityStillCorrect) {
     EXPECT_EQ(sim.criteria[0][s], host.criteria[s]);
 }
 
+TEST(AfEpiphany, ChannelWaitCountsBothEndsOfEveryChannel) {
+  // Every cycle a core spends blocked on a channel, sending or receiving,
+  // lands in its chan_wait counter and in the channel's block histogram.
+  af::AfParams p;
+  const auto pairs = make_pairs(p, 8);
+  const auto sim = run_autofocus_mpmd(pairs, p);
+  ep::Cycles chan_wait = 0;
+  for (const auto& c : sim.perf.per_core) chan_wait += c.chan_wait;
+  double send_blocked = 0.0;
+  double recv_blocked = 0.0;
+  for (const auto& [name, h] : sim.metrics.histograms()) {
+    if (name.starts_with("chan.send_block_cycles{")) send_blocked += h.sum();
+    if (name.starts_with("chan.recv_block_cycles{")) recv_blocked += h.sum();
+  }
+  EXPECT_GT(send_blocked, 0.0);
+  EXPECT_GT(recv_blocked, 0.0);
+  EXPECT_EQ(static_cast<double>(chan_wait), send_blocked + recv_blocked);
+}
+
 TEST(AfEpiphany, RejectsUnsupportedShapes) {
   af::AfParams p;
   p.windows = 2; // pipeline is built for the paper's 3-window dataflow

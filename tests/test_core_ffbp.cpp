@@ -52,8 +52,7 @@ template <typename Fn>
 void for_each_backend(Fn&& fn) {
   namespace k = sar::kernels;
   const k::Backend before = k::active();
-  for (const k::Backend b :
-       {k::Backend::kScalar, k::Backend::kSse2, k::Backend::kAvx2}) {
+  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
     if (!k::backend_available(b)) continue;
     SCOPED_TRACE(k::backend_name(b));
     k::force_backend(b);

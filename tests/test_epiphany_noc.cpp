@@ -1,10 +1,9 @@
-// Tests for the eMesh NoC model, the off-chip port, the address map, and
-// the local/external memories.
+// Tests for the eMesh NoC model, the off-chip port, and the local/external
+// memories.
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
 #include "common/types.hpp"
-#include "epiphany/address_map.hpp"
 #include "epiphany/config.hpp"
 #include "epiphany/ext_port.hpp"
 #include "epiphany/external_memory.hpp"
@@ -159,54 +158,6 @@ TEST(ExtPort, ReadAndWriteChannelsAreIndependent) {
   // Reads unaffected by the write backlog (separate meshes/channels).
   const Cycles read_done = port.blocking_read({0, 0}, 1, 8, 0);
   EXPECT_LE(read_done, cfg().ext_read_latency + 16);
-}
-
-TEST(AddressMap, EncodeDecodeRoundTripAllCores) {
-  AddressMap m(cfg());
-  for (int r = 0; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      const Addr a = m.encode_core({r, c}, 0x1234);
-      const Decoded d = m.decode(a);
-      EXPECT_EQ(d.region, Region::kCore);
-      EXPECT_EQ(d.coord.row, r);
-      EXPECT_EQ(d.coord.col, c);
-      EXPECT_EQ(d.offset, 0x1234u);
-    }
-  }
-}
-
-TEST(AddressMap, FirstCoreMatchesE16G3Datasheet) {
-  AddressMap m(cfg());
-  // Core (32,8) -> id 0x808 -> base 0x8080_0000.
-  EXPECT_EQ(m.core_base({0, 0}), 0x8080'0000u);
-}
-
-TEST(AddressMap, LowAddressesAliasLocalMemory) {
-  AddressMap m(cfg());
-  const Decoded d = m.decode(0x4000);
-  EXPECT_EQ(d.region, Region::kLocalAlias);
-  EXPECT_EQ(d.offset, 0x4000u);
-}
-
-TEST(AddressMap, ExternalWindowDecodes) {
-  AddressMap m(cfg());
-  const Addr a = m.encode_external(0x100);
-  const Decoded d = m.decode(a);
-  EXPECT_EQ(d.region, Region::kExternal);
-  EXPECT_EQ(d.offset, 0x100u);
-}
-
-TEST(AddressMap, UnknownCoreIdIsInvalid) {
-  AddressMap m(cfg());
-  // Core id (1, 1) is outside the 4x4 window starting at (32, 8).
-  const Addr a = (Addr{1} << 26) | (Addr{1} << 20);
-  EXPECT_EQ(m.decode(a).region, Region::kInvalid);
-}
-
-TEST(AddressMap, MappedRangeRespectsLocalMemorySize) {
-  AddressMap m(cfg());
-  EXPECT_TRUE(m.is_mapped(m.encode_core({0, 0}, 32767)));
-  EXPECT_FALSE(m.is_mapped(m.core_base({0, 0}) + 32768));
 }
 
 TEST(LocalMemory, AllocRespectsCapacity) {

@@ -1,9 +1,9 @@
-// Bit-exactness tests of the unified kernel API (sar/kernels.hpp): every
-// available SIMD backend must reproduce the scalar reference bit for bit
-// on every kernel, including the non-multiple-of-width tails, clamp and
-// validity edge cases. Comparison is on the float bit patterns, not on a
-// tolerance — the SIMD backends are only allowed to exist because they
-// change nothing.
+// Bit-exactness tests of the unified kernel API (sar/kernels.hpp): the
+// AVX2 backend, when available, must reproduce the scalar reference bit
+// for bit on every kernel, including the non-multiple-of-width tails,
+// clamp and validity edge cases. Comparison is on the float bit patterns,
+// not on a tolerance — the SIMD backend is only allowed to exist because
+// it changes nothing.
 #include <bit>
 #include <cstdint>
 #include <iterator>
@@ -39,7 +39,6 @@ void expect_bits_eq(cf32 a, cf32 b, const char* what, std::size_t i) {
 
 std::vector<k::Backend> simd_backends() {
   std::vector<k::Backend> b;
-  if (k::backend_available(k::Backend::kSse2)) b.push_back(k::Backend::kSse2);
   if (k::backend_available(k::Backend::kAvx2)) b.push_back(k::Backend::kAvx2);
   return b;
 }
@@ -204,8 +203,7 @@ TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
   g.k_phase = 25.0;
   const std::vector<cf32> pulse(4, cf32{1.0f, 1.0f});
   const k::Backend before = k::active();
-  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kSse2,
-                             k::Backend::kAvx2}) {
+  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
     if (!k::backend_available(b)) continue;
     SCOPED_TRACE(k::backend_name(b));
     k::force_backend(b);
@@ -346,8 +344,7 @@ TEST(Kernels, MergeSampleRowNanAngleMissThrowsOnEveryBackend) {
   // range is merely out of swath and contributes nothing.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const k::Backend before = k::active();
-  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kSse2,
-                             k::Backend::kAvx2}) {
+  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
     if (!k::backend_available(b)) continue;
     SCOPED_TRACE(k::backend_name(b));
     k::force_backend(b);

@@ -4,6 +4,7 @@
 // manifests, and the manifest regression comparator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -620,6 +621,45 @@ TEST(Compare, MissingCheckedMetricIsANamedRegression) {
   }
   EXPECT_TRUE(found);
   EXPECT_NE(rep.summary().find("FAILED"), std::string::npos);
+}
+
+TEST(Compare, VanishedResultKeyIsANamedRegression) {
+  // Every results key is checked, so one the current manifest lost fails
+  // the comparison by name without any --metric; a vanished metrics key
+  // that nothing opted in stays a note.
+  const auto make = [](bool with_extras) {
+    telemetry::MetricsRegistry reg;
+    telemetry::RunManifest man("cmp");
+    man.add_result("makespan_cycles", 1000.0);
+    if (with_extras) {
+      man.add_result("avg_watts", 0.5);
+      reg.counter("noc.bytes").add(64);
+    }
+    man.set_metrics(&reg);
+    std::ostringstream os;
+    man.write(os);
+    return parse_json(os.str());
+  };
+  const JsonValue base = make(true);
+  const JsonValue cur = make(false);
+  const auto rep = telemetry::compare_manifests(base, cur);
+  EXPECT_FALSE(rep.ok());
+  EXPECT_EQ(rep.regressions, 1);
+  bool found = false;
+  for (const auto& l : rep.lines) {
+    if (l.key != "results.avg_watts") continue;
+    found = true;
+    EXPECT_TRUE(l.unusable);
+    EXPECT_TRUE(l.regressed);
+    EXPECT_NE(l.problem.find("missing"), std::string::npos) << l.problem;
+  }
+  EXPECT_TRUE(found);
+  EXPECT_NE(std::find(rep.notes.begin(), rep.notes.end(),
+                      "missing in current: metrics.counters.noc.bytes"),
+            rep.notes.end());
+  EXPECT_NE(rep.summary().find("FAILED"), std::string::npos);
+  // A results key only the current manifest has is new, not lost.
+  EXPECT_TRUE(telemetry::compare_manifests(cur, base).ok());
 }
 
 TEST(Compare, DirectionTableClassifiesOverloadCounters) {

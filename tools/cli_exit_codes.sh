@@ -3,7 +3,7 @@
 # header): 0 ok, 2 usage error, 3 simulated-chip deadlock, 4 contract
 # violation (including the max_cycles watchdog), 5 unrecovered fault,
 # 6 static-analysis (esarp lint) findings; and esarp_compare's threshold
-# rule (exit 2).
+# rule (exit 2) and lost-results-key rule (exit 1).
 # ctest only distinguishes zero from nonzero, so scripted checks pin down
 # the *specific* codes scripts and CI key off.
 #
@@ -296,6 +296,13 @@ expect_named --metric "$compare" "$manifest" "$manifest" \
   --metric results.x=abc
 expect_named --threshold "$compare" "$manifest" "$manifest" \
   --threshold 0.05x
+
+# A results key the current manifest lost is a regression, never a pass
+# for want of anything to compare.
+lost="$scratch/cli_exit_codes.lost_key.manifest.json"
+grep -v '"avg_watts"' "$manifest" >"$lost"
+expect 0 "$compare" "$manifest" "$manifest" --threshold 0.0
+expect 1 "$compare" "$manifest" "$lost" --threshold 0.0
 
 if [ "$fails" -gt 0 ]; then
   echo "cli_exit_codes: $fails check(s) failed" >&2

@@ -26,15 +26,17 @@
 // with --latency-band, e.g. --latency-band 0.0 when diffing same-seed
 // deterministic runs), then the default threshold (results.* only). A
 // pattern that matches nothing is fine; an exact --metric key missing from
-// either manifest is a named failure.
+// either manifest, or a results key missing from the current one, is a
+// named failure.
 //
 // Every threshold (--threshold, --latency-band and the value after '=' in
 // --metric and --noisy-metric) is a whole number >= 0: anything else, NaN
 // and trailing characters included, is a usage error naming the flag.
 //
 // Exit status: 0 = no regression, 1 = regression past threshold (which
-// includes a --metric key that is missing from either manifest or is not
-// numeric — reported as a named FAILED line, not a parse abort),
+// includes a results key the current manifest lost, and a --metric key
+// that is missing from either manifest or is not numeric — reported as a
+// named FAILED line, not a parse abort),
 // 2 = usage or unreadable/invalid manifest. CI runs a self-compare of the
 // fast-mode table1_ffbp manifest as a smoke check (.github/workflows).
 #include <iostream>
