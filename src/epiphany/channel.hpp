@@ -97,7 +97,7 @@ public:
       if (!q_.empty() && q_.front().ready_at <= sched_.now())
         co_return std::optional<T>{commit_recv(to, entered)};
       if (sched_.now() - entered >= timeout) {
-        to.core().counters.chan_wait += sched_.now() - entered;
+        count_block(to, entered, /*sending=*/false);
         co_return std::nullopt;
       }
       to.core().state = CoreState::kWaitChannel;
@@ -120,7 +120,7 @@ public:
     const Cycles entered = sched_.now();
     while (q_.size() >= capacity_) {
       if (sched_.now() - entered >= timeout) {
-        from.core().counters.chan_wait += sched_.now() - entered;
+        count_block(from, entered, /*sending=*/true);
         co_return false;
       }
       from.core().state = CoreState::kWaitChannel;
@@ -141,16 +141,27 @@ private:
     T value;
   };
 
+  /// Count the wait of `c`, blocked on this channel since `entered`, in
+  /// the channel's stats and block histogram, the core's chan_wait counter
+  /// and the trace. A wait that commits and one that times out both count.
+  void count_block(CoreCtx& c, Cycles entered, bool sending) {
+    const Cycles blocked = sched_.now() - entered;
+    (sending ? stats_.send_block_cycles : stats_.recv_block_cycles) +=
+        blocked;
+    telemetry::Histogram* hist =
+        sending ? send_block_hist_ : recv_block_hist_;
+    if (hist != nullptr) hist->observe(static_cast<double>(blocked));
+    c.core().counters.chan_wait += blocked;
+    c.tracer().add(c.id(),
+                   sending ? SegmentKind::kChanSend : SegmentKind::kChanRecv,
+                   entered, sched_.now());
+  }
+
   /// Enqueue a message the FIFO has room for, blocked since `entered`.
   /// Returns the injection time the producer is busy for (posted write
   /// semantics: it pays injection, not delivery).
   Cycles commit_send(CoreCtx& from, T&& value, Cycles entered) {
-    stats_.send_block_cycles += sched_.now() - entered;
-    if (send_block_hist_ != nullptr)
-      send_block_hist_->observe(static_cast<double>(sched_.now() - entered));
-    from.core().counters.chan_wait += sched_.now() - entered;
-    from.tracer().add(from.id(), SegmentKind::kChanSend, entered,
-                      sched_.now());
+    count_block(from, entered, /*sending=*/true);
 
     const Cycles arrival = noc_.transfer(from.coord(), consumer_, sizeof(T),
                                          sched_.now(), Mesh::kOnChipWrite);
@@ -175,11 +186,7 @@ private:
     if (to.checker() != nullptr)
       to.checker()->on_chan_recv(this, name_, to.id());
     senders_.wake_all(sched_);
-    stats_.recv_block_cycles += sched_.now() - entered;
-    if (recv_block_hist_ != nullptr)
-      recv_block_hist_->observe(static_cast<double>(sched_.now() - entered));
-    to.core().counters.chan_wait += sched_.now() - entered;
-    to.tracer().add(to.id(), SegmentKind::kChanRecv, entered, sched_.now());
+    count_block(to, entered, /*sending=*/false);
     return v;
   }
 

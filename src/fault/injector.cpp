@@ -36,10 +36,24 @@ FaultInjector::FaultInjector(const FaultPlan& plan,
     : plan_(plan), metrics_(metrics), dma_ops_(kMaxCores, 0),
       noc_ops_(kMaxCores, 0), failed_(kMaxCores, false) {}
 
-double FaultInjector::roll(Site site, int core, std::uint64_t counter) const {
-  const std::uint64_t x = mix64(key_of(plan_.seed, site, core, counter));
+double FaultInjector::roll(std::uint64_t seed, Site site, int core,
+                           std::uint64_t counter) {
+  const std::uint64_t x = mix64(key_of(seed, site, core, counter));
   // Top 53 bits -> uniform double in [0, 1).
   return static_cast<double>(x >> 11) * 0x1.0p-53;
+}
+
+std::optional<Site> FaultInjector::fired(const FaultPlan& plan, Site stream,
+                                         double r) {
+  if (stream == Site::kNocStall) {
+    if (r < plan.noc_stall_rate) return Site::kNocStall;
+    return std::nullopt;
+  }
+  if (r < plan.dma_drop_rate) return Site::kDmaDrop;
+  if (r < plan.dma_drop_rate + plan.dma_corrupt_rate) return Site::kDmaCorrupt;
+  if (r < plan.dma_drop_rate + plan.dma_corrupt_rate + plan.membits_rate)
+    return Site::kMemBits;
+  return std::nullopt;
 }
 
 void FaultInjector::record(Site site, int core, std::uint64_t index,
@@ -60,15 +74,15 @@ TransferFault FaultInjector::on_transfer(int core, void* dst,
     return TransferFault::kNone;
   }
   const std::uint64_t n = dma_ops_[static_cast<std::size_t>(core)]++;
-  // One roll stream, three thresholds: drop wins over corrupt wins over
-  // mem-bits, so raising one rate never reshuffles another site's stream.
-  const double r = roll(Site::kDmaCorrupt, core, n);
-  if (r < plan_.dma_drop_rate) {
-    record(Site::kDmaDrop, core, n, cycle);
+  const std::optional<Site> site = fired(
+      plan_, Site::kDmaCorrupt, roll(plan_.seed, Site::kDmaCorrupt, core, n));
+  if (!site) return TransferFault::kNone;
+  record(*site, core, n, cycle);
+  auto* p = static_cast<unsigned char*>(dst);
+  if (*site == Site::kDmaDrop) {
     // The engine copies payloads eagerly, so a "never delivered" transfer
     // must leave observably wrong bytes behind (stale-buffer model): scrub
     // a deterministic window of the destination.
-    auto* p = static_cast<unsigned char*>(dst);
     const std::uint64_t at =
         mix64(key_of(plan_.seed + 4, Site::kDmaDrop, core, n)) % bytes;
     const std::size_t span = std::min<std::size_t>(bytes, 8);
@@ -77,11 +91,9 @@ TransferFault FaultInjector::on_transfer(int core, void* dst,
     }
     return TransferFault::kDropped;
   }
-  if (r < plan_.dma_drop_rate + plan_.dma_corrupt_rate) {
-    record(Site::kDmaCorrupt, core, n, cycle);
+  if (*site == Site::kDmaCorrupt) {
     // Flip a deterministic byte (and its neighbor for multi-byte payloads)
     // so checksum verification always detects the corruption.
-    auto* p = static_cast<unsigned char*>(dst);
     const std::uint64_t at = mix64(key_of(plan_.seed + 1, Site::kDmaCorrupt,
                                           core, n)) %
                              bytes;
@@ -91,18 +103,14 @@ TransferFault FaultInjector::on_transfer(int core, void* dst,
     }
     return TransferFault::kCorrupt;
   }
-  if (r < plan_.dma_drop_rate + plan_.dma_corrupt_rate + plan_.membits_rate) {
-    record(Site::kMemBits, core, n, cycle);
-    auto* p = static_cast<unsigned char*>(dst);
-    const std::uint64_t at = mix64(key_of(plan_.seed + 2, Site::kMemBits,
-                                          core, n)) %
-                             bytes;
-    const unsigned bit = static_cast<unsigned>(
-        mix64(key_of(plan_.seed + 3, Site::kMemBits, core, n)) % 8);
-    p[at] ^= static_cast<unsigned char>(1U << bit);
-    return TransferFault::kCorrupt;
-  }
-  return TransferFault::kNone;
+  // Site::kMemBits: one bit of one byte.
+  const std::uint64_t at = mix64(key_of(plan_.seed + 2, Site::kMemBits,
+                                        core, n)) %
+                           bytes;
+  const unsigned bit = static_cast<unsigned>(
+      mix64(key_of(plan_.seed + 3, Site::kMemBits, core, n)) % 8);
+  p[at] ^= static_cast<unsigned char>(1U << bit);
+  return TransferFault::kCorrupt;
 }
 
 std::uint64_t FaultInjector::noc_stall(int core, std::uint64_t cycle) {
@@ -110,11 +118,28 @@ std::uint64_t FaultInjector::noc_stall(int core, std::uint64_t cycle) {
     return 0;
   }
   const std::uint64_t n = noc_ops_[static_cast<std::size_t>(core)]++;
-  if (roll(Site::kNocStall, core, n) < plan_.noc_stall_rate) {
+  if (fired(plan_, Site::kNocStall,
+            roll(plan_.seed, Site::kNocStall, core, n))) {
     record(Site::kNocStall, core, n, cycle);
     return kNocStallCycles;
   }
   return 0;
+}
+
+bool FaultInjector::rolls_fire(const FaultPlan& plan,
+                               const FaultSummary& silent) {
+  const auto stream_fires = [&](Site stream,
+                                const std::vector<std::uint64_t>& lengths) {
+    for (std::size_t c = 0; c < lengths.size(); ++c) {
+      const int core = static_cast<int>(c);
+      for (std::uint64_t n = 0; n < lengths[c]; ++n) {
+        if (fired(plan, stream, roll(plan.seed, stream, core, n))) return true;
+      }
+    }
+    return false;
+  };
+  return stream_fires(Site::kDmaCorrupt, silent.transfer_rolls) ||
+         stream_fires(Site::kNocStall, silent.noc_rolls);
 }
 
 bool FaultInjector::fail_stop_due(int core, std::uint64_t cycle) const {
@@ -228,6 +253,13 @@ std::uint64_t FaultInjector::schedule_hash() const {
 FaultSummary FaultInjector::summary() const {
   FaultSummary s = totals_;
   s.schedule_hash = schedule_hash();
+  const auto drawn = [](const std::vector<std::uint64_t>& ops) {
+    auto last = std::find_if(ops.rbegin(), ops.rend(),
+                             [](std::uint64_t n) { return n != 0; });
+    return std::vector<std::uint64_t>(ops.begin(), last.base());
+  };
+  s.transfer_rolls = drawn(dma_ops_);
+  s.noc_rolls = drawn(noc_ops_);
   return s;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,14 @@ struct FaultSummary {
   std::uint64_t failed_cores = 0;
   std::uint64_t failed_chips = 0; ///< 0 or 1: whole-chip fail-stop fired
   std::uint64_t schedule_hash = 0;
+  /// Rolls each core drew from its transfer and NoC streams, indexed by
+  /// core id and trimmed after the last core that rolled. A run in which
+  /// no roll fired is replayed exactly by any plan whose rolls within
+  /// these lengths all miss (FaultInjector::rolls_fire).
+  std::vector<std::uint64_t> transfer_rolls;
+  std::vector<std::uint64_t> noc_rolls;
+
+  bool operator==(const FaultSummary&) const = default;
 };
 
 /// True when every faulted transfer recovered exactly: each one ended in
@@ -136,10 +145,27 @@ public:
   [[nodiscard]] static std::uint64_t checksum(const void* data,
                                               std::size_t bytes);
 
+  /// True when some roll within `silent`'s stream lengths fires under
+  /// `plan`. `silent` is the summary of a run with the same rates in
+  /// which no roll fired. Rolls are stateless, so a run under `plan` (with
+  /// no fail-stop of either kind) is that run event for event until its
+  /// first firing roll: when this returns false, it *is* that run.
+  [[nodiscard]] static bool rolls_fire(const FaultPlan& plan,
+                                       const FaultSummary& silent);
+
 private:
   /// Deterministic uniform double in [0, 1) for roll `counter` of
-  /// (site, core) — a SplitMix64 finalizer over the mixed key.
-  [[nodiscard]] double roll(Site site, int core, std::uint64_t counter) const;
+  /// (site, core) under `seed` — a SplitMix64 finalizer over the mixed key.
+  [[nodiscard]] static double roll(std::uint64_t seed, Site site, int core,
+                                   std::uint64_t counter);
+
+  /// The site a roll `r` of `stream` fires under `plan`, or nullopt when it
+  /// misses. The transfer stream (Site::kDmaCorrupt) has three thresholds:
+  /// drop beats corrupt beats mem-bits, so raising one rate never
+  /// reshuffles another site's stream. The NoC stream (Site::kNocStall)
+  /// has one. on_transfer, noc_stall and rolls_fire all decide here.
+  [[nodiscard]] static std::optional<Site> fired(const FaultPlan& plan,
+                                                 Site stream, double r);
 
   void record(Site site, int core, std::uint64_t index, std::uint64_t cycle);
 

@@ -72,14 +72,6 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   return std::max(p, std::min(floor_p, spec.n_pulses));
 }
 
-enum class AttemptStatus : std::uint8_t {
-  kOk,          ///< image delivered and checksum-verified
-  kChipKilled,  ///< whole-chip fail-stop fired mid-job
-  kTimedOut,    ///< watchdog expired (kTimeoutFactor x clean makespan)
-  kCorrupt,     ///< image delivered but failed verification
-  kUnrecovered, ///< on-chip recovery exhausted (fault::FaultUnrecovered)
-};
-
 /// Schedule-hash status code for a shed job, which has no AttemptStatus
 /// of its own. Distinct from every AttemptStatus value; it only mixes into
 /// the hash when shedding is enabled, so a campaign with shedding off
@@ -88,74 +80,76 @@ enum class AttemptStatus : std::uint8_t {
 constexpr std::uint64_t kHashShed = 6;
 
 /// One resolved dispatch: everything exec_attempt needs, with the scene
-/// data and fault-free reference memoized on the scheduler thread so the
-/// worker pool only reads shared state.
+/// data, fault-free reference and silent memo resolved on the scheduler
+/// thread so the worker pool only reads shared state.
 struct Attempt {
   int job_id = 0;
   int attempt = 0; ///< 0-based attempt index across degrade levels
   int chip = 0;
-  double est_service_s = 0.0; ///< memoized clean makespan (wait estimator)
   const Array2D<cf32>* data = nullptr;
   sar::RadarParams params;
   Algo algo = Algo::kFfbp;
   int cores = 16;
   fault::FaultPlan plan;
-  std::uint64_t clean_cycles = 0;
-  double clean_energy_j = 0.0;
-  std::uint64_t clean_checksum = 0;
-  std::uint64_t timeout_cycles = 0;
+  const AttemptOutcome* clean = nullptr;  ///< the shape's fault-free run
+  const AttemptOutcome* silent = nullptr; ///< its silent memo, if any yet
 };
 
-struct AttemptOutcome {
-  AttemptStatus status = AttemptStatus::kOk;
-  std::uint64_t cycles = 0; ///< simulated cycles the chip was occupied
-  double energy_j = 0.0;    ///< only meaningful for kOk
-  std::uint64_t checksum = 0;
-  fault::FaultSummary faults;
-};
+/// Run one job shape once on a simulated chip configured by `cfg`, its
+/// fault plan included, bounded by `max_cycles` (0 = unbounded). A
+/// degraded image (fail-stopped cores) comes back kCorrupt; fault
+/// exceptions propagate.
+[[nodiscard]] AttemptOutcome run_shape(const Array2D<cf32>& data,
+                                       const sar::RadarParams& p, Algo algo,
+                                       int cores, const ep::ChipConfig& cfg,
+                                       ep::Cycles max_cycles) {
+  AttemptOutcome out;
+  const auto take = [&out](const auto& sim) {
+    out.cycles = sim.cycles;
+    out.energy_j = sim.energy.total_j();
+    out.faults = sim.faults;
+    out.checksum = fault::FaultInjector::checksum(
+        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
+  };
+  if (algo == Algo::kFfbp) {
+    core::FfbpMapOptions opt;
+    opt.n_cores = cores;
+    opt.max_cycles = max_cycles;
+    const auto sim = core::run_ffbp_epiphany(data, p, opt, cfg);
+    take(sim);
+    if (sim.degraded) out.status = AttemptStatus::kCorrupt;
+  } else {
+    take(core::run_gbp_epiphany(data, p, cores, cfg, max_cycles));
+  }
+  return out;
+}
 
 /// Run one whole job on one simulated chip — the per-job analogue of
 /// resilient.hpp's verified transfer: execute, bound with a watchdog,
 /// checksum the delivered image against the fault-free reference.
 [[nodiscard]] AttemptOutcome exec_attempt(const Attempt& a,
                                           const ep::ChipConfig& base) {
-  AttemptOutcome out;
-  if (!a.plan.enabled()) {
-    // Fault-free attempts are bit-identical to the memoized reference run
-    // (the simulator is deterministic), so serving a clean job costs no
-    // host time beyond the first job of its shape.
-    out.cycles = a.clean_cycles;
-    out.energy_j = a.clean_energy_j;
-    out.checksum = a.clean_checksum;
-    return out;
+  // Fault-free attempts are bit-identical to the memoized reference run
+  // (the simulator is deterministic), so serving a clean job costs no
+  // host time beyond the first job of its shape.
+  if (!a.plan.enabled()) return *a.clean;
+  // Fault rolls are stateless, so until its first firing roll an attempt
+  // replays the shape's silent run event for event. When none of the rolls
+  // that run drew fires under this plan, the attempt *is* that run. The
+  // watchdog bound is the shape's, which the silent run met. A fail-stop
+  // ends a run without a roll, so such a plan is always simulated.
+  if (a.silent != nullptr && a.plan.fail_stops.empty() &&
+      a.plan.chip_fail_cycle == 0 &&
+      !fault::FaultInjector::rolls_fire(a.plan, a.silent->faults)) {
+    return *a.silent;
   }
   ep::ChipConfig cfg = base;
   cfg.faults = a.plan;
+  AttemptOutcome out;
   try {
-    bool degraded_image = false;
-    if (a.algo == Algo::kFfbp) {
-      core::FfbpMapOptions opt;
-      opt.n_cores = a.cores;
-      opt.max_cycles = a.timeout_cycles;
-      auto sim = core::run_ffbp_epiphany(*a.data, a.params, opt, cfg);
-      out.cycles = sim.cycles;
-      out.energy_j = sim.energy.total_j();
-      out.faults = sim.faults;
-      degraded_image = sim.degraded;
-      out.checksum = fault::FaultInjector::checksum(
-          sim.image.data(), sim.image.rows() * sim.image.cols() *
-                                sizeof(cf32));
-    } else {
-      auto sim = core::run_gbp_epiphany(*a.data, a.params, a.cores, cfg,
-                                        a.timeout_cycles);
-      out.cycles = sim.cycles;
-      out.energy_j = sim.energy.total_j();
-      out.faults = sim.faults;
-      out.checksum = fault::FaultInjector::checksum(
-          sim.image.data(), sim.image.rows() * sim.image.cols() *
-                                sizeof(cf32));
-    }
-    if (degraded_image || out.checksum != a.clean_checksum) {
+    out = run_shape(*a.data, a.params, a.algo, a.cores, cfg,
+                    kTimeoutFactor * a.clean->cycles);
+    if (out.checksum != a.clean->checksum) {
       // The chip *thinks* it delivered, but the image is not the verified
       // fault-free result — the fleet treats that exactly like a failed
       // transfer checksum and retries elsewhere.
@@ -166,7 +160,7 @@ struct AttemptOutcome {
     out.cycles = e.cycle();
   } catch (const fault::FaultUnrecovered&) {
     out.status = AttemptStatus::kUnrecovered;
-    out.cycles = a.clean_cycles; // deterministic stand-in for the lost time
+    out.cycles = a.clean->cycles; // deterministic stand-in for the lost time
   } catch (const ep::WatchdogExpired& e) {
     out.status = AttemptStatus::kTimedOut;
     out.cycles = e.cycle();
@@ -208,28 +202,13 @@ const Fleet::CleanRef& Fleet::clean_ref(const SimKey& key) {
   auto it = clean_cache_.find(key);
   if (it != clean_cache_.end()) return it->second;
 
-  const Array2D<cf32>& data = scene_data(key.pulses, key.range);
-  const sar::RadarParams p = sar::test_params(key.pulses, key.range);
   ep::ChipConfig cfg = cfg_.chip;
   cfg.faults = fault::FaultPlan{}; // reference runs are always fault-free
   CleanRef ref;
-  if (static_cast<Algo>(key.algo) == Algo::kFfbp) {
-    core::FfbpMapOptions opt;
-    opt.n_cores = key.cores;
-    auto sim = core::run_ffbp_epiphany(data, p, opt, cfg);
-    ref.cycles = sim.cycles;
-    ref.seconds = sim.seconds;
-    ref.energy_j = sim.energy.total_j();
-    ref.checksum = fault::FaultInjector::checksum(
-        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
-  } else {
-    auto sim = core::run_gbp_epiphany(data, p, key.cores, cfg);
-    ref.cycles = sim.cycles;
-    ref.seconds = sim.seconds;
-    ref.energy_j = sim.energy.total_j();
-    ref.checksum = fault::FaultInjector::checksum(
-        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
-  }
+  ref.run = run_shape(scene_data(key.pulses, key.range),
+                      sar::test_params(key.pulses, key.range),
+                      static_cast<Algo>(key.algo), key.cores, cfg,
+                      /*max_cycles=*/0);
   return clean_cache_.emplace(key, ref).first->second;
 }
 
@@ -253,8 +232,8 @@ double Fleet::model_rel_err(const SimKey& key) {
   const analysis::CostPrediction pred = analysis::predict_cost(spec);
   ref.model_rel_err =
       std::abs(static_cast<double>(pred.makespan) -
-               static_cast<double>(ref.cycles)) /
-      static_cast<double>(ref.cycles);
+               static_cast<double>(ref.run.cycles)) /
+      static_cast<double>(ref.run.cycles);
   return ref.model_rel_err;
 }
 
@@ -279,8 +258,18 @@ double percentile(std::vector<double> xs, double q) {
 ServeReport Fleet::run(const ArrivalTrace& trace) {
   ESARP_EXPECTS(!trace.jobs.empty());
   for (std::size_t i = 0; i < trace.jobs.size(); ++i) {
-    ESARP_EXPECTS(trace.jobs[i].id == static_cast<int>(i));
-    ESARP_EXPECTS(trace.jobs[i].deadline_s > 0.0);
+    const JobSpec& j = trace.jobs[i];
+    ESARP_EXPECTS(j.id == static_cast<int>(i));
+    ESARP_EXPECTS(j.deadline_s > 0.0);
+    // Checked before the first dispatch, so a job the chip cannot run
+    // fails the campaign up front instead of inside a simulation.
+    ESARP_REQUIRE(j.n_cores >= 1 && j.n_cores <= cfg_.chip.core_count(),
+                  std::string("serve: job ")
+                      .append(std::to_string(i))
+                      .append(" asks for ")
+                      .append(std::to_string(j.n_cores))
+                      .append(" cores; the chip has ")
+                      .append(std::to_string(cfg_.chip.core_count())));
   }
 
   const ServePolicy& pol = cfg_.policy;
@@ -324,16 +313,20 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
   std::size_t next_arrival = 0;
   std::size_t remaining = trace.jobs.size();
 
+  /// The simulated shape of job `j` at its current degrade level.
+  const auto shape_of = [](const Pending& j) {
+    return SimKey{degraded_pulses(j.spec, j.degrade), j.spec.n_range,
+                  static_cast<int>(j.spec.algo), j.spec.n_cores};
+  };
+
   /// Memoized clean makespan of the job's shape at its degrade level —
   /// the service-time estimate the shed policy packs queues with.
-  const auto clean_service_s = [&](const JobSpec& spec, int degrade) {
-    const std::size_t pulses = degraded_pulses(spec, degrade);
-    const SimKey key{pulses, spec.n_range, static_cast<int>(spec.algo),
-                     spec.n_cores};
+  const auto clean_service_s = [&](const Pending& j) {
+    const SimKey key = shape_of(j);
     if (pol.shed.enabled) {
       shed_model_err = std::max(shed_model_err, model_rel_err(key));
     }
-    return clean_ref(key).seconds;
+    return cfg_.chip.seconds(clean_ref(key).run.cycles);
   };
 
   const auto requeue = [&](Pending j, int from_chip, double finish_s) {
@@ -438,17 +431,13 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
     a.chip = chip;
     a.algo = j.spec.algo;
     a.cores = j.spec.n_cores;
-    const std::size_t pulses = degraded_pulses(j.spec, j.degrade);
-    a.data = &scene_data(pulses, j.spec.n_range);
-    a.params = sar::test_params(pulses, j.spec.n_range);
-    const CleanRef& ref = clean_ref(SimKey{pulses, j.spec.n_range,
-                                           static_cast<int>(j.spec.algo),
-                                           j.spec.n_cores});
-    a.clean_cycles = ref.cycles;
-    a.clean_energy_j = ref.energy_j;
-    a.clean_checksum = ref.checksum;
-    a.est_service_s = ref.seconds;
-    a.timeout_cycles = kTimeoutFactor * ref.cycles;
+    const SimKey key = shape_of(j);
+    a.data = &scene_data(key.pulses, key.range);
+    a.params = sar::test_params(key.pulses, key.range);
+    const AttemptOutcome& ref = clean_ref(key).run;
+    a.clean = &ref;
+    const auto silent = silent_cache_.find(key);
+    if (silent != silent_cache_.end()) a.silent = &silent->second;
     if (cfg_.chaos.enabled()) {
       a.plan.seed = attempt_seed(cfg_.chaos.seed, a.job_id, a.attempt,
                                  a.chip);
@@ -540,7 +529,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
           ++i;
           continue;
         }
-        const double svc = clean_service_s(j.spec, j.degrade);
+        const double svc = clean_service_s(j);
         auto slot = std::min_element(free_at.begin(), free_at.end());
         const double est_finish = std::max(*slot, now) + svc;
         if (est_finish > j.spec.arrival_s + j.spec.deadline_s &&
@@ -595,7 +584,7 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
       inf.job = j;
       inf.chip = chip;
       inf.start_s = now;
-      inf.est_service_s = batch.back().est_service_s;
+      inf.est_service_s = cfg_.chip.seconds(batch.back().clean->cycles);
       launched.push_back(inf);
     }
 
@@ -604,6 +593,15 @@ ServeReport Fleet::run(const ArrivalTrace& trace) {
         return exec_attempt(batch[i], cfg_.chip);
       });
       for (std::size_t i = 0; i < batch.size(); ++i) {
+        // The first simulated attempt of a shape, in index order, that
+        // delivered with no fault roll fired becomes the shape's silent
+        // memo (exec_attempt). A chip kill ends a run without a roll.
+        const fault::FaultPlan& plan = batch[i].plan;
+        if (plan.enabled() && plan.chip_fail_cycle == 0 &&
+            outs[i].status == AttemptStatus::kOk &&
+            outs[i].faults.injected == 0) {
+          silent_cache_.try_emplace(shape_of(launched[i].job), outs[i]);
+        }
         launched[i].finish_s = now + cfg_.chip.seconds(outs[i].cycles);
         launched[i].out = outs[i];
         running.push_back(launched[i]);

@@ -4,28 +4,33 @@
 //
 // Design in one paragraph: the fleet clock is a discrete-event loop over
 // {arrival, attempt-completion, retry-release} instants. At each instant
-// ready jobs are dispatched to free chips — earliest absolute deadline
-// first within descending priority class by default (DispatchOrder::kEdf;
-// kFifo restores release-order) — each dispatch runs one whole job on one
+// ready jobs are dispatched to free chips — earliest absolute deadline first
+// within descending priority class by default (DispatchOrder::kEdf; kFifo
+// restores release-order) — each dispatch runs one whole job on one
 // simulated chip under a per-attempt fault plan derived deterministically
-// from (campaign seed, job id, attempt, chip), and each attempt is
-// bounded by a watchdog (8x the memoized fault-free makespan) and
-// verified by an FNV checksum against the fault-free image — the
-// whole-job generalization of the per-transfer retry/verify loop in
-// src/epiphany/resilient.hpp. Failed attempts (chip fail-stop, timeout,
-// checksum mismatch, unrecovered faults) re-enter the queue with
-// exponential backoff and migrate off the chip that failed them when
-// another is free; after max_attempts at one quality level the job
-// degrades (aperture halved -> one fewer FFBP merge level) instead of
-// being dropped. Chips are identical and every fault is rolled per
-// attempt, so the router keeps no per-chip health beyond fail-stop.
-// Overload control layers on top: ShedPolicy estimates each queued job's
-// wait from the memoized clean makespans and retires already-doomed
-// low-priority jobs with an explicit JobState::kShed record. A job has
-// at most one attempt in flight at a time. A job is lost only
-// by aborting the entire campaign with fault::FaultUnrecovered (exit
-// code 5) — zero-lost-jobs is an invariant, not a metric, and a shed is
-// an explicit terminal record, never a silent drop.
+// from (campaign seed, job id, attempt, chip), and each attempt is bounded
+// by a watchdog (8x the memoized fault-free makespan) and verified by an FNV
+// checksum against the fault-free image — the whole-job generalization of
+// the per-transfer retry/verify loop in src/epiphany/resilient.hpp. Only
+// attempts that can differ are simulated: a fault-free attempt returns the
+// memoized clean run, and a chaos attempt none of whose fault rolls fires
+// returns the shape's memoized silent run — the first simulated attempt that
+// delivered with nothing injected. Rolls are stateless, so such an attempt
+// replays that run event for event, and serving it from the memo is exact
+// (fleet.cpp, exec_attempt). Chip-kill attempts always simulate. Failed
+// attempts (chip fail-stop, timeout, checksum mismatch, unrecovered faults)
+// re-enter the queue with exponential backoff and migrate off the chip that
+// failed them when another is free; after max_attempts at one quality level
+// the job degrades (aperture halved -> one fewer FFBP merge level) instead
+// of being dropped. Chips are identical and every fault is rolled per
+// attempt, so the router keeps no per-chip health beyond fail-stop. Overload
+// control layers on top: ShedPolicy estimates each queued job's wait from
+// the memoized clean makespans and retires already-doomed low-priority jobs
+// with an explicit JobState::kShed record. A job has at most one attempt in
+// flight at a time. A job is lost only by aborting the entire campaign with
+// fault::FaultUnrecovered (exit code 5) — zero-lost-jobs is an invariant,
+// not a metric, and a shed is an explicit terminal record, never a silent
+// drop.
 //
 // Determinism contract: every scheduling decision, fault roll and
 // simulated outcome is a pure function of (trace, FleetConfig). Attempts
@@ -43,6 +48,7 @@
 #include "common/array2d.hpp"
 #include "common/types.hpp"
 #include "epiphany/config.hpp"
+#include "fault/injector.hpp"
 #include "serve/job.hpp"
 #include "serve/trace.hpp"
 #include "telemetry/manifest.hpp"
@@ -173,6 +179,24 @@ struct ServeReport {
   std::uint64_t schedule_hash = 0;
 };
 
+/// How one attempt ended.
+enum class AttemptStatus : std::uint8_t {
+  kOk,          ///< image delivered and checksum-verified
+  kChipKilled,  ///< whole-chip fail-stop fired mid-job
+  kTimedOut,    ///< watchdog expired (8x the clean makespan)
+  kCorrupt,     ///< image delivered but failed verification
+  kUnrecovered, ///< on-chip recovery exhausted (fault::FaultUnrecovered)
+};
+
+/// One attempt as the scheduler retires it.
+struct AttemptOutcome {
+  AttemptStatus status = AttemptStatus::kOk;
+  std::uint64_t cycles = 0; ///< simulated cycles the chip was occupied
+  double energy_j = 0.0;    ///< only meaningful for kOk
+  std::uint64_t checksum = 0;
+  fault::FaultSummary faults;
+};
+
 /// Nearest-rank percentile (q in (0, 1]) of an unsorted sample.
 [[nodiscard]] double percentile(std::vector<double> xs, double q);
 
@@ -194,10 +218,7 @@ public:
 
 private:
   struct CleanRef {
-    std::uint64_t cycles = 0;
-    double seconds = 0.0;
-    double energy_j = 0.0;
-    std::uint64_t checksum = 0;
+    AttemptOutcome run; ///< the fault-free run of the shape
     /// |analytic makespan - simulated| / simulated, filled lazily by
     /// model_rel_err() for the shed-policy cross-check (-1 = not yet).
     double model_rel_err = -1.0;
@@ -217,6 +238,10 @@ private:
   FleetConfig cfg_;
   std::map<std::pair<std::size_t, std::size_t>, Array2D<cf32>> data_cache_;
   std::map<SimKey, CleanRef> clean_cache_;
+  /// Per shape, the first simulated chaos attempt in which no fault roll
+  /// fired. Written on the scheduler thread between batches; the worker
+  /// pool only reads it.
+  std::map<SimKey, AttemptOutcome> silent_cache_;
 };
 
 /// Fill `m` with the campaign's chip/workload/results sections and tag it

@@ -1,8 +1,11 @@
 #include "serve/trace.hpp"
 
+#include <bit>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
 #include "common/assert.hpp"
 #include "common/json.hpp"
@@ -45,6 +48,32 @@ constexpr const char* kTraceSchemaV2 = "esarp-arrival-trace/2";
                  << 17));
   const double u = static_cast<double>(sm.next() >> 11) * 0x1.0p-53;
   return 1.0 - jitter + 2.0 * jitter * u;
+}
+
+/// The number at `key` in `obj` as a T: present, finite, whole when T is
+/// an integer, and inside T's range, so the conversion is defined.
+/// `where` ("<path>" or "<path>: job <i>") leads the error message.
+template <typename T>
+[[nodiscard]] T number_at(const JsonValue& obj, const char* key,
+                          const std::string& where) {
+  const JsonValue* v = obj.find(key);
+  ESARP_REQUIRE(v != nullptr && v->is_number(),
+                where + ": missing numeric \"" + key + "\"");
+  const double x = v->as_number();
+  bool ok = std::isfinite(x);
+  if constexpr (std::is_integral_v<T>) {
+    // [lo, hi) holds exactly the whole doubles that convert to T.
+    const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+    const double lo = std::is_signed_v<T> ? -hi : 0.0;
+    ok = ok && x == std::trunc(x) && x >= lo && x < hi;
+  }
+  ESARP_REQUIRE(ok, [&] {
+    std::ostringstream msg;
+    msg << where << ": \"" << key << "\" is " << x << ", not a finite "
+        << (std::is_integral_v<T> ? "whole number in range" : "number");
+    return msg.str();
+  }());
+  return static_cast<T>(x);
 }
 
 } // namespace
@@ -149,50 +178,57 @@ ArrivalTrace load_trace(const std::filesystem::path& path) {
                 path.string() + ": unsupported trace schema \"" + got +
                     "\" (supported: " + kTraceSchemaV1 + ", " +
                     kTraceSchemaV2 + ")");
-  const JsonValue* seed = doc.find("seed");
-  ESARP_REQUIRE(seed != nullptr && seed->is_number(),
-                path.string() + ": missing \"seed\"");
   const JsonValue* jobs = doc.find("jobs");
   ESARP_REQUIRE(jobs != nullptr && jobs->is_array(),
                 path.string() + ": missing \"jobs\" array");
 
   ArrivalTrace t;
-  t.seed = static_cast<std::uint64_t>(seed->as_number());
+  t.seed = number_at<std::uint64_t>(doc, "seed", path.string());
   double prev_arrival = -1.0;
   for (const JsonValue& e : jobs->as_array()) {
-    const auto num = [&](const char* key) {
-      const JsonValue* v = e.find(key);
-      ESARP_REQUIRE(v != nullptr && v->is_number(),
-                    path.string() + ": job missing numeric \"" +
-                        std::string(key) + "\"");
-      return v->as_number();
+    const std::size_t i = t.jobs.size();
+    const std::string where =
+        path.string().append(": job ").append(std::to_string(i));
+    // Every job is checked here, against what the runners accept, so a bad
+    // trace fails before its campaign starts rather than mid-way.
+    const auto bad = [&where](const char* key, const char* why) {
+      return where + ": \"" + key + "\" " + why;
     };
     JobSpec j;
-    j.id = static_cast<int>(num("id"));
-    j.arrival_s = num("arrival_s");
-    j.n_pulses = static_cast<std::size_t>(num("n_pulses"));
-    j.n_range = static_cast<std::size_t>(num("n_range"));
-    j.n_cores = static_cast<int>(num("n_cores"));
-    j.deadline_s = num("deadline_s");
+    j.id = number_at<int>(e, "id", where);
+    j.arrival_s = number_at<double>(e, "arrival_s", where);
+    j.n_pulses = number_at<std::size_t>(e, "n_pulses", where);
+    j.n_range = number_at<std::size_t>(e, "n_range", where);
+    j.n_cores = number_at<int>(e, "n_cores", where);
+    j.deadline_s = number_at<double>(e, "deadline_s", where);
     const JsonValue* algo = e.find("algo");
     ESARP_REQUIRE(algo != nullptr && algo->is_string(),
-                  path.string() + ": job missing \"algo\"");
+                  where + ": missing \"algo\"");
     j.algo = algo_from_string(algo->as_string());
+    ESARP_REQUIRE(j.id == static_cast<int>(i),
+                  bad("id", "must equal the job's index"));
+    ESARP_REQUIRE(j.n_pulses >= 2, bad("n_pulses", "must be at least 2"));
+    ESARP_REQUIRE(j.algo != Algo::kFfbp || std::has_single_bit(j.n_pulses),
+                  bad("n_pulses", "must be a power of two for ffbp"));
+    ESARP_REQUIRE(j.algo != Algo::kGbp || j.n_pulses % 2 == 0,
+                  bad("n_pulses", "must be even for gbp"));
+    ESARP_REQUIRE(j.n_range >= 2, bad("n_range", "must be at least 2"));
+    ESARP_REQUIRE(j.n_cores >= 1, bad("n_cores", "must be at least 1"));
+    ESARP_REQUIRE(j.deadline_s > 0.0, bad("deadline_s", "must be positive"));
     // v2 carries a per-job priority class; v1 jobs default to normal. A
     // v1 file that happens to carry the field is accepted leniently.
     const JsonValue* prio = e.find("priority");
     if (v2) {
       ESARP_REQUIRE(prio != nullptr && prio->is_string(),
-                    path.string() + ": job missing \"priority\" (required " +
-                        "by " + kTraceSchemaV2 + ")");
+                    where + ": missing \"priority\" (required by " +
+                        kTraceSchemaV2 + ")");
     }
     if (prio != nullptr) {
-      ESARP_REQUIRE(prio->is_string(),
-                    path.string() + ": job \"priority\" must be a string");
+      ESARP_REQUIRE(prio->is_string(), bad("priority", "must be a string"));
       j.priority = priority_from_string(prio->as_string());
     }
     ESARP_REQUIRE(j.arrival_s >= prev_arrival,
-                  path.string() + ": jobs not sorted by arrival_s");
+                  bad("arrival_s", "is earlier than the job before it"));
     prev_arrival = j.arrival_s;
     t.jobs.push_back(j);
   }

@@ -65,7 +65,12 @@ void save_trace(const std::filesystem::path& path, const ArrivalTrace& t);
 /// supported schema): "esarp-arrival-trace/2" carries per-job "priority",
 /// "esarp-arrival-trace/1" defaults every job to normal. Any other schema
 /// is rejected with the file path and both supported schemas named in the
-/// error. Throws ContractViolation on schema/shape errors.
+/// error. Every job is checked as it loads: each number must be finite,
+/// whole where the field is an integer and inside the field's type, and
+/// the job must be one a runner accepts (id equal to its index, n_pulses
+/// at least 2 and a power of two for FFBP or even for GBP, n_range >= 2,
+/// n_cores >= 1, deadline_s > 0). Throws ContractViolation on schema,
+/// shape or job errors; a job error names the path, job index and key.
 [[nodiscard]] ArrivalTrace load_trace(const std::filesystem::path& path);
 
 } // namespace esarp::serve

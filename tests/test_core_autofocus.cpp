@@ -142,21 +142,38 @@ TEST(AfEpiphany, SmallChannelCapacityStillCorrect) {
 
 TEST(AfEpiphany, ChannelWaitCountsBothEndsOfEveryChannel) {
   // Every cycle a core spends blocked on a channel, sending or receiving,
-  // lands in its chan_wait counter and in the channel's block histogram.
+  // lands in its chan_wait counter and in the channel's block histogram —
+  // also a wait that times out on a fail-stopped peer. The faulted run is
+  // the CI chaos_autofocus campaign: its plan, and the pairs `esarp chaos
+  // --autofocus` draws for a 64-pulse scene at seed 1.
   af::AfParams p;
-  const auto pairs = make_pairs(p, 8);
-  const auto sim = run_autofocus_mpmd(pairs, p);
-  ep::Cycles chan_wait = 0;
-  for (const auto& c : sim.perf.per_core) chan_wait += c.chan_wait;
-  double send_blocked = 0.0;
-  double recv_blocked = 0.0;
-  for (const auto& [name, h] : sim.metrics.histograms()) {
-    if (name.starts_with("chan.send_block_cycles{")) send_blocked += h.sum();
-    if (name.starts_with("chan.recv_block_cycles{")) recv_blocked += h.sum();
+  ep::ChipConfig chaos;
+  chaos.faults.seed = 1;
+  chaos.faults.dma_corrupt_rate = 3e-2;
+  chaos.faults.dma_drop_rate = 1e-2;
+  chaos.faults.noc_stall_rate = 1e-3;
+  chaos.faults.membits_rate = 1e-2;
+  chaos.faults.fail_stops = {{2, 5'000}};
+  for (const bool faulted : {false, true}) {
+    const auto pairs = make_pairs(p, 8, faulted ? 1 ^ 64 : 1);
+    const auto sim = faulted ? run_autofocus_mpmd(pairs, p, {}, chaos)
+                             : run_autofocus_mpmd(pairs, p);
+    ep::Cycles chan_wait = 0;
+    for (const auto& c : sim.perf.per_core) chan_wait += c.chan_wait;
+    double send_blocked = 0.0;
+    double recv_blocked = 0.0;
+    for (const auto& [name, h] : sim.metrics.histograms()) {
+      if (name.starts_with("chan.send_block_cycles{")) send_blocked += h.sum();
+      if (name.starts_with("chan.recv_block_cycles{")) recv_blocked += h.sum();
+    }
+    EXPECT_GT(send_blocked, 0.0) << "faulted " << faulted;
+    EXPECT_GT(recv_blocked, 0.0) << "faulted " << faulted;
+    EXPECT_EQ(static_cast<double>(chan_wait), send_blocked + recv_blocked)
+        << "faulted " << faulted;
+    if (faulted) {
+      EXPECT_EQ(sim.faults.failed_cores, 1u);
+    }
   }
-  EXPECT_GT(send_blocked, 0.0);
-  EXPECT_GT(recv_blocked, 0.0);
-  EXPECT_EQ(static_cast<double>(chan_wait), send_blocked + recv_blocked);
 }
 
 TEST(AfEpiphany, RejectsUnsupportedShapes) {

@@ -389,6 +389,133 @@ TEST(FfbpFaults, CampaignThatInjectsNothingReproducesTheCleanRun) {
   }
 }
 
+// --- Silent-run replay (FaultInjector::rolls_fire) -------------------------
+
+/// What the serve fleet keeps of one run of a job shape under a plan.
+struct ShapeRun {
+  ep::Cycles cycles = 0;
+  double energy_j = 0.0;
+  std::uint64_t checksum = 0;
+  fault::FaultSummary faults;
+
+  bool operator==(const ShapeRun&) const = default;
+};
+
+struct Shape {
+  bool ffbp = true;
+  sar::RadarParams p;
+  int cores = 16;
+  FaultPlan rates; ///< every plan of the shape, up to its seed
+};
+
+ShapeRun run_shape(const Shape& s, const Array2D<cf32>& data,
+                   std::uint64_t seed) {
+  ep::ChipConfig cfg;
+  cfg.faults = s.rates;
+  cfg.faults.seed = seed;
+  const auto take = [](const auto& sim) {
+    return ShapeRun{sim.cycles, sim.energy.total_j(),
+                    FaultInjector::checksum(sim.image.data(),
+                                            sim.image.rows() *
+                                                sim.image.cols() *
+                                                sizeof(cf32)),
+                    sim.faults};
+  };
+  if (s.ffbp) {
+    core::FfbpMapOptions opt;
+    opt.n_cores = s.cores;
+    return take(core::run_ffbp_epiphany(data, s.p, opt, cfg));
+  }
+  return take(core::run_gbp_epiphany(data, s.p, s.cores, cfg));
+}
+
+/// A summary holding only core `c`'s transfer stream, `len` rolls long.
+fault::FaultSummary one_stream(std::size_t c, std::uint64_t len) {
+  fault::FaultSummary s;
+  s.transfer_rolls.assign(c + 1, 0);
+  s.transfer_rolls[c] = len;
+  return s;
+}
+
+/// The first seed `draw` yields whose only firing roll, among the rolls
+/// `silent` drew plus one more on core `c`'s transfer stream, is that one
+/// more: the roll a stream recorded one short would hide. The one-stream
+/// checks come first because they are cheap.
+std::uint64_t seed_firing_past_stream(const Shape& s,
+                                      const fault::FaultSummary& silent,
+                                      std::size_t c, SplitMix64& draw) {
+  const std::uint64_t len = silent.transfer_rolls[c];
+  FaultPlan plan = s.rates;
+  for (;;) {
+    plan.seed = draw.next();
+    if (FaultInjector::rolls_fire(plan, one_stream(c, len + 1)) &&
+        !FaultInjector::rolls_fire(plan, one_stream(c, len)) &&
+        !FaultInjector::rolls_fire(plan, silent)) {
+      return plan.seed;
+    }
+  }
+}
+
+TEST(SilentReplay, RollsThatMissReplayTheSilentRunExactly) {
+  // The serve fleet answers an attempt from a memoized silent run when
+  // none of the rolls that run drew fires under the attempt's plan. Both
+  // directions hold on every plan: a miss is the silent run field for
+  // field, a hit injects. The rates give about one firing roll per run,
+  // so both outcomes are common, and cover all four rolled sites. Seeds
+  // are drawn from SplitMix64, as the fleet's attempt seeds are.
+  Shape ffbp;
+  ffbp.p = sar::test_params(64, 101);
+  ffbp.rates.dma_drop_rate = 1.5e-4;
+  ffbp.rates.dma_corrupt_rate = 1.5e-4;
+  ffbp.rates.membits_rate = 1.5e-4;
+  ffbp.rates.noc_stall_rate = 2e-4;
+  Shape gbp;
+  gbp.ffbp = false;
+  gbp.p = sar::test_params(34, 65);
+  gbp.cores = 4;
+  gbp.rates.dma_drop_rate = 2e-4;
+  gbp.rates.dma_corrupt_rate = 2e-4;
+  gbp.rates.membits_rate = 2e-4;
+  gbp.rates.noc_stall_rate = 3e-4;
+  SplitMix64 draw(2024);
+  for (const Shape& s : {ffbp, gbp}) {
+    const auto data = sar::simulate_compressed(s.p, sar::six_target_scene(s.p));
+    ShapeRun silent;
+    do {
+      silent = run_shape(s, data, draw.next());
+    } while (silent.faults.injected != 0);
+    ASSERT_FALSE(silent.faults.transfer_rolls.empty());
+    ASSERT_FALSE(silent.faults.noc_rolls.empty());
+
+    std::vector<std::uint64_t> seeds;
+    for (int i = 0; i < 75; ++i) seeds.push_back(draw.next());
+    // Per core, a plan whose only roll within reach fires just past that
+    // core's transfer stream: a miss, run to show it is the silent run.
+    for (std::size_t c = 0; c < silent.faults.transfer_rolls.size(); ++c) {
+      if (silent.faults.transfer_rolls[c] == 0) continue;
+      seeds.push_back(seed_firing_past_stream(s, silent.faults, c, draw));
+    }
+    int misses = 0;
+    int hits = 0;
+    for (const std::uint64_t seed : seeds) {
+      FaultPlan plan = s.rates;
+      plan.seed = seed;
+      const ShapeRun run = run_shape(s, data, seed);
+      if (FaultInjector::rolls_fire(plan, silent.faults)) {
+        ++hits;
+        EXPECT_GT(run.faults.injected, 0u) << "seed " << seed;
+      } else {
+        ++misses;
+        EXPECT_EQ(run, silent) << "seed " << seed << ": " << run.cycles
+                               << " cycles, " << run.faults.injected
+                               << " injected";
+      }
+    }
+    EXPECT_GE(misses, 20);
+    EXPECT_GE(hits, 20);
+  }
+}
+
 // --- Autofocus MPMD campaigns ---------------------------------------------
 
 std::vector<af::BlockPair> make_pairs(const af::AfParams& p, std::size_t n,

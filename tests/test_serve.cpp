@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -218,6 +219,89 @@ TEST(ArrivalTraceGen, V1TracesLoadWithEveryJobNormal) {
   std::filesystem::remove(path);
 }
 
+/// Load a two-job v2 trace whose second job takes `overrides` (raw JSON
+/// values by key; "seed" sets the document's) and return what loading it
+/// throws, or "" when it loads.
+std::string load_error(
+    const std::vector<std::pair<std::string, std::string>>& overrides) {
+  std::map<std::string, std::string> job = {
+      {"id", "1"},         {"arrival_s", "0.001"}, {"n_pulses", "32"},
+      {"n_range", "65"},   {"algo", "\"ffbp\""},   {"n_cores", "16"},
+      {"deadline_s", "0.01"}, {"priority", "\"normal\""}};
+  std::string seed = "1";
+  for (const auto& [key, value] : overrides)
+    (key == "seed" ? seed : job[key]) = value;
+  std::ostringstream os;
+  os << R"({"schema": "esarp-arrival-trace/2", "seed": )" << seed
+     << R"(, "jobs": [{"id": 0, "arrival_s": 0.0, "n_pulses": 32,
+        "n_range": 65, "algo": "ffbp", "n_cores": 16, "deadline_s": 0.01,
+        "priority": "normal"}, {)";
+  const char* sep = "";
+  for (const auto& [key, value] : job) {
+    os << sep << '"' << key << "\": " << value;
+    sep = ", ";
+  }
+  os << "}]}";
+  const auto path = temp_file("esarp_test_trace_bad_job.json");
+  std::ofstream(path) << os.str();
+  std::string err;
+  try {
+    (void)serve::load_trace(path);
+  } catch (const ContractViolation& e) {
+    err = e.what();
+  }
+  std::filesystem::remove(path);
+  return err;
+}
+
+/// Expect loading with `overrides` to fail naming the file, the job (the
+/// document for "seed") and the offending key.
+void expect_load_error(
+    const std::vector<std::pair<std::string, std::string>>& overrides,
+    const std::string& key) {
+  const std::string err = load_error(overrides);
+  const std::string what = overrides.back().first + "=" +
+                           overrides.back().second + ": " + err;
+  EXPECT_NE(err.find("esarp_test_trace_bad_job.json"), std::string::npos)
+      << what;
+  EXPECT_NE(err.find('"' + key + '"'), std::string::npos) << what;
+  if (key != "seed") {
+    EXPECT_NE(err.find("job 1"), std::string::npos) << what;
+  }
+}
+
+TEST(ArrivalTraceGen, LoadChecksEveryNumberFitsItsField) {
+  // A number that is not whole where the field is an integer, or outside
+  // the field's type, is a named load error, never an undefined
+  // conversion.
+  EXPECT_EQ(load_error({}), "");
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"n_pulses", "-5"},
+           {"n_pulses", "32.5"},
+           {"n_range", "1e30"},
+           {"n_cores", "4294967312"},
+           {"id", "0.5"},
+           {"seed", "-1"},
+           {"seed", "18446744073709551616"}}) {
+    expect_load_error({{key, value}}, key);
+  }
+}
+
+TEST(ArrivalTraceGen, LoadRejectsJobsNoRunnerAccepts) {
+  // Shapes the FFBP and GBP runners refuse fail when the trace loads, not
+  // when their job is dispatched mid-campaign.
+  expect_load_error({{"n_pulses", "48"}}, "n_pulses");
+  expect_load_error({{"n_pulses", "1"}}, "n_pulses");
+  expect_load_error({{"algo", "\"gbp\""}, {"n_pulses", "33"}}, "n_pulses");
+  EXPECT_EQ(load_error({{"algo", "\"gbp\""}, {"n_pulses", "34"}}), "");
+  expect_load_error({{"n_range", "1"}}, "n_range");
+  expect_load_error({{"n_cores", "0"}}, "n_cores");
+  expect_load_error({{"deadline_s", "0"}}, "deadline_s");
+  expect_load_error({{"deadline_s", "-0.01"}}, "deadline_s");
+  expect_load_error({{"id", "0"}}, "id");
+}
+
 TEST(ServeMath, NearestRankPercentile) {
   std::vector<double> xs = {5.0, 1.0, 4.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(serve::percentile(xs, 0.5), 3.0);
@@ -398,6 +482,23 @@ TEST(FleetServe, ExhaustedFleetAbortsLoudly) {
   EXPECT_THROW((void)fleet.run(trace), fault::FaultUnrecovered);
 }
 
+TEST(FleetServe, JobWiderThanTheChipFailsBeforeAnyDispatch) {
+  // A trace loads without knowing the chip, so the fleet checks every
+  // job's core count against it before the first dispatch.
+  ArrivalTrace t = serve::make_trace(small_trace_params());
+  t.jobs.back().n_cores = 99;
+  try {
+    (void)Fleet(small_fleet(2)).run(t);
+    FAIL() << "a 99-core job must not run on a 16-core chip";
+  } catch (const ContractViolation& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("job " + std::to_string(t.jobs.size() - 1)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("99"), std::string::npos) << msg;
+  }
+}
+
 TEST(FleetServe, PersistentCorruptionExhaustsTheDegradationLadder) {
   // Corrupting every transfer defeats the checksum verify at every
   // degradation level, so the job runs out of ladder and the campaign
@@ -565,7 +666,9 @@ TEST(FleetServe, RecoveredTransferFaultsLeaveEveryImageVerified) {
 
 TEST(FleetServe, OverloadPoliciesKeepHostThreadInvariance) {
   // Everything on at once — EDF, shedding, chaos — and the schedule hash
-  // still must not depend on host parallelism.
+  // still must not depend on host parallelism. The DMA corruption rate
+  // makes most attempts silent and some faulted, so worker threads both
+  // take the silent-run memo and simulate around it.
   TraceParams p = small_trace_params();
   p.n_jobs = 16;
   p.bursty = true;
@@ -579,11 +682,13 @@ TEST(FleetServe, OverloadPoliciesKeepHostThreadInvariance) {
   FleetConfig cfg = small_fleet(4);
   cfg.chaos.seed = 7;
   cfg.chaos.chip_kill_rate = 0.1;
+  cfg.chaos.dma_corrupt_rate = 1e-3;
   cfg.policy.shed.enabled = true;
   const ServeReport seq = Fleet(cfg).run(trace);
   cfg.host_jobs = 4;
   const ServeReport par = Fleet(cfg).run(trace);
   EXPECT_EQ(par.schedule_hash, seq.schedule_hash);
+  EXPECT_GT(seq.counters.faults_injected, 0u);
   EXPECT_EQ(seq.counters.jobs_met + seq.counters.jobs_late +
                 seq.counters.jobs_degraded + seq.counters.jobs_shed,
             seq.counters.jobs_total);
