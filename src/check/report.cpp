@@ -4,34 +4,10 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/glob.hpp"
 #include "common/json.hpp"
 
 namespace esarp::check {
-
-bool glob_match(std::string_view pattern, std::string_view s) {
-  // Iterative star-backtracking matcher (no recursion, linear-ish).
-  std::size_t p = 0;
-  std::size_t i = 0;
-  std::size_t star = std::string_view::npos;
-  std::size_t star_i = 0;
-  while (i < s.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == s[i])) {
-      ++p;
-      ++i;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      star_i = i;
-    } else if (star != std::string_view::npos) {
-      p = star + 1;
-      i = ++star_i;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
-}
 
 std::vector<std::string>
 load_suppressions(const std::filesystem::path& path) {

@@ -26,9 +26,6 @@
 
 namespace esarp::check {
 
-/// Glob match with '*' and '?'.
-[[nodiscard]] bool glob_match(std::string_view pattern, std::string_view s);
-
 /// Parse a suppression file into "kind:glob" rules. Throws
 /// ContractViolation when the file cannot be read or a line is malformed.
 [[nodiscard]] std::vector<std::string>

@@ -85,8 +85,8 @@ struct FfbpSimResult {
   ep::PerfReport perf;
   ep::EnergyReport energy;
   /// Time-resolved power trace + span-level energy attribution, filled
-  /// when the run's ChipConfig::power (or ESARP_POWER=1) enabled the
-  /// sampler; power.enabled is false otherwise (power.hpp).
+  /// when the run's ChipConfig::power enabled the sampler; power.enabled
+  /// is false otherwise (power.hpp).
   ep::PowerReport power;
   std::vector<LevelPrefetchStats> prefetch_stats; ///< one entry per level
   /// Applied autofocus corrections (empty unless options.autofocus set).

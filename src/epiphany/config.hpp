@@ -60,9 +60,7 @@ struct CheckOptions {
 /// power.hpp derives a time-resolved power trace and span-level energy
 /// attribution. Sampling is pure host-side accounting: it never touches the
 /// scheduler, so cycle counts, images and manifests are bit-identical with
-/// and without it (enforced by tests/test_power.cpp). The ESARP_POWER and
-/// ESARP_POWER_EPOCH environment variables override these fields at Machine
-/// construction (power_options_with_env).
+/// and without it (enforced by tests/test_power.cpp).
 struct PowerOptions {
   bool enabled = false;      ///< attach the sampler to the simulation
   Cycles epoch_cycles = 8192; ///< initial sampling window (simulated cycles)
@@ -106,8 +104,7 @@ struct ChipConfig {
                                ///< advance the clock inline when no other
                                ///< event can run first (bit-identical, see
                                ///< Scheduler::try_advance_inline and
-                               ///< docs/performance.md); ESARP_BATCH=0/1
-                               ///< overrides at Machine construction
+                               ///< docs/performance.md)
 
   // Hazard sanitizer (host-side checking layer; no effect on simulated
   // cycles — see CheckOptions above and docs/static-analysis.md).

@@ -1,24 +1,8 @@
 #include "epiphany/machine.hpp"
 
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 namespace esarp::ep {
-
-namespace {
-
-/// ESARP_BATCH=0 forces per-event stepping, any other value forces the
-/// batched-quantum fast path; unset defers to ChipConfig::batch_quanta.
-/// Both modes are bit-identical (docs/performance.md) — the switch exists
-/// for the equivalence tests and for engine debugging.
-bool batch_quanta_with_env(bool cfg_value) {
-  const char* env = std::getenv("ESARP_BATCH");
-  if (env == nullptr || *env == '\0') return cfg_value;
-  return std::string_view(env) != "0";
-}
-
-} // namespace
 
 Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
                  Tracer* shared_tracer)
@@ -27,7 +11,7 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
       noc_(cfg), ext_port_(cfg, noc_, tracer_, &metrics_),
       ext_mem_(ext_bytes) {
   ESARP_EXPECTS(cfg.rows > 0 && cfg.cols > 0);
-  sched_.set_batching(batch_quanta_with_env(cfg_.batch_quanta));
+  sched_.set_batching(cfg_.batch_quanta);
   cores_.reserve(static_cast<std::size_t>(cfg.core_count()));
   ctxs_.reserve(static_cast<std::size_t>(cfg.core_count()));
   // The sanitizer is created before the contexts so every CoreCtx can carry
@@ -45,9 +29,8 @@ Machine::Machine(ChipConfig cfg, std::size_t ext_bytes, CoreCostParams cost,
   // And the power sampler: hooked into the NoC, the ext port and every
   // context, but purely host-side — an instrumented run is bit-identical
   // to an uninstrumented one (docs/observability.md).
-  const PowerOptions power_opt = power_options_with_env(cfg_.power);
-  if (power_opt.enabled) {
-    power_ = std::make_unique<PowerSampler>(cfg_, power_opt, span_names_);
+  if (cfg_.power.enabled) {
+    power_ = std::make_unique<PowerSampler>(cfg_, cfg_.power, span_names_);
     noc_.set_power_sampler(power_.get());
     ext_port_.set_power_sampler(power_.get());
   }

@@ -96,9 +96,8 @@ public:
   }
 
   /// The power-telemetry sampler, or nullptr when power sampling is off.
-  /// Created when ChipConfig::power.enabled is set or ESARP_POWER=1 is in
-  /// the environment (power.hpp); consume via collect_power()
-  /// (machine_metrics.hpp) after run().
+  /// Created when ChipConfig::power.enabled is set (power.hpp); consume
+  /// via collect_power() (machine_metrics.hpp) after run().
   [[nodiscard]] PowerSampler* power_sampler() { return power_.get(); }
   [[nodiscard]] const PowerSampler* power_sampler() const {
     return power_.get();
@@ -173,8 +172,8 @@ private:
   /// Null unless cfg_.faults.enabled(). Created before the contexts so
   /// each CoreCtx (and the NoC) carries the hook pointer.
   std::unique_ptr<fault::FaultInjector> injector_;
-  /// Null unless power sampling is on (cfg_.power / ESARP_POWER). Created
-  /// before the contexts for the same hook-pointer reason.
+  /// Null unless cfg_.power.enabled. Created before the contexts for the
+  /// same hook-pointer reason.
   std::unique_ptr<PowerSampler> power_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::unique_ptr<CoreCtx>> ctxs_;

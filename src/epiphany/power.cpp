@@ -1,8 +1,6 @@
 #include "epiphany/power.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <sstream>
 
@@ -13,31 +11,6 @@
 #include "common/table.hpp"
 
 namespace esarp::ep {
-
-namespace {
-
-bool env_flag(const char* name, bool current) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return current;
-  if (std::strcmp(v, "1") == 0 || std::strcmp(v, "true") == 0 ||
-      std::strcmp(v, "on") == 0)
-    return true;
-  if (std::strcmp(v, "0") == 0 || std::strcmp(v, "false") == 0 ||
-      std::strcmp(v, "off") == 0)
-    return false;
-  return current;
-}
-
-} // namespace
-
-PowerOptions power_options_with_env(PowerOptions opt) {
-  opt.enabled = env_flag("ESARP_POWER", opt.enabled);
-  if (const char* v = std::getenv("ESARP_POWER_EPOCH")) {
-    const long long cycles = std::atoll(v);
-    if (cycles > 0) opt.epoch_cycles = static_cast<Cycles>(cycles);
-  }
-  return opt;
-}
 
 PowerSampler::PowerSampler(const ChipConfig& cfg, const PowerOptions& opt,
                            const SpanNames& names)

@@ -3,7 +3,7 @@
 // The aggregate energy model (energy.hpp) answers "how many joules did the
 // run cost"; this layer answers "where and when did they go". An
 // ep::PowerSampler, attached by the Machine when ChipConfig::power.enabled
-// (or ESARP_POWER=1) is set, observes every energy-bearing activity at the
+// is set, observes every energy-bearing activity at the
 // exact sites where the aggregate counters are updated:
 //
 //   - CoreCtx::compute   -> busy cycles + issued FP/IALU/load-store ops
@@ -44,12 +44,6 @@
 #include "epiphany/trace.hpp"
 
 namespace esarp::ep {
-
-/// Apply the ESARP_POWER / ESARP_POWER_EPOCH environment overrides to a
-/// config's power options (mirrors check::options_with_env): ESARP_POWER
-/// set to 1/true/on (0/false/off) forces sampling on (off);
-/// ESARP_POWER_EPOCH=<cycles> overrides the initial epoch size.
-[[nodiscard]] PowerOptions power_options_with_env(PowerOptions opt);
 
 /// Epoch-binned activity sampler. Owned by the Machine; the hooks in
 /// CoreCtx / Noc / ExtPort call record_*() as simulation side effects.

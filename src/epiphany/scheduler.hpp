@@ -4,25 +4,12 @@
 // resumed in (time, insertion-order) order. Everything in the simulation is
 // event-driven, so an empty queue means quiescence.
 //
-// The queue is a two-level calendar queue tuned for the simulator's event
-// mix (see docs/performance.md):
-//
-//   * same-cycle fast path — `schedule_now` and zero-delay wakeups (channel
-//     handshakes, WaitList notifications) append to a plain FIFO vector for
-//     the current cycle instead of paying a heap push/pop;
-//   * near ring — events within the next `kNearBuckets` cycles land in a
-//     single-cycle bucket ring indexed by `time % kNearBuckets`, with a
-//     bitmap to find the next occupied bucket in O(words);
-//   * far heap — everything beyond the ring horizon falls back to a binary
-//     heap and migrates into the ring as the clock advances.
-//
-// All three levels preserve the exact (time, seq) order of the original
-// single priority_queue, so simulated-cycle results are bit-identical.
+// The queue is one binary min-heap on (time, seq). Each core's program is
+// one coroutine chain with at most one queued event, so the heap never
+// holds more events than the chip has programs (docs/performance.md).
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <string>
@@ -58,32 +45,15 @@ private:
 
 class Scheduler {
 public:
-  Scheduler() {
-    now_fifo_.reserve(kReserveEvents);
-    far_.reserve(kReserveEvents);
-    near_.resize(kNearBuckets);
-  }
-
   [[nodiscard]] Cycles now() const { return now_; }
 
-  /// Resume `h` at absolute cycle `t` (>= now).
+  /// Resume `h` at absolute cycle `t` (>= now). An event at `now` gets a
+  /// larger seq than every event already queued, so it runs after them.
   void schedule_at(Cycles t, std::coroutine_handle<> h) {
     ESARP_EXPECTS(t >= now_);
     ESARP_EXPECTS(h && !h.done());
-    if (t == now_) {
-      // Fast path: seq order == insertion order, no Event record needed.
-      now_fifo_.push_back(h);
-      ++seq_;
-      return;
-    }
-    if (t - now_ <= kNearBuckets) {
-      near_[t & kNearMask].push_back(Event{t, seq_++, h});
-      mark_bucket(t & kNearMask);
-      ++near_count_;
-      return;
-    }
-    far_.push_back(Event{t, seq_++, h});
-    std::push_heap(far_.begin(), far_.end(), Later{});
+    heap_.push_back(Event{t, seq_++, h});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
   /// Resume `h` immediately after currently-runnable work at this cycle.
@@ -91,35 +61,32 @@ public:
 
   /// Enable/disable the batched-quantum fast path (docs/performance.md).
   /// Off by default so a bare Scheduler still counts one resume per delay;
-  /// the Machine switches it on per ChipConfig::batch_quanta / ESARP_BATCH.
+  /// the Machine switches it on per ChipConfig::batch_quanta.
   void set_batching(bool on) { batching_ = on; }
-  [[nodiscard]] bool batching() const { return batching_; }
 
   /// Batched-quantum fast path: when the currently running coroutine is
-  /// provably the only work that can run before `now + dt` — the same-cycle
-  /// FIFO is drained and every queued event lies strictly beyond the
-  /// target — a pure delay advances the clock inline and the coroutine
-  /// keeps running, instead of suspending into the calendar queue and
-  /// being resumed as a fresh event. Returns true iff the clock advanced.
+  /// provably the only work that can run before `now + dt` — every queued
+  /// event lies strictly beyond the target — a pure delay advances the
+  /// clock inline and the coroutine keeps running, instead of suspending
+  /// into the queue and being resumed as a fresh event. Returns true iff
+  /// the clock advanced.
   ///
   /// Bit-identity argument: the refusal conditions guarantee no other
   /// coroutine could have been resumed in the skipped window (an event at
   /// exactly the target cycle was scheduled earlier, so it has a smaller
-  /// seq and must run first — hence the strict `<=` refusals), the
-  /// continuing coroutine observes the same now(), and the relative seq
-  /// order of everything still queued is unchanged. The watchdog contract
-  /// is preserved by refusing to cross the active run() limit: the delay
-  /// then goes through the queue and trips the exclusive bound exactly as
-  /// per-event stepping does. Only events_processed() shrinks — that drop
-  /// is the engine speedup this path exists for.
+  /// seq and must run first — hence the strict `<=` refusal; an event
+  /// still due at `now` refuses too), the continuing coroutine observes the
+  /// same now(), and the relative seq order of everything still queued is
+  /// unchanged. The watchdog contract is preserved by refusing to cross
+  /// the active run() limit: the delay then goes through the queue and
+  /// trips the exclusive bound exactly as per-event stepping does. Only
+  /// events_processed() shrinks — that drop is the engine speedup this
+  /// path exists for.
   bool try_advance_inline(Cycles dt) {
     if (!batching_ || dt == 0) return false;
-    if (fifo_head_ < now_fifo_.size()) return false;
     const Cycles target = now_ + dt;
     if (limit_ != 0 && target >= limit_) return false;
-    if (near_count_ != 0 && near_[next_bucket()].front().time <= target)
-      return false;
-    if (!far_.empty() && far_.front().time <= target) return false;
+    if (!heap_.empty() && heap_.front().time <= target) return false;
     now_ = target;
     ++quanta_batched_;
     return true;
@@ -142,60 +109,33 @@ public:
     // The fast path must not batch a quantum across the watchdog bound, so
     // the active limit is visible to try_advance_inline for the duration.
     limit_ = max_cycles;
-    for (;;) {
-      // Drain the current cycle's FIFO (new same-cycle work appends while
-      // we resume, so re-check the size each iteration).
-      while (fifo_head_ < now_fifo_.size()) {
-        std::coroutine_handle<> h = now_fifo_[fifo_head_++];
-        ++events_processed_;
-        h.resume();
-      }
-      now_fifo_.clear();
-      fifo_head_ = 0;
-      if (!advance()) break;
-      if (max_cycles != 0 && now_ >= max_cycles)
+    while (!heap_.empty()) {
+      if (max_cycles != 0 && heap_.front().time >= max_cycles) {
+        now_ = heap_.front().time;
         throw WatchdogExpired(now_, pending_events());
+      }
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      const Event ev = heap_.back();
+      heap_.pop_back();
+      now_ = ev.time;
+      ++events_processed_;
+      ev.handle.resume();
     }
     limit_ = 0;
     return now_;
   }
 
-  [[nodiscard]] bool idle() const {
-    return fifo_head_ >= now_fifo_.size() && near_count_ == 0 && far_.empty();
-  }
+  /// Events queued but not yet resumed; reported in watchdog and deadlock
+  /// diagnostics.
+  [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
 
-  /// Events staged or queued but not yet resumed (all three queue levels);
-  /// reported in watchdog and deadlock diagnostics.
-  [[nodiscard]] std::size_t pending_events() const {
-    return (now_fifo_.size() - fifo_head_) + near_count_ + far_.size();
-  }
-
-  /// Events resumed since construction (or the last reset); the engine
-  /// throughput denominator reported in run manifests as events/sec.
+  /// Events resumed since construction; the engine throughput denominator
+  /// reported in run manifests as events/sec.
   [[nodiscard]] std::uint64_t events_processed() const {
     return events_processed_;
   }
 
-  /// Reset the clock (only valid when idle; used between experiments).
-  void reset() {
-    ESARP_EXPECTS(idle());
-    now_fifo_.clear();
-    fifo_head_ = 0;
-    now_ = 0;
-    seq_ = 0;
-    events_processed_ = 0;
-    quanta_batched_ = 0;
-    limit_ = 0;
-  }
-
 private:
-  /// Ring horizon in cycles; power of two. Sized to cover NoC hop/link and
-  /// DMA-setup scale delays; multi-thousand-cycle compute blocks overflow
-  /// to the far heap.
-  static constexpr Cycles kNearBuckets = 4096;
-  static constexpr Cycles kNearMask = kNearBuckets - 1;
-  static constexpr std::size_t kReserveEvents = 1024;
-
   struct Event {
     Cycles time;
     std::uint64_t seq; ///< FIFO tie-break for equal timestamps
@@ -208,95 +148,13 @@ private:
     }
   };
 
-  void mark_bucket(Cycles idx) {
-    near_bits_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  }
-  void clear_bucket(Cycles idx) {
-    near_bits_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-  }
-
-  /// Find the occupied bucket with the smallest time > now_. All live ring
-  /// times are in (now_, now_ + kNearBuckets], so scanning the bitmap
-  /// cyclically from (now_ + 1) visits buckets in time order.
-  [[nodiscard]] Cycles next_bucket() const {
-    const Cycles start = (now_ + 1) & kNearMask;
-    std::size_t word = start >> 6;
-    std::uint64_t bits = near_bits_[word] >> (start & 63);
-    if (bits != 0)
-      return (start + static_cast<Cycles>(std::countr_zero(bits))) &
-             kNearMask;
-    for (std::size_t i = 1; i <= kWords; ++i) {
-      word = (word + 1) % kWords;
-      if (near_bits_[word] != 0)
-        return (static_cast<Cycles>(word) << 6) +
-               static_cast<Cycles>(std::countr_zero(near_bits_[word]));
-    }
-    throw ContractViolation("next_bucket called with an empty ring");
-  }
-
-  /// Advance the clock to the next pending event and stage that cycle's
-  /// events into the FIFO. Returns false at quiescence.
-  bool advance() {
-    if (near_count_ == 0) {
-      if (far_.empty()) return false;
-      // Jump the window so the earliest far event fits the ring. Nothing
-      // runs between here and the resume loop, so moving now_ early is
-      // unobservable.
-      if (far_.front().time - now_ > kNearBuckets)
-        now_ = far_.front().time - kNearBuckets;
-    }
-    // Migrate far events that now fit the ring window.
-    while (!far_.empty() && far_.front().time - now_ <= kNearBuckets) {
-      std::pop_heap(far_.begin(), far_.end(), Later{});
-      Event ev = std::move(far_.back());
-      far_.pop_back();
-      near_[ev.time & kNearMask].push_back(std::move(ev));
-      mark_bucket(ev.time & kNearMask);
-      ++near_count_;
-    }
-    const Cycles idx = next_bucket();
-    std::vector<Event>& bucket = near_[idx];
-    ESARP_ENSURES(!bucket.empty() && bucket.front().time > now_);
-    now_ = bucket.front().time;
-    // Migrated far events can append behind direct inserts with larger
-    // seq; restore FIFO order in that (rare) case.
-    if (!std::is_sorted(bucket.begin(), bucket.end(),
-                        [](const Event& a, const Event& b) {
-                          return a.seq < b.seq;
-                        }))
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Event& a, const Event& b) { return a.seq < b.seq; });
-    for (const Event& ev : bucket) {
-      ESARP_ENSURES(ev.time == now_);
-      now_fifo_.push_back(ev.handle);
-    }
-    near_count_ -= bucket.size();
-    bucket.clear();
-    clear_bucket(idx);
-    return true;
-  }
-
-  static constexpr std::size_t kWords = kNearBuckets / 64;
-
   Cycles now_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t quanta_batched_ = 0;
   bool batching_ = false;
   Cycles limit_ = 0; ///< active run() watchdog bound (0 = unlimited)
-
-  // Level 0: FIFO of handles runnable at now_ (index, not pop, to keep
-  // appends cheap while draining).
-  std::vector<std::coroutine_handle<>> now_fifo_;
-  std::size_t fifo_head_ = 0;
-
-  // Level 1: single-cycle bucket ring over (now_, now_ + kNearBuckets].
-  std::vector<std::vector<Event>> near_;
-  std::array<std::uint64_t, kNearBuckets / 64> near_bits_{};
-  std::size_t near_count_ = 0;
-
-  // Level 2: binary min-heap of events beyond the ring horizon.
-  std::vector<Event> far_;
+  std::vector<Event> heap_; ///< min-heap on (time, seq) via Later
 };
 
 } // namespace esarp::ep

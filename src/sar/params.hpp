@@ -58,13 +58,19 @@ struct RadarParams {
     return levels;
   }
 
+  /// Whether the processed sector lies in (0, 3.1) rad: the bound
+  /// validate() enforces, for input checks to test before any run.
+  [[nodiscard]] bool sector_fits() const {
+    return theta_span_rad > 0 && theta_span_rad < 3.1;
+  }
+
   void validate() const {
     ESARP_EXPECTS(center_freq_hz > 0);
     ESARP_EXPECTS(range_bin_m > 0);
     ESARP_EXPECTS(n_pulses >= 2 && n_range >= 2);
     ESARP_EXPECTS(pulse_spacing_m > 0);
     ESARP_EXPECTS(near_range_m > 0);
-    ESARP_EXPECTS(theta_span_rad > 0 && theta_span_rad < 3.1);
+    ESARP_EXPECTS(sector_fits());
   }
 };
 

@@ -10,6 +10,7 @@
 #include "common/assert.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
+#include "sar/params.hpp"
 
 namespace esarp::serve {
 
@@ -213,6 +214,9 @@ ArrivalTrace load_trace(const std::filesystem::path& path) {
     ESARP_REQUIRE(j.algo != Algo::kGbp || j.n_pulses % 2 == 0,
                   bad("n_pulses", "must be even for gbp"));
     ESARP_REQUIRE(j.n_range >= 2, bad("n_range", "must be at least 2"));
+    ESARP_REQUIRE(sar::test_params(j.n_pulses, j.n_range).sector_fits(),
+                  bad("n_pulses", "spans a wider sector than the imaging "
+                                  "geometry allows at this n_range"));
     ESARP_REQUIRE(j.n_cores >= 1, bad("n_cores", "must be at least 1"));
     ESARP_REQUIRE(j.deadline_s > 0.0, bad("deadline_s", "must be positive"));
     // v2 carries a per-job priority class; v1 jobs default to normal. A

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/glob.hpp"
 #include "common/table.hpp"
 
 namespace esarp::telemetry {
@@ -26,30 +27,6 @@ bool higher_is_better(const std::string& key) {
 bool two_sided(const std::string& key) {
   return key.find("checksum") != std::string::npos ||
          key.find("hash") != std::string::npos;
-}
-
-bool glob_match(const std::string& pattern, const std::string& text) {
-  // Classic two-pointer wildcard match: on mismatch, retry from the last
-  // '*' with one more character absorbed.
-  std::size_t p = 0, t = 0;
-  std::size_t star = std::string::npos, mark = 0;
-  while (t < text.size()) {
-    if (p < pattern.size() &&
-        (pattern[p] == '?' || pattern[p] == text[t])) {
-      ++p;
-      ++t;
-    } else if (p < pattern.size() && pattern[p] == '*') {
-      star = p++;
-      mark = t;
-    } else if (star != std::string::npos) {
-      p = star + 1;
-      t = ++mark;
-    } else {
-      return false;
-    }
-  }
-  while (p < pattern.size() && pattern[p] == '*') ++p;
-  return p == pattern.size();
 }
 
 namespace {

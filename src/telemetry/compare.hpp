@@ -51,11 +51,6 @@ struct CompareOptions {
   double latency_slo_band = 0.10;
 };
 
-/// Iterative `*`/`?` glob match (no brackets, no escapes) — the matcher
-/// behind CompareOptions::noisy_patterns, exposed for tests.
-[[nodiscard]] bool glob_match(const std::string& pattern,
-                              const std::string& text);
-
 /// True when a larger value of `key` is an improvement (substring match on
 /// the flattened key): throughput-like keys (utilization, flops,
 /// throughput, hit_rate, px_per_s / pixels_per_s, speedup,

@@ -1,6 +1,9 @@
 // Tests for the discrete-event scheduler and the coroutine task machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -51,17 +54,6 @@ TEST(Scheduler, RejectsSchedulingInThePast) {
   EXPECT_THROW(s.schedule_at(10, b.handle()), ContractViolation);
 }
 
-TEST(Scheduler, ResetRequiresIdle) {
-  Scheduler s;
-  std::vector<int> log;
-  Task a = record_at(s, 5, log, 1);
-  s.schedule_at(0, a.handle());
-  EXPECT_THROW(s.reset(), ContractViolation);
-  s.run();
-  s.reset();
-  EXPECT_EQ(s.now(), 0u);
-}
-
 Task stamp_twice(Scheduler& s, Cycles d1, Cycles d2,
                  std::vector<Cycles>& stamps) {
   co_await DelayFor{s, d1};
@@ -93,13 +85,89 @@ TEST(Scheduler, WatchdogBoundaryIsExclusive) {
   }
 }
 
-// Exhaustive cross-check of the calendar queue against a sorted reference:
-// a deterministic pseudo-random workload mixing same-cycle wakeups, ring
-// delays, and far-horizon delays must replay in exact (time, seq) order.
-TEST(Scheduler, CalendarQueueMatchesReferenceOrder) {
-  Scheduler s;
-  std::vector<std::pair<Cycles, int>> log;
-  std::vector<Task> tasks;
+/// One resume as a program logs it: the cycle, the program, and how many
+/// delays it had finished.
+struct Resume {
+  Cycles time;
+  int task;
+  int step;
+  bool operator==(const Resume&) const = default;
+};
+
+Task delay_chain(Scheduler& s, std::vector<Resume>& log, int id,
+                 std::vector<Cycles> delays) {
+  log.push_back({s.now(), id, 0});
+  for (std::size_t k = 0; k < delays.size(); ++k) {
+    co_await DelayFor{s, delays[k]};
+    log.push_back({s.now(), id, static_cast<int>(k) + 1});
+  }
+}
+
+/// The resume order a (time, order of scheduling) queue must produce for
+/// programs that all start at cycle 0, in index order, and then sleep
+/// their delays in turn. A linear scan over the pending wake-ups, each
+/// stamped when it was scheduled, stands in for the scheduler's queue. A
+/// zero delay does not suspend, so the program logs its next step at once.
+std::vector<Resume>
+reference_order(const std::vector<std::vector<Cycles>>& delays) {
+  struct Pending {
+    Cycles time;
+    std::uint64_t stamp;
+    int task;
+    int step;
+  };
+  std::vector<Pending> pending;
+  std::uint64_t stamp = 0;
+  for (std::size_t id = 0; id < delays.size(); ++id)
+    pending.push_back({0, stamp++, static_cast<int>(id), 0});
+  std::vector<Resume> order;
+  while (!pending.empty()) {
+    std::size_t next = 0;
+    for (std::size_t i = 1; i < pending.size(); ++i)
+      if (pending[i].time < pending[next].time ||
+          (pending[i].time == pending[next].time &&
+           pending[i].stamp < pending[next].stamp))
+        next = i;
+    const Pending p = pending[next];
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(next));
+    const auto& d = delays[static_cast<std::size_t>(p.task)];
+    std::size_t step = static_cast<std::size_t>(p.step);
+    order.push_back({p.time, p.task, p.step});
+    for (; step < d.size() && d[step] == 0; ++step)
+      order.push_back({p.time, p.task, static_cast<int>(step) + 1});
+    if (step < d.size())
+      pending.push_back(
+          {p.time + d[step], stamp++, p.task, static_cast<int>(step) + 1});
+  }
+  return order;
+}
+
+/// The first resume where `got` leaves `want`, or "" when they agree.
+std::string first_mismatch(const std::vector<Resume>& got,
+                           const std::vector<Resume>& want) {
+  std::ostringstream os;
+  const auto show = [&os](const char* what, const Resume& r) {
+    os << what << " (" << r.time << ", task " << r.task << ", step "
+       << r.step << ")";
+  };
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+    if (got[i] != want[i]) {
+      os << "resume " << i << ":";
+      show(" got", got[i]);
+      show(", want", want[i]);
+      return os.str();
+    }
+  if (got.size() != want.size())
+    os << got.size() << " resumes, want " << want.size();
+  return os.str();
+}
+
+// A seeded mix of zero, short and long delays, on coarse grids so that
+// many programs wake at the same cycle, must resume in exactly the
+// reference's order: ties in the order they were scheduled. With batching
+// on, the fast path absorbs some delays without an event and must reorder
+// nothing.
+TEST(Scheduler, ResumeOrderMatchesReferenceModel) {
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
   auto rnd = [&state]() {
     state ^= state << 13;
@@ -107,47 +175,50 @@ TEST(Scheduler, CalendarQueueMatchesReferenceOrder) {
     state ^= state << 17;
     return state;
   };
-  struct Recorder {
-    static Task chain(Scheduler& s, std::vector<std::pair<Cycles, int>>& log,
-                      int id, Cycles d1, Cycles d2, Cycles d3) {
-      co_await DelayFor{s, d1};
-      log.emplace_back(s.now(), id);
-      co_await DelayFor{s, d2};
-      log.emplace_back(s.now(), id);
-      co_await DelayFor{s, d3};
-      log.emplace_back(s.now(), id);
-    }
-  };
-  // Delay mix straddles all three queue levels: 0 (same-cycle fast path),
-  // < 4096 (near ring), and 100k+ (far heap, exercises migration).
-  for (int id = 0; id < 200; ++id) {
-    const Cycles d1 = rnd() % 3 == 0 ? 0 : rnd() % 4000;
-    const Cycles d2 = rnd() % 3 == 0 ? rnd() % 10 : 100'000 + rnd() % 50'000;
-    const Cycles d3 = rnd() % 8192;
-    tasks.push_back(Recorder::chain(s, log, id, d1, d2, d3));
-    s.schedule_at(0, tasks.back().handle());
+  std::vector<std::vector<Cycles>> delays(200);
+  for (auto& d : delays) {
+    d.push_back(rnd() % 3 == 0 ? 0 : rnd() % 40 * 100);
+    d.push_back(rnd() % 3 == 0 ? rnd() % 10 : 100'000 + rnd() % 50 * 1000);
+    d.push_back(rnd() % 2 == 0 ? rnd() % 4 : rnd() % 16 * 512);
   }
-  s.run();
-  ASSERT_EQ(log.size(), 600u);
-  // Time must be monotone; ties must preserve schedule order, which the
-  // reference priority_queue guaranteed via the seq tie-break.
-  for (std::size_t i = 1; i < log.size(); ++i)
-    EXPECT_LE(log[i - 1].first, log[i].first) << "at index " << i;
-  for (const Task& t : tasks) EXPECT_TRUE(t.done());
-  EXPECT_TRUE(s.idle());
+  const std::vector<Resume> want = reference_order(delays);
+  ASSERT_EQ(want.size(), 800u);
+
+  std::uint64_t events_unbatched = 0;
+  for (const bool batching : {false, true}) {
+    Scheduler s;
+    s.set_batching(batching);
+    std::vector<Resume> got;
+    std::vector<Task> tasks;
+    for (std::size_t id = 0; id < delays.size(); ++id) {
+      tasks.push_back(delay_chain(s, got, static_cast<int>(id), delays[id]));
+      s.schedule_at(0, tasks.back().handle());
+    }
+    s.run();
+    EXPECT_EQ(first_mismatch(got, want), "")
+        << (batching ? "batching on" : "batching off");
+    for (const Task& t : tasks) EXPECT_TRUE(t.done());
+    EXPECT_EQ(s.pending_events(), 0u);
+    if (!batching) {
+      EXPECT_EQ(s.quanta_batched(), 0u);
+      events_unbatched = s.events_processed();
+    } else {
+      // Every absorbed delay is one event fewer, never one lost.
+      EXPECT_GT(s.quanta_batched(), 0u);
+      EXPECT_EQ(s.events_processed() + s.quanta_batched(), events_unbatched);
+    }
+  }
 }
 
-// The events_processed counter tracks resumes and survives reset.
+// The events_processed counter tracks resumes.
 TEST(Scheduler, CountsProcessedEvents) {
   Scheduler s;
   std::vector<Cycles> stamps;
-  Task t = stamp_twice(s, 10, 4200, stamps); // near ring + far heap
+  Task t = stamp_twice(s, 10, 4200, stamps);
   s.schedule_at(0, t.handle());
   EXPECT_EQ(s.events_processed(), 0u);
   s.run();
   EXPECT_EQ(s.events_processed(), 3u); // initial resume + two delays
-  s.reset();
-  EXPECT_EQ(s.events_processed(), 0u);
 }
 
 Task delays_twice(Scheduler& s, std::vector<Cycles>& stamps) {

@@ -302,6 +302,18 @@ TEST(ArrivalTraceGen, LoadRejectsJobsNoRunnerAccepts) {
   expect_load_error({{"id", "0"}}, "id");
 }
 
+TEST(ArrivalTraceGen, LoadRejectsASectorTheGeometryCannotForm) {
+  // sar::test_params spans n_pulses x 1 m / mid-range radians (416 m at 65
+  // range bins), which RadarParams::validate bounds below 3.1: a wider job
+  // fails when the trace loads, not at its first dispatch.
+  expect_load_error({{"n_pulses", "2048"}}, "n_pulses");
+  EXPECT_EQ(load_error({{"n_pulses", "1024"}}), "");
+  expect_load_error({{"algo", "\"gbp\""}, {"n_pulses", "1290"}}, "n_pulses");
+  EXPECT_EQ(load_error({{"algo", "\"gbp\""}, {"n_pulses", "1288"}}), "");
+  // More range bins push the mid-range out and narrow the sector.
+  EXPECT_EQ(load_error({{"n_pulses", "2048"}, {"n_range", "2001"}}), "");
+}
+
 TEST(ServeMath, NearestRankPercentile) {
   std::vector<double> xs = {5.0, 1.0, 4.0, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(serve::percentile(xs, 0.5), 3.0);

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "common/assert.hpp"
+#include "common/glob.hpp"
 #include "common/json.hpp"
 #include "common/types.hpp"
 #include "epiphany/machine.hpp"
@@ -426,15 +427,16 @@ TEST(Compare, PerKeyThresholdOverridesDefault) {
   EXPECT_FALSE(telemetry::compare_manifests(base, slight, opt).ok());
 }
 
+// esarp_compare's metric patterns use the shared glob matcher.
 TEST(Compare, GlobMatcher) {
-  EXPECT_TRUE(telemetry::glob_match("wall_*", "wall_seconds"));
-  EXPECT_TRUE(telemetry::glob_match("*wall*", "results.wall_seconds"));
-  EXPECT_TRUE(telemetry::glob_match("wall_second?", "wall_seconds"));
-  EXPECT_TRUE(telemetry::glob_match("*", ""));
-  EXPECT_TRUE(telemetry::glob_match("a*b*c", "a.x.b.y.c"));
-  EXPECT_FALSE(telemetry::glob_match("wall_*", "makespan_cycles"));
-  EXPECT_FALSE(telemetry::glob_match("wall_?", "wall_seconds"));
-  EXPECT_FALSE(telemetry::glob_match("", "x"));
+  EXPECT_TRUE(glob_match("wall_*", "wall_seconds"));
+  EXPECT_TRUE(glob_match("*wall*", "results.wall_seconds"));
+  EXPECT_TRUE(glob_match("wall_second?", "wall_seconds"));
+  EXPECT_TRUE(glob_match("*", ""));
+  EXPECT_TRUE(glob_match("a*b*c", "a.x.b.y.c"));
+  EXPECT_FALSE(glob_match("wall_*", "makespan_cycles"));
+  EXPECT_FALSE(glob_match("wall_?", "wall_seconds"));
+  EXPECT_FALSE(glob_match("", "x"));
 }
 
 TEST(Compare, NoisyPatternWidensMatchingKeys) {

@@ -281,6 +281,15 @@ expect_named --pulses "$esarp" "${gen_serve[@]}" --pulses 48
 expect_named --pulses "$esarp" "${gen_serve[@]}" --algo gbp --pulses 33
 expect_named --pulses "$esarp" lint --mapping gbp --pulses 33 --range 65 \
   --validate
+# The sector sar::test_params forms widens with the pulses: 2048 pulses at
+# 65 range bins span 4.9 rad, past the bound RadarParams::validate sets. It
+# is a usage error naming --pulses in every command that forms it, never a
+# contract abort (4) or a clean lint of an aperture no run accepts.
+expect_named --pulses "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --pulses 2048 --range 65
+expect_named --pulses "$esarp" lint --mapping ffbp --pulses 2048 --range 65
+expect_named --pulses "$esarp" serve --gen poisson --jobs-count 2 --rate 100 \
+  --pulses 2048 --range 65 --cores 16 --chips 1
 # So is a NaN or infinite --priority-mix weight, never a contract abort.
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix nan,1,1
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix inf,1,1

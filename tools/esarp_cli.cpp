@@ -47,6 +47,7 @@
 
 #include "parse_whole.hpp"
 #include "common/format.hpp"
+#include "common/glob.hpp"
 #include "common/json.hpp"
 #include "common/pgm.hpp"
 #include "common/rng.hpp"
@@ -250,13 +251,22 @@ private:
   std::map<std::string, std::string, std::less<>> kv_;
 };
 
-/// Throws FlagError unless the FFBP and GBP runners accept `pulses`: FFBP
+/// Throws FlagError unless the runners accept `pulses` x `range`: FFBP
 /// merges pairs of subapertures down to one, so it needs a power of two;
-/// GBP streams pulses two at a time, so it needs an even count.
-void check_pulse_shape(bool ffbp, bool gbp, std::size_t pulses) {
+/// GBP streams pulses two at a time, so it needs an even count; and the
+/// sector sar::test_params forms widens with the pulses and narrows with
+/// the range, so it must stay inside the bound RadarParams::validate sets.
+void check_pulse_shape(bool ffbp, bool gbp, std::size_t pulses,
+                       std::size_t range) {
   if (ffbp && !std::has_single_bit(pulses))
     throw FlagError("--pulses must be a power of two for FFBP");
   if (gbp && pulses % 2 != 0) throw FlagError("--pulses must be even for GBP");
+  if (!sar::test_params(pulses, range).sector_fits())
+    throw FlagError(std::string("--pulses ")
+                        .append(std::to_string(pulses))
+                        .append(" spans a wider sector than the imaging "
+                                "geometry allows at --range ")
+                        .append(std::to_string(range)));
 }
 
 const Flag kSimulateFlags[] = {
@@ -266,11 +276,12 @@ const Flag kSimulateFlags[] = {
     {"seed", kInt, "S", 0}};
 
 int cmd_simulate(const Args& args) {
+  const auto pulses = args.num<std::size_t>("pulses", 256);
+  const auto range = args.num<std::size_t>("range", 251);
+  if (!args.has("paper")) check_pulse_shape(false, false, pulses, range);
   sar::Dataset ds;
-  ds.params = args.has("paper")
-                  ? sar::paper_params()
-                  : sar::test_params(args.num<std::size_t>("pulses", 256),
-                                     args.num<std::size_t>("range", 251));
+  ds.params = args.has("paper") ? sar::paper_params()
+                                : sar::test_params(pulses, range);
   Rng rng(args.num<std::uint64_t>("seed", 1));
   const double noise = args.real("noise", 0.0);
   const std::string out = args.str("out");
@@ -557,7 +568,7 @@ int cmd_report(const Args& args) {
   // Run and serve manifests share the chip/workload/results layout, so
   // the report renders any esarp manifest family.
   if (schema == nullptr || !schema->is_string() ||
-      !telemetry::glob_match("esarp-*-manifest/*", schema->as_string()))
+      !glob_match("esarp-*-manifest/*", schema->as_string()))
     throw ContractViolation(in + " is not an esarp manifest");
 
   const auto* tool = doc.find("tool");
@@ -828,9 +839,9 @@ const Flag kLintFlags[] = {
 int cmd_lint(const Args& args) {
   const std::string which = args.str("mapping", "all");
   const auto pulses = args.num<std::size_t>("pulses", 32);
-  check_pulse_shape(which == "all" || which.starts_with("ffbp"),
-                    which == "all" || which == "gbp", pulses);
   const auto range = args.num<std::size_t>("range", 101);
+  check_pulse_shape(which == "all" || which.starts_with("ffbp"),
+                    which == "all" || which == "gbp", pulses, range);
   const int cores = args.num("cores", 16);
   const auto n_pairs = args.num<std::size_t>("pairs", 4);
   const bool validate = args.has("validate");
@@ -1015,7 +1026,7 @@ int cmd_serve(const Args& args) {
     tp.n_cores = args.num("cores", 16);
     tp.algo = serve::algo_from_string(args.str("algo", "ffbp"));
     check_pulse_shape(tp.algo == serve::Algo::kFfbp,
-                      tp.algo == serve::Algo::kGbp, tp.n_pulses);
+                      tp.algo == serve::Algo::kGbp, tp.n_pulses, tp.n_range);
     tp.deadline_s = args.real("deadline", 0.01);
     if (args.has("priority-mix")) {
       // "L,N,H" weights (normalized); e.g. --priority-mix 0.3,0.5,0.2
