@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 #include "common/assert.hpp"
 #include "common/fastmath.hpp"
@@ -15,10 +16,6 @@
 namespace esarp::core {
 
 namespace {
-
-/// Levels with at least this many subapertures share their geometry rows,
-/// so each shared row is reused at least this many times.
-constexpr std::size_t kShareGeomSubaps = 8;
 
 struct SharedState {
   std::span<cf32> buf_a;
@@ -39,9 +36,10 @@ struct SharedState {
   // Host scratch for the cosine-theorem geometry (eqs. 1-4), which
   // depends on the level and the parent theta row but not on the
   // subaperture pair: row ti of a sharing level (row_geometry), and the
-  // level it currently holds in geom_level[ti] (0: none). n_pulses /
-  // kShareGeomSubaps rows cover every sharing level.
-  std::vector<sar::MergeGeom> geom_table;
+  // level it currently holds in geom_level[ti] (0: none; the table is
+  // not zero-filled). Every level but the last shares, so n_pulses / 2
+  // rows cover them all.
+  std::unique_ptr<sar::MergeGeom[]> geom_table;
   std::vector<std::size_t> geom_level;
 };
 
@@ -90,19 +88,19 @@ std::pair<int, int> predict_rows(const sar::RadarParams& p,
 }
 
 /// The cosine-theorem geometry (eqs. 1-4) of parent row `ti` at `level`.
-/// A level with at least kShareGeomSubaps subapertures keeps it in the
-/// shared table, computed the first time any core merges that row and
-/// reused by every other core and pair; one machine runs on one host
-/// thread, so the fill needs no lock. Other levels compute it into
-/// `scratch`.
+/// Every level but the last has at least two subapertures and keeps it
+/// in the shared table, computed the first time any core merges that row
+/// and reused by every other core and pair; one machine runs on one host
+/// thread, so the fill needs no lock. The last level, one subaperture,
+/// computes it into `scratch`.
 const sar::MergeGeom* row_geometry(SharedState& st, const sar::RadarParams& p,
                                    std::size_t level,
                                    const sar::MergeLevelGeom& geom,
                                    std::size_t ti,
                                    std::span<sar::MergeGeom> scratch) {
   sar::MergeGeom* out = scratch.data();
-  if ((p.n_pulses >> level) >= kShareGeomSubaps) {
-    out = st.geom_table.data() + ti * p.n_range;
+  if (level < p.merge_levels()) {
+    out = st.geom_table.get() + ti * p.n_range;
     if (st.geom_level[ti] == level) return out;
     st.geom_level[ti] = level;
   }
@@ -193,9 +191,9 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  // Host-side scratch for the geometry of a level that does not share it;
-  // the simulated local-store budget is unaffected (the geometry never
-  // lived in a bank).
+  // Host-side scratch for the geometry of the last level, which does not
+  // share it; the simulated local-store budget is unaffected (the
+  // geometry never lived in a bank).
   std::vector<sar::MergeGeom> geom_row(n_range);
 
   std::span<cf32> src = st.buf_a;
@@ -433,6 +431,7 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
                                 const FfbpMapOptions& opt,
                                 ep::ChipConfig cfg) {
   p.validate();
+  ESARP_EXPECTS(data.rows() == p.n_pulses && data.cols() == p.n_range);
   ESARP_EXPECTS(opt.n_cores >= 1 && opt.n_cores <= cfg.core_count());
   ESARP_EXPECTS(!opt.double_buffer || opt.prefetch);
   const sar::FfbpOptions algo_check =
@@ -464,8 +463,10 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     st.stats[l].level = l + 1;
   st.barrier = m.make_barrier(opt.n_cores);
   st.shifts.assign(p.n_pulses / 2, 0.0f);
-  st.geom_table.resize(p.n_pulses / kShareGeomSubaps * p.n_range);
-  st.geom_level.assign(p.n_pulses / kShareGeomSubaps, 0);
+  st.geom_table =
+      std::make_unique_for_overwrite<sar::MergeGeom[]>(p.n_pulses / 2 *
+                                                       p.n_range);
+  st.geom_level.assign(p.n_pulses / 2, 0);
   if (m.fault_injector() != nullptr) {
     st.row_done.resize(p.merge_levels());
     if (opt.autofocus != nullptr) st.af_done.resize(p.merge_levels());
@@ -480,11 +481,12 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     }
   }
 
-  // Load level 0 into SDRAM (range-phase referenced, like the reference).
-  const auto level0 = sar::initial_subapertures(data, p);
+  // Load level 0 into SDRAM, each pulse range-phase referenced straight
+  // into its row, exactly as sar::initial_subapertures references it.
+  const std::vector<cf32> phase = sar::range_phase_table(p);
   for (std::size_t pu = 0; pu < p.n_pulses; ++pu)
-    std::copy(level0[pu].data.row(0).begin(), level0[pu].data.row(0).end(),
-              st.buf_a.begin() + static_cast<std::ptrdiff_t>(pu * p.n_range));
+    sar::reference_pulse(data.row(pu), phase,
+                         st.buf_a.subspan(pu * p.n_range, p.n_range));
 
   for (int c = 0; c < opt.n_cores; ++c) {
     m.launch(c, [&p, &opt, &st, c](ep::CoreCtx& ctx) {
@@ -494,6 +496,9 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
 
   FfbpSimResult res;
   res.cycles = m.run(opt.max_cycles);
+  // The geometry scratch is dead once the cores finish: free it before the
+  // image copy below, so the two never coexist.
+  st.geom_table.reset();
   res.seconds = m.seconds(res.cycles);
   res.perf = m.report();
   res.power = ep::collect_power(m, res.perf);

@@ -19,6 +19,12 @@ std::vector<cf32> range_phase_table(const RadarParams& p) {
   return table;
 }
 
+void reference_pulse(std::span<const cf32> pulse, std::span<const cf32> phase,
+                     std::span<cf32> out) {
+  ESARP_EXPECTS(pulse.size() == phase.size() && out.size() == phase.size());
+  for (std::size_t j = 0; j < out.size(); ++j) out[j] = pulse[j] * phase[j];
+}
+
 std::vector<SubapertureImage> initial_subapertures(const Array2D<cf32>& data,
                                                    const RadarParams& p,
                                                    const FlightPathError* track) {
@@ -33,8 +39,7 @@ std::vector<SubapertureImage> initial_subapertures(const Array2D<cf32>& data,
     s.n_pulses = 1;
     s.x_center = p.pulse_x(pu) + (track != nullptr ? track->at_x(pu) : 0.0);
     s.data = Array2D<cf32>(1, p.n_range);
-    for (std::size_t j = 0; j < p.n_range; ++j)
-      s.data(0, j) = data(pu, j) * phase[j];
+    reference_pulse(data.row(pu), phase, s.data.row(0));
   }
   return subs;
 }

@@ -16,6 +16,7 @@
 // compensation).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/array2d.hpp"
@@ -52,6 +53,12 @@ struct FfbpResult {
 
 /// e^{+i 4 pi r_j / lambda} for every range bin (level-0 referencing).
 [[nodiscard]] std::vector<cf32> range_phase_table(const RadarParams& p);
+
+/// One level-0 row: out[j] = pulse[j] * phase[j], the pulse referenced to
+/// the range-bin carrier phase (phase from range_phase_table). The one
+/// definition initial_subapertures and the chip mapping's SDRAM load share.
+void reference_pulse(std::span<const cf32> pulse, std::span<const cf32> phase,
+                     std::span<cf32> out);
 
 /// Decompose pulse-compressed data into level-0 subapertures (one pulse
 /// each, single angular bin, range-phase referenced). When `track` is

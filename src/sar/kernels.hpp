@@ -11,7 +11,11 @@
 // sar/carrier.hpp's one lane algorithm in double vectors — and all kernel
 // translation units are compiled with -ffp-contract=off, so both backends
 // produce bit-identical results (enforced by tests/test_kernels.cpp,
-// tests/test_carrier.cpp and the micro_kernels bench rows).
+// tests/test_carrier.cpp and the micro_kernels bench rows). It advances
+// independent 8-lane groups in lock-step where that measured faster:
+// merge_geometry_row four at a time, merge_sample_row two, the other
+// kernels one (kernels_simd_body.hpp); a loop's remainder runs through
+// the narrower loops, leaving fewer than 8 samples to scalar code.
 // Simulated-cycle costs are analytic (OpCounts), so backend choice affects
 // host wall-clock only: images, cycles, energy and manifests are unchanged.
 //
@@ -85,10 +89,12 @@ void criterion_terms(const cf32* minus, const cf32* plus, float* out,
 
 /// One pulse's GBP contributions to a row of pixels:
 /// acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g).
-/// The range/bin geometry runs in float lanes and the carrier phase
-/// (sar::carrier_rot) in double lanes; a lane calls libm only when its
+/// The range/bin geometry runs in float lanes, the carrier phase
+/// (sar::carrier_rot) in double lanes, and the gather, complex multiply
+/// and accumulate in float lanes again; a lane calls libm only when its
 /// rotation fails carrier_rot's rounding certificate (rare: see
-/// sar/carrier.hpp).
+/// sar/carrier.hpp), and the scalar complex multiply only when both parts
+/// of its product are NaN.
 /// Lanes whose range is NaN or off the swath, however far, contribute
 /// nothing.
 void gbp_contrib_row(const float* px, const float* py, float pulse_x,

@@ -2,9 +2,13 @@
 // only one compiled with -mavx2, and deliberately WITHOUT -mfma and with
 // -ffp-contract=off: fused multiply-adds would change rounding versus the
 // scalar reference, breaking the bit-exactness contract
-// (kernels_simd_body.hpp). On a non-x86-64 target the TU is built without
-// -mavx2, the table is null and the dispatcher falls back to scalar;
-// runtime cpu support is checked separately in kernels.cpp.
+// (kernels_simd_body.hpp). VAvx2 is one 8-lane group; the table runs
+// merge_geometry_row on four of them in lock-step (Twice<Twice<VAvx2>>),
+// merge_sample_row on two (Twice<VAvx2>) and every other kernel on one
+// (simd_table in kernels_simd_body.hpp). On a non-x86-64 target the TU
+// is built without -mavx2, the table is null and the dispatcher falls
+// back to scalar; runtime cpu support is checked separately in
+// kernels.cpp.
 #include "sar/kernels_impl.hpp"
 
 #if defined(__AVX2__)
@@ -47,8 +51,6 @@ struct DAvx2 {
   static unsigned movemask(M m) {
     return static_cast<unsigned>(_mm256_movemask_pd(m));
   }
-  /// Round the four lanes to float and store them to p[0..3].
-  static void store_f(float* p, T a) { _mm_storeu_ps(p, _mm256_cvtpd_ps(a)); }
 };
 
 struct VAvx2 {
@@ -69,6 +71,8 @@ struct VAvx2 {
   static F cmp_le(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_LE_OQ); }
   static F cmp_gt(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
   static F cmp_ge(F a, F b) { return _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+  /// Lanes where a is NaN.
+  static F is_nan(F a) { return _mm256_cmp_ps(a, a, _CMP_UNORD_Q); }
   static F and_(F a, F b) { return _mm256_and_ps(a, b); }
   static F or_(F a, F b) { return _mm256_or_ps(a, b); }
   /// ~a & b.
@@ -101,6 +105,10 @@ struct VAvx2 {
   }
   static D::T to_d_hi(F a) {
     return _mm256_cvtps_pd(_mm256_extractf128_ps(a, 1));
+  }
+  /// Two double vectors rounded to float: lo fills lanes 0-3, hi 4-7.
+  static F from_d(D::T lo, D::T hi) {
+    return _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo));
   }
 
   static void load_cf(const cf32* p, F& re, F& im) {
@@ -144,6 +152,32 @@ struct VAvx2 {
     th2 = _mm256_shuffle_ps(t2, t3, _MM_SHUFFLE(3, 2, 3, 2));
   }
 
+  /// The inverse of load_geom: four field vectors written as eight
+  /// MergeGeoms (unpack, shuffle and permute2f128, then four stores).
+  static void store_geom(MergeGeom* g, F r1, F th1, F r2, F th2) {
+    float* f = reinterpret_cast<float*>(g);
+    const F u0 = _mm256_unpacklo_ps(r1, th1); // r1 t1 r1 t1 (g0 g1 | g4 g5)
+    const F u1 = _mm256_unpackhi_ps(r1, th1); // (g2 g3 | g6 g7)
+    const F u2 = _mm256_unpacklo_ps(r2, th2); // r2 t2 r2 t2 (g0 g1 | g4 g5)
+    const F u3 = _mm256_unpackhi_ps(r2, th2); // (g2 g3 | g6 g7)
+    const F q0 = _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(1, 0, 1, 0)); // g0|g4
+    const F q1 = _mm256_shuffle_ps(u0, u2, _MM_SHUFFLE(3, 2, 3, 2)); // g1|g5
+    const F q2 = _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(1, 0, 1, 0)); // g2|g6
+    const F q3 = _mm256_shuffle_ps(u1, u3, _MM_SHUFFLE(3, 2, 3, 2)); // g3|g7
+    _mm256_storeu_ps(f, _mm256_permute2f128_ps(q0, q1, 0x20));      // g0|g1
+    _mm256_storeu_ps(f + 8, _mm256_permute2f128_ps(q2, q3, 0x20));  // g2|g3
+    _mm256_storeu_ps(f + 16, _mm256_permute2f128_ps(q0, q1, 0x31)); // g4|g5
+    _mm256_storeu_ps(f + 24, _mm256_permute2f128_ps(q2, q3, 0x31)); // g6|g7
+  }
+
+  /// p[idx] split into real and imaginary lanes by two masked float
+  /// gathers; lanes outside `mask` are zero and read nothing.
+  static void gather_cf(const cf32* p, I idx, F mask, F& re, F& im) {
+    const float* f = reinterpret_cast<const float*>(p);
+    re = _mm256_mask_i32gather_ps(zero(), f, idx, mask, 8);
+    im = _mm256_mask_i32gather_ps(zero(), f + 1, idx, mask, 8);
+  }
+
   /// Complex lanes in mask `ma` take a[ia], lanes in `mb` take b[ib] (bit
   /// copies; the masks are disjoint), and the other lanes are zero and
   /// read nothing. lo holds lanes 0-3 as interleaved (re, im) pairs, hi
@@ -175,7 +209,7 @@ struct VAvx2 {
 
 } // namespace
 
-const KernelTable* avx2_table() { return SimdKernels<VAvx2>::table(); }
+const KernelTable* avx2_table() { return simd_table<VAvx2>(); }
 
 } // namespace esarp::sar::kernels::detail
 

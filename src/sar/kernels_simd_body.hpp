@@ -5,6 +5,18 @@
 // so the instantiation stays TU-local (no ODR interaction with the
 // object files built without -mavx2).
 //
+// LOCK-STEP WIDTHS: Twice<V> is a trait whose value is two V registers,
+// every operation applied to both, so SimdKernels<Twice<V>> advances two
+// independent lane groups per step and SimdKernels<Twice<Twice<V>>> four,
+// with the kernel bodies unchanged. A long dependency chain then runs at
+// the ports' throughput instead of its own latency: the groups' chains
+// overlap in the out-of-order window. simd_table() picks each kernel's
+// width (measured, docs/performance.md "Kernel backends"):
+// merge_geometry_row four groups, merge_sample_row two, every other
+// kernel one. The remainder of a wide loop runs through the next
+// narrower loop and then the scalar reference, so a row leaves fewer than
+// one group's lanes to scalar code.
+//
 // BIT-EXACTNESS CONTRACT: every function here replicates its scalar
 // reference (sar/interp.hpp, sar/merge_kernel.hpp, common/fastmath.hpp,
 // sar/gbp.hpp) operation for operation — the same association (a*b*c is
@@ -17,9 +29,12 @@
 // phase runs sar/carrier.hpp's CarrierLanes template on the trait's
 // double lanes (V::D, two vectors per float vector), the same template
 // the scalar reference instantiates on plain doubles, and only lanes that
-// fail its rounding certificate call libm. Changing any expression here
-// requires re-running the cross-backend tests in tests/test_kernels.cpp
-// and tests/test_carrier.cpp.
+// fail its rounding certificate call libm. The GBP complex multiply and
+// accumulate run in lanes as GCC expands the scalar cf32 product; a lane
+// whose product is NaN in both parts is redone by that scalar product,
+// which then calls __mulsc3. Changing any expression here requires
+// re-running the cross-backend tests in tests/test_kernels.cpp and
+// tests/test_carrier.cpp.
 #pragma once
 
 #include <bit>
@@ -30,16 +45,116 @@
 #include "sar/carrier.hpp"
 #include "sar/kernels_impl.hpp"
 
-// The scalar kernels handle the non-multiple-of-width tails.
+// The scalar kernels handle the last samples after the narrowest loop.
 #include "sar/interp.hpp"
 
 namespace esarp::sar::kernels::detail {
+
+/// Two independent V lane groups in lock-step. A value holds the first
+/// group in `a` and the second in `b`; masks and movemask concatenate,
+/// the second group's lanes above the first's, and memory operations
+/// cover the second group at +V::kLanes. It carries exactly the
+/// operations the lock-step kernels (merge_geometry_row,
+/// merge_sample_row) use.
+template <class V>
+struct Twice {
+  /// One group: the width that finishes a lock-step loop's remainder.
+  using Half = V;
+  static constexpr std::size_t kLanes = 2 * V::kLanes;
+  struct F {
+    typename V::F a, b;
+  };
+  struct I {
+    typename V::I a, b;
+  };
+
+  static void store(float* p, F v) {
+    V::store(p, v.a);
+    V::store(p + V::kLanes, v.b);
+  }
+  static F set1(float x) { return {V::set1(x), V::set1(x)}; }
+  static F zero() { return {V::zero(), V::zero()}; }
+  static F add(F x, F y) { return {V::add(x.a, y.a), V::add(x.b, y.b)}; }
+  static F sub(F x, F y) { return {V::sub(x.a, y.a), V::sub(x.b, y.b)}; }
+  static F mul(F x, F y) { return {V::mul(x.a, y.a), V::mul(x.b, y.b)}; }
+  static F cmp_lt(F x, F y) {
+    return {V::cmp_lt(x.a, y.a), V::cmp_lt(x.b, y.b)};
+  }
+  static F cmp_le(F x, F y) {
+    return {V::cmp_le(x.a, y.a), V::cmp_le(x.b, y.b)};
+  }
+  static F cmp_gt(F x, F y) {
+    return {V::cmp_gt(x.a, y.a), V::cmp_gt(x.b, y.b)};
+  }
+  static F and_(F x, F y) { return {V::and_(x.a, y.a), V::and_(x.b, y.b)}; }
+  static F or_(F x, F y) { return {V::or_(x.a, y.a), V::or_(x.b, y.b)}; }
+  static F andnot(F x, F y) {
+    return {V::andnot(x.a, y.a), V::andnot(x.b, y.b)};
+  }
+  static F all_ones() { return {V::all_ones(), V::all_ones()}; }
+  static unsigned movemask(F m) {
+    return V::movemask(m.a) | V::movemask(m.b) << V::kLanes;
+  }
+  static F blend(F m, F x, F y) {
+    return {V::blend(m.a, x.a, y.a), V::blend(m.b, x.b, y.b)};
+  }
+  static F xor_(F x, F y) { return {V::xor_(x.a, y.a), V::xor_(x.b, y.b)}; }
+  static I to_i(F x) { return {V::to_i(x.a), V::to_i(x.b)}; }
+  static F to_f(I x) { return {V::to_f(x.a), V::to_f(x.b)}; }
+  static I shr(I x, int count) {
+    return {V::shr(x.a, count), V::shr(x.b, count)};
+  }
+  static I add_i(I x, I y) {
+    return {V::add_i(x.a, y.a), V::add_i(x.b, y.b)};
+  }
+  static I sub_i(I x, I y) {
+    return {V::sub_i(x.a, y.a), V::sub_i(x.b, y.b)};
+  }
+  static I set1_i(std::int32_t x) { return {V::set1_i(x), V::set1_i(x)}; }
+  static I mul_i(I x, I y) {
+    return {V::mul_i(x.a, y.a), V::mul_i(x.b, y.b)};
+  }
+  static F cmp_gt_i(I x, I y) {
+    return {V::cmp_gt_i(x.a, y.a), V::cmp_gt_i(x.b, y.b)};
+  }
+  static F cmp_eq_i(I x, I y) {
+    return {V::cmp_eq_i(x.a, y.a), V::cmp_eq_i(x.b, y.b)};
+  }
+  static F cvt_f(I x) { return {V::cvt_f(x.a), V::cvt_f(x.b)}; }
+  static I cvt_i(F x) { return {V::cvt_i(x.a), V::cvt_i(x.b)}; }
+  static I iota() {
+    const auto i = V::iota();
+    return {i, V::add_i(i, V::set1_i(static_cast<std::int32_t>(V::kLanes)))};
+  }
+  static void load_geom(const MergeGeom* g, F& r1, F& th1, F& r2, F& th2) {
+    V::load_geom(g, r1.a, th1.a, r2.a, th2.a);
+    V::load_geom(g + V::kLanes, r1.b, th1.b, r2.b, th2.b);
+  }
+  static void store_geom(MergeGeom* g, F r1, F th1, F r2, F th2) {
+    V::store_geom(g, r1.a, th1.a, r2.a, th2.a);
+    V::store_geom(g + V::kLanes, r1.b, th1.b, r2.b, th2.b);
+  }
+  /// lo holds the first group's complex lanes as interleaved pairs (V's
+  /// lo then hi), hi the second group's.
+  static void gather2_cf(const cf32* x, I ix, F mx, const cf32* y, I iy,
+                         F my, F& lo, F& hi) {
+    V::gather2_cf(x, ix.a, mx.a, y, iy.a, my.a, lo.a, lo.b);
+    V::gather2_cf(x, ix.b, mx.b, y, iy.b, my.b, hi.a, hi.b);
+  }
+};
 
 template <class V>
 struct SimdKernels {
   using F = typename V::F;
   using I = typename V::I;
   static constexpr std::size_t kLanes = V::kLanes;
+
+  /// True for a lock-step trait Twice<H>: its loop remainders run on
+  /// SimdKernels<H>. A one-group trait finishes in the scalar reference.
+  static constexpr bool kLockStep = requires { typename V::Half; };
+  /// The kernels one lock-step width down; named only where kLockStep.
+  template <class W = V>
+  using Narrower = SimdKernels<typename W::Half>;
 
   /// -x as the sign-bit flip (exactly what scalar unary minus does).
   static F neg(F x) { return V::xor_(x, V::set1(-0.0f)); }
@@ -138,23 +253,22 @@ struct SimdKernels {
     const F vd2 = V::set1(d2);
     const F vinv = V::set1(inv_2d);
     std::size_t i = 0;
-    float b_r1[kLanes], b_t1[kLanes], b_r2[kLanes], b_t2[kLanes];
     for (; i + kLanes <= n; i += kLanes) {
       const I j =
           V::add_i(V::set1_i(static_cast<std::int32_t>(j0 + i)), V::iota());
       const F r = V::add(vr0, V::mul(V::cvt_f(j), vdr));
       F r1, th1, r2, th2;
       merge_geometry_lanes(r, vcr, vd2, vinv, r1, th1, r2, th2);
-      V::store(b_r1, r1);
-      V::store(b_t1, th1);
-      V::store(b_r2, r2);
-      V::store(b_t2, th2);
-      for (std::size_t l = 0; l < kLanes; ++l)
-        out[i + l] = MergeGeom{b_r1[l], b_t1[l], b_r2[l], b_t2[l]};
+      V::store_geom(out + i, r1, th1, r2, th2);
     }
-    for (; i < n; ++i) {
-      const float r = r0 + static_cast<float>(j0 + i) * dr;
-      out[i] = merge_geometry(r, cr, d2, inv_2d);
+    if constexpr (kLockStep) {
+      Narrower<>::merge_geometry_row(r0, dr, j0 + i, n - i, cr, d2, inv_2d,
+                                     out + i);
+    } else {
+      for (; i < n; ++i) {
+        const float r = r0 + static_cast<float>(j0 + i) * dr;
+        out[i] = merge_geometry(r, cr, d2, inv_2d);
+      }
     }
   }
 
@@ -221,9 +335,15 @@ struct SimdKernels {
         V::store(o + kLanes, V::add(hi1, hi2));
       }
     }
-    for (; i < n; ++i)
-      out[i] = merge_sample(g, interp, phase_compensate, geom[i], shift1,
-                            shift2, c1, c2, misses);
+    if constexpr (kLockStep) {
+      misses += Narrower<>::merge_sample_row(g, interp, phase_compensate,
+                                             geom + i, shift1, shift2, c1,
+                                             c2, out + i, n - i);
+    } else {
+      for (; i < n; ++i)
+        out[i] = merge_sample(g, interp, phase_compensate, geom[i], shift1,
+                              shift2, c1, c2, misses);
+    }
     return misses;
   }
 
@@ -310,6 +430,9 @@ struct SimdKernels {
     for (; i < n; ++i) out[i] = criterion_term(minus[i], plus[i]);
   }
 
+  /// One pulse's GBP contributions to a group of pixels: the range and
+  /// bin in float lanes, the carrier phase in double lanes, then the
+  /// complex multiply and the accumulate in float lanes again.
   static void gbp_contrib_row(const float* px, const float* py,
                               float pulse_x, const cf32* pulse_row,
                               const GbpGrid& g, cf32* acc, std::size_t n) {
@@ -324,10 +447,6 @@ struct SimdKernels {
     const F vnr = V::set1(static_cast<float>(g.n_range));
     const auto vk = D::set1(g.k_phase);
     std::size_t i = 0;
-    float rng[kLanes];
-    float cre[kLanes];
-    float sim[kLanes];
-    std::int32_t bin[kLanes];
     for (; i + kLanes <= n; i += kLanes) {
       const F dx = V::sub(V::load(px + i), vpx);
       const F pyv = V::load(py + i);
@@ -336,37 +455,84 @@ struct SimdKernels {
       const F u = V::add(bf, vhalf);
       // valid = bf >= -0.5f && bf + 0.5f < float(n_range), decided in
       // float before the conversion, exactly like gbp_contribution.
-      const unsigned valid = V::movemask(
-          V::and_(V::cmp_ge(bf, vminus_half), V::cmp_lt(u, vnr)));
-      if (valid == 0) continue;
-      V::store_i(bin, V::cvt_i(u));
+      const F valid = V::and_(V::cmp_ge(bf, vminus_half), V::cmp_lt(u, vnr));
+      const unsigned valid_bits = V::movemask(valid);
+      if (valid_bits == 0) continue;
+      const I bin = V::cvt_i(u);
       // Carrier phase k*range in two double vectors of kHalf lanes each.
       const auto lo = Carrier::rotate_phase(D::mul(vk, V::to_d_lo(range)));
       const auto hi = Carrier::rotate_phase(D::mul(vk, V::to_d_hi(range)));
       const unsigned ok = D::movemask(lo.ok) | (D::movemask(hi.ok) << kHalf);
-      D::store_f(cre, lo.c);
-      D::store_f(cre + kHalf, hi.c);
-      D::store_f(sim, lo.s);
-      D::store_f(sim + kHalf, hi.s);
-      if ((valid & ~ok) != 0) V::store(rng, range);
-      for (unsigned m = valid; m != 0; m &= m - 1) {
-        const int l = std::countr_zero(m);
-        cf32 rot{cre[l], sim[l]};
-        if ((ok >> l & 1u) == 0)
-          rot = carrier_rot_libm(g.k_phase * static_cast<double>(rng[l]));
-        acc[i + static_cast<std::size_t>(l)] += pulse_row[bin[l]] * rot;
+      F c = V::from_d(lo.c, hi.c);
+      F s = V::from_d(lo.s, hi.s);
+      if ((valid_bits & ~ok) != 0) {
+        // Uncertified lanes take libm's rotation (carrier_rot's fallback).
+        float rng[kLanes], cl[kLanes], sl[kLanes];
+        V::store(rng, range);
+        V::store(cl, c);
+        V::store(sl, s);
+        for (unsigned m = valid_bits & ~ok; m != 0; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          const cf32 rot =
+              carrier_rot_libm(g.k_phase * static_cast<double>(rng[l]));
+          cl[l] = rot.real();
+          sl[l] = rot.imag();
+        }
+        c = V::load(cl);
+        s = V::load(sl);
       }
+      // pulse_row[bin] * {c, s} as GCC expands the cf32 product; lanes
+      // outside `valid` gather zero and read nothing.
+      F ar, ai;
+      V::gather_cf(pulse_row, bin, valid, ar, ai);
+      F pr = V::sub(V::mul(ar, c), V::mul(ai, s));
+      F pi = V::add(V::mul(ar, s), V::mul(ai, c));
+      const unsigned nan_both =
+          valid_bits & V::movemask(V::and_(V::is_nan(pr), V::is_nan(pi)));
+      if (nan_both != 0) {
+        // Both parts NaN: the scalar product calls __mulsc3 here, which
+        // can recover an infinity.
+        std::int32_t bl[kLanes];
+        float cl[kLanes], sl[kLanes], prl[kLanes], pil[kLanes];
+        V::store_i(bl, bin);
+        V::store(cl, c);
+        V::store(sl, s);
+        V::store(prl, pr);
+        V::store(pil, pi);
+        for (unsigned m = nan_both; m != 0; m &= m - 1) {
+          const int l = std::countr_zero(m);
+          const cf32 p = pulse_row[bl[l]] * cf32{cl[l], sl[l]};
+          prl[l] = p.real();
+          pil[l] = p.imag();
+        }
+        pr = V::load(prl);
+        pi = V::load(pil);
+      }
+      // acc += product, and += 0 on invalid lanes, like the scalar
+      // acc[i] += {} there.
+      F are, aim;
+      V::load_cf(acc + i, are, aim);
+      V::store_cf(acc + i, V::add(are, V::and_(pr, valid)),
+                  V::add(aim, V::and_(pi, valid)));
     }
     for (; i < n; ++i)
       acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g);
   }
-
-  static const KernelTable* table() {
-    static const KernelTable t{merge_geometry_row, merge_sample_row,
-                               neville4_many, neville4_rows, criterion_terms,
-                               gbp_contrib_row};
-    return &t;
-  }
 };
+
+/// The AVX2 backend's table: each kernel at its measured lock-step width
+/// (docs/performance.md "Kernel backends"). merge_geometry_row's ~130-op
+/// chain runs four groups at a time; merge_sample_row's gathers two;
+/// gbp_contrib_row stays at one, where two groups ran slower.
+template <class V>
+const KernelTable* simd_table() {
+  using One = SimdKernels<V>;
+  using Two = SimdKernels<Twice<V>>;
+  using Four = SimdKernels<Twice<Twice<V>>>;
+  static const KernelTable t{Four::merge_geometry_row, Two::merge_sample_row,
+                             One::neville4_many,       One::neville4_rows,
+                             One::criterion_terms,     One::gbp_contrib_row};
+  return &t;
+}
 
 } // namespace esarp::sar::kernels::detail

@@ -33,8 +33,12 @@ struct Rng {
   }
 };
 
-// Odd sizes exercise the scalar tails after the full vector quanta.
-inline constexpr std::size_t kSizes[] = {1, 3, 4, 7, 8, 15, 16, 101};
+// Row lengths that reach every lock-step width of the AVX2 kernels (one,
+// two and four 8-lane groups) and every step of a wide loop's remainder:
+// 47 = 32 + 8 + 7 scalar, 63 = 32 + 16 + 8 + 7, 1001 = 31 * 32 + 8 + 1.
+inline constexpr std::size_t kSizes[] = {1,  3,  4,  7,  8,  15, 16,
+                                         17, 31, 32, 33, 40, 47, 63,
+                                         64, 65, 101, 1001};
 
 /// One gbp_contrib_row call: an n-bin swath at 1000 m and pixels that mix
 /// in-swath and out-of-swath ranges (the validity mask).

@@ -5,6 +5,7 @@
 // not on a tolerance — the SIMD backend is only allowed to exist because
 // it changes nothing.
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -16,6 +17,7 @@
 #include "common/assert.hpp"
 #include "common/types.hpp"
 #include "kernel_test_inputs.hpp"
+#include "sar/carrier.hpp"
 #include "sar/kernels.hpp"
 
 namespace esarp::sar {
@@ -224,6 +226,66 @@ TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
   k::force_backend(before);
 }
 
+TEST(Kernels, GbpContribRowMatchesScalarOnNonFinitePulses) {
+  // Pulse samples with infinite or NaN parts next to finite ones. Where
+  // both parts of the expanded product are NaN the scalar cf32 multiply
+  // calls __mulsc3, which can recover an infinity ((inf, NaN) times a
+  // rotation); the vector accumulate must redo those lanes. Half the
+  // valid ranges sit on multiples of lambda/8 at lambda = 2 m (phase a
+  // multiple of pi/2), where lanes fail the carrier certificate and take
+  // libm. Lanes 6 and 7 of every 8 are off the swath or NaN, so valid,
+  // invalid, NaN-product and uncertified lanes share each 8-lane group.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  GbpGrid g{};
+  g.r0 = 1000.0f;
+  g.inv_dr = 4.0f; // quarter-metre bins
+  g.n_range = 48;
+  g.k_phase = 4.0 * kPi / 2.0;
+  const cf32 kinds[] = {{0.75f, -0.5f}, {inf, nan}, {nan, 0.5f},
+                        {-inf, 0.25f}, {inf, inf}, {0.25f, nan}};
+  std::vector<cf32> pulse(static_cast<std::size_t>(g.n_range));
+  for (std::size_t b = 0; b < pulse.size(); ++b)
+    pulse[b] = kinds[b % std::size(kinds)];
+  // Lanes the classes reach, over the whole sweep.
+  std::size_t uncertified = 0, recovered_inf = 0;
+  for_each_simd_backend([&](k::Backend b) {
+    for (const std::size_t n : kSizes) {
+      std::vector<float> px(n, 0.0f), py(n); // pulse_x = 0: range = py
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t bin = 7 * i % pulse.size();
+        const float on_grid = g.r0 + 0.25f * static_cast<float>(bin);
+        py[i] = i % 8 == 6   ? 990.0f
+                : i % 8 == 7 ? nan
+                : i % 2 == 0 ? on_grid
+                             : on_grid + 0.1f;
+        if (i % 8 >= 6) continue;
+        cf32 rot;
+        if (!carrier_rot_certified(g.k_phase * static_cast<double>(py[i]),
+                                   rot))
+          ++uncertified;
+        const cf32 c = gbp_contribution(0.0f, py[i], 0.0f, pulse.data(), g);
+        if (std::isinf(c.real()) && std::isnan(pulse[bin].imag()))
+          ++recovered_inf;
+      }
+      std::vector<cf32> ref(n, cf32{0.5f, -0.25f});
+      std::vector<cf32> simd = ref;
+      k::force_backend(k::Backend::kScalar);
+      k::gbp_contrib_row(px.data(), py.data(), 0.0f, pulse.data(), g,
+                         ref.data(), n);
+      k::force_backend(b);
+      k::gbp_contrib_row(px.data(), py.data(), 0.0f, pulse.data(), g,
+                         simd.data(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        expect_bits_eq(ref[i], simd[i], "non-finite pulse", i);
+    }
+  });
+  if (!simd_backends().empty()) {
+    EXPECT_GT(uncertified, 0u);
+    EXPECT_GT(recovered_inf, 0u);
+  }
+}
+
 /// One merge_sample_row call: an 8 x 24 child grid, both child images,
 /// a staged row for each whose values differ from the image row it
 /// stands for (so a wrong hit/miss decision shows), and geometry that
@@ -296,7 +358,7 @@ TEST(Kernels, MergeSampleRowMatchesScalarBitForBit) {
   std::size_t off_sector = 0, off_swath = 0, hits = 0, misses = 0;
   for_each_simd_backend([&](k::Backend b) {
     Rng rng;
-    for (const std::size_t n : {1, 3, 4, 7, 8, 15, 16, 33, 101}) {
+    for (const std::size_t n : kSizes) {
       for (const auto& [s1, s2] : staged_rows) {
         const MergeRow row = make_merge_row(rng, n, s1, s2);
         const ChildSource c1{s1, row.staged1.data(), row.image1.data()};

@@ -290,6 +290,12 @@ expect_named --pulses "$esarp" simulate \
 expect_named --pulses "$esarp" lint --mapping ffbp --pulses 2048 --range 65
 expect_named --pulses "$esarp" serve --gen poisson --jobs-count 2 --rate 100 \
   --pulses 2048 --range 65 --cores 16 --chips 1
+# --paper fixes the 1024 x 1001 aperture, so a shape flag beside it is a
+# usage error naming that flag, never silently ignored.
+expect_named --pulses "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --paper --pulses 64
+expect_named --range "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --paper --range 65
 # So is a NaN or infinite --priority-mix weight, never a contract abort.
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix nan,1,1
 expect_named --priority-mix "$esarp" "${gen_serve[@]}" --priority-mix inf,1,1

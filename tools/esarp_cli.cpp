@@ -276,12 +276,17 @@ const Flag kSimulateFlags[] = {
     {"seed", kInt, "S", 0}};
 
 int cmd_simulate(const Args& args) {
+  const bool paper = args.has("paper");
+  // --paper fixes the aperture: a shape flag beside it would be ignored.
+  for (const std::string k : {"pulses", "range"})
+    if (paper && args.has(k))
+      throw FlagError("--" + k + " sets the shape --paper fixes: not with "
+                                 "--paper");
   const auto pulses = args.num<std::size_t>("pulses", 256);
   const auto range = args.num<std::size_t>("range", 251);
-  if (!args.has("paper")) check_pulse_shape(false, false, pulses, range);
+  if (!paper) check_pulse_shape(false, false, pulses, range);
   sar::Dataset ds;
-  ds.params = args.has("paper") ? sar::paper_params()
-                                : sar::test_params(pulses, range);
+  ds.params = paper ? sar::paper_params() : sar::test_params(pulses, range);
   Rng rng(args.num<std::uint64_t>("seed", 1));
   const double noise = args.real("noise", 0.0);
   const std::string out = args.str("out");
