@@ -75,14 +75,10 @@ inline ep::ChipConfig power_chip(ep::ChipConfig cfg = {}) {
   return cfg;
 }
 
-/// Record the power-sampled energy evidence on a manifest: the span
-/// attribution keys (`energy_j.span.*`, `energy_j.attributed`, ...) plus
-/// the headline joules-per-pixel figure that CI gates.
-inline void add_power_results(telemetry::RunManifest& man,
-                              const ep::PowerReport& power, double pixels) {
-  ep::fill_power_manifest(man, power);
-  if (pixels > 0.0)
-    man.add_result("energy_per_pixel", power.energy.total_j() / pixels);
+/// Record the headline joules-per-pixel figure that CI gates.
+inline void add_energy_per_pixel(telemetry::RunManifest& man,
+                                 const ep::ChipRun& run, double pixels) {
+  man.add_result("energy_per_pixel", run.energy.total_j() / pixels);
 }
 
 /// Write `man` as `<tool>.manifest.json` in out_dir() and log the path.
@@ -106,7 +102,8 @@ inline int sweep_jobs() { return host::sweep_jobs_from_env(1); }
 /// `engine_events` (deterministic, regression-checked by esarp_compare's
 /// default results threshold) as a result, and the host-side wall-clock /
 /// events-per-second / jobs — which legitimately vary run to run — as
-/// informational metrics gauges on `reg`. Call before set_metrics(&reg).
+/// informational metrics gauges on `reg`. Call before the manifest is
+/// written.
 inline void add_engine_stats(telemetry::RunManifest& man,
                              telemetry::MetricsRegistry* reg,
                              std::uint64_t events, double wall_seconds,

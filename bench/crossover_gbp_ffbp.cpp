@@ -80,9 +80,11 @@ static int bench_body() {
   telemetry::RunManifest man("crossover_gbp_ffbp");
   // Headline energy evidence is the FFBP leg; the GBP totals ride along
   // as plain results so the energy advantage is visible in the diff.
-  ep::fill_manifest(man, head.f.perf, head.f.energy);
-  bench::add_power_results(
-      man, head.f.power, static_cast<double>(sizes.back()) * 161.0);
+  ep::fill_manifest(man, head.f);
+  // Results only: one leg's registry would not describe the pair.
+  man.set_metrics(nullptr);
+  bench::add_energy_per_pixel(man, head.f,
+                              static_cast<double>(sizes.back()) * 161.0);
   man.add_result("gbp_seconds", head.g.seconds);
   man.add_result("ffbp_seconds", head.f.seconds);
   man.add_result("ffbp_advantage", head.g.seconds / head.f.seconds);

@@ -110,22 +110,20 @@ static int bench_body() {
   // leg's throughput-per-watt and phase breakdown ride along under an
   // `af.` / `energy_j.af.` prefix so the 78x claim is gated too.
   telemetry::RunManifest man("energy_efficiency");
-  ep::fill_manifest(man, par.perf, par.energy);
+  ep::fill_manifest(man, par);
   bench::add_workload(man, w.params);
   man.add_result("ffbp_efficiency_ratio", ffbp_ratio);
   man.add_result("autofocus_efficiency_ratio", af_ratio);
   man.add_result("ffbp_epiphany_tpw", ffbp_epi_tpw);
   man.add_result("autofocus_epiphany_tpw", af_epi_tpw);
-  bench::add_power_results(
-      man, par.power,
-      static_cast<double>(w.params.n_pulses * w.params.n_range));
+  bench::add_energy_per_pixel(
+      man, par, static_cast<double>(w.params.n_pulses * w.params.n_range));
   man.add_result("af.energy_j", mpmd.energy.total_j());
   man.add_result("af.avg_watts", mpmd.energy.avg_watts);
   for (const auto& e : mpmd.power.profile.entries)
     man.add_result("energy_j.af." + e.name, e.joules);
   man.add_result("energy_j.af.unattributed",
                  mpmd.power.profile.unattributed_j);
-  man.set_metrics(&par.metrics);
   bench::write_manifest(man);
   return 0;
 }

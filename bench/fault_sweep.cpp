@@ -136,15 +136,13 @@ static int bench_body() {
 
   // Headline manifest entry: the last rate point before the fail-stop run.
   auto& head = results[points.size() - 2];
-  ep::fill_manifest(man, head.perf, head.energy);
+  ep::fill_manifest(man, head);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", static_cast<double>(kCores));
   man.add_workload("seed", static_cast<double>(kSeed));
   bench::add_engine_stats(man, &head.metrics, events, sweep_s, pool.jobs());
-  bench::add_power_results(
-      man, head.power,
-      static_cast<double>(w.params.n_pulses * w.params.n_range));
-  man.set_metrics(&head.metrics);
+  bench::add_energy_per_pixel(
+      man, head, static_cast<double>(w.params.n_pulses * w.params.n_range));
   bench::write_manifest(man);
 
   t.note(all_recovered

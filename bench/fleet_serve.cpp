@@ -9,7 +9,7 @@
 // is calibrated from a clean single-job campaign — the bench stays
 // meaningful when the simulated chip gets faster. Everything is seeded:
 // same build, same manifest, and CI diffs two back-to-back runs at zero
-// tolerance (with the latency band pinned to 0).
+// tolerance, latency keys included.
 //
 // A second cell keeps the degradation ladder honest: under DMA corruption
 // heavy enough that a full-size attempt rarely verifies, it replays one

@@ -6,7 +6,6 @@
 
 #include "bench_util.hpp"
 #include "common/csv.hpp"
-#include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
 #include "epiphany/machine_metrics.hpp"
 
@@ -67,11 +66,7 @@ static int bench_body() {
   }
 
   // --- Off-chip bandwidth: all cores DMA-stream from SDRAM. ---
-  double offchip_gbs = 0.0;
-  telemetry::MetricsRegistry offchip_metrics;
-  PerfReport offchip_perf;
-  EnergyReport offchip_energy;
-  PowerReport offchip_power;
+  ChipRun offchip;
   {
     Machine m(bench::power_chip(cfg), 64u << 20);
     auto src = m.ext().alloc<std::byte>(16 * kBytesPerFlow);
@@ -85,14 +80,9 @@ static int bench_body() {
         }
       });
     }
-    const Cycles c = m.run();
-    offchip_gbs = 16.0 * kBytesPerFlow / m.seconds(c) / 1e9;
-    collect_machine_metrics(m);
-    offchip_metrics = m.metrics();
-    offchip_perf = m.report();
-    offchip_power = collect_power(m, offchip_perf);
-    offchip_energy = offchip_power.energy;
+    offchip = collect_run(m, m.run());
   }
+  const double offchip_gbs = 16.0 * kBytesPerFlow / offchip.seconds / 1e9;
 
   // --- Per-hop latency: probe an idle mesh. ---
   Machine probe(cfg);
@@ -128,16 +118,15 @@ static int bench_body() {
 
   // Manifest keyed on the off-chip streaming leg (the contended resource).
   telemetry::RunManifest man("noc_bandwidth");
-  fill_manifest(man, offchip_perf, offchip_energy);
+  fill_manifest(man, offchip);
   man.add_result("bisection_gbs", bisection_gbs);
   man.add_result("aggregate_gbs", aggregate_gbs);
   man.add_result("offchip_gbs", offchip_gbs);
   man.add_result("hop_latency_cycles", per_hop);
   // No image here: charge energy per streamed cf32-sized word (the SAR
   // pixel equivalent) so the CI energy gate covers this manifest too.
-  bench::add_power_results(man, offchip_power,
-                           16.0 * kBytesPerFlow / sizeof(cf32));
-  man.set_metrics(&offchip_metrics);
+  bench::add_energy_per_pixel(man, offchip,
+                              16.0 * kBytesPerFlow / sizeof(cf32));
   bench::write_manifest(man);
   return 0;
 }

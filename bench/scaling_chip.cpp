@@ -76,7 +76,7 @@ static int bench_body() {
   // throughput (docs/performance.md).
   auto& e64_res = results.back();
   telemetry::RunManifest man("scaling_chip");
-  ep::fill_manifest(man, e64_res.perf, e64_res.energy);
+  ep::fill_manifest(man, e64_res);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 64.0);
   // Per-point event counts (exactly representable in a double point by
@@ -87,10 +87,8 @@ static int bench_body() {
                    static_cast<double>(results[i].perf.engine_events));
   bench::add_engine_stats(man, &e64_res.metrics, events, sweep_s,
                           pool.jobs());
-  bench::add_power_results(
-      man, e64_res.power,
-      static_cast<double>(w.params.n_pulses * w.params.n_range));
-  man.set_metrics(&e64_res.metrics);
+  bench::add_energy_per_pixel(
+      man, e64_res, static_cast<double>(w.params.n_pulses * w.params.n_range));
   bench::write_manifest(man);
 
   t.note("same SPMD source scales to the larger chip unchanged (the SPMD "

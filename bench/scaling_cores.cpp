@@ -56,15 +56,13 @@ static int bench_body() {
   // throughput (docs/performance.md).
   auto& head = results.back();
   telemetry::RunManifest man("scaling_cores");
-  ep::fill_manifest(man, head.perf, head.energy);
+  ep::fill_manifest(man, head);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 16.0);
   bench::add_engine_stats(man, &head.metrics, events, sweep_s,
                           pool.jobs());
-  bench::add_power_results(
-      man, head.power,
-      static_cast<double>(w.params.n_pulses * w.params.n_range));
-  man.set_metrics(&head.metrics);
+  bench::add_energy_per_pixel(
+      man, head, static_cast<double>(w.params.n_pulses * w.params.n_range));
   bench::write_manifest(man);
   t.note("all configurations DMA-prefetch child rows; the 1-core row is "
          "the prefetching mapping, not the naive sequential version of "

@@ -85,7 +85,7 @@ static int bench_body() {
 
   // Machine-readable evidence for the headline (13-core MPMD) run.
   telemetry::RunManifest man("table1_autofocus");
-  ep::fill_manifest(man, par.perf, par.energy);
+  ep::fill_manifest(man, par);
   man.add_workload("n_pairs", static_cast<double>(n_pairs));
   man.add_workload("block_rows", static_cast<double>(p.block_rows));
   man.add_workload("block_cols", static_cast<double>(p.block_cols));
@@ -93,8 +93,7 @@ static int bench_body() {
   man.add_result("pixels_per_second", par.pixels_per_second);
   man.add_result("seq_px_per_s", seq.pixels_per_second);
   man.add_result("speedup_vs_intel", par.pixels_per_second / intel_tp);
-  bench::add_power_results(man, par.power, pixels);
-  man.set_metrics(&par.metrics);
+  bench::add_energy_per_pixel(man, par, pixels);
   bench::write_manifest(man);
   return 0;
 }

@@ -78,7 +78,7 @@ static int bench_body() {
 
   // Machine-readable evidence for the headline (16-core SPMD) run.
   telemetry::RunManifest man("table1_ffbp");
-  ep::fill_manifest(man, par.perf, par.energy);
+  ep::fill_manifest(man, par);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 16.0);
   man.add_result("intel_seconds", intel_s);
@@ -93,10 +93,8 @@ static int bench_body() {
                  static_cast<double>(image_hash >> 32));
   man.add_result("ffbp_image_checksum_lo",
                  static_cast<double>(image_hash & 0xffffffffULL));
-  bench::add_power_results(
-      man, par.power,
-      static_cast<double>(w.params.n_pulses * w.params.n_range));
-  man.set_metrics(&par.metrics);
+  bench::add_energy_per_pixel(
+      man, par, static_cast<double>(w.params.n_pulses * w.params.n_range));
   bench::write_manifest(man);
   return 0;
 }

@@ -271,16 +271,6 @@ ep::Task af_sequential_program(ep::CoreCtx& ctx, const af::AfParams& p,
   }
 }
 
-/// Publish the campaign totals into the result. No-op outside a fault
-/// campaign.
-void fill_fault_summary(const ep::Machine& m, AfSimResult& res) {
-  const fault::FaultInjector* fi = m.fault_injector();
-  if (fi == nullptr) return;
-  res.faults = fi->summary();
-  res.degraded =
-      res.faults.failed_cores > 0 || res.faults.af_windows_dropped > 0;
-}
-
 /// SDRAM every autofocus runner allocates: the packed block pairs
 /// (pack_blocks), then one criterion value per pair and candidate shift.
 std::size_t af_ext_bytes(std::size_t n_pairs, const af::AfParams& p) {
@@ -317,25 +307,15 @@ AfSimResult run_autofocus_sequential_epiphany(
   const std::span<cf32> blocks = pack_blocks(m, pairs, p);
   auto out = m.ext().alloc<float>(pairs.size() * p.shift_candidates.size());
 
-  AfSimResult res;
-  res.criteria.resize(pairs.size());
-  res.cores_used = 1;
-
-  m.launch(0, [&p, pairs, blocks, out, &res](ep::CoreCtx& ctx) {
-    return af_sequential_program(ctx, p, pairs, blocks, out, res.criteria);
+  std::vector<std::vector<double>> criteria(pairs.size());
+  m.launch(0, [&p, pairs, blocks, out, &criteria](ep::CoreCtx& ctx) {
+    return af_sequential_program(ctx, p, pairs, blocks, out, criteria);
   });
 
-  res.cycles = m.run();
-  res.seconds = m.seconds(res.cycles);
-  res.perf = m.report();
-  res.power = ep::collect_power(m, res.perf);
-  res.energy = res.power.energy;
-  res.pixels_per_second =
-      static_cast<double>(pairs.size() * p.pixels()) / res.seconds;
-  ep::collect_machine_metrics(m);
-  fill_fault_summary(m, res);
-  res.metrics = m.metrics();
-  return res;
+  ep::ChipRun run = ep::collect_run(m, m.run());
+  const double px_per_s =
+      static_cast<double>(pairs.size() * p.pixels()) / run.seconds;
+  return {std::move(run), std::move(criteria), px_per_s, 1};
 }
 
 AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
@@ -381,25 +361,16 @@ AfSimResult run_autofocus_mpmd(std::span<const af::BlockPair> pairs,
                         n_pairs, pl);
   });
 
-  AfSimResult res;
-  res.cores_used = 13;
-  res.cycles = m.run(opt.max_cycles);
+  const ep::Cycles cycles = m.run(opt.max_cycles);
   // No core can take over the correlator: once it stops, the pairs it had
   // not scored have no criterion.
   if (const auto* fi = m.fault_injector(); fi && fi->marked_failed(pl.corr))
     throw fault::FaultUnrecovered("autofocus correlator (core " +
                                   std::to_string(pl.corr) + ") fail-stopped");
-  res.seconds = m.seconds(res.cycles);
-  res.perf = m.report();
-  res.power = ep::collect_power(m, res.perf);
-  res.energy = res.power.energy;
-  res.criteria = st.criteria;
-  res.pixels_per_second =
-      static_cast<double>(pairs.size() * p.pixels()) / res.seconds;
-  ep::collect_machine_metrics(m);
-  fill_fault_summary(m, res);
-  res.metrics = m.metrics();
-  return res;
+  ep::ChipRun run = ep::collect_run(m, cycles);
+  const double px_per_s =
+      static_cast<double>(pairs.size() * p.pixels()) / run.seconds;
+  return {std::move(run), std::move(st.criteria), px_per_s, 13};
 }
 
 } // namespace esarp::core

@@ -28,12 +28,10 @@
 
 #include "common/types.hpp"
 #include "core/mapping_profiles.hpp"
-#include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
+#include "epiphany/machine_metrics.hpp"
 #include "autofocus/af_params.hpp"
 #include "autofocus/workload.hpp"
-#include "fault/injector.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace esarp::core {
 
@@ -45,28 +43,16 @@ struct AfMapOptions {
   ep::Cycles max_cycles = 0;
 };
 
-struct AfSimResult {
+/// One autofocus chip run: the shared measurements plus the criteria.
+/// `degraded` marks a run in which a fail-stopped core broke a window
+/// pipeline and the correlator rescored from the surviving windows
+/// (docs/fault-injection.md).
+struct AfSimResult : ep::ChipRun {
   /// criteria[pair][shift] — identical (same accumulation order) to the
   /// sequential af::criterion_sweep values.
   std::vector<std::vector<double>> criteria;
-  ep::Cycles cycles = 0;
-  double seconds = 0.0;
   double pixels_per_second = 0.0; ///< paper Table-I throughput metric
-  ep::PerfReport perf;
-  ep::EnergyReport energy;
-  /// Time-resolved power trace + span-level energy attribution, filled
-  /// when power sampling was enabled for the run (power.hpp).
-  ep::PowerReport power;
   int cores_used = 0;
-  /// Snapshot of the machine's telemetry registry after the run (channel
-  /// block histograms, per-link NoC traffic, core counters, ...).
-  telemetry::MetricsRegistry metrics;
-  /// Fault-campaign totals (all zero unless ChipConfig::faults is enabled).
-  fault::FaultSummary faults;
-  /// True when the campaign degraded the result: a fail-stopped core broke
-  /// a window pipeline and the correlator rescored from the surviving
-  /// windows (docs/fault-injection.md).
-  bool degraded = false;
 };
 
 /// Sequential (1-core) sweep over all block pairs.

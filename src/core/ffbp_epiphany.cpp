@@ -494,21 +494,12 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     });
   }
 
-  FfbpSimResult res;
-  res.cycles = m.run(opt.max_cycles);
+  const ep::Cycles cycles = m.run(opt.max_cycles);
   // The geometry scratch is dead once the cores finish: free it before the
   // image copy below, so the two never coexist.
   st.geom_table.reset();
-  res.seconds = m.seconds(res.cycles);
-  res.perf = m.report();
-  res.power = ep::collect_power(m, res.perf);
-  res.energy = res.power.energy;
-  res.prefetch_stats = st.stats;
-  res.corrections = std::move(st.corrections);
-
-  // Snapshot telemetry: machine-wide metrics plus the per-level prefetch
-  // hit/miss counters only this mapping knows about.
-  ep::collect_machine_metrics(m);
+  // The per-level prefetch hit/miss counters only this mapping knows
+  // about, added before collect_run moves the registry out.
   for (const LevelPrefetchStats& ls : st.stats) {
     const std::string lvl = std::to_string(ls.level);
     m.metrics()
@@ -520,18 +511,14 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
                                     {{"level", lvl}}))
         .add(ls.ext_misses);
   }
-  if (const fault::FaultInjector* fi = m.fault_injector()) {
-    res.faults = fi->summary();
-    res.degraded =
-        res.faults.failed_cores > 0 || res.faults.af_pairs_dropped > 0;
-  }
-  res.metrics = m.metrics();
+  ep::ChipRun run = ep::collect_run(m, cycles);
 
   const std::span<cf32> final_buf =
       (p.merge_levels() % 2 == 1) ? st.buf_b : st.buf_a;
-  res.image = Array2D<cf32>(p.n_pulses, p.n_range);
-  std::copy(final_buf.begin(), final_buf.end(), res.image.data());
-  return res;
+  Array2D<cf32> image(p.n_pulses, p.n_range);
+  std::copy(final_buf.begin(), final_buf.end(), image.data());
+  return {std::move(run), std::move(image), std::move(st.stats),
+          std::move(st.corrections)};
 }
 
 } // namespace esarp::core

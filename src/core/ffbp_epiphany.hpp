@@ -24,13 +24,11 @@
 
 #include "common/array2d.hpp"
 #include "common/types.hpp"
-#include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
+#include "epiphany/machine_metrics.hpp"
 #include "autofocus/integrated.hpp"
-#include "fault/injector.hpp"
 #include "sar/ffbp.hpp"
 #include "sar/params.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace esarp::core {
 
@@ -78,32 +76,16 @@ struct LevelPrefetchStats {
   }
 };
 
-struct FfbpSimResult {
+/// One FFBP chip run: the shared measurements (cycles, energy, power,
+/// metrics, fault totals, `degraded`) plus the mapping's outputs. Under a
+/// degraded campaign the image approximates the fault-free one. The
+/// registry also holds the per-level prefetch hit/miss counters
+/// (`ffbp.prefetch.*{level=N}`).
+struct FfbpSimResult : ep::ChipRun {
   Array2D<cf32> image; ///< final full-aperture polar image
-  ep::Cycles cycles = 0;
-  double seconds = 0.0;
-  ep::PerfReport perf;
-  ep::EnergyReport energy;
-  /// Time-resolved power trace + span-level energy attribution, filled
-  /// when the run's ChipConfig::power enabled the sampler; power.enabled
-  /// is false otherwise (power.hpp).
-  ep::PowerReport power;
   std::vector<LevelPrefetchStats> prefetch_stats; ///< one entry per level
   /// Applied autofocus corrections (empty unless options.autofocus set).
   std::vector<af::MergeCorrection> corrections;
-  /// Snapshot of the machine's telemetry registry after the run: ext-port
-  /// stall histograms, barrier wait/imbalance, per-link NoC traffic, plus
-  /// per-level prefetch hit/miss counters (`ffbp.prefetch.*{level=N}`).
-  telemetry::MetricsRegistry metrics;
-  /// Fault-campaign totals (all zero unless ChipConfig::faults is enabled
-  /// — see docs/fault-injection.md). `faults.schedule_hash` is the
-  /// reproducibility witness: equal seeds must give equal hashes.
-  fault::FaultSummary faults;
-  /// True when the campaign degraded the output (fail-stopped cores or
-  /// dropped autofocus pairs): the image is then an approximation of the
-  /// fault-free result, not bit-identical to it. Recovered transfer faults
-  /// (retries) alone never set this — retried data is verified exact.
-  bool degraded = false;
 };
 
 /// Run FFBP on the simulated chip with the given mapping.

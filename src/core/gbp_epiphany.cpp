@@ -106,18 +106,10 @@ GbpSimResult run_gbp_epiphany(const Array2D<cf32>& data,
     });
   }
 
-  GbpSimResult res;
-  res.cycles = m.run(max_cycles);
-  res.seconds = m.seconds(res.cycles);
-  res.perf = m.report();
-  res.power = ep::collect_power(m, res.perf);
-  res.energy = res.power.energy;
-  res.image = Array2D<cf32>(p.n_pulses, p.n_range);
-  std::copy(st.image_ext.begin(), st.image_ext.end(), res.image.data());
-  if (const fault::FaultInjector* fi = m.fault_injector()) {
-    res.faults = fi->summary();
-  }
-  return res;
+  ep::ChipRun run = ep::collect_run(m, m.run(max_cycles));
+  Array2D<cf32> image(p.n_pulses, p.n_range);
+  std::copy(st.image_ext.begin(), st.image_ext.end(), image.data());
+  return {std::move(run), std::move(image)};
 }
 
 } // namespace esarp::core

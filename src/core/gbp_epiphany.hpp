@@ -13,25 +13,16 @@
 
 #include "common/array2d.hpp"
 #include "common/types.hpp"
-#include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
+#include "epiphany/machine_metrics.hpp"
 #include "sar/gbp.hpp"
 #include "sar/params.hpp"
 
 namespace esarp::core {
 
-struct GbpSimResult {
+/// One GBP chip run: the shared measurements plus the image.
+struct GbpSimResult : ep::ChipRun {
   Array2D<cf32> image; ///< [n_pulses x n_range] polar image
-  ep::Cycles cycles = 0;
-  double seconds = 0.0;
-  ep::PerfReport perf;
-  ep::EnergyReport energy;
-  /// Time-resolved power trace + span-level energy attribution, filled
-  /// when power sampling was enabled for the run (power.hpp).
-  ep::PowerReport power;
-  /// Campaign totals when the run executed under a fault plan
-  /// (default-constructed otherwise) — same contract as FfbpSimResult.
-  fault::FaultSummary faults;
 };
 
 /// Run GBP on `n_cores` simulated cores. The image matches sar::gbp up to

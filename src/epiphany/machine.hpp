@@ -72,7 +72,8 @@ public:
 
   /// Telemetry registry populated during the run by the instrumented
   /// components (ext port, barriers, channels) and, post-run, by
-  /// collect_machine_metrics() (machine_metrics.hpp).
+  /// collect_machine_metrics(); collect_run() moves it out (both in
+  /// machine_metrics.hpp).
   [[nodiscard]] telemetry::MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const telemetry::MetricsRegistry& metrics() const {
     return metrics_;
@@ -97,7 +98,7 @@ public:
 
   /// The power-telemetry sampler, or nullptr when power sampling is off.
   /// Created when ChipConfig::power.enabled is set (power.hpp); consume
-  /// via collect_power() (machine_metrics.hpp) after run().
+  /// via collect_run() (machine_metrics.hpp) after run().
   [[nodiscard]] PowerSampler* power_sampler() { return power_.get(); }
   [[nodiscard]] const PowerSampler* power_sampler() const {
     return power_.get();

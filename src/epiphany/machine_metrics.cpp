@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -74,6 +75,39 @@ void collect_cores(Machine& m, telemetry::MetricsRegistry& reg) {
   reg.counter("core.total.flops").add(flops);
 }
 
+/// The power views of a finished run, when the machine ran with a
+/// PowerSampler: the time-resolved trace and the span-attribution profile,
+/// each checked against the aggregate `energy` for conservation, and the
+/// trace's counter tracks exported into the machine's tracer.
+PowerReport collect_power(Machine& m, const PerfReport& rep,
+                          const EnergyReport& energy) {
+  PowerReport power;
+  const PowerSampler* sampler = m.power_sampler();
+  if (sampler == nullptr) return power;
+
+  power.enabled = true;
+  power.trace = build_power_trace(*sampler, rep);
+  power.profile = build_span_profile(*sampler, rep);
+
+  // Conservation: the sampler observed the same quantities as the
+  // aggregate counters at the same call sites, so both derived views must
+  // reproduce compute_energy() up to floating-point accumulation error. A
+  // violation means a recording hook is missing or double-counting.
+  const double total = energy.total_j();
+  const double tol = 1e-9 * std::max(total, 1e-30);
+  ESARP_REQUIRE(std::abs(power.trace.total_j - total) <= tol,
+                "power trace violates energy conservation: trace " +
+                    std::to_string(power.trace.total_j) + " J vs aggregate " +
+                    std::to_string(total) + " J");
+  ESARP_REQUIRE(std::abs(power.profile.total_j - total) <= tol,
+                "span attribution violates energy conservation: profile " +
+                    std::to_string(power.profile.total_j) +
+                    " J vs aggregate " + std::to_string(total) + " J");
+
+  export_power_counters(m.tracer(), power.trace);
+  return power;
+}
+
 } // namespace
 
 void collect_machine_metrics(Machine& m) {
@@ -113,8 +147,27 @@ void collect_machine_metrics(Machine& m) {
   }
 }
 
-void fill_manifest(telemetry::RunManifest& man, const PerfReport& rep,
-                   const EnergyReport& energy) {
+ChipRun collect_run(Machine& m, Cycles cycles) {
+  ChipRun run;
+  run.cycles = cycles;
+  run.seconds = m.seconds(cycles);
+  run.perf = m.report();
+  run.energy = compute_energy(run.perf);
+  run.power = collect_power(m, run.perf, run.energy);
+  collect_machine_metrics(m);
+  if (const fault::FaultInjector* fi = m.fault_injector()) {
+    run.faults = fi->summary();
+    run.degraded = run.faults.failed_cores > 0 ||
+                   run.faults.af_pairs_dropped > 0 ||
+                   run.faults.af_windows_dropped > 0;
+  }
+  run.metrics = std::move(m.metrics());
+  return run;
+}
+
+void fill_manifest(telemetry::RunManifest& man, const ChipRun& run) {
+  const PerfReport& rep = run.perf;
+  const EnergyReport& energy = run.energy;
   const ChipConfig& cfg = rep.cfg;
   man.add_chip("rows", static_cast<double>(cfg.rows));
   man.add_chip("cols", static_cast<double>(cfg.cols));
@@ -148,46 +201,14 @@ void fill_manifest(telemetry::RunManifest& man, const PerfReport& rep,
   man.add_result("engine_events", static_cast<double>(rep.engine_events));
   man.add_result("engine_quanta_batched",
                  static_cast<double>(rep.engine_quanta));
-}
-
-PowerReport collect_power(Machine& m, const PerfReport& rep,
-                          const EnergyParams& p) {
-  PowerReport power;
-  power.energy = compute_energy(rep, p);
-  const PowerSampler* sampler = m.power_sampler();
-  if (sampler == nullptr) return power;
-
-  power.enabled = true;
-  power.trace = build_power_trace(*sampler, rep, p);
-  power.profile = build_span_profile(*sampler, rep, p);
-
-  // Conservation: the sampler observed the same quantities as the
-  // aggregate counters at the same call sites, so both derived views must
-  // reproduce compute_energy() up to floating-point accumulation error. A
-  // violation means a recording hook is missing or double-counting.
-  const double total = power.energy.total_j();
-  const double tol = 1e-9 * std::max(total, 1e-30);
-  ESARP_REQUIRE(std::abs(power.trace.total_j - total) <= tol,
-                "power trace violates energy conservation: trace " +
-                    std::to_string(power.trace.total_j) + " J vs aggregate " +
-                    std::to_string(total) + " J");
-  ESARP_REQUIRE(std::abs(power.profile.total_j - total) <= tol,
-                "span attribution violates energy conservation: profile " +
-                    std::to_string(power.profile.total_j) +
-                    " J vs aggregate " + std::to_string(total) + " J");
-
-  export_power_counters(m.tracer(), power.trace);
-  return power;
-}
-
-void fill_power_manifest(telemetry::RunManifest& man,
-                         const PowerReport& power) {
-  if (!power.enabled) return;
-  for (const SpanEnergyProfile::Entry& e : power.profile.entries)
-    man.add_result("energy_j.span." + e.name, e.joules);
-  man.add_result("energy_j.attributed", power.profile.attributed_j);
-  man.add_result("energy_j.unattributed", power.profile.unattributed_j);
-  man.add_result("peak_chip_watts", power.trace.peak_chip_watts());
+  if (run.power.enabled) {
+    for (const SpanEnergyProfile::Entry& e : run.power.profile.entries)
+      man.add_result("energy_j.span." + e.name, e.joules);
+    man.add_result("energy_j.attributed", run.power.profile.attributed_j);
+    man.add_result("energy_j.unattributed", run.power.profile.unattributed_j);
+    man.add_result("peak_chip_watts", run.power.trace.peak_chip_watts());
+  }
+  man.set_metrics(&run.metrics);
 }
 
 } // namespace esarp::ep

@@ -14,7 +14,7 @@
 // cycles (activity spanning an epoch boundary is split pro-rata). Because
 // the sampler records the same quantities as the aggregate counters, at the
 // same call sites, the derived trace conserves energy against
-// compute_energy() to floating-point accuracy — collect_power()
+// compute_energy() to floating-point accuracy — collect_run()
 // (machine_metrics.hpp) enforces 1e-9 relative agreement.
 //
 // In parallel, every recorded activity is charged to the initiating core's
@@ -191,14 +191,13 @@ struct SpanEnergyProfile {
   [[nodiscard]] std::string table() const;
 };
 
-/// Everything the power subsystem derives from one run. `enabled` is false
-/// when the machine ran without a sampler, in which case only `energy` is
-/// meaningful.
+/// Everything the power subsystem derives from one sampled run, beyond
+/// the aggregate EnergyReport (ChipRun::energy) it conserves. `enabled` is
+/// false, and the views empty, when the machine ran without a sampler.
 struct PowerReport {
   bool enabled = false;
-  EnergyReport energy;      ///< aggregate model (always filled)
-  PowerTrace trace;         ///< time-resolved, when enabled
-  SpanEnergyProfile profile; ///< span attribution, when enabled
+  PowerTrace trace;         ///< time-resolved
+  SpanEnergyProfile profile; ///< span attribution
 };
 
 /// Convert sampled activity into the time-resolved trace. `rep` supplies

@@ -445,6 +445,7 @@ struct SimdKernels {
     const F vhalf = V::set1(0.5f);
     const F vminus_half = V::set1(-0.5f);
     const F vnr = V::set1(static_cast<float>(g.n_range));
+    const F vzero = V::set1(0.0f);
     const auto vk = D::set1(g.k_phase);
     std::size_t i = 0;
     for (; i + kLanes <= n; i += kLanes) {
@@ -457,7 +458,14 @@ struct SimdKernels {
       // float before the conversion, exactly like gbp_contribution.
       const F valid = V::and_(V::cmp_ge(bf, vminus_half), V::cmp_lt(u, vnr));
       const unsigned valid_bits = V::movemask(valid);
-      if (valid_bits == 0) continue;
+      if (valid_bits == 0) {
+        // No carrier math, but still the scalar acc[i] += {}, which turns
+        // a -0 accumulator into +0.
+        F are, aim;
+        V::load_cf(acc + i, are, aim);
+        V::store_cf(acc + i, V::add(are, vzero), V::add(aim, vzero));
+        continue;
+      }
       const I bin = V::cvt_i(u);
       // Carrier phase k*range in two double vectors of kHalf lanes each.
       const auto lo = Carrier::rotate_phase(D::mul(vk, V::to_d_lo(range)));

@@ -95,33 +95,36 @@ struct Attempt {
   const AttemptOutcome* silent = nullptr; ///< its silent memo, if any yet
 };
 
+/// The outcome of a chip run that delivered `image`: kCorrupt when the
+/// run was degraded (fail-stopped cores), else kOk.
+[[nodiscard]] AttemptOutcome outcome_of(const ep::ChipRun& sim,
+                                        const Array2D<cf32>& image) {
+  AttemptOutcome out;
+  if (sim.degraded) out.status = AttemptStatus::kCorrupt;
+  out.cycles = sim.cycles;
+  out.energy_j = sim.energy.total_j();
+  out.faults = sim.faults;
+  out.checksum = fault::FaultInjector::checksum(image.data(),
+                                                image.size() * sizeof(cf32));
+  return out;
+}
+
 /// Run one job shape once on a simulated chip configured by `cfg`, its
-/// fault plan included, bounded by `max_cycles` (0 = unbounded). A
-/// degraded image (fail-stopped cores) comes back kCorrupt; fault
+/// fault plan included, bounded by `max_cycles` (0 = unbounded). Fault
 /// exceptions propagate.
 [[nodiscard]] AttemptOutcome run_shape(const Array2D<cf32>& data,
                                        const sar::RadarParams& p, Algo algo,
                                        int cores, const ep::ChipConfig& cfg,
                                        ep::Cycles max_cycles) {
-  AttemptOutcome out;
-  const auto take = [&out](const auto& sim) {
-    out.cycles = sim.cycles;
-    out.energy_j = sim.energy.total_j();
-    out.faults = sim.faults;
-    out.checksum = fault::FaultInjector::checksum(
-        sim.image.data(), sim.image.rows() * sim.image.cols() * sizeof(cf32));
-  };
-  if (algo == Algo::kFfbp) {
-    core::FfbpMapOptions opt;
-    opt.n_cores = cores;
-    opt.max_cycles = max_cycles;
-    const auto sim = core::run_ffbp_epiphany(data, p, opt, cfg);
-    take(sim);
-    if (sim.degraded) out.status = AttemptStatus::kCorrupt;
-  } else {
-    take(core::run_gbp_epiphany(data, p, cores, cfg, max_cycles));
+  if (algo == Algo::kGbp) {
+    const auto sim = core::run_gbp_epiphany(data, p, cores, cfg, max_cycles);
+    return outcome_of(sim, sim.image);
   }
-  return out;
+  core::FfbpMapOptions opt;
+  opt.n_cores = cores;
+  opt.max_cycles = max_cycles;
+  const auto sim = core::run_ffbp_epiphany(data, p, opt, cfg);
+  return outcome_of(sim, sim.image);
 }
 
 /// Run one whole job on one simulated chip — the per-job analogue of

@@ -61,22 +61,6 @@ void check_schema(const JsonValue& v, const char* which) {
                             " manifest: missing or unknown \"schema\"");
 }
 
-/// The built-in serving-latency band (CompareOptions::latency_slo_band),
-/// applied to `latency_*`/`slo_*` keys not claimed by an explicit override.
-std::optional<double> latency_slo_threshold(const CompareOptions& opt,
-                                            const std::string& key) {
-  std::string name = key;
-  for (const char* prefix : kSectionPrefixes) {
-    if (key.rfind(prefix, 0) == 0) {
-      name = key.substr(std::string(prefix).size());
-      break;
-    }
-  }
-  if (glob_match("latency_*", name) || glob_match("slo_*", name))
-    return opt.latency_slo_band;
-  return std::nullopt;
-}
-
 /// Flatten one numeric section into key -> value pairs. Entries that should
 /// be numbers but are not usable as such — JSON null (how the manifest
 /// writer encodes a non-finite double) or a parsed non-finite value — are
@@ -191,16 +175,14 @@ CompareReport compare_manifests(const JsonValue& base,
     }
 
     // Threshold resolution: explicit per-key override wins, then the first
-    // matching noisy glob pattern, then the built-in latency/slo band;
-    // otherwise the default threshold applies to "results" entries only.
+    // matching noisy glob pattern; otherwise the default threshold applies
+    // to "results" entries only.
     const auto ov = opt.per_key.find(key);
     std::optional<double> threshold;
     if (ov != opt.per_key.end()) {
       threshold = ov->second;
     } else if (const auto noisy = noisy_threshold(opt, key)) {
       threshold = *noisy;
-    } else if (const auto band = latency_slo_threshold(opt, key)) {
-      threshold = *band;
     } else if (key.rfind("results.", 0) == 0) {
       threshold = opt.default_threshold;
     }

@@ -38,17 +38,6 @@ struct CompareOptions {
   /// Values |base| <= abs_floor on both sides are never flagged (guards
   /// against noisy relative deltas of near-zero quantities).
   double abs_floor = 1e-12;
-  /// Built-in noise band for serving-latency keys (docs/serving.md): any
-  /// key whose name (after section-prefix stripping) matches `latency_*`
-  /// or `slo_*` and that no per_key override or noisy pattern claimed
-  /// first is checked at this relative threshold instead of the default.
-  /// Latency percentiles are order statistics — one reordered job can move
-  /// p99 by a whole service time — so they get a wider band than analytic
-  /// results. Direction is still enforced (slo_* regress downward,
-  /// latency_* upward). Set to 0.0 (or pin `--noisy-metric 'latency_*=0'`)
-  /// when diffing two same-seed runs of a deterministic serve campaign,
-  /// which must match exactly.
-  double latency_slo_band = 0.10;
 };
 
 /// True when a larger value of `key` is an improvement (substring match on

@@ -194,7 +194,9 @@ TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
   // A NaN position, or a range more than 2^31 bins out, converts to bin
   // INT_MIN, which an integer bound test lets through to
   // pulse_row[INT_MIN]. Such lanes must contribute nothing on every
-  // backend, in the vector quanta and in the tails.
+  // backend, in the vector quanta and in the tails: the scalar reference
+  // adds a zero there, which keeps a finite start and turns a -0 start
+  // into +0, and every backend must match it bit for bit.
   const float inf = std::numeric_limits<float>::infinity();
   const float bad[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf,
                        1e30f, -1e30f, 3e9f};
@@ -205,21 +207,29 @@ TEST(Kernels, GbpContribRowSkipsNonFiniteAndFarPixels) {
   g.k_phase = 25.0;
   const std::vector<cf32> pulse(4, cf32{1.0f, 1.0f});
   const k::Backend before = k::active();
-  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
-    if (!k::backend_available(b)) continue;
-    SCOPED_TRACE(k::backend_name(b));
-    k::force_backend(b);
+  for (const cf32 start_value : {cf32{0.5f, -0.25f}, cf32{-0.0f, -0.0f}}) {
     for (const std::size_t n : kSizes) {
       for (std::size_t v = 0; v < std::size(bad); ++v) {
         std::vector<float> px(n), py(n, 1000.0f);
         for (std::size_t i = 0; i < n; ++i) px[i] = bad[(i + v) % 6];
         if (v % 2 == 1) std::swap(px, py); // the bad value in py instead
-        const std::vector<cf32> start(n, cf32{0.5f, -0.25f});
-        std::vector<cf32> acc = start;
-        k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
-                           acc.data(), n);
+        const auto run = [&](k::Backend b) {
+          k::force_backend(b);
+          std::vector<cf32> acc(n, start_value);
+          k::gbp_contrib_row(px.data(), py.data(), 3.5f, pulse.data(), g,
+                             acc.data(), n);
+          return acc;
+        };
+        const std::vector<cf32> ref = run(k::Backend::kScalar);
+        const cf32 plus_zero = start_value + cf32{};
         for (std::size_t i = 0; i < n; ++i)
-          expect_bits_eq(start[i], acc[i], "non-finite pixel", i);
+          expect_bits_eq(plus_zero, ref[i], "scalar, non-finite pixel", i);
+        for (const k::Backend b : simd_backends()) {
+          SCOPED_TRACE(k::backend_name(b));
+          const std::vector<cf32> got = run(b);
+          for (std::size_t i = 0; i < n; ++i)
+            expect_bits_eq(ref[i], got[i], "non-finite pixel", i);
+        }
       }
     }
   }

@@ -733,7 +733,6 @@ TEST(ServeManifest, CarriesTheServeSchemaAndComparesClean) {
   // clean at zero tolerance (the CI regression gate).
   telemetry::CompareOptions opt;
   opt.default_threshold = 0.0;
-  opt.latency_slo_band = 0.0;
   const auto cmp = telemetry::compare_manifests(doc, doc, opt);
   EXPECT_TRUE(cmp.ok());
 }

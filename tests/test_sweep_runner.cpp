@@ -111,7 +111,7 @@ std::string sweep_manifests(int jobs) {
   std::ostringstream os;
   for (std::size_t i = 0; i < results.size(); ++i) {
     telemetry::RunManifest man("sweep_determinism");
-    ep::fill_manifest(man, results[i].perf, results[i].energy);
+    ep::fill_manifest(man, results[i]);
     man.add_workload("n_cores", static_cast<double>(cores[i]));
     man.write(os);
   }

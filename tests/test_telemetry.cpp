@@ -1,7 +1,8 @@
 // Telemetry subsystem tests: metrics registry (counters, gauges, histogram
 // bucket edges), named spans + counter tracks on the Tracer (incl. segment
 // accounting and cross-run reuse), JSON writer/parser round trips, run
-// manifests, and the manifest regression comparator.
+// manifests, the manifest regression comparator, and the run collection
+// every chip runner shares (ep::collect_run).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,13 +10,21 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/glob.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
+#include "core/autofocus_epiphany.hpp"
+#include "core/ffbp_epiphany.hpp"
+#include "core/gbp_epiphany.hpp"
 #include "epiphany/machine.hpp"
 #include "epiphany/machine_metrics.hpp"
+#include "sar/scene.hpp"
 #include "telemetry/compare.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
@@ -514,41 +523,42 @@ TEST(Compare, NoisyPatternResolutionOrder) {
   EXPECT_TRUE(telemetry::compare_manifests(base, base, unmatched).ok());
 }
 
-TEST(Compare, LatencyAndSloKeysGetTheBuiltinNoiseBand) {
-  // latency_* / slo_* are order statistics over small job populations, so
-  // they default to a 10% band even at a zero default threshold: +8% p99
-  // passes, +12% fails; other keys stay zero-tolerance.
-  const auto make = [](double p99, double makespan) {
+TEST(Compare, LatencyAndSloKeysTakeTheDefaultThreshold) {
+  // Serving latency and SLO keys are results like any other: judged at
+  // the default threshold, each in its own direction (latency_* regresses
+  // upward, slo_* downward).
+  const auto make = [](double p99, double slo) {
     telemetry::RunManifest m("cmp");
     m.add_result("latency_p99_s", p99);
-    m.add_result("makespan_cycles", makespan);
+    m.add_result("slo_attainment", slo);
     std::ostringstream os;
     m.write(os);
     return parse_json(os.str());
   };
-  const JsonValue base = make(1.0e-3, 1000.0);
-  telemetry::CompareOptions opt;
-  opt.default_threshold = 0.0;
-  EXPECT_TRUE(telemetry::compare_manifests(base, make(1.08e-3, 1000.0), opt)
-                  .ok());
-  EXPECT_FALSE(telemetry::compare_manifests(base, make(1.12e-3, 1000.0), opt)
-                   .ok());
-  EXPECT_FALSE(telemetry::compare_manifests(base, make(1.0e-3, 1001.0), opt)
-                   .ok());
-  // latency_slo_band 0 pins the band for same-seed deterministic diffs
-  // (the CLI spelling is --latency-band 0.0).
-  telemetry::CompareOptions pinned;
-  pinned.default_threshold = 0.0;
-  pinned.latency_slo_band = 0.0;
+  const JsonValue base = make(1.0e-3, 0.90);
+  telemetry::CompareOptions exact;
+  exact.default_threshold = 0.0;
+  EXPECT_TRUE(telemetry::compare_manifests(base, base, exact).ok());
   EXPECT_FALSE(
-      telemetry::compare_manifests(base, make(1.08e-3, 1000.0), pinned).ok());
+      telemetry::compare_manifests(base, make(1.01e-3, 0.90), exact).ok());
+  EXPECT_FALSE(
+      telemetry::compare_manifests(base, make(1.0e-3, 0.89), exact).ok());
+  EXPECT_TRUE(
+      telemetry::compare_manifests(base, make(0.9e-3, 0.95), exact).ok());
+  telemetry::CompareOptions wide;
+  wide.default_threshold = 0.10;
+  EXPECT_TRUE(
+      telemetry::compare_manifests(base, make(1.08e-3, 0.90), wide).ok());
+  EXPECT_FALSE(
+      telemetry::compare_manifests(base, make(1.12e-3, 0.90), wide).ok());
 }
 
 TEST(Compare, SloAttainmentIsHigherIsBetter) {
   EXPECT_TRUE(telemetry::higher_is_better("results.slo_attainment"));
   EXPECT_TRUE(telemetry::higher_is_better("results.throughput_jobs_per_s"));
   EXPECT_FALSE(telemetry::higher_is_better("results.latency_p99_s"));
-  // Attainment RISING past the band is an improvement, never a regression.
+  // Attainment RISING past the threshold is an improvement, never a
+  // regression.
   const auto make = [](double slo) {
     telemetry::RunManifest m("cmp");
     m.add_result("slo_attainment", slo);
@@ -559,27 +569,6 @@ TEST(Compare, SloAttainmentIsHigherIsBetter) {
   const JsonValue base = make(0.80);
   EXPECT_TRUE(telemetry::compare_manifests(base, make(0.99)).ok());
   EXPECT_FALSE(telemetry::compare_manifests(base, make(0.60)).ok());
-}
-
-TEST(Compare, UserThresholdsOverrideTheLatencyBand) {
-  const auto make = [](double p99) {
-    telemetry::RunManifest m("cmp");
-    m.add_result("latency_p99_s", p99);
-    std::ostringstream os;
-    m.write(os);
-    return parse_json(os.str());
-  };
-  const JsonValue base = make(1.0e-3);
-  const JsonValue worse = make(1.05e-3); // +5%: inside the builtin band
-  // A matching --noisy-metric pattern beats the builtin band...
-  telemetry::CompareOptions noisy;
-  noisy.noisy_patterns.emplace_back("latency_*", 0.0);
-  EXPECT_FALSE(telemetry::compare_manifests(base, worse, noisy).ok());
-  // ...and an exact --metric key beats both.
-  telemetry::CompareOptions exact;
-  exact.noisy_patterns.emplace_back("latency_*", 0.50);
-  exact.per_key["results.latency_p99_s"] = 0.01;
-  EXPECT_FALSE(telemetry::compare_manifests(base, worse, exact).ok());
 }
 
 TEST(Compare, AcceptsAnyEsarpManifestSchema) {
@@ -767,6 +756,75 @@ TEST(MachineMetrics, ChannelCountersLabeledByName) {
       telemetry::labeled("chan.messages", {{"chan", "pipe"}}));
   ASSERT_NE(msgs, nullptr);
   EXPECT_EQ(msgs->value(), 5u);
+}
+
+// ------------------------------------------- shared run collection
+
+/// Every chip runner at a tier-1 size under `cfg`, sliced to the ChipRun
+/// ep::collect_run filled.
+std::vector<std::pair<const char*, ep::ChipRun>>
+run_every_mapping(const ep::ChipConfig& cfg) {
+  const auto p = sar::test_params(32, 101);
+  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
+  const af::AfParams afp;
+  Rng rng(42);
+  std::vector<af::BlockPair> pairs;
+  for (int i = 0; i < 4; ++i)
+    pairs.push_back(
+        af::synthetic_block_pair(rng, afp, rng.uniform_f(-0.5f, 0.5f)));
+  std::vector<std::pair<const char*, ep::ChipRun>> runs;
+  runs.emplace_back("ffbp", core::run_ffbp_epiphany(data, p, {}, cfg));
+  runs.emplace_back("gbp", core::run_gbp_epiphany(data, p, 16, cfg));
+  runs.emplace_back("af-seq",
+                    core::run_autofocus_sequential_epiphany(pairs, afp, cfg));
+  runs.emplace_back("af-mpmd", core::run_autofocus_mpmd(pairs, afp, {}, cfg));
+  return runs;
+}
+
+TEST(CollectRun, EveryRunnerReportsThroughTheSharedStep) {
+  for (const auto& [name, run] : run_every_mapping({})) {
+    SCOPED_TRACE(name);
+    Cycles busy = 0;
+    for (const ep::CoreCounters& c : run.perf.per_core) busy += c.busy;
+    EXPECT_GT(busy, 0u);
+    const telemetry::Counter* total =
+        run.metrics.find_counter("core.total.busy_cycles");
+    ASSERT_NE(total, nullptr);
+    EXPECT_EQ(total->value(), busy);
+    EXPECT_EQ(run.energy.total_j(), ep::compute_energy(run.perf).total_j());
+    EXPECT_FALSE(run.degraded);
+    EXPECT_FALSE(run.power.enabled);
+  }
+}
+
+TEST(CollectRun, SampledRunsConserveTheirEnergy) {
+  ep::ChipConfig cfg;
+  cfg.power.enabled = true;
+  for (const auto& [name, run] : run_every_mapping(cfg)) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(run.power.enabled);
+    const double total = run.energy.total_j();
+    EXPECT_NEAR(run.power.trace.total_j, total, 1e-9 * total);
+    EXPECT_NEAR(run.power.profile.total_j, total, 1e-9 * total);
+  }
+}
+
+TEST(CollectRun, FfbpPrefetchCountersReachTheRegistry) {
+  const auto p = sar::test_params(32, 101);
+  const auto sim = core::run_ffbp_epiphany(
+      sar::simulate_compressed(p, sar::six_target_scene(p)), p);
+  ASSERT_EQ(sim.prefetch_stats.size(), p.merge_levels());
+  for (const core::LevelPrefetchStats& ls : sim.prefetch_stats) {
+    const std::string lvl = std::to_string(ls.level);
+    const telemetry::Counter* hits = sim.metrics.find_counter(
+        telemetry::labeled("ffbp.prefetch.local_hits", {{"level", lvl}}));
+    const telemetry::Counter* misses = sim.metrics.find_counter(
+        telemetry::labeled("ffbp.prefetch.ext_misses", {{"level", lvl}}));
+    ASSERT_NE(hits, nullptr);
+    ASSERT_NE(misses, nullptr);
+    EXPECT_EQ(hits->value(), ls.local_hits);
+    EXPECT_EQ(misses->value(), ls.ext_misses);
+  }
 }
 
 } // namespace

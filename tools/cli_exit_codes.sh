@@ -311,6 +311,10 @@ expect_named --metric "$compare" "$manifest" "$manifest" \
   --metric results.x=abc
 expect_named --threshold "$compare" "$manifest" "$manifest" \
   --threshold 0.05x
+# Latency and SLO keys take --threshold like any other result; there is no
+# separate band, so its old flag is an unknown option.
+expect_named --latency-band "$compare" "$manifest" "$manifest" \
+  --latency-band 0.0
 
 # A results key the current manifest lost is a regression, never a pass
 # for want of anything to compare.

@@ -455,12 +455,11 @@ int cmd_chip(const Args& args) {
   const std::string metrics_path = args.str("metrics");
   if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_chip");
-    ep::fill_manifest(man, sim.perf, sim.energy);
+    ep::fill_manifest(man, sim);
     man.add_workload("n_pulses", static_cast<double>(ds.params.n_pulses));
     man.add_workload("n_range", static_cast<double>(ds.params.n_range));
     man.add_workload("n_cores", static_cast<double>(opt.n_cores));
     man.add_workload("prefetch", opt.prefetch ? 1.0 : 0.0);
-    man.set_metrics(&sim.metrics);
     man.write(std::filesystem::path(metrics_path));
     std::cout << "metrics manifest written to " << metrics_path << "\n";
   }
@@ -483,7 +482,7 @@ const Flag kPowerFlags[] = {
 /// mapping with the power sampler attached and prints the aggregate energy
 /// breakdown, the span-attribution profile and the per-epoch peak power.
 /// Energy conservation (trace and attribution vs the aggregate model, 1e-9
-/// relative) is asserted inside collect_power — a violation exits 4.
+/// relative) is asserted inside ep::collect_run — a violation exits 4.
 int cmd_power(const Args& args) {
   core::FfbpMapOptions opt;
   opt.n_cores = args.num("cores", 16);
@@ -534,7 +533,7 @@ int cmd_power(const Args& args) {
   }
 
   if (!trace_path.empty()) {
-    // collect_power already exported the power counter tracks into the
+    // collect_run already exported the power counter tracks into the
     // tracer, so the written trace carries chip/core power under the core
     // tracks.
     tracer.write_chrome_json(trace_path, sim.perf.cfg.clock_hz);
@@ -546,8 +545,7 @@ int cmd_power(const Args& args) {
   const std::string metrics_path = args.str("metrics");
   if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_power");
-    ep::fill_manifest(man, sim.perf, sim.energy);
-    ep::fill_power_manifest(man, sim.power);
+    ep::fill_manifest(man, sim);
     man.add_result("energy_per_pixel",
                    sim.energy.total_j() /
                        static_cast<double>(ds.params.n_pulses * ds.params.n_range));
@@ -556,7 +554,6 @@ int cmd_power(const Args& args) {
     man.add_workload("n_cores", static_cast<double>(opt.n_cores));
     man.add_workload("epoch_cycles",
                      static_cast<double>(chip_cfg.power.epoch_cycles));
-    man.set_metrics(&sim.metrics);
     man.write(std::filesystem::path(metrics_path));
     std::cout << "metrics manifest written to " << metrics_path << "\n";
   }
@@ -697,15 +694,12 @@ int cmd_chaos(const Args& args) {
                                  : std::to_string(cores) + "-core FFBP run"));
   const sar::Dataset ds = sar::load_dataset(args.str("in"));
 
-  fault::FaultSummary sum;
-  bool degraded = false;
+  // The faulted run's shared measurements; the mapping's own output only
+  // feeds the damage figure against the clean run.
+  ep::ChipRun faulted;
   ep::Cycles clean_cycles = 0;
-  ep::Cycles fault_cycles = 0;
   double damage = 0.0;
   std::string damage_label;
-  const telemetry::MetricsRegistry* metrics = nullptr;
-  std::optional<core::FfbpSimResult> ffbp_faulted;
-  std::optional<core::AfSimResult> af_faulted;
 
   if (autofocus) {
     // Autofocus chaos: the 13-core MPMD pipeline over synthetic block
@@ -723,13 +717,8 @@ int cmd_chaos(const Args& args) {
     std::cerr << "chaos: clean autofocus MPMD reference run...\n";
     const auto clean = core::run_autofocus_mpmd(pairs, p, opt);
     std::cerr << "chaos: faulted run (seed " << plan.seed << ")...\n";
-    af_faulted = core::run_autofocus_mpmd(pairs, p, opt, cfg);
-    const auto& f = *af_faulted;
-    sum = f.faults;
-    degraded = f.degraded;
+    auto f = core::run_autofocus_mpmd(pairs, p, opt, cfg);
     clean_cycles = clean.cycles;
-    fault_cycles = f.cycles;
-    metrics = &f.metrics;
     double acc = 0.0;
     std::size_t n = 0;
     for (std::size_t i = 0; i < pairs.size(); ++i)
@@ -739,6 +728,7 @@ int cmd_chaos(const Args& args) {
       }
     damage = std::sqrt(acc / static_cast<double>(std::max<std::size_t>(n, 1)));
     damage_label = "criterion RMSE vs clean";
+    faulted = std::move(f);
   } else {
     core::FfbpMapOptions opt;
     opt.n_cores = cores;
@@ -746,16 +736,13 @@ int cmd_chaos(const Args& args) {
     std::cerr << "chaos: clean FFBP reference run...\n";
     const auto clean = core::run_ffbp_epiphany(ds.data, ds.params, opt);
     std::cerr << "chaos: faulted run (seed " << plan.seed << ")...\n";
-    ffbp_faulted = core::run_ffbp_epiphany(ds.data, ds.params, opt, cfg);
-    const auto& f = *ffbp_faulted;
-    sum = f.faults;
-    degraded = f.degraded;
+    auto f = core::run_ffbp_epiphany(ds.data, ds.params, opt, cfg);
     clean_cycles = clean.cycles;
-    fault_cycles = f.cycles;
-    metrics = &f.metrics;
     damage = image_rmse(f.image, clean.image);
     damage_label = "image RMSE vs clean";
+    faulted = std::move(f);
   }
+  const fault::FaultSummary& sum = faulted.faults;
 
   Table t("chaos campaign (seed " + std::to_string(plan.seed) +
           (plan.resilient ? "" : ", resilience OFF") + ")");
@@ -770,23 +757,21 @@ int cmd_chaos(const Args& args) {
   t.row({"af pairs dropped", Table::num(static_cast<double>(sum.af_pairs_dropped), 0)});
   t.row({"recovery cycles", Table::num(static_cast<double>(sum.recovery_cycles), 0)});
   t.row({"clean cycles", Table::num(static_cast<double>(clean_cycles), 0)});
-  t.row({"faulted cycles", Table::num(static_cast<double>(fault_cycles), 0)});
+  t.row({"faulted cycles", Table::num(static_cast<double>(faulted.cycles), 0)});
   t.row({damage_label, Table::num(damage, 9)});
   {
     std::ostringstream hash;
     hash << std::hex << sum.schedule_hash;
-    t.note("schedule hash " + hash.str() + (degraded ? "; DEGRADED" : "") +
+    t.note("schedule hash " + hash.str() +
+           (faulted.degraded ? "; DEGRADED" : "") +
            " (same seed + plan => same schedule)");
   }
   t.print(std::cout);
 
   const std::string metrics_path = args.str("metrics");
-  if (!metrics_path.empty() && metrics != nullptr) {
+  if (!metrics_path.empty()) {
     telemetry::RunManifest man("esarp_chaos");
-    if (ffbp_faulted)
-      ep::fill_manifest(man, ffbp_faulted->perf, ffbp_faulted->energy);
-    else
-      ep::fill_manifest(man, af_faulted->perf, af_faulted->energy);
+    ep::fill_manifest(man, faulted);
     man.add_workload("seed", static_cast<double>(plan.seed));
     man.add_workload("dma_corrupt_rate", plan.dma_corrupt_rate);
     man.add_workload("dma_drop_rate", plan.dma_drop_rate);
@@ -794,7 +779,6 @@ int cmd_chaos(const Args& args) {
     man.add_workload("membits_rate", plan.membits_rate);
     man.add_workload("resilient", plan.resilient ? 1.0 : 0.0);
     man.add_workload("fail_stops", static_cast<double>(plan.fail_stops.size()));
-    man.set_metrics(metrics);
     man.write(std::filesystem::path(metrics_path));
     std::cout << "metrics manifest written to " << metrics_path << "\n";
   }
@@ -876,11 +860,16 @@ int cmd_lint(const Args& args) {
   struct Entry {
     const char* key;
     analysis::MappingSpec spec;
-    std::function<std::pair<ep::Cycles, double>()> simulate;
+    std::function<ep::ChipRun()> simulate;
   };
   std::vector<Entry> entries;
   const auto want = [&](const char* key) {
     return which == "all" || which == key;
+  };
+  const auto add_ffbp = [&](const char* key, const core::FfbpMapOptions& opt) {
+    entries.push_back({key, core::describe_ffbp_mapping(p, opt), [&, opt] {
+                         return core::run_ffbp_epiphany(raw_data(), p, opt);
+                       }});
   };
 
   if (want("ffbp") || want("ffbp-db")) {
@@ -888,40 +877,23 @@ int cmd_lint(const Args& args) {
     opt.n_cores = cores;
     opt.prefetch = !args.has("no-prefetch");
     opt.double_buffer = which == "ffbp-db";
-    entries.push_back({opt.double_buffer ? "ffbp-db" : "ffbp",
-                       core::describe_ffbp_mapping(p, opt), [&, opt] {
-                         const auto sim =
-                             core::run_ffbp_epiphany(raw_data(), p, opt);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
-                       }});
+    add_ffbp(opt.double_buffer ? "ffbp-db" : "ffbp", opt);
   }
   if (want("ffbp-seq")) {
     core::FfbpMapOptions opt;
     opt.n_cores = 1;
     opt.prefetch = false;
-    entries.push_back({"ffbp-seq", core::describe_ffbp_mapping(p, opt),
-                       [&, opt] {
-                         const auto sim =
-                             core::run_ffbp_epiphany(raw_data(), p, opt);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
-                       }});
+    add_ffbp("ffbp-seq", opt);
   }
   if (want("ffbp-af")) {
     core::FfbpMapOptions opt;
     opt.n_cores = cores;
     opt.autofocus = &aopt;
-    entries.push_back({"ffbp-af", core::describe_ffbp_mapping(p, opt),
-                       [&, opt] {
-                         const auto sim =
-                             core::run_ffbp_epiphany(raw_data(), p, opt);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
-                       }});
+    add_ffbp("ffbp-af", opt);
   }
   if (want("gbp")) {
     entries.push_back({"gbp", core::describe_gbp_mapping(p, cores), [&] {
-                         const auto sim =
-                             core::run_gbp_epiphany(raw_data(), p, cores);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
+                         return core::run_gbp_epiphany(raw_data(), p, cores);
                        }});
   }
   for (const bool compact : {true, false}) {
@@ -932,19 +904,16 @@ int cmd_lint(const Args& args) {
         compact ? core::AfPlacement::kCompact : core::AfPlacement::kScattered;
     entries.push_back({key, core::describe_autofocus_mpmd(n_pairs, afp, opt),
                        [&, opt] {
-                         const auto sim =
-                             core::run_autofocus_mpmd(block_pairs(), afp, opt);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
+                         return core::run_autofocus_mpmd(block_pairs(), afp,
+                                                         opt);
                        }});
   }
   if (want("af-seq")) {
     entries.push_back({"af-seq",
                        core::describe_autofocus_sequential(n_pairs, afp),
                        [&] {
-                         const auto sim =
-                             core::run_autofocus_sequential_epiphany(
-                                 block_pairs(), afp);
-                         return std::pair{sim.cycles, sim.energy.total_j()};
+                         return core::run_autofocus_sequential_epiphany(
+                             block_pairs(), afp);
                        }});
   }
   std::vector<analysis::MappingReport> reports;
@@ -956,16 +925,17 @@ int cmd_lint(const Args& args) {
     rep.findings = analysis::analyze(e.spec);
     rep.prediction = analysis::predict_cost(e.spec);
     if (validate && rep.findings.empty()) {
-      const auto [sim_cycles, sim_joules] = e.simulate();
+      const ep::ChipRun sim = e.simulate();
       rep.validated = true;
-      rep.simulated_cycles = sim_cycles;
-      rep.simulated_joules = sim_joules;
+      rep.simulated_cycles = sim.cycles;
+      rep.simulated_joules = sim.energy.total_j();
       const auto pred = static_cast<double>(rep.prediction.makespan);
-      rep.cycle_error = std::abs(pred - static_cast<double>(sim_cycles)) /
-                        static_cast<double>(std::max<ep::Cycles>(sim_cycles, 1));
+      rep.cycle_error =
+          std::abs(pred - static_cast<double>(sim.cycles)) /
+          static_cast<double>(std::max<ep::Cycles>(sim.cycles, 1));
       rep.energy_error =
-          std::abs(rep.prediction.energy.total_j() - sim_joules) /
-          std::max(sim_joules, 1e-12);
+          std::abs(rep.prediction.energy.total_j() - rep.simulated_joules) /
+          std::max(rep.simulated_joules, 1e-12);
     }
     reports.push_back(std::move(rep));
   }

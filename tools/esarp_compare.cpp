@@ -20,18 +20,16 @@
 //   esarp_compare a.json b.json --threshold 0.0 --noisy-metric 'wall_*=0.15'
 //
 // Resolution order per key: --metric exact match, first matching
-// --noisy-metric pattern, then the builtin latency/SLO noise band (keys
-// named latency_* or slo_* default to a 10% relative band because order
-// statistics over small job populations are legitimately noisy — override
-// with --latency-band, e.g. --latency-band 0.0 when diffing same-seed
-// deterministic runs), then the default threshold (results.* only). A
-// pattern that matches nothing is fine; an exact --metric key missing from
-// either manifest, or a results key missing from the current one, is a
-// named failure.
+// --noisy-metric pattern, then the default threshold (results.* only).
+// Serving latency and SLO keys (latency_*, slo_*) take the default like
+// any other result; widen them with --noisy-metric when diffing runs that
+// are not same-seed replays. A pattern that matches nothing is fine; an
+// exact --metric key missing from either manifest, or a results key
+// missing from the current one, is a named failure.
 //
-// Every threshold (--threshold, --latency-band and the value after '=' in
-// --metric and --noisy-metric) is a whole number >= 0: anything else, NaN
-// and trailing characters included, is a usage error naming the flag.
+// Every threshold (--threshold and the value after '=' in --metric and
+// --noisy-metric) is a whole number >= 0: anything else, NaN and trailing
+// characters included, is a usage error naming the flag.
 //
 // Exit status: 0 = no regression, 1 = regression past threshold (which
 // includes a results key the current manifest lost, and a --metric key
@@ -57,7 +55,7 @@ int main(int argc, char** argv) {
   const auto usage = [](const std::string& msg) {
     std::cerr << "esarp_compare: " << msg
               << "\nusage: esarp_compare base.json current.json"
-                 " [--threshold X] [--latency-band X] [--metric key=thr ...]"
+                 " [--threshold X] [--metric key=thr ...]"
                  " [--noisy-metric pattern=thr ...] [--verbose]\n";
     return 2;
   };
@@ -73,7 +71,7 @@ int main(int argc, char** argv) {
       continue;
     }
     const bool keyed = arg == "--metric" || arg == "--noisy-metric";
-    if (!keyed && arg != "--threshold" && arg != "--latency-band")
+    if (!keyed && arg != "--threshold")
       return usage("unknown option " + arg);
     if (++i >= argc) return usage(arg + " wants a value");
     std::string key;
@@ -89,7 +87,6 @@ int main(int argc, char** argv) {
     if (!x || !(*x >= 0.0))
       return usage(arg + " wants a threshold >= 0, got '" + value + "'");
     if (arg == "--threshold") opt.default_threshold = *x;
-    else if (arg == "--latency-band") opt.latency_slo_band = *x;
     else if (arg == "--metric") opt.per_key[key] = *x;
     else opt.noisy_patterns.emplace_back(key, *x);
   }
