@@ -17,22 +17,7 @@
 #include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/autofocus_epiphany.hpp"
-#include "fault/injector.hpp"
 #include "autofocus/workload.hpp"
-
-namespace {
-
-/// FNV-1a over every criterion value, pair-major.
-std::uint64_t
-criteria_checksum(const std::vector<std::vector<double>>& criteria) {
-  std::vector<double> flat;
-  for (const auto& row : criteria)
-    flat.insert(flat.end(), row.begin(), row.end());
-  return esarp::fault::FaultInjector::checksum(flat.data(),
-                                               flat.size() * sizeof(double));
-}
-
-} // namespace
 
 static int bench_body() {
   using namespace esarp;
@@ -127,7 +112,7 @@ static int bench_body() {
     man.add_result(key + ".byte_hops", static_cast<double>(byte_hops));
     man.add_result(key + ".noc_uj", r.energy.noc_j * 1e6);
     // Split like table1_ffbp's image checksum: two exact doubles.
-    const std::uint64_t hash = criteria_checksum(r.criteria);
+    const std::uint64_t hash = bench::criteria_checksum(r.criteria);
     man.add_result(key + ".criteria_checksum_hi",
                    static_cast<double>(hash >> 32));
     man.add_result(key + ".criteria_checksum_lo",

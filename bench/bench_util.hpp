@@ -2,14 +2,17 @@
 // table/figure; see DESIGN.md §4 and EXPERIMENTS.md).
 #pragma once
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/array2d.hpp"
 #include "common/format.hpp"
 #include "epiphany/machine_metrics.hpp"
+#include "fault/injector.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
 #include "common/types.hpp"
@@ -79,6 +82,19 @@ inline ep::ChipConfig power_chip(ep::ChipConfig cfg = {}) {
 inline void add_energy_per_pixel(telemetry::RunManifest& man,
                                  const ep::ChipRun& run, double pixels) {
   man.add_result("energy_per_pixel", run.energy.total_j() / pixels);
+}
+
+/// FNV-1a over every autofocus criterion value, pair-major. Benches record
+/// it split into two exactly representable doubles
+/// (`criteria_checksum_hi`/`_lo`), so a zero-tolerance compare pins every
+/// criterion bit.
+inline std::uint64_t
+criteria_checksum(const std::vector<std::vector<double>>& criteria) {
+  std::vector<double> flat;
+  for (const auto& row : criteria)
+    flat.insert(flat.end(), row.begin(), row.end());
+  return fault::FaultInjector::checksum(flat.data(),
+                                        flat.size() * sizeof(double));
 }
 
 /// Write `man` as `<tool>.manifest.json` in out_dir() and log the path.

@@ -11,7 +11,6 @@
 //   correlation/summation: eq. 6 accumulation of |f-|^2 |f+|^2.
 #pragma once
 
-#include "common/array2d.hpp"
 #include "common/opcounts.hpp"
 #include "common/types.hpp"
 #include "autofocus/af_params.hpp"
@@ -47,18 +46,6 @@ inline SampleGeom af_sample_geom(const AfParams& p, std::size_t s,
 /// Work of af_sample_geom: a handful of scalar ops per sample.
 inline constexpr OpCounts kSampleGeomOps{
     .fadd = 4, .fmul = 3, .fcmp = 4, .ialu = 4, .branch = 1};
-
-/// Range-interpolate the `rows` rows of `block` inside the 4-column window
-/// starting at `window` column, at node position t. Writes one complex
-/// value per row to `out`.
-inline void range_interp_column(const View2D<const cf32>& block,
-                                std::size_t window, float t, cf32* out,
-                                std::size_t rows) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const cf32* src = &block(r, window);
-    out[r] = sar::neville4(src, t);
-  }
-}
 
 /// Beam-interpolate 4 consecutive range-interpolated rows starting at
 /// `first_row`, at beam node position u.

@@ -10,6 +10,7 @@
 #include "epiphany/resilient.hpp"
 #include "autofocus/criterion.hpp"
 #include "autofocus/criterion_kernel.hpp"
+#include "sar/kernels.hpp"
 
 namespace esarp::core {
 
@@ -49,6 +50,24 @@ ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
   auto local_block = ctx.local().alloc_in_bank<cf32>(block_px, 2);
   const OpCounts sample_ops = range_core_sample_ops(p);
 
+  // Every packet's range column, interpolated in lanes once the pair's
+  // block has arrived: the Neville nodes of a row are the same for every
+  // shift and sample, only the position moves. Host scratch, like FFBP's
+  // geometry table: the local-store layout is unchanged, and each packet
+  // is still charged its own compute block. Invalid positions are
+  // interpolated but never sent, as in af::criterion_sweep.
+  const std::size_t n_pos = p.shift_candidates.size() * p.samples_per_row;
+  std::vector<float> t(n_pos);
+  std::vector<std::uint8_t> valid(n_pos);
+  for (std::size_t sh = 0, i = 0; sh < p.shift_candidates.size(); ++sh) {
+    for (std::size_t s = 0; s < p.samples_per_row; ++s, ++i) {
+      const af::SampleGeom g = af::af_sample_geom(p, s, p.shift_candidates[sh]);
+      t[i] = block == 0 ? g.t_minus : g.t_plus;
+      valid[i] = g.valid ? 1 : 0;
+    }
+  }
+  std::vector<cf32> cols(p.block_rows * n_pos); // row r at [r * n_pos]
+
   for (std::size_t pair = 0; pair < n_pairs; ++pair) {
     if (ctx.fail_stop_due()) {
       ctx.mark_failed();
@@ -64,32 +83,29 @@ ep::Task range_program(ep::CoreCtx& ctx, const af::AfParams& p,
                                    block_px * sizeof(cf32));
     const View2D<const cf32> view(local_block.data(), p.block_rows,
                                   p.block_cols);
+    for (std::size_t r = 0; r < p.block_rows; ++r)
+      sar::kernels::neville4_many(&view(r, static_cast<std::size_t>(window)),
+                                  t.data(), &cols[r * n_pos], n_pos);
 
-    for (std::size_t sh = 0; sh < p.shift_candidates.size(); ++sh) {
-      const float delta = p.shift_candidates[sh];
-      for (std::size_t s = 0; s < p.samples_per_row; ++s) {
-        if (ctx.fail_stop_due()) {
-          ctx.mark_failed();
-          co_return;
-        }
-        const af::SampleGeom g = af::af_sample_geom(p, s, delta);
-        RangePacket pkt;
-        pkt.rows = static_cast<std::uint8_t>(p.block_rows);
-        pkt.valid = g.valid ? 1 : 0;
-        if (g.valid) {
-          const float t = block == 0 ? g.t_minus : g.t_plus;
-          af::range_interp_column(view, static_cast<std::size_t>(window), t,
-                                  pkt.col.data(), p.block_rows);
-        }
-        co_await ctx.compute(sample_ops);
-        if (!resilient) {
-          co_await chan.send(ctx, pkt);
-          continue;
-        }
-        const ep::ChanOutcome sent =
-            co_await ep::reliable_send(ctx, chan, pkt, chain);
-        if (sent != ep::ChanOutcome::kDelivered) co_return;
+    for (std::size_t i = 0; i < n_pos; ++i) {
+      if (ctx.fail_stop_due()) {
+        ctx.mark_failed();
+        co_return;
       }
+      RangePacket pkt;
+      pkt.rows = static_cast<std::uint8_t>(p.block_rows);
+      pkt.valid = valid[i];
+      if (pkt.valid)
+        for (std::size_t r = 0; r < p.block_rows; ++r)
+          pkt.col[r] = cols[r * n_pos + i];
+      co_await ctx.compute(sample_ops);
+      if (!resilient) {
+        co_await chan.send(ctx, pkt);
+        continue;
+      }
+      const ep::ChanOutcome sent =
+          co_await ep::reliable_send(ctx, chan, pkt, chain);
+      if (sent != ep::ChanOutcome::kDelivered) co_return;
     }
     ctx.end_span();
   }

@@ -8,6 +8,7 @@
 // the pipeline real backpressure.
 #pragma once
 
+#include <coroutine>
 #include <deque>
 #include <optional>
 #include <string>
@@ -56,32 +57,17 @@ public:
 
   /// Producer side: blocks while the FIFO is full, then transfers the
   /// message over the cMesh. The producer is busy for the injection time.
-  TaskT<void> send(CoreCtx& from, T value) {
-    const Cycles entered = sched_.now();
-    while (q_.size() >= capacity_) {
-      from.core().state = CoreState::kWaitChannel;
-      co_await senders_.wait();
-      from.core().state = CoreState::kRunning;
-    }
-    co_await DelayFor{sched_, commit_send(from, std::move(value), entered)};
+  /// `co_await chan.send(ctx, v)`: with room in the FIFO at the co_await
+  /// the message commits at once, with no coroutine frame; a full FIFO
+  /// hands over to send_waiting().
+  [[nodiscard]] auto send(CoreCtx& from, T value) {
+    return SendAwaiter{*this, from, std::move(value)};
   }
 
-  /// Consumer side: blocks until a message has arrived.
-  TaskT<T> recv(CoreCtx& to) {
-    ESARP_EXPECTS(to.coord() == consumer_);
-    const Cycles entered = sched_.now();
-    for (;;) {
-      if (!q_.empty()) {
-        if (q_.front().ready_at <= sched_.now())
-          co_return commit_recv(to, entered);
-        co_await DelayUntil{sched_, q_.front().ready_at};
-      } else {
-        to.core().state = CoreState::kWaitChannel;
-        co_await receivers_.wait();
-        to.core().state = CoreState::kRunning;
-      }
-    }
-  }
+  /// Consumer side: blocks until a message has arrived. `co_await
+  /// chan.recv(ctx)`: a delivered head message at the co_await commits at
+  /// once, with no coroutine frame; otherwise recv_waiting() waits for one.
+  [[nodiscard]] auto recv(CoreCtx& to) { return RecvAwaiter{*this, to}; }
 
   /// Consumer side with a timeout (fault campaigns): polls the FIFO every
   /// `poll` cycles instead of sleeping on the wake list, and gives up after
@@ -140,6 +126,94 @@ private:
     Cycles ready_at;
     T value;
   };
+
+  class SendAwaiter {
+  public:
+    SendAwaiter(Channel& ch, CoreCtx& from, T value)
+        : ch_(ch), from_(from), value_(std::move(value)) {}
+
+    bool await_ready() {
+      if (ch_.q_.size() >= ch_.capacity_) return false;
+      inject_.emplace(DelayFor{
+          ch_.sched_,
+          ch_.commit_send(from_, std::move(value_), ch_.sched_.now())});
+      return inject_->await_ready();
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+      if (inject_.has_value()) { // committed: busy for the injection time
+        inject_->await_suspend(caller);
+        return std::noop_coroutine();
+      }
+      // Runs send_waiting() now, as `co_await std::move(wait_)` would.
+      wait_ = ch_.send_waiting(from_, std::move(value_), ch_.sched_.now());
+      return std::move(wait_).operator co_await().await_suspend(caller);
+    }
+    void await_resume() {
+      if (wait_.valid()) std::move(wait_).operator co_await().await_resume();
+    }
+
+  private:
+    Channel& ch_;
+    CoreCtx& from_;
+    T value_;
+    std::optional<DelayFor> inject_;
+    TaskT<void> wait_;
+  };
+
+  class RecvAwaiter {
+  public:
+    RecvAwaiter(Channel& ch, CoreCtx& to) : ch_(ch), to_(to) {}
+
+    bool await_ready() {
+      ESARP_EXPECTS(to_.coord() == ch_.consumer_);
+      if (ch_.q_.empty() || ch_.q_.front().ready_at > ch_.sched_.now())
+        return false;
+      got_.emplace(ch_.commit_recv(to_, ch_.sched_.now()));
+      return true;
+    }
+    std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+      // Runs recv_waiting() now, as `co_await std::move(wait_)` would.
+      wait_ = ch_.recv_waiting(to_, ch_.sched_.now());
+      return std::move(wait_).operator co_await().await_suspend(caller);
+    }
+    T await_resume() {
+      if (got_.has_value()) return std::move(*got_);
+      return std::move(wait_).operator co_await().await_resume();
+    }
+
+  private:
+    Channel& ch_;
+    CoreCtx& to_;
+    std::optional<T> got_;
+    TaskT<T> wait_;
+  };
+
+  /// send() on a full FIFO: waits for room, then commits, for a producer
+  /// blocked since `entered`.
+  TaskT<void> send_waiting(CoreCtx& from, T value, Cycles entered) {
+    while (q_.size() >= capacity_) {
+      from.core().state = CoreState::kWaitChannel;
+      co_await senders_.wait();
+      from.core().state = CoreState::kRunning;
+    }
+    co_await DelayFor{sched_, commit_send(from, std::move(value), entered)};
+  }
+
+  /// recv() with no delivered message: waits for one, then commits, for a
+  /// consumer blocked since `entered`.
+  TaskT<T> recv_waiting(CoreCtx& to, Cycles entered) {
+    for (;;) {
+      if (!q_.empty()) {
+        if (q_.front().ready_at <= sched_.now())
+          co_return commit_recv(to, entered);
+        co_await DelayUntil{sched_, q_.front().ready_at};
+      } else {
+        to.core().state = CoreState::kWaitChannel;
+        co_await receivers_.wait();
+        to.core().state = CoreState::kRunning;
+      }
+    }
+  }
 
   /// Count the wait of `c`, blocked on this channel since `entered`, in
   /// the channel's stats and block histogram, the core's chan_wait counter

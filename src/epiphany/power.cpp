@@ -1,6 +1,7 @@
 #include "epiphany/power.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -16,7 +17,25 @@ PowerSampler::PowerSampler(const ChipConfig& cfg, const PowerOptions& opt,
                            const SpanNames& names)
     : epoch_cycles_(opt.epoch_cycles > 0 ? opt.epoch_cycles : 1),
       max_epochs_(opt.max_epochs > 1 ? opt.max_epochs : 2),
+      fold_at_(fold_bound()),
       cores_(static_cast<std::size_t>(cfg.core_count())), names_(names) {}
+
+namespace {
+
+constexpr Cycles kLastCycle = std::numeric_limits<Cycles>::max();
+
+/// a + b, or the largest Cycles value when that does not fit.
+Cycles saturating_add(Cycles a, Cycles b) {
+  return a > kLastCycle - b ? kLastCycle : a + b;
+}
+
+} // namespace
+
+Cycles PowerSampler::fold_bound() const {
+  return max_epochs_ > kLastCycle / epoch_cycles_
+             ? kLastCycle
+             : max_epochs_ * epoch_cycles_;
+}
 
 void PowerSampler::register_core(int id, const std::vector<SpanId>* spans) {
   ESARP_EXPECTS(id >= 0 && id < n_cores());
@@ -43,7 +62,9 @@ PowerSampler::core_bins(int core) const {
 void PowerSampler::fold_until_fits(Cycles last_cycle) {
   while (last_cycle / epoch_cycles_ >= max_epochs_) {
     epoch_cycles_ *= 2;
+    fold_at_ = fold_bound();
     for (PerCore& c : cores_) {
+      c.lo = c.hi = 0; // its epoch index and bounds no longer hold
       if (c.bins.empty()) continue;
       const std::size_t folded = (c.bins.size() + 1) / 2;
       for (std::size_t i = 0; i < folded; ++i) {
@@ -60,24 +81,36 @@ void PowerSampler::charge(int core, Cycles start, Cycles end,
                           const Activity& amount) {
   ESARP_EXPECTS(core >= 0 && core < n_cores());
   if (end <= start) end = start + 1; // instantaneous: bill the start epoch
-  fold_until_fits(end - 1);
 
   PerCore& pc = cores_[static_cast<std::size_t>(core)];
-  const std::size_t first = start / epoch_cycles_;
-  const std::size_t last = (end - 1) / epoch_cycles_;
-  if (pc.bins.size() <= last) pc.bins.resize(last + 1);
-  const double duration = static_cast<double>(end - start);
-  for (std::size_t e = first; e <= last; ++e) {
-    const Cycles lo = std::max<Cycles>(start, e * epoch_cycles_);
-    const Cycles hi = std::min<Cycles>(end, (e + 1) * epoch_cycles_);
-    const double frac = static_cast<double>(hi - lo) / duration;
-    Activity& bin = pc.bins[e];
-    bin.busy += amount.busy * frac;
-    bin.fp += amount.fp * frac;
-    bin.ialu += amount.ialu * frac;
-    bin.ldst += amount.ldst * frac;
-    bin.byte_hops += amount.byte_hops * frac;
-    bin.elink_bytes += amount.elink_bytes * frac;
+  if (start >= pc.lo && end <= pc.hi) {
+    // Inside the epoch this core charged last, which needs no fold: the
+    // loop's frac would be (end - start) / (end - start), exactly 1.0, so
+    // adding the amount whole gives its bits without a division.
+    pc.bins[pc.epoch] += amount;
+  } else {
+    if (end - 1 >= fold_at_) fold_until_fits(end - 1);
+    const std::size_t first = start / epoch_cycles_;
+    const std::size_t last = (end - 1) / epoch_cycles_;
+    if (pc.bins.size() <= last) pc.bins.resize(last + 1);
+    const double duration = static_cast<double>(end - start);
+    for (std::size_t e = first; e <= last; ++e) {
+      const Cycles epoch_lo = e * epoch_cycles_;
+      const Cycles lo = std::max<Cycles>(start, epoch_lo);
+      const Cycles hi =
+          std::min<Cycles>(end, saturating_add(epoch_lo, epoch_cycles_));
+      const double frac = static_cast<double>(hi - lo) / duration;
+      Activity& bin = pc.bins[e];
+      bin.busy += amount.busy * frac;
+      bin.fp += amount.fp * frac;
+      bin.ialu += amount.ialu * frac;
+      bin.ldst += amount.ldst * frac;
+      bin.byte_hops += amount.byte_hops * frac;
+      bin.elink_bytes += amount.elink_bytes * frac;
+    }
+    pc.epoch = last;
+    pc.lo = last * epoch_cycles_;
+    pc.hi = saturating_add(pc.lo, epoch_cycles_);
   }
 
   if (pc.spans != nullptr && !pc.spans->empty()) {

@@ -114,6 +114,12 @@ private:
   struct PerCore {
     const std::vector<SpanId>* spans = nullptr;
     std::vector<Activity> bins;
+    /// The last epoch charged, `bins[epoch]`, spanning cycles [lo, hi). A
+    /// charge inside it is added whole, with no division; empty until the
+    /// first charge and after every fold.
+    std::size_t epoch = 0;
+    Cycles lo = 0;
+    Cycles hi = 0;
   };
   /// One span's run total; `charged` tells a span charged only zero
   /// activity apart from one never charged (which gets no profile entry).
@@ -128,9 +134,15 @@ private:
   /// Double epoch_cycles_ (folding all bins pairwise) until `last_cycle`
   /// fits under the max_epochs_ cap.
   void fold_until_fits(Cycles last_cycle);
+  /// max_epochs_ * epoch_cycles_, or the largest Cycles value when that
+  /// does not fit.
+  [[nodiscard]] Cycles fold_bound() const;
 
   Cycles epoch_cycles_;
   std::size_t max_epochs_;
+  /// fold_bound(): a charge folds only when its last cycle reaches it, so
+  /// most charges skip fold_until_fits' division.
+  Cycles fold_at_;
   std::vector<PerCore> cores_;
   const SpanNames& names_;
   std::vector<SpanTotal> span_; ///< indexed by SpanId

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
 #include <deque>
 #include <exception>
 #include <optional>
@@ -23,9 +24,23 @@ class TaskT;
 
 namespace detail {
 
+/// Coroutine frames come from per-thread free lists, one per 64-byte size
+/// class up to 1 KiB; a larger frame goes to ::operator new (task.cpp). A
+/// frame freed on another thread joins that thread's list, and a thread's
+/// lists return their blocks when it exits. Under ASan a block is
+/// poisoned while it sits in a list, so touching a destroyed frame is
+/// still reported.
+void* allocate_frame(std::size_t bytes);
+void free_frame(void* frame, std::size_t bytes) noexcept;
+
 struct PromiseBase {
   std::coroutine_handle<> continuation; ///< resumed when this task finishes
   std::exception_ptr error;
+
+  static void* operator new(std::size_t bytes) { return allocate_frame(bytes); }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    free_frame(frame, bytes);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

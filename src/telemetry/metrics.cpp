@@ -1,6 +1,7 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/assert.hpp"
 #include "common/json.hpp"
@@ -16,9 +17,15 @@ Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
 }
 
 void Histogram::observe(double x) {
-  // First bucket whose upper edge admits x (bucket i: x <= edges[i]).
-  const auto it = std::lower_bound(edges_.begin(), edges_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - edges_.begin())];
+  // First bucket whose upper edge admits x (bucket i: x <= edges[i]). Most
+  // observations are 0-cycle waits, so bucket 0 is tested before any
+  // search; NaN lands there too, as it does with std::lower_bound.
+  std::size_t bucket = 0;
+  if (x > edges_.front())
+    bucket = static_cast<std::size_t>(
+        std::lower_bound(edges_.begin() + 1, edges_.end(), x) -
+        edges_.begin());
+  ++counts_[bucket];
   if (count_ == 0) {
     min_ = x;
     max_ = x;
@@ -31,16 +38,27 @@ void Histogram::observe(double x) {
 }
 
 std::string labeled(std::string_view name,
-                    std::vector<std::pair<std::string, std::string>> labels) {
-  ESARP_EXPECTS(!labels.empty());
-  std::sort(labels.begin(), labels.end());
-  std::string out(name);
-  out += '{';
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (i != 0) out += ',';
-    out += labels[i].first;
+                    std::initializer_list<Label> labels) {
+  constexpr std::size_t kMaxLabels = 8;
+  ESARP_EXPECTS(labels.size() != 0 && labels.size() <= kMaxLabels);
+  // Insertion sort: a name has a few labels at most.
+  std::array<Label, kMaxLabels> sorted;
+  std::size_t n = 0;
+  std::size_t size = name.size() + 1 + labels.size();
+  for (const Label& l : labels) {
+    std::size_t i = n++;
+    for (; i > 0 && l < sorted[i - 1]; --i) sorted[i] = sorted[i - 1];
+    sorted[i] = l;
+    size += l.first.size() + 1 + l.second.size();
+  }
+  std::string out;
+  out.reserve(size);
+  out += name;
+  for (std::size_t i = 0; i < n; ++i) {
+    out += i == 0 ? '{' : ',';
+    out += sorted[i].first;
     out += '=';
-    out += labels[i].second;
+    out += sorted[i].second;
   }
   out += '}';
   return out;

@@ -17,14 +17,17 @@
 //
 // Lookup is find-or-create; references returned by the registry stay valid
 // for the registry's lifetime (node-based map storage). Instrumented
-// components cache these references, so the per-event cost is an add or a
-// short binary search. That is not free: in a benchmark autofocus_mpmd
-// call (13 cores, 208,689 engine events) Histogram::observe takes about
-// 5 % of the host time, and all registry updates together 5-6 %
-// (SIGPROF samples, docs/performance.md "Power sampler span attribution").
+// components cache these references, so the per-event cost is an add, or
+// a histogram bucket: one compare for bucket 0, where most channel waits
+// (0 cycles) land, and a short binary search otherwise. In a benchmark
+// autofocus_mpmd call (13 cores, 208,689 engine events) Histogram::observe
+// takes about 3 % of the host time, down from 4 % with a search for every
+// observation (SIGPROF samples, docs/performance.md "autofocus_mpmd host
+// time: before / after").
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <string_view>
@@ -87,12 +90,15 @@ private:
   double max_ = 0.0;
 };
 
+/// One `key=value` label of a metric name.
+using Label = std::pair<std::string_view, std::string_view>;
+
 /// Compose a labeled metric name: labeled("noc.link.bytes",
 /// {{"mesh","read"},{"dir","E"}}) -> "noc.link.bytes{dir=E,mesh=read}".
-/// Labels are sorted so the same set always produces the same name.
-[[nodiscard]] std::string
-labeled(std::string_view name,
-        std::vector<std::pair<std::string, std::string>> labels);
+/// Labels are sorted so the same set always produces the same name. They
+/// are read in place: the finished name is the only string built.
+[[nodiscard]] std::string labeled(std::string_view name,
+                                  std::initializer_list<Label> labels);
 
 /// Cycle-duration bucket edges shared by the stall/wait histograms so
 /// before/after manifests are always bucket-compatible.

@@ -3,11 +3,13 @@
 // the energy model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 
 #include "common/assert.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
@@ -184,6 +186,128 @@ TEST(Machine, ChannelToFarCoreTakesLonger) {
     return m.run();
   };
   EXPECT_LT(run_one(1), run_one(15)); // neighbour vs far corner
+}
+
+/// How often a channel operation found its FIFO open (send: room; recv: a
+/// delivered message) and how often it had to wait.
+struct ChannelBranches {
+  int send_open = 0, send_blocked = 0, recv_open = 0, recv_blocked = 0;
+};
+
+/// One seeded run of three channels at FIFO depth `capacity`: a
+/// neighbour pipeline (0 -> 1), a far one (2 -> 15) whose messages are
+/// still in flight when the consumer asks, and a relay (4 -> 5 -> 6). Each
+/// end computes a random 0-60 cycle block between messages, so sends find
+/// the FIFO both open and full, and receives find a delivered message, one
+/// still in flight and an empty FIFO. Returns every completion as (cycle,
+/// core, message), then the engine counters, each core's chan_wait and
+/// every channel block histogram's bucket counts.
+std::vector<std::uint64_t> channel_resume_log(std::size_t capacity,
+                                              ChannelBranches& seen) {
+  Machine m;
+  auto near = m.make_channel<int>(1, capacity, "near");
+  auto far = m.make_channel<int>(15, capacity, "far");
+  auto hop1 = m.make_channel<int>(5, capacity, "hop1");
+  auto hop2 = m.make_channel<int>(6, capacity, "hop2");
+  const Cycles inject = m.config().cycles_for_bytes_on_link(sizeof(int));
+  std::vector<std::uint64_t> log;
+  constexpr int kMessages = 60;
+  auto record = [&log](CoreCtx& ctx, int msg) {
+    log.insert(log.end(), {ctx.now(), static_cast<std::uint64_t>(ctx.id()),
+                           static_cast<std::uint64_t>(msg)});
+  };
+  auto send = [&](CoreCtx& ctx, Channel<int>& out, int v) -> Task {
+    const Cycles asked = ctx.now();
+    co_await out.send(ctx, v);
+    ++(ctx.now() == asked + inject ? seen.send_open : seen.send_blocked);
+  };
+  auto producer = [&](Channel<int>& out) {
+    return [&, out_ = &out](CoreCtx& ctx) -> Task {
+      Rng rng(1000 + static_cast<std::uint64_t>(ctx.id()) + 16 * capacity);
+      for (int i = 0; i < kMessages; ++i) {
+        co_await ctx.compute({.fadd = rng.below(61)});
+        co_await send(ctx, *out_, i);
+        record(ctx, i);
+      }
+    };
+  };
+  auto consumer = [&](Channel<int>& in, Channel<int>* out) {
+    return [&, in_ = &in, out](CoreCtx& ctx) -> Task {
+      Rng rng(2000 + static_cast<std::uint64_t>(ctx.id()) + 16 * capacity);
+      for (int i = 0; i < kMessages; ++i) {
+        co_await ctx.compute({.fadd = rng.below(61)});
+        const Cycles asked = ctx.now();
+        const int v = co_await in_->recv(ctx);
+        ++(ctx.now() == asked ? seen.recv_open : seen.recv_blocked);
+        record(ctx, v);
+        if (out != nullptr) co_await send(ctx, *out, v + 100);
+      }
+    };
+  };
+  m.launch(0, producer(*near));
+  m.launch(1, consumer(*near, nullptr));
+  m.launch(2, producer(*far));
+  m.launch(15, consumer(*far, nullptr));
+  m.launch(4, producer(*hop1));
+  m.launch(5, consumer(*hop1, hop2.get()));
+  m.launch(6, consumer(*hop2, nullptr));
+  m.run();
+
+  const PerfReport rep = m.report();
+  log.push_back(rep.engine_events);
+  log.push_back(rep.engine_quanta);
+  for (int id = 0; id < m.core_count(); ++id)
+    log.push_back(m.core(id).counters.chan_wait);
+  for (const auto& [name, h] : m.metrics().histograms())
+    log.insert(log.end(), h.bucket_counts().begin(), h.bucket_counts().end());
+  return log;
+}
+
+TEST(Channel, ResumeLogIsPinned) {
+  // Pins when every send and receive completes, at FIFO depths 1-4, so a
+  // change to how channel operations suspend and resume that moves any
+  // event's cycle or order, or any wait's length, fails here.
+  std::uint64_t digest = 0xcbf29ce484222325ULL; // FNV-1a 64
+  ChannelBranches seen;
+  for (std::size_t capacity = 1; capacity <= 4; ++capacity) {
+    for (const std::uint64_t v : channel_resume_log(capacity, seen)) {
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (v >> (8 * byte)) & 0xffU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+  // Both ends took both ways through the channel, many times.
+  EXPECT_GT(seen.send_open, 50);
+  EXPECT_GT(seen.send_blocked, 50);
+  EXPECT_GT(seen.recv_open, 50);
+  EXPECT_GT(seen.recv_blocked, 50);
+  EXPECT_EQ(digest, 0xd1405998309eb779ULL) << std::hex << digest;
+}
+
+TEST(Channel, RecvOffTheConsumerCoreThrows) {
+  // The consumer check holds whether or not a delivered message waits.
+  {
+    Machine m;
+    auto chan = m.make_channel<int>(1, 2);
+    m.launch(0, [&](CoreCtx& ctx) -> Task {
+      (void)co_await chan->recv(ctx); // empty FIFO
+    });
+    EXPECT_THROW(m.run(), ContractViolation);
+  }
+  {
+    Machine m;
+    auto chan = m.make_channel<int>(1, 2);
+    std::size_t waiting = 0;
+    m.launch(0, [&](CoreCtx& ctx) -> Task {
+      co_await chan->send(ctx, 7);
+      co_await ctx.compute({.fadd = 1000}); // long after delivery
+      waiting = chan->pending();
+      (void)co_await chan->recv(ctx); // delivered head, wrong core
+    });
+    EXPECT_THROW(m.run(), ContractViolation);
+    EXPECT_EQ(waiting, 1u);
+  }
 }
 
 TEST(Machine, BarrierSynchronisesAllParties) {

@@ -8,6 +8,7 @@
 // comparator.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -403,6 +404,182 @@ TEST(SpanAttribution, ProfileIsIndependentOfBinning) {
     expect_same_profile(mpmd, run_small_mpmd(cfg).power.profile,
                         "mpmd " + what);
   }
+}
+
+// ----------------------------------------------------- binning reference
+
+using Activity = ep::PowerSampler::Activity;
+
+/// The sampler's epoch binning as a plain division loop: fold until the
+/// charge's last cycle fits under the cap, then split it over every epoch
+/// it overlaps, pro rata. PowerSampler must reproduce these bins bit for
+/// bit whichever fast path it takes.
+struct ReferenceBins {
+  Cycles epoch;
+  std::size_t max_epochs;
+  std::vector<std::vector<Activity>> bins;
+
+  void charge(std::size_t core, Cycles start, Cycles end, const Activity& a) {
+    if (end <= start) end = start + 1;
+    while ((end - 1) / epoch >= max_epochs) {
+      epoch *= 2;
+      for (auto& b : bins) {
+        const std::size_t folded = (b.size() + 1) / 2;
+        for (std::size_t i = 0; i < folded; ++i) {
+          Activity merged = b[2 * i];
+          if (2 * i + 1 < b.size()) merged += b[2 * i + 1];
+          b[i] = merged;
+        }
+        b.resize(folded);
+      }
+    }
+    std::vector<Activity>& b = bins[core];
+    const std::size_t first = start / epoch;
+    const std::size_t last = (end - 1) / epoch;
+    if (b.size() <= last) b.resize(last + 1);
+    const double duration = static_cast<double>(end - start);
+    for (std::size_t e = first; e <= last; ++e) {
+      const Cycles lo = std::max<Cycles>(start, e * epoch);
+      const Cycles hi = std::min<Cycles>(end, (e + 1) * epoch);
+      const double frac = static_cast<double>(hi - lo) / duration;
+      b[e].busy += a.busy * frac;
+      b[e].fp += a.fp * frac;
+      b[e].ialu += a.ialu * frac;
+      b[e].ldst += a.ldst * frac;
+      b[e].byte_hops += a.byte_hops * frac;
+      b[e].elink_bytes += a.elink_bytes * frac;
+    }
+  }
+};
+
+void expect_same_bits(const Activity& a, const Activity& b,
+                      const std::string& what) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(a.busy), bits(b.busy)) << what;
+  EXPECT_EQ(bits(a.fp), bits(b.fp)) << what;
+  EXPECT_EQ(bits(a.ialu), bits(b.ialu)) << what;
+  EXPECT_EQ(bits(a.ldst), bits(b.ldst)) << what;
+  EXPECT_EQ(bits(a.byte_hops), bits(b.byte_hops)) << what;
+  EXPECT_EQ(bits(a.elink_bytes), bits(b.elink_bytes)) << what;
+}
+
+/// Feed `n` seeded charges on 4 cores to a sampler and to the reference
+/// loop, and compare every bin and span total bit for bit. Each core's
+/// clock mostly moves forward, in steps of about `step` cycles; charges
+/// last from 0 to about 3 epochs, some end before they start, a quarter
+/// start up to 2 steps early, as NoC charges do, and some start or end at
+/// an epoch edge. No charge ends past `horizon`.
+void expect_binning_matches_reference(Cycles epoch, std::size_t max_epochs,
+                                      Cycles step, int n, std::uint64_t seed,
+                                      Cycles horizon = Cycles{1} << 40) {
+  const std::string what = "epoch=" + std::to_string(epoch) +
+                           " max_epochs=" + std::to_string(max_epochs);
+  constexpr int kCores = 4;
+  ep::ChipConfig cfg;
+  cfg.rows = 2;
+  cfg.cols = 2;
+  ep::PowerOptions opt;
+  opt.epoch_cycles = epoch;
+  opt.max_epochs = max_epochs;
+  ep::SpanNames names;
+  ep::PowerSampler sampler(cfg, opt, names);
+  const ep::SpanId spans[] = {names.intern("a/0"), names.intern("b/0")};
+  std::vector<ep::SpanId> open[kCores];
+  for (int c = 0; c < kCores; ++c) sampler.register_core(c, &open[c]);
+  for (const ep::SpanId id : spans) sampler.reserve_span(id);
+
+  ReferenceBins ref{epoch, max_epochs, std::vector<std::vector<Activity>>(kCores)};
+  std::vector<Activity> ref_span(2);
+  Activity ref_spanless;
+  Cycles clock[kCores] = {};
+  Rng rng(seed);
+  for (int i = 0; i < n; ++i) {
+    const int core = static_cast<int>(rng.below(kCores));
+    Cycles& now = clock[core];
+    now += rng.below(2 * step + 1);
+    const Cycles early = rng.below(4) == 0 ? rng.below(2 * step + 1) : 0;
+    Cycles start = now - std::min(now, early);
+    // Some charges start or end within a cycle of an epoch edge, where an
+    // off-by-one in the fast path's bounds would show.
+    const Cycles edge = start / ref.epoch * ref.epoch;
+    if (rng.below(8) == 0 && edge > 0) start = edge - 1 + rng.below(3);
+    Cycles end = start;
+    switch (rng.below(5)) {
+      case 0: break; // instantaneous
+      case 1: end = start - std::min(start, rng.below(step + 1)); break;
+      case 2: end = start + 1 + rng.below(3 * epoch); break; // straddles
+      case 3: end = (start / ref.epoch + 1) * ref.epoch - 1 + rng.below(3); break;
+      default: end = start + 1 + rng.below(step + 1); break;
+    }
+    end = std::min(end, horizon);
+    if (rng.below(3) == 0) {
+      open[core].clear();
+    } else if (rng.below(2) == 0) {
+      open[core].assign(1, spans[rng.below(2)]);
+    }
+    Activity a;
+    switch (rng.below(3)) {
+      case 0: {
+        if (end < start) end = start;
+        OpCounts ops;
+        ops.fma = rng.below(5000);
+        ops.ialu = rng.below(700);
+        ops.load = rng.below(300);
+        sampler.record_compute(core, start, end, ops);
+        a.busy = static_cast<double>(end - start);
+        a.fp = static_cast<double>(ops.fp_issues());
+        a.ialu = static_cast<double>(ops.ialu);
+        a.ldst = static_cast<double>(ops.load + ops.store);
+        break;
+      }
+      case 1: {
+        const std::uint64_t byte_hops = 1 + rng.below(1 << 16);
+        sampler.record_noc(core, byte_hops, start, end);
+        a.byte_hops = static_cast<double>(byte_hops);
+        break;
+      }
+      default: {
+        const std::uint64_t bytes = 1 + rng.below(1 << 12);
+        sampler.record_elink(core, bytes, start, end);
+        a.elink_bytes = static_cast<double>(bytes);
+        break;
+      }
+    }
+    ref.charge(static_cast<std::size_t>(core), start, end, a);
+    if (open[core].empty()) {
+      ref_spanless += a;
+    } else {
+      ref_span[open[core].back() == spans[0] ? 0 : 1] += a;
+    }
+  }
+
+  ASSERT_EQ(sampler.epoch_cycles(), ref.epoch) << what;
+  for (int c = 0; c < kCores; ++c) {
+    const auto& bins = sampler.core_bins(c);
+    ASSERT_EQ(bins.size(), ref.bins[static_cast<std::size_t>(c)].size())
+        << what;
+    for (std::size_t e = 0; e < bins.size(); ++e)
+      expect_same_bits(bins[e], ref.bins[static_cast<std::size_t>(c)][e],
+                       what + " core " + std::to_string(c) + " epoch " +
+                           std::to_string(e));
+  }
+  for (int k = 0; k < 2; ++k) {
+    ASSERT_NE(sampler.span_activity(spans[k]), nullptr) << what;
+    expect_same_bits(*sampler.span_activity(spans[k]), ref_span[k],
+                     what + " span " + std::to_string(k));
+  }
+  expect_same_bits(sampler.spanless(), ref_spanless, what + " spanless");
+}
+
+TEST(PowerBinning, MatchesTheDivisionLoopBitForBit) {
+  // Folds every few charges on a 2-epoch cap, at a steady pace on a
+  // 16-epoch cap, none under the default cap, and 2^62-cycle epochs
+  // (charges end within 3 epochs, short of where `(e + 1) * epoch` wraps).
+  expect_binning_matches_reference(64, 2, 40, 3000, 1);
+  expect_binning_matches_reference(100, 16, 30, 5000, 2);
+  expect_binning_matches_reference(8192, 4096, 500, 20000, 3);
+  expect_binning_matches_reference(Cycles{1} << 62, 4096, Cycles{1} << 57,
+                                   40, 4, 3 * (Cycles{1} << 62));
 }
 
 // ------------------------------------------------------------- artefacts

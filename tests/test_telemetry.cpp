@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -89,6 +91,31 @@ TEST(Metrics, HistogramBucketEdges) {
   EXPECT_DOUBLE_EQ(h.min(), 0.0);
   EXPECT_DOUBLE_EQ(h.max(), 41.0);
   EXPECT_DOUBLE_EQ(h.sum(), 101.5);
+
+  // On the cycle edges, every value lands in std::lower_bound's bucket:
+  // each edge, its neighbours either way, zeros, a negative, infinities
+  // and NaN (bucket 0: no edge compares below it).
+  const std::vector<double>& edges = telemetry::cycle_histogram_edges();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {0.0, -0.0, -3.5, inf, -inf,
+                            std::numeric_limits<double>::quiet_NaN()};
+  for (const double e : edges)
+    xs.insert(xs.end(), {e, std::nextafter(e, -inf), std::nextafter(e, inf)});
+  telemetry::Histogram cycles(edges);
+  std::vector<std::uint64_t> want(edges.size() + 1, 0);
+  for (const double x : xs) {
+    const std::size_t before = cycles.bucket_counts().size();
+    cycles.observe(x);
+    ASSERT_EQ(cycles.bucket_counts().size(), before);
+    ++want[static_cast<std::size_t>(
+        std::lower_bound(edges.begin(), edges.end(), x) - edges.begin())];
+    EXPECT_EQ(cycles.bucket_counts(), want) << "x = " << x;
+  }
+  // The running statistics see NaN as std::min/std::max and + do.
+  EXPECT_EQ(cycles.count(), xs.size());
+  EXPECT_TRUE(std::isnan(cycles.sum()));
+  EXPECT_EQ(cycles.min(), -inf);
+  EXPECT_EQ(cycles.max(), inf);
 }
 
 TEST(Metrics, HistogramRejectsUnsortedEdges) {
