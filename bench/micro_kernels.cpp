@@ -5,11 +5,11 @@
 //
 // On top of the classic rows, every entry point of the unified kernel API
 // (sar/kernels.hpp) gets one benchmark row per available backend
-// (scalar / avx2) so a kernel-level regression is attributable to
-// the exact kernel x backend pair that caused it. A run manifest
+// (scalar / avx2 / avx512) so a kernel-level regression is attributable
+// to the exact kernel x backend pair that caused it. A run manifest
 // (micro_kernels.manifest.json) records the deterministic evidence as
 // results — scalar output checksums and the `simd_matches.*` /
-// `simd_bitexact` flags asserting the AVX2 backend, when available, is
+// `simd_bitexact` flags asserting every available SIMD backend is
 // bit-identical to the scalar reference — and the machine-varying timings
 // (`kernel.<k>.<backend>.ns_per_sample`, `.speedup`) as informational
 // metrics gauges, mirroring the engine.* convention (docs/performance.md).
@@ -406,8 +406,8 @@ double kernel_ns_per_sample(const KernelCase& kc, const KernelInputs& in,
   return best_s * 1e9 / static_cast<double>(kKernelSamples);
 }
 
-constexpr kn::Backend kAllBackends[] = {kn::Backend::kScalar,
-                                        kn::Backend::kAvx2};
+constexpr kn::Backend kAllBackends[] = {
+    kn::Backend::kScalar, kn::Backend::kAvx2, kn::Backend::kAvx512};
 
 /// One google-benchmark row per kernel x available backend, named
 /// `kernels/<kernel>/<backend>`, so regressions are attributable to the
@@ -437,8 +437,8 @@ void register_kernel_rows() {
   }
 }
 
-/// Bit-exactness cross-check plus manifest: scalar is the reference; the
-/// AVX2 backend, when available, must reproduce it byte-for-byte (the same
+/// Bit-exactness cross-check plus manifest: scalar is the reference; every
+/// available SIMD backend must reproduce it byte-for-byte (the same
 /// contract tests/test_kernels.cpp enforces, re-checked here on the bench
 /// inputs and turned into gated manifest results). Every checksum is a
 /// gated result: gbp_contrib_row's too, since none of its inputs takes
@@ -474,23 +474,25 @@ int kernels_manifest_body() {
            "reference"});
 
     double kernel_match = 1.0;
-    if (kn::backend_available(kn::Backend::kAvx2)) {
-      kn::force_backend(kn::Backend::kAvx2);
+    for (const kn::Backend b : kAllBackends) {
+      if (b == kn::Backend::kScalar || !kn::backend_available(b)) continue;
+      kn::force_backend(b);
       const ByteView bv = kc.run(in, s);
       const bool match = bv.size == ref.size() &&
                          std::memcmp(bv.data, ref.data(), ref.size()) == 0;
       if (!match) kernel_match = 0.0;
       const double ns = kernel_ns_per_sample(kc, in, s);
-      const std::string bb = base + ".avx2";
+      const std::string bb = base + "." + kn::backend_name(b);
       reg.gauge(bb + ".match").set(match ? 1.0 : 0.0);
       reg.gauge(bb + ".ns_per_sample").set(ns);
       reg.gauge(bb + ".speedup").set(ns > 0.0 ? scalar_ns / ns : 0.0);
-      t.row({kc.name, "avx2", Table::num(ns, 2),
+      t.row({kc.name, kn::backend_name(b), Table::num(ns, 2),
              Table::num(ns > 0.0 ? scalar_ns / ns : 0.0, 2),
              match ? "yes" : "NO"});
     }
-    // Vacuously 1 when the machine has no AVX2, so the key exists — and
-    // is 1.0 — in every baseline regardless of host CPU.
+    // 1 only when every available SIMD backend matched; vacuously 1 on a
+    // machine with none, so the key exists — and is 1.0 — in every
+    // baseline regardless of host CPU.
     man.add_result(std::string("simd_matches.") + kc.name, kernel_match);
     if (kernel_match == 0.0) all_match = 0.0;
   }
@@ -501,8 +503,8 @@ int kernels_manifest_body() {
   man.set_metrics(&reg);
   bench::write_manifest(man);
   t.note("scalar is the bit-exact reference (tests/test_kernels.cpp); "
-         "ESARP_KERNELS=scalar|avx2|auto overrides the dispatch "
-         "(docs/performance.md)");
+         "ESARP_KERNELS=scalar pins it, any other value picks the best "
+         "available backend (docs/performance.md)");
   t.print(std::cout);
   if (all_match != 1.0) {
     std::cerr << "micro_kernels: SIMD backend diverged from the scalar "
@@ -523,9 +525,13 @@ int kernels_manifest_body() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The rows force each backend in turn; the manifest records (as
+  // kernel.active_backend) the one dispatch picked for this process.
+  const kn::Backend session = kn::active();
   register_kernel_rows();
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
+  kn::force_backend(session);
   // The manifest / bit-exactness pass runs regardless of any
   // --benchmark_filter, so the gated evidence is always complete.
   return esarp::bench::guarded_main("micro_kernels", kernels_manifest_body);

@@ -4,8 +4,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <span>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -13,9 +15,14 @@ namespace esarp::ep {
 
 class ExternalMemory {
 public:
-  explicit ExternalMemory(std::size_t bytes) : store_(bytes) {}
+  /// A zeroed store of `bytes`. It comes from calloc, which does not
+  /// write the zero pages the operating system hands out fresh, so SDRAM
+  /// a run never touches costs no host time. Throws std::bad_alloc when
+  /// the host cannot provide it; a zero-byte store is valid.
+  explicit ExternalMemory(std::size_t bytes)
+      : store_(zeroed(bytes)), size_(bytes) {}
 
-  [[nodiscard]] std::size_t capacity() const { return store_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return size_; }
   [[nodiscard]] std::size_t used() const { return cursor_; }
 
   /// Bytes alloc<T>(n) takes from an 8-byte-aligned cursor, padding
@@ -30,27 +37,40 @@ public:
   std::span<T> alloc(std::size_t n) {
     const std::size_t aligned = (cursor_ + 7) & ~std::size_t{7};
     const std::size_t bytes = n * sizeof(T);
-    if (aligned + bytes > store_.size())
+    if (aligned + bytes > size_)
       throw ContractViolation("ExternalMemory overflow");
     cursor_ = aligned + bytes;
-    return {reinterpret_cast<T*>(store_.data() + aligned), n};
+    return {reinterpret_cast<T*>(store_.get() + aligned), n};
   }
 
   [[nodiscard]] std::uint32_t offset_of(const void* p) const {
-    const auto* b = static_cast<const std::byte*>(p);
-    ESARP_EXPECTS(b >= store_.data() && b < store_.data() + store_.size());
-    return static_cast<std::uint32_t>(b - store_.data());
+    ESARP_EXPECTS(owns(p));
+    return static_cast<std::uint32_t>(static_cast<const std::byte*>(p) -
+                                      store_.get());
   }
 
   [[nodiscard]] bool owns(const void* p) const {
     const auto* b = static_cast<const std::byte*>(p);
-    return b >= store_.data() && b < store_.data() + store_.size();
+    return b >= store_.get() && b < store_.get() + size_;
   }
 
   void reset() { cursor_ = 0; }
 
 private:
-  std::vector<std::byte> store_;
+  struct Free {
+    void operator()(std::byte* p) const { std::free(p); }
+  };
+  using Store = std::unique_ptr<std::byte[], Free>;
+
+  static Store zeroed(std::size_t bytes) {
+    // One byte at least: calloc(0) may return null.
+    void* p = std::calloc(bytes == 0 ? 1 : bytes, 1);
+    if (p == nullptr) throw std::bad_alloc();
+    return Store(static_cast<std::byte*>(p));
+  }
+
+  Store store_;
+  std::size_t size_;
   std::size_t cursor_ = 0;
 };
 

@@ -12,8 +12,8 @@
 // random phases; 5e-5 on the lambda = 2 m test geometry, whose float
 // ranges often sit on multiples of lambda/8, phase pi/2), and its
 // algorithm is written once, as a template over a double-lane trait, so
-// the scalar reference and the AVX2 kernels (kernels_simd_body.hpp)
-// run the same operations in the same order:
+// the scalar reference and the AVX2 and AVX-512 kernels
+// (kernels_simd_body.hpp) run the same operations in the same order:
 //
 // - reduce_2pi: exact 2*pi reduction. fmod's result x - n*2pi is always
 //   representable, and with a Cody-Waite split 2pi = H + L (H the top 25
@@ -92,7 +92,10 @@ inline constexpr double kCertAbs = 0x1p-70;
 /// reduce_2pi's domain only), cmp_lt/cmp_gt/cmp_eq, and_/or_, blend(m, a,
 /// b) = m ? a : b, and same_float(a, b) = float(a) and float(b) have equal
 /// bits. ScalarLane below is the one-lane trait; the AVX2 kernel TU
-/// defines a four-lane one.
+/// defines a four-lane one and the AVX-512 TU an eight-lane one whose M
+/// is a k-mask: this template only combines masks with and_/or_ and
+/// consumes them in blend, and the SIMD kernels read them with
+/// D::movemask.
 template <class D>
 struct CarrierLanes {
   using T = typename D::T;

@@ -24,6 +24,13 @@ bool cpu_has(Backend b) {
   switch (b) {
     case Backend::kScalar: return true;
     case Backend::kAvx2: return __builtin_cpu_supports("avx2") != 0;
+    // GCC's check also requires the OS to save the opmask and ZMM state
+    // (XCR0), so an OS that does not rules the backend out.
+    case Backend::kAvx512:
+      return __builtin_cpu_supports("avx512f") != 0 &&
+             __builtin_cpu_supports("avx512dq") != 0 &&
+             __builtin_cpu_supports("avx512vl") != 0 &&
+             __builtin_cpu_supports("avx512bw") != 0;
   }
 #endif
   return b == Backend::kScalar;
@@ -33,18 +40,21 @@ const KernelTable* table_of(Backend b) {
   switch (b) {
     case Backend::kScalar: return detail::scalar_table();
     case Backend::kAvx2: return detail::avx2_table();
+    case Backend::kAvx512: return detail::avx512_table();
   }
   return nullptr;
 }
 
+/// AVX-512, else AVX2, else scalar.
 Backend best_available() {
-  return backend_available(Backend::kAvx2) ? Backend::kAvx2
-                                           : Backend::kScalar;
+  for (const Backend b : {Backend::kAvx512, Backend::kAvx2})
+    if (backend_available(b)) return b;
+  return Backend::kScalar;
 }
 
-/// ESARP_KERNELS=scalar pins the scalar reference; anything else — "avx2",
-/// the documented "auto" or an unknown value — picks the best available
-/// backend, which is AVX2 whenever this build and cpu have it.
+/// ESARP_KERNELS=scalar pins the scalar reference; anything else — the
+/// documented "auto" or any other value — picks the best available
+/// backend.
 Backend initial_backend() {
   const char* env = std::getenv("ESARP_KERNELS");
   if (env != nullptr && std::string_view(env) == "scalar")
@@ -68,12 +78,15 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
+    case Backend::kAvx512: return "avx512";
   }
   return "?";
 }
 
+// The cpu first: a table's first use runs code compiled for its
+// instruction set (the AVX-512 table copies the AVX2 entries).
 bool backend_available(Backend b) {
-  return table_of(b) != nullptr && cpu_has(b);
+  return cpu_has(b) && table_of(b) != nullptr;
 }
 
 Backend active() { return dispatch().backend; }

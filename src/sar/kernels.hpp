@@ -1,29 +1,33 @@
 // Unified kernel API: the interpolation / merge / criterion /
 // back-projection inner loops behind one runtime-dispatched interface with
-// two backends, the scalar reference and AVX2.
+// three backends, the scalar reference, AVX2 and AVX-512.
 //
 // The scalar backend is the reference: it calls the exact inline kernels
 // (sar/interp.hpp, sar/merge_kernel.hpp, sar/gbp.hpp) the adoption sites
-// used to inline directly. The AVX2 backend replicates every operation
-// lane-by-lane — same operation order and association, ternaries as
-// blends, the fastmath bit tricks on integer lanes, `sqrtps` for the
-// IEEE-exact std::sqrt, and GBP's double-precision carrier phase as
-// sar/carrier.hpp's one lane algorithm in double vectors — and all kernel
-// translation units are compiled with -ffp-contract=off, so both backends
-// produce bit-identical results (enforced by tests/test_kernels.cpp,
-// tests/test_carrier.cpp and the micro_kernels bench rows). It advances
-// independent 8-lane groups in lock-step where that measured faster:
-// merge_geometry_row four at a time, merge_sample_row two, the other
-// kernels one (kernels_simd_body.hpp); a loop's remainder runs through
-// the narrower loops, leaving fewer than 8 samples to scalar code.
-// Simulated-cycle costs are analytic (OpCounts), so backend choice affects
-// host wall-clock only: images, cycles, energy and manifests are unchanged.
+// used to inline directly. The AVX2 and AVX-512 backends replicate every
+// operation lane-by-lane — same operation order and association,
+// ternaries as blends, the fastmath bit tricks on integer lanes, `sqrtps`
+// for the IEEE-exact std::sqrt, and GBP's double-precision carrier phase
+// as sar/carrier.hpp's one lane algorithm in double vectors — and all
+// kernel translation units are compiled with -ffp-contract=off, so every
+// backend produces bit-identical results (enforced by
+// tests/test_kernels.cpp, tests/test_carrier.cpp and the micro_kernels
+// bench rows). Both run one kernel body (kernels_simd_body.hpp) at widths
+// fixed per kernel by measurement: AVX2 advances 8-lane groups,
+// merge_geometry_row four at a time, merge_sample_row two and the other
+// kernels one; AVX-512 advances 16-lane groups, merge_geometry_row four,
+// merge_sample_row two and gbp_contrib_row one, and takes the AVX2
+// entries for the Neville and criterion kernels. A loop's remainder runs
+// through the narrower loops, leaving at most 15 samples of a row to
+// scalar code. Simulated-cycle costs are analytic (OpCounts), so backend
+// choice affects host wall-clock only: images, cycles, energy and
+// manifests are unchanged.
 //
-// Backend selection: AVX2 when this is an x86-64 build and the CPU has it,
-// scalar otherwise, picked once at first use; the ESARP_KERNELS
-// environment variable (scalar | avx2 | auto) overrides it, e.g.
-// ESARP_KERNELS=scalar to rule the vector backend out while debugging
-// (docs/performance.md).
+// Backend selection: the best the build, CPU and OS support — AVX-512,
+// else AVX2, else scalar — picked once at first use. ESARP_KERNELS=scalar
+// pins the reference, e.g. to rule the vector backends out while
+// debugging; any other value (the documented "auto" included) picks the
+// best (docs/performance.md).
 #pragma once
 
 #include <cstddef>
@@ -35,9 +39,10 @@
 
 namespace esarp::sar::kernels {
 
-enum class Backend { kScalar, kAvx2 };
+/// Values are stable: the kernel.active_backend gauge records them.
+enum class Backend { kScalar, kAvx2, kAvx512 };
 
-/// Static name of a backend ("scalar", "avx2").
+/// Static name of a backend ("scalar", "avx2", "avx512").
 [[nodiscard]] const char* backend_name(Backend b);
 
 /// True when `b` is both compiled in and supported by this CPU.

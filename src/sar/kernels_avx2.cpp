@@ -4,11 +4,10 @@
 // scalar reference, breaking the bit-exactness contract
 // (kernels_simd_body.hpp). VAvx2 is one 8-lane group; the table runs
 // merge_geometry_row on four of them in lock-step (Twice<Twice<VAvx2>>),
-// merge_sample_row on two (Twice<VAvx2>) and every other kernel on one
-// (simd_table in kernels_simd_body.hpp). On a non-x86-64 target the TU
-// is built without -mavx2, the table is null and the dispatcher falls
-// back to scalar; runtime cpu support is checked separately in
-// kernels.cpp.
+// merge_sample_row on two (Twice<VAvx2>) and every other kernel on one.
+// On a non-x86-64 target the TU is built without -mavx2, the table is
+// null and the dispatcher falls back to scalar; runtime cpu support is
+// checked separately in kernels.cpp.
 #include "sar/kernels_impl.hpp"
 
 #if defined(__AVX2__)
@@ -209,7 +208,19 @@ struct VAvx2 {
 
 } // namespace
 
-const KernelTable* avx2_table() { return simd_table<VAvx2>(); }
+/// Each kernel at its measured lock-step width (docs/performance.md
+/// "Kernel backends"). merge_geometry_row's ~130-op chain runs four
+/// groups at a time; merge_sample_row's gathers two; gbp_contrib_row
+/// stays at one, where two groups ran slower.
+const KernelTable* avx2_table() {
+  using One = SimdKernels<VAvx2>;
+  using Two = SimdKernels<Twice<VAvx2>>;
+  using Four = SimdKernels<Twice<Twice<VAvx2>>>;
+  static const KernelTable t{Four::merge_geometry_row, Two::merge_sample_row,
+                             One::neville4_many,       One::neville4_rows,
+                             One::criterion_terms,     One::gbp_contrib_row};
+  return &t;
+}
 
 } // namespace esarp::sar::kernels::detail
 

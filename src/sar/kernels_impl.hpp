@@ -1,6 +1,7 @@
 // Private backend interface of the unified kernel API (sar/kernels.hpp):
-// each backend translation unit fills one KernelTable; kernels.cpp owns
-// the dispatch. Not for inclusion outside the kernels_*.cpp family.
+// each backend translation unit (scalar, AVX2, AVX-512) fills one
+// KernelTable; kernels.cpp owns the dispatch. Not for inclusion outside
+// the kernels_*.cpp family.
 #pragma once
 
 #include <cstddef>
@@ -40,5 +41,10 @@ const KernelTable* scalar_table();
 /// -mavx2 (non-x86-64 targets). Runtime cpu support is checked separately
 /// by the dispatcher.
 const KernelTable* avx2_table();
+
+/// The AVX-512 table; null when the translation unit was not compiled
+/// with -mavx512f, -mavx512dq, -mavx512vl and -mavx512bw (non-x86-64
+/// targets). Runtime cpu and OS support is checked by the dispatcher.
+const KernelTable* avx512_table();
 
 } // namespace esarp::sar::kernels::detail

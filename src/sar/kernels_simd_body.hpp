@@ -1,21 +1,21 @@
 // Width-generic SIMD implementation of the unified kernel API, written
-// against a vector-trait struct V. The AVX2 backend translation unit
-// (kernels_avx2.cpp, 8 lanes) defines V with its intrinsics and
-// instantiates SimdKernels<V>; the trait lives in an anonymous namespace,
-// so the instantiation stays TU-local (no ODR interaction with the
-// object files built without -mavx2).
+// against a vector-trait struct V. Each SIMD backend translation unit
+// defines V with its intrinsics — kernels_avx2.cpp 8 float lanes,
+// kernels_avx512.cpp 16 — instantiates SimdKernels<V> and builds its
+// KernelTable; the trait lives in an anonymous namespace, so the
+// instantiation stays TU-local (no ODR interaction with the object files
+// built for other instruction sets).
 //
 // LOCK-STEP WIDTHS: Twice<V> is a trait whose value is two V registers,
 // every operation applied to both, so SimdKernels<Twice<V>> advances two
 // independent lane groups per step and SimdKernels<Twice<Twice<V>>> four,
 // with the kernel bodies unchanged. A long dependency chain then runs at
 // the ports' throughput instead of its own latency: the groups' chains
-// overlap in the out-of-order window. simd_table() picks each kernel's
-// width (measured, docs/performance.md "Kernel backends"):
-// merge_geometry_row four groups, merge_sample_row two, every other
-// kernel one. The remainder of a wide loop runs through the next
-// narrower loop and then the scalar reference, so a row leaves fewer than
-// one group's lanes to scalar code.
+// overlap in the out-of-order window. Each backend's table fixes each
+// kernel's width by measurement (docs/performance.md "Kernel backends").
+// The remainder of a wide loop runs through the next narrower loop and
+// then the scalar reference, so a row leaves fewer than one group's
+// lanes (at most 7 samples for AVX2, 15 for AVX-512) to scalar code.
 //
 // BIT-EXACTNESS CONTRACT: every function here replicates its scalar
 // reference (sar/interp.hpp, sar/merge_kernel.hpp, common/fastmath.hpp,
@@ -23,11 +23,12 @@
 // (a*b)*c exactly where the scalar source writes it that way), ternaries
 // as mask blends evaluating both arms, the rsqrt bit trick on integer
 // lanes, truncating float->int conversion, and no FMA contraction (all
-// kernel TUs build with -ffp-contract=off, and the AVX2 TU deliberately
-// enables -mavx2 WITHOUT -mfma). IEEE sqrtps matches std::sqrt(float)
-// exactly, so the GBP range vectorizes; the double-precision carrier
-// phase runs sar/carrier.hpp's CarrierLanes template on the trait's
-// double lanes (V::D, two vectors per float vector), the same template
+// kernel TUs build with -ffp-contract=off, the only guard in the AVX-512
+// TU, whose instruction set includes FMA). IEEE sqrtps matches
+// std::sqrt(float) exactly, so the GBP range vectorizes; the
+// double-precision carrier phase runs sar/carrier.hpp's CarrierLanes
+// template on the trait's double lanes (V::D, two vectors per float
+// vector, each holding half its lanes), the same template
 // the scalar reference instantiates on plain doubles, and only lanes that
 // fail its rounding certificate call libm. The GBP complex multiply and
 // accumulate run in lanes as GCC expands the scalar cf32 product; a lane
@@ -55,7 +56,9 @@ namespace esarp::sar::kernels::detail {
 /// the second group's lanes above the first's, and memory operations
 /// cover the second group at +V::kLanes. It carries exactly the
 /// operations the lock-step kernels (merge_geometry_row,
-/// merge_sample_row) use.
+/// merge_sample_row) use. movemask fits the unsigned it returns up to 32
+/// lanes, so a 64-lane trait serves merge_geometry_row only, which takes
+/// no mask.
 template <class V>
 struct Twice {
   /// One group: the width that finishes a lock-step loop's remainder.
@@ -93,6 +96,7 @@ struct Twice {
   }
   static F all_ones() { return {V::all_ones(), V::all_ones()}; }
   static unsigned movemask(F m) {
+    static_assert(kLanes <= 32, "a lane mask wider than unsigned");
     return V::movemask(m.a) | V::movemask(m.b) << V::kLanes;
   }
   static F blend(F m, F x, F y) {
@@ -527,20 +531,5 @@ struct SimdKernels {
       acc[i] += gbp_contribution(px[i], py[i], pulse_x, pulse_row, g);
   }
 };
-
-/// The AVX2 backend's table: each kernel at its measured lock-step width
-/// (docs/performance.md "Kernel backends"). merge_geometry_row's ~130-op
-/// chain runs four groups at a time; merge_sample_row's gathers two;
-/// gbp_contrib_row stays at one, where two groups ran slower.
-template <class V>
-const KernelTable* simd_table() {
-  using One = SimdKernels<V>;
-  using Two = SimdKernels<Twice<V>>;
-  using Four = SimdKernels<Twice<Twice<V>>>;
-  static const KernelTable t{Four::merge_geometry_row, Two::merge_sample_row,
-                             One::neville4_many,       One::neville4_rows,
-                             One::criterion_terms,     One::gbp_contrib_row};
-  return &t;
-}
 
 } // namespace esarp::sar::kernels::detail

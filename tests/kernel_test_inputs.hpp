@@ -33,12 +33,15 @@ struct Rng {
   }
 };
 
-// Row lengths that reach every lock-step width of the AVX2 kernels (one,
-// two and four 8-lane groups) and every step of a wide loop's remainder:
-// 47 = 32 + 8 + 7 scalar, 63 = 32 + 16 + 8 + 7, 1001 = 31 * 32 + 8 + 1.
-inline constexpr std::size_t kSizes[] = {1,  3,  4,  7,  8,  15, 16,
-                                         17, 31, 32, 33, 40, 47, 63,
-                                         64, 65, 101, 1001};
+// Row lengths that reach every lock-step width of the SIMD kernels (one,
+// two and four groups of 8 AVX2 or 16 AVX-512 lanes) and every step of a
+// wide loop's remainder. AVX2: 47 = 32 + 8 + 7 scalar, 63 = 32 + 16 + 8 +
+// 7, 1001 = 31 * 32 + 8 + 1. AVX-512: 79 = 64 + 15 scalar, 95 = 64 + 16 +
+// 15 (two groups), 127 = 64 + 32 + 16 + 15 (four), 129 = 2 * 64 + 1,
+// 1001 = 15 * 64 + 32 + 9.
+inline constexpr std::size_t kSizes[] = {
+    1,  3,  4,  7,  8,  15, 16, 17,  31,  32,  33,  40,  47,  48,
+    63, 64, 65, 79, 80, 95, 96, 97, 101, 127, 128, 129, 1001};
 
 /// One gbp_contrib_row call: an n-bin swath at 1000 m and pixels that mix
 /// in-swath and out-of-swath ranges (the validity mask).

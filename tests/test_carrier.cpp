@@ -201,7 +201,8 @@ cf32 libm_contribution(float px, float py, float pulse_x,
 TEST(Carrier, GbpContribRowMatchesLibmOnEveryBackend) {
   namespace k = kernels;
   const k::Backend before = k::active();
-  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
+  for (const k::Backend b :
+       {k::Backend::kScalar, k::Backend::kAvx2, k::Backend::kAvx512}) {
     if (!k::backend_available(b)) continue;
     SCOPED_TRACE(k::backend_name(b));
     k::force_backend(b);
@@ -250,7 +251,8 @@ TEST(Carrier, GbpContribRowFallbackLanesMatchLibm) {
     std::vector<cf32> want(n, cf32{0.5f, -0.25f});
     for (std::size_t i = 0; i < n; ++i)
       want[i] += libm_contribution(px[i], py[i], 0.0f, pulse.data(), g);
-    for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
+    for (const k::Backend b :
+         {k::Backend::kScalar, k::Backend::kAvx2, k::Backend::kAvx512}) {
       if (!k::backend_available(b)) continue;
       SCOPED_TRACE(k::backend_name(b));
       k::force_backend(b);

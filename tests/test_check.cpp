@@ -19,6 +19,7 @@
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/machine.hpp"
 #include "sar/scene.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -390,8 +391,7 @@ TEST(Check, AbortOnHazardThrowsCheckFailure) {
 }
 
 TEST(Check, SuppressionSilencesMatchingDiagnostics) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_check_supp.txt";
+  const auto path = tests::temp_file("esarp_check_supp.txt");
   {
     std::ofstream f(path);
     f << "# test suppressions\n";
@@ -413,8 +413,7 @@ TEST(Check, SuppressionSilencesMatchingDiagnostics) {
 }
 
 TEST(Check, JsonReportWritten) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_check_report.json";
+  const auto path = tests::temp_file("esarp_check_report.json");
   ep::ChipConfig cfg = checked_config();
   cfg.check.json_out = path.string();
   ep::Machine m(cfg);
@@ -447,8 +446,7 @@ TEST(Check, GlobMatcher) {
 }
 
 TEST(Check, MalformedSuppressionFileRejected) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_check_bad_supp.txt";
+  const auto path = tests::temp_file("esarp_check_bad_supp.txt");
   {
     std::ofstream f(path);
     f << "no-colon-here\n";
@@ -459,8 +457,7 @@ TEST(Check, MalformedSuppressionFileRejected) {
 }
 
 TEST(Check, SuppressionFileVariants) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_check_supp_var.txt";
+  const auto path = tests::temp_file("esarp_check_supp_var.txt");
   // Leading-colon rules have an empty kind and are malformed.
   {
     std::ofstream f(path);
@@ -481,8 +478,7 @@ TEST(Check, SuppressionFileVariants) {
 }
 
 TEST(Check, ZeroMatchGlobSuppressionLeavesHazardsFatal) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_check_nomatch.txt";
+  const auto path = tests::temp_file("esarp_check_nomatch.txt");
   {
     std::ofstream f(path);
     f << "channel:*no such message ever*\n";
@@ -504,8 +500,7 @@ TEST(Check, ZeroMatchGlobSuppressionLeavesHazardsFatal) {
 }
 
 TEST(Check, JsonReportRoundTripsThroughParser) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "esarp_check_roundtrip.json";
+  const auto path = tests::temp_file("esarp_check_roundtrip.json");
   ep::ChipConfig cfg = checked_config();
   cfg.check.json_out = path.string();
   ep::Machine m(cfg);

@@ -15,6 +15,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -177,7 +178,7 @@ TEST(Stats, ContrastHigherForSparseImage) {
 }
 
 TEST(Pgm, WritesValidHeaderAndSize) {
-  const auto path = std::filesystem::temp_directory_path() / "esarp_test.pgm";
+  const auto path = tests::temp_file("esarp_test.pgm");
   Array2D<cf32> img(5, 7);
   img(2, 3) = {1.0f, 0.0f};
   write_pgm(path, img);
@@ -245,7 +246,7 @@ TEST(Format, Bytes) {
 }
 
 TEST(Csv, WritesHeaderAndRows) {
-  const auto path = std::filesystem::temp_directory_path() / "esarp_test.csv";
+  const auto path = tests::temp_file("esarp_test.csv");
   {
     CsvWriter w(path, {"a", "b"});
     w.row({"1", "hello, world"});
@@ -262,7 +263,7 @@ TEST(Csv, WritesHeaderAndRows) {
 }
 
 TEST(Csv, RowWidthMismatchThrows) {
-  const auto path = std::filesystem::temp_directory_path() / "esarp_test2.csv";
+  const auto path = tests::temp_file("esarp_test2.csv");
   CsvWriter w(path, {"a"});
   EXPECT_THROW(w.row({"1", "2"}), ContractViolation);
   std::filesystem::remove(path);

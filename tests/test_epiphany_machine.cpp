@@ -13,6 +13,7 @@
 #include "common/types.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine.hpp"
+#include "temp_file.hpp"
 
 namespace esarp::ep {
 namespace {
@@ -477,8 +478,7 @@ TEST(Trace, ChromeJsonExport) {
     co_await ctx.compute({.fmul = 50});
   });
   m.run();
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_trace.json";
+  const auto path = tests::temp_file("esarp_trace.json");
   m.tracer().write_chrome_json(path);
   std::ifstream f(path);
   std::string content((std::istreambuf_iterator<char>(f)),

@@ -1,5 +1,9 @@
 // Tests for the eMesh NoC model, the off-chip port, and the local/external
 // memories.
+#include <cstddef>
+#include <cstdint>
+#include <new>
+
 #include <gtest/gtest.h>
 
 #include "common/assert.hpp"
@@ -212,6 +216,23 @@ TEST(ExternalMemory, AllocAndOffsets) {
   EXPECT_TRUE(ext.owns(a.data()));
   EXPECT_GT(ext.offset_of(b.data()), ext.offset_of(a.data()));
   EXPECT_THROW(ext.alloc<double>(1 << 20), ContractViolation);
+}
+
+TEST(ExternalMemory, StoreIsZeroedAndMayBeEmpty) {
+  ExternalMemory ext(1 << 20);
+  const auto words = ext.alloc<std::uint64_t>((1 << 20) / 8);
+  for (const std::uint64_t w : words) ASSERT_EQ(w, 0u);
+
+  ExternalMemory empty(0);
+  EXPECT_EQ(empty.capacity(), 0u);
+  EXPECT_TRUE(empty.alloc<int>(0).empty());
+  EXPECT_THROW(empty.alloc<int>(1), ContractViolation);
+  int outside = 0;
+  EXPECT_FALSE(empty.owns(&outside));
+#if !defined(__SANITIZE_ADDRESS__) // ASan aborts on this request instead
+  // 4 EiB: more than any x86-64 or AArch64 address space holds.
+  EXPECT_THROW(ExternalMemory(std::size_t{1} << 62), std::bad_alloc);
+#endif
 }
 
 } // namespace

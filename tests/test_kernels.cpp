@@ -1,6 +1,6 @@
 // Bit-exactness tests of the unified kernel API (sar/kernels.hpp): the
-// AVX2 backend, when available, must reproduce the scalar reference bit
-// for bit on every kernel, including the non-multiple-of-width tails,
+// AVX2 and AVX-512 backends, where the host has them, must reproduce the
+// scalar reference bit for bit on every kernel, including the non-multiple-of-width tails,
 // clamp and validity edge cases. Comparison is on the float bit patterns,
 // not on a tolerance — the SIMD backend is only allowed to exist because
 // it changes nothing.
@@ -41,7 +41,8 @@ void expect_bits_eq(cf32 a, cf32 b, const char* what, std::size_t i) {
 
 std::vector<k::Backend> simd_backends() {
   std::vector<k::Backend> b;
-  if (k::backend_available(k::Backend::kAvx2)) b.push_back(k::Backend::kAvx2);
+  for (const k::Backend s : {k::Backend::kAvx2, k::Backend::kAvx512})
+    if (k::backend_available(s)) b.push_back(s);
   return b;
 }
 
@@ -416,7 +417,8 @@ TEST(Kernels, MergeSampleRowNanAngleMissThrowsOnEveryBackend) {
   // range is merely out of swath and contributes nothing.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const k::Backend before = k::active();
-  for (const k::Backend b : {k::Backend::kScalar, k::Backend::kAvx2}) {
+  for (const k::Backend b :
+       {k::Backend::kScalar, k::Backend::kAvx2, k::Backend::kAvx512}) {
     if (!k::backend_available(b)) continue;
     SCOPED_TRACE(k::backend_name(b));
     k::force_backend(b);

@@ -26,6 +26,7 @@
 #include "sar/scene.hpp"
 #include "telemetry/compare.hpp"
 #include "telemetry/manifest.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -588,9 +589,8 @@ TEST(PowerArtifacts, CsvAndHeatmapAreWritten) {
   ep::ChipConfig cfg;
   cfg.power.enabled = true;
   const auto sim = run_small_ffbp(cfg);
-  const auto dir = std::filesystem::temp_directory_path();
-  const auto csv = dir / "esarp_test_power.csv";
-  const auto pgm = dir / "esarp_test_power.pgm";
+  const auto csv = tests::temp_file("esarp_test_power.csv");
+  const auto pgm = tests::temp_file("esarp_test_power.pgm");
   ep::write_power_csv(csv, sim.power.trace);
   ep::write_power_heatmap(pgm, sim.power.trace);
   std::ifstream fc(csv);

@@ -22,6 +22,7 @@
 #include "serve/trace.hpp"
 #include "telemetry/compare.hpp"
 #include "telemetry/manifest.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -51,9 +52,7 @@ FleetConfig small_fleet(int chips) {
   return cfg;
 }
 
-std::filesystem::path temp_file(const std::string& name) {
-  return std::filesystem::temp_directory_path() / name;
-}
+using tests::temp_file;
 
 std::string slurp(const std::filesystem::path& p) {
   std::ifstream in(p, std::ios::binary);

@@ -30,6 +30,7 @@
 #include "telemetry/compare.hpp"
 #include "telemetry/manifest.hpp"
 #include "telemetry/metrics.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -40,9 +41,7 @@ using ep::SegmentKind;
 using ep::Task;
 using ep::Tracer;
 
-std::filesystem::path temp_file(const char* name) {
-  return std::filesystem::temp_directory_path() / name;
-}
+using tests::temp_file;
 
 std::string slurp(const std::filesystem::path& p) {
   std::ifstream f(p);

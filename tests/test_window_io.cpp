@@ -14,6 +14,7 @@
 #include "fft/window.hpp"
 #include "sar/io.hpp"
 #include "sar/scene.hpp"
+#include "temp_file.hpp"
 
 namespace esarp {
 namespace {
@@ -114,8 +115,7 @@ TEST(DatasetIo, RoundTripPreservesEverything) {
   ds.params = p;
   ds.data = sar::simulate_compressed(p, sar::six_target_scene(p));
 
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_ds_test.esrp";
+  const auto path = tests::temp_file("esarp_ds_test.esrp");
   sar::save_dataset(path, ds);
   const sar::Dataset back = sar::load_dataset(path);
   std::filesystem::remove(path);
@@ -132,8 +132,7 @@ TEST(DatasetIo, DetectsCorruption) {
   sar::Dataset ds;
   ds.params = p;
   ds.data = Array2D<cf32>(8, 17, cf32{1.0f, 2.0f});
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_ds_corrupt.esrp";
+  const auto path = tests::temp_file("esarp_ds_corrupt.esrp");
   sar::save_dataset(path, ds);
 
   // Flip one payload byte.
@@ -149,8 +148,7 @@ TEST(DatasetIo, DetectsCorruption) {
 }
 
 TEST(DatasetIo, RejectsBadMagic) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_ds_magic.esrp";
+  const auto path = tests::temp_file("esarp_ds_magic.esrp");
   {
     std::ofstream f(path, std::ios::binary);
     const char junk[200] = "not a dataset";
@@ -164,8 +162,7 @@ TEST(DatasetIo, RejectsShapeWhoseProductWraps) {
   // rows = cols = 2^32 (n_pulses and n_range agreeing), no payload, CRC 0:
   // rows * cols wraps to 0 in 64 bits, which used to pass the size bound
   // and load an empty array claiming 2^32 rows.
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_ds_wrap.esrp";
+  const auto path = tests::temp_file("esarp_ds_wrap.esrp");
   {
     unsigned char h[96] = {};
     const std::uint32_t magic_version[2] = {0x45535250u, 1u};
@@ -189,8 +186,7 @@ TEST(DatasetIo, RejectsShapeDisagreeingWithParams) {
   sar::Dataset ds;
   ds.params = p;
   ds.data = Array2D<cf32>(8, 17, cf32{1.0f, 2.0f});
-  const auto path =
-      std::filesystem::temp_directory_path() / "esarp_ds_shape.esrp";
+  const auto path = tests::temp_file("esarp_ds_shape.esrp");
   for (const std::streamoff field : {40, 48}) {
     sar::save_dataset(path, ds);
     {
