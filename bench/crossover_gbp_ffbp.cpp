@@ -81,8 +81,10 @@ static int bench_body() {
   // Headline energy evidence is the FFBP leg; the GBP totals ride along
   // as plain results so the energy advantage is visible in the diff.
   ep::fill_manifest(man, head.f);
-  // Results only: one leg's registry would not describe the pair.
-  man.set_metrics(nullptr);
+  // One leg's registry would not describe the pair, so the manifest's
+  // holds only the sweep's engine gauges (add_engine_stats below).
+  telemetry::MetricsRegistry engine;
+  man.set_metrics(&engine);
   bench::add_energy_per_pixel(man, head.f,
                               static_cast<double>(sizes.back()) * 161.0);
   man.add_result("gbp_seconds", head.g.seconds);
@@ -113,7 +115,7 @@ static int bench_body() {
     man.add_result(pfx + ".ffbp",
                    static_cast<double>(results[i].f.perf.engine_events));
   }
-  bench::add_engine_stats(man, nullptr, events, sweep_s, pool.jobs());
+  bench::add_engine_stats(man, &engine, events, sweep_s, pool.jobs());
   bench::write_manifest(man);
 
   t.note("FFBP's advantage grows ~N/log2(N): the reason time-domain SAR "

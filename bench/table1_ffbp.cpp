@@ -32,14 +32,16 @@ static int bench_body() {
 
   // --- Sequential on one simulated Epiphany core @ 1 GHz. ---
   std::cerr << "simulating sequential Epiphany FFBP...\n";
+  WallTimer chip_timer;
   const auto seq = core::run_ffbp_sequential_epiphany(w.data, w.params);
 
   // --- Parallel SPMD on 16 simulated cores. ---
   std::cerr << "simulating 16-core SPMD FFBP...\n";
   core::FfbpMapOptions opt;
   opt.n_cores = 16;
-  const auto par =
+  auto par =
       core::run_ffbp_epiphany(w.data, w.params, opt, bench::power_chip());
+  const double chip_s = chip_timer.elapsed_s();
 
   Table t("Table I (FFBP): resources, performance, estimated power");
   t.header({"Implementation", "Cores", "Time (ms)", "Speedup",
@@ -81,6 +83,10 @@ static int bench_body() {
   ep::fill_manifest(man, par);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 16.0);
+  // Engine throughput over both chip runs (docs/performance.md).
+  bench::add_engine_stats(man, &par.metrics,
+                          seq.perf.engine_events + par.perf.engine_events,
+                          chip_s, 1);
   man.add_result("intel_seconds", intel_s);
   man.add_result("seq_epiphany_seconds", seq.seconds);
   man.add_result("speedup_vs_intel", intel_s / par.seconds);

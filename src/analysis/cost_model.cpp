@@ -8,8 +8,6 @@
 namespace esarp::analysis {
 namespace {
 
-constexpr double kPicojoule = 1e-12;
-
 Coord coord_of(const ChipConfig& cfg, int id) {
   return Coord{id / cfg.cols, id % cfg.cols};
 }
@@ -260,28 +258,20 @@ CostPrediction predict_cost(const MappingSpec& spec) {
     out.phases.push_back(std::move(pp));
   }
 
-  // Energy: ep::compute_energy over the predicted counters.
-  const ep::EnergyParams p{};
-  EnergyPrediction& e = out.energy;
+  // Energy: the simulator's pricing over a report of the mapping's cores
+  // only, as compute_energy charges idle energy to every core it is given.
+  ep::PerfReport rep;
+  rep.cfg = cfg;
+  rep.makespan = out.makespan;
   for (const CorePrediction& cp : out.cores) {
-    e.core_active_j +=
-        static_cast<double>(cp.busy) * p.core_active_pj_per_cycle * kPicojoule;
-    const Cycles idle = out.makespan > cp.busy ? out.makespan - cp.busy : 0;
-    e.core_idle_j +=
-        static_cast<double>(idle) * p.core_idle_pj_per_cycle * kPicojoule;
-    e.alu_j += (static_cast<double>(cp.ops.fp_issues()) * p.flop_pj +
-                static_cast<double>(cp.ops.ialu) * p.ialu_pj +
-                static_cast<double>(cp.ops.load + cp.ops.store) *
-                    p.ldst_local_pj) *
-               kPicojoule;
+    ep::CoreCounters& c = rep.per_core.emplace_back();
+    c.busy = cp.busy;
+    c.ops = cp.ops;
   }
-  e.noc_j = static_cast<double>(out.byte_hops) * p.noc_pj_per_byte_hop *
-            kPicojoule;
-  e.elink_j = static_cast<double>(out.ext_read_bytes + out.ext_write_bytes) *
-              p.elink_pj_per_byte * kPicojoule;
-  const double secs = cfg.seconds(out.makespan);
-  e.static_j = p.chip_static_w * secs;
-  e.avg_watts = secs > 0.0 ? e.total_j() / secs : 0.0;
+  rep.noc_total.byte_hops = out.byte_hops;
+  rep.ext.read_bytes = out.ext_read_bytes;
+  rep.ext.write_bytes = out.ext_write_bytes;
+  out.energy = ep::compute_energy(rep);
   return out;
 }
 

@@ -17,7 +17,9 @@
 // barrier-free mappings (GBP, the MPMD pipeline) take the slowest core
 // plus a pipeline-fill term along the longest channel chain.
 //
-// Energy mirrors ep::compute_energy over the predicted counters. The
+// Energy is ep::compute_energy itself, run over a PerfReport built from
+// the predicted counters of the mapping's cores, so predicted and
+// simulated joules share one price table (epiphany/energy.hpp). The
 // tier-1 accuracy of all of this against full simulation is pinned in
 // tests/test_analysis.cpp and reported in docs/static-analysis.md.
 #pragma once
@@ -28,6 +30,7 @@
 
 #include "analysis/mapping_spec.hpp"
 #include "epiphany/config.hpp"
+#include "epiphany/energy.hpp"
 
 namespace esarp::analysis {
 
@@ -51,20 +54,6 @@ struct CorePrediction {
   OpCounts ops;
 };
 
-/// Predicted energy, field-for-field comparable to ep::EnergyReport.
-struct EnergyPrediction {
-  double core_active_j = 0.0;
-  double core_idle_j = 0.0;
-  double alu_j = 0.0;
-  double noc_j = 0.0;
-  double elink_j = 0.0;
-  double static_j = 0.0;
-  double avg_watts = 0.0;
-  [[nodiscard]] double total_j() const {
-    return core_active_j + core_idle_j + alu_j + noc_j + elink_j + static_j;
-  }
-};
-
 struct CostPrediction {
   Cycles makespan = 0;
   std::vector<PhasePrediction> phases;
@@ -72,7 +61,7 @@ struct CostPrediction {
   std::uint64_t ext_read_bytes = 0;
   std::uint64_t ext_write_bytes = 0;
   std::uint64_t byte_hops = 0;
-  EnergyPrediction energy;
+  ep::EnergyReport energy;
 };
 
 [[nodiscard]] CostPrediction predict_cost(const MappingSpec& spec);

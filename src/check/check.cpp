@@ -426,8 +426,10 @@ void CheckContext::finalize(bool allow_throw) {
     for (const BarrierShadow& b : barriers_) {
       if (b.arrived.empty()) continue;
       std::string cores;
-      for (const int c : b.arrived)
-        cores += (cores.empty() ? "" : ", ") + std::to_string(c);
+      for (const int c : b.arrived) {
+        if (!cores.empty()) cores += ", ";
+        cores += std::to_string(c);
+      }
       report(Hazard::kBarrier, b.arrived.front(),
              "simulation ended with " + std::to_string(b.arrived.size()) +
                  " core(s) (" + cores + ") waiting at a " +

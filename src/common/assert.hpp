@@ -12,33 +12,27 @@
 // human-written message.
 #pragma once
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
 namespace esarp {
 
-/// Thrown when a precondition/postcondition/invariant check fails.
+/// Thrown when a precondition/postcondition/invariant check fails. The
+/// constructor and destructor are defined in assert.cpp: the destructor is
+/// the key function, so the vtable and typeinfo are emitted once, there,
+/// never as weak copies in a translation unit built for a wider ISA.
 class ContractViolation : public std::logic_error {
 public:
-  explicit ContractViolation(const std::string& what) : std::logic_error(what) {}
+  explicit ContractViolation(const std::string& what);
+  ~ContractViolation() override;
 };
 
 namespace detail {
-[[noreturn]] inline void contract_fail(const char* kind, const char* expr,
-                                       const char* file, int line) {
-  std::ostringstream os;
-  os << kind << " failed: (" << expr << ") at " << file << ':' << line;
-  throw ContractViolation(os.str());
-}
+[[noreturn]] void contract_fail(const char* kind, const char* expr,
+                                const char* file, int line);
 
-[[noreturn]] inline void require_fail(const char* expr, const std::string& msg,
-                                      const char* file, int line) {
-  std::ostringstream os;
-  os << "Requirement failed: " << msg << " [(" << expr << ") at " << file
-     << ':' << line << ']';
-  throw ContractViolation(os.str());
-}
+[[noreturn]] void require_fail(const char* expr, const std::string& msg,
+                               const char* file, int line);
 } // namespace detail
 
 } // namespace esarp

@@ -1,5 +1,5 @@
-// Shell-style wildcard matching for suppression rules, metric patterns and
-// manifest schema names.
+// Shell-style wildcard matching for suppression rules and manifest schema
+// names.
 #pragma once
 
 #include <cstddef>

@@ -241,8 +241,6 @@ private:
                                          sched_.now(), Mesh::kOnChipWrite);
     if (from.checker() != nullptr)
       from.checker()->on_chan_send(this, name_, from.id());
-    from.core().counters.msgs_sent += 1;
-    from.core().counters.msg_bytes_sent += sizeof(T);
     q_.push_back(Slot{arrival, std::move(value)});
     stats_.messages += 1;
     stats_.bytes += sizeof(T);

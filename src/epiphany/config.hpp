@@ -132,19 +132,4 @@ struct ChipConfig {
   }
 };
 
-/// Energy parameters for the Epiphany chip (65 nm). Calibrated so a fully
-/// busy 16-core chip at 1 GHz dissipates ~2 W, the figure the paper takes
-/// from the E16G3 datasheet, with fine-grained clock gating making idle
-/// cores nearly free (Microprocessor Report, "More Flops, Less Watts").
-struct EnergyParams {
-  double core_active_pj_per_cycle = 55.0; ///< pipeline+clock tree when busy
-  double core_idle_pj_per_cycle = 1.0;    ///< clock-gated core (<2% of active)
-  double flop_pj = 18.0;                  ///< per FP issue (FMA counts once)
-  double ialu_pj = 6.0;
-  double ldst_local_pj = 10.0; ///< per 32-bit local-memory access
-  double noc_pj_per_byte_hop = 1.2;
-  double elink_pj_per_byte = 32.0; ///< off-chip I/O incl. SDRAM access share
-  double chip_static_w = 0.10;     ///< leakage + PLL + always-on fabric
-};
-
 } // namespace esarp::ep

@@ -77,8 +77,6 @@ struct CoreCounters {
   std::uint64_t ext_write_bytes = 0;
   std::uint64_t dma_transfers = 0;
   std::uint64_t dma_bytes = 0;
-  std::uint64_t msgs_sent = 0;
-  std::uint64_t msg_bytes_sent = 0;
 
   [[nodiscard]] Cycles total_wait() const {
     return ext_stall + dma_wait + chan_wait + barrier_wait;

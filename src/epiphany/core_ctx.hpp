@@ -261,8 +261,6 @@ public:
                               "write_remote");
       check_->on_remote_write(id(), dst_core, dst, bytes, arrival);
     }
-    core_.counters.msgs_sent += 1;
-    core_.counters.msg_bytes_sent += bytes;
     // Writer only pays injection (stores issue at link rate), not delivery.
     const Cycles inject = cfg_.cycles_for_bytes_on_link(bytes);
     (void)arrival;

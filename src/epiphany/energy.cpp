@@ -6,7 +6,8 @@
 
 namespace esarp::ep {
 
-EnergyReport compute_energy(const PerfReport& rep, const EnergyParams& p) {
+EnergyReport compute_energy(const PerfReport& rep) {
+  const EnergyParams& p = kEnergyParams;
   EnergyReport e;
   const double pj = 1e-12;
 
@@ -35,7 +36,8 @@ EnergyReport compute_energy(const PerfReport& rep, const EnergyParams& p) {
   return e;
 }
 
-double peak_chip_watts(const ChipConfig& cfg, const EnergyParams& p) {
+double peak_chip_watts(const ChipConfig& cfg) {
+  const EnergyParams& p = kEnergyParams;
   // All cores busy every cycle, one FP + one IALU issue per cycle, one local
   // access per cycle, plus static power: the datasheet-style max figure.
   const double per_core_pj = p.core_active_pj_per_cycle + p.flop_pj +

@@ -152,8 +152,8 @@ namespace {
 
 /// Joules of the activity-proportional components (everything except idle
 /// and static, which depend on the makespan rather than recorded activity).
-double activity_joules(const PowerSampler::Activity& a,
-                       const EnergyParams& p) {
+double activity_joules(const PowerSampler::Activity& a) {
+  const EnergyParams& p = kEnergyParams;
   const double pj = 1e-12;
   return (a.busy * p.core_active_pj_per_cycle + a.fp * p.flop_pj +
           a.ialu * p.ialu_pj + a.ldst * p.ldst_local_pj +
@@ -173,7 +173,8 @@ double epoch_overlap(std::size_t e, Cycles epoch_cycles, Cycles makespan) {
 } // namespace
 
 PowerTrace build_power_trace(const PowerSampler& sampler,
-                             const PerfReport& rep, const EnergyParams& p) {
+                             const PerfReport& rep) {
+  const EnergyParams& p = kEnergyParams;
   const double pj = 1e-12;
   PowerTrace t;
   t.epoch_cycles = sampler.epoch_cycles();
@@ -198,7 +199,7 @@ PowerTrace build_power_trace(const PowerSampler& sampler,
       double j = 0.0;
       double busy = 0.0;
       if (e < bins.size()) {
-        j += activity_joules(bins[e], p);
+        j += activity_joules(bins[e]);
         busy = bins[e].busy;
       }
       // Idle (clock-gated) cycles and the chip's static power accrue over
@@ -244,8 +245,8 @@ double PowerTrace::peak_chip_watts() const {
 }
 
 SpanEnergyProfile build_span_profile(const PowerSampler& sampler,
-                                     const PerfReport& rep,
-                                     const EnergyParams& p) {
+                                     const PerfReport& rep) {
+  const EnergyParams& p = kEnergyParams;
   const double pj = 1e-12;
   SpanEnergyProfile prof;
 
@@ -270,7 +271,7 @@ SpanEnergyProfile build_span_profile(const PowerSampler& sampler,
                pj;
     e.noc_j += act.byte_hops * p.noc_pj_per_byte_hop * pj;
     e.elink_j += act.elink_bytes * p.elink_pj_per_byte * pj;
-    e.joules += activity_joules(act, p);
+    e.joules += activity_joules(act);
     e.spans += 1;
   }
   for (auto& [_, e] : groups) {
@@ -295,7 +296,7 @@ SpanEnergyProfile build_span_profile(const PowerSampler& sampler,
       (idle_cycles > 0 ? idle_cycles : 0.0) * p.core_idle_pj_per_cycle * pj;
   prof.static_j = p.chip_static_w * rep.seconds();
   prof.unattributed_j =
-      activity_joules(sampler.spanless(), p) + prof.idle_j + prof.static_j;
+      activity_joules(sampler.spanless()) + prof.idle_j + prof.static_j;
   prof.total_j = prof.attributed_j + prof.unattributed_j;
   return prof;
 }

@@ -199,7 +199,7 @@ struct SpanEnergyProfile {
   double static_j = 0.0; ///< leakage/PLL share of unattributed
   double total_j = 0.0;  ///< attributed + unattributed
 
-  /// Human-readable energy-profile table (the `esarp power` report body).
+  /// Human-readable energy-profile table (printed by `esarp chip`).
   [[nodiscard]] std::string table() const;
 };
 
@@ -215,15 +215,13 @@ struct PowerReport {
 /// Convert sampled activity into the time-resolved trace. `rep` supplies
 /// the makespan (for idle/static accounting) and the chip config.
 [[nodiscard]] PowerTrace build_power_trace(const PowerSampler& sampler,
-                                           const PerfReport& rep,
-                                           const EnergyParams& p = {});
+                                           const PerfReport& rep);
 
 /// Convert sampled activity into the span-attribution profile. Span names
 /// are grouped by the prefix before the last '/' ("merge-iter/3" and
 /// "merge-iter/4" fold into "merge-iter").
 [[nodiscard]] SpanEnergyProfile build_span_profile(const PowerSampler& sampler,
-                                                   const PerfReport& rep,
-                                                   const EnergyParams& p = {});
+                                                   const PerfReport& rep);
 
 /// Write the trace as CSV: one row per epoch with start cycle, chip watts
 /// and per-core watts columns.

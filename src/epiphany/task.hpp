@@ -12,15 +12,13 @@
 #include <deque>
 #include <exception>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 #include "common/assert.hpp"
 #include "epiphany/scheduler.hpp"
 
 namespace esarp::ep {
-
-template <typename T>
-class TaskT;
 
 namespace detail {
 
@@ -59,18 +57,29 @@ struct PromiseBase {
   void unhandled_exception() { error = std::current_exception(); }
 };
 
+/// The return half of a TaskT<T> promise: the co_returned value, or
+/// nothing for a void task.
+template <typename T>
+struct ReturnSlot {
+  std::optional<T> value;
+  void return_value(T v) { value.emplace(std::move(v)); }
+};
+template <>
+struct ReturnSlot<void> {
+  void return_void() {}
+};
+
 } // namespace detail
 
-/// Value-returning coroutine task. Move-only RAII owner of the frame.
+/// Coroutine task returning T (nothing for void). Move-only RAII owner of
+/// the frame.
 template <typename T = void>
 class TaskT {
 public:
-  struct promise_type : detail::PromiseBase {
-    std::optional<T> value;
+  struct promise_type : detail::PromiseBase, detail::ReturnSlot<T> {
     TaskT get_return_object() {
       return TaskT{std::coroutine_handle<promise_type>::from_promise(*this)};
     }
-    void return_value(T v) { value.emplace(std::move(v)); }
   };
 
   TaskT() = default;
@@ -108,68 +117,10 @@ public:
       T await_resume() {
         auto& p = child.promise();
         if (p.error) std::rethrow_exception(p.error);
-        ESARP_ENSURES(p.value.has_value());
-        return std::move(*p.value);
-      }
-    };
-    return Awaiter{h_};
-  }
-
-private:
-  explicit TaskT(std::coroutine_handle<promise_type> h) : h_(h) {}
-  void destroy() {
-    if (h_) {
-      h_.destroy();
-      h_ = {};
-    }
-  }
-  std::coroutine_handle<promise_type> h_;
-};
-
-/// void specialisation.
-template <>
-class TaskT<void> {
-public:
-  struct promise_type : detail::PromiseBase {
-    TaskT get_return_object() {
-      return TaskT{std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    void return_void() {}
-  };
-
-  TaskT() = default;
-  TaskT(TaskT&& o) noexcept : h_(std::exchange(o.h_, {})) {}
-  TaskT& operator=(TaskT&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, {});
-    }
-    return *this;
-  }
-  TaskT(const TaskT&) = delete;
-  TaskT& operator=(const TaskT&) = delete;
-  ~TaskT() { destroy(); }
-
-  [[nodiscard]] bool valid() const { return static_cast<bool>(h_); }
-  [[nodiscard]] bool done() const { return h_ && h_.done(); }
-  [[nodiscard]] std::coroutine_handle<> handle() const { return h_; }
-
-  void rethrow_if_error() const {
-    if (h_ && h_.promise().error) std::rethrow_exception(h_.promise().error);
-  }
-
-  auto operator co_await() && noexcept {
-    struct Awaiter {
-      std::coroutine_handle<promise_type> child;
-      bool await_ready() const noexcept { return !child || child.done(); }
-      std::coroutine_handle<>
-      await_suspend(std::coroutine_handle<> parent) noexcept {
-        child.promise().continuation = parent;
-        return child;
-      }
-      void await_resume() {
-        auto& p = child.promise();
-        if (p.error) std::rethrow_exception(p.error);
+        if constexpr (!std::is_void_v<T>) {
+          ESARP_ENSURES(p.value.has_value());
+          return std::move(*p.value);
+        }
       }
     };
     return Awaiter{h_};

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -30,25 +31,6 @@ bool two_sided(const std::string& key) {
 }
 
 namespace {
-
-/// The flattened-key section prefixes a convenience pattern may omit.
-constexpr const char* kSectionPrefixes[] = {
-    "results.", "metrics.counters.", "metrics.gauges.",
-    "metrics.histograms."};
-
-/// First noisy pattern matching `key` (full or section-stripped), if any.
-std::optional<double> noisy_threshold(const CompareOptions& opt,
-                                      const std::string& key) {
-  for (const auto& [pattern, threshold] : opt.noisy_patterns) {
-    if (glob_match(pattern, key)) return threshold;
-    for (const char* prefix : kSectionPrefixes) {
-      if (key.rfind(prefix, 0) != 0) continue;
-      if (glob_match(pattern, key.substr(std::string(prefix).size())))
-        return threshold;
-    }
-  }
-  return std::nullopt;
-}
 
 void check_schema(const JsonValue& v, const char* which) {
   // Run manifests ("esarp-run-manifest/1") and serve manifests
@@ -174,15 +156,12 @@ CompareReport compare_manifests(const JsonValue& base,
                            : std::numeric_limits<double>::infinity();
     }
 
-    // Threshold resolution: explicit per-key override wins, then the first
-    // matching noisy glob pattern; otherwise the default threshold applies
-    // to "results" entries only.
+    // Threshold resolution: an explicit per-key threshold wins; otherwise
+    // the default threshold applies to "results" entries only.
     const auto ov = opt.per_key.find(key);
     std::optional<double> threshold;
     if (ov != opt.per_key.end()) {
       threshold = ov->second;
-    } else if (const auto noisy = noisy_threshold(opt, key)) {
-      threshold = *noisy;
     } else if (key.rfind("results.", 0) == 0) {
       threshold = opt.default_threshold;
     }

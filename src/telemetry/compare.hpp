@@ -11,7 +11,6 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,14 +26,6 @@ struct CompareOptions {
   /// "metrics.counters.ext.read.bytes" (the metric name may itself contain
   /// dots, so metric overrides match on the full remainder).
   std::map<std::string, double> per_key;
-  /// Glob-pattern thresholds (`*` matches any run, `?` one character),
-  /// checked in order after per_key and before the default: the first
-  /// pattern that matches a key supplies its threshold. A pattern is tried
-  /// against the full flattened key ("results.wall_seconds") and, for
-  /// convenience, against the key with its section prefix stripped — so
-  /// "wall_*" widens every wall-clock result. Patterns that match nothing
-  /// are not an error (unlike per_key entries, which must resolve).
-  std::vector<std::pair<std::string, double>> noisy_patterns;
   /// Values |base| <= abs_floor on both sides are never flagged (guards
   /// against noisy relative deltas of near-zero quantities).
   double abs_floor = 1e-12;

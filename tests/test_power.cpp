@@ -344,7 +344,7 @@ TEST(SpanAttribution, ChargesTheInnermostSpanExactly) {
   // "phase/2"), not in the order the run opened them (10, 2, 1). The op
   // counts make the two orders round differently.
   const ep::EnergyParams p;
-  const auto prof = ep::build_span_profile(s, rep, p);
+  const auto prof = ep::build_span_profile(s, rep);
   double phase_j = 0.0;
   phase_j += span_joules(phase1, p);
   phase_j += span_joules(phase10, p);

@@ -462,7 +462,7 @@ TEST(Compare, PerKeyThresholdOverridesDefault) {
   EXPECT_FALSE(telemetry::compare_manifests(base, slight, opt).ok());
 }
 
-// esarp_compare's metric patterns use the shared glob matcher.
+// esarp_compare matches a manifest's schema with the shared glob matcher.
 TEST(Compare, GlobMatcher) {
   EXPECT_TRUE(glob_match("wall_*", "wall_seconds"));
   EXPECT_TRUE(glob_match("*wall*", "results.wall_seconds"));
@@ -474,45 +474,10 @@ TEST(Compare, GlobMatcher) {
   EXPECT_FALSE(glob_match("", "x"));
 }
 
-TEST(Compare, NoisyPatternWidensMatchingKeys) {
-  // Zero-tolerance default, but wall-clock keys get a 15% band through a
-  // glob: +10% wall time passes while +10% makespan still fails.
-  std::ostringstream os_base, os_cur;
-  telemetry::RunManifest base_m("cmp"), cur_m("cmp");
-  base_m.add_result("makespan_cycles", 1000.0);
-  base_m.add_result("wall_seconds", 2.0);
-  cur_m.add_result("makespan_cycles", 1000.0);
-  cur_m.add_result("wall_seconds", 2.2); // +10%
-  base_m.write(os_base);
-  cur_m.write(os_cur);
-  const JsonValue base = parse_json(os_base.str());
-  const JsonValue cur = parse_json(os_cur.str());
-
-  telemetry::CompareOptions opt;
-  opt.default_threshold = 0.0;
-  opt.noisy_patterns.emplace_back("wall_*", 0.15);
-  EXPECT_TRUE(telemetry::compare_manifests(base, cur, opt).ok());
-
-  // Without the pattern the same diff regresses at zero tolerance.
-  telemetry::CompareOptions strict;
-  strict.default_threshold = 0.0;
-  EXPECT_FALSE(telemetry::compare_manifests(base, cur, strict).ok());
-
-  // The pattern only widens matching keys: makespan stays zero-tolerance.
-  std::ostringstream os_slow;
-  telemetry::RunManifest slow_m("cmp");
-  slow_m.add_result("makespan_cycles", 1100.0);
-  slow_m.add_result("wall_seconds", 2.0);
-  slow_m.write(os_slow);
-  EXPECT_FALSE(
-      telemetry::compare_manifests(base, parse_json(os_slow.str()), opt)
-          .ok());
-}
-
-TEST(Compare, NoisyEventsPerSecondGatesOnDropsOnly) {
-  // The CI perf-smoke leg widens engine.events_per_second with a noise
-  // band; the key is higher-is-better, so only a drop beyond the band may
-  // regress — a faster engine must never fail the gate.
+TEST(Compare, EventsPerSecondBandGatesOnDropsOnly) {
+  // The CI perf-smoke leg opts engine.events_per_second in with an exact
+  // --metric band; the key is higher-is-better, so only a drop beyond the
+  // band may regress — a faster engine must never fail the gate.
   const auto make = [](double eps) {
     telemetry::MetricsRegistry reg;
     reg.gauge("engine.events_per_second").set(eps);
@@ -524,29 +489,11 @@ TEST(Compare, NoisyEventsPerSecondGatesOnDropsOnly) {
   };
   const JsonValue base = make(1.0e6);
   telemetry::CompareOptions opt;
-  opt.noisy_patterns.emplace_back("engine.events_per_second*", 0.15);
+  opt.default_threshold = 0.0;
+  opt.per_key["metrics.gauges.engine.events_per_second"] = 0.15;
   EXPECT_FALSE(telemetry::compare_manifests(base, make(0.8e6), opt).ok());
   EXPECT_TRUE(telemetry::compare_manifests(base, make(0.9e6), opt).ok());
   EXPECT_TRUE(telemetry::compare_manifests(base, make(1.3e6), opt).ok());
-}
-
-TEST(Compare, NoisyPatternResolutionOrder) {
-  const JsonValue base = make_manifest(1000.0, 0.5);
-  const JsonValue slight = make_manifest(1020.0, 0.5); // +2%
-  // An exact per-key override beats a matching glob pattern.
-  telemetry::CompareOptions opt;
-  opt.per_key["results.makespan_cycles"] = 0.01; // 1%: regresses
-  opt.noisy_patterns.emplace_back("makespan_*", 0.50);
-  EXPECT_FALSE(telemetry::compare_manifests(base, slight, opt).ok());
-  // Glob alone wins over the default and widens the band.
-  telemetry::CompareOptions glob_only;
-  glob_only.default_threshold = 0.0;
-  glob_only.noisy_patterns.emplace_back("makespan_*", 0.50);
-  EXPECT_TRUE(telemetry::compare_manifests(base, slight, glob_only).ok());
-  // A pattern matching nothing is not an error.
-  telemetry::CompareOptions unmatched;
-  unmatched.noisy_patterns.emplace_back("no_such_key_*", 0.01);
-  EXPECT_TRUE(telemetry::compare_manifests(base, base, unmatched).ok());
 }
 
 TEST(Compare, LatencyAndSloKeysTakeTheDefaultThreshold) {

@@ -65,13 +65,13 @@ expect 2 "$esarp" image --in "$ds" --out "$scratch/cli_exit_codes.pgm" \
 expect 2 "$esarp" chip --in "$ds" --cores 0
 expect 2 "$esarp" chip --in "$ds" --cores 99
 expect 2 "$esarp" chip --in "$ds" --cores abc
-expect 2 "$esarp" power --in "$ds" --cores 0
-expect 2 "$esarp" power --in "$ds" --cores 99
-expect_named --epoch "$esarp" power --in "$ds" --epoch 0
-expect_named --epoch "$esarp" power --in "$ds" --epoch -5
+expect_named --epoch "$esarp" chip --in "$ds" --epoch 0
+expect_named --epoch "$esarp" chip --in "$ds" --epoch -5
 # An epoch longer than any run is one bin, not an overflow: the sampler
 # never multiplies the epoch by its bin cap (2^62 * 4096 wraps).
-expect 0 "$esarp" power --in "$ds" --epoch 4611686018427387904
+expect 0 "$esarp" chip --in "$ds" --epoch 4611686018427387904
+# `esarp chip` reports the power trace; there is no separate power command.
+expect 2 "$esarp" power --in "$ds"
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail x@5
 # A fail-stop on a core that runs no program would inject nothing.
@@ -236,7 +236,7 @@ expect 6 "$esarp" lint --mapping ffbp-db --pulses 32 --range 1001
 manifest="$scratch/cli_exit_codes.manifest.json"
 expect 0 "$esarp" chip --in "$ds" --cores 4 --metrics "$manifest"
 expect_named --no-prefech "$esarp" chip --in "$ds" --cores 4 --no-prefech
-expect_named --csvv "$esarp" power --in "$ds" --cores 4 \
+expect_named --csvv "$esarp" chip --in "$ds" --cores 4 \
   --csvv "$scratch/cli_exit_codes.csv"
 expect_named --dma-corupt "$esarp" chaos --in "$ds" --cores 4 \
   --dma-corupt 1e-3 --dma-drop 1e-3
@@ -315,6 +315,10 @@ expect_named --threshold "$compare" "$manifest" "$manifest" \
 # separate band, so its old flag is an unknown option.
 expect_named --latency-band "$compare" "$manifest" "$manifest" \
   --latency-band 0.0
+# A threshold comes from an exact --metric key or the default: the glob
+# band is gone, so its old flag is an unknown option too.
+expect_named --noisy-metric "$compare" "$manifest" "$manifest" \
+  --noisy-metric 'engine.events_per_second=0.15'
 
 # A results key the current manifest lost is a regression, never a pass
 # for want of anything to compare.

@@ -378,10 +378,16 @@ int cmd_image(const Args& args) {
 const Flag kChipFlags[] = {
     required({"in", kText, "f.esrp"}),
     {"cores", kIntList, "N[,N...]", 1, kChipCores},
-    {"jobs", kInt, "N", 0, kIntMax}, {"no-prefetch"}, {"autofocus"},
-    {"out", kText, "img.pgm"}, {"trace", kText, "t.json"},
-    {"metrics", kText, "m.json"}, {"check"}};
+    {"jobs", kInt, "N", 0, kIntMax}, {"epoch", kInt, "CYCLES", 1},
+    {"no-prefetch"}, {"autofocus"}, {"out", kText, "img.pgm"},
+    {"trace", kText, "t.json"}, {"metrics", kText, "m.json"},
+    {"csv", kText, "p.csv"}, {"heatmap", kText, "p.pgm"}, {"check"}};
 
+/// Runs the FFBP mapping with the power sampler attached and reports its
+/// cycles, the aggregate energy breakdown, the per-epoch power trace and
+/// the span-attribution profile (docs/observability.md). Energy
+/// conservation (trace and attribution vs the aggregate model, 1e-9
+/// relative) is asserted inside ep::collect_run — a violation exits 4.
 int cmd_chip(const Args& args) {
   // --cores may name a sweep; --jobs N fans the independent simulations
   // over N host threads (default 1). Results are deterministic and
@@ -399,6 +405,8 @@ int cmd_chip(const Args& args) {
   // ESARP_CHECK_* env vars refine it (suppressions, JSON report, abort).
   ep::ChipConfig chip_cfg;
   chip_cfg.check.enabled = args.has("check");
+  chip_cfg.power.enabled = true;
+  chip_cfg.power.epoch_cycles = args.num("epoch", chip_cfg.power.epoch_cycles);
 
   const std::string trace_path = args.str("trace");
   ep::Tracer tracer;
@@ -412,8 +420,9 @@ int cmd_chip(const Args& args) {
             << " Epiphany FFBP configuration(s) (" << pool.jobs()
             << " host thread(s))...\n";
   WallTimer sweep_timer;
-  // The trace, metrics manifest, image, and summary all describe the last
-  // configuration in the list; earlier entries print one summary line.
+  // The trace, power outputs, metrics manifest, image, and summary all
+  // describe the last configuration in the list; earlier entries print one
+  // summary line.
   auto results = pool.run(core_counts.size(), [&](std::size_t i) {
     core::FfbpMapOptions o = opt;
     o.n_cores = core_counts[i];
@@ -438,86 +447,23 @@ int cmd_chip(const Args& args) {
                            "events")
             << ")\n";
 
-  std::cout << "chip time: " << format_seconds(sim.seconds) << " ("
-            << format_cycles(sim.cycles) << " cycles)\n"
-            << sim.perf.summary() << sim.energy.summary() << "\n";
-  if (opt.autofocus != nullptr)
-    std::cout << "autofocus corrections evaluated: "
-              << sim.corrections.size() << "\n";
-
-  if (!trace_path.empty()) {
-    tracer.write_chrome_json(trace_path, sim.perf.cfg.clock_hz);
-    std::cout << "trace written to " << trace_path << " ("
-              << tracer.size() << " segments, " << tracer.spans().size()
-              << " spans)\n";
-  }
-
-  const std::string metrics_path = args.str("metrics");
-  if (!metrics_path.empty()) {
-    telemetry::RunManifest man("esarp_chip");
-    ep::fill_manifest(man, sim);
-    man.add_workload("n_pulses", static_cast<double>(ds.params.n_pulses));
-    man.add_workload("n_range", static_cast<double>(ds.params.n_range));
-    man.add_workload("n_cores", static_cast<double>(opt.n_cores));
-    man.add_workload("prefetch", opt.prefetch ? 1.0 : 0.0);
-    man.write(std::filesystem::path(metrics_path));
-    std::cout << "metrics manifest written to " << metrics_path << "\n";
-  }
-
-  const std::string out = args.str("out");
-  if (!out.empty()) {
-    write_pgm(out, sim.image, {.dynamic_range_db = 45.0});
-    std::cout << "image written to " << out << "\n";
-  }
-  return 0;
-}
-
-const Flag kPowerFlags[] = {
-    required({"in", kText, "f.esrp"}), {"cores", kInt, "N", 1, kChipCores},
-    {"epoch", kInt, "CYCLES", 1}, {"no-prefetch"}, {"autofocus"},
-    {"csv", kText, "p.csv"}, {"heatmap", kText, "p.pgm"},
-    {"trace", kText, "t.json"}, {"metrics", kText, "m.json"}};
-
-/// Power observability report (docs/observability.md): runs the FFBP
-/// mapping with the power sampler attached and prints the aggregate energy
-/// breakdown, the span-attribution profile and the per-epoch peak power.
-/// Energy conservation (trace and attribution vs the aggregate model, 1e-9
-/// relative) is asserted inside ep::collect_run — a violation exits 4.
-int cmd_power(const Args& args) {
-  core::FfbpMapOptions opt;
-  opt.n_cores = args.num("cores", 16);
-  const sar::Dataset ds = sar::load_dataset(args.str("in"));
-  opt.prefetch = !args.has("no-prefetch");
-  af::IntegratedOptions aopt;
-  if (args.has("autofocus")) opt.autofocus = &aopt;
-
-  ep::ChipConfig chip_cfg;
-  chip_cfg.power.enabled = true;
-  chip_cfg.power.epoch_cycles = args.num("epoch", chip_cfg.power.epoch_cycles);
-
-  const std::string trace_path = args.str("trace");
-  ep::Tracer tracer;
-  if (!trace_path.empty()) {
-    tracer.enable();
-    opt.tracer = &tracer;
-  }
-
-  const auto sim = core::run_ffbp_epiphany(ds.data, ds.params, opt, chip_cfg);
   const ep::PowerTrace& trace = sim.power.trace;
-
+  const double energy_per_pixel =
+      sim.energy.total_j() /
+      static_cast<double>(ds.params.n_pulses * ds.params.n_range);
   std::cout << "chip time: " << format_seconds(sim.seconds) << " ("
             << format_cycles(sim.cycles) << " cycles)\n"
-            << sim.energy.summary() << "\n"
+            << sim.perf.summary() << sim.energy.summary() << "\n"
             << "power trace: " << trace.n_epochs << " epoch(s) of "
             << trace.epoch_cycles << " cycles; peak chip power "
             << Table::num(trace.peak_chip_watts(), 3) << " W, average "
             << Table::num(sim.energy.avg_watts, 3) << " W\n"
-            << "energy per pixel: "
-            << Table::num(sim.energy.total_j() /
-                              static_cast<double>(ds.params.n_pulses * ds.params.n_range) * 1e9,
-                          3)
+            << "energy per pixel: " << Table::num(energy_per_pixel * 1e9, 3)
             << " nJ\n"
             << sim.power.profile.table();
+  if (opt.autofocus != nullptr)
+    std::cout << "autofocus corrections evaluated: "
+              << sim.corrections.size() << "\n";
 
   const std::string csv_path = args.str("csv");
   if (!csv_path.empty()) {
@@ -534,28 +480,32 @@ int cmd_power(const Args& args) {
 
   if (!trace_path.empty()) {
     // collect_run already exported the power counter tracks into the
-    // tracer, so the written trace carries chip/core power under the core
-    // tracks.
+    // tracer, so the trace carries chip/core power under the core tracks.
     tracer.write_chrome_json(trace_path, sim.perf.cfg.clock_hz);
     std::cout << "trace written to " << trace_path << " ("
-              << tracer.size() << " segments, power counter tracks: "
-              << (1 + trace.n_cores) << ")\n";
+              << tracer.size() << " segments, " << tracer.spans().size()
+              << " spans)\n";
   }
 
   const std::string metrics_path = args.str("metrics");
   if (!metrics_path.empty()) {
-    telemetry::RunManifest man("esarp_power");
+    telemetry::RunManifest man("esarp_chip");
     ep::fill_manifest(man, sim);
-    man.add_result("energy_per_pixel",
-                   sim.energy.total_j() /
-                       static_cast<double>(ds.params.n_pulses * ds.params.n_range));
+    man.add_result("energy_per_pixel", energy_per_pixel);
     man.add_workload("n_pulses", static_cast<double>(ds.params.n_pulses));
     man.add_workload("n_range", static_cast<double>(ds.params.n_range));
     man.add_workload("n_cores", static_cast<double>(opt.n_cores));
+    man.add_workload("prefetch", opt.prefetch ? 1.0 : 0.0);
     man.add_workload("epoch_cycles",
                      static_cast<double>(chip_cfg.power.epoch_cycles));
     man.write(std::filesystem::path(metrics_path));
     std::cout << "metrics manifest written to " << metrics_path << "\n";
+  }
+
+  const std::string out = args.str("out");
+  if (!out.empty()) {
+    write_pgm(out, sim.image, {.dynamic_range_db = 45.0});
+    std::cout << "image written to " << out << "\n";
   }
   return 0;
 }
@@ -1119,7 +1069,6 @@ const Command kCommands[] = {
     {"image", cmd_image, kImageFlags},
     {"chip", cmd_chip, kChipFlags},
     {"chaos", cmd_chaos, kChaosFlags},
-    {"power", cmd_power, kPowerFlags},
     {"analyze", cmd_analyze, kAnalyzeFlags},
     {"report", cmd_report, kReportFlags},
     {"lint", cmd_lint, kLintFlags},

@@ -1,35 +1,29 @@
 // esarp_compare — regression check between two run manifests.
 //
 //   esarp_compare base.manifest.json current.manifest.json
-//                 [--threshold 0.05] [--metric key=thr ...]
-//                 [--noisy-metric pattern=thr ...] [--verbose]
+//                 [--threshold 0.05] [--metric key=thr ...] [--verbose]
 //
 // Diffs the "results" sections with a relative threshold (regression
 // direction inferred from the key name: throughput-like keys regress
 // downward, time/energy/stall-like keys upward, checksum and hash keys
 // both ways). Metrics entries are informational unless opted in with
-// --metric, e.g.
+// --metric, which also widens or tightens one key next to the default,
+// e.g.
 //
 //   esarp_compare a.json b.json --metric results.makespan_cycles=0.01
 //       --metric "metrics.counters.ext.read.bytes=0.0"
+//   esarp_compare a.json b.json --threshold 0.0
+//       --metric metrics.gauges.engine.events_per_second=0.15
 //
-// --noisy-metric widens (or opts in) every key matching a `*`/`?` glob —
-// the go-to for machine-varying wall-clock keys next to a zero-tolerance
-// default, e.g.
+// Resolution order per key: --metric exact match, then the default
+// threshold (results.* only). Serving latency and SLO keys (latency_*,
+// slo_*) take the default like any other result. A --metric key missing
+// from either manifest, or a results key missing from the current one, is
+// a named failure.
 //
-//   esarp_compare a.json b.json --threshold 0.0 --noisy-metric 'wall_*=0.15'
-//
-// Resolution order per key: --metric exact match, first matching
-// --noisy-metric pattern, then the default threshold (results.* only).
-// Serving latency and SLO keys (latency_*, slo_*) take the default like
-// any other result; widen them with --noisy-metric when diffing runs that
-// are not same-seed replays. A pattern that matches nothing is fine; an
-// exact --metric key missing from either manifest, or a results key
-// missing from the current one, is a named failure.
-//
-// Every threshold (--threshold and the value after '=' in --metric and
-// --noisy-metric) is a whole number >= 0: anything else, NaN and trailing
-// characters included, is a usage error naming the flag.
+// Every threshold (--threshold and the value after '=' in --metric) is a
+// whole number >= 0: anything else, NaN and trailing characters included,
+// is a usage error naming the flag.
 //
 // Exit status: 0 = no regression, 1 = regression past threshold (which
 // includes a results key the current manifest lost, and a --metric key
@@ -55,8 +49,7 @@ int main(int argc, char** argv) {
   const auto usage = [](const std::string& msg) {
     std::cerr << "esarp_compare: " << msg
               << "\nusage: esarp_compare base.json current.json"
-                 " [--threshold X] [--metric key=thr ...]"
-                 " [--noisy-metric pattern=thr ...] [--verbose]\n";
+                 " [--threshold X] [--metric key=thr ...] [--verbose]\n";
     return 2;
   };
 
@@ -70,7 +63,7 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
       continue;
     }
-    const bool keyed = arg == "--metric" || arg == "--noisy-metric";
+    const bool keyed = arg == "--metric";
     if (!keyed && arg != "--threshold")
       return usage("unknown option " + arg);
     if (++i >= argc) return usage(arg + " wants a value");
@@ -86,9 +79,8 @@ int main(int argc, char** argv) {
     const std::optional<double> x = parse_whole<double>(value);
     if (!x || !(*x >= 0.0))
       return usage(arg + " wants a threshold >= 0, got '" + value + "'");
-    if (arg == "--threshold") opt.default_threshold = *x;
-    else if (arg == "--metric") opt.per_key[key] = *x;
-    else opt.noisy_patterns.emplace_back(key, *x);
+    if (keyed) opt.per_key[key] = *x;
+    else opt.default_threshold = *x;
   }
   if (paths.size() != 2)
     return usage("want two manifests, got " + std::to_string(paths.size()));
