@@ -5,9 +5,9 @@
 // compute cost this table quantifies on both architectures.
 #include <iostream>
 #include <iterator>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "hostmodel/host_model.hpp"
@@ -34,65 +34,53 @@ static int bench_body() {
       {"cubic (Neville)", {.interp = sar::Interp::kCubic}},
   };
 
-  Table t("FFBP interpolation kernels: quality vs cost");
-  t.header({"Kernel", "Entropy", "rel. RMSE vs GBP", "Intel (ms)",
-            "Epiphany 16-core (ms)", "flops/pixel"});
-  CsvWriter csv(bench::out_dir() / "ablation_interpolation.csv",
-                {"kernel", "entropy", "rmse_vs_gbp", "intel_ms",
-                 "epiphany_ms", "flops_per_pixel"});
+  bench::Report rep("ablation_interpolation");
+  auto& t = rep.sheet("FFBP interpolation kernels: quality vs cost",
+                      {{"Kernel", "kernel"},
+                       {"Entropy", "entropy"},
+                       {"rel. RMSE vs GBP", "rmse_vs_gbp", {4}},
+                       {"Intel (ms)", "intel_seconds", bench::kMs},
+                       {"Epiphany 16-core (ms)", "epiphany_seconds",
+                        bench::kMs},
+                       {"flops/pixel", "flops_per_pixel", bench::kCount}});
 
   // Each kernel runs the host FFBP and the simulated chip independently
   // against the shared (read-only) workload and GBP reference: fan out
-  // across host threads (ESARP_JOBS); results gathered by index.
-  struct Metrics {
-    double entropy, err, intel_s, sim_s, fpp;
-  };
+  // across host threads (ESARP_JOBS); each returns its row, gathered by
+  // index.
   host::SweepRunner pool(bench::sweep_jobs());
   std::cerr << "evaluating " << std::size(variants)
             << " interpolation kernels (" << pool.jobs()
             << " host thread(s))...\n";
-  const auto metrics =
-      pool.run(std::size(variants), [&](std::size_t vi) -> Metrics {
-        const auto& v = variants[vi];
-        const auto host_res = sar::ffbp(w.data, w.params, v.opt);
-        const double intel_s = intel.seconds(host_res.host_work);
-
-        core::FfbpMapOptions mopt;
-        mopt.n_cores = 16;
-        mopt.algo = v.opt;
-        const auto sim = core::run_ffbp_epiphany(w.data, w.params, mopt);
-
-        // Compare against GBP on the rows GBP computed
-        // (decimation-aware).
-        Array2D<cf32> fd(host_res.image.data.rows() / 4,
-                         host_res.image.data.cols());
-        Array2D<cf32> gd(fd.rows(), fd.cols());
-        for (std::size_t i = 0; i < fd.rows(); ++i)
-          for (std::size_t j = 0; j < fd.cols(); ++j) {
-            fd(i, j) = host_res.image.data(4 * i, j);
-            gd(i, j) = g.image.data(4 * i, j);
-          }
-
-        return {image_entropy(host_res.image.data),
-                relative_rmse(fd, gd), intel_s, sim.seconds,
-                static_cast<double>(sar::merge_pixel_ops(v.opt).flops())};
-      });
-
-  for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
+  const auto rows = pool.run(std::size(variants), [&](std::size_t vi) {
     const auto& v = variants[vi];
-    const auto& m = metrics[vi];
-    t.row({v.name, Table::num(m.entropy, 2), Table::num(m.err, 4),
-           bench::ms(m.intel_s), bench::ms(m.sim_s),
-           Table::num(m.fpp, 0)});
-    csv.row({v.name, Table::num(m.entropy, 4), Table::num(m.err, 6),
-             Table::num(m.intel_s * 1e3, 2), Table::num(m.sim_s * 1e3, 2),
-             Table::num(m.fpp, 0)});
-  }
+    const auto host_res = sar::ffbp(w.data, w.params, v.opt);
+
+    core::FfbpMapOptions mopt;
+    mopt.n_cores = 16;
+    mopt.algo = v.opt;
+    const auto sim = core::run_ffbp_epiphany(w.data, w.params, mopt);
+
+    // Compare against GBP on the rows GBP computed (decimation-aware).
+    Array2D<cf32> fd(host_res.image.data.rows() / 4,
+                     host_res.image.data.cols());
+    Array2D<cf32> gd(fd.rows(), fd.cols());
+    for (std::size_t i = 0; i < fd.rows(); ++i)
+      for (std::size_t j = 0; j < fd.cols(); ++j) {
+        fd(i, j) = host_res.image.data(4 * i, j);
+        gd(i, j) = g.image.data(4 * i, j);
+      }
+
+    return std::vector<bench::Cell>{
+        v.name, image_entropy(host_res.image.data), relative_rmse(fd, gd),
+        intel.seconds(host_res.host_work), sim.seconds,
+        sar::merge_pixel_ops(v.opt).flops()};
+  });
+  for (const auto& r : rows) t.row(r);
   t.note("GBP reference entropy: " +
          Table::num(image_entropy(g.image.data), 2) +
          " (computed on every 4th azimuth line)");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_interpolation", bench_body); }

@@ -11,10 +11,10 @@
 // compact.
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/autofocus_epiphany.hpp"
 #include "autofocus/workload.hpp"
@@ -29,15 +29,10 @@ static int bench_body() {
     pairs.push_back(
         af::synthetic_block_pair(rng, p, rng.uniform_f(-0.5f, 0.5f)));
 
-  struct Variant {
-    const char* key; ///< manifest key prefix
-    const char* csv; ///< CSV placement column
-    core::AfPlacement placement;
-  };
-  constexpr Variant kVariants[] = {
-      {"compact", "compact", core::AfPlacement::kCompact},
-      {"scattered", "scattered", core::AfPlacement::kScattered},
-      {"auto", "auto_graph", core::AfPlacement::kAuto},
+  constexpr std::pair<const char*, core::AfPlacement> kVariants[] = {
+      {"compact", core::AfPlacement::kCompact},
+      {"scattered", core::AfPlacement::kScattered},
+      {"auto", core::AfPlacement::kAuto},
   };
 
   // The three placements are independent simulations: fan them out across
@@ -48,78 +43,49 @@ static int bench_body() {
             << pool.jobs() << " host thread(s))...\n";
   const auto runs = pool.run(3, [&](std::size_t i) {
     core::AfMapOptions opt;
-    opt.placement = kVariants[i].placement;
+    opt.placement = kVariants[i].second;
     return core::run_autofocus_mpmd(pairs, p, opt);
   });
-  const auto& a = runs[0];
-  const auto& b = runs[1];
-  const auto& g = runs[2];
 
-  const auto& an = a.perf.noc_write_onchip;
-  const auto& bn = b.perf.noc_write_onchip;
-  const auto& gn = g.perf.noc_write_onchip;
-
-  const bool same_criteria = b.criteria == a.criteria &&
-                             g.criteria == a.criteria;
-  const bool claim_holds =
-      same_criteria &&
-      static_cast<double>(bn.byte_hops) >=
-          2.5 * static_cast<double>(an.byte_hops) &&
-      gn.byte_hops < an.byte_hops;
-
-  Table t("Autofocus pipeline placement (13 cores, 4x4 mesh)");
-  t.header({"Metric", "Compact (Fig. 9)", "Scattered", "Auto"});
-  t.row({"throughput (px/s)", format_rate(a.pixels_per_second, "px"),
-         format_rate(b.pixels_per_second, "px"),
-         format_rate(g.pixels_per_second, "px")});
-  t.row({"makespan (cycles)", format_cycles(a.cycles), format_cycles(b.cycles),
-         format_cycles(g.cycles)});
-  t.row({"cMesh byte-hops", format_cycles(an.byte_hops),
-         format_cycles(bn.byte_hops), format_cycles(gn.byte_hops)});
-  t.row({"cMesh transfers", format_cycles(an.transfers),
-         format_cycles(bn.transfers), format_cycles(gn.transfers)});
-  t.row({"NoC energy (uJ)",
-         Table::num(a.energy.noc_j * 1e6, 1),
-         Table::num(b.energy.noc_j * 1e6, 1),
-         Table::num(g.energy.noc_j * 1e6, 1)});
-  t.note(same_criteria ? "identical criterion results in all three "
-                         "placements; only time and NoC work differ"
-                       : "WARNING: the placements disagree on the criteria");
-  t.note("'Auto' places the pipeline graph on the mesh greedily, heaviest "
-         "channels shortest — the paper's future-work direction");
-  t.note("the throughput penalty is small because on-chip bandwidth is "
-         "64x the off-chip bandwidth (paper Section VI) — the cost shows "
-         "up mainly as NoC energy and link occupancy");
-  if (!claim_holds)
-    t.note("WARNING: the mapping claim no longer holds (scattered >= 2.5x "
-           "compact byte-hops > auto)");
-  t.print(std::cout);
-
-  CsvWriter csv(bench::out_dir() / "ablation_mapping.csv",
-                {"placement", "px_per_s", "cycles", "byte_hops", "noc_uj"});
   telemetry::RunManifest man("ablation_mapping");
   man.add_workload("n_pairs", static_cast<double>(n_pairs));
   man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);
+  bench::Report rep(man);
+  auto& t = rep.sheet(
+      "Autofocus pipeline placement (13 cores, 4x4 mesh)",
+      {{"Placement", "placement"},
+       {"Throughput (px/s)", "px_per_s", bench::kPxRate, bench::kResult},
+       {"Makespan (cycles)", "cycles", bench::kGrouped, bench::kResult},
+       {"cMesh byte-hops", "byte_hops", bench::kGrouped, bench::kResult},
+       {"cMesh transfers", "transfers", bench::kGrouped},
+       {"NoC energy (uJ)", "noc_uj", {1}, bench::kResult}});
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const core::AfSimResult& r = runs[i];
-    const std::uint64_t byte_hops = r.perf.noc_write_onchip.byte_hops;
-    csv.row({kVariants[i].csv, Table::num(r.pixels_per_second, 1),
-             std::to_string(r.cycles), std::to_string(byte_hops),
-             Table::num(r.energy.noc_j * 1e6, 3)});
-    const std::string key = kVariants[i].key;
-    man.add_result(key + ".px_per_s", r.pixels_per_second);
-    man.add_result(key + ".cycles", static_cast<double>(r.cycles));
-    man.add_result(key + ".byte_hops", static_cast<double>(byte_hops));
-    man.add_result(key + ".noc_uj", r.energy.noc_j * 1e6);
-    // Split like table1_ffbp's image checksum: two exact doubles.
-    const std::uint64_t hash = bench::criteria_checksum(r.criteria);
-    man.add_result(key + ".criteria_checksum_hi",
-                   static_cast<double>(hash >> 32));
-    man.add_result(key + ".criteria_checksum_lo",
-                   static_cast<double>(hash & 0xffffffffULL));
+    const std::string key = std::string(kVariants[i].first).append(".");
+    t.row(key, {kVariants[i].first, r.pixels_per_second, r.cycles,
+                r.perf.noc_write_onchip.byte_hops,
+                r.perf.noc_write_onchip.transfers, r.energy.noc_j * 1e6});
+    bench::add_hash(man, key + "criteria_checksum",
+                    bench::criteria_checksum(r.criteria));
   }
-  bench::write_manifest(man);
-  return claim_holds ? 0 : 1;
+  t.note("compact is the paper's Fig. 9 placement; 'auto' places the "
+         "pipeline graph on the mesh greedily, heaviest channels shortest — "
+         "the paper's future-work direction");
+  t.note("the throughput penalty is small because on-chip bandwidth is "
+         "64x the off-chip bandwidth (paper Section VI) — the cost shows "
+         "up mainly as NoC energy and link occupancy");
+
+  const auto hops = [&runs](std::size_t i) {
+    return static_cast<double>(runs[i].perf.noc_write_onchip.byte_hops);
+  };
+  rep.require("all three placements give identical criteria",
+              runs[1].criteria == runs[0].criteria &&
+                  runs[2].criteria == runs[0].criteria);
+  rep.require("scattered costs at least 2.5x the compact cMesh byte-hops",
+              hops(1) >= 2.5 * hops(0));
+  rep.require("auto costs fewer cMesh byte-hops than compact",
+              hops(2) < hops(0));
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_mapping", bench_body); }

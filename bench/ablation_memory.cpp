@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "epiphany/machine.hpp"
 
 static int bench_body() {
@@ -59,32 +58,22 @@ static int bench_body() {
         });
     }
   });
-  const double local = costs[0];
   const double posted = costs[1];
-  const double blocking = costs[2];
-  const double dma = costs[3];
 
-  Table t("External-memory access cost (cycles per 8-byte word)");
-  t.header({"Access pattern", "Cycles/word", "vs posted write"});
-  t.row({"local store (dual-issue load+store)", Table::num(local, 2),
-         Table::num(local / posted, 1) + "x"});
-  t.row({"posted external write", Table::num(posted, 2), "1.0x"});
-  t.row({"blocking external read", Table::num(blocking, 2),
-         Table::num(blocking / posted, 1) + "x"});
-  t.row({"DMA-streamed external read", Table::num(dma, 2),
-         Table::num(dma / posted, 1) + "x"});
+  bench::Report rep("ablation_memory");
+  auto& t = rep.sheet("External-memory access cost (cycles per 8-byte word)",
+                      {{"Access pattern", "pattern"},
+                       {"Cycles/word", "cycles_per_word"},
+                       {"vs posted write", "vs_posted_write", {1, 1, "x"}}});
+  const char* kPatterns[] = {"local store (dual-issue load+store)",
+                             "posted external write", "blocking external read",
+                             "DMA-streamed external read"};
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    t.row({kPatterns[i], costs[i], costs[i] / posted});
   t.note("paper: posted writes retire at one per cycle; blocking reads "
          "stall for the full SDRAM round trip — the asymmetry that makes "
          "sequential FFBP 3x slower on Epiphany and prefetching essential");
-  t.print(std::cout);
-
-  CsvWriter csv(bench::out_dir() / "ablation_memory.csv",
-                {"pattern", "cycles_per_word"});
-  csv.row({"local", Table::num(local, 4)});
-  csv.row({"posted_write", Table::num(posted, 4)});
-  csv.row({"blocking_read", Table::num(blocking, 4)});
-  csv.row({"dma_read", Table::num(dma, 4)});
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_memory", bench_body); }

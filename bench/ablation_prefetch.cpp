@@ -5,10 +5,10 @@
 // iterations it still requires contributing data to be read from the
 // external memory" — visible here as the per-level prefetch hit rate.
 #include <iostream>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 
 static int bench_body() {
@@ -23,11 +23,13 @@ static int bench_body() {
   // to 512 range bins — NOT at the paper's 1001 (the bank-budget finding).
   const bool can_double_buffer =
       w.params.n_range * sizeof(cf32) * 2 <= 8192;
-  std::vector<core::FfbpMapOptions> variants = {with, without};
+  std::vector<std::pair<const char*, core::FfbpMapOptions>> variants = {
+      {"prefetch into local banks", with},
+      {"no prefetch (blocking reads)", without}};
   if (can_double_buffer) {
     core::FfbpMapOptions dbl = with;
     dbl.double_buffer = true;
-    variants.push_back(dbl);
+    variants.emplace_back("double-buffered prefetch", dbl);
   }
 
   // Independent simulations: fan out across host threads (ESARP_JOBS);
@@ -36,53 +38,40 @@ static int bench_body() {
   std::cerr << "simulating " << variants.size() << " prefetch variants ("
             << pool.jobs() << " host thread(s))...\n";
   auto results = pool.run(variants.size(), [&](std::size_t i) {
-    return core::run_ffbp_epiphany(w.data, w.params, variants[i]);
+    return core::run_ffbp_epiphany(w.data, w.params, variants[i].second);
   });
-  const auto& a = results[0];
-  const auto& b = results[1];
+  const double no_prefetch_s = results[1].seconds;
 
-  Table t("FFBP SPMD: DMA prefetch ablation (16 cores)");
-  t.header({"Configuration", "Time (ms)", "Ext-read stall (Mcycles)",
-            "Ext bytes read", "Speedup from prefetch"});
-  t.row({"prefetch into local banks", bench::ms(a.seconds),
-         Table::num(static_cast<double>(a.perf.total_ext_stall()) / 1e6, 1),
-         format_bytes(a.perf.ext.read_bytes), "-"});
-  t.row({"no prefetch (blocking reads)", bench::ms(b.seconds),
-         Table::num(static_cast<double>(b.perf.total_ext_stall()) / 1e6, 1),
-         format_bytes(b.perf.ext.read_bytes),
-         Table::num(b.seconds / a.seconds, 2) + "x"});
-  if (can_double_buffer) {
-    const auto& c = results[2];
-    t.row({"double-buffered prefetch", bench::ms(c.seconds),
-           Table::num(static_cast<double>(c.perf.total_ext_stall()) / 1e6,
-                      1),
-           format_bytes(c.perf.ext.read_bytes),
-           Table::num(b.seconds / c.seconds, 2) + "x"});
-  } else {
+  bench::Report rep("ablation_prefetch");
+  auto& t = rep.sheet("FFBP SPMD: DMA prefetch ablation (16 cores)",
+                      {{"Configuration", "configuration"},
+                       {"Time (ms)", "seconds", bench::kMs},
+                       {"Ext-read stall (Mcycles)", "ext_stall_cycles",
+                        {1, 1e-6}},
+                       {"Ext bytes read", "ext_read_bytes", bench::kBytes},
+                       {"Speedup over no prefetch", "speedup", {2, 1, "x"}}},
+                      "ablation_prefetch_configs");
+  for (std::size_t i = 0; i < results.size(); ++i)
+    t.row({variants[i].first, results[i].seconds,
+           results[i].perf.total_ext_stall(), results[i].perf.ext.read_bytes,
+           no_prefetch_s / results[i].seconds});
+  if (!can_double_buffer)
     t.note("double-buffered prefetch is impossible at this row size: two "
            "8,008-byte rows do not fit one 8 KB bank — the four-bank "
            "budget forces the paper's single-buffered scheme");
-  }
-  t.print(std::cout);
 
-  Table h("Per-level prefetch hit rate (prefetching configuration)");
-  h.header({"Merge level", "Local hits", "Ext misses", "Hit rate"});
-  CsvWriter csv(bench::out_dir() / "ablation_prefetch.csv",
-                {"level", "hits", "misses", "hit_rate"});
-  for (const auto& ls : a.prefetch_stats) {
-    h.row({std::to_string(ls.level), format_cycles(ls.local_hits),
-           format_cycles(ls.ext_misses),
-           Table::num(ls.hit_rate() * 100.0, 1) + " %"});
-    csv.row_numeric({static_cast<double>(ls.level),
-                     static_cast<double>(ls.local_hits),
-                     static_cast<double>(ls.ext_misses), ls.hit_rate()});
-  }
+  auto& h = rep.sheet("Per-level prefetch hit rate (prefetching configuration)",
+                      {{"Merge level", "level", bench::kCount},
+                       {"Local hits", "hits", bench::kGrouped},
+                       {"Ext misses", "misses", bench::kGrouped},
+                       {"Hit rate", "hit_rate", {1, 100.0, " %"}}});
+  for (const auto& ls : results[0].prefetch_stats)
+    h.row({ls.level, ls.local_hits, ls.ext_misses, ls.hit_rate()});
   h.note("level 1 children are single rows: prefetch is sufficient "
          "(100 %); at later levels the contributing angular bins spread "
          "beyond the two prefetched rows, forcing blocking SDRAM reads — "
          "exactly the paper's description");
-  h.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_prefetch", bench_body); }

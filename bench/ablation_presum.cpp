@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
@@ -27,22 +26,22 @@ static int bench_body() {
   std::cerr << "nyquist-limited presum factor for this geometry: "
             << sar::max_presum_factor(p) << "\n";
 
-  Table t("Azimuth presummation: data rate vs image quality (FFBP, 16 cores)");
-  t.header({"Presum", "Pulses", "Chip time (ms)", "Image SNR (peak/median)"});
-  CsvWriter csv(bench::out_dir() / "ablation_presum.csv",
-                {"factor", "pulses", "chip_ms", "snr"});
+  bench::Report rep("ablation_presum");
+  auto& t = rep.sheet(
+      "Azimuth presummation: data rate vs image quality (FFBP, 16 cores)",
+      {{"Presum", "factor", bench::kCount},
+       {"Pulses", "pulses", bench::kCount},
+       {"Chip time (ms)", "chip_seconds", bench::kMs},
+       {"Image SNR (peak/median)", "snr", bench::kCount}});
 
   // The presum factors are independent simulations over the same (read
-  // only) noisy data set: fan out across host threads (ESARP_JOBS).
+  // only) noisy data set: fan out across host threads (ESARP_JOBS); each
+  // returns its row, gathered by index.
   const std::vector<std::size_t> factors = {1, 2, 4, 8};
-  struct Point {
-    std::size_t pulses;
-    double seconds, snr;
-  };
   host::SweepRunner pool(bench::sweep_jobs());
   std::cerr << "simulating " << factors.size() << " presum factors ("
             << pool.jobs() << " host thread(s))...\n";
-  const auto points = pool.run(factors.size(), [&](std::size_t i) -> Point {
+  const auto rows = pool.run(factors.size(), [&](std::size_t i) {
     const std::size_t factor = factors[i];
     const auto ps = factor == 1
                         ? sar::PresumResult{data, p, {}}
@@ -50,26 +49,17 @@ static int bench_body() {
     core::FfbpMapOptions opt;
     opt.n_cores = 16;
     const auto sim = core::run_ffbp_epiphany(ps.data, ps.params, opt);
-    return {ps.params.n_pulses, sim.seconds,
-            sar::peak_to_median(sim.image)};
+    return std::vector<bench::Cell>{factor, ps.params.n_pulses, sim.seconds,
+                                    sar::peak_to_median(sim.image)};
   });
-
-  for (std::size_t i = 0; i < factors.size(); ++i) {
-    const auto& pt = points[i];
-    t.row({std::to_string(factors[i]), std::to_string(pt.pulses),
-           bench::ms(pt.seconds), Table::num(pt.snr, 0)});
-    csv.row_numeric({static_cast<double>(factors[i]),
-                     static_cast<double>(pt.pulses), pt.seconds * 1e3,
-                     pt.snr});
-  }
+  for (const auto& r : rows) t.row(r);
   t.note("image SNR is roughly presum-invariant (coherent target gain "
          "balances the reduced integration) while the sampling satisfies "
          "the sector Nyquist rate (factor <= " +
          std::to_string(sar::max_presum_factor(p)) +
          " here); chip time falls ~linearly with the data rate — the "
          "purpose of the Fig. 1 preprocessing stage");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_presum", bench_body); }

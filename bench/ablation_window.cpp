@@ -6,9 +6,9 @@
 #include <cmath>
 #include <iostream>
 #include <iterator>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "fft/window.hpp"
 #include "sar/ffbp.hpp"
@@ -32,63 +32,50 @@ static int bench_body() {
       {"Taylor (nbar=4, -35dB)", fft::WindowKind::kTaylor},
   };
 
-  Table t("Pulse-compression window vs final image quality (FFBP)");
-  t.header({"Window", "Image peak", "Peak/avg (dB)", "Range PSLR (dB)",
-            "Entropy", "Noise BW (bins)"});
-  CsvWriter csv(bench::out_dir() / "ablation_window.csv",
-                {"window", "peak", "peak_avg_db", "pslr_db", "entropy"});
+  bench::Report rep("ablation_window");
+  auto& t = rep.sheet("Pulse-compression window vs final image quality (FFBP)",
+                      {{"Window", "window"},
+                       {"Image peak", "peak", {1}},
+                       {"Peak/avg (dB)", "peak_avg_db", {1}},
+                       {"Range PSLR (dB)", "pslr_db", {1}},
+                       {"Entropy", "entropy"},
+                       {"Noise BW (bins)", "noise_bw_bins"}});
 
   // Each window runs the full chirp->matched-filter->FFBP chain
-  // independently: fan out across host threads (ESARP_JOBS) and gather
-  // the per-variant image metrics by index.
-  struct Metrics {
-    double peak, peak_avg_db, pslr_db, entropy, noise_bw;
-  };
+  // independently: fan out across host threads (ESARP_JOBS); each returns
+  // its row, gathered by index.
   host::SweepRunner pool(bench::sweep_jobs());
   std::cerr << "imaging " << std::size(variants) << " windows ("
             << pool.jobs() << " host thread(s))...\n";
-  const auto metrics =
-      pool.run(std::size(variants), [&](std::size_t vi) -> Metrics {
-        const auto& v = variants[vi];
-        const auto data = sar::simulate_via_chirp(p, s, {}, v.kind);
-        const auto img = sar::ffbp(data, p);
-
-        // Range cut through the image peak for the sidelobe ratio.
-        std::size_t pi = 0, pj = 0;
-        double peak = -1.0;
-        for (std::size_t i = 0; i < img.image.n_theta(); ++i)
-          for (std::size_t j = 0; j < img.image.n_range(); ++j)
-            if (std::abs(img.image.data(i, j)) > peak) {
-              peak = std::abs(img.image.data(i, j));
-              pi = i;
-              pj = j;
-            }
-        double sidelobe = 0.0;
-        for (std::size_t j = 0; j < img.image.n_range(); ++j) {
-          if (j + 4 > pj && j < pj + 4) continue; // exclude the mainlobe
-          sidelobe =
-              std::max(sidelobe, (double)std::abs(img.image.data(pi, j)));
-        }
-        const auto w = fft::make_window(v.kind, 64);
-        return {peak, peak_to_average_db(img.image.data),
-                20.0 * std::log10(sidelobe / peak),
-                image_entropy(img.image.data),
-                fft::noise_bandwidth_bins(w)};
-      });
-
-  for (std::size_t vi = 0; vi < std::size(variants); ++vi) {
+  const auto rows = pool.run(std::size(variants), [&](std::size_t vi) {
     const auto& v = variants[vi];
-    const auto& m = metrics[vi];
-    t.row({v.name, Table::num(m.peak, 1), Table::num(m.peak_avg_db, 1),
-           Table::num(m.pslr_db, 1), Table::num(m.entropy, 2),
-           Table::num(m.noise_bw, 2)});
-    csv.row({v.name, Table::num(m.peak, 3), Table::num(m.peak_avg_db, 3),
-             Table::num(m.pslr_db, 3), Table::num(m.entropy, 4)});
-  }
+    const auto data = sar::simulate_via_chirp(p, s, {}, v.kind);
+    const auto img = sar::ffbp(data, p);
+
+    // Range cut through the image peak for the sidelobe ratio.
+    std::size_t pi = 0, pj = 0;
+    double peak = -1.0;
+    for (std::size_t i = 0; i < img.image.n_theta(); ++i)
+      for (std::size_t j = 0; j < img.image.n_range(); ++j)
+        if (std::abs(img.image.data(i, j)) > peak) {
+          peak = std::abs(img.image.data(i, j));
+          pi = i;
+          pj = j;
+        }
+    double sidelobe = 0.0;
+    for (std::size_t j = 0; j < img.image.n_range(); ++j) {
+      if (j + 4 > pj && j < pj + 4) continue; // exclude the mainlobe
+      sidelobe = std::max(sidelobe, (double)std::abs(img.image.data(pi, j)));
+    }
+    return std::vector<bench::Cell>{
+        v.name, peak, peak_to_average_db(img.image.data),
+        20.0 * std::log10(sidelobe / peak), image_entropy(img.image.data),
+        fft::noise_bandwidth_bins(fft::make_window(v.kind, 64))};
+  });
+  for (const auto& r : rows) t.row(r);
   t.note("PSLR measured on the range cut through the image peak; tapers "
          "suppress sidelobes at the cost of peak gain and mainlobe width");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("ablation_window", bench_body); }

@@ -2,14 +2,24 @@
 // table/figure; see DESIGN.md §4 and EXPERIMENTS.md).
 #pragma once
 
+#include <algorithm>
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
+#include <iomanip>
 #include <iostream>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/array2d.hpp"
+#include "common/assert.hpp"
+#include "common/csv.hpp"
 #include "common/format.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "fault/injector.hpp"
@@ -153,13 +163,190 @@ inline int guarded_main(const char* tool, int (*body)()) {
   }
 }
 
-/// Format a speedup ratio like the paper's Table I ("4.25").
-inline std::string speedup(double ref_time, double time) {
-  return Table::num(ref_time / time, 2);
+/// Record a 64-bit hash as two exactly representable doubles,
+/// `<key>_hi` and `<key>_lo`, so a zero-tolerance compare pins every bit.
+inline void add_hash(telemetry::RunManifest& man, const std::string& key,
+                     std::uint64_t hash) {
+  man.add_result(std::string(key).append("_hi"),
+                 static_cast<double>(hash >> 32));
+  man.add_result(std::string(key).append("_lo"),
+                 static_cast<double>(hash & 0xffffffffULL));
 }
 
-inline std::string ms(double seconds) {
-  return Table::num(seconds * 1e3, 1);
+// ---- bench::Report: each number stated once ------------------------------
+
+/// How a column's numbers read on the console: the value times `scale`, to
+/// `digits` decimals, then `unit`; or `format` alone. The CSV and the
+/// manifest always get the raw value.
+struct Show {
+  int digits = 2;
+  double scale = 1.0;
+  const char* unit = "";
+  std::string (*format)(double) = nullptr;
+
+  [[nodiscard]] std::string operator()(double v) const {
+    if (format != nullptr) return format(v);
+    return Table::num(v * scale, digits) + unit;
+  }
+};
+
+inline constexpr Show kCount{0};
+inline constexpr Show kMs{1, 1e3}; ///< seconds shown as milliseconds
+inline constexpr Show kPercent{0, 100.0, " %"};
+/// A count with thousands separators ("5,877,825").
+inline constexpr Show kGrouped{.format = [](double v) {
+  return format_cycles(static_cast<std::uint64_t>(v));
+}};
+inline constexpr Show kBytes{.format = [](double v) {
+  return format_bytes(static_cast<std::uint64_t>(v));
+}};
+inline constexpr Show kPxRate{
+    .format = [](double v) { return format_rate(v, "px"); }};
+/// Four significant digits, for a column whose rows differ in scale.
+inline constexpr Show kSig{.format = [](double v) {
+  std::ostringstream os;
+  os << std::setprecision(4) << v;
+  return os.str();
+}};
+
+/// One column of a Sheet, declared once.
+struct Column {
+  std::string header;  ///< console header
+  std::string key;     ///< CSV column name and `results` key suffix
+  Show show = {};      ///< console form of its numbers; text shows as is
+  bool result = false; ///< a keyed row adds its number to `results`
+};
+inline constexpr bool kResult = true;
+
+/// One cell: a number, kept raw for the CSV and `results`, or a text.
+struct Cell {
+  Cell(double v) : num(v) {}
+  template <std::integral T> Cell(T v) : num(static_cast<double>(v)) {}
+  Cell(std::string s) : text(std::move(s)) {}
+  Cell(const char* s) : text(s) {}
+  double num = 0.0;
+  std::optional<std::string> text;
+};
+
+/// `v` in its shortest round-trip form: std::stod gives `v` back.
+inline std::string exact(double v) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  ESARP_ENSURES(res.ec == std::errc());
+  return {buf, res.ptr};
 }
+
+/// One console table and the CSV file it is written to, both built from
+/// the same rows of raw cells.
+class Sheet {
+public:
+  Sheet(std::string csv, std::string title, std::vector<Column> cols,
+        telemetry::RunManifest* man)
+      : csv_(std::move(csv)), title_(std::move(title)),
+        cols_(std::move(cols)), man_(man) {}
+
+  void row(std::vector<Cell> cells) { row(std::nullopt, std::move(cells)); }
+
+  /// With a key, each declared column's number also lands in the
+  /// manifest's `results` as `key + column.key` ("p3." + "cycles").
+  void row(const std::optional<std::string>& key, std::vector<Cell> cells) {
+    ESARP_EXPECTS(cells.size() == cols_.size());
+    ESARP_EXPECTS(!key || man_ != nullptr);
+    for (std::size_t i = 0; key && i < cells.size(); ++i) {
+      if (!cols_[i].result) continue;
+      ESARP_EXPECTS(!cells[i].text);
+      man_->add_result(std::string(*key).append(cols_[i].key), cells[i].num);
+    }
+    rows_.push_back(std::move(cells));
+  }
+
+  void note(std::string line) { notes_.push_back(std::move(line)); }
+
+  /// Print the table (a column of text reads left-aligned) and write
+  /// `<csv>.csv` into out_dir().
+  void write() const {
+    Table t(title_);
+    std::vector<std::string> header;
+    std::vector<std::string> keys;
+    std::string align;
+    for (std::size_t i = 0; i < cols_.size(); ++i) {
+      header.push_back(cols_[i].header);
+      keys.push_back(cols_[i].key);
+      const bool text =
+          std::all_of(rows_.begin(), rows_.end(),
+                      [i](const auto& r) { return r[i].text.has_value(); });
+      align += text ? 'l' : 'r';
+    }
+    t.header(std::move(header), align);
+    std::vector<std::vector<std::string>> csv;
+    for (const std::vector<Cell>& r : rows_) {
+      std::vector<std::string> shown;
+      std::vector<std::string>& raw = csv.emplace_back();
+      for (std::size_t i = 0; i < r.size(); ++i) {
+        shown.push_back(r[i].text ? *r[i].text : cols_[i].show(r[i].num));
+        raw.push_back(r[i].text ? *r[i].text : exact(r[i].num));
+      }
+      t.row(std::move(shown));
+    }
+    for (const std::string& n : notes_) t.note(n);
+    t.print(std::cout);
+    write_csv(out_dir() / (csv_ + ".csv"), keys, csv);
+  }
+
+private:
+  std::string csv_;
+  std::string title_;
+  std::vector<Column> cols_;
+  std::vector<std::vector<Cell>> rows_;
+  std::vector<std::string> notes_;
+  telemetry::RunManifest* man_;
+};
+
+/// A bench's report: its sheets, its claims and, for a bench that keeps
+/// one, its run manifest. finish() writes each of them once and turns the
+/// claims into the exit status.
+class Report {
+public:
+  /// A bench without a manifest; `tool` names its CSV and its claims.
+  explicit Report(std::string tool) : tool_(std::move(tool)) {}
+  /// A bench whose manifest gets the keyed rows' declared cells and is
+  /// written by finish().
+  explicit Report(telemetry::RunManifest& man)
+      : tool_(man.tool()), man_(&man) {}
+
+  /// A new sheet, written to `<csv>.csv` (the tool's name by default).
+  Sheet& sheet(std::string title, std::vector<Column> cols,
+               std::string csv = {}) {
+    return sheets_.emplace_back(csv.empty() ? tool_ : std::move(csv),
+                                std::move(title), std::move(cols), man_);
+  }
+
+  /// A claim the run must meet, checked here rather than left to a reader.
+  void require(std::string claim, bool ok) {
+    claims_.emplace_back(std::move(claim), ok);
+  }
+
+  /// Print and write every sheet, write the manifest, and list the claims:
+  /// 1 when any failed (each named on stderr), else 0.
+  [[nodiscard]] int finish() const {
+    for (const Sheet& s : sheets_) s.write();
+    if (man_ != nullptr) write_manifest(*man_);
+    if (!claims_.empty()) std::cout << "\nclaims:\n";
+    int status = 0;
+    for (const auto& [claim, ok] : claims_) {
+      std::cout << (ok ? "  holds:  " : "  FAILED: ") << claim << '\n';
+      if (ok) continue;
+      std::cerr << tool_ << ": claim failed: " << claim << '\n';
+      status = 1;
+    }
+    return status;
+  }
+
+private:
+  std::string tool_;
+  telemetry::RunManifest* man_ = nullptr;
+  std::deque<Sheet> sheets_;
+  std::vector<std::pair<std::string, bool>> claims_;
+};
 
 } // namespace esarp::bench

@@ -11,10 +11,11 @@
 // gathered by sweep index and are byte-identical for any thread count.
 #include <cstdint>
 #include <iostream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "core/gbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
@@ -47,39 +48,47 @@ static int bench_body() {
   });
   const double sweep_s = sweep_timer.elapsed_s();
 
-  Table t("GBP vs FFBP on the simulated 16-core Epiphany");
-  t.header({"Pulses", "GBP time (ms)", "FFBP time (ms)", "FFBP advantage",
-            "GBP ext reads", "FFBP ext reads", "flops ratio"});
-  CsvWriter csv(bench::out_dir() / "crossover_gbp_ffbp.csv",
-                {"pulses", "gbp_ms", "ffbp_ms", "advantage", "gbp_ext_mb",
-                 "ffbp_ext_mb"});
-
+  // The largest aperture is the headline: its row's declared cells are the
+  // manifest's results under their bare column keys.
+  telemetry::RunManifest man("crossover_gbp_ffbp");
+  bench::Report rep(man);
+  const bench::Show ratio{1, 1.0, "x"};
+  auto& t = rep.sheet(
+      "GBP vs FFBP on the simulated 16-core Epiphany",
+      {{"Pulses", "pulses", bench::kCount},
+       {"GBP time (ms)", "gbp_seconds", bench::kMs, bench::kResult},
+       {"FFBP time (ms)", "ffbp_seconds", bench::kMs, bench::kResult},
+       {"FFBP advantage", "ffbp_advantage", ratio, bench::kResult},
+       {"GBP ext reads", "gbp_ext_read_bytes", bench::kBytes},
+       {"FFBP ext reads", "ffbp_ext_read_bytes", bench::kBytes},
+       {"flops ratio", "flops_ratio", ratio},
+       {"GBP energy (mJ)", "gbp_energy_j", {3, 1e3}, bench::kResult},
+       {"Energy advantage", "energy_advantage", ratio, bench::kResult}});
   std::uint64_t events = 0;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
-    const std::size_t n = sizes[i];
     const auto& g = results[i].g;
     const auto& f = results[i].f;
     events += g.perf.engine_events + f.perf.engine_events;
-    const double gbp_flops =
-        static_cast<double>(g.perf.total_ops().flops());
-    const double ffbp_flops =
-        static_cast<double>(f.perf.total_ops().flops());
-    t.row({std::to_string(n), bench::ms(g.seconds), bench::ms(f.seconds),
-           Table::num(g.seconds / f.seconds, 1) + "x",
-           format_bytes(g.perf.ext.read_bytes),
-           format_bytes(f.perf.ext.read_bytes),
-           Table::num(gbp_flops / ffbp_flops, 1) + "x"});
-    csv.row_numeric({static_cast<double>(n), g.seconds * 1e3,
-                     f.seconds * 1e3, g.seconds / f.seconds,
-                     static_cast<double>(g.perf.ext.read_bytes) / 1e6,
-                     static_cast<double>(f.perf.ext.read_bytes) / 1e6});
+    t.row(i + 1 == sizes.size() ? std::optional<std::string>("")
+                                : std::nullopt,
+          {sizes[i], g.seconds, f.seconds, g.seconds / f.seconds,
+           g.perf.ext.read_bytes, f.perf.ext.read_bytes,
+           static_cast<double>(g.perf.total_ops().flops()) /
+               static_cast<double>(f.perf.total_ops().flops()),
+           g.energy.total_j(), g.energy.total_j() / f.energy.total_j()});
+    // Per-point event counts for both legs (each exactly representable in
+    // a double, unlike a giant uint64 total converted once) plus the sweep
+    // total, fault_sweep's "p<i>." key convention.
+    const std::string pfx = "engine_events.p" + std::to_string(i);
+    man.add_result(pfx + ".gbp", static_cast<double>(g.perf.engine_events));
+    man.add_result(pfx + ".ffbp", static_cast<double>(f.perf.engine_events));
   }
+  t.note("FFBP's advantage grows ~N/log2(N): the reason time-domain SAR "
+         "needs factorisation to be real-time capable (paper Section I)");
 
-  // Manifest for the largest aperture plus sweep-level engine throughput.
-  const auto& head = results.back();
-  telemetry::RunManifest man("crossover_gbp_ffbp");
   // Headline energy evidence is the FFBP leg; the GBP totals ride along
-  // as plain results so the energy advantage is visible in the diff.
+  // in the table row above so the energy advantage is visible in the diff.
+  const auto& head = results.back();
   ep::fill_manifest(man, head.f);
   // One leg's registry would not describe the pair, so the manifest's
   // holds only the sweep's engine gauges (add_engine_stats below).
@@ -87,41 +96,16 @@ static int bench_body() {
   man.set_metrics(&engine);
   bench::add_energy_per_pixel(man, head.f,
                               static_cast<double>(sizes.back()) * 161.0);
-  man.add_result("gbp_seconds", head.g.seconds);
-  man.add_result("ffbp_seconds", head.f.seconds);
-  man.add_result("ffbp_advantage", head.g.seconds / head.f.seconds);
-  man.add_result("gbp_energy_j", head.g.energy.total_j());
-  man.add_result("energy_advantage",
-                 head.g.energy.total_j() / head.f.energy.total_j());
-  // FNV-1a of the headline GBP image, split into two exactly
-  // representable doubles like fault_sweep's schedule_hash_hi/lo: pins
-  // every byte GBP produces, carrier phase included.
-  const std::uint64_t gbp_hash = fault::FaultInjector::checksum(
-      head.g.image.data(), head.g.image.size() * sizeof(cf32));
-  man.add_result("gbp_image_checksum_hi",
-                 static_cast<double>(gbp_hash >> 32));
-  man.add_result("gbp_image_checksum_lo",
-                 static_cast<double>(gbp_hash & 0xffffffffULL));
+  // FNV-1a of the headline GBP image: pins every byte GBP produces,
+  // carrier phase included.
+  bench::add_hash(man, "gbp_image_checksum",
+                  fault::FaultInjector::checksum(
+                      head.g.image.data(), head.g.image.size() * sizeof(cf32)));
   man.add_workload("n_pulses", static_cast<double>(sizes.back()));
   man.add_workload("n_range", 161.0);
   man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);
-  // Per-point event counts for both legs (each exactly representable in a
-  // double, unlike a giant uint64 total converted once) plus the sweep
-  // total, fault_sweep's "p<i>." key convention.
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const std::string pfx = "engine_events.p" + std::to_string(i);
-    man.add_result(pfx + ".gbp",
-                   static_cast<double>(results[i].g.perf.engine_events));
-    man.add_result(pfx + ".ffbp",
-                   static_cast<double>(results[i].f.perf.engine_events));
-  }
   bench::add_engine_stats(man, &engine, events, sweep_s, pool.jobs());
-  bench::write_manifest(man);
-
-  t.note("FFBP's advantage grows ~N/log2(N): the reason time-domain SAR "
-         "needs factorisation to be real-time capable (paper Section I)");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("crossover_gbp_ffbp", bench_body); }

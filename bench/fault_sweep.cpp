@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "fault/injector.hpp"
@@ -75,64 +74,63 @@ static int bench_body() {
   const double sweep_s = sweep_timer.elapsed_s();
 
   const auto& clean = results.front();
-  Table t("FFBP under fault injection (seed " + std::to_string(kSeed) +
-          ", " + std::to_string(kCores) + " cores)");
-  t.header({"Campaign", "Time (ms)", "Slowdown", "Injected", "Retries",
-            "Repart.", "Image RMSE"});
-  CsvWriter csv(bench::out_dir() / "fault_sweep.csv",
-                {"dma_rate", "fail_stops", "cycles", "slowdown", "injected",
-                 "recovered", "retries", "repartitions", "rmse"});
-
   telemetry::RunManifest man("fault_sweep");
+  bench::Report rep(man);
+  auto& t = rep.sheet("FFBP under fault injection (seed " +
+                          std::to_string(kSeed) + ", " +
+                          std::to_string(kCores) + " cores)",
+                      {{"Campaign", "campaign"},
+                       {"DMA rate", "dma_rate", bench::kSig},
+                       {"Fail-stops", "fail_stops", bench::kCount},
+                       {"Cycles", "cycles", bench::kGrouped, bench::kResult},
+                       {"Slowdown", "slowdown", {3}},
+                       {"Injected", "injected", bench::kCount, bench::kResult},
+                       {"Faulted", "faulted_transfers", bench::kCount,
+                        bench::kResult},
+                       {"Recovered", "recovered", bench::kCount,
+                        bench::kResult},
+                       {"Retries", "retries", bench::kCount, bench::kResult},
+                       {"Repart.", "repartitions", bench::kCount,
+                        bench::kResult},
+                       {"Failed", "failed_cores", bench::kCount,
+                        bench::kResult},
+                       {"Image RMSE", "rmse", bench::kSig, bench::kResult}});
   std::uint64_t events = 0;
-  bool all_recovered = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const auto& res = results[i];
     const auto& f = res.faults;
     events += res.perf.engine_events;
-    const double slowdown =
-        static_cast<double>(res.cycles) / static_cast<double>(clean.cycles);
     const double rmse = image_rmse(res.image, clean.image);
+    // Per-point results, keyed by sweep index so the curve is ordered;
+    // every value deterministic, diffed by CI at zero tolerance.
+    const std::string p =
+        std::string("p").append(std::to_string(i)).append(".");
+    t.row(p, {points[i].label, points[i].dma_rate, points[i].fail_stop ? 1 : 0,
+              res.cycles,
+              static_cast<double>(res.cycles) /
+                  static_cast<double>(clean.cycles),
+              f.injected, f.faulted_transfers, f.recovered, f.retries,
+              f.repartitions, f.failed_cores, rmse});
+    bench::add_hash(man, p + "schedule_hash", f.schedule_hash);
     // Exact recovery == bit-identical image. Every faulted transfer must
     // also end in one recovery, with every faulty attempt retried (a
     // retry that faults again is a second detection, not a second
     // recovery); a fail-stop "recovers" by repartition (its detection has
     // no retry-style recovered counterpart).
-    all_recovered =
-        all_recovered && rmse == 0.0 &&
-        (points[i].fail_stop
-             ? f.repartitions > 0 && f.failed_cores == 1
-             : fault::transfers_recovered(f) && f.failed_cores == 0);
-    t.row({points[i].label, bench::ms(res.seconds), Table::num(slowdown, 3),
-           Table::num(static_cast<double>(f.injected), 0),
-           Table::num(static_cast<double>(f.retries), 0),
-           Table::num(static_cast<double>(f.repartitions), 0),
-           Table::num(rmse, 9)});
-    csv.row_numeric({points[i].dma_rate,
-                     static_cast<double>(points[i].fail_stop ? 1 : 0),
-                     static_cast<double>(res.cycles), slowdown,
-                     static_cast<double>(f.injected),
-                     static_cast<double>(f.recovered),
-                     static_cast<double>(f.retries),
-                     static_cast<double>(f.repartitions), rmse});
-    // Per-point results: every value deterministic, diffed by CI at zero
-    // tolerance. Keys are prefixed by sweep index so the curve is ordered.
-    const std::string p =
-        std::string("p").append(std::to_string(i)).append(".");
-    man.add_result(p + "cycles", static_cast<double>(res.cycles));
-    man.add_result(p + "injected", static_cast<double>(f.injected));
-    man.add_result(p + "recovered", static_cast<double>(f.recovered));
-    man.add_result(p + "faulted_transfers",
-                   static_cast<double>(f.faulted_transfers));
-    man.add_result(p + "retries", static_cast<double>(f.retries));
-    man.add_result(p + "repartitions", static_cast<double>(f.repartitions));
-    man.add_result(p + "failed_cores", static_cast<double>(f.failed_cores));
-    man.add_result(p + "rmse", rmse);
-    man.add_result(p + "schedule_hash_hi",
-                   static_cast<double>(f.schedule_hash >> 32));
-    man.add_result(p + "schedule_hash_lo",
-                   static_cast<double>(f.schedule_hash & 0xffffffffULL));
+    rep.require(std::string("campaign ")
+                    .append(points[i].label)
+                    .append(" recovers every fault to the clean image"),
+                rmse == 0.0 &&
+                    (points[i].fail_stop
+                         ? f.repartitions > 0 && f.failed_cores == 1
+                         : fault::transfers_recovered(f) &&
+                               f.failed_cores == 0));
   }
+  t.note("fault campaigns assign output rows to cores interleaved (so "
+         "survivors can repartition), which balances the merge levels "
+         "slightly better than the clean run's contiguous partition — a "
+         "sub-1.0 slowdown at low rates is that scheduling difference, "
+         "not free recovery");
 
   // Headline manifest entry: the last rate point before the fail-stop run.
   auto& head = results[points.size() - 2];
@@ -143,20 +141,7 @@ static int bench_body() {
   bench::add_engine_stats(man, &head.metrics, events, sweep_s, pool.jobs());
   bench::add_energy_per_pixel(
       man, head, static_cast<double>(w.params.n_pulses * w.params.n_range));
-  bench::write_manifest(man);
-
-  t.note(all_recovered
-             ? "every campaign recovered exactly: all images bit-identical "
-               "to the clean run, including the repartitioned fail-stop "
-               "campaign"
-             : "WARNING: some campaigns left faults unrecovered");
-  t.note("fault campaigns assign output rows to cores interleaved (so "
-         "survivors can repartition), which balances the merge levels "
-         "slightly better than the clean run's contiguous partition — a "
-         "sub-1.0 slowdown at low rates is that scheduling difference, "
-         "not free recovery");
-  t.print(std::cout);
-  return all_recovered ? 0 : 1;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("fault_sweep", bench_body); }

@@ -6,11 +6,11 @@
 // Writes PGM renderings plus quantitative quality metrics (the paper's
 // Fig.-7 discussion: FFBP with simplified interpolation is visibly noisier
 // than GBP; the Intel and Epiphany FFBP images are of equal quality — in
-// this reproduction they are bit-identical by construction).
+// this reproduction they are bit-identical by construction, and the bench
+// exits 1 if they are not).
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/pgm.hpp"
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
@@ -44,50 +44,35 @@ static int bench_body() {
   write_pgm(dir / "fig7d_ffbp_epiphany.pgm", f_epi.image,
             {.dynamic_range_db = 45.0});
 
-  const bool identical = f_epi.image == f_host.image.data;
-
-  Table t("Figure 7: image quality metrics");
-  t.header({"Panel", "Entropy (bits)", "Contrast", "Peak/avg (dB)",
-            "rel. RMSE vs GBP"});
-  t.row({"(a) raw data", Table::num(image_entropy(w.data), 2),
-         Table::num(image_contrast(w.data), 2),
-         Table::num(peak_to_average_db(w.data), 1), "-"});
-  t.row({"(b) GBP", Table::num(image_entropy(g.image.data), 2),
-         Table::num(image_contrast(g.image.data), 2),
-         Table::num(peak_to_average_db(g.image.data), 1), "0"});
-  t.row({"(c) FFBP (Intel path)",
-         Table::num(image_entropy(f_host.image.data), 2),
-         Table::num(image_contrast(f_host.image.data), 2),
-         Table::num(peak_to_average_db(f_host.image.data), 1),
-         Table::num(relative_rmse(f_host.image.data, g.image.data), 4)});
-  t.row({"(d) FFBP (Epiphany)", Table::num(image_entropy(f_epi.image), 2),
-         Table::num(image_contrast(f_epi.image), 2),
-         Table::num(peak_to_average_db(f_epi.image), 1),
-         Table::num(relative_rmse(f_epi.image, g.image.data), 4)});
-  t.note("PGM files written to " + dir.string());
-  t.note(std::string("Intel-path and Epiphany FFBP images are ") +
-         (identical ? "bit-identical" : "DIFFERENT (unexpected!)") +
-         " (paper: 'similar in quality')");
-  t.note("lower entropy / higher contrast = sharper; GBP is the quality"
-         " reference the paper compares FFBP against");
-  t.print(std::cout);
-
   std::cout << "\nFFBP image preview (log magnitude):\n"
             << ascii_render(f_host.image.data, 72, 35.0) << "\n";
 
-  CsvWriter csv(bench::out_dir() / "fig7_metrics.csv",
-                {"panel", "entropy", "contrast", "peak_avg_db", "rmse_vs_gbp"});
-  csv.row({"raw", Table::num(image_entropy(w.data), 4),
-           Table::num(image_contrast(w.data), 4),
-           Table::num(peak_to_average_db(w.data), 3), ""});
-  csv.row({"gbp", Table::num(image_entropy(g.image.data), 4),
-           Table::num(image_contrast(g.image.data), 4),
-           Table::num(peak_to_average_db(g.image.data), 3), "0"});
-  csv.row({"ffbp", Table::num(image_entropy(f_host.image.data), 4),
-           Table::num(image_contrast(f_host.image.data), 4),
-           Table::num(peak_to_average_db(f_host.image.data), 3),
-           Table::num(relative_rmse(f_host.image.data, g.image.data), 6)});
-  return 0;
+  bench::Report rep("fig7_images");
+  auto& t = rep.sheet("Figure 7: image quality metrics",
+                      {{"Panel", "panel"},
+                       {"Entropy (bits)", "entropy"},
+                       {"Contrast", "contrast"},
+                       {"Peak/avg (dB)", "peak_avg_db", {1}},
+                       {"rel. RMSE vs GBP", "rmse_vs_gbp", {4}}},
+                      "fig7_metrics");
+  const auto panel = [&t](const char* name, const Array2D<cf32>& img,
+                          bench::Cell rmse) {
+    t.row({name, image_entropy(img), image_contrast(img),
+           peak_to_average_db(img), std::move(rmse)});
+  };
+  panel("(a) raw data", w.data, "-");
+  panel("(b) GBP", g.image.data, 0);
+  panel("(c) FFBP (Intel path)", f_host.image.data,
+        relative_rmse(f_host.image.data, g.image.data));
+  panel("(d) FFBP (Epiphany)", f_epi.image,
+        relative_rmse(f_epi.image, g.image.data));
+  t.note("PGM files written to " + dir.string());
+  t.note("lower entropy / higher contrast = sharper; GBP is the quality"
+         " reference the paper compares FFBP against");
+  rep.require("the Intel-path and Epiphany FFBP images are bit-identical "
+              "(paper: 'similar in quality')",
+              f_epi.image == f_host.image.data);
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("fig7_images", bench_body); }

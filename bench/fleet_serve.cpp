@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "fault/plan.hpp"
 #include "serve/fleet.hpp"
 #include "serve/trace.hpp"
@@ -81,49 +80,34 @@ static int bench_body() {
   });
   const double sweep_s = sweep_timer.elapsed_s();
 
-  Table t("SAR-as-a-service degradation curve (" + std::to_string(kChips) +
-          " chips, seed " + std::to_string(kSeed) + ")");
-  t.header({"Load", "Kill rate", "p99 (ms)", "SLO", "Retry", "Migr.",
-            "Degr.", "Kills", "mJ/image"});
-  CsvWriter csv(bench::out_dir() / "fleet_serve.csv",
-                {"load", "kill_rate", "latency_p99_s", "slo_attainment",
-                 "retries", "migrations", "degradations", "chip_kills",
-                 "energy_per_image_j"});
-
   telemetry::RunManifest man("fleet_serve");
+  bench::Report rep(man);
+  auto& t = rep.sheet("SAR-as-a-service degradation curve (" +
+                          std::to_string(kChips) + " chips, seed " +
+                          std::to_string(kSeed) + ")",
+                      {{"Load", "load"},
+                       {"Kill rate", "kill_rate"},
+                       {"p99 (ms)", "latency_p99_s", {3, 1e3}, bench::kResult},
+                       {"SLO", "slo_attainment", {3}, bench::kResult},
+                       {"Retry", "retries", bench::kCount, bench::kResult},
+                       {"Migr.", "migrations", bench::kCount, bench::kResult},
+                       {"Degr.", "degradations", bench::kCount,
+                        bench::kResult},
+                       {"Kills", "chip_kills", bench::kCount, bench::kResult},
+                       {"mJ/image", "energy_per_image_j", {4, 1e3},
+                        bench::kResult}});
   bool all_served = true;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& rep = reports[i];
-    const auto& c = rep.counters;
+    const auto& res = reports[i];
+    const auto& c = res.counters;
     all_served = all_served && c.jobs_lost == 0 &&
                  c.jobs_met + c.jobs_late + c.jobs_degraded == c.jobs_total;
-    t.row({Table::num(points[i].load, 2), Table::num(points[i].kill_rate, 2),
-           Table::num(rep.latency_p99_s * 1e3, 3),
-           Table::num(rep.slo_attainment, 3),
-           Table::num(static_cast<double>(c.retries), 0),
-           Table::num(static_cast<double>(c.migrations), 0),
-           Table::num(static_cast<double>(c.degradations), 0),
-           Table::num(static_cast<double>(c.chip_kills), 0),
-           Table::num(rep.energy_per_image_j * 1e3, 4)});
-    csv.row_numeric({points[i].load, points[i].kill_rate, rep.latency_p99_s,
-                     rep.slo_attainment, static_cast<double>(c.retries),
-                     static_cast<double>(c.migrations),
-                     static_cast<double>(c.degradations),
-                     static_cast<double>(c.chip_kills),
-                     rep.energy_per_image_j});
     const std::string p =
         std::string("p").append(std::to_string(i)).append(".");
-    man.add_result(p + "latency_p99_s", rep.latency_p99_s);
-    man.add_result(p + "slo_attainment", rep.slo_attainment);
-    man.add_result(p + "energy_per_image_j", rep.energy_per_image_j);
-    man.add_result(p + "retries", static_cast<double>(c.retries));
-    man.add_result(p + "migrations", static_cast<double>(c.migrations));
-    man.add_result(p + "degradations", static_cast<double>(c.degradations));
-    man.add_result(p + "chip_kills", static_cast<double>(c.chip_kills));
-    man.add_result(p + "schedule_hash_hi",
-                   static_cast<double>(rep.schedule_hash >> 32));
-    man.add_result(p + "schedule_hash_lo",
-                   static_cast<double>(rep.schedule_hash & 0xffffffffULL));
+    t.row(p, {points[i].load, points[i].kill_rate, res.latency_p99_s,
+              res.slo_attainment, c.retries, c.migrations, c.degradations,
+              c.chip_kills, res.energy_per_image_j});
+    bench::add_hash(man, p + "schedule_hash", res.schedule_hash);
   }
 
   // Headline: the saturated-but-surviving point (load 1.0, kill 0.05).
@@ -143,12 +127,10 @@ static int bench_body() {
 
   t.note("rates are multiples of calibrated fleet capacity (" +
          Table::num(capacity_hz, 1) + " jobs/s); deadline 4x service time");
-  t.note(all_served ? "every campaign terminated every job: zero lost jobs "
-                      "across " +
-                          std::to_string(points.size()) + " grid points"
-                    : "WARNING: a campaign lost jobs");
   t.note("host sweep wall time " + Table::num(sweep_s, 2) + " s");
-  t.print(std::cout);
+  rep.require("every campaign terminates every job: zero lost jobs across " +
+                  std::to_string(points.size()) + " grid points",
+              all_served);
 
   // Ladder cell, the same in fast and full mode: 64 pulses is the smallest
   // size on 16 cores whose first halving shrinks the aperture.
@@ -187,42 +169,32 @@ static int bench_body() {
     return r;
   });
 
-  Table lt_table("Degradation ladder vs flat retry budget (" +
-                 std::to_string(lt.n_jobs) + " jobs of 64x65, DMA "
-                 "corruption " + Table::num(kCorrupt, 2) + ")");
-  lt_table.header({"Chaos seed", "Ladder SLO", "Flat SLO"});
-  const auto record = [&](const std::string& policy, const std::string& seed,
-                          const LadderRun& r) {
-    const std::string p = policy + ".s" + seed + ".";
-    man.add_result(p + "aborted", r.aborted ? 1.0 : 0.0);
-    man.add_result(p + "slo_attainment", r.slo);
-    return r.aborted ? std::string("abort") : Table::num(r.slo, 3);
-  };
-  std::uint64_t ladder_aborts = 0;
-  std::uint64_t flat_aborts = 0;
-  for (std::uint64_t k = 0; k < kLadderSeeds; ++k) {
-    const std::string seed = std::to_string(kSeed + k);
-    const LadderRun& ladder = runs[2 * k];
-    const LadderRun& flat = runs[2 * k + 1];
-    ladder_aborts += ladder.aborted ? 1 : 0;
-    flat_aborts += flat.aborted ? 1 : 0;
-    lt_table.row({seed, record("ladder", seed, ladder),
-                  record("flat", seed, flat)});
+  auto& lt_sheet = rep.sheet(
+      "Degradation ladder vs flat retry budget (" + std::to_string(lt.n_jobs) +
+          " jobs of 64x65, DMA corruption " + Table::num(kCorrupt, 2) + ")",
+      {{"Chaos seed", "seed", bench::kCount},
+       {"Policy", "policy"},
+       {"Aborted", "aborted", bench::kCount, bench::kResult},
+       {"SLO", "slo_attainment", {3}, bench::kResult}},
+      "fleet_serve_ladder");
+  std::uint64_t aborts[2] = {0, 0};
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const char* policy = i % 2 == 0 ? "ladder" : "flat";
+    const std::uint64_t seed = kSeed + i / 2;
+    aborts[i % 2] += runs[i].aborted ? 1 : 0;
+    lt_sheet.row(std::string(policy).append(".s").append(
+                     std::to_string(seed).append(".")),
+                 {seed, policy, runs[i].aborted ? 1 : 0, runs[i].slo});
   }
-  man.add_result("ladder.aborts", static_cast<double>(ladder_aborts));
-  man.add_result("flat.aborts", static_cast<double>(flat_aborts));
-  bench::write_manifest(man);
-  const bool ladder_earns_its_place = ladder_aborts == 0 && flat_aborts > 0;
-  lt_table.note("ladder: 3 attempts x 3 quality levels; flat: 9 full-size "
+  man.add_result("ladder.aborts", static_cast<double>(aborts[0]));
+  man.add_result("flat.aborts", static_cast<double>(aborts[1]));
+  lt_sheet.note("ladder: 3 attempts x 3 quality levels; flat: 9 full-size "
                 "attempts; an abort is a FaultUnrecovered campaign");
-  lt_table.note(ladder_earns_its_place
-                    ? "the ladder completes all " +
-                          std::to_string(kLadderSeeds) +
-                          " seeds; the flat budget aborts " +
-                          std::to_string(flat_aborts)
-                    : "WARNING: the ladder no longer changes an outcome");
-  lt_table.print(std::cout);
-  return all_served && ladder_earns_its_place ? 0 : 1;
+  rep.require("the ladder completes all " + std::to_string(kLadderSeeds) +
+                  " seeds",
+              aborts[0] == 0);
+  rep.require("the flat budget aborts at least once", aborts[1] > 0);
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("fleet_serve", bench_body); }

@@ -442,8 +442,8 @@ void register_kernel_rows() {
 /// contract tests/test_kernels.cpp enforces, re-checked here on the bench
 /// inputs and turned into gated manifest results). Every checksum is a
 /// gated result: gbp_contrib_row's too, since none of its inputs takes
-/// the libm carrier fallback. Returns nonzero — and therefore fails the
-/// bench and CI — on any mismatch or fallback lane.
+/// the libm carrier fallback. Both are claims: a mismatch or a fallback
+/// lane fails the bench, and therefore CI.
 int kernels_manifest_body() {
   const KernelInputs& in = kernel_inputs();
   const std::array<KernelCase, 6>& cases = kernel_cases();
@@ -454,10 +454,15 @@ int kernels_manifest_body() {
   man.add_workload("samples", static_cast<double>(kKernelSamples));
   man.add_workload("kernels", static_cast<double>(cases.size()));
   man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);
-
-  Table t("Kernel API backends: scalar vs SIMD (" +
-          std::string(kn::backend_name(session)) + " active)");
-  t.header({"Kernel", "Backend", "ns/sample", "Speedup", "Bit-exact"});
+  man.set_metrics(&reg);
+  bench::Report rep(man);
+  auto& t = rep.sheet("Kernel API backends: scalar vs SIMD (" +
+                          std::string(kn::backend_name(session)) + " active)",
+                      {{"Kernel", "kernel"},
+                       {"Backend", "backend"},
+                       {"ns/sample", "ns_per_sample"},
+                       {"Speedup", "speedup"},
+                       {"Bit-exact", "bit_exact"}});
 
   KernelScratch s;
   double all_match = 1.0;
@@ -470,8 +475,7 @@ int kernels_manifest_body() {
     man.add_result(std::string("checksum.") + kc.name,
                    output_checksum({ref.data(), ref.size()}));
     reg.gauge(base + ".scalar.ns_per_sample").set(scalar_ns);
-    t.row({kc.name, "scalar", Table::num(scalar_ns, 2), "1.00",
-           "reference"});
+    t.row({kc.name, "scalar", scalar_ns, 1.0, "reference"});
 
     double kernel_match = 1.0;
     for (const kn::Backend b : kAllBackends) {
@@ -482,13 +486,12 @@ int kernels_manifest_body() {
                          std::memcmp(bv.data, ref.data(), ref.size()) == 0;
       if (!match) kernel_match = 0.0;
       const double ns = kernel_ns_per_sample(kc, in, s);
+      const double speedup = ns > 0.0 ? scalar_ns / ns : 0.0;
       const std::string bb = base + "." + kn::backend_name(b);
       reg.gauge(bb + ".match").set(match ? 1.0 : 0.0);
       reg.gauge(bb + ".ns_per_sample").set(ns);
-      reg.gauge(bb + ".speedup").set(ns > 0.0 ? scalar_ns / ns : 0.0);
-      t.row({kc.name, kn::backend_name(b), Table::num(ns, 2),
-             Table::num(ns > 0.0 ? scalar_ns / ns : 0.0, 2),
-             match ? "yes" : "NO"});
+      reg.gauge(bb + ".speedup").set(speedup);
+      t.row({kc.name, kn::backend_name(b), ns, speedup, match ? "yes" : "NO"});
     }
     // 1 only when every available SIMD backend matched; vacuously 1 on a
     // machine with none, so the key exists — and is 1.0 — in every
@@ -500,24 +503,17 @@ int kernels_manifest_body() {
   reg.gauge("kernel.active_backend").set(static_cast<double>(session));
   kn::force_backend(session);
 
-  man.set_metrics(&reg);
-  bench::write_manifest(man);
   t.note("scalar is the bit-exact reference (tests/test_kernels.cpp); "
          "ESARP_KERNELS=scalar pins it, any other value picks the best "
          "available backend (docs/performance.md)");
-  t.print(std::cout);
-  if (all_match != 1.0) {
-    std::cerr << "micro_kernels: SIMD backend diverged from the scalar "
-                 "reference\n";
-    return 1;
-  }
-  if (gbp_carrier_fallbacks(in) != 0) {
-    std::cerr << "micro_kernels: a gbp_contrib_row input lane takes the "
-                 "libm carrier fallback; its pinned checksum would depend "
-                 "on the libm build\n";
-    return 1;
-  }
-  return 0;
+  rep.require("every available SIMD backend matches the scalar reference "
+              "bit for bit",
+              all_match == 1.0);
+  rep.require("no gbp_contrib_row input lane takes the libm carrier "
+              "fallback, so its pinned checksum is independent of the libm "
+              "build",
+              gbp_carrier_fallbacks(in) == 0);
+  return rep.finish();
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/stats.hpp"
 #include "hostmodel/host_model.hpp"
 #include "autofocus/integrated.hpp"
@@ -39,13 +38,14 @@ static int bench_body() {
   // no way to use the recorded positions; back-projection honours them in
   // its geometry (and autofocus handles the case where even the recording
   // is missing).
-  Table t("Non-uniform flight track: frequency domain vs time domain");
-  t.header({"Speed error (m)", "RDA peak", "FFBP nominal track",
-            "FFBP recorded track", "FFBP + autofocus"});
-  CsvWriter csv(bench::out_dir() / "motivation_timedomain.csv",
-                {"error_m", "rda", "ffbp_nominal", "ffbp_recorded",
-                 "ffbp_af"});
-
+  bench::Report rep("motivation_timedomain");
+  auto& t = rep.sheet(
+      "Non-uniform flight track: frequency domain vs time domain",
+      {{"Speed error (m)", "error_m", {1}},
+       {"RDA peak", "rda", bench::kPercent},
+       {"FFBP nominal track", "ffbp_nominal", bench::kPercent},
+       {"FFBP recorded track", "ffbp_recorded", bench::kPercent},
+       {"FFBP + autofocus", "ffbp_af", bench::kPercent}});
   for (double amp_m : {0.0, 4.0, 8.0, 12.0}) {
     sar::FlightPathError err;
     err.dx.resize(p.n_pulses);
@@ -67,11 +67,7 @@ static int bench_body() {
         peak_magnitude(af::ffbp_with_autofocus(data, p, af_opt).image.data) /
         ffbp100;
 
-    t.row({Table::num(amp_m, 1), Table::num(rda * 100, 0) + " %",
-           Table::num(bp_nom * 100, 0) + " %",
-           Table::num(bp_rec * 100, 0) + " %",
-           Table::num(bp_af * 100, 0) + " %"});
-    csv.row_numeric({amp_m, rda, bp_nom, bp_rec, bp_af});
+    t.row({amp_m, rda, bp_nom, bp_rec, bp_af});
   }
 
   // Arithmetic cost comparison on the clean run.
@@ -90,8 +86,7 @@ static int bench_body() {
   t.note("'recorded track' feeds the actual pulse positions into the "
          "back-projection geometry — the compensation the paper says only "
          "time-domain processing can do (Section I)");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("motivation_timedomain", bench_body); }

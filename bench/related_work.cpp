@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "hostmodel/parallel_host_model.hpp"
 #include "sar/ffbp.hpp"
@@ -31,17 +30,23 @@ static int bench_body() {
   const auto epi = core::run_ffbp_epiphany(w.data, w.params, opt);
   const double j_epi = epi.energy.total_j();
 
-  Table t("FFBP across platforms: speed vs energy (paper Section VI-A)");
-  t.header({"Platform", "Cores", "Time (ms)", "Power (W)",
-            "Energy/image (J)", "Images/s/W"});
-  auto row = [&](const char* name, int cores, double secs, double watts,
-                 double joules) {
-    t.row({name, std::to_string(cores), bench::ms(secs),
-           Table::num(watts, 1), Table::num(joules, 3),
-           Table::num(1.0 / secs / watts, 3)});
+  bench::Report rep("related_work");
+  auto& t = rep.sheet(
+      "FFBP across platforms: speed vs energy (paper Section VI-A)",
+      {{"Platform", "platform"},
+       {"Cores", "cores", bench::kCount},
+       {"Time (ms)", "seconds", bench::kMs},
+       {"Power (W)", "watts", {1}},
+       {"Energy/image (J)", "joules", {3}},
+       {"Images/s/W", "images_per_s_per_w", {3}}});
+  const auto row = [&t](const char* name, int cores, double secs,
+                        double watts, double joules) {
+    t.row({name, cores, secs, watts, joules, 1.0 / secs / watts});
   };
-  row("Intel i7-M620, 1 core (paper ref.)", 1, t_i7, 17.5, j_i7);
-  row("2x Xeon X5675 + SSE (Lidberg [15])", 12, t_xeon, 190.0, j_xeon);
+  row("Intel i7-M620, 1 core (paper ref.)", 1, t_i7,
+      i7_single.params().watts, j_i7);
+  row("2x Xeon X5675 + SSE (Lidberg [15])", 12, t_xeon, xeon.params().watts,
+      j_xeon);
   row("Epiphany E16G3, 16 cores", 16, epi.seconds, epi.energy.avg_watts,
       j_epi);
   t.note("Xeon wins on raw speed (" +
@@ -54,17 +59,7 @@ static int bench_body() {
   t.note("Xeon model: 12 cores @ 3.06 GHz, 4-wide SSE at 60 % efficiency, "
          "85 % OpenMP scaling, 2 x 95 W TDP; same counted work as the "
          "other rows");
-  t.print(std::cout);
-
-  CsvWriter csv(bench::out_dir() / "related_work.csv",
-                {"platform", "time_ms", "watts", "joules"});
-  csv.row({"i7_1core", Table::num(t_i7 * 1e3, 2), "17.5",
-           Table::num(j_i7, 4)});
-  csv.row({"xeon_12core", Table::num(t_xeon * 1e3, 2), "190",
-           Table::num(j_xeon, 4)});
-  csv.row({"epiphany_16core", Table::num(epi.seconds * 1e3, 2),
-           Table::num(epi.energy.avg_watts, 3), Table::num(j_epi, 4)});
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("related_work", bench_body); }

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
 
@@ -44,12 +43,19 @@ static int bench_body() {
   });
   const double sweep_s = sweep_timer.elapsed_s();
 
-  Table t("FFBP SPMD across Epiphany generations");
-  t.header({"Chip", "Cores", "Time (ms)", "Speedup vs E16",
-            "Core util.", "eLink read util.", "Avg power (W)"});
-  CsvWriter csv(bench::out_dir() / "scaling_chip.csv",
-                {"chip", "cores", "time_ms", "util", "power_w"});
-
+  // Manifest for the headline (E64) configuration plus sweep-level engine
+  // throughput (docs/performance.md).
+  auto& e64_res = results.back();
+  telemetry::RunManifest man("scaling_chip");
+  bench::Report rep(man);
+  auto& t = rep.sheet("FFBP SPMD across Epiphany generations",
+                      {{"Chip", "chip"},
+                       {"Cores", "cores", bench::kCount},
+                       {"Time (ms)", "seconds", bench::kMs},
+                       {"Speedup vs E16", "speedup"},
+                       {"Core util.", "util", bench::kPercent},
+                       {"eLink read util.", "elink_util", bench::kPercent},
+                       {"Avg power (W)", "power_w"}});
   const double t16 = results.front().seconds;
   std::uint64_t events = 0;
   for (std::size_t i = 0; i < chips.size(); ++i) {
@@ -61,42 +67,27 @@ static int bench_body() {
         static_cast<double>(res.perf.ext.read_bytes) /
         static_cast<double>(chip.cfg.elink_bytes_per_cycle) /
         static_cast<double>(res.cycles);
-    t.row({chip.name, std::to_string(chip.cores), bench::ms(res.seconds),
-           Table::num(t16 / res.seconds, 2),
-           Table::num(res.perf.utilization() * 100.0, 0) + " %",
-           Table::num(elink_util * 100.0, 0) + " %",
-           Table::num(res.energy.avg_watts, 2)});
-    csv.row({chip.name, std::to_string(chip.cores),
-             Table::num(res.seconds * 1e3, 2),
-             Table::num(res.perf.utilization(), 4),
-             Table::num(res.energy.avg_watts, 3)});
-  }
-
-  // Manifest for the headline (E64) configuration plus sweep-level engine
-  // throughput (docs/performance.md).
-  auto& e64_res = results.back();
-  telemetry::RunManifest man("scaling_chip");
-  ep::fill_manifest(man, e64_res);
-  bench::add_workload(man, w.params);
-  man.add_workload("n_cores", 64.0);
-  // Per-point event counts (exactly representable in a double point by
-  // point, unlike a giant uint64 total converted once) plus the sweep
-  // total, fault_sweep's "p<i>." key convention.
-  for (std::size_t i = 0; i < results.size(); ++i)
+    t.row({chip.name, chip.cores, res.seconds, t16 / res.seconds,
+           res.perf.utilization(), elink_util, res.energy.avg_watts});
+    // Per-point event counts (exactly representable in a double point by
+    // point, unlike a giant uint64 total converted once) plus the sweep
+    // total, fault_sweep's "p<i>." key convention.
     man.add_result("engine_events.p" + std::to_string(i),
-                   static_cast<double>(results[i].perf.engine_events));
-  bench::add_engine_stats(man, &e64_res.metrics, events, sweep_s,
-                          pool.jobs());
-  bench::add_energy_per_pixel(
-      man, e64_res, static_cast<double>(w.params.n_pulses * w.params.n_range));
-  bench::write_manifest(man);
-
+                   static_cast<double>(res.perf.engine_events));
+  }
   t.note("same SPMD source scales to the larger chip unchanged (the SPMD "
          "productivity argument of Section VI-B); the eLink becomes the "
          "limiter as core count quadruples while off-chip bandwidth stays "
          "at 8 GB/s");
-  t.print(std::cout);
-  return 0;
+
+  ep::fill_manifest(man, e64_res);
+  bench::add_workload(man, w.params);
+  man.add_workload("n_cores", 64.0);
+  bench::add_engine_stats(man, &e64_res.metrics, events, sweep_s,
+                          pool.jobs());
+  bench::add_energy_per_pixel(
+      man, e64_res, static_cast<double>(w.params.n_pulses * w.params.n_range));
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("scaling_chip", bench_body); }

@@ -6,20 +6,12 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
 
 static int bench_body() {
   using namespace esarp;
   const auto w = bench::make_paper_workload();
-
-  Table t("FFBP SPMD scaling over Epiphany cores");
-  t.header({"Cores", "Time (ms)", "Speedup vs 1 core", "Efficiency",
-            "Avg power (W)", "Energy (mJ)"});
-  CsvWriter csv(bench::out_dir() / "scaling_cores.csv",
-                {"cores", "time_ms", "speedup", "efficiency", "power_w",
-                 "energy_mj"});
 
   // The core counts are independent simulations of the same workload:
   // fan out across host threads (ESARP_JOBS); gathered by sweep index.
@@ -36,26 +28,33 @@ static int bench_body() {
   });
   const double sweep_s = sweep_timer.elapsed_s();
 
-  const double t1 = results.front().seconds;
-  std::uint64_t events = 0;
-  for (std::size_t i = 0; i < core_counts.size(); ++i) {
-    const int cores = core_counts[i];
-    const auto& res = results[i];
-    events += res.perf.engine_events;
-    const double sp = t1 / res.seconds;
-    const double eff = sp / cores;
-    t.row({std::to_string(cores), bench::ms(res.seconds),
-           Table::num(sp, 2), Table::num(eff * 100.0, 0) + " %",
-           Table::num(res.energy.avg_watts, 2),
-           Table::num(res.energy.total_j() * 1e3, 1)});
-    csv.row_numeric({static_cast<double>(cores), res.seconds * 1e3, sp, eff,
-                     res.energy.avg_watts, res.energy.total_j() * 1e3});
-  }
-
   // Manifest for the 16-core configuration plus sweep-level engine
   // throughput (docs/performance.md).
   auto& head = results.back();
   telemetry::RunManifest man("scaling_cores");
+  bench::Report rep(man);
+  auto& t = rep.sheet("FFBP SPMD scaling over Epiphany cores",
+                      {{"Cores", "cores", bench::kCount},
+                       {"Time (ms)", "seconds", bench::kMs},
+                       {"Speedup vs 1 core", "speedup"},
+                       {"Efficiency", "efficiency", bench::kPercent},
+                       {"Avg power (W)", "power_w"},
+                       {"Energy (mJ)", "energy_j", {1, 1e3}}});
+  const double t1 = results.front().seconds;
+  std::uint64_t events = 0;
+  for (std::size_t i = 0; i < core_counts.size(); ++i) {
+    const auto& res = results[i];
+    events += res.perf.engine_events;
+    const double sp = t1 / res.seconds;
+    t.row({core_counts[i], res.seconds, sp, sp / core_counts[i],
+           res.energy.avg_watts, res.energy.total_j()});
+  }
+  t.note("all configurations DMA-prefetch child rows; the 1-core row is "
+         "the prefetching mapping, not the naive sequential version of "
+         "Table I");
+  t.note("sub-linear scaling at high core counts reflects the shared "
+         "8 GB/s eLink and prefetch misses at late merge levels");
+
   ep::fill_manifest(man, head);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 16.0);
@@ -63,14 +62,7 @@ static int bench_body() {
                           pool.jobs());
   bench::add_energy_per_pixel(
       man, head, static_cast<double>(w.params.n_pulses * w.params.n_range));
-  bench::write_manifest(man);
-  t.note("all configurations DMA-prefetch child rows; the 1-core row is "
-         "the prefetching mapping, not the naive sequential version of "
-         "Table I");
-  t.note("sub-linear scaling at high core counts reflects the shared "
-         "8 GB/s eLink and prefetch misses at late merge levels");
-  t.print(std::cout);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("scaling_cores", bench_body); }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "common/rng.hpp"
 #include "core/autofocus_epiphany.hpp"
 #include "epiphany/machine_metrics.hpp"
@@ -45,20 +44,30 @@ static int bench_body() {
   std::cerr << "simulating 13-core MPMD autofocus pipeline...\n";
   const auto par =
       core::run_autofocus_mpmd(pairs, p, {}, bench::power_chip());
+  const double speedup = par.pixels_per_second / intel_tp;
 
-  Table t("Table I (Autofocus): throughput, speedup, estimated power");
-  t.header({"Implementation", "Cores", "Throughput (px/s)", "Speedup",
-            "Power (W)", "Paper px/s", "Paper speedup"});
-  t.row({"Sequential on Intel i7 @ 2.67 GHz", "1",
-         format_rate(intel_tp, "px"), "1.00", "17.5", "21,600", "1"});
-  t.row({"Sequential on Epiphany @ 1 GHz", "1",
-         format_rate(seq.pixels_per_second, "px"),
-         Table::num(seq.pixels_per_second / intel_tp, 2),
-         Table::num(seq.energy.avg_watts, 2), "17,668", "0.8"});
-  t.row({"Parallel on Epiphany @ 1 GHz", "13",
-         format_rate(par.pixels_per_second, "px"),
-         Table::num(par.pixels_per_second / intel_tp, 2),
-         Table::num(par.energy.avg_watts, 2), "192,857", "8.93"});
+  std::cout << "\n-- simulated pipeline details --\n"
+            << par.perf.summary() << par.energy.summary() << "\n";
+  std::cout << par.power.profile.table();
+
+  telemetry::RunManifest man("table1_autofocus");
+  bench::Report rep(man);
+  auto& t = rep.sheet(
+      "Table I (Autofocus): throughput, speedup, estimated power",
+      {{"Implementation", "impl"},
+       {"Cores", "cores", bench::kCount},
+       {"Throughput (px/s)", "px_per_s", bench::kPxRate, bench::kResult},
+       {"Speedup", "speedup"},
+       {"Power (W)", "power_w"},
+       {"Paper px/s", "paper_px_per_s", bench::kCount},
+       {"Paper speedup", "paper_speedup"}});
+  t.row({"Sequential on Intel i7 @ 2.67 GHz", 1, intel_tp, 1.0,
+         intel.params().watts, 21600, 1.0});
+  t.row("seq_", {"Sequential on Epiphany @ 1 GHz", 1, seq.pixels_per_second,
+                 seq.pixels_per_second / intel_tp, seq.energy.avg_watts,
+                 17668, 0.8});
+  t.row({"Parallel on Epiphany @ 1 GHz", 13, par.pixels_per_second, speedup,
+         par.energy.avg_watts, 192857, 8.93});
   t.note(std::to_string(n_pairs) + " block pairs of 6x6 px, " +
          std::to_string(p.shift_candidates.size()) +
          " candidate shifts, cubic Neville interpolation, 3 windows");
@@ -67,41 +76,21 @@ static int bench_body() {
          "x (paper: 10.9x)");
   t.note("native host wall time of the reference sweeps: " +
          format_seconds(native_s) + " (informational)");
-  t.print(std::cout);
-
-  std::cout << "\n-- simulated pipeline details --\n"
-            << par.perf.summary() << par.energy.summary() << "\n";
-  std::cout << par.power.profile.table();
-
-  CsvWriter csv(bench::out_dir() / "table1_autofocus.csv",
-                {"impl", "cores", "throughput_px_s", "speedup", "power_w"});
-  csv.row({"intel_seq", "1", Table::num(intel_tp, 1), "1.0", "17.5"});
-  csv.row({"epiphany_seq", "1", Table::num(seq.pixels_per_second, 1),
-           Table::num(seq.pixels_per_second / intel_tp, 4),
-           Table::num(seq.energy.avg_watts, 3)});
-  csv.row({"epiphany_par", "13", Table::num(par.pixels_per_second, 1),
-           Table::num(par.pixels_per_second / intel_tp, 4),
-           Table::num(par.energy.avg_watts, 3)});
 
   // Machine-readable evidence for the headline (13-core MPMD) run.
-  telemetry::RunManifest man("table1_autofocus");
   ep::fill_manifest(man, par);
   man.add_workload("n_pairs", static_cast<double>(n_pairs));
   man.add_workload("block_rows", static_cast<double>(p.block_rows));
   man.add_workload("block_cols", static_cast<double>(p.block_cols));
   man.add_workload("fast_mode", bench::fast_mode() ? 1.0 : 0.0);
   man.add_result("pixels_per_second", par.pixels_per_second);
-  man.add_result("seq_px_per_s", seq.pixels_per_second);
-  man.add_result("speedup_vs_intel", par.pixels_per_second / intel_tp);
+  man.add_result("speedup_vs_intel", speedup);
   // Pins every criterion bit of the 13-core pipeline at this size, so a
   // rounding drift in the range or beam stage fails the baseline compare.
-  const std::uint64_t hash = bench::criteria_checksum(par.criteria);
-  man.add_result("criteria_checksum_hi", static_cast<double>(hash >> 32));
-  man.add_result("criteria_checksum_lo",
-                 static_cast<double>(hash & 0xffffffffULL));
+  bench::add_hash(man, "criteria_checksum",
+                  bench::criteria_checksum(par.criteria));
   bench::add_energy_per_pixel(man, par, pixels);
-  bench::write_manifest(man);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("table1_autofocus", bench_body); }

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_util.hpp"
-#include "common/csv.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "epiphany/energy.hpp"
 #include "epiphany/machine_metrics.hpp"
@@ -32,28 +31,40 @@ static int bench_body() {
 
   // --- Sequential on one simulated Epiphany core @ 1 GHz. ---
   std::cerr << "simulating sequential Epiphany FFBP...\n";
-  WallTimer chip_timer;
   const auto seq = core::run_ffbp_sequential_epiphany(w.data, w.params);
 
-  // --- Parallel SPMD on 16 simulated cores. ---
+  // --- Parallel SPMD on 16 simulated cores, timed alone: its engine rate
+  // is the 16-core run's own. ---
   std::cerr << "simulating 16-core SPMD FFBP...\n";
   core::FfbpMapOptions opt;
   opt.n_cores = 16;
+  WallTimer chip_timer;
   auto par =
       core::run_ffbp_epiphany(w.data, w.params, opt, bench::power_chip());
   const double chip_s = chip_timer.elapsed_s();
+  const double speedup = intel_s / par.seconds;
 
-  Table t("Table I (FFBP): resources, performance, estimated power");
-  t.header({"Implementation", "Cores", "Time (ms)", "Speedup",
-            "Power (W)", "Paper time", "Paper speedup"});
-  t.row({"Sequential on Intel i7 @ 2.67 GHz", "1", bench::ms(intel_s),
-         "1.00", "17.5", "1295 ms", "1"});
-  t.row({"Sequential on Epiphany @ 1 GHz", "1", bench::ms(seq.seconds),
-         bench::speedup(intel_s, seq.seconds),
-         Table::num(seq.energy.avg_watts, 2), "3582 ms", "0.36"});
-  t.row({"Parallel on Epiphany @ 1 GHz", "16", bench::ms(par.seconds),
-         bench::speedup(intel_s, par.seconds),
-         Table::num(par.energy.avg_watts, 2), "305 ms", "4.25"});
+  std::cout << "\n-- simulated parallel run details --\n"
+            << par.perf.summary() << par.energy.summary() << "\n";
+  std::cout << par.power.profile.table();
+
+  telemetry::RunManifest man("table1_ffbp");
+  bench::Report rep(man);
+  auto& t = rep.sheet("Table I (FFBP): resources, performance, estimated power",
+                      {{"Implementation", "impl"},
+                       {"Cores", "cores", bench::kCount},
+                       {"Time (ms)", "seconds", bench::kMs, bench::kResult},
+                       {"Speedup", "speedup"},
+                       {"Power (W)", "power_w"},
+                       {"Paper time (ms)", "paper_ms", bench::kCount},
+                       {"Paper speedup", "paper_speedup"}});
+  t.row("intel_", {"Sequential on Intel i7 @ 2.67 GHz", 1, intel_s, 1.0,
+                   intel.params().watts, 1295, 1.0});
+  t.row("seq_epiphany_",
+        {"Sequential on Epiphany @ 1 GHz", 1, seq.seconds,
+         intel_s / seq.seconds, seq.energy.avg_watts, 3582, 0.36});
+  t.row({"Parallel on Epiphany @ 1 GHz", 16, par.seconds, speedup,
+         par.energy.avg_watts, 305, 4.25});
   t.note("image " + std::to_string(w.params.n_pulses) + "x" +
          std::to_string(w.params.n_range) + ", merge base 2, " +
          std::to_string(w.params.merge_levels()) +
@@ -62,47 +73,22 @@ static int bench_body() {
          Table::num(seq.seconds / par.seconds, 1) + "x (paper: 11.7x)");
   t.note("native host wall time of the reference run: " +
          format_seconds(native_s) + " (informational)");
-  t.print(std::cout);
-
-  std::cout << "\n-- simulated parallel run details --\n"
-            << par.perf.summary() << par.energy.summary() << "\n";
-  std::cout << par.power.profile.table();
-
-  CsvWriter csv(bench::out_dir() / "table1_ffbp.csv",
-                {"impl", "cores", "time_ms", "speedup", "power_w"});
-  csv.row({"intel_seq", "1", Table::num(intel_s * 1e3, 3), "1.0", "17.5"});
-  csv.row({"epiphany_seq", "1", Table::num(seq.seconds * 1e3, 3),
-           Table::num(intel_s / seq.seconds, 4),
-           Table::num(seq.energy.avg_watts, 3)});
-  csv.row({"epiphany_par", "16", Table::num(par.seconds * 1e3, 3),
-           Table::num(intel_s / par.seconds, 4),
-           Table::num(par.energy.avg_watts, 3)});
 
   // Machine-readable evidence for the headline (16-core SPMD) run.
-  telemetry::RunManifest man("table1_ffbp");
   ep::fill_manifest(man, par);
   bench::add_workload(man, w.params);
   man.add_workload("n_cores", 16.0);
-  // Engine throughput over both chip runs (docs/performance.md).
-  bench::add_engine_stats(man, &par.metrics,
-                          seq.perf.engine_events + par.perf.engine_events,
-                          chip_s, 1);
-  man.add_result("intel_seconds", intel_s);
-  man.add_result("seq_epiphany_seconds", seq.seconds);
-  man.add_result("speedup_vs_intel", intel_s / par.seconds);
-  // FNV-1a of the 16-core image, split into two exactly representable
-  // doubles like crossover_gbp_ffbp's gbp_image_checksum_hi/lo: pins every
-  // byte the merge kernels produce at this size, on every kernel backend.
-  const std::uint64_t image_hash = fault::FaultInjector::checksum(
-      par.image.data(), par.image.size() * sizeof(cf32));
-  man.add_result("ffbp_image_checksum_hi",
-                 static_cast<double>(image_hash >> 32));
-  man.add_result("ffbp_image_checksum_lo",
-                 static_cast<double>(image_hash & 0xffffffffULL));
+  bench::add_engine_stats(man, &par.metrics, par.perf.engine_events, chip_s,
+                          1);
+  man.add_result("speedup_vs_intel", speedup);
+  // FNV-1a of the 16-core image: pins every byte the merge kernels produce
+  // at this size, on every kernel backend.
+  bench::add_hash(man, "ffbp_image_checksum",
+                  fault::FaultInjector::checksum(
+                      par.image.data(), par.image.size() * sizeof(cf32)));
   bench::add_energy_per_pixel(
       man, par, static_cast<double>(w.params.n_pulses * w.params.n_range));
-  bench::write_manifest(man);
-  return 0;
+  return rep.finish();
 }
 
 int main() { return esarp::bench::guarded_main("table1_ffbp", bench_body); }

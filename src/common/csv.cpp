@@ -53,4 +53,11 @@ std::string CsvWriter::escape(const std::string& cell) {
   return out;
 }
 
+void write_csv(const std::filesystem::path& path,
+               const std::vector<std::string>& columns,
+               const std::vector<std::vector<std::string>>& rows) {
+  CsvWriter csv(path, columns);
+  for (const std::vector<std::string>& r : rows) csv.row(r);
+}
+
 } // namespace esarp

@@ -35,4 +35,10 @@ private:
   std::size_t rows_ = 0;
 };
 
+/// Write a whole table through CsvWriter: `columns` as the header, then
+/// every row.
+void write_csv(const std::filesystem::path& path,
+               const std::vector<std::string>& columns,
+               const std::vector<std::vector<std::string>>& rows);
+
 } // namespace esarp

@@ -70,6 +70,12 @@ expect_named --epoch "$esarp" chip --in "$ds" --epoch -5
 # An epoch longer than any run is one bin, not an overflow: the sampler
 # never multiplies the epoch by its bin cap (2^62 * 4096 wraps).
 expect 0 "$esarp" chip --in "$ds" --epoch 4611686018427387904
+# An integer past what the parser reads (a long) names the flag and the
+# finite bound it can reach, not "inf".
+expect_named "--epoch .*, 9223372036854775807]" "$esarp" chip --in "$ds" \
+  --epoch 9223372036854775808
+expect_named "--seed .*, 9223372036854775807]" "$esarp" simulate \
+  --out "$scratch/cli_exit_codes.bad.esrp" --seed 18446744073709551615
 # `esarp chip` reports the power trace; there is no separate power command.
 expect 2 "$esarp" power --in "$ds"
 expect 2 "$esarp" chaos --in "$ds" --cores 4 --fail 3

@@ -147,19 +147,36 @@ std::vector<int> parse_list(const Flag& f, const std::string& s) {
   return xs;
 }
 
-/// What f's value must be, for its usage error.
+/// What f's value must be, for its usage error. An integer flag names the
+/// bounds its parser can reach: a kInt value reads as long, a list entry as
+/// int, so an infinite bound prints as that type's limit.
 std::string wants(const Flag& f) {
   if (f.kind == kText) return "a value";
   if (f.kind == kChoice) return std::string("one of ").append(f.meta);
   std::ostringstream s;
-  s << std::setprecision(17)
-    << (f.kind == kReal  ? "a number in "
-        : f.kind == kInt ? "an integer in "
-                         : "comma-separated integers in ");
-  if (f.lo == kAboveZero) s << "(0";
-  else s << '[' << f.lo;
-  if (f.hi == kBelowOne) s << ", 1)";
-  else s << ", " << f.hi << ']';
+  s << std::setprecision(17);
+  if (f.kind == kReal) {
+    s << "a number in ";
+    if (f.lo == kAboveZero) s << "(0";
+    else s << '[' << f.lo;
+    if (f.hi == kBelowOne) s << ", 1)";
+    else s << ", " << f.hi << ']';
+    return s.str();
+  }
+  const bool list = f.kind == kIntList;
+  const long top = list ? std::numeric_limits<int>::max()
+                        : std::numeric_limits<long>::max();
+  const long bottom = list ? std::numeric_limits<int>::min()
+                           : std::numeric_limits<long>::min();
+  // static_cast<double>(top) rounds up to 2^63 for a long: compare there,
+  // before any bound is converted back.
+  const auto reach = [&](double b) {
+    if (b >= static_cast<double>(top)) return top;
+    if (b <= static_cast<double>(bottom)) return bottom;
+    return static_cast<long>(b);
+  };
+  s << (list ? "comma-separated integers in [" : "an integer in [")
+    << reach(f.lo) << ", " << reach(f.hi) << ']';
   return s.str();
 }
 
