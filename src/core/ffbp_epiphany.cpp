@@ -159,9 +159,13 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
 ///    never finished fall back to a zero shift (uncompensated merge) and
 ///    are counted as fault.af_pairs_dropped.
 ///
-/// Outside a campaign every fail-stop poll is false and every wrapper is
-/// the plain operation. With plan.resilient == false the wrappers and the
-/// barrier stay plain while the fail-stop polls stay on: that configuration
+/// Outside a campaign every fail-stop poll is false, and the kernel reads
+/// its staged child rows and writes its output row where they lie in
+/// SDRAM: the DMA bursts and posted writes are only charged (CoreCtx's
+/// charge-only ops), since each bank copy would equal its SDRAM row. A
+/// campaign keeps the copies, because its injector corrupts delivered
+/// bytes. With plan.resilient == false the wrappers and the barrier stay
+/// plain while the fail-stop polls stay on: that configuration
 /// demonstrates the pre-recovery behaviour, where one fail-stopped core
 /// deadlocks the whole chip (SimDeadlock). Only fault-free runs double-buffer
 /// the prefetch; a campaign's verification serializes each transfer anyway.
@@ -171,6 +175,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   fault::FaultInjector* inj = ctx.fault_injector();
   const bool resilient = inj != nullptr && inj->plan().resilient;
   const bool double_buffer = opt.double_buffer && inj == nullptr;
+  const bool in_place = inj == nullptr; // no campaign: no copies
   const std::size_t n_levels = p.merge_levels();
   const std::size_t n_range = p.n_range;
   const std::size_t row_bytes = n_range * sizeof(cf32);
@@ -180,7 +185,9 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   // Local-store layout (paper Section V-B): bank 1 stages the output row;
   // banks 2 and 3 — "the two upper data banks" — hold one row of each
   // contributing child subaperture (16,016 bytes at paper size). With
-  // double buffering each data bank holds two rows (ping/pong).
+  // double buffering each data bank holds two rows (ping/pong). An
+  // in-place run keeps the same layout: the banks are the windows its
+  // transfers are charged to.
   auto out_row = ctx.local().alloc_in_bank<cf32>(n_range, 1);
   auto child_row1 = ctx.local().alloc_in_bank<cf32>(
       double_buffer ? 2 * n_range : n_range, 2);
@@ -282,22 +289,25 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
     }
 
     // Predict output row `gr`'s two child rows and describe their DMA into
-    // half `half` of the data banks; `s1`/`s2` name the rows staged there.
+    // half `half` of the data banks; `s1`/`s2` name the rows staged there
+    // (in place: the SDRAM rows themselves).
     const auto stage = [&](std::size_t gr, std::size_t half,
                            sar::ChildSource& s1, sar::ChildSource& s2) {
       const std::size_t subap = gr / lp.n_theta;
       const auto [a1, a2] = predict_rows(p, geom, gr % lp.n_theta);
       cf32* const dst1 = child_row1.data() + half * n_range;
       cf32* const dst2 = child_row2.data() + half * n_range;
+      const cf32* const row1 =
+          src.data() + lc.offset(2 * subap, static_cast<std::size_t>(a1));
+      const cf32* const row2 =
+          src.data() + lc.offset(2 * subap + 1, static_cast<std::size_t>(a2));
       s1.staged_row = a1;
-      s1.staged = dst1;
+      s1.staged = in_place ? row1 : dst1;
       s2.staged_row = a2;
-      s2.staged = dst2;
-      const auto row1 = static_cast<std::size_t>(a1);
-      const auto row2 = static_cast<std::size_t>(a2);
-      return std::array<ep::DmaSeg, 2>{
-          {{dst1, src.data() + lc.offset(2 * subap, row1), row_bytes},
-           {dst2, src.data() + lc.offset(2 * subap + 1, row2), row_bytes}}};
+      s2.staged = in_place ? row2 : dst2;
+      const ep::DmaSeg seg1{dst1, row1, row_bytes};
+      const ep::DmaSeg seg2{dst2, row2, row_bytes};
+      return std::array<ep::DmaSeg, 2>{seg1, seg2};
     };
 
     std::span<std::uint32_t> row_done =
@@ -343,9 +353,10 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       ep::DmaJob pending{};
       sar::ChildSource next1;
       sar::ChildSource next2;
-      if (double_buffer && !mine.empty()) {
+      if (double_buffer && !mine.empty()) { // implies in_place
         co_await ctx.compute(kPredictOps);
-        pending = ctx.dma_read_ext_burst(stage(mine[0], pong, next1, next2));
+        pending =
+            ctx.charge_dma_read_ext_burst(stage(mine[0], pong, next1, next2));
       }
 
       for (std::size_t k = 0; k < mine.size(); ++k) {
@@ -370,15 +381,18 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
           // it streams while this row computes.
           if (k + 1 < mine.size()) {
             co_await ctx.compute(kPredictOps);
-            pending = ctx.dma_read_ext_burst(
+            pending = ctx.charge_dma_read_ext_burst(
                 stage(mine[k + 1], 1 - pong, next1, next2));
           }
           pong = 1 - pong;
         } else if (opt.prefetch) {
           ctx.begin_span("dma-prefetch");
           co_await ctx.compute(kPredictOps);
-          co_await ep::reliable_dma_read_burst(
-              ctx, stage(gr, 0, staged1, staged2));
+          const auto segs = stage(gr, 0, staged1, staged2);
+          if (in_place)
+            co_await ctx.wait(ctx.charge_dma_read_ext_burst(segs));
+          else
+            co_await ep::reliable_dma_read_burst(ctx, segs);
           ctx.end_span();
         }
 
@@ -390,17 +404,21 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         staged2.image = src.data() + lc.offset(2 * subap + 1, 0);
         const float af_shift =
             opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
+        cf32* const dst_row = dst.data() + lp.offset(subap, ti);
         const std::uint64_t misses = sar::kernels::merge_sample_row(
             geom.child, algo.interp, algo.phase_compensate,
             row_geometry(st, p, level, geom, ti, geom_row),
             -0.5f * af_shift * drf, 0.5f * af_shift * drf, staged1, staged2,
-            out_row.data(), n_range);
+            in_place ? dst_row : out_row.data(), n_range);
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
         if (misses > 0) co_await ctx.read_ext_gather(misses, sizeof(cf32));
-        co_await ep::reliable_write_ext(
-            ctx, dst.data() + lp.offset(subap, ti), out_row.data(), row_bytes);
+        if (in_place)
+          co_await ctx.charge_write_ext(dst_row, out_row.data(), row_bytes);
+        else
+          co_await ep::reliable_write_ext(ctx, dst_row, out_row.data(),
+                                          row_bytes);
         if (resilient) {
           // SDRAM checkpoint: once verified, this row survives any later
           // repartition of the level.

@@ -22,8 +22,14 @@ ep::Task gbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
                           GbpShared& st, int core_index, int n_cores) {
   const std::size_t n_range = p.n_range;
   const std::size_t row_bytes = n_range * sizeof(cf32);
+  // With no fault campaign attached each bank copy would equal its SDRAM
+  // row, so the kernel reads the pulse rows and accumulates its image row
+  // where they lie, and the transfers are only charged (core_ctx.hpp). A
+  // campaign keeps the copies: its injector corrupts delivered bytes.
+  const bool in_place = ctx.fault_injector() == nullptr;
 
-  // Bank 1: output-row accumulator; banks 2-3: two streamed pulse rows.
+  // Bank 1: output-row accumulator; banks 2-3: two streamed pulse rows
+  // (in place, the windows the transfers are charged to).
   auto acc = ctx.local().alloc_in_bank<cf32>(n_range, 1);
   auto pulse_a = ctx.local().alloc_in_bank<cf32>(n_range, 2);
   auto pulse_b = ctx.local().alloc_in_bank<cf32>(n_range, 3);
@@ -54,27 +60,36 @@ ep::Task gbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       px[j] = r * cos_t;
       py[j] = r * sin_t;
     }
-    std::fill(acc.begin(), acc.end(), cf32{});
+    cf32* const image_row = st.image_ext.data() + i * n_range;
+    cf32* const out = in_place ? image_row : acc.data();
+    std::fill(out, out + n_range, cf32{});
 
     for (std::size_t pu = 0; pu < p.n_pulses; pu += 2) {
       // Stream the next two pulses through the data banks as one burst.
-      const ep::DmaSeg segs[2] = {
-          {pulse_a.data(), st.data_ext.data() + pu * n_range, row_bytes},
-          {pulse_b.data(), st.data_ext.data() + (pu + 1) * n_range,
-           row_bytes}};
-      co_await ctx.wait(ctx.dma_read_ext_burst(segs));
+      const cf32* const row_a = st.data_ext.data() + pu * n_range;
+      const cf32* const row_b = row_a + n_range;
+      const ep::DmaSeg segs[2] = {{pulse_a.data(), row_a, row_bytes},
+                                  {pulse_b.data(), row_b, row_bytes}};
+      if (in_place)
+        co_await ctx.wait(ctx.charge_dma_read_ext_burst(segs));
+      else
+        co_await ctx.wait(ctx.dma_read_ext_burst(segs));
 
       // Two row-kernel calls keep the per-pixel accumulation order (pulse
       // pu, then pu + 1) of the original scalar loop — bit-identical image.
       sar::kernels::gbp_contrib_row(px.data(), py.data(), st.pulse_x[pu],
-                                    pulse_a.data(), g, acc.data(), n_range);
+                                    in_place ? row_a : pulse_a.data(), g, out,
+                                    n_range);
       sar::kernels::gbp_contrib_row(px.data(), py.data(), st.pulse_x[pu + 1],
-                                    pulse_b.data(), g, acc.data(), n_range);
+                                    in_place ? row_b : pulse_b.data(), g, out,
+                                    n_range);
       co_await ctx.compute(2 * static_cast<std::uint64_t>(n_range) *
                            sar::kGbpContribOps);
     }
-    co_await ctx.write_ext(st.image_ext.data() + i * n_range, acc.data(),
-                           row_bytes);
+    if (in_place)
+      co_await ctx.charge_write_ext(image_row, acc.data(), row_bytes);
+    else
+      co_await ctx.write_ext(image_row, acc.data(), row_bytes);
   }
 }
 

@@ -16,6 +16,16 @@
 // (program order preserved) and for DMA provided the kernel awaits the job
 // before reading the destination — which real double-buffered Epiphany code
 // must do too.
+//
+// Two operations also come in a charge-only form, after read_ext_gather:
+// charge_dma_read_ext_burst and charge_write_ext charge exactly what
+// dma_read_ext_burst and write_ext charge (port queueing, counters, power,
+// trace, sanitizer windows) but copy nothing and roll no fault. With no
+// fault campaign attached every local copy would equal its SDRAM row, so a
+// clean run's kernel may read its source rows and write its output row
+// where they lie in SDRAM and await these instead; they require
+// fault_injector() == nullptr, because an injector must corrupt real
+// delivered bytes.
 #pragma once
 
 #include <cstring>
@@ -169,18 +179,20 @@ public:
   /// (paper: "the write operation is performed without stalling").
   [[nodiscard]] DelayUntil write_ext(void* dst, const void* src,
                                      std::size_t bytes) {
-    ESARP_EXPECTS(ext_mem_.owns(dst));
-    if (check_ != nullptr) {
-      check_->on_ext_access(id(), dst, bytes, /*is_read=*/false, "write_ext");
-      check_->on_local_access(id(), src, bytes, /*is_write=*/false,
-                              "write_ext");
-    }
+    const DelayUntil done = write_charges(dst, src, bytes);
     std::memcpy(dst, src, bytes);
     last_fault_ = roll_transfer(dst, bytes);
-    const Cycles done = ext_port_.posted_write(coord(), bytes, now());
-    core_.counters.ext_write_bytes += bytes;
-    tracer_.add(id(), SegmentKind::kExtWrite, now(), done);
-    return DelayUntil{sched_, done};
+    return done;
+  }
+
+  /// Charge-only write_ext, for a kernel that already wrote the payload
+  /// into `dst` itself: the same completion, counters, power, trace and
+  /// sanitizer hooks (naming `src` as the local source window), without
+  /// the copy or the fault roll. Requires no fault campaign.
+  [[nodiscard]] DelayUntil charge_write_ext(const void* dst, const void* src,
+                                            std::size_t bytes) {
+    ESARP_EXPECTS(fault_ == nullptr);
+    return write_charges(dst, src, bytes);
   }
 
   /// Start a DMA read SDRAM -> local store. Returns immediately.
@@ -210,33 +222,23 @@ public:
   /// accounting; the returned job completes with the last segment), but the
   /// whole burst costs a single scheduler event to await.
   [[nodiscard]] DmaJob dma_read_ext_burst(std::span<const DmaSeg> segs) {
-    ESARP_EXPECTS(!segs.empty());
-    burst_sizes_.clear();
-    fault::TransferFault worst = fault::TransferFault::kNone;
+    DmaJob job = burst_charges(segs);
     for (const DmaSeg& s : segs) {
-      ESARP_EXPECTS(ext_mem_.owns(s.src));
-      ESARP_EXPECTS(core_.mem().owns(s.dst));
       std::memcpy(s.dst, s.src, s.bytes);
       const fault::TransferFault tf = roll_transfer(s.dst, s.bytes);
-      if (static_cast<int>(tf) > static_cast<int>(worst)) worst = tf;
-      core_.counters.dma_transfers += 1;
-      core_.counters.dma_bytes += s.bytes;
-      burst_sizes_.push_back(s.bytes);
+      if (static_cast<int>(tf) > static_cast<int>(job.fault)) job.fault = tf;
     }
-    const Cycles done = ext_port_.dma_read_burst(coord(), burst_sizes_, now());
-    std::uint64_t check_id = 0;
-    if (check_ != nullptr) {
-      check_id = check_->open_dma_job(id());
-      for (const DmaSeg& s : segs) {
-        check_->on_ext_access(id(), s.src, s.bytes, /*is_read=*/true,
-                              "dma_read_ext_burst");
-        // Every segment window stays hazardous until the whole burst
-        // completes — kernels must await the job, not individual segments.
-        check_->on_dma_segment(id(), check_id, s.dst, s.bytes, done,
-                               "dma_read_ext_burst");
-      }
-    }
-    return DmaJob{done, check_id, worst};
+    return job;
+  }
+
+  /// Charge-only dma_read_ext_burst, for a kernel that reads each
+  /// segment's `src` where it lies: the same job (completion, sanitizer
+  /// windows on every `dst`), counters and power, with every `dst` left
+  /// untouched. Requires no fault campaign.
+  [[nodiscard]] DmaJob charge_dma_read_ext_burst(
+      std::span<const DmaSeg> segs) {
+    ESARP_EXPECTS(fault_ == nullptr);
+    return burst_charges(segs);
   }
 
   /// Block until a DMA job completes.
@@ -306,6 +308,49 @@ private:
   template <typename T>
   friend class Channel;
   friend class SimBarrier;
+
+  /// Everything write_ext does but the copy and the fault roll.
+  DelayUntil write_charges(const void* dst, const void* src,
+                           std::size_t bytes) {
+    ESARP_EXPECTS(ext_mem_.owns(dst));
+    if (check_ != nullptr) {
+      check_->on_ext_access(id(), dst, bytes, /*is_read=*/false, "write_ext");
+      check_->on_local_access(id(), src, bytes, /*is_write=*/false,
+                              "write_ext");
+    }
+    const Cycles done = ext_port_.posted_write(coord(), bytes, now());
+    core_.counters.ext_write_bytes += bytes;
+    tracer_.add(id(), SegmentKind::kExtWrite, now(), done);
+    return DelayUntil{sched_, done};
+  }
+
+  /// Everything dma_read_ext_burst does but the copies and the fault
+  /// rolls (the returned job's fault is kNone).
+  DmaJob burst_charges(std::span<const DmaSeg> segs) {
+    ESARP_EXPECTS(!segs.empty());
+    burst_sizes_.clear();
+    for (const DmaSeg& s : segs) {
+      ESARP_EXPECTS(ext_mem_.owns(s.src));
+      ESARP_EXPECTS(core_.mem().owns(s.dst));
+      core_.counters.dma_transfers += 1;
+      core_.counters.dma_bytes += s.bytes;
+      burst_sizes_.push_back(s.bytes);
+    }
+    const Cycles done = ext_port_.dma_read_burst(coord(), burst_sizes_, now());
+    std::uint64_t check_id = 0;
+    if (check_ != nullptr) {
+      check_id = check_->open_dma_job(id());
+      for (const DmaSeg& s : segs) {
+        check_->on_ext_access(id(), s.src, s.bytes, /*is_read=*/true,
+                              "dma_read_ext_burst");
+        // Every segment window stays hazardous until the whole burst
+        // completes — kernels must await the job, not individual segments.
+        check_->on_dma_segment(id(), check_id, s.dst, s.bytes, done,
+                               "dma_read_ext_burst");
+      }
+    }
+    return DmaJob{done, check_id, fault::TransferFault::kNone};
+  }
 
   /// Roll the fault sites for one delivered transfer segment (no-op
   /// returning kNone when no campaign is attached).

@@ -13,10 +13,15 @@
 // underneath are injected faults being recovered, not kernel bugs. Retries
 // exhausting fault::kRetry.max_attempts throw fault::FaultUnrecovered.
 //
-// Outside a fault campaign (no injector, or plan.resilient == false) every
-// transfer wrapper is the plain single-attempt operation, cycle for cycle
-// and event for event, so the core programs call these unconditionally:
-// one program per mapping role serves clean runs and campaigns alike.
+// Outside a resilient campaign (no injector, or plan.resilient == false)
+// every transfer wrapper is the plain single-attempt operation, cycle for
+// cycle and event for event, so the autofocus programs call these
+// unconditionally. The FFBP program calls them on a fault campaign only,
+// resilient or not, since its injector must corrupt real delivered bytes.
+// On a clean run (no injector) it reads and writes its rows where they lie
+// in SDRAM and awaits CoreCtx's charge-only ops (core_ctx.hpp), which
+// charge the same cycles and events without a copy or a coroutine frame
+// per row.
 //
 // reliable_send / reliable_recv repeat a timed channel op until the
 // message goes through, this core fail-stops, or the fail-stop oracle

@@ -84,7 +84,7 @@ const char* backend_name(Backend b) {
 }
 
 // The cpu first: a table's first use runs code compiled for its
-// instruction set (the AVX-512 table copies the AVX2 entries).
+// instruction set.
 bool backend_available(Backend b) {
   return cpu_has(b) && table_of(b) != nullptr;
 }

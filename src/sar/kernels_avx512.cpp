@@ -9,11 +9,10 @@
 // and movemask is vpmovd2m. Its double lanes D512 cover half a float
 // group in one vector, with native __mmask8 masks. The table runs
 // merge_geometry_row on four groups in lock-step (Twice<Twice<V512>>),
-// merge_sample_row on two and gbp_contrib_row on one; neville4_many,
-// neville4_rows and criterion_terms take the AVX2 table's entries. On a
-// non-x86-64 target the TU is built without AVX-512, the table is null
-// and the dispatcher falls back; runtime cpu and OS support is checked
-// separately in kernels.cpp.
+// merge_sample_row on two, and gbp_contrib_row, neville4_many,
+// neville4_rows and criterion_terms on one. On a non-x86-64 target the TU
+// is built without AVX-512, the table is null and the dispatcher falls
+// back; runtime cpu and OS support is checked separately in kernels.cpp.
 #include "sar/kernels_impl.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__) && \
@@ -260,21 +259,17 @@ struct V512 {
 
 /// Each kernel at its measured width (docs/performance.md "Kernel
 /// backends"): merge_geometry_row four 16-lane groups, merge_sample_row
-/// two, gbp_contrib_row one. The Neville and criterion kernels keep the
-/// AVX2 table's entries (every AVX-512 cpu has AVX2), so autofocus_mpmd,
-/// the workload that runs them, runs the code it ran before this
-/// backend: no end-to-end gain of theirs at 16 lanes has been shown.
+/// two, the rest one. The Neville and criterion kernels read faster at 16
+/// lanes than at AVX2's widths on micro_kernels, and autofocus_mpmd, the
+/// workload that runs them, was no slower with them in interleaved pairs
+/// (docs/performance.md "In-place SDRAM rows: before / after").
 const KernelTable* avx512_table() {
   using One = SimdKernels<V512>;
   using Two = SimdKernels<Twice<V512>>;
   using Four = SimdKernels<Twice<Twice<V512>>>;
-  static const KernelTable t = [] {
-    const KernelTable* avx2 = avx2_table();
-    ESARP_ENSURES(avx2 != nullptr);
-    return KernelTable{Four::merge_geometry_row, Two::merge_sample_row,
-                       avx2->neville4_many,      avx2->neville4_rows,
-                       avx2->criterion_terms,    One::gbp_contrib_row};
-  }();
+  static const KernelTable t{Four::merge_geometry_row, Two::merge_sample_row,
+                             One::neville4_many,       One::neville4_rows,
+                             One::criterion_terms,     One::gbp_contrib_row};
   return &t;
 }
 

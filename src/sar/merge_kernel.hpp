@@ -187,10 +187,12 @@ inline cf32 sample_child(const ChildGrid& g, float rc, float thc,
 }
 
 /// Where one child's samples come from during a merge row. A fetch from
-/// theta row `staged_row` reads the local-store copy `staged` (n_range
-/// pixels); any other row reads the row-major child image `image`
-/// (n_theta x n_range) and counts as a miss. The host reference stages
-/// nothing (staged_row = -1).
+/// theta row `staged_row` reads `staged` (n_range pixels); any other row
+/// reads the row-major child image `image` (n_theta x n_range) and counts
+/// as a miss. On a fault campaign `staged` is the local-store copy the DMA
+/// delivered; a clean chip run, whose copy would equal its source, points
+/// it at that row of `image` itself (core_ctx.hpp's charge-only ops). The
+/// host reference stages nothing (staged_row = -1).
 struct ChildSource {
   int staged_row = -1;
   const cf32* staged = nullptr;

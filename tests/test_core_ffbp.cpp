@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
@@ -317,6 +318,55 @@ TEST(FfbpEpiphany, DoubleBufferRequiresPrefetch) {
   opt.prefetch = false;
   opt.double_buffer = true;
   EXPECT_THROW((void)run_ffbp_epiphany(data, p, opt), ContractViolation);
+}
+
+// --- The in-place rule (core_ctx.hpp): with no fault campaign attached the
+// program reads its staged child rows and writes its output rows where they
+// lie in SDRAM; a campaign copies them through the banks. A campaign whose
+// transfers all roll and none fires runs that copying path and injects
+// nothing, so it must reproduce the clean run.
+
+/// Every transfer rolls against a corruption rate no roll here falls under.
+ep::ChipConfig silent_campaign(bool resilient) {
+  ep::ChipConfig cfg;
+  cfg.faults.dma_corrupt_rate = 1e-12;
+  cfg.faults.resilient = resilient;
+  return cfg;
+}
+
+TEST(FfbpInPlace, CleanRunMatchesTheCopyingPath) {
+  const auto p = sar::test_params(32, 101); // rows fit two-per-bank
+  const auto data = small_data(p);
+  struct Mode {
+    const char* name;
+    bool prefetch;
+    bool double_buffer;
+  };
+  for (const Mode mode : {Mode{"prefetch off", false, false},
+                          Mode{"prefetch on", true, false},
+                          Mode{"double-buffered", true, true}}) {
+    for (const int cores : {1, 4, 16}) {
+      SCOPED_TRACE(std::to_string(cores) + " cores, " + mode.name);
+      FfbpMapOptions opt;
+      opt.n_cores = cores;
+      opt.prefetch = mode.prefetch;
+      opt.double_buffer = mode.double_buffer;
+      const auto clean = run_ffbp_epiphany(data, p, opt);
+      for (const bool resilient : {false, true}) {
+        SCOPED_TRACE(resilient ? "resilient" : "not resilient");
+        const auto copied =
+            run_ffbp_epiphany(data, p, opt, silent_campaign(resilient));
+        ASSERT_EQ(copied.faults.injected, 0u);
+        EXPECT_EQ(copied.image, clean.image);
+        // A campaign never double-buffers, and a resilient one pays for
+        // verification, so only these runs share the clean schedule.
+        if (resilient || mode.double_buffer) continue;
+        EXPECT_EQ(copied.cycles, clean.cycles);
+        EXPECT_EQ(copied.perf.engine_events, clean.perf.engine_events);
+        EXPECT_EQ(copied.energy.total_j(), clean.energy.total_j());
+      }
+    }
+  }
 }
 
 } // namespace

@@ -1,6 +1,8 @@
 // Tests for the SPMD GBP baseline on the simulated chip.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "core/gbp_epiphany.hpp"
@@ -66,6 +68,28 @@ TEST(GbpEpiphany, FfbpOvertakesGbpAsApertureGrows) {
   const double at128 = advantage(128);
   EXPECT_GT(at128, 1.8);
   EXPECT_GT(at128, at32); // the advantage grows with aperture size
+}
+
+TEST(GbpEpiphany, InPlaceRunMatchesTheCopyingPath) {
+  // With no fault campaign attached the program reads its pulse rows and
+  // accumulates its image rows where they lie in SDRAM (core_ctx.hpp's
+  // in-place rule). A campaign copies them through the banks; one whose
+  // transfers all roll and none fires must reproduce the clean run.
+  const auto p = small_params();
+  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
+  ep::ChipConfig campaign;
+  campaign.faults.dma_corrupt_rate = 1e-12;
+  campaign.faults.resilient = false;
+  for (const int cores : {1, 16}) {
+    SCOPED_TRACE(std::to_string(cores) + " cores");
+    const auto clean = run_gbp_epiphany(data, p, cores);
+    const auto copied = run_gbp_epiphany(data, p, cores, campaign);
+    ASSERT_EQ(copied.faults.injected, 0u);
+    EXPECT_EQ(copied.image, clean.image);
+    EXPECT_EQ(copied.cycles, clean.cycles);
+    EXPECT_EQ(copied.perf.engine_events, clean.perf.engine_events);
+    EXPECT_EQ(copied.energy.total_j(), clean.energy.total_j());
+  }
 }
 
 TEST(GbpEpiphany, RejectsBadConfig) {

@@ -3,11 +3,16 @@
 // the energy model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
+#include "check/check.hpp"
 #include "common/assert.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
@@ -135,6 +140,177 @@ TEST(Machine, DmaOverlapsWithCompute) {
   const Cycles overlapped = overlap.run();
   EXPECT_LE(overlapped, dma_only + 50);
   EXPECT_GT(overlap.core(0).counters.dma_wait, 0u);
+}
+
+// --- Charge-only transfers (the in-place rule, core_ctx.hpp) --------------
+
+/// What one machine leaves behind after the transfer scenario below: all a
+/// charge-only op and its copying form must agree on, and the bytes.
+struct TransferRun {
+  Cycles makespan = 0;
+  std::vector<Cycles> completions; ///< per core: burst job, then each write
+  std::vector<CoreCounters> counters;
+  ExtPortStats ext;
+  std::vector<std::vector<PowerSampler::Activity>> bins;
+  std::vector<std::string> diagnostics;
+  std::vector<cf32> staged;  ///< every core's two DMA windows, after the run
+  std::vector<cf32> written; ///< every SDRAM row the posted writes named
+};
+
+constexpr std::size_t kTwinRow = 64;
+constexpr cf32 kSentinel{-7.0f, 7.0f};
+constexpr int kTwinCores[2] = {0, 5};
+
+/// Pixel `i` of the scenario's SDRAM source rows.
+cf32 twin_source(std::size_t i) {
+  return {static_cast<float>(i), -static_cast<float>(i)};
+}
+
+/// Two cores each burst two SDRAM rows into banks 2 and 3, post a write
+/// sourced from a window still in flight (a sanitizer dma-race), await the
+/// burst, compute, and post a clean write: through the charge-only ops
+/// when `charge_only`, through their copying forms otherwise.
+TransferRun run_transfer_twin(bool charge_only) {
+  ChipConfig cfg;
+  cfg.power.enabled = true;
+  cfg.power.epoch_cycles = 256;
+  cfg.check.enabled = true;
+  cfg.check.abort_on_hazard = false;
+  Machine m(cfg);
+  auto src = m.ext().alloc<cf32>(4 * kTwinRow);
+  auto dst = m.ext().alloc<cf32>(4 * kTwinRow);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = twin_source(i);
+  std::fill(dst.begin(), dst.end(), kSentinel);
+  TransferRun out;
+  std::vector<std::span<cf32>> windows;
+  const std::size_t bytes = kTwinRow * sizeof(cf32);
+  for (std::size_t k = 0; k < 2; ++k) {
+    const int core = kTwinCores[k];
+    m.launch(core, [&, k](CoreCtx& ctx) -> Task {
+      auto result = ctx.local().alloc_in_bank<cf32>(kTwinRow, 1);
+      auto a = ctx.local().alloc_in_bank<cf32>(kTwinRow, 2);
+      auto b = ctx.local().alloc_in_bank<cf32>(kTwinRow, 3);
+      std::fill(a.begin(), a.end(), kSentinel);
+      std::fill(b.begin(), b.end(), kSentinel);
+      windows.push_back(a);
+      windows.push_back(b);
+      const cf32* const rows = src.data() + 2 * k * kTwinRow;
+      cf32* const targets = dst.data() + 2 * k * kTwinRow;
+      const DmaSeg seg_a{a.data(), rows, bytes};
+      const DmaSeg seg_b{b.data(), rows + kTwinRow, bytes};
+      const DmaSeg segs[2] = {seg_a, seg_b};
+      const DmaJob job = charge_only ? ctx.charge_dma_read_ext_burst(segs)
+                                     : ctx.dma_read_ext_burst(segs);
+      out.completions.push_back(job.done_at);
+      const DelayUntil racy =
+          charge_only ? ctx.charge_write_ext(targets, a.data(), bytes)
+                      : ctx.write_ext(targets, a.data(), bytes);
+      out.completions.push_back(racy.wake_at);
+      co_await racy;
+      co_await ctx.wait(job);
+      co_await ctx.compute({.fadd = 100});
+      cf32* const target = targets + kTwinRow;
+      const DelayUntil clean =
+          charge_only ? ctx.charge_write_ext(target, result.data(), bytes)
+                      : ctx.write_ext(target, result.data(), bytes);
+      out.completions.push_back(clean.wake_at);
+      co_await clean;
+    });
+  }
+  out.makespan = m.run();
+  for (const int core : kTwinCores) {
+    out.counters.push_back(m.core(core).counters);
+    out.bins.push_back(m.power_sampler()->core_bins(core));
+  }
+  out.ext = m.ext_port().stats();
+  for (const check::Diagnostic& d : m.checker()->diagnostics())
+    out.diagnostics.push_back(d.format());
+  for (const std::span<cf32> w : windows)
+    out.staged.insert(out.staged.end(), w.begin(), w.end());
+  out.written.assign(dst.begin(), dst.end());
+  return out;
+}
+
+TEST(ChargeOnly, ChargesExactlyWhatTheCopyingFormsCharge) {
+  const TransferRun charged = run_transfer_twin(true);
+  const TransferRun copied = run_transfer_twin(false);
+  EXPECT_EQ(charged.makespan, copied.makespan);
+  EXPECT_EQ(charged.completions, copied.completions);
+  ASSERT_EQ(charged.counters.size(), copied.counters.size());
+  for (std::size_t c = 0; c < charged.counters.size(); ++c) {
+    const CoreCounters& x = charged.counters[c];
+    const CoreCounters& y = copied.counters[c];
+    EXPECT_EQ(x.busy, y.busy);
+    EXPECT_EQ(x.ext_stall, y.ext_stall);
+    EXPECT_EQ(x.dma_wait, y.dma_wait);
+    EXPECT_EQ(x.finish_time, y.finish_time);
+    EXPECT_EQ(x.ext_read_bytes, y.ext_read_bytes);
+    EXPECT_EQ(x.ext_write_bytes, y.ext_write_bytes);
+    EXPECT_EQ(x.dma_transfers, y.dma_transfers);
+    EXPECT_EQ(x.dma_bytes, y.dma_bytes);
+    EXPECT_EQ(x.dma_transfers, 2u);
+    EXPECT_EQ(x.ext_write_bytes, 2 * kTwinRow * sizeof(cf32));
+  }
+  EXPECT_EQ(charged.ext.read_transactions, copied.ext.read_transactions);
+  EXPECT_EQ(charged.ext.read_bytes, copied.ext.read_bytes);
+  EXPECT_EQ(charged.ext.write_transactions, copied.ext.write_transactions);
+  EXPECT_EQ(charged.ext.write_bytes, copied.ext.write_bytes);
+  ASSERT_EQ(charged.bins.size(), copied.bins.size());
+  for (std::size_t c = 0; c < charged.bins.size(); ++c) {
+    ASSERT_EQ(charged.bins[c].size(), copied.bins[c].size());
+    for (std::size_t e = 0; e < charged.bins[c].size(); ++e) {
+      const PowerSampler::Activity& x = charged.bins[c][e];
+      const PowerSampler::Activity& y = copied.bins[c][e];
+      EXPECT_EQ(x.busy, y.busy);
+      EXPECT_EQ(x.fp, y.fp);
+      EXPECT_EQ(x.ialu, y.ialu);
+      EXPECT_EQ(x.ldst, y.ldst);
+      EXPECT_EQ(x.byte_hops, y.byte_hops);
+      EXPECT_EQ(x.elink_bytes, y.elink_bytes);
+    }
+  }
+  // The racy write names the in-flight window on both machines.
+  EXPECT_EQ(charged.diagnostics, copied.diagnostics);
+  EXPECT_EQ(charged.diagnostics.size(), 2u);
+}
+
+TEST(ChargeOnly, LeavesEveryDestinationUntouched) {
+  const TransferRun charged = run_transfer_twin(true);
+  const TransferRun copied = run_transfer_twin(false);
+  for (const cf32 v : charged.staged) EXPECT_EQ(v, kSentinel);
+  for (const cf32 v : charged.written) EXPECT_EQ(v, kSentinel);
+  // The twin copied: its windows hold the source rows, and its racy
+  // writes posted them on to SDRAM.
+  EXPECT_EQ(copied.staged[0], twin_source(0));
+  EXPECT_EQ(copied.staged[3 * kTwinRow - 1], twin_source(3 * kTwinRow - 1));
+  EXPECT_EQ(copied.written[2 * kTwinRow], twin_source(2 * kTwinRow));
+}
+
+TEST(ChargeOnly, RefusesAFaultCampaign) {
+  // A fail-stop armed past the run attaches an injector that never fires:
+  // an in-place transfer would hide real delivered bytes from it.
+  for (const bool burst : {true, false}) {
+    ChipConfig cfg;
+    cfg.faults.fail_stops = {{3, 1'000'000'000ULL}};
+    Machine m(cfg);
+    ASSERT_NE(m.fault_injector(), nullptr);
+    auto row = m.ext().alloc<cf32>(kTwinRow);
+    m.launch(0, [&](CoreCtx& ctx) -> Task {
+      auto w = ctx.local().alloc_in_bank<cf32>(kTwinRow, 2);
+      const DmaSeg seg{w.data(), row.data(), kTwinRow * sizeof(cf32)};
+      if (burst)
+        co_await ctx.wait(ctx.charge_dma_read_ext_burst({&seg, 1}));
+      else
+        co_await ctx.charge_write_ext(row.data(), w.data(), seg.bytes);
+    });
+    try {
+      (void)m.run();
+      ADD_FAILURE() << "burst " << burst << ": no ContractViolation";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fault_ == nullptr"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Machine, ChannelDeliversInOrderWithLatency) {
