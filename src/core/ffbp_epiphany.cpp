@@ -10,6 +10,7 @@
 #include "core/mapping_profiles.hpp"
 #include "epiphany/machine_metrics.hpp"
 #include "epiphany/resilient.hpp"
+#include "host/sweep_runner.hpp"
 #include "sar/kernels.hpp"
 #include "sar/merge_kernel.hpp"
 
@@ -33,10 +34,15 @@ struct SharedState {
   // to repartition the unfinished work (docs/fault-injection.md).
   std::vector<std::span<std::uint32_t>> row_done;
   std::vector<std::span<std::uint32_t>> af_done;
-  // Host scratch for the cosine-theorem geometry (eqs. 1-4), which
-  // depends on the level and the parent theta row but not on the
-  // subaperture pair: row ti of a sharing level (row_geometry), and the
-  // level it currently holds in geom_level[ti] (0: none; the table is
+  // Clean runs (no injector): the level whose pixels merge_level_pass has
+  // computed (0: none yet), and each of its rows' miss counts, indexed by
+  // global row, for the cores to charge.
+  std::size_t merged_level = 0;
+  std::vector<std::uint64_t> misses;
+  // Campaign runs: host scratch for the cosine-theorem geometry (eqs.
+  // 1-4), which depends on the level and the parent theta row but not on
+  // the subaperture pair: row ti of a sharing level (row_geometry), and
+  // the level it currently holds in geom_level[ti] (0: none; the table is
   // not zero-filled). Every level but the last shares, so n_pulses / 2
   // rows cover them all.
   std::unique_ptr<sar::MergeGeom[]> geom_table;
@@ -87,12 +93,23 @@ std::pair<int, int> predict_rows(const sar::RadarParams& p,
   return {clamp_bin(mid.theta1), clamp_bin(mid.theta2)};
 }
 
-/// The cosine-theorem geometry (eqs. 1-4) of parent row `ti` at `level`.
+/// The cosine-theorem geometry (eqs. 1-4) of parent row `ti` into `out`.
+void fill_row_geometry(const sar::RadarParams& p,
+                       const sar::MergeLevelGeom& geom, std::size_t ti,
+                       sar::MergeGeom* out) {
+  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
+  sar::kernels::merge_geometry_row(static_cast<float>(p.near_range_m),
+                                   static_cast<float>(p.range_bin_m), 0,
+                                   p.n_range, cr, geom.d2, geom.inv_2d, out);
+}
+
+/// Parent row `ti`'s geometry at `level` for a campaign's per-row merges.
 /// Every level but the last has at least two subapertures and keeps it
 /// in the shared table, computed the first time any core merges that row
-/// and reused by every other core and pair; one machine runs on one host
-/// thread, so the fill needs no lock. The last level, one subaperture,
-/// computes it into `scratch`.
+/// and reused by every other core and pair; only campaign runs use the
+/// table, and a machine's cores all run on its one host thread, so the
+/// fill needs no lock. The last level, one subaperture, computes it into
+/// `scratch`.
 const sar::MergeGeom* row_geometry(SharedState& st, const sar::RadarParams& p,
                                    std::size_t level,
                                    const sar::MergeLevelGeom& geom,
@@ -104,11 +121,54 @@ const sar::MergeGeom* row_geometry(SharedState& st, const sar::RadarParams& p,
     if (st.geom_level[ti] == level) return out;
     st.geom_level[ti] = level;
   }
-  const float cr = 2.0f * geom.d * fastmath::poly_cos(geom.theta_of_row(p, ti));
-  sar::kernels::merge_geometry_row(static_cast<float>(p.near_range_m),
-                                   static_cast<float>(p.range_bin_m), 0,
-                                   p.n_range, cr, geom.d2, geom.inv_2d, out);
+  fill_row_geometry(p, geom, ti, out);
   return out;
+}
+
+/// A clean run's merges of `level`, every output row in one host pass
+/// over all host cores (host::run_pass): each row merged straight into
+/// `dst` from the geometry, staged rows and autofocus shift the per-row
+/// path uses, so the same pixels, and its miss count stored in
+/// st.misses by global row for the cores to charge. Items run
+/// theta-major, so a chunk computes each parent theta row's geometry
+/// once. No simulated event reads `dst` before the barrier that closes
+/// the level, so the cores cannot tell when this ran.
+void merge_level_pass(const sar::RadarParams& p, const FfbpMapOptions& opt,
+                      const sar::FfbpOptions& algo, std::size_t level,
+                      std::span<const cf32> src, std::span<cf32> dst,
+                      SharedState& st) {
+  const LevelLayout lc = LevelLayout::at(p, level - 1);
+  const LevelLayout lp = LevelLayout::at(p, level);
+  const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
+  const float drf = static_cast<float>(p.range_bin_m);
+  st.misses.resize(lp.rows_total());
+  const auto merge_rows = [&](std::size_t begin, std::size_t end) {
+    std::vector<sar::MergeGeom> row_geom(p.n_range);
+    std::size_t geom_ti = lp.n_theta; // none yet
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::size_t ti = k / lp.n_subaps;
+      const std::size_t subap = k % lp.n_subaps;
+      if (ti != geom_ti) {
+        fill_row_geometry(p, geom, ti, row_geom.data());
+        geom_ti = ti;
+      }
+      const cf32* const image1 = src.data() + lc.offset(2 * subap, 0);
+      const cf32* const image2 = src.data() + lc.offset(2 * subap + 1, 0);
+      sar::ChildSource c1{-1, nullptr, image1};
+      sar::ChildSource c2{-1, nullptr, image2};
+      if (opt.prefetch) {
+        const auto [a1, a2] = predict_rows(p, geom, ti);
+        c1 = {a1, image1 + static_cast<std::size_t>(a1) * p.n_range, image1};
+        c2 = {a2, image2 + static_cast<std::size_t>(a2) * p.n_range, image2};
+      }
+      const float af_shift = opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
+      st.misses[lp.row_index(subap, ti)] = sar::kernels::merge_sample_row(
+          geom.child, algo.interp, algo.phase_compensate, row_geom.data(),
+          -0.5f * af_shift * drf, 0.5f * af_shift * drf, c1, c2,
+          dst.data() + lp.offset(subap, ti), p.n_range);
+    }
+  };
+  host::run_pass(lp.rows_total(), p.n_range, merge_rows);
 }
 
 /// Live launch-set cores at `now` under the campaign's fail-stop schedule.
@@ -159,11 +219,13 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
 ///    never finished fall back to a zero shift (uncompensated merge) and
 ///    are counted as fault.af_pairs_dropped.
 ///
-/// Outside a campaign every fail-stop poll is false, and the kernel reads
-/// its staged child rows and writes its output row where they lie in
-/// SDRAM: the DMA bursts and posted writes are only charged (CoreCtx's
-/// charge-only ops), since each bank copy would equal its SDRAM row. A
-/// campaign keeps the copies, because its injector corrupts delivered
+/// Outside a campaign every fail-stop poll is false, and the first core
+/// to reach a level's merges computes all of its rows in one host pass
+/// (merge_level_pass), reading the staged child rows and writing the
+/// output rows where they lie in SDRAM; every core then charges its own
+/// rows' work, DMA bursts and posted writes (CoreCtx's charge-only ops),
+/// since each bank copy would equal its SDRAM row. A campaign keeps the
+/// per-row merges and the copies, because its injector corrupts delivered
 /// bytes. With plan.resilient == false the wrappers and the barrier stay
 /// plain while the fail-stop polls stay on: that configuration
 /// demonstrates the pre-recovery behaviour, where one fail-stopped core
@@ -198,10 +260,10 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const sar::FfbpOptions algo =
       opt.autofocus != nullptr ? opt.autofocus->ffbp : opt.algo;
   const OpCounts pixel_ops = sar::merge_pixel_ops(algo);
-  // Host-side scratch for the geometry of the last level, which does not
-  // share it; the simulated local-store budget is unaffected (the
-  // geometry never lived in a bank).
-  std::vector<sar::MergeGeom> geom_row(n_range);
+  // A campaign's host-side scratch for the geometry of the last level,
+  // which does not share it; the simulated local-store budget is
+  // unaffected (the geometry never lived in a bank).
+  std::vector<sar::MergeGeom> geom_row(in_place ? 0 : n_range);
 
   std::span<cf32> src = st.buf_a;
   std::span<cf32> dst = st.buf_b;
@@ -288,11 +350,13 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       }
     }
 
-    // Predict output row `gr`'s two child rows and describe their DMA into
-    // half `half` of the data banks; `s1`/`s2` name the rows staged there
-    // (in place: the SDRAM rows themselves).
-    const auto stage = [&](std::size_t gr, std::size_t half,
-                           sar::ChildSource& s1, sar::ChildSource& s2) {
+    // Predict output row `gr`'s two child rows: `rows` names them, and
+    // `segs` is their DMA into half `half` of the data banks.
+    struct Staging {
+      std::pair<int, int> rows;
+      std::array<ep::DmaSeg, 2> segs;
+    };
+    const auto stage = [&](std::size_t gr, std::size_t half) {
       const std::size_t subap = gr / lp.n_theta;
       const auto [a1, a2] = predict_rows(p, geom, gr % lp.n_theta);
       cf32* const dst1 = child_row1.data() + half * n_range;
@@ -301,14 +365,18 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
           src.data() + lc.offset(2 * subap, static_cast<std::size_t>(a1));
       const cf32* const row2 =
           src.data() + lc.offset(2 * subap + 1, static_cast<std::size_t>(a2));
-      s1.staged_row = a1;
-      s1.staged = in_place ? row1 : dst1;
-      s2.staged_row = a2;
-      s2.staged = in_place ? row2 : dst2;
       const ep::DmaSeg seg1{dst1, row1, row_bytes};
       const ep::DmaSeg seg2{dst2, row2, row_bytes};
-      return std::array<ep::DmaSeg, 2>{seg1, seg2};
+      return Staging{{a1, a2}, {seg1, seg2}};
     };
+
+    // A clean level's pixels come from one host pass, run by whichever
+    // core gets here first; the autofocus barrier above has published
+    // every shift it reads.
+    if (in_place && st.merged_level != level) {
+      merge_level_pass(p, opt, algo, level, src, dst, st);
+      st.merged_level = level;
+    }
 
     std::span<std::uint32_t> row_done =
         resilient ? st.row_done[level - 1] : std::span<std::uint32_t>{};
@@ -351,12 +419,9 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       // Double-buffered pipeline: the DMA for row mine[k] was issued while
       // row mine[k-1] computed.
       ep::DmaJob pending{};
-      sar::ChildSource next1;
-      sar::ChildSource next2;
       if (double_buffer && !mine.empty()) { // implies in_place
         co_await ctx.compute(kPredictOps);
-        pending =
-            ctx.charge_dma_read_ext_burst(stage(mine[0], pong, next1, next2));
+        pending = ctx.charge_dma_read_ext_burst(stage(mine[0], pong).segs);
       }
 
       for (std::size_t k = 0; k < mine.size(); ++k) {
@@ -371,45 +436,53 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         // Obtain the prefetched child rows for this row.
         sar::ChildSource staged1{-1, child_row1.data(), nullptr};
         sar::ChildSource staged2{-1, child_row2.data(), nullptr};
-        if (double_buffer) { // implies opt.prefetch
+        if (double_buffer) { // implies opt.prefetch and in_place
           ctx.begin_span("dma-prefetch");
           co_await ctx.wait(pending);
           ctx.end_span();
-          staged1 = next1;
-          staged2 = next2;
           // Immediately issue the next row's prefetch into the other half;
           // it streams while this row computes.
           if (k + 1 < mine.size()) {
             co_await ctx.compute(kPredictOps);
             pending = ctx.charge_dma_read_ext_burst(
-                stage(mine[k + 1], 1 - pong, next1, next2));
+                stage(mine[k + 1], 1 - pong).segs);
           }
           pong = 1 - pong;
         } else if (opt.prefetch) {
           ctx.begin_span("dma-prefetch");
           co_await ctx.compute(kPredictOps);
-          const auto segs = stage(gr, 0, staged1, staged2);
-          if (in_place)
-            co_await ctx.wait(ctx.charge_dma_read_ext_burst(segs));
-          else
-            co_await ep::reliable_dma_read_burst(ctx, segs);
+          const Staging staging = stage(gr, 0);
+          if (in_place) {
+            co_await ctx.wait(ctx.charge_dma_read_ext_burst(staging.segs));
+          } else {
+            co_await ep::reliable_dma_read_burst(ctx, staging.segs);
+            staged1.staged_row = staging.rows.first;
+            staged2.staged_row = staging.rows.second;
+          }
           ctx.end_span();
         }
 
-        // Merge the row (paper eqs. 1-5) on the host; the work is charged
-        // below. Misses read the children's SDRAM images. The per-pair
+        // A clean row's pixels and misses came from the level pass. A
+        // campaign merges the row (paper eqs. 1-5) here, from its bank
+        // copies; misses read the children's SDRAM images. The per-pair
         // autofocus shift is 0 when disabled; adding the resulting -0.0f
-        // keeps the image without autofocus bit-identical.
-        staged1.image = src.data() + lc.offset(2 * subap, 0);
-        staged2.image = src.data() + lc.offset(2 * subap + 1, 0);
-        const float af_shift =
-            opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
+        // keeps the image without autofocus bit-identical. Either way the
+        // work is charged below.
         cf32* const dst_row = dst.data() + lp.offset(subap, ti);
-        const std::uint64_t misses = sar::kernels::merge_sample_row(
-            geom.child, algo.interp, algo.phase_compensate,
-            row_geometry(st, p, level, geom, ti, geom_row),
-            -0.5f * af_shift * drf, 0.5f * af_shift * drf, staged1, staged2,
-            in_place ? dst_row : out_row.data(), n_range);
+        std::uint64_t misses = 0;
+        if (in_place) {
+          misses = st.misses[gr];
+        } else {
+          staged1.image = src.data() + lc.offset(2 * subap, 0);
+          staged2.image = src.data() + lc.offset(2 * subap + 1, 0);
+          const float af_shift =
+              opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
+          misses = sar::kernels::merge_sample_row(
+              geom.child, algo.interp, algo.phase_compensate,
+              row_geometry(st, p, level, geom, ti, geom_row),
+              -0.5f * af_shift * drf, 0.5f * af_shift * drf, staged1, staged2,
+              out_row.data(), n_range);
+        }
 
         co_await ctx.compute(static_cast<std::uint64_t>(n_range) * pixel_ops +
                              sar::kMergeRowOps);
@@ -471,6 +544,11 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
         ext_bytes += ExternalMemory::footprint<std::uint32_t>(lp.n_subaps);
     }
   }
+  // The result image is allocated before the SDRAM store, which then lies
+  // above it in the heap: freeing the store at return leaves no hole under
+  // a live image for the caller's next allocations to split (at paper
+  // size such a hole grew the heap's peak by a level buffer).
+  Array2D<cf32> image(p.n_pulses, p.n_range);
   ep::Machine m(cfg, ext_bytes, {}, opt.tracer);
 
   SharedState st;
@@ -481,11 +559,11 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
     st.stats[l].level = l + 1;
   st.barrier = m.make_barrier(opt.n_cores);
   st.shifts.assign(p.n_pulses / 2, 0.0f);
-  st.geom_table =
-      std::make_unique_for_overwrite<sar::MergeGeom[]>(p.n_pulses / 2 *
-                                                       p.n_range);
-  st.geom_level.assign(p.n_pulses / 2, 0);
   if (m.fault_injector() != nullptr) {
+    st.geom_table =
+        std::make_unique_for_overwrite<sar::MergeGeom[]>(p.n_pulses / 2 *
+                                                         p.n_range);
+    st.geom_level.assign(p.n_pulses / 2, 0);
     st.row_done.resize(p.merge_levels());
     if (opt.autofocus != nullptr) st.af_done.resize(p.merge_levels());
     for (std::size_t l = 1; l <= p.merge_levels(); ++l) {
@@ -500,11 +578,15 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
   }
 
   // Load level 0 into SDRAM, each pulse range-phase referenced straight
-  // into its row, exactly as sar::initial_subapertures references it.
+  // into its row, exactly as sar::initial_subapertures references it, in
+  // one host pass over the pulses.
   const std::vector<cf32> phase = sar::range_phase_table(p);
-  for (std::size_t pu = 0; pu < p.n_pulses; ++pu)
-    sar::reference_pulse(data.row(pu), phase,
-                         st.buf_a.subspan(pu * p.n_range, p.n_range));
+  const auto load_pulses = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t pu = begin; pu < end; ++pu)
+      sar::reference_pulse(data.row(pu), phase,
+                           st.buf_a.subspan(pu * p.n_range, p.n_range));
+  };
+  host::run_pass(p.n_pulses, p.n_range, load_pulses);
 
   for (int c = 0; c < opt.n_cores; ++c) {
     m.launch(c, [&p, &opt, &st, c](ep::CoreCtx& ctx) {
@@ -513,9 +595,6 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
   }
 
   const ep::Cycles cycles = m.run(opt.max_cycles);
-  // The geometry scratch is dead once the cores finish: free it before the
-  // image copy below, so the two never coexist.
-  st.geom_table.reset();
   // The per-level prefetch hit/miss counters only this mapping knows
   // about, added before collect_run moves the registry out.
   for (const LevelPrefetchStats& ls : st.stats) {
@@ -533,7 +612,6 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
 
   const std::span<cf32> final_buf =
       (p.merge_levels() % 2 == 1) ? st.buf_b : st.buf_a;
-  Array2D<cf32> image(p.n_pulses, p.n_range);
   std::copy(final_buf.begin(), final_buf.end(), image.data());
   return {std::move(run), std::move(image), std::move(st.stats),
           std::move(st.corrections)};

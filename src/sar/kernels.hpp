@@ -54,8 +54,9 @@ enum class Backend { kScalar, kAvx2, kAvx512 };
 [[nodiscard]] const char* active_name();
 
 /// Repoint the dispatch table (tests and benches only). Not thread-safe:
-/// call before any worker threads touch the kernels. Requires
-/// backend_available(b).
+/// the sweep runner's workers outlive each run and call the kernels in
+/// every clean chip run's host passes, so call it only while no sweep or
+/// pass runs. Requires backend_available(b).
 void force_backend(Backend b);
 
 /// merge_geometry (paper eqs. 1-4) for a contiguous run of range bins:

@@ -10,6 +10,7 @@
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "core/ffbp_layout.hpp"
+#include "host/sweep_runner.hpp"
 #include "sar/ffbp.hpp"
 #include "sar/kernels.hpp"
 #include "sar/scene.hpp"
@@ -334,39 +335,110 @@ ep::ChipConfig silent_campaign(bool resilient) {
   return cfg;
 }
 
+/// A clean run of `opt` must reproduce the copying path of both silent
+/// campaigns: the image always, and the schedule where the two share it.
+/// A campaign never double-buffers, and a resilient one pays for
+/// verification, so only a plain campaign without double buffering does.
+void expect_clean_matches_copying(const Array2D<cf32>& data,
+                                  const sar::RadarParams& p,
+                                  const FfbpMapOptions& opt) {
+  const auto clean = run_ffbp_epiphany(data, p, opt);
+  for (const bool resilient : {false, true}) {
+    SCOPED_TRACE(resilient ? "resilient" : "not resilient");
+    const auto copied =
+        run_ffbp_epiphany(data, p, opt, silent_campaign(resilient));
+    ASSERT_EQ(copied.faults.injected, 0u);
+    EXPECT_EQ(copied.image, clean.image);
+    if (resilient || opt.double_buffer) continue;
+    EXPECT_EQ(copied.cycles, clean.cycles);
+    EXPECT_EQ(copied.perf.engine_events, clean.perf.engine_events);
+    EXPECT_EQ(copied.energy.total_j(), clean.energy.total_j());
+    EXPECT_EQ(copied.prefetch_stats.size(), clean.prefetch_stats.size());
+    for (std::size_t l = 0; l < clean.prefetch_stats.size(); ++l) {
+      EXPECT_EQ(copied.prefetch_stats[l].local_hits,
+                clean.prefetch_stats[l].local_hits);
+      EXPECT_EQ(copied.prefetch_stats[l].ext_misses,
+                clean.prefetch_stats[l].ext_misses);
+    }
+  }
+}
+
 TEST(FfbpInPlace, CleanRunMatchesTheCopyingPath) {
-  const auto p = sar::test_params(32, 101); // rows fit two-per-bank
-  const auto data = small_data(p);
   struct Mode {
     const char* name;
     bool prefetch;
     bool double_buffer;
   };
-  for (const Mode mode : {Mode{"prefetch off", false, false},
-                          Mode{"prefetch on", true, false},
-                          Mode{"double-buffered", true, true}}) {
+  constexpr Mode kModes[] = {
+      {"prefetch off", false, false},
+      {"prefetch on", true, false},
+      {"double-buffered", true, true},
+  };
+  // Under the pass grain: every level's pass runs as one chunk.
+  const auto p = sar::test_params(32, 101); // rows fit two-per-bank
+  const auto data = small_data(p);
+  for (const Mode mode : kModes) {
     for (const int cores : {1, 4, 16}) {
       SCOPED_TRACE(std::to_string(cores) + " cores, " + mode.name);
       FfbpMapOptions opt;
       opt.n_cores = cores;
       opt.prefetch = mode.prefetch;
       opt.double_buffer = mode.double_buffer;
-      const auto clean = run_ffbp_epiphany(data, p, opt);
-      for (const bool resilient : {false, true}) {
-        SCOPED_TRACE(resilient ? "resilient" : "not resilient");
-        const auto copied =
-            run_ffbp_epiphany(data, p, opt, silent_campaign(resilient));
-        ASSERT_EQ(copied.faults.injected, 0u);
-        EXPECT_EQ(copied.image, clean.image);
-        // A campaign never double-buffers, and a resilient one pays for
-        // verification, so only these runs share the clean schedule.
-        if (resilient || mode.double_buffer) continue;
-        EXPECT_EQ(copied.cycles, clean.cycles);
-        EXPECT_EQ(copied.perf.engine_events, clean.perf.engine_events);
-        EXPECT_EQ(copied.energy.total_j(), clean.energy.total_j());
-      }
+      expect_clean_matches_copying(data, p, opt);
     }
   }
+
+  // Over it: every level's pass, and the level-0 load, split into chunks
+  // that run on several host threads.
+  const auto big = sar::test_params(256, 257);
+  ASSERT_GT(big.n_pulses * big.n_range, host::kPassGrain);
+  const auto big_data = small_data(big);
+  for (const Mode mode : kModes) {
+    SCOPED_TRACE(std::string("256x257, 16 cores, ") + mode.name);
+    FfbpMapOptions opt;
+    opt.n_cores = 16;
+    opt.prefetch = mode.prefetch;
+    opt.double_buffer = mode.double_buffer;
+    expect_clean_matches_copying(big_data, big, opt);
+  }
+  struct Kernel {
+    const char* name;
+    sar::FfbpOptions algo;
+  };
+  const Kernel kernels[] = {
+      {"linear", {.interp = sar::Interp::kLinear}},
+      {"cubic", {.interp = sar::Interp::kCubic}},
+      {"phase-compensated nearest",
+       {.interp = sar::Interp::kNearest, .phase_compensate = true}},
+  };
+  for (const Kernel& k : kernels) {
+    SCOPED_TRACE(std::string("256x257, 16 cores, ") + k.name);
+    FfbpMapOptions opt;
+    opt.n_cores = 16;
+    opt.algo = k.algo;
+    expect_clean_matches_copying(big_data, big, opt);
+  }
+
+  // Integrated autofocus: the pass reads each pair's published shift.
+  sar::Scene s;
+  s.targets = {{0.0, big.near_range_m + 120.0 * big.range_bin_m, 1.0f}};
+  sar::FlightPathError err;
+  err.dy.resize(big.n_pulses);
+  for (std::size_t i = 0; i < big.n_pulses; ++i)
+    err.dy[i] = 0.5 * std::sin(2.0 * kPi * static_cast<double>(i) /
+                               static_cast<double>(big.n_pulses));
+  const auto af_data = sar::simulate_compressed(big, s, err);
+  const af::IntegratedOptions aopt;
+  FfbpMapOptions opt;
+  opt.n_cores = 16;
+  opt.autofocus = &aopt;
+  const auto clean = run_ffbp_epiphany(af_data, big, opt);
+  std::size_t shifted = 0;
+  for (const af::MergeCorrection& c : clean.corrections)
+    shifted += c.shift_bins != 0.0f ? 1 : 0;
+  ASSERT_GT(shifted, 0u) << "the scene must drive nonzero autofocus shifts";
+  SCOPED_TRACE("256x257, 16 cores, integrated autofocus");
+  expect_clean_matches_copying(af_data, big, opt);
 }
 
 } // namespace

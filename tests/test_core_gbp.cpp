@@ -6,6 +6,7 @@
 #include "common/stats.hpp"
 #include "core/ffbp_epiphany.hpp"
 #include "core/gbp_epiphany.hpp"
+#include "host/sweep_runner.hpp"
 #include "sar/gbp.hpp"
 #include "sar/scene.hpp"
 
@@ -74,8 +75,11 @@ TEST(GbpEpiphany, InPlaceRunMatchesTheCopyingPath) {
   // With no fault campaign attached the program reads its pulse rows and
   // accumulates its image rows where they lie in SDRAM (core_ctx.hpp's
   // in-place rule). A campaign copies them through the banks; one whose
-  // transfers all roll and none fires must reproduce the clean run.
+  // transfers all roll and none fires must reproduce the clean run. The
+  // clean image comes from one host pass, split into chunks over several
+  // threads once its contributions exceed the pass grain.
   const auto p = small_params();
+  ASSERT_GT(p.n_pulses * p.n_pulses * p.n_range, host::kPassGrain);
   const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
   ep::ChipConfig campaign;
   campaign.faults.dma_corrupt_rate = 1e-12;

@@ -5,6 +5,8 @@
 // replaces.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -83,6 +85,137 @@ TEST(SweepRunner, OneOfSeveralThrownExceptionsSurfaces) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "worker-failure");
   }
+}
+
+// --- The shared workers: every SweepRunner and every host::run_pass draws
+// on one process-wide set of them.
+
+TEST(SweepRunner, EveryIndexRunsOnceInIndexOrderRunAfterRun) {
+  host::SweepRunner pool; // hardware width
+  const std::size_t width = static_cast<std::size_t>(pool.jobs());
+  const std::size_t sizes[] = {0, 1, 2, width, 1000};
+  for (int round = 0; round < 50; ++round) {
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE("round " + std::to_string(round) + ", n " +
+                   std::to_string(n));
+      std::vector<std::atomic<int>> hits(n);
+      const auto out = pool.run(n, [&](std::size_t i) {
+        hits[i].fetch_add(1);
+        return 7 * i;
+      });
+      ASSERT_EQ(out.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(out[i], 7 * i);
+        ASSERT_EQ(hits[i].load(), 1);
+      }
+      // The void form, which run_pass uses, runs each index once too.
+      pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 2);
+    }
+  }
+}
+
+TEST(SweepRunner, ThrowWaitsForEveryClaimedIndexThenTheWorkersGoOn) {
+  host::SweepRunner pool(4);
+  constexpr std::size_t kN = 64;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  try {
+    pool.run(kN, [&](std::size_t i) {
+      started.fetch_add(1);
+      if (i == 1) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        finished.fetch_add(1);
+        throw std::runtime_error("first");
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      finished.fetch_add(1);
+    });
+    FAIL() << "expected the task's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  // Every index a participant claimed had finished when run() threw, and
+  // no participant claimed another once the task had thrown.
+  EXPECT_EQ(finished.load(), started.load());
+  EXPECT_LT(started.load(), static_cast<int>(kN));
+  const auto out = pool.run(kN, [](std::size_t i) { return i + 1; });
+  ASSERT_EQ(out.size(), kN);
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], i + 1);
+}
+
+TEST(SweepRunner, NestedAndConcurrentRunsComplete) {
+  host::SweepRunner pool(4);
+  // A run started inside a task executes inline on that task's thread.
+  const auto nested = pool.run(8, [&](std::size_t i) {
+    const auto me = std::this_thread::get_id();
+    const auto inner = pool.run(16, [&](std::size_t j) {
+      return std::this_thread::get_id() == me ? i * 16 + j : std::size_t{0};
+    });
+    return std::accumulate(inner.begin(), inner.end(), std::size_t{0});
+  });
+  for (std::size_t i = 0; i < nested.size(); ++i)
+    EXPECT_EQ(nested[i], 16 * (16 * i) + 120);
+
+  // Runs started from several threads at once share the workers.
+  constexpr int kCallers = 4;
+  std::vector<int> ok(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      int good = 0;
+      for (int round = 0; round < 20; ++round) {
+        const auto out = host::SweepRunner(4).run(200, [c](std::size_t i) {
+          return i * static_cast<std::size_t>(c);
+        });
+        bool same = out.size() == 200;
+        for (std::size_t i = 0; same && i < out.size(); ++i)
+          same = out[i] == i * static_cast<std::size_t>(c);
+        good += same ? 1 : 0;
+      }
+      ok[static_cast<std::size_t>(c)] = good;
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c)
+    EXPECT_EQ(ok[static_cast<std::size_t>(c)], 20) << "caller " << c;
+}
+
+TEST(SweepRunner, WorkersNeverExceedTheHardwareLessTheCaller) {
+  const int hw =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  host::SweepRunner pool(64); // beyond the hardware, never thousands
+  const auto out = pool.run(256, [](std::size_t i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    return i;
+  });
+  ASSERT_EQ(out.size(), 256u);
+  EXPECT_LE(host::SweepRunner::workers_started(), hw - 1);
+}
+
+TEST(SweepRunner, RunPassTilesTheItemsAndKeepsSmallPassesInline) {
+  // At or under the grain: one chunk, on the calling thread.
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  const auto whole = [&](std::size_t begin, std::size_t end) {
+    ++calls;
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 100u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  };
+  host::run_pass(100, host::kPassGrain / 100, whole);
+  EXPECT_EQ(calls, 1);
+  // Over it: chunks that cover every item exactly once.
+  constexpr std::size_t kItems = 1000;
+  std::vector<std::atomic<int>> hits(kItems);
+  std::atomic<int> chunks{0};
+  const auto tile = [&](std::size_t begin, std::size_t end) {
+    chunks.fetch_add(1);
+    for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+  };
+  host::run_pass(kItems, host::kPassGrain / 64, tile);
+  EXPECT_EQ(chunks.load(), 16); // ceil(1000 / 64)
+  for (std::size_t i = 0; i < kItems; ++i) ASSERT_EQ(hits[i].load(), 1);
 }
 
 TEST(SweepRunner, JobsFromEnvironment) {
