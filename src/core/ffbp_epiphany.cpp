@@ -34,11 +34,16 @@ struct SharedState {
   // to repartition the unfinished work (docs/fault-injection.md).
   std::vector<std::span<std::uint32_t>> row_done;
   std::vector<std::span<std::uint32_t>> af_done;
-  // Clean runs (no injector): the level whose pixels merge_level_pass has
-  // computed (0: none yet), and each of its rows' miss counts, indexed by
-  // global row, for the cores to charge.
+  // Clean runs (no injector): the result image the last level's pass
+  // writes, the level whose pass has been joined (0: none yet), the level
+  // `pass` was started for (0: none), and each level's rows' miss counts,
+  // indexed by global row, in misses[level % 2] for the cores to charge:
+  // pass L + 1 fills one parity while the cores charge level L from the
+  // other.
+  std::span<cf32> image;
   std::size_t merged_level = 0;
-  std::vector<std::uint64_t> misses;
+  std::size_t started_level = 0;
+  std::array<std::vector<std::uint64_t>, 2> misses;
   // Campaign runs: host scratch for the cosine-theorem geometry (eqs.
   // 1-4), which depends on the level and the parent theta row but not on
   // the subaperture pair: row ti of a sharing level (row_geometry), and
@@ -47,6 +52,9 @@ struct SharedState {
   // rows cover them all.
   std::unique_ptr<sar::MergeGeom[]> geom_table;
   std::vector<std::size_t> geom_level;
+  // The clean run's started level pass. Last, so destroying the state
+  // waits for a pass still running before anything it writes dies.
+  host::Pass pass;
 };
 
 /// Rebuild a child subaperture (level `lvl`, index `subap`) from its SDRAM
@@ -125,24 +133,33 @@ const sar::MergeGeom* row_geometry(SharedState& st, const sar::RadarParams& p,
   return out;
 }
 
-/// A clean run's merges of `level`, every output row in one host pass
-/// over all host cores (host::run_pass): each row merged straight into
-/// `dst` from the geometry, staged rows and autofocus shift the per-row
-/// path uses, so the same pixels, and its miss count stored in
-/// st.misses by global row for the cores to charge. Items run
+/// Start a clean run's merges of `level` as st.pass, every output row in
+/// one host pass over all host cores (host::start_pass): each row merged
+/// from the geometry, staged rows and autofocus shift the per-row path
+/// uses, so the same pixels, straight into the level's SDRAM buffer (the
+/// result image at the last level), and its miss count stored in
+/// st.misses[level % 2] by global row for the cores to charge. Items run
 /// theta-major, so a chunk computes each parent theta row's geometry
-/// once. No simulated event reads `dst` before the barrier that closes
-/// the level, so the cores cannot tell when this ran.
-void merge_level_pass(const sar::RadarParams& p, const FfbpMapOptions& opt,
+/// once. The pass reads only level - 1's pixels and, with autofocus, the
+/// shifts published before it starts; no simulated event reads a level
+/// buffer's bytes, so the cores cannot tell when it ran.
+void start_level_pass(const sar::RadarParams& p, const FfbpMapOptions& opt,
                       const sar::FfbpOptions& algo, std::size_t level,
-                      std::span<const cf32> src, std::span<cf32> dst,
                       SharedState& st) {
   const LevelLayout lc = LevelLayout::at(p, level - 1);
   const LevelLayout lp = LevelLayout::at(p, level);
   const sar::MergeLevelGeom geom = sar::merge_level_geom(p, level);
-  const float drf = static_cast<float>(p.range_bin_m);
-  st.misses.resize(lp.rows_total());
-  const auto merge_rows = [&](std::size_t begin, std::size_t end) {
+  const cf32* const src = (level % 2 == 1 ? st.buf_a : st.buf_b).data();
+  cf32* const dst = level == p.merge_levels() ? st.image.data()
+                    : level % 2 == 1          ? st.buf_b.data()
+                                              : st.buf_a.data();
+  const float* const shifts =
+      opt.autofocus != nullptr ? st.shifts.data() : nullptr;
+  std::uint64_t* const misses = st.misses[level % 2].data();
+  const auto merge_rows = [&p, lc, lp, geom, algo, prefetch = opt.prefetch,
+                           src, dst, shifts, misses](std::size_t begin,
+                                                     std::size_t end) {
+    const float drf = static_cast<float>(p.range_bin_m);
     std::vector<sar::MergeGeom> row_geom(p.n_range);
     std::size_t geom_ti = lp.n_theta; // none yet
     for (std::size_t k = begin; k < end; ++k) {
@@ -152,23 +169,24 @@ void merge_level_pass(const sar::RadarParams& p, const FfbpMapOptions& opt,
         fill_row_geometry(p, geom, ti, row_geom.data());
         geom_ti = ti;
       }
-      const cf32* const image1 = src.data() + lc.offset(2 * subap, 0);
-      const cf32* const image2 = src.data() + lc.offset(2 * subap + 1, 0);
+      const cf32* const image1 = src + lc.offset(2 * subap, 0);
+      const cf32* const image2 = src + lc.offset(2 * subap + 1, 0);
       sar::ChildSource c1{-1, nullptr, image1};
       sar::ChildSource c2{-1, nullptr, image2};
-      if (opt.prefetch) {
+      if (prefetch) {
         const auto [a1, a2] = predict_rows(p, geom, ti);
         c1 = {a1, image1 + static_cast<std::size_t>(a1) * p.n_range, image1};
         c2 = {a2, image2 + static_cast<std::size_t>(a2) * p.n_range, image2};
       }
-      const float af_shift = opt.autofocus != nullptr ? st.shifts[subap] : 0.0f;
-      st.misses[lp.row_index(subap, ti)] = sar::kernels::merge_sample_row(
+      const float af_shift = shifts != nullptr ? shifts[subap] : 0.0f;
+      misses[lp.row_index(subap, ti)] = sar::kernels::merge_sample_row(
           geom.child, algo.interp, algo.phase_compensate, row_geom.data(),
           -0.5f * af_shift * drf, 0.5f * af_shift * drf, c1, c2,
-          dst.data() + lp.offset(subap, ti), p.n_range);
+          dst + lp.offset(subap, ti), p.n_range);
     }
   };
-  host::run_pass(lp.rows_total(), p.n_range, merge_rows);
+  st.pass = host::start_pass(lp.rows_total(), p.n_range, merge_rows);
+  st.started_level = level;
 }
 
 /// Live launch-set cores at `now` under the campaign's fail-stop schedule.
@@ -219,12 +237,17 @@ std::vector<int> alive_cores(const fault::FaultInjector& inj, int n_cores,
 ///    never finished fall back to a zero shift (uncompensated merge) and
 ///    are counted as fault.af_pairs_dropped.
 ///
-/// Outside a campaign every fail-stop poll is false, and the first core
-/// to reach a level's merges computes all of its rows in one host pass
-/// (merge_level_pass), reading the staged child rows and writing the
-/// output rows where they lie in SDRAM; every core then charges its own
-/// rows' work, DMA bursts and posted writes (CoreCtx's charge-only ops),
-/// since each bank copy would equal its SDRAM row. A campaign keeps the
+/// Outside a campaign every fail-stop poll is false, and a level's rows
+/// are computed by one host pass (start_level_pass), reading the staged
+/// child rows and writing the output rows where they lie in SDRAM; every
+/// core then charges its own rows' work, DMA bursts and posted writes
+/// (CoreCtx's charge-only ops), since each bank copy would equal its
+/// SDRAM row. The first core to reach a level joins its pass, starting it
+/// first unless it already runs. Without autofocus that core then starts
+/// the next level's pass at once, so the host merges level L + 1 while
+/// the engine charges level L: nothing the engine does reads a level
+/// buffer's bytes. With autofocus the estimates read them, so a level's
+/// pass starts only after its shift barrier. A campaign keeps the
 /// per-row merges and the copies, because its injector corrupts delivered
 /// bytes. With plan.resilient == false the wrappers and the barrier stay
 /// plain while the fail-stop polls stay on: that configuration
@@ -370,12 +393,16 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
       return Staging{{a1, a2}, {seg1, seg2}};
     };
 
-    // A clean level's pixels come from one host pass, run by whichever
+    // A clean level's pixels come from one host pass, joined by whichever
     // core gets here first; the autofocus barrier above has published
-    // every shift it reads.
+    // every shift it reads. Without autofocus the next level's pass
+    // starts now, while the cores charge this one.
     if (in_place && st.merged_level != level) {
-      merge_level_pass(p, opt, algo, level, src, dst, st);
+      if (st.started_level != level) start_level_pass(p, opt, algo, level, st);
+      st.pass.join();
       st.merged_level = level;
+      if (opt.autofocus == nullptr && level < n_levels)
+        start_level_pass(p, opt, algo, level + 1, st);
     }
 
     std::span<std::uint32_t> row_done =
@@ -471,7 +498,7 @@ ep::Task ffbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
         cf32* const dst_row = dst.data() + lp.offset(subap, ti);
         std::uint64_t misses = 0;
         if (in_place) {
-          misses = st.misses[gr];
+          misses = st.misses[level % 2][gr];
         } else {
           staged1.image = src.data() + lc.offset(2 * subap, 0);
           staged2.image = src.data() + lc.offset(2 * subap + 1, 0);
@@ -551,15 +578,26 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
   Array2D<cf32> image(p.n_pulses, p.n_range);
   ep::Machine m(cfg, ext_bytes, {}, opt.tracer);
 
+  // A clean run's level-0 load and level passes overwrite both level
+  // buffers in full before anything reads them, and its last level's pass
+  // writes the result image directly.
+  const bool clean = m.fault_injector() == nullptr;
   SharedState st;
-  st.buf_a = m.ext().alloc<cf32>(total);
-  st.buf_b = m.ext().alloc<cf32>(total);
+  st.buf_a = clean ? m.ext().alloc_for_overwrite<cf32>(total)
+                   : m.ext().alloc<cf32>(total);
+  st.buf_b = clean ? m.ext().alloc_for_overwrite<cf32>(total)
+                   : m.ext().alloc<cf32>(total);
+  if (clean) {
+    st.image = image.flat();
+    st.misses[0].resize(p.n_pulses);
+    st.misses[1].resize(p.n_pulses);
+  }
   st.stats.resize(p.merge_levels());
   for (std::size_t l = 0; l < st.stats.size(); ++l)
     st.stats[l].level = l + 1;
   st.barrier = m.make_barrier(opt.n_cores);
   st.shifts.assign(p.n_pulses / 2, 0.0f);
-  if (m.fault_injector() != nullptr) {
+  if (!clean) {
     st.geom_table =
         std::make_unique_for_overwrite<sar::MergeGeom[]>(p.n_pulses / 2 *
                                                          p.n_range);
@@ -610,9 +648,11 @@ FfbpSimResult run_ffbp_epiphany(const Array2D<cf32>& data,
   }
   ep::ChipRun run = ep::collect_run(m, cycles);
 
-  const std::span<cf32> final_buf =
-      (p.merge_levels() % 2 == 1) ? st.buf_b : st.buf_a;
-  std::copy(final_buf.begin(), final_buf.end(), image.data());
+  if (!clean) {
+    const std::span<cf32> final_buf =
+        (p.merge_levels() % 2 == 1) ? st.buf_b : st.buf_a;
+    std::copy(final_buf.begin(), final_buf.end(), image.data());
+  }
   return {std::move(run), std::move(image), std::move(st.stats),
           std::move(st.corrections)};
 }

@@ -42,18 +42,22 @@ void pixel_positions(const sar::PolarGrid& grid, std::size_t i,
   }
 }
 
-/// A clean run's whole image in one host pass over its rows on all host
-/// cores (host::run_pass), before the cores launch: each row accumulates
-/// its pulses in the order gbp_core_program charges them, reading them
-/// where they lie in SDRAM, so the same pixels. No simulated event reads
-/// the image, so the cores cannot tell when it was computed.
-void gbp_image_pass(const sar::RadarParams& p, const GbpShared& st) {
-  const std::size_t n_range = p.n_range;
-  const auto image_rows = [&](std::size_t begin, std::size_t end) {
+/// Start a clean run's whole image as one host pass over its rows on all
+/// host cores (host::start_pass): each row accumulates its pulses in the
+/// order gbp_core_program charges them, reading them where they lie in
+/// SDRAM, straight into the result `image`. No simulated event reads the
+/// image, so the cores cannot tell when it was computed: the pass runs
+/// while they charge its work. `st` must outlive the pass.
+[[nodiscard]] host::Pass start_image_pass(const sar::RadarParams& p,
+                                          const GbpShared& st,
+                                          std::span<cf32> image) {
+  const auto image_rows = [&p, &st, out = image.data()](std::size_t begin,
+                                                        std::size_t end) {
+    const std::size_t n_range = p.n_range;
     std::vector<float> px(n_range), py(n_range);
     for (std::size_t i = begin; i < end; ++i) {
       pixel_positions(st.grid, i, px, py);
-      cf32* const row = st.image_ext.data() + i * n_range;
+      cf32* const row = out + i * n_range;
       std::fill(row, row + n_range, cf32{});
       for (std::size_t pu = 0; pu < p.n_pulses; ++pu)
         sar::kernels::gbp_contrib_row(px.data(), py.data(), st.pulse_x[pu],
@@ -61,7 +65,8 @@ void gbp_image_pass(const sar::RadarParams& p, const GbpShared& st) {
                                       row, n_range);
     }
   };
-  host::run_pass(st.grid.n_theta, n_range * p.n_pulses, image_rows);
+  return host::start_pass(st.grid.n_theta, p.n_range * p.n_pulses,
+                          image_rows);
 }
 
 ep::Task gbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
@@ -69,9 +74,9 @@ ep::Task gbp_core_program(ep::CoreCtx& ctx, const sar::RadarParams& p,
   const std::size_t n_range = p.n_range;
   const std::size_t row_bytes = n_range * sizeof(cf32);
   // With no fault campaign attached each bank copy would equal its SDRAM
-  // row, so gbp_image_pass has already computed the image from the pulse
-  // rows where they lie, and the cores only charge the work and the
-  // transfers (core_ctx.hpp). A campaign keeps the per-row arithmetic and
+  // row, so start_image_pass computes the image from the pulse rows where
+  // they lie, and the cores only charge the work and the transfers
+  // (core_ctx.hpp). A campaign keeps the per-row arithmetic and
   // the copies: its injector corrupts delivered bytes.
   const bool in_place = ctx.fault_injector() == nullptr;
 
@@ -138,7 +143,9 @@ GbpSimResult run_gbp_epiphany(const Array2D<cf32>& data,
   ESARP_EXPECTS(data.rows() == p.n_pulses && data.cols() == p.n_range);
 
   const std::size_t total = p.n_pulses * p.n_range;
-  // SDRAM holds exactly the echo data and the image.
+  // The result image comes before the SDRAM store, as in
+  // run_ffbp_epiphany. SDRAM holds exactly the echo data and the image.
+  Array2D<cf32> image(p.n_pulses, p.n_range);
   ep::Machine m(cfg, 2 * ep::ExternalMemory::footprint<cf32>(total));
   GbpShared st(p);
   auto data_ext = m.ext().alloc<cf32>(total);
@@ -148,7 +155,12 @@ GbpSimResult run_gbp_epiphany(const Array2D<cf32>& data,
   st.pulse_x.resize(p.n_pulses);
   for (std::size_t pu = 0; pu < p.n_pulses; ++pu)
     st.pulse_x[pu] = static_cast<float>(p.pulse_x(pu));
-  if (m.fault_injector() == nullptr) gbp_image_pass(p, st);
+  // A clean run's image pass runs while the cores charge its work. It is
+  // declared after everything it reads and writes, so an unwinding run
+  // waits for it (host::Pass).
+  const bool clean = m.fault_injector() == nullptr;
+  host::Pass pass;
+  if (clean) pass = start_image_pass(p, st, image.flat());
 
   for (int c = 0; c < n_cores; ++c) {
     m.launch(c, [&p, &st, c, n_cores](ep::CoreCtx& ctx) {
@@ -157,8 +169,9 @@ GbpSimResult run_gbp_epiphany(const Array2D<cf32>& data,
   }
 
   ep::ChipRun run = ep::collect_run(m, m.run(max_cycles));
-  Array2D<cf32> image(p.n_pulses, p.n_range);
-  std::copy(st.image_ext.begin(), st.image_ext.end(), image.data());
+  pass.join();
+  if (!clean)
+    std::copy(st.image_ext.begin(), st.image_ext.end(), image.data());
   return {std::move(run), std::move(image)};
 }
 

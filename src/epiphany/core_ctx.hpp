@@ -186,9 +186,11 @@ public:
   }
 
   /// Charge-only write_ext, for a kernel that already wrote the payload
-  /// into `dst` itself: the same completion, counters, power, trace and
-  /// sanitizer hooks (naming `src` as the local source window), without
-  /// the copy or the fault roll. Requires no fault campaign.
+  /// itself: into `dst`, or, for a clean FFBP run's last level, into the
+  /// result image, which no simulated event reads. The same completion,
+  /// counters, power, trace and sanitizer hooks (naming `src` as the local
+  /// source window), without the copy or the fault roll. Requires no
+  /// fault campaign.
   [[nodiscard]] DelayUntil charge_write_ext(const void* dst, const void* src,
                                             std::size_t bytes) {
     ESARP_EXPECTS(fault_ == nullptr);

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <span>
@@ -15,12 +16,12 @@ namespace esarp::ep {
 
 class ExternalMemory {
 public:
-  /// A zeroed store of `bytes`. It comes from calloc, which does not
-  /// write the zero pages the operating system hands out fresh, so SDRAM
-  /// a run never touches costs no host time. Throws std::bad_alloc when
-  /// the host cannot provide it; a zero-byte store is valid.
+  /// A store of `bytes`, from malloc: bytes no alloc<T>() hands out are
+  /// never written, so SDRAM a run never allocates costs no host time.
+  /// Throws std::bad_alloc when the host cannot provide it; a zero-byte
+  /// store is valid.
   explicit ExternalMemory(std::size_t bytes)
-      : store_(zeroed(bytes)), size_(bytes) {}
+      : store_(unzeroed(bytes)), size_(bytes) {}
 
   [[nodiscard]] std::size_t capacity() const { return size_; }
   [[nodiscard]] std::size_t used() const { return cursor_; }
@@ -32,9 +33,19 @@ public:
     return (n * sizeof(T) + 7) & ~std::size_t{7};
   }
 
-  /// Allocate n objects of T (8-byte aligned) in SDRAM.
+  /// Allocate n objects of T (8-byte aligned) in SDRAM, zeroed.
   template <typename T>
   std::span<T> alloc(std::size_t n) {
+    const std::span<T> s = alloc_for_overwrite<T>(n);
+    std::memset(static_cast<void*>(s.data()), 0, s.size_bytes());
+    return s;
+  }
+
+  /// alloc<T>(n) without the zeroing, at the offset alloc<T>(n) would
+  /// return: for a span the caller writes in full before anything reads
+  /// it. Its bytes are whatever the host heap held there.
+  template <typename T>
+  std::span<T> alloc_for_overwrite(std::size_t n) {
     const std::size_t aligned = (cursor_ + 7) & ~std::size_t{7};
     const std::size_t bytes = n * sizeof(T);
     if (aligned + bytes > size_)
@@ -54,17 +65,15 @@ public:
     return b >= store_.get() && b < store_.get() + size_;
   }
 
-  void reset() { cursor_ = 0; }
-
 private:
   struct Free {
     void operator()(std::byte* p) const { std::free(p); }
   };
   using Store = std::unique_ptr<std::byte[], Free>;
 
-  static Store zeroed(std::size_t bytes) {
-    // One byte at least: calloc(0) may return null.
-    void* p = std::calloc(bytes == 0 ? 1 : bytes, 1);
+  static Store unzeroed(std::size_t bytes) {
+    // One byte at least: malloc(0) may return null.
+    void* p = std::malloc(bytes == 0 ? 1 : bytes);
     if (p == nullptr) throw std::bad_alloc();
     return Store(static_cast<std::byte*>(p));
   }

@@ -10,27 +10,16 @@
 
 namespace esarp::host {
 
-namespace {
+namespace detail {
 
-int hardware_width() {
-  static const int width = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }();
-  return width;
-}
-
-/// True on a pool worker, and on a calling thread while it takes part in a
-/// parallel run: a run started there executes inline.
-thread_local bool t_in_run = false;
-
-/// One parallel run(): the index space its participants claim from.
+/// One parallel run() or started pass: the index space its participants
+/// claim from.
 struct Run {
   std::size_t n = 0;
   void (*call)(void*, std::size_t) = nullptr;
   void* fn = nullptr;
   std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
+  std::atomic<bool> failed{false}; ///< a task threw, or the pass was dropped
   std::mutex error_mu;
   std::exception_ptr error;
   int helpers_wanted = 0; ///< workers that may still join (pool mutex)
@@ -53,6 +42,31 @@ struct Run {
   }
 };
 
+/// A started pass's run, owning the chunk function it calls.
+struct PassRun : Run {
+  explicit PassRun(OwnedFn f) : owned(std::move(f)) {}
+  OwnedFn owned;
+};
+
+} // namespace detail
+
+namespace {
+
+using detail::PassRun;
+using detail::Run;
+
+int hardware_width() {
+  static const int width = [] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }();
+  return width;
+}
+
+/// True on a pool worker, and on a calling thread while it takes part in a
+/// parallel run: a run started there executes inline.
+thread_local bool t_in_run = false;
+
 /// The process-wide workers every SweepRunner shares.
 class Pool {
 public:
@@ -68,9 +82,8 @@ public:
     for (std::thread& t : threads_) t.join();
   }
 
-  /// Run `r` on the calling thread and up to `helpers` workers; returns
-  /// once every claimed index has finished.
-  void run(Run& r, int helpers) {
+  /// Offer `r` to up to `helpers` workers and return at once.
+  void start(Run& r, int helpers) {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       const int want = std::min(helpers, hardware_width() - 1);
@@ -80,11 +93,20 @@ public:
       if (want > 0) open_.push_back(&r);
     }
     work_cv_.notify_all();
-    t_in_run = true;
-    r.work();
-    t_in_run = false;
+  }
+
+  /// Finish `r`: with `help`, the calling thread first claims whatever
+  /// index is left. Then no worker joins `r`, and this returns once every
+  /// worker inside it has left.
+  void finish(Run& r, bool help) {
+    if (help) {
+      const bool outer = t_in_run;
+      t_in_run = true;
+      r.work();
+      t_in_run = outer;
+    }
     std::unique_lock<std::mutex> lock(mu_);
-    std::erase(open_, &r); // no worker joins once the caller is done
+    std::erase(open_, &r);
     idle_cv_.wait(lock, [&] { return r.helpers_active == 0; });
   }
 
@@ -155,8 +177,44 @@ void SweepRunner::dispatch(std::size_t n, void (*invoke)(void*, std::size_t),
   r.fn = fn;
   const std::size_t helpers =
       std::min(static_cast<std::size_t>(jobs_ - 1), n - 1);
-  pool().run(r, static_cast<int>(helpers));
+  pool().start(r, static_cast<int>(helpers));
+  pool().finish(r, true);
   if (r.error) std::rethrow_exception(r.error);
+}
+
+bool detail::pass_runs_inline() { return hardware_width() <= 1 || t_in_run; }
+
+Pass::Pass(std::size_t chunks, void (*invoke)(void*, std::size_t),
+           detail::OwnedFn fn) {
+  auto r = std::make_unique<PassRun>(std::move(fn));
+  r->n = chunks;
+  r->call = invoke;
+  r->fn = r->owned.get();
+  pool().start(*r, static_cast<int>(std::min<std::size_t>(
+                       chunks, static_cast<std::size_t>(hardware_width()))));
+  run_ = r.release();
+}
+
+Pass& Pass::operator=(Pass&& other) noexcept {
+  if (this != &other) {
+    drop();
+    run_ = std::exchange(other.run_, nullptr);
+  }
+  return *this;
+}
+
+void Pass::join() {
+  if (run_ == nullptr) return;
+  const std::unique_ptr<PassRun> r(std::exchange(run_, nullptr));
+  pool().finish(*r, true);
+  if (r->error) std::rethrow_exception(r->error);
+}
+
+void Pass::drop() noexcept {
+  if (run_ == nullptr) return;
+  const std::unique_ptr<PassRun> r(std::exchange(run_, nullptr));
+  r->failed.store(true, std::memory_order_relaxed);
+  pool().finish(*r, false);
 }
 
 } // namespace esarp::host

@@ -389,9 +389,13 @@ TEST(FfbpInPlace, CleanRunMatchesTheCopyingPath) {
   }
 
   // Over it: every level's pass, and the level-0 load, split into chunks
-  // that run on several host threads.
+  // that run on several host threads, the next level's pass beside the
+  // engine. Every level has n_pulses rows of n_range pixels; 256x257 has
+  // an even number of merge levels (its last pass reads buf_b), 512x513
+  // an odd one (it reads buf_a), in five chunks a level.
   const auto big = sar::test_params(256, 257);
-  ASSERT_GT(big.n_pulses * big.n_range, host::kPassGrain);
+  ASSERT_EQ(host::pass_chunks(big.n_pulses, big.n_range), 2u);
+  ASSERT_EQ(big.merge_levels() % 2, 0u);
   const auto big_data = small_data(big);
   for (const Mode mode : kModes) {
     SCOPED_TRACE(std::string("256x257, 16 cores, ") + mode.name);
@@ -400,6 +404,17 @@ TEST(FfbpInPlace, CleanRunMatchesTheCopyingPath) {
     opt.prefetch = mode.prefetch;
     opt.double_buffer = mode.double_buffer;
     expect_clean_matches_copying(big_data, big, opt);
+  }
+  const auto wide = sar::test_params(512, 513); // too wide to double-buffer
+  ASSERT_GE(host::pass_chunks(wide.n_pulses, wide.n_range), 4u);
+  ASSERT_EQ(wide.merge_levels() % 2, 1u);
+  const auto wide_data = small_data(wide);
+  for (const Mode mode : {kModes[0], kModes[1]}) {
+    SCOPED_TRACE(std::string("512x513, 16 cores, ") + mode.name);
+    FfbpMapOptions opt;
+    opt.n_cores = 16;
+    opt.prefetch = mode.prefetch;
+    expect_clean_matches_copying(wide_data, wide, opt);
   }
   struct Kernel {
     const char* name;
@@ -439,6 +454,53 @@ TEST(FfbpInPlace, CleanRunMatchesTheCopyingPath) {
   ASSERT_GT(shifted, 0u) << "the scene must drive nonzero autofocus shifts";
   SCOPED_TRACE("256x257, 16 cores, integrated autofocus");
   expect_clean_matches_copying(af_data, big, opt);
+}
+
+TEST(FfbpInPlace, BackToBackScenesMatchTheirCopyingPaths) {
+  // A clean run's level buffers are not zeroed: the level-0 load and each
+  // level's pass overwrite them in full. Runs one after another reuse the
+  // heap the earlier ones freed, so each image must still be its own.
+  const auto p = sar::test_params(512, 513);
+  const auto scene_a = small_data(p);
+  sar::Scene s;
+  s.targets = {{3.0, p.near_range_m + 200.0 * p.range_bin_m, 1.0f},
+               {-5.0, p.near_range_m + 350.0 * p.range_bin_m, 0.5f}};
+  const auto scene_b = sar::simulate_compressed(p, s);
+  FfbpMapOptions opt;
+  opt.n_cores = 16;
+  const auto clean_a = run_ffbp_epiphany(scene_a, p, opt);
+  const auto clean_b = run_ffbp_epiphany(scene_b, p, opt);
+  const auto clean_a_again = run_ffbp_epiphany(scene_a, p, opt);
+  const auto copied_a =
+      run_ffbp_epiphany(scene_a, p, opt, silent_campaign(false));
+  const auto copied_b =
+      run_ffbp_epiphany(scene_b, p, opt, silent_campaign(false));
+  ASSERT_NE(copied_a.image, copied_b.image);
+  EXPECT_EQ(clean_a.image, copied_a.image);
+  EXPECT_EQ(clean_b.image, copied_b.image);
+  EXPECT_EQ(clean_a_again.image, copied_a.image);
+}
+
+TEST(FfbpInPlace, WatchdogTripsCleanlyWithAPassPending) {
+  // Over the grain and without autofocus, each level's first core starts
+  // the next level's pass before charging its own; a watchdog trip part
+  // way through unwinds past that pending pass, which must finish with
+  // the buffers it writes still alive.
+  const auto p = sar::test_params(512, 513);
+  ASSERT_GE(host::pass_chunks(p.n_pulses, p.n_range), 4u);
+  const auto data = small_data(p);
+  FfbpMapOptions opt;
+  opt.n_cores = 16;
+  const ep::Cycles full = run_ffbp_epiphany(data, p, opt).cycles;
+  for (const ep::Cycles cut : {full / 5, full / 3, full / 2}) {
+    SCOPED_TRACE("watchdog at " + std::to_string(cut) + " of " +
+                 std::to_string(full) + " cycles");
+    opt.max_cycles = cut;
+    EXPECT_THROW((void)run_ffbp_epiphany(data, p, opt), ep::WatchdogExpired);
+  }
+  // The workers go on: the next run is whole.
+  opt.max_cycles = 0;
+  EXPECT_EQ(run_ffbp_epiphany(data, p, opt).cycles, full);
 }
 
 } // namespace

@@ -96,6 +96,26 @@ TEST(GbpEpiphany, InPlaceRunMatchesTheCopyingPath) {
   }
 }
 
+TEST(GbpEpiphany, InPlaceWatchdogTripsCleanlyWithThePassPending) {
+  // A clean run's image pass runs on the host workers while the engine
+  // charges its work, and is joined after the run. A watchdog trip
+  // unwinds past the pending pass, which must finish before the image and
+  // the SDRAM it reads die.
+  const auto p = sar::test_params(64, 257);
+  ASSERT_GE(host::pass_chunks(p.n_pulses, p.n_range * p.n_pulses), 4u);
+  const auto data = sar::simulate_compressed(p, sar::six_target_scene(p));
+  const auto full = run_gbp_epiphany(data, p, 16);
+  for (const ep::Cycles cut : {full.cycles / 4, full.cycles / 2}) {
+    SCOPED_TRACE("watchdog at " + std::to_string(cut) + " cycles");
+    EXPECT_THROW((void)run_gbp_epiphany(data, p, 16, {}, cut),
+                 ep::WatchdogExpired);
+  }
+  // The workers go on: the next run is whole.
+  const auto again = run_gbp_epiphany(data, p, 16);
+  EXPECT_EQ(again.cycles, full.cycles);
+  EXPECT_EQ(again.image, full.image);
+}
+
 TEST(GbpEpiphany, RejectsBadConfig) {
   const auto p = sar::test_params(16, 51);
   const Array2D<cf32> data(16, 51);

@@ -1,8 +1,10 @@
 // Tests for the eMesh NoC model, the off-chip port, and the local/external
 // memories.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -218,10 +220,44 @@ TEST(ExternalMemory, AllocAndOffsets) {
   EXPECT_THROW(ext.alloc<double>(1 << 20), ContractViolation);
 }
 
-TEST(ExternalMemory, StoreIsZeroedAndMayBeEmpty) {
+TEST(ExternalMemory, EveryAllocIsZeroedAndMayBeEmpty) {
   ExternalMemory ext(1 << 20);
   const auto words = ext.alloc<std::uint64_t>((1 << 20) / 8);
   for (const std::uint64_t w : words) ASSERT_EQ(w, 0u);
+
+  // A store built where a dirtied one was freed: under the host's mmap
+  // threshold, so the heap hands the same bytes back. Every alloc is
+  // zeroed all the same, wherever it lands.
+  constexpr std::size_t kSmall = std::size_t{1} << 14;
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    {
+      ExternalMemory dirty(kSmall);
+      const auto bytes = dirty.alloc_for_overwrite<std::uint8_t>(kSmall);
+      std::fill(bytes.begin(), bytes.end(), std::uint8_t{0xA5});
+    }
+    ExternalMemory reused(kSmall);
+    const auto head = reused.alloc<std::uint8_t>(3);
+    const auto body = reused.alloc<double>(100);
+    const auto rest = reused.alloc<std::uint32_t>(
+        (kSmall - reused.used()) / sizeof(std::uint32_t));
+    for (const std::uint8_t b : head) ASSERT_EQ(b, 0u);
+    for (const double d : body) ASSERT_EQ(d, 0.0);
+    for (const std::uint32_t w : rest) ASSERT_EQ(w, 0u);
+  }
+
+  // alloc_for_overwrite hands out the offsets alloc would.
+  ExternalMemory zeroed(1 << 12);
+  ExternalMemory raw(1 << 12);
+  for (const std::size_t n : {3, 5, 1, 7, 2}) {
+    EXPECT_EQ(zeroed.offset_of(zeroed.alloc<std::uint8_t>(n).data()),
+              raw.offset_of(raw.alloc_for_overwrite<std::uint8_t>(n).data()));
+    EXPECT_EQ(zeroed.offset_of(zeroed.alloc<cf32>(n).data()),
+              raw.offset_of(raw.alloc_for_overwrite<cf32>(n).data()));
+    EXPECT_EQ(zeroed.used(), raw.used());
+  }
+  EXPECT_THROW((void)raw.alloc_for_overwrite<cf32>(1 << 12),
+               ContractViolation);
 
   ExternalMemory empty(0);
   EXPECT_EQ(empty.capacity(), 0u);

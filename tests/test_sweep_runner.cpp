@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -87,8 +88,8 @@ TEST(SweepRunner, OneOfSeveralThrownExceptionsSurfaces) {
   }
 }
 
-// --- The shared workers: every SweepRunner and every host::run_pass draws
-// on one process-wide set of them.
+// --- The shared workers: every SweepRunner and every host pass draws on
+// one process-wide set of them.
 
 TEST(SweepRunner, EveryIndexRunsOnceInIndexOrderRunAfterRun) {
   host::SweepRunner pool; // hardware width
@@ -216,6 +217,193 @@ TEST(SweepRunner, RunPassTilesTheItemsAndKeepsSmallPassesInline) {
   host::run_pass(kItems, host::kPassGrain / 64, tile);
   EXPECT_EQ(chunks.load(), 16); // ceil(1000 / 64)
   for (std::size_t i = 0; i < kItems; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+// --- Started passes (host::start_pass): the workers take a pass's chunks
+// while the starting thread goes on, and join() finishes it there.
+
+/// Work per item that splits `n` items into `chunks` chunks.
+std::size_t work_for(std::size_t n, std::size_t chunks) {
+  return chunks * host::kPassGrain / n;
+}
+
+TEST(SweepRunner, StartedPassesRunEveryItemOnceOnTheSharedWorkers) {
+  constexpr std::size_t kItems = 256;
+  const std::size_t work = work_for(kItems, 16);
+  ASSERT_EQ(host::pass_chunks(kItems, work), 16u);
+  for (int round = 0; round < 50; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::atomic<int>> a(kItems);
+    std::vector<std::atomic<int>> b(kItems);
+    const auto count_into = [](std::vector<std::atomic<int>>& hits) {
+      return [&hits](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      };
+    };
+    // Two passes pending at once, joined in either order.
+    host::Pass first = host::start_pass(kItems, work, count_into(a));
+    host::Pass second = host::start_pass(kItems, work, count_into(b));
+    if (round % 2 == 0) {
+      first.join();
+      second.join();
+    } else {
+      second.join();
+      first.join();
+    }
+    EXPECT_FALSE(first.pending());
+    EXPECT_FALSE(second.pending());
+    first.join(); // a finished pass joins at once
+    for (std::size_t i = 0; i < kItems; ++i) {
+      ASSERT_EQ(a[i].load(), 1) << "item " << i;
+      ASSERT_EQ(b[i].load(), 1) << "item " << i;
+    }
+  }
+}
+
+TEST(SweepRunner, JoinRethrowsTheFirstExceptionAfterEveryClaimedChunk) {
+  constexpr std::size_t kChunks = 64;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  host::Pass pass = host::start_pass(
+      kChunks, host::kPassGrain, [&](std::size_t begin, std::size_t) {
+        started.fetch_add(1);
+        if (begin == 1) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          finished.fetch_add(1);
+          throw std::runtime_error("first");
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        finished.fetch_add(1);
+      });
+  try {
+    pass.join();
+    FAIL() << "expected the chunk's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "first");
+  }
+  EXPECT_FALSE(pass.pending());
+  // Every chunk a thread claimed had finished when join() threw, and none
+  // was claimed once a chunk had thrown.
+  EXPECT_EQ(finished.load(), started.load());
+  EXPECT_LT(started.load(), static_cast<int>(kChunks));
+  // The next pass on the same workers runs to its end.
+  std::vector<std::atomic<int>> hits(kChunks);
+  host::run_pass(kChunks, host::kPassGrain,
+                 [&](std::size_t begin, std::size_t end) {
+                   for (std::size_t i = begin; i < end; ++i)
+                     hits[i].fetch_add(1);
+                 });
+  for (std::size_t i = 0; i < kChunks; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+TEST(SweepRunner, ADroppedPassFinishesWritingBeforeItsBufferDies) {
+  constexpr std::size_t kChunks = 256;
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto buffer = std::make_unique<std::vector<int>>(kChunks, 0);
+    std::atomic<int> in_flight{0};
+    std::atomic<int> started{0};
+    {
+      const host::Pass pass = host::start_pass(
+          kChunks, host::kPassGrain,
+          [&in_flight, &started, out = buffer->data()](std::size_t begin,
+                                                       std::size_t end) {
+            in_flight.fetch_add(1);
+            started.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+            for (std::size_t i = begin; i < end; ++i) out[i] = 1;
+            in_flight.fetch_sub(1);
+          });
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+    } // dropped unjoined
+    EXPECT_EQ(in_flight.load(), 0);
+    const int claimed = started.load();
+    buffer.reset(); // a chunk still writing would touch freed memory
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(started.load(), claimed) << "a chunk started after the drop";
+    // With workers, the drop cancelled the chunks nobody had claimed.
+    if (std::thread::hardware_concurrency() > 1) {
+      EXPECT_LT(claimed, static_cast<int>(kChunks));
+    }
+  }
+}
+
+TEST(SweepRunner, StartsUnderTheGrainOrInsideAParallelRunRunInline) {
+  const auto caller = std::this_thread::get_id();
+  int calls = 0;
+  const host::Pass small =
+      host::start_pass(100, host::kPassGrain / 100,
+                       [&](std::size_t begin, std::size_t end) {
+                         ++calls;
+                         EXPECT_EQ(begin, 0u);
+                         EXPECT_EQ(end, 100u);
+                         EXPECT_EQ(std::this_thread::get_id(), caller);
+                       });
+  EXPECT_EQ(calls, 1); // before start_pass returned
+  EXPECT_FALSE(small.pending());
+
+  // Over the grain, started inside a parallel run: every chunk runs on
+  // the task's own thread before start_pass returns.
+  const auto inline_ok = host::SweepRunner(4).run(8, [](std::size_t) {
+    const auto me = std::this_thread::get_id();
+    int chunks = 0;
+    bool on_me = true;
+    const host::Pass pass = host::start_pass(
+        64, host::kPassGrain, [&](std::size_t, std::size_t) {
+          ++chunks;
+          on_me = on_me && std::this_thread::get_id() == me;
+        });
+    return !pass.pending() && chunks == 64 && on_me;
+  });
+  for (const bool ok : inline_ok) EXPECT_TRUE(ok);
+}
+
+TEST(SweepRunner, ASynchronousRunCompletesBesideAPendingPass) {
+  constexpr std::size_t kChunks = 16;
+  std::vector<std::atomic<int>> hits(kChunks);
+  host::Pass pass = host::start_pass(
+      kChunks, host::kPassGrain, [&](std::size_t begin, std::size_t end) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+      });
+  // This thread has a pass pending and is in no run: its own run goes
+  // parallel on the same workers and completes.
+  const auto out = host::SweepRunner(4).run(
+      200, [](std::size_t i) { return 5 * i; });
+  ASSERT_EQ(out.size(), 200u);
+  for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 5 * i);
+  pass.join();
+  for (std::size_t i = 0; i < kChunks; ++i) ASSERT_EQ(hits[i].load(), 1);
+}
+
+TEST(SweepRunner, PassesStartedFromSeveralThreadsComplete) {
+  constexpr int kCallers = 4;
+  constexpr std::size_t kItems = 128;
+  const std::size_t work = work_for(kItems, 8);
+  std::vector<int> ok(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      int good = 0;
+      for (int round = 0; round < 20; ++round) {
+        std::vector<std::size_t> out(kItems, 0);
+        host::Pass pass = host::start_pass(
+            kItems, work, [&out, c](std::size_t begin, std::size_t end) {
+              for (std::size_t i = begin; i < end; ++i)
+                out[i] += i * static_cast<std::size_t>(c) + 1;
+            });
+        pass.join();
+        bool same = true;
+        for (std::size_t i = 0; same && i < kItems; ++i)
+          same = out[i] == i * static_cast<std::size_t>(c) + 1;
+        good += same ? 1 : 0;
+      }
+      ok[static_cast<std::size_t>(c)] = good;
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  for (int c = 0; c < kCallers; ++c)
+    EXPECT_EQ(ok[static_cast<std::size_t>(c)], 20) << "caller " << c;
 }
 
 TEST(SweepRunner, JobsFromEnvironment) {
